@@ -7,7 +7,7 @@ GO ?= go
 # toolchain install, no go.mod entry). Bump deliberately.
 STATICCHECK_VERSION ?= 2025.1
 
-.PHONY: all build test race race-repl race-failover race-client race-metrics race-trace race-query race-cluster race-partition bench bench-smoke bench-trend bench-e11 bench-e12 lint staticcheck fmt clean
+.PHONY: all build test race bench bench-smoke lint staticcheck fmt clean
 
 all: build test
 
@@ -15,62 +15,17 @@ all: build test
 build:
 	$(GO) build ./...
 
-## test: the tier-1 gate (build + full test suite)
+## test: the tier-1 gate (build + full test suite), then the commit
+## pipeline's packages again on one and two cores — a commit must be
+## visible to its own committer's next Begin at any core count
 test: build
 	$(GO) test ./...
+	GOMAXPROCS=1 $(GO) test -count=1 ./internal/core/... ./internal/mvcc/...
+	GOMAXPROCS=2 $(GO) test -count=1 ./internal/core/... ./internal/mvcc/...
 
 ## race: full test suite under the race detector
 race:
 	$(GO) test -race ./...
-
-## race-repl: the primary+replica integration tests, twice, under race
-race-repl:
-	$(GO) test -race -count=2 -run 'TestReplica|TestReplication|TestShipper|TestReadYourWrites|TestBehindHorizon' ./internal/repl/... ./internal/server/...
-
-## race-failover: crash-matrix + promotion + divergence fault-injection tests under race
-race-failover:
-	$(GO) test -race -run 'TestCrashMatrix|TestPromot|TestDivergence|TestReconnectConverges|TestSyncReplicas|TestJittered' ./internal/repl/... ./internal/server/...
-	$(GO) test -race ./internal/faultfs/...
-
-## race-client: the client/server/pool suite (batching, deadlines, drain, failover routing) under race
-race-client:
-	$(GO) test -race -count=2 ./client/... ./internal/wire/...
-	$(GO) test -race -run 'TestBatch|TestClose' ./internal/server/...
-
-## race-metrics: the metrics registry + admission-control/overload suite, twice, under race
-race-metrics:
-	$(GO) test -race -count=2 ./internal/metrics/...
-	$(GO) test -race -count=2 -run 'TestAdmission|TestServerMetrics' ./internal/server/...
-	$(GO) test -race -count=2 -run 'TestClientOverloaded|TestPoolBacksOff' ./client/...
-
-## race-trace: the tracing/logging suite (span rings, propagation, echo, slow-op) under race
-race-trace:
-	$(GO) test -race -count=2 ./internal/trace/... ./internal/slog/...
-	$(GO) test -race -run 'TestTrace|TestResponseEchoes|TestServerSpan|TestPoolOverloadRetrySingleTrace|TestPoolFailoverSingleTrace|TestClusterTraceEndToEnd' ./internal/server/... ./client/...
-
-## race-query: the query-pushdown suite (plan decode, pipeline-vs-BFS
-## equivalence under writers, streaming, mid-stream cancel/failover) under race
-race-query:
-	$(GO) test -race -count=2 ./internal/query/...
-	$(GO) test -race -count=2 -run 'TestQuery|TestFuzzSeedCorpus|FuzzDecodeQueryPlan' ./internal/wire/... ./internal/server/... ./client/...
-
-## race-cluster: the self-driving-cluster suite under race — controller
-## failover/election/reseed twice, plus the checkpoint crash matrix and
-## the pool topology-discovery tests
-race-cluster:
-	$(GO) test -race -count=2 ./internal/cluster/...
-	$(GO) test -race -run 'TestCheckpointCrash' ./internal/core/...
-	$(GO) test -race -run 'TestPoolWriteSurfacesErrNoPrimary|TestPoolDiscoversPromotedPrimaryViaTopology' ./client/...
-
-## race-partition: the partitioned-graph suite under race — the 2PC
-## engine (prepare/decide/recovery), the batch planner and topology, the
-## 2PC crash matrix (coordinator/participant/fleet deaths at every
-## protocol step), and the partition-routing client
-race-partition:
-	$(GO) test -race -count=2 -run 'TestPrepare|TestDecision|TestValidateGuard|TestCheckpointRetainsPrepared|TestTwoPC' ./internal/core/... ./internal/server/...
-	$(GO) test -race -count=2 ./internal/partition/...
-	$(GO) test -race -run 'TestRouter' ./client/...
-	$(GO) test -race -run 'TestStride' ./internal/ids/...
 
 ## bench: the full experiment suite (minutes)
 bench: build
@@ -79,18 +34,6 @@ bench: build
 ## bench-smoke: quick experiment pass; writes bench-results.json
 bench-smoke: build
 	$(GO) run ./cmd/neograph-bench -quick -json bench-results.json
-
-## bench-trend: normalise bench-results.json and gate against the newest committed BENCH_*.json
-bench-trend:
-	$(GO) run ./cmd/bench-trend -in bench-results.json -dir .
-
-## bench-e11: the striped-commit-pipeline scaling experiment only
-bench-e11: build
-	$(GO) run ./cmd/neograph-bench -exp E11 -json bench-e11.json
-
-## bench-e12: the remote batching / pooled-read experiment only
-bench-e12: build
-	$(GO) run ./cmd/neograph-bench -exp E12 -json bench-e12.json
 
 ## lint: go vet + gofmt diff check + log.Printf gate + staticcheck (pinned)
 lint: staticcheck
@@ -118,4 +61,4 @@ fmt:
 	gofmt -w .
 
 clean:
-	rm -f bench-results.json bench-e11.json bench-e12.json cpu.pprof
+	rm -f bench-results.json cpu.pprof mem.pprof

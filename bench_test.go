@@ -1,13 +1,12 @@
 package neograph_test
 
-// One benchmark per experiment in DESIGN.md's index (E1..E8, F1), plus
-// engine micro-benchmarks. The experiment benchmarks wrap the drivers in
-// internal/bench with quick configurations and surface their headline
-// numbers through b.ReportMetric; `go test -bench .` therefore regenerates
-// every table, and `cmd/neograph-bench` prints the full-size versions.
+// One benchmark per paper experiment (E1..E8, F1), plus engine
+// micro-benchmarks. The experiment benchmarks run the registry entries of
+// internal/bench in quick mode and surface their headline numbers through
+// b.ReportMetric; `go test -bench .` therefore regenerates every table,
+// and `cmd/neograph-bench` prints the full-size versions.
 
 import (
-	"fmt"
 	"io"
 	"math/rand"
 	"testing"
@@ -18,123 +17,104 @@ import (
 	"neograph/internal/workload"
 )
 
-func BenchmarkE1Anomalies(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := bench.RunE1(io.Discard, bench.E1Config{
-			People: 300, Writers: 4, Checkers: 2, Duration: 400 * time.Millisecond, Seed: int64(i),
-		})
-		if err != nil {
-			b.Fatal(err)
+// benchExperiment runs registry entry id once per iteration (seeded by
+// the iteration) and hands its rows to report.
+func benchExperiment(b *testing.B, id string, report func(rows any)) {
+	for _, e := range bench.Experiments {
+		if e.ID != id {
+			continue
 		}
+		for i := 0; i < b.N; i++ {
+			rows, err := e.Run(io.Discard, bench.Params{Quick: true, Seed: int64(i)})
+			if err != nil {
+				b.Fatal(err)
+			}
+			report(rows)
+		}
+		return
+	}
+	b.Fatalf("experiment %s is not in the registry", id)
+}
+
+func BenchmarkE1Anomalies(b *testing.B) {
+	benchExperiment(b, "E1", func(rows any) {
+		res := rows.([]bench.E1Result)
 		b.ReportMetric(float64(res[0].UnrepeatableReads+res[0].PhantomReads), "si-anomalies")
 		b.ReportMetric(float64(res[1].UnrepeatableReads+res[1].PhantomReads), "rc-anomalies")
-	}
+	})
 }
 
 func BenchmarkE2Throughput(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := bench.RunE2(io.Discard, bench.E2Config{
-			People: 500, Clients: []int{4}, Duration: 200 * time.Millisecond, Seed: int64(i),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			if r.Mix == "write-heavy 10/90" {
+	benchExperiment(b, "E2", func(rows any) {
+		for _, r := range rows.([]bench.E2Row) {
+			if r.Mix == "write-heavy 10/90" && r.Clients == 4 {
 				b.ReportMetric(r.Result.Throughput(), r.Isolation+"-txn/s")
 			}
 		}
-	}
+	})
 }
 
 func BenchmarkE3Conflicts(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := bench.RunE3(io.Discard, bench.E3Config{
-			People: 300, Clients: 8, Thetas: []float64{0.9}, Duration: 200 * time.Millisecond, Seed: int64(i),
-		})
-		if err != nil {
-			b.Fatal(err)
+	benchExperiment(b, "E3", func(rows any) {
+		for _, r := range rows.([]bench.E3Row) {
+			if r.Theta == 0.9 {
+				b.ReportMetric(r.Result.AbortRate(), r.Policy+"-abort-rate")
+			}
 		}
-		for _, r := range rows {
-			b.ReportMetric(r.Result.AbortRate(), r.Policy+"-abort-rate")
-		}
-	}
+	})
 }
 
 func BenchmarkE4GC(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := bench.RunE4(io.Discard, bench.E4Config{
-			LiveEntities: []int{10_000}, GarbageVersions: 2_000, Seed: int64(i),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
+	benchExperiment(b, "E4", func(rows any) {
+		for _, r := range rows.([]bench.E4Row)[:2] { // the smaller store
 			b.ReportMetric(float64(r.Pause.Microseconds()), r.Mode+"-pause-us")
 		}
-	}
+	})
 }
 
 func BenchmarkE5LongReaders(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := bench.RunE5(io.Discard, bench.E5Config{
-			HotNodes: 100, UpdatesPerStep: 500, Steps: 3, Seed: int64(i),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(rows[len(rows)-2].Versions), "versions-pinned")
-		b.ReportMetric(float64(rows[len(rows)-1].Versions), "versions-released")
-	}
+	benchExperiment(b, "E5", func(rows any) {
+		samples := rows.([]bench.E5Row)
+		b.ReportMetric(float64(samples[len(samples)-2].Versions), "versions-pinned")
+		b.ReportMetric(float64(samples[len(samples)-1].Versions), "versions-released")
+	})
 }
 
 func BenchmarkE6Indexes(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := bench.RunE6(io.Discard, bench.E6Config{
-			Nodes: 10_000, Selectivities: []float64{0.01}, Lookups: 10, Seed: int64(i),
-		})
-		if err != nil {
-			b.Fatal(err)
+	benchExperiment(b, "E6", func(rows any) {
+		for _, r := range rows.([]bench.E6Row) {
+			if r.Selectivity == 0.01 {
+				b.ReportMetric(float64(r.IndexTime.Microseconds()), "index-us")
+				b.ReportMetric(float64(r.ScanTime.Microseconds()), "scan-us")
+			}
 		}
-		r := rows[0]
-		b.ReportMetric(float64(r.IndexTime.Microseconds()), "index-us")
-		b.ReportMetric(float64(r.ScanTime.Microseconds()), "scan-us")
-	}
+	})
 }
 
 func BenchmarkE7RYOW(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := bench.RunE7(io.Discard, bench.E7Config{
-			BaseNodes: 2_000, WriteSetSizes: []int{0, 1000}, Lookups: 10, Seed: int64(i),
-		})
-		if err != nil {
-			b.Fatal(err)
+	benchExperiment(b, "E7", func(rows any) {
+		for _, r := range rows.([]bench.E7Row) {
+			switch r.WriteSet {
+			case 0:
+				b.ReportMetric(float64(r.PerLookup.Microseconds()), "empty-ws-us")
+			case 1000:
+				b.ReportMetric(float64(r.PerLookup.Microseconds()), "1k-ws-us")
+			}
 		}
-		b.ReportMetric(float64(rows[0].PerLookup.Microseconds()), "empty-ws-us")
-		b.ReportMetric(float64(rows[len(rows)-1].PerLookup.Microseconds()), "1k-ws-us")
-	}
+	})
 }
 
 func BenchmarkE8Persistence(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := bench.RunE8(io.Discard, bench.E8Config{
-			Entities: 500, UpdatesPerNode: 5, Seed: int64(i),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
+	benchExperiment(b, "E8", func(rows any) {
+		res := rows.(bench.E8Result)
 		b.ReportMetric(float64(res.LatestOnlyBytes), "latest-only-B")
 		b.ReportMetric(float64(res.AllVersionsBytes), "all-versions-B")
 		b.ReportMetric(float64(res.RecoveryTime.Microseconds()), "recovery-us")
-	}
+	})
 }
 
 func BenchmarkF1Architecture(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if err := bench.RunF1(io.Discard, 300, int64(i)); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchExperiment(b, "F1", func(any) {})
 }
 
 // ---- engine micro-benchmarks ----
@@ -255,5 +235,4 @@ func BenchmarkConflictDetection(b *testing.B) {
 	if sinkErr == nil {
 		b.Fatal("expected conflicts")
 	}
-	_ = fmt.Sprint()
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
 	"sync"
 	"testing"
 	"time"
@@ -12,58 +11,44 @@ import (
 	"neograph"
 	. "neograph/client"
 	"neograph/internal/cluster"
+	"neograph/internal/fleet"
 	"neograph/internal/server"
 )
 
-// fleet is one primary and two replicas, each behind a server.
-type fleet struct {
+// poolFleet is one primary and two replicas, each behind a server.
+type poolFleet struct {
 	pdb, r1db, r2db    *neograph.DB
 	psrv, r1srv, r2srv *server.Server
 	replAddr           string // the primary's WAL-shipping address
 }
 
+// primarySync makes only the initial primary wait for a replica quorum;
+// a replica promoted mid-test acknowledges on its own.
+func primarySync(_, member int, c *fleet.Config) {
+	if member == 0 {
+		c.DB.SyncReplicas = 1
+	}
+}
+
 // startFleet builds a 1-primary/2-replica fleet under synchronous quorum
 // 1, so an acknowledged write is durable on at least one replica and a
 // failover promotion can lose nothing acknowledged.
-func startFleet(t *testing.T) *fleet {
+func startFleet(t *testing.T) *poolFleet {
 	t.Helper()
-	f := &fleet{}
-	var err error
-	f.pdb, err = neograph.Open(neograph.Options{
-		Dir:             t.TempDir(),
-		ReplicationAddr: "127.0.0.1:0",
-		SyncReplicas:    1,
-	})
+	f, err := fleet.Start(fleet.Spec{Replicas: 2, DB: neograph.Options{Dir: t.TempDir()}, Each: primarySync})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { f.pdb.Close() })
-	f.replAddr = f.pdb.ReplicationAddress()
-	f.psrv, err = server.New(f.pdb, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	t.Cleanup(func() { f.Close() })
+	g := f.Groups[0]
+	return &poolFleet{
+		pdb: g[0].DB, r1db: g[1].DB, r2db: g[2].DB,
+		psrv: g[0].Srv, r1srv: g[1].Srv, r2srv: g[2].Srv,
+		replAddr: g[0].DB.ReplicationAddress(),
 	}
-	t.Cleanup(func() { f.psrv.Close() })
-
-	open := func(dir string) (*neograph.DB, *server.Server) {
-		db, err := neograph.Open(neograph.Options{Dir: dir, ReplicaOf: f.replAddr})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { db.Close() })
-		srv, err := server.New(db, "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { srv.Close() })
-		return db, srv
-	}
-	f.r1db, f.r1srv = open(t.TempDir())
-	f.r2db, f.r2srv = open(t.TempDir())
-	return f
 }
 
-func (f *fleet) poolConfig(policy Policy) PoolConfig {
+func (f *poolFleet) poolConfig(policy Policy) PoolConfig {
 	return PoolConfig{
 		Primary:    f.psrv.Addr(),
 		Replicas:   []string{f.r1srv.Addr(), f.r2srv.Addr()},
@@ -495,88 +480,30 @@ func TestPoolWriteSurfacesErrNoPrimary(t *testing.T) {
 func TestPoolDiscoversPromotedPrimaryViaTopology(t *testing.T) {
 	ctx := context.Background()
 
-	// A 3-node fleet with cluster controllers. The unseeded replica gets
-	// the LOWEST node ID so the deterministic election (ties broken by
-	// lowest ID) must pick exactly the node the pool has never heard of.
-	pdb, err := neograph.Open(neograph.Options{
-		Dir:             t.TempDir(),
-		ReplicationAddr: "127.0.0.1:0",
-		SyncReplicas:    1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { pdb.Close() })
-	psrv, err := server.New(pdb, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { psrv.Close() })
-	replAddr := pdb.ReplicationAddress()
-
-	type cnode struct {
-		db   *neograph.DB
-		srv  *server.Server
-		repl string
-	}
-	openReplica := func() *cnode {
-		db, err := neograph.Open(neograph.Options{Dir: t.TempDir(), ReplicaOf: replAddr})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { db.Close() })
-		srv, err := server.New(db, "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { srv.Close() })
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		repl := l.Addr().String()
-		l.Close()
-		return &cnode{db, srv, repl}
-	}
-	seeded, hidden := openReplica(), openReplica()
-	nodes := []struct {
-		id   uint64
-		db   *neograph.DB
-		srv  *server.Server
-		repl string
-	}{
-		{10, pdb, psrv, replAddr},
-		{3, seeded.db, seeded.srv, seeded.repl},
-		{2, hidden.db, hidden.srv, hidden.repl}, // lowest ID: wins ties
-	}
-	for i, n := range nodes {
-		var peers []string
-		for j, pn := range nodes {
-			if j != i {
-				peers = append(peers, pn.srv.Addr())
-			}
-		}
-		ctrl, err := cluster.New(n.db, cluster.Options{
-			NodeID:          n.id,
-			SelfAddr:        n.srv.Addr(),
-			SelfReplAddr:    n.repl,
-			Peers:           peers,
+	// A 3-node fleet with cluster controllers. Node IDs follow group
+	// order (primary 1, replicas 2 and 3), so among the replicas the
+	// deterministic election (ties broken by lowest ID) must pick member
+	// 1 — exactly the node the pool is NOT seeded with.
+	f, err := fleet.Start(fleet.Spec{
+		Replicas: 2,
+		DB:       neograph.Options{Dir: t.TempDir()},
+		Each:     primarySync,
+		Cluster: &cluster.Options{
 			SuspectAfter:    150 * time.Millisecond,
 			ElectionTimeout: 800 * time.Millisecond,
 			ProbeEvery:      40 * time.Millisecond,
 			ProbeTimeout:    300 * time.Millisecond,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		n.srv.SetClusterInfo(func() any { return ctrl.NodeStatus() })
-		ctrl.Start()
-		t.Cleanup(ctrl.Stop)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
+	t.Cleanup(func() { f.Close() })
+	primary, hidden, seeded := f.Groups[0][0], f.Groups[0][1], f.Groups[0][2]
 
 	p, err := OpenPool(ctx, PoolConfig{
-		Primary:    psrv.Addr(),
-		Replicas:   []string{seeded.srv.Addr()}, // the winner is NOT here
+		Primary:    primary.Addr(),
+		Replicas:   []string{seeded.Addr()}, // the winner is NOT here
 		Policy:     LeastLag,
 		ProbeEvery: 40 * time.Millisecond,
 	})
@@ -593,17 +520,16 @@ func TestPoolDiscoversPromotedPrimaryViaTopology(t *testing.T) {
 	}
 	// Equalise the race for durable-LSN tie-break: both replicas fully
 	// caught up before the kill, so the lowest node ID decides.
-	target := pdb.DurableLSN()
+	target := primary.DB.DurableLSN()
 	deadline := time.Now().Add(10 * time.Second)
-	for seeded.db.AppliedLSN() < target || hidden.db.AppliedLSN() < target {
+	for seeded.DB.AppliedLSN() < target || hidden.DB.AppliedLSN() < target {
 		if time.Now().After(deadline) {
 			t.Fatal("replicas never converged before the kill")
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
 
-	psrv.Close()
-	pdb.Crash()
+	primary.Crash()
 
 	// The pool's next write rides discovery with backoff across the
 	// election, and must land on the node it learned only via topology.
@@ -613,11 +539,11 @@ func TestPoolDiscoversPromotedPrimaryViaTopology(t *testing.T) {
 	}); err != nil {
 		t.Fatalf("write across auto-failover: %v", err)
 	}
-	if st := hidden.db.ReplStatus(); st.Role != "primary" {
+	if st := hidden.DB.ReplStatus(); st.Role != "primary" {
 		t.Fatalf("expected the unseeded lowest-ID node to win; its role is %q", st.Role)
 	}
-	if got := p.PrimaryAddr(); got != hidden.srv.Addr() {
-		t.Fatalf("pool primary = %s, want the topology-discovered %s", got, hidden.srv.Addr())
+	if got := p.PrimaryAddr(); got != hidden.Addr() {
+		t.Fatalf("pool primary = %s, want the topology-discovered %s", got, hidden.Addr())
 	}
 }
 

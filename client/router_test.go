@@ -7,72 +7,29 @@ import (
 	"time"
 
 	"neograph"
-	"neograph/internal/partition"
-	"neograph/internal/server"
-	"neograph/internal/wire"
+	"neograph/internal/fleet"
 
 	. "neograph/client"
 )
 
-// partFleet is an in-process partitioned fleet: one primary per
-// partition, coordinators wired, served over real TCP.
-type partFleet struct {
-	dbs    []*neograph.DB
-	srvs   []*server.Server
-	coords []*partition.Coordinator
-	pm     wire.PartitionMap
-}
-
-func startPartitions(t *testing.T, count int) *partFleet {
+// startPartitions brings up an in-process partitioned fleet: one primary
+// per partition, coordinators wired, served over real TCP.
+func startPartitions(t *testing.T, count int) *fleet.Fleet {
 	t.Helper()
-	f := &partFleet{pm: wire.PartitionMap{Version: 1, Count: count}}
-	for part := 0; part < count; part++ {
-		db, err := neograph.Open(neograph.Options{
-			Dir:            t.TempDir(),
-			PartitionID:    part,
-			PartitionCount: count,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv, err := server.New(db, "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		f.dbs = append(f.dbs, db)
-		f.srvs = append(f.srvs, srv)
-		f.pm.Groups = append(f.pm.Groups, wire.PartitionGroup{
-			ID: uint32(part), Addrs: []string{srv.Addr()},
-		})
+	f, err := fleet.Start(fleet.Spec{Partitions: count, DB: neograph.Options{Dir: t.TempDir()}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for part := 0; part < count; part++ {
-		topo := partition.NewTopology(f.pm)
-		coord := partition.NewCoordinator(uint32(part), topo, f.srvs[part].Local(),
-			f.dbs[part].AppliedLSN(), nil)
-		f.srvs[part].SetPartition(coord, uint32(part), count)
-		coord.Start()
-		f.coords = append(f.coords, coord)
-	}
-	t.Cleanup(func() {
-		for _, c := range f.coords {
-			c.Close()
-		}
-		for _, s := range f.srvs {
-			s.Close()
-		}
-		for _, db := range f.dbs {
-			db.Close()
-		}
-	})
+	t.Cleanup(func() { f.Close() })
 	return f
 }
 
-func openRouter(t *testing.T, f *partFleet) *Router {
+func openRouter(t *testing.T, f *fleet.Fleet) *Router {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	r, err := OpenRouter(ctx, RouterConfig{
-		Partitions: f.pm,
+		Partitions: f.PartitionMap(),
 		ProbeEvery: 50 * time.Millisecond,
 	})
 	if err != nil {
@@ -293,9 +250,7 @@ func TestRouterNoPartitionOwner(t *testing.T) {
 	r := openRouter(t, f)
 
 	// Kill partition 1 entirely.
-	f.coords[1].Close()
-	f.srvs[1].Close()
-	f.dbs[1].Close()
+	f.Groups[1][0].Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()

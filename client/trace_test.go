@@ -12,6 +12,7 @@ import (
 
 	"neograph"
 	. "neograph/client"
+	"neograph/internal/fleet"
 	"neograph/internal/server"
 	"neograph/internal/trace"
 )
@@ -246,45 +247,26 @@ func TestPoolFailoverSingleTrace(t *testing.T) {
 func TestClusterTraceEndToEnd(t *testing.T) {
 	tracer := trace.New(1, 256)
 	// First-committer-wins, whose per-stripe latch footprint is what the
-	// validate.stripe spans record.
-	pdb, err := neograph.Open(neograph.Options{
-		Dir:             t.TempDir(),
-		ReplicationAddr: "127.0.0.1:0",
-		SyncReplicas:    1,
-		Conflict:        neograph.FirstCommitterWins,
-		Tracer:          tracer,
+	// validate.stripe spans record. Start returns once the replica is
+	// attached, so the quorum wait is a real wait and the apply is
+	// traceable.
+	f, err := fleet.Start(fleet.Spec{
+		Replicas: 1,
+		DB: neograph.Options{
+			Dir:          t.TempDir(),
+			SyncReplicas: 1,
+			Conflict:     neograph.FirstCommitterWins,
+			Tracer:       tracer,
+		},
+		Server: server.Config{Tracer: tracer},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { pdb.Close() })
-	psrv, err := server.NewWithConfig(pdb, "127.0.0.1:0", server.Config{Tracer: tracer})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { psrv.Close() })
-	rdb, err := neograph.Open(neograph.Options{
-		Dir:       t.TempDir(),
-		ReplicaOf: pdb.ReplicationAddress(),
-		Tracer:    tracer,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { rdb.Close() })
-
-	// Commit only once the replica is attached, so the quorum wait is a
-	// real wait and the apply is traceable.
-	deadline := time.Now().Add(5 * time.Second)
-	for len(pdb.ReplStatus().Replicas) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("replica never connected")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	t.Cleanup(func() { f.Close() })
 
 	ctx := context.Background()
-	cl, err := Dial(ctx, psrv.Addr())
+	cl, err := Dial(ctx, f.Groups[0][0].Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +301,7 @@ func TestClusterTraceEndToEnd(t *testing.T) {
 	// replica.apply arrives asynchronously over the shipper stream.
 	var tid string
 	var missing []string
-	deadline = time.Now().Add(5 * time.Second)
+	deadline := time.Now().Add(5 * time.Second)
 	for {
 		tid, missing = "", nil
 		for id, names := range spanNames(tracer) {

@@ -1,5 +1,6 @@
-// Command neograph-bench runs the experiment suite from DESIGN.md and
-// prints one table per experiment (the tables recorded in EXPERIMENTS.md).
+// Command neograph-bench runs the experiment registry in internal/bench —
+// the paper's experiments (E1–E7, F1) and the system experiments (E2d,
+// E8–E16) — and prints one table per experiment.
 //
 // Usage:
 //
@@ -78,210 +79,27 @@ func main() {
 	}
 	defer stopProfiles()
 
-	w := os.Stdout
-	scale := func(full, quick_ int) int {
-		if *quick {
-			return quick_
-		}
-		return full
-	}
-	dur := func(full, quick_ time.Duration) time.Duration {
-		if *quick {
-			return quick_
-		}
-		return full
-	}
-
 	// report accumulates each experiment's structured rows for -json.
-	report := map[string]any{
-		"quick": *quick,
-		"seed":  *seed,
-	}
+	w := os.Stdout
+	params := bench.Params{Quick: *quick, Seed: *seed}
+	report := map[string]any{"quick": *quick, "seed": *seed}
 	matched := 0
-	run := func(id string, fn func() (any, error)) {
-		if *exp != "all" && !strings.EqualFold(*exp, id) {
-			return
+	for _, e := range bench.Experiments {
+		if *exp != "all" && !strings.EqualFold(*exp, e.ID) {
+			continue
 		}
 		matched++
 		t0 := time.Now()
-		rows, err := fn()
+		rows, err := e.Run(w, params)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s failed: %v\n", id, err)
+			fmt.Fprintf(os.Stderr, "%s failed: %v\n", e.ID, err)
 			exit(1)
 		}
-		elapsed := time.Since(t0).Round(time.Millisecond)
 		if rows != nil {
-			report[id] = rows
+			report[e.ID] = rows
 		}
-		fmt.Fprintf(w, "(%s completed in %v)\n", id, elapsed)
+		fmt.Fprintf(w, "(%s completed in %v)\n", e.ID, time.Since(t0).Round(time.Millisecond))
 	}
-
-	run("E1", func() (any, error) {
-		return bench.RunE1(w, bench.E1Config{
-			People:  scale(2000, 300),
-			Writers: 8, Checkers: 4,
-			Duration: dur(5*time.Second, 700*time.Millisecond),
-			Seed:     *seed,
-		})
-	})
-	run("E2", func() (any, error) {
-		clients := []int{1, 2, 4, 8, 16, 32, 64}
-		if *quick {
-			clients = []int{1, 4, 16}
-		}
-		return bench.RunE2(w, bench.E2Config{
-			People:   scale(5000, 500),
-			Clients:  clients,
-			Duration: dur(2*time.Second, 200*time.Millisecond),
-			Seed:     *seed,
-		})
-	})
-	run("E2d", func() (any, error) {
-		clients := []int{1, 2, 8, 16, 32}
-		if *quick {
-			clients = []int{1, 8}
-		}
-		return bench.RunE2Durable(w, bench.E2DurableConfig{
-			People:   scale(2000, 500),
-			Clients:  clients,
-			Duration: dur(2*time.Second, 500*time.Millisecond),
-			Seed:     *seed,
-		})
-	})
-	run("E3", func() (any, error) {
-		return bench.RunE3(w, bench.E3Config{
-			People:   scale(2000, 300),
-			Clients:  16,
-			Thetas:   []float64{0, 0.6, 0.9, 1.2},
-			Duration: dur(2*time.Second, 300*time.Millisecond),
-			Seed:     *seed,
-		})
-	})
-	run("E4", func() (any, error) {
-		live := []int{10_000, 100_000, 1_000_000}
-		if *quick {
-			live = []int{2_000, 20_000}
-		}
-		return bench.RunE4(w, bench.E4Config{
-			LiveEntities:    live,
-			GarbageVersions: scale(20_000, 2_000),
-			Seed:            *seed,
-		})
-	})
-	run("E5", func() (any, error) {
-		return bench.RunE5(w, bench.E5Config{
-			HotNodes:       scale(500, 100),
-			UpdatesPerStep: scale(10_000, 500),
-			Steps:          5,
-			Seed:           *seed,
-		})
-	})
-	run("E6", func() (any, error) {
-		return bench.RunE6(w, bench.E6Config{
-			Nodes:         scale(100_000, 10_000),
-			Selectivities: []float64{0.001, 0.01, 0.1, 0.5},
-			Lookups:       scale(50, 10),
-			Seed:          *seed,
-		})
-	})
-	run("E7", func() (any, error) {
-		return bench.RunE7(w, bench.E7Config{
-			BaseNodes:     scale(50_000, 2_000),
-			WriteSetSizes: []int{0, 10, 100, 1_000, 10_000},
-			Lookups:       scale(50, 10),
-			Seed:          *seed,
-		})
-	})
-	run("E8", func() (any, error) {
-		return bench.RunE8(w, bench.E8Config{
-			Entities:               scale(20_000, 1_000),
-			UpdatesPerNode:         5,
-			Seed:                   *seed,
-			SyncedWriters:          8,
-			SyncedCommitsPerWriter: scale(100, 25),
-		})
-	})
-	run("E9", func() (any, error) {
-		return bench.RunE9(w, bench.E9Config{
-			Nodes:    scale(2_000, 400),
-			Writers:  2,
-			Replicas: []int{0, 1, 2},
-			Duration: dur(2*time.Second, 500*time.Millisecond),
-			Seed:     *seed,
-		})
-	})
-	run("E10", func() (any, error) {
-		return bench.RunE10(w, bench.E10Config{
-			Commits:    scale(300, 60),
-			Replicas:   2,
-			SyncLevels: []int{0, 1, 2},
-			Seed:       *seed,
-		})
-	})
-	run("E11", func() (any, error) {
-		clients := []int{1, 2, 4, 8, 16}
-		if *quick {
-			clients = []int{1, 2, 4, 8}
-		}
-		return bench.RunE11(w, bench.E11Config{
-			Nodes:    scale(8192, 2048),
-			Clients:  clients,
-			Duration: dur(time.Second, 250*time.Millisecond),
-			Seed:     *seed,
-		})
-	})
-	run("E12", func() (any, error) {
-		return bench.RunE12(w, bench.E12Config{
-			Nodes:    scale(2_000, 400),
-			Clients:  1, // per-session pipelining; see E12Config.Clients
-			Depth:    8,
-			Replicas: 2,
-			Duration: dur(2*time.Second, 400*time.Millisecond),
-			Seed:     *seed,
-		})
-	})
-	run("E13", func() (any, error) {
-		return bench.RunE13(w, bench.E13Config{
-			People:   scale(2000, 500),
-			Clients:  scale(16, 8),
-			Duration: dur(2*time.Second, 500*time.Millisecond),
-			Seed:     *seed,
-		})
-	})
-	run("E14", func() (any, error) {
-		return bench.RunE14(w, bench.E14Config{
-			Nodes:     scale(120_000, 3_000),
-			OutDegree: scale(8, 6),
-			Starts:    scale(4, 2),
-			Depth:     3,
-			Seed:      *seed,
-		})
-	})
-	run("E15", func() (any, error) {
-		return bench.RunE15(w, bench.E15Config{
-			PreCommits: scale(200, 40),
-			SyncLevels: []int{0, 1},
-			Seed:       *seed,
-		})
-	})
-	run("E16", func() (any, error) {
-		parts := []int{1, 2, 4}
-		if *quick {
-			parts = []int{1, 2}
-		}
-		return bench.RunE16(w, bench.E16Config{
-			Partitions:          parts,
-			CrossPcts:           []int{0, 10},
-			ClientsPerPartition: scale(4, 4),
-			AnchorsPerPartition: scale(256, 128),
-			Duration:            dur(2*time.Second, 500*time.Millisecond),
-			Seed:                *seed,
-		})
-	})
-	run("F1", func() (any, error) {
-		return nil, bench.RunF1(w, scale(5_000, 500), *seed)
-	})
-
 	if matched == 0 {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q (want E1..E16, E2d, F1 or all)\n", *exp)
 		exit(2)

@@ -47,6 +47,7 @@ import (
 
 	"neograph"
 	"neograph/internal/cluster"
+	"neograph/internal/fleet"
 	"neograph/internal/metrics"
 	"neograph/internal/partition"
 	"neograph/internal/server"
@@ -92,221 +93,123 @@ func main() {
 	)
 	flag.Parse()
 
+	usage := func(format string, args ...any) {
+		fmt.Fprintf(os.Stderr, format+"\n", args...)
+		os.Exit(2)
+	}
 	lvl, err := slog.ParseLevel(*logLevel)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		usage("%v", err)
 	}
 	logger := slog.New(os.Stderr, lvl)
 
-	// Partition topology is fixed before Open: the database's ID
-	// allocators stride by (partition-id, count) from the first
-	// allocation, so the map cannot change under a live store.
-	var topo *partition.Topology
-	if *partPeers != "" {
-		pm, err := partition.ParsePeers(*partPeers)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		if *partCount != 0 && *partCount != pm.Count {
-			fmt.Fprintf(os.Stderr, "-partition-count %d does not match -partition-peers (%d partitions)\n", *partCount, pm.Count)
-			os.Exit(2)
-		}
-		if int(*partID) >= pm.Count {
-			fmt.Fprintf(os.Stderr, "-partition-id %d out of range: -partition-peers defines partitions 0..%d\n", *partID, pm.Count-1)
-			os.Exit(2)
-		}
-		topo = partition.NewTopology(pm)
-	} else if *partCount > 1 {
-		fmt.Fprintln(os.Stderr, "-partition-count > 1 requires -partition-peers (the coordinator must reach the other partitions)")
-		os.Exit(2)
-	}
-
-	opts := neograph.Options{
-		Dir:                *dir,
-		DisableSyncCommits: *noSync,
-		DisableGroupCommit: *noGroup,
-		CommitMaxBatch:     *maxBatch,
-		CommitMaxDelay:     *maxDelay,
-		CommitStripes:      *stripes,
-		GCInterval:         *gcEvery,
-		CheckpointInterval: *ckpEvery,
-		ReplicationAddr:    *replAddr,
-		ReplicaOf:          *replicaOf,
-		SyncReplicas:       *syncReps,
-		SyncReplicaTimeout: *syncTmo,
-		Logger:             logger,
-	}
-	if topo != nil {
-		opts.PartitionID = int(*partID)
-		opts.PartitionCount = topo.Count()
-	}
-	if *replicaOf != "" {
-		// Cascading replication is unsupported, so a replica's -repl-addr
-		// is deferred: the address it will ship from IF promoted. It is
-		// announced to the cluster controller and bound by Promote, never
-		// at open time.
-		opts.ReplicationAddr = ""
-	}
-	if *rc {
-		opts.Isolation = neograph.ReadCommitted
-	}
-	if *fcw {
-		opts.Conflict = neograph.FirstCommitterWins
-	}
-	// One tracer backs every layer: requests arriving with a client-minted
-	// trace context always record here, and -trace-sample additionally
+	// One tracer and one registry back every layer and every /metrics
+	// and /debug/traces mount: requests arriving with a client-minted
+	// trace context always record, and -trace-sample additionally
 	// head-samples untraced work server-side.
 	tracer := trace.New(*traceSample, *traceBuf)
-	opts.Tracer = tracer
-	// One registry backs every /metrics mount. The DB-level samplers are
-	// registered after Open; the server's own series at NewWithConfig.
 	reg := metrics.NewRegistry()
-	if *pprofAddr != "" {
-		// DefaultServeMux carries the net/http/pprof handlers via its
-		// blank import; keep this listener off the public address.
-		http.Handle("/metrics", metrics.Handler(reg))
-		http.Handle("/debug/traces", trace.Handler(tracer))
-		go func() {
-			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
-				logger.Error("pprof listener failed", "addr", *pprofAddr, "err", err)
-			}
-		}()
-		logger.Info("debug listener up", "pprof", "http://"+*pprofAddr+"/debug/pprof/",
-			"metrics", "http://"+*pprofAddr+"/metrics",
-			"traces", "http://"+*pprofAddr+"/debug/traces")
-	}
-	if *metricsOn != "" && *metricsOn != *pprofAddr {
-		mux := http.NewServeMux()
-		mux.Handle("/metrics", metrics.Handler(reg))
-		mux.Handle("/debug/traces", trace.Handler(tracer))
-		go func() {
-			if err := http.ListenAndServe(*metricsOn, mux); err != nil {
-				logger.Error("metrics listener failed", "addr", *metricsOn, "err", err)
-			}
-		}()
-		logger.Info("metrics listener up", "metrics", "http://"+*metricsOn+"/metrics",
-			"traces", "http://"+*metricsOn+"/debug/traces")
-	}
-
-	db, err := neograph.Open(opts)
-	if err != nil {
-		logger.Error("open failed", "dir", *dir, "err", err)
-		os.Exit(1)
-	}
-	server.RegisterDBMetrics(reg, db)
-	srv, err := server.NewWithConfig(db, *addr, server.Config{
-		DrainGrace:     *drainGrace,
-		MaxInflight:    *maxInfl,
-		MaxQueuedBytes: *maxQueued,
-		Metrics:        reg,
-		Tracer:         tracer,
-		Logger:         logger.With("component", "server"),
-		SlowOp:         *slowOp,
-	})
-	if err != nil {
-		logger.Error("listen failed", "addr", *addr, "err", err)
-		db.Close()
-		os.Exit(1)
-	}
-	mode := "in-memory"
-	if *dir != "" {
-		mode = *dir
-	}
-	logger.Info("neograph-server listening", "addr", srv.Addr(), "store", mode,
-		"isolation", fmt.Sprint(opts.Isolation), "conflict", fmt.Sprint(opts.Conflict))
-	switch {
-	case db.IsReplica():
-		logger.Info("running as replica (read-only; writes are redirected; promote via the 'promote' op)",
-			"primary", *replicaOf)
-	case *replAddr != "":
-		repl := "async"
-		if *syncReps > 0 {
-			repl = fmt.Sprintf("sync quorum %d", *syncReps)
-		}
-		logger.Info("shipping WAL to replicas", "addr", db.ReplicationAddress(), "mode", repl)
-	}
-
-	var coord *partition.Coordinator
-	if topo != nil && topo.Count() > 1 {
-		// The coordinator runs on replicas too: a promoted replica
-		// inherits the in-doubt resolver and decision repush duties
-		// without a restart. Until promotion its write paths simply
-		// reject, which is what a replica should do.
-		coord = partition.NewCoordinator(uint32(*partID), topo, srv.Local(), db.AppliedLSN(),
-			logger.With("component", "partition"))
-		srv.SetPartition(coord, uint32(*partID), topo.Count())
-		coord.Start()
-		logger.Info("partitioned deployment", "partition", *partID, "of", topo.Count())
-	}
-
-	var ctrl *cluster.Controller
-	if *nodeID != 0 {
-		self := *clusterSelf
-		if self == "" {
-			self = srv.Addr()
-		}
-		selfRepl := *replAddr
-		if selfRepl == "" && db.IsReplica() {
-			// A replica that wins an election needs an address to ship
-			// from; without -repl-addr it can follow and re-seed but
-			// never serve as primary.
-			logger.Warn("cluster controller without -repl-addr: this node cannot be promoted")
-		}
-		if selfRepl == "" {
-			selfRepl = db.ReplicationAddress()
-		}
-		var peers []string
-		for _, p := range strings.Split(*clusterPeer, ",") {
-			if p = strings.TrimSpace(p); p != "" {
-				peers = append(peers, p)
-			}
-		}
-		copts := cluster.Options{
+	cfg := fleet.Config{
+		DB: neograph.Options{
+			Dir:                *dir,
+			DisableSyncCommits: *noSync,
+			DisableGroupCommit: *noGroup,
+			CommitMaxBatch:     *maxBatch,
+			CommitMaxDelay:     *maxDelay,
+			CommitStripes:      *stripes,
+			GCInterval:         *gcEvery,
+			CheckpointInterval: *ckpEvery,
+			ReplicationAddr:    *replAddr,
+			ReplicaOf:          *replicaOf,
+			SyncReplicas:       *syncReps,
+			SyncReplicaTimeout: *syncTmo,
+			Tracer:             tracer,
+			Logger:             logger,
+		},
+		Addr: *addr,
+		Server: server.Config{
+			DrainGrace:     *drainGrace,
+			MaxInflight:    *maxInfl,
+			MaxQueuedBytes: *maxQueued,
+			Metrics:        reg,
+			Tracer:         tracer,
+			Logger:         logger.With("component", "server"),
+			SlowOp:         *slowOp,
+		},
+		Cluster: cluster.Options{
 			NodeID:          *nodeID,
-			SelfAddr:        self,
-			SelfReplAddr:    selfRepl,
-			Peers:           peers,
+			SelfAddr:        *clusterSelf,
 			SuspectAfter:    *suspectTmo,
 			ElectionTimeout: *electTmo,
 			ProbeEvery:      *probeEvery,
-			Metrics:         reg,
-			Tracer:          tracer,
-			Logger:          logger,
-		}
-		if topo != nil {
-			copts.PartitionID = uint32(*partID)
-			pm := topo.Map()
-			copts.Partitions = &pm
-		}
-		ctrl, err = cluster.New(db, copts)
-		if err != nil {
-			logger.Error("cluster controller", "err", err)
-			srv.Close()
-			db.Close()
-			os.Exit(1)
-		}
-		srv.SetClusterInfo(func() any { return ctrl.NodeStatus() })
-		ctrl.Start()
-		logger.Info("self-driving cluster controller up",
-			"node", *nodeID, "self", self, "repl", selfRepl, "peers", *clusterPeer)
+		},
 	}
+	if *rc {
+		cfg.DB.Isolation = neograph.ReadCommitted
+	}
+	if *fcw {
+		cfg.DB.Conflict = neograph.FirstCommitterWins
+	}
+	for _, p := range strings.Split(*clusterPeer, ",") {
+		if p = strings.TrimSpace(p); p != "" {
+			cfg.Cluster.Peers = append(cfg.Cluster.Peers, p)
+		}
+	}
+	// The partition map is fixed before the database opens: its ID
+	// allocators stride by (partition-id, count) from the first
+	// allocation, so the map cannot change under a live store.
+	if *partPeers != "" {
+		pm, err := partition.ParsePeers(*partPeers)
+		if err != nil {
+			usage("%v", err)
+		}
+		if *partCount != 0 && *partCount != pm.Count {
+			usage("-partition-count %d does not match -partition-peers (%d partitions)", *partCount, pm.Count)
+		}
+		if int(*partID) >= pm.Count {
+			usage("-partition-id %d out of range: -partition-peers defines partitions 0..%d", *partID, pm.Count-1)
+		}
+		cfg.Partitions, cfg.DB.PartitionID = &pm, int(*partID)
+	} else if *partCount > 1 {
+		usage("-partition-count > 1 requires -partition-peers (the coordinator must reach the other partitions)")
+	}
+
+	// DefaultServeMux carries the net/http/pprof handlers via its blank
+	// import; keep that listener off the public address.
+	debug := func(listen string, mux *http.ServeMux) {
+		mux.Handle("/metrics", metrics.Handler(reg))
+		mux.Handle("/debug/traces", trace.Handler(tracer))
+		go func() {
+			if err := http.ListenAndServe(listen, mux); err != nil {
+				logger.Error("debug listener failed", "addr", listen, "err", err)
+			}
+		}()
+		logger.Info("debug listener up", "metrics", "http://"+listen+"/metrics",
+			"traces", "http://"+listen+"/debug/traces")
+	}
+	if *pprofAddr != "" {
+		debug(*pprofAddr, http.DefaultServeMux)
+	}
+	if *metricsOn != "" && *metricsOn != *pprofAddr {
+		debug(*metricsOn, http.NewServeMux())
+	}
+
+	node, err := fleet.StartNode(cfg)
+	if err != nil {
+		logger.Error("start failed", "err", err)
+		os.Exit(1)
+	}
+	st := node.DB.ReplStatus()
+	logger.Info("neograph-server listening", "addr", node.Addr(), "dir", *dir,
+		"isolation", fmt.Sprint(cfg.DB.Isolation), "conflict", fmt.Sprint(cfg.DB.Conflict),
+		"role", st.Role, "primary", st.PrimaryAddr, "repl", st.ReplicationAddr,
+		"sync_replicas", *syncReps, "partition", *partID, "node", *nodeID)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	<-sig
 	logger.Info("shutting down")
-	if ctrl != nil {
-		ctrl.Stop()
-	}
-	if coord != nil {
-		coord.Close()
-	}
-	if err := srv.Close(); err != nil {
-		logger.Warn("server close", "err", err)
-	}
-	if err := db.Close(); err != nil {
-		logger.Warn("db close", "err", err)
+	if err := node.Close(); err != nil {
+		logger.Warn("close", "err", err)
 	}
 }

@@ -12,87 +12,33 @@ import (
 	"context"
 	"fmt"
 	"log"
-	"os"
 	"time"
 
 	"neograph"
 	"neograph/client"
-	"neograph/internal/partition"
-	"neograph/internal/server"
-	"neograph/internal/wire"
+	"neograph/internal/fleet"
 )
 
 const parts = 2
 
-// group is one partition: a primary shipping its WAL to a replica, both
-// behind TCP servers, both running a partition coordinator (the replica
-// too — promotion must inherit the 2PC resolver duties).
-type group struct {
-	primary, replica           *neograph.DB
-	primarySrv, replicaSrv     *server.Server
-	primaryCoord, replicaCoord *partition.Coordinator
-}
-
 func main() {
 	ctx := context.Background()
 
-	// ---- the fleet: two partition groups, each primary + replica.
-	var groups [parts]*group
-	pm := wire.PartitionMap{Version: 1, Count: parts}
-	for p := 0; p < parts; p++ {
-		g := &group{}
-		pdir, _ := os.MkdirTemp("", "ng-part-primary-*")
-		defer os.RemoveAll(pdir)
-		var err error
-		g.primary, err = neograph.Open(neograph.Options{
-			Dir:             pdir,
-			PartitionID:     p, // strides node IDs: this node allocates id % 2 == p
-			PartitionCount:  parts,
-			ReplicationAddr: "127.0.0.1:0",
-			SyncReplicas:    1, // an acked write survives primary loss
-		})
-		check(err)
-		g.primarySrv, err = server.New(g.primary, "127.0.0.1:0")
-		check(err)
-
-		rdir, _ := os.MkdirTemp("", "ng-part-replica-*")
-		defer os.RemoveAll(rdir)
-		g.replica, err = neograph.Open(neograph.Options{
-			Dir:            rdir,
-			PartitionID:    p,
-			PartitionCount: parts,
-			ReplicaOf:      g.primary.ReplicationAddress(),
-		})
-		check(err)
-		g.replicaSrv, err = server.New(g.replica, "127.0.0.1:0")
-		check(err)
-
-		groups[p] = g
-		pm.Groups = append(pm.Groups, wire.PartitionGroup{
-			ID:    uint32(p),
-			Addrs: []string{g.primarySrv.Addr(), g.replicaSrv.Addr()},
-		})
-	}
-	// Coordinators need the complete map, so wire them after the loop.
-	for p, g := range groups {
-		g.primaryCoord = partition.NewCoordinator(uint32(p), partition.NewTopology(pm),
-			g.primarySrv.Local(), g.primary.AppliedLSN(), nil)
-		g.primarySrv.SetPartition(g.primaryCoord, uint32(p), parts)
-		g.primaryCoord.Start()
-		g.replicaCoord = partition.NewCoordinator(uint32(p), partition.NewTopology(pm),
-			g.replicaSrv.Local(), g.replica.AppliedLSN(), nil)
-		g.replicaSrv.SetPartition(g.replicaCoord, uint32(p), parts)
-		g.replicaCoord.Start()
-		defer g.replicaCoord.Close()
-		defer g.replicaSrv.Close()
-		defer g.replica.Close()
-		fmt.Printf("partition %d: primary %s, replica %s\n",
-			p, g.primarySrv.Addr(), g.replicaSrv.Addr())
+	// ---- the fleet: two partition groups, each a primary shipping its
+	// WAL to a replica, both behind TCP servers, both running a partition
+	// coordinator (the replica too — promotion must inherit the 2PC
+	// resolver duties). Partition p allocates only IDs with id % 2 == p;
+	// SyncReplicas 1 means an acked write survives primary loss.
+	f, err := fleet.Start(fleet.Spec{Partitions: parts, Replicas: 1, DB: neograph.Options{SyncReplicas: 1}})
+	check(err)
+	defer f.Close()
+	for p, g := range f.Groups {
+		fmt.Printf("partition %d: primary %s, replica %s\n", p, g[0].Addr(), g[1].Addr())
 	}
 
 	// ---- a partition-aware router: one pool per group, every call
 	// hashed to the partition that owns the entity.
-	router, err := client.OpenRouter(ctx, client.RouterConfig{Partitions: pm})
+	router, err := client.OpenRouter(ctx, client.RouterConfig{Partitions: f.PartitionMap()})
 	check(err)
 	defer router.Close()
 
@@ -140,18 +86,16 @@ func main() {
 	// promoted in place. The router re-probes the group and re-routes;
 	// the promoted node's coordinator takes over 2PC duties.
 	fmt.Println("\n-- killing partition 1's primary --")
-	g1 := groups[1]
-	shipAddr := g1.primary.ReplicationAddress()
-	g1.primaryCoord.Close()
-	g1.primarySrv.Close()
-	g1.primary.Close()
+	g1 := f.Groups[1]
+	shipAddr := g1[0].DB.ReplicationAddress()
+	g1[0].Close()
 
-	cl, err := client.Dial(ctx, g1.replicaSrv.Addr())
+	cl, err := client.Dial(ctx, g1[1].Addr())
 	check(err)
 	st, err := cl.Promote(ctx, shipAddr)
 	cl.Close()
 	check(err)
-	fmt.Printf("promoted %s: role=%s epoch=%d\n", g1.replicaSrv.Addr(), st.Role, st.Epoch)
+	fmt.Printf("promoted %s: role=%s epoch=%d\n", g1[1].Addr(), st.Role, st.Epoch)
 	time.Sleep(200 * time.Millisecond) // let pools re-probe the group
 
 	// Writes to partition 1 resume on the promoted primary, and a fresh

@@ -10,12 +10,11 @@ import (
 	"context"
 	"fmt"
 	"log"
-	"os"
 	"time"
 
 	"neograph"
 	"neograph/client"
-	"neograph/internal/server"
+	"neograph/internal/fleet"
 )
 
 func main() {
@@ -23,39 +22,19 @@ func main() {
 
 	// ---- the fleet: one primary shipping its WAL to two replicas,
 	// each node behind a TCP server (all in-process for the demo).
-	primaryDir, _ := os.MkdirTemp("", "ng-remote-primary-*")
-	defer os.RemoveAll(primaryDir)
-	primary, err := neograph.Open(neograph.Options{
-		Dir:             primaryDir,
-		ReplicationAddr: "127.0.0.1:0",
-		SyncReplicas:    1, // an acked write survives primary loss
-	})
+	// SyncReplicas 1: an acked write survives primary loss.
+	f, err := fleet.Start(fleet.Spec{Replicas: 2, DB: neograph.Options{SyncReplicas: 1}})
 	check(err)
-	replAddr := primary.ReplicationAddress()
-	psrv, err := server.New(primary, "127.0.0.1:0")
-	check(err)
-
-	var replicas []*neograph.DB
-	var replicaSrvs []*server.Server
-	for i := 0; i < 2; i++ {
-		dir, _ := os.MkdirTemp("", "ng-remote-replica-*")
-		defer os.RemoveAll(dir)
-		rdb, err := neograph.Open(neograph.Options{Dir: dir, ReplicaOf: replAddr})
-		check(err)
-		defer rdb.Close()
-		rsrv, err := server.New(rdb, "127.0.0.1:0")
-		check(err)
-		defer rsrv.Close()
-		replicas = append(replicas, rdb)
-		replicaSrvs = append(replicaSrvs, rsrv)
-	}
+	defer f.Close()
+	primary, replicas := f.Groups[0][0], f.Groups[0][1:]
+	replAddr := primary.DB.ReplicationAddress()
 	fmt.Printf("fleet: primary %s, replicas %s + %s\n",
-		psrv.Addr(), replicaSrvs[0].Addr(), replicaSrvs[1].Addr())
+		primary.Addr(), replicas[0].Addr(), replicas[1].Addr())
 
 	// ---- a topology-aware pool over the fleet.
 	pool, err := client.OpenPool(ctx, client.PoolConfig{
-		Primary:  psrv.Addr(),
-		Replicas: []string{replicaSrvs[0].Addr(), replicaSrvs[1].Addr()},
+		Primary:  primary.Addr(),
+		Replicas: []string{replicas[0].Addr(), replicas[1].Addr()},
 		Policy:   client.LeastLag,
 	})
 	check(err)
@@ -102,14 +81,13 @@ func main() {
 	// ---- failover: the primary dies; an operator promotes replica 0
 	// onto the dead primary's shipping address so replica 1 re-points.
 	fmt.Println("\n-- killing the primary --")
-	psrv.Close()
 	primary.Close()
-	cl, err := client.Dial(ctx, replicaSrvs[0].Addr())
+	cl, err := client.Dial(ctx, replicas[0].Addr())
 	check(err)
 	st, err := cl.Promote(ctx, replAddr)
 	cl.Close()
 	check(err)
-	fmt.Printf("promoted %s: role=%s epoch=%d\n", replicaSrvs[0].Addr(), st.Role, st.Epoch)
+	fmt.Printf("promoted %s: role=%s epoch=%d\n", replicas[0].Addr(), st.Role, st.Epoch)
 
 	// The pool's next write hits the dead primary, probes the fleet,
 	// finds the promoted node and retries — transparently.
@@ -132,7 +110,7 @@ func main() {
 	}))
 
 	for _, r := range replicas {
-		st := r.ReplStatus()
+		st := r.DB.ReplStatus()
 		fmt.Printf("node: role=%s applied=%d epoch=%d\n", st.Role, st.AppliedLSN, st.Epoch)
 	}
 }

@@ -3,9 +3,9 @@ package bench
 import (
 	"bytes"
 	"errors"
-	"io"
 	"math/rand"
 	"os"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -15,102 +15,489 @@ import (
 	"neograph"
 )
 
-// The experiment drivers run here with small "quick" configurations; the
-// assertions check the *shape* each paper claim predicts, not absolute
-// numbers (see EXPERIMENTS.md).
-
-func TestE1ShapeSIZeroRCPositive(t *testing.T) {
+// TestRegistry runs every experiment once in quick mode — the same
+// configuration `neograph-bench -quick` runs — and checks it produces
+// output and rows, that no cell errored or sat idle, and the *shape* each
+// claim predicts, not absolute numbers.
+func TestRegistry(t *testing.T) {
 	if testing.Short() {
-		t.Skip("timed experiment")
+		t.Skip("timed experiments")
 	}
-	res, err := RunE1(io.Discard, E1Config{
-		People: 200, Writers: 4, Checkers: 2, Duration: 700 * time.Millisecond, Seed: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	si, rc := res[0], res[1]
-	if si.CheckTxns == 0 || rc.CheckTxns == 0 {
-		t.Fatalf("checkers did not run: %+v", res)
-	}
-	if si.UnrepeatableReads != 0 || si.PhantomReads != 0 {
-		t.Fatalf("SI exhibited anomalies: %+v", si)
-	}
-	if rc.UnrepeatableReads == 0 && rc.PhantomReads == 0 {
-		t.Fatalf("RC exhibited no anomalies under write load: %+v", rc)
+	seen := map[string]bool{}
+	for _, e := range Experiments {
+		if seen[e.ID] || e.ID == "" || e.Title == "" {
+			t.Fatalf("registry entry %q (%q) is unnamed or duplicated", e.ID, e.Title)
+		}
+		seen[e.ID] = true
+		t.Run(e.ID, func(t *testing.T) {
+			var buf bytes.Buffer
+			rows, err := e.Run(&buf, Params{Quick: true, Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			out := buf.String()
+			if !strings.Contains(out, "== "+e.ID+": ") || strings.Count(out, "\n| ") < 3 {
+				t.Fatalf("missing banner or table:\n%s", out)
+			}
+			check, ok := shapes[e.ID]
+			if !ok {
+				t.Fatalf("no shape check registered for %s", e.ID)
+			}
+			if e.ID == "F1" {
+				check(t, out)
+				return
+			}
+			v := reflect.ValueOf(rows)
+			if !v.IsValid() || (v.Kind() == reflect.Slice && v.Len() == 0) {
+				t.Fatalf("no rows")
+			}
+			// Every runner-driven cell must have committed work and hit
+			// no unexpected error.
+			for i := 0; v.Kind() == reflect.Slice && i < v.Len(); i++ {
+				if f := v.Index(i).FieldByName("Result"); f.IsValid() {
+					res := f.Interface().(Result)
+					if res.Commits == 0 || res.Errors != 0 {
+						t.Fatalf("cell %+v: no commits or unexpected errors", v.Index(i).Interface())
+					}
+				}
+			}
+			check(t, rows)
+		})
 	}
 }
 
-func TestE2Runs(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timed experiment")
-	}
-	var buf bytes.Buffer
-	rows, err := RunE2(&buf, E2Config{
-		People: 300, Clients: []int{2}, Duration: 150 * time.Millisecond, Seed: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != len(DefaultMixes)*2 {
-		t.Fatalf("rows = %d", len(rows))
-	}
+// find returns the first row matching pred, failing the test if none does.
+func find[R any](t *testing.T, rows []R, what string, pred func(R) bool) R {
+	t.Helper()
 	for _, r := range rows {
-		if r.Result.Commits == 0 {
-			t.Fatalf("no commits in cell %+v", r)
-		}
-		if r.Result.Errors != 0 {
-			t.Fatalf("unexpected errors in cell %+v", r.Result)
+		if pred(r) {
+			return r
 		}
 	}
-	if !strings.Contains(buf.String(), "E2") {
-		t.Fatal("missing table output")
-	}
+	t.Fatalf("missing cell %s in %+v", what, rows)
+	panic("unreachable")
 }
 
-func TestE2DurableGroupCommitWins(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timed experiment")
-	}
-	rows, err := RunE2Durable(io.Discard, E2DurableConfig{
-		People: 500, Clients: []int{8}, Duration: 700 * time.Millisecond, Seed: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	get := func(mode string) E2DurableRow {
-		for _, r := range rows {
-			if r.Mode == mode {
-				return r
+// shapes holds each experiment's shape assertions over its quick-mode
+// rows (F1: over its printed inventory).
+var shapes = map[string]func(t *testing.T, rows any){
+	"E1": func(t *testing.T, rows any) {
+		res := rows.([]E1Result)
+		si, rc := res[0], res[1]
+		if si.CheckTxns == 0 || rc.CheckTxns == 0 {
+			t.Fatalf("checkers did not run: %+v", res)
+		}
+		if si.UnrepeatableReads != 0 || si.PhantomReads != 0 {
+			t.Fatalf("SI exhibited anomalies: %+v", si)
+		}
+		if rc.UnrepeatableReads == 0 && rc.PhantomReads == 0 {
+			t.Fatalf("RC exhibited no anomalies under write load: %+v", rc)
+		}
+	},
+
+	"E2": func(t *testing.T, rows any) {
+		if got, want := len(rows.([]E2Row)), len(mixes)*3*2; got != want {
+			t.Fatalf("rows = %d, want %d (mixes x client counts x isolation levels)", got, want)
+		}
+	},
+
+	"E2d": func(t *testing.T, rows any) {
+		cells := rows.([]E2DurableRow)
+		get := func(mode string) E2DurableRow {
+			return find(t, cells, mode+"/8", func(r E2DurableRow) bool { return r.Mode == mode && r.Clients == 8 })
+		}
+		base, group := get("per-commit"), get("group")
+		// Group mode must actually share fsyncs.
+		if group.Flushes == 0 || group.SyncedCommits <= group.Flushes {
+			t.Errorf("no batching: %d commits over %d flushes", group.SyncedCommits, group.Flushes)
+		}
+		// The baseline engine must not touch the batcher.
+		if base.Flushes != 0 || base.SyncedCommits != 0 {
+			t.Errorf("per-commit baseline recorded batcher stats: %+v", base)
+		}
+		// The headline group-commit claim: batched fsync beats one fsync per
+		// commit under multi-writer load. The claim only holds where the fsync
+		// is what commits pay for — on fast-flush filesystems (tmpfs-backed CI
+		// runners) both modes converge and the ratio is noise, so gate the
+		// assertion on measured fsync cost.
+		if cost := fsyncCost(t); cost < 20*time.Microsecond {
+			t.Skipf("fsync costs only %v here; throughput ratio is not fsync-bound", cost)
+		}
+		if group.Speedup < 1.3 {
+			t.Errorf("group commit %.0f/s vs per-commit %.0f/s = %.2fx; want >= 1.3x at 8 writers",
+				group.Result.Throughput(), base.Result.Throughput(), group.Speedup)
+		}
+	},
+
+	"E3": func(t *testing.T, rows any) {
+		cells := rows.([]E3Row)
+		get := func(theta float64, pol string) E3Row {
+			return find(t, cells, pol, func(r E3Row) bool { return r.Theta == theta && r.Policy == pol })
+		}
+		aborts := func(r E3Row) uint64 { return r.Result.Conflicts + r.Result.Deadlocks }
+		for _, pol := range []string{"FUW", "FCW"} {
+			lo, hi := get(0, pol), get(1.2, pol)
+			// On machines with little real parallelism (1-2 CPUs) transactions
+			// barely overlap and conflicts are single-digit noise; the
+			// skew-grows-aborts shape is only assertable with enough signal.
+			if aborts(lo)+aborts(hi) < 100 {
+				t.Logf("%s: only %d+%d aborts; skipping shape assertion (low-parallelism machine)",
+					pol, aborts(lo), aborts(hi))
+				continue
+			}
+			// Near saturation the uniform workload already aborts most attempts
+			// and skew has no dynamic range left to grow into; near the noise
+			// floor the difference between cells is binomial jitter.
+			if lo.Result.AbortRate() > 0.5 {
+				t.Logf("%s: uniform abort rate %.3f already saturated; skipping shape assertion",
+					pol, lo.Result.AbortRate())
+				continue
+			}
+			if lo.Result.AbortRate() < 0.05 && hi.Result.AbortRate() < 0.05 {
+				t.Logf("%s: abort rates %.3f/%.3f below noise floor; skipping shape assertion",
+					pol, lo.Result.AbortRate(), hi.Result.AbortRate())
+				continue
+			}
+			if hi.Result.AbortRate() < lo.Result.AbortRate()*0.9 {
+				t.Errorf("%s: abort rate fell with skew: %.3f -> %.3f", pol, lo.Result.AbortRate(), hi.Result.AbortRate())
 			}
 		}
-		t.Fatalf("missing mode %s", mode)
-		return E2DurableRow{}
-	}
-	base, group := get("per-commit"), get("group")
-	if base.Result.Commits == 0 || group.Result.Commits == 0 {
-		t.Fatalf("no commits: %+v", rows)
-	}
-	// Group mode must actually share fsyncs.
-	if group.Flushes == 0 || group.SyncedCommits <= group.Flushes {
-		t.Errorf("no batching: %d commits over %d flushes", group.SyncedCommits, group.Flushes)
-	}
-	// The baseline engine must not touch the batcher.
-	if base.Flushes != 0 || base.SyncedCommits != 0 {
-		t.Errorf("per-commit baseline recorded batcher stats: %+v", base)
-	}
-	// The headline group-commit claim: batched fsync beats one fsync per
-	// commit under multi-writer load. The claim only holds where the fsync
-	// is what commits pay for — on fast-flush filesystems (tmpfs-backed CI
-	// runners) both modes converge and the ratio is noise, so gate the
-	// assertion on measured fsync cost.
-	if cost := fsyncCost(t); cost < 20*time.Microsecond {
-		t.Skipf("fsync costs only %v here; throughput ratio is not fsync-bound", cost)
-	}
-	if ratio := group.Result.Throughput() / base.Result.Throughput(); ratio < 1.3 {
-		t.Errorf("group commit %.0f/s vs per-commit %.0f/s = %.2fx; want >= 1.3x at 8 writers",
-			group.Result.Throughput(), base.Result.Throughput(), ratio)
-	}
+		// FCW detects late: under high skew it wastes at least as many ops
+		// per abort as FUW (which cancels on the first conflicting update).
+		fuw, fcw := get(1.2, "FUW"), get(1.2, "FCW")
+		if aborts(fuw)+aborts(fcw) < 100 {
+			t.Skipf("only %d+%d high-skew aborts; not enough signal to compare policies", aborts(fuw), aborts(fcw))
+		}
+		wastedPerAbort := func(r E3Row) float64 {
+			a := aborts(r)
+			if a == 0 {
+				return 0
+			}
+			return float64(r.WastedOps) / float64(a)
+		}
+		if wastedPerAbort(fcw) < wastedPerAbort(fuw) {
+			t.Errorf("wasted ops per abort: FCW %.2f < FUW %.2f", wastedPerAbort(fcw), wastedPerAbort(fuw))
+		}
+	},
+
+	"E4": func(t *testing.T, rows any) {
+		var threaded, vacuum []E4Row
+		for _, r := range rows.([]E4Row) {
+			if r.Mode == "threaded" {
+				threaded = append(threaded, r)
+			} else {
+				vacuum = append(vacuum, r)
+			}
+		}
+		for _, r := range threaded {
+			if r.Collected != r.Garbage {
+				t.Errorf("threaded collected %d != garbage %d", r.Collected, r.Garbage)
+			}
+			if r.Scanned > r.Garbage+1 {
+				t.Errorf("threaded scanned %d > garbage+1 (cost not O(garbage))", r.Scanned)
+			}
+		}
+		if len(vacuum) != 2 || len(threaded) != 2 {
+			t.Fatalf("want two store sizes per collector, got %d/%d", len(threaded), len(vacuum))
+		}
+		// Vacuum scan cost grows with the live set at fixed garbage.
+		if vacuum[1].Scanned <= vacuum[0].Scanned {
+			t.Errorf("vacuum scanned did not grow with store: %d -> %d", vacuum[0].Scanned, vacuum[1].Scanned)
+		}
+		// Threaded scan cost does not.
+		if threaded[1].Scanned > threaded[0].Scanned+1 {
+			t.Errorf("threaded scanned grew with store: %d -> %d", threaded[0].Scanned, threaded[1].Scanned)
+		}
+	},
+
+	"E5": func(t *testing.T, rows any) {
+		samples := rows.([]E5Row)
+		n := len(samples)
+		if n < 3 {
+			t.Fatalf("rows = %d", n)
+		}
+		// Versions grow monotonically while the reader is active...
+		for i := 1; i < n-1; i++ {
+			if samples[i].Versions < samples[i-1].Versions {
+				t.Errorf("versions fell while reader active: %+v", samples)
+			}
+		}
+		// ...and collapse to the live set (the first sample: one version
+		// per node) after it finishes.
+		last := samples[n-1]
+		if last.Phase != "reader-done" {
+			t.Fatalf("last phase = %s", last.Phase)
+		}
+		if last.Versions != samples[0].Versions {
+			t.Errorf("versions after release = %d, want %d (live set)", last.Versions, samples[0].Versions)
+		}
+		if last.Backlog != 0 {
+			t.Errorf("backlog after release = %d", last.Backlog)
+		}
+	},
+
+	"E6": func(t *testing.T, rows any) {
+		r := find(t, rows.([]E6Row), "selectivity 0.01", func(r E6Row) bool { return r.Selectivity == 0.01 })
+		if r.Hits == 0 {
+			t.Fatal("no hits")
+		}
+		if r.IndexTime >= r.ScanTime {
+			t.Errorf("index (%v) not faster than scan (%v) at selectivity 0.01", r.IndexTime, r.ScanTime)
+		}
+	},
+
+	"E7": func(t *testing.T, rows any) {
+		cells := rows.([]E7Row)
+		for _, r := range cells {
+			if r.ResultSize != cells[0].ResultSize+r.WriteSet {
+				t.Fatalf("merge lost or invented rows: %+v", cells)
+			}
+		}
+	},
+
+	"E8": func(t *testing.T, rows any) {
+		res := rows.(E8Result)
+		if res.RecoveredNodes != res.Entities {
+			t.Fatalf("recovered %d of %d", res.RecoveredNodes, res.Entities)
+		}
+		if res.LatestOnlyBytes == 0 {
+			t.Fatal("nothing checkpointed")
+		}
+		// Paper's claim: persisting only the newest version writes a fraction
+		// of what the all-versions cache holds (≈ 1/versions).
+		if res.LatestOnlyBytes*2 >= res.AllVersionsBytes {
+			t.Fatalf("latest-only %d not << all-versions %d", res.LatestOnlyBytes, res.AllVersionsBytes)
+		}
+		if res.WALAfterCkpt > res.WALBeforeCkpt {
+			t.Fatalf("WAL grew across checkpoint: %d -> %d", res.WALBeforeCkpt, res.WALAfterCkpt)
+		}
+		// Group-commit durability phase: every synced commit survived the
+		// second crash, and the batcher actually shared fsyncs (at most one
+		// flush per commit; under concurrency, far fewer).
+		if res.SyncedCommits == 0 {
+			t.Fatal("synced phase did not run")
+		}
+		if uint64(res.SyncedRecovered) != res.SyncedCommits {
+			t.Fatalf("recovered %d of %d synced commits", res.SyncedRecovered, res.SyncedCommits)
+		}
+		if res.SyncedFlushes == 0 || res.SyncedFlushes > res.SyncedCommits {
+			t.Fatalf("flushes = %d for %d synced commits", res.SyncedFlushes, res.SyncedCommits)
+		}
+	},
+
+	"E9": func(t *testing.T, rows any) {
+		cells := rows.([]E9Row)
+		get := func(n int) E9Row {
+			return find(t, cells, "replicas", func(r E9Row) bool { return r.Replicas == n })
+		}
+		base, two := get(0), get(2)
+		if base.ReadsPS == 0 || two.ReadsPS == 0 {
+			t.Fatalf("no reads: %+v", cells)
+		}
+		if base.WritesPS == 0 || two.WritesPS == 0 {
+			t.Fatalf("write load did not run: %+v", cells)
+		}
+		// The headline claim: replicas add read capacity. Slot capacity is
+		// modelled (service occupancy per read), so the ratio is stable even
+		// on single-core machines; 1.8x of the ideal 2x leaves headroom.
+		// Race instrumentation multiplies the real per-read CPU cost until it
+		// rivals the service occupancy, collapsing the slot model on small
+		// machines — under the race detector only the direction is asserted.
+		want := 1.8
+		if raceEnabled {
+			want = 1.05
+		}
+		if two.Speedup < want {
+			t.Errorf("2-replica speedup = %.2fx, want >= %.2fx (%+v)", two.Speedup, want, cells)
+		}
+		// Replica apply lag must be measured and bounded: these are real
+		// read-your-writes waits over live TCP replication.
+		if two.LagProbes == 0 {
+			t.Fatal("no staleness probes recorded")
+		}
+		if two.LagMax <= 0 || two.LagMax > 20*time.Second {
+			t.Errorf("lag max = %v", two.LagMax)
+		}
+		if two.LagP50 > two.LagMax {
+			t.Errorf("lag p50 %v > max %v", two.LagP50, two.LagMax)
+		}
+	},
+
+	"E10": func(t *testing.T, rows any) {
+		cells := rows.([]E10Row)
+		get := func(level int) E10Row {
+			return find(t, cells, "quorum", func(r E10Row) bool { return r.SyncReplicas == level })
+		}
+		async, quorum := get(0), get(1)
+		if async.Mean <= 0 || quorum.Mean <= 0 {
+			t.Fatalf("no latency measured: %+v", cells)
+		}
+		// The robust claim: every quorum commit actually assembled its quorum
+		// (no degrades) in a healthy group. The latency ordering (quorum p50
+		// above async p50) holds on real hardware but is a timed comparison
+		// of a few dozen commits — too noisy to hard-assert on a loaded
+		// 1-CPU CI box, so it is only logged.
+		for _, r := range cells {
+			if r.Degraded != 0 {
+				t.Fatalf("degraded commits in a healthy group: %+v", cells)
+			}
+		}
+		if quorum.P50 < async.P50 {
+			t.Logf("note: quorum p50 %v below async p50 %v (noisy box?)", quorum.P50, async.P50)
+		}
+	},
+
+	"E11": func(t *testing.T, rows any) {
+		cells := rows.([]E11Row)
+		get := func(stripes1 bool, clients int) E11Row {
+			return find(t, cells, "write cell", func(r E11Row) bool {
+				return (r.Stripes == 1) == stripes1 && r.Mix == "write" && r.Clients == clients
+			})
+		}
+		for _, r := range cells {
+			if r.Mix == "write" && r.Result.Conflicts != 0 {
+				t.Fatalf("disjoint write footprints conflicted: %+v", r.Result)
+			}
+		}
+		// The scaling shape needs real parallelism: on a 1-2 CPU machine
+		// the latch is never contended, and under the race detector per-op
+		// cost drowns the latch cost.
+		striped := get(false, 8)
+		if runtime.NumCPU() < 4 || runtime.GOMAXPROCS(0) < 4 {
+			t.Skipf("NumCPU=%d GOMAXPROCS=%d: no parallelism to measure the latch scaling shape",
+				runtime.NumCPU(), runtime.GOMAXPROCS(0))
+		}
+		want := 1.4 // headline claim is 2x on 8 cores; leave noise margin at 4
+		if raceEnabled {
+			want = 0.9 // direction only: instrumentation swamps the latch cost
+		}
+		if striped.Speedup < want {
+			t.Errorf("8-writer striped speedup = %.2fx over 1 stripe, want >= %.2fx (%+v)",
+				striped.Speedup, want, striped)
+		}
+		// Single-writer latency must not regress: one client takes the same
+		// latches either way, so parity within noise.
+		if one1, oneN := get(true, 1), get(false, 1); oneN.Result.Throughput() < one1.Result.Throughput()*0.5 {
+			t.Errorf("single-writer striped throughput %.0f/s fell to under half of 1-stripe %.0f/s",
+				oneN.Result.Throughput(), one1.Result.Throughput())
+		}
+	},
+
+	"E12": func(t *testing.T, rows any) {
+		cells := rows.([]E12Row)
+		if len(cells) != 5 {
+			t.Fatalf("rows = %d, want 5", len(cells))
+		}
+		get := func(mode string) E12Row {
+			return find(t, cells, mode, func(r E12Row) bool { return r.Mode == mode })
+		}
+		for _, r := range cells {
+			if r.OpsPS <= 0 {
+				t.Fatalf("mode %s measured no ops: %+v", r.Mode, cells)
+			}
+		}
+		// Headline acceptance: a depth-8 batch of the write-leaning mixed
+		// stream (one round trip + ONE transaction per batch) beats one-op-
+		// per-round-trip by >= 3x. Race instrumentation multiplies the
+		// server-side per-op CPU until it rivals the round trip and commit
+		// costs the batch amortises, so under the race detector only the
+		// direction is asserted.
+		wantMixed := 3.0
+		if raceEnabled {
+			wantMixed = 1.3
+		}
+		if s := get("batched-mixed").Speedup; s < wantMixed {
+			t.Errorf("batched-mixed speedup = %.2fx, want >= %.2fx (%+v)", s, wantMixed, cells)
+		}
+		// Read-only batching saves only the round trip; on loopback that is
+		// still a solid win. Keep the bar conservative: loopback RTT is the
+		// floor of what any real network would amortise.
+		wantReads := 1.5
+		if raceEnabled {
+			wantReads = 1.1
+		}
+		if s := get("batched-reads").Speedup; s < wantReads {
+			t.Errorf("batched-reads speedup = %.2fx, want >= %.2fx (%+v)", s, wantReads, cells)
+		}
+		// The pooled row must demonstrate live replica routing, not scaling:
+		// reads flow and the fleet answers.
+		if get("pooled-replica-reads").Ops == 0 {
+			t.Errorf("pooled mode served no reads: %+v", cells)
+		}
+	},
+
+	"E13": func(t *testing.T, rows any) {
+		if got := len(rows.([]E13Row)); got != 3 {
+			t.Fatalf("rows = %d, want one per sampling rate", got)
+		}
+	},
+
+	"E14": func(t *testing.T, rows any) {
+		cells := rows.([]E14Row)
+		if len(cells) != 3 {
+			t.Fatalf("rows = %d, want 3", len(cells))
+		}
+		get := func(mode string) E14Row {
+			return find(t, cells, mode, func(r E14Row) bool { return r.Mode == mode })
+		}
+		// runE14 itself fails if the two traversals visit different node
+		// sets, so by here the plan is correct; the shape assertions are
+		// about cost.
+		looped, pushed := get("client-looped"), get("server-khop")
+		if looped.Visited == 0 || looped.Rounds <= uint64(looped.Starts) {
+			t.Fatalf("client-looped did not traverse: %+v", looped)
+		}
+		if pushed.Rounds != uint64(pushed.Starts) {
+			t.Errorf("server-khop used %d round trips for %d starts, want one plan each", pushed.Rounds, pushed.Starts)
+		}
+		// Headline acceptance: the server-side 3-hop is >= 2x the
+		// client-looped traversal — it pays one round trip per chunk instead
+		// of one per frontier node. Race instrumentation inflates server-side
+		// traversal CPU until it rivals the round trips the plan amortises,
+		// so under the detector only a weaker bar is asserted.
+		want := 2.0
+		if raceEnabled {
+			want = 1.2
+		}
+		if pushed.Speedup < want {
+			t.Errorf("server-khop speedup = %.2fx, want >= %.2fx (%+v)", pushed.Speedup, want, cells)
+		}
+		// The unfiltered stream must deliver the whole (quick-size) graph.
+		if full := get("full-stream"); full.Visited != 3_000 {
+			t.Errorf("full-stream rows = %d, want 3000", full.Visited)
+		}
+	},
+
+	"E15": func(t *testing.T, rows any) {
+		for _, r := range rows.([]E15Row) {
+			if r.UnavailSeconds <= 0 || r.WinnerEpoch != 2 {
+				t.Errorf("no single clean promotion: %+v", r)
+			}
+			// runE15 itself fails on acknowledged loss at quorum >= 1.
+			if r.Survived+r.Lost != r.PreCommits {
+				t.Errorf("census does not add up: %+v", r)
+			}
+		}
+	},
+
+	"E16": func(t *testing.T, rows any) {
+		for _, r := range rows.([]E16Row) {
+			if r.Commits == 0 {
+				t.Errorf("cell committed nothing: %+v", r)
+			}
+			if (r.CrossCommits > 0) != (r.Partitions > 1 && r.CrossPct > 0) {
+				t.Errorf("cross-partition commits where none belong (or none where they do): %+v", r)
+			}
+		}
+	},
+
+	"F1": func(t *testing.T, out any) {
+		for _, want := range []string{"object cache", "persistent store", "neostore.nodes.db", "wal"} {
+			if !strings.Contains(out.(string), want) {
+				t.Errorf("F1 output missing %q", want)
+			}
+		}
+	},
 }
 
 // fsyncCost measures the mean latency of a small append+fsync in the
@@ -134,235 +521,53 @@ func fsyncCost(t *testing.T) time.Duration {
 	return time.Since(t0) / n
 }
 
-func TestE3AbortsGrowWithSkew(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timed experiment")
-	}
-	rows, err := RunE3(io.Discard, E3Config{
-		People: 200, Clients: 8, Thetas: []float64{0, 1.2}, Duration: 300 * time.Millisecond, Seed: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	get := func(theta float64, pol string) E3Row {
-		for _, r := range rows {
-			if r.Theta == theta && r.Policy == pol {
-				return r
-			}
-		}
-		t.Fatalf("missing cell %v/%s", theta, pol)
-		return E3Row{}
-	}
-	aborts := func(r E3Row) uint64 { return r.Result.Conflicts + r.Result.Deadlocks }
-	for _, pol := range []string{"FUW", "FCW"} {
-		lo, hi := get(0, pol), get(1.2, pol)
-		// On machines with little real parallelism (1-2 CPUs) transactions
-		// barely overlap and conflicts are single-digit noise; the
-		// skew-grows-aborts shape is only assertable with enough signal.
-		if aborts(lo)+aborts(hi) < 100 {
-			t.Logf("%s: only %d+%d aborts; skipping shape assertion (low-parallelism machine)",
-				pol, aborts(lo), aborts(hi))
-			continue
-		}
-		// Near saturation the uniform workload already aborts most attempts
-		// and skew has no dynamic range left to grow into; near the noise
-		// floor the difference between cells is binomial jitter.
-		if lo.Result.AbortRate() > 0.5 {
-			t.Logf("%s: uniform abort rate %.3f already saturated; skipping shape assertion",
-				pol, lo.Result.AbortRate())
-			continue
-		}
-		if lo.Result.AbortRate() < 0.05 && hi.Result.AbortRate() < 0.05 {
-			t.Logf("%s: abort rates %.3f/%.3f below noise floor; skipping shape assertion",
-				pol, lo.Result.AbortRate(), hi.Result.AbortRate())
-			continue
-		}
-		if hi.Result.AbortRate() < lo.Result.AbortRate()*0.9 {
-			t.Errorf("%s: abort rate fell with skew: %.3f -> %.3f", pol, lo.Result.AbortRate(), hi.Result.AbortRate())
-		}
-	}
-	// FCW detects late: under high skew it wastes at least as many ops
-	// per abort as FUW (which cancels on the first conflicting update).
-	fuw, fcw := get(1.2, "FUW"), get(1.2, "FCW")
-	if aborts(fuw)+aborts(fcw) < 100 {
-		t.Skipf("only %d+%d high-skew aborts; not enough signal to compare policies", aborts(fuw), aborts(fcw))
-	}
-	wastedPerAbort := func(r E3Row) float64 {
-		a := aborts(r)
-		if a == 0 {
-			return 0
-		}
-		return float64(r.WastedOps) / float64(a)
-	}
-	if wastedPerAbort(fcw) < wastedPerAbort(fuw) {
-		t.Errorf("wasted ops per abort: FCW %.2f < FUW %.2f", wastedPerAbort(fcw), wastedPerAbort(fuw))
-	}
-}
-
-func TestE4ThreadedScansOnlyGarbage(t *testing.T) {
-	if testing.Short() {
-		t.Skip("sized experiment")
-	}
-	rows, err := RunE4(io.Discard, E4Config{
-		LiveEntities: []int{2_000, 20_000}, GarbageVersions: 1_000, Seed: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var threaded, vacuum []E4Row
-	for _, r := range rows {
-		if r.Mode == "threaded" {
-			threaded = append(threaded, r)
-		} else {
-			vacuum = append(vacuum, r)
-		}
-	}
-	for _, r := range threaded {
-		if r.Collected != r.Garbage {
-			t.Errorf("threaded collected %d != garbage %d", r.Collected, r.Garbage)
-		}
-		if r.Scanned > r.Garbage+1 {
-			t.Errorf("threaded scanned %d > garbage+1 (cost not O(garbage))", r.Scanned)
-		}
-	}
-	// Vacuum scan cost grows with the live set at fixed garbage.
-	if len(vacuum) == 2 && vacuum[1].Scanned <= vacuum[0].Scanned {
-		t.Errorf("vacuum scanned did not grow with store: %d -> %d", vacuum[0].Scanned, vacuum[1].Scanned)
-	}
-	// Threaded scan cost does not.
-	if len(threaded) == 2 && threaded[1].Scanned > threaded[0].Scanned+1 {
-		t.Errorf("threaded scanned grew with store: %d -> %d", threaded[0].Scanned, threaded[1].Scanned)
-	}
-}
-
-func TestE5MemoryPinnedThenReleased(t *testing.T) {
-	if testing.Short() {
-		t.Skip("sized experiment")
-	}
-	rows, err := RunE5(io.Discard, E5Config{HotNodes: 50, UpdatesPerStep: 200, Steps: 3, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := len(rows)
-	if n < 3 {
-		t.Fatalf("rows = %d", n)
-	}
-	// Versions grow monotonically while the reader is active...
-	for i := 1; i < n-1; i++ {
-		if rows[i].Versions < rows[i-1].Versions {
-			t.Errorf("versions fell while reader active: %+v", rows)
-		}
-	}
-	// ...and collapse to the live set after it finishes.
-	last := rows[n-1]
-	if last.Phase != "reader-done" {
-		t.Fatalf("last phase = %s", last.Phase)
-	}
-	if last.Versions != 50 {
-		t.Errorf("versions after release = %d, want 50 (live set)", last.Versions)
-	}
-	if last.Backlog != 0 {
-		t.Errorf("backlog after release = %d", last.Backlog)
-	}
-}
-
-func TestE6IndexBeatsScanAtLowSelectivity(t *testing.T) {
-	if testing.Short() {
-		t.Skip("sized experiment")
-	}
-	rows, err := RunE6(io.Discard, E6Config{Nodes: 5_000, Selectivities: []float64{0.01}, Lookups: 5, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := rows[0]
-	if r.Hits == 0 {
-		t.Fatal("no hits")
-	}
-	if r.IndexTime >= r.ScanTime {
-		t.Errorf("index (%v) not faster than scan (%v) at selectivity 0.01", r.IndexTime, r.ScanTime)
-	}
-}
-
-func TestE7MergeExact(t *testing.T) {
-	if testing.Short() {
-		t.Skip("sized experiment")
-	}
-	rows, err := RunE7(io.Discard, E7Config{BaseNodes: 500, WriteSetSizes: []int{0, 100}, Lookups: 5, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rows[0].ResultSize != 500 || rows[1].ResultSize != 600 {
-		t.Fatalf("rows = %+v", rows)
-	}
-}
-
-func TestE8LatestOnlySmaller(t *testing.T) {
-	if testing.Short() {
-		t.Skip("sized experiment")
-	}
-	res, err := RunE8(io.Discard, E8Config{Entities: 300, UpdatesPerNode: 5, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.RecoveredNodes != res.Entities {
-		t.Fatalf("recovered %d of %d", res.RecoveredNodes, res.Entities)
-	}
-	if res.LatestOnlyBytes == 0 {
-		t.Fatal("nothing checkpointed")
-	}
-	// Paper's claim: persisting only the newest version writes a fraction
-	// of what the all-versions cache holds (≈ 1/versions).
-	if res.LatestOnlyBytes*2 >= res.AllVersionsBytes {
-		t.Fatalf("latest-only %d not << all-versions %d", res.LatestOnlyBytes, res.AllVersionsBytes)
-	}
-	if res.WALAfterCkpt > res.WALBeforeCkpt {
-		t.Fatalf("WAL grew across checkpoint: %d -> %d", res.WALBeforeCkpt, res.WALAfterCkpt)
-	}
-	// Group-commit durability phase: every synced commit survived the
-	// second crash, and the batcher actually shared fsyncs (at most one
-	// flush per commit; under concurrency, far fewer).
-	if res.SyncedCommits == 0 {
-		t.Fatal("synced phase did not run")
-	}
-	if uint64(res.SyncedRecovered) != res.SyncedCommits {
-		t.Fatalf("recovered %d of %d synced commits", res.SyncedRecovered, res.SyncedCommits)
-	}
-	if res.SyncedFlushes == 0 || res.SyncedFlushes > res.SyncedCommits {
-		t.Fatalf("flushes = %d for %d synced commits", res.SyncedFlushes, res.SyncedCommits)
-	}
-}
-
-func TestF1Prints(t *testing.T) {
-	if testing.Short() {
-		t.Skip("sized experiment")
+func TestPrintRowsAligned(t *testing.T) {
+	type row struct {
+		A      string
+		Long   float64       `json:"long_header,omitempty"`
+		Hidden time.Duration `json:"-"`
+		Result Result
 	}
 	var buf bytes.Buffer
-	if err := RunF1(&buf, 200, 1); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"object cache", "persistent store", "neostore.nodes.db", "wal"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("F1 output missing %q", want)
-		}
-	}
-}
-
-func TestTableFormatting(t *testing.T) {
-	tb := &Table{Headers: []string{"a", "long-header"}}
-	tb.Add(1, 2.5)
-	tb.Add("xyz", time.Millisecond)
-	var buf bytes.Buffer
-	tb.Print(&buf)
+	printRows(&buf, []row{{A: "x", Long: 2.5}, {A: "xyz", Hidden: time.Millisecond}})
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
 	if len(lines) != 4 {
 		t.Fatalf("lines = %d", len(lines))
 	}
-	width := len(lines[0])
 	for _, l := range lines {
-		if len(l) != width {
+		if len(l) != len(lines[0]) {
 			t.Errorf("misaligned table:\n%s", buf.String())
 		}
+	}
+	for _, h := range []string{"| A ", "long_header", "Hidden", "txn/s", "abort rate", "p50", "p95"} {
+		if !strings.Contains(lines[0], h) {
+			t.Errorf("header %q missing from %q", h, lines[0])
+		}
+	}
+	if !strings.Contains(lines[2], "2.50") || !strings.Contains(lines[3], "1ms") {
+		t.Errorf("cells not formatted:\n%s", buf.String())
+	}
+
+	// A single struct prints one line per field.
+	buf.Reset()
+	printRows(&buf, row{A: "solo"})
+	if got := strings.Count(buf.String(), "\n"); got != 2+3+4 {
+		t.Errorf("vertical table has %d lines:\n%s", got, buf.String())
+	}
+}
+
+func TestSummarize(t *testing.T) {
+	if got := summarize(nil); got != (latency{}) {
+		t.Fatalf("empty summary = %+v", got)
+	}
+	lats := make([]time.Duration, 100)
+	for i := range lats {
+		lats[i] = time.Duration(100-i) * time.Millisecond // unsorted on purpose
+	}
+	got := summarize(lats)
+	want := latency{P50: 50 * time.Millisecond, P95: 95 * time.Millisecond, Max: 100 * time.Millisecond, Mean: 50500 * time.Microsecond}
+	if got != want {
+		t.Fatalf("summary = %+v, want %+v", got, want)
 	}
 }
 
@@ -394,253 +599,3 @@ func TestRunnerCounters(t *testing.T) {
 }
 
 var errOther = errors.New("other")
-
-func TestE9ReplicaScaling(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timed experiment")
-	}
-	// A 1ms service occupancy keeps the real per-read CPU a negligible
-	// slice of each slot, so the slot-capacity ratio stays ~2x even on
-	// loaded single-core machines.
-	rows, err := RunE9(io.Discard, E9Config{
-		Nodes: 300, Writers: 2, Replicas: []int{0, 2},
-		ServiceTime: time.Millisecond,
-		Duration:    600 * time.Millisecond, Seed: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	base, two := rows[0], rows[1]
-	if base.ReadsPS == 0 || two.ReadsPS == 0 {
-		t.Fatalf("no reads: %+v", rows)
-	}
-	if base.WritesPS == 0 || two.WritesPS == 0 {
-		t.Fatalf("write load did not run: %+v", rows)
-	}
-	// The headline claim: replicas add read capacity. Slot capacity is
-	// modelled (service occupancy per read), so the ratio is stable even
-	// on single-core machines; 1.8x of the ideal 2x leaves headroom.
-	// Race instrumentation multiplies the real per-read CPU cost until it
-	// rivals the service occupancy, collapsing the slot model on small
-	// machines — under the race detector only the direction is asserted.
-	want := 1.8
-	if raceEnabled {
-		want = 1.05
-	}
-	if two.Speedup < want {
-		t.Errorf("2-replica speedup = %.2fx, want >= %.2fx (%+v)", two.Speedup, want, rows)
-	}
-	// Replica apply lag must be measured and bounded: these are real
-	// read-your-writes waits over live TCP replication.
-	if two.LagProbes == 0 {
-		t.Fatal("no staleness probes recorded")
-	}
-	if two.LagMax <= 0 || two.LagMax > 20*time.Second {
-		t.Errorf("lag max = %v", two.LagMax)
-	}
-	if two.LagP50 > two.LagMax {
-		t.Errorf("lag p50 %v > max %v", two.LagP50, two.LagMax)
-	}
-}
-
-func TestE11StripedCommitScaling(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timed experiment")
-	}
-	// Stripes are pinned (not the GOMAXPROCS default) so the striped cell
-	// exists — and the correctness assertions run — even on a 1-CPU box
-	// where the default would degenerate to a single stripe.
-	rows, err := RunE11(io.Discard, E11Config{
-		Nodes: 2048, Clients: []int{1, 8}, Stripes: []int{1, 8},
-		Duration: 250 * time.Millisecond, Seed: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	get := func(stripes1 bool, mix string, clients int) E11Row {
-		for _, r := range rows {
-			if (r.Stripes == 1) == stripes1 && r.Mix == mix && r.Clients == clients {
-				return r
-			}
-		}
-		t.Fatalf("missing cell stripes1=%v/%s/%d", stripes1, mix, clients)
-		return E11Row{}
-	}
-	for _, r := range rows {
-		if r.Result.Commits == 0 {
-			t.Fatalf("no commits in cell %+v", r)
-		}
-		if r.Result.Errors != 0 {
-			t.Fatalf("unexpected errors in cell %+v", r.Result)
-		}
-		if r.Mix == "write" && r.Result.Conflicts != 0 {
-			t.Fatalf("disjoint write footprints conflicted: %+v", r.Result)
-		}
-	}
-	// The scaling shape needs real parallelism: on a 1-2 CPU machine the
-	// striped and 1-stripe engines are the same engine (the default
-	// resolves to GOMAXPROCS) or the latch is never contended, and under
-	// the race detector per-op cost drowns the latch cost.
-	striped := get(false, "write", 8)
-	if runtime.NumCPU() < 4 || runtime.GOMAXPROCS(0) < 4 {
-		t.Skipf("NumCPU=%d GOMAXPROCS=%d: no parallelism to measure the latch scaling shape",
-			runtime.NumCPU(), runtime.GOMAXPROCS(0))
-	}
-	want := 1.4 // headline claim is 2x on 8 cores; leave noise margin at 4
-	if raceEnabled {
-		want = 0.9 // direction only: instrumentation swamps the latch cost
-	}
-	if striped.Speedup < want {
-		t.Errorf("8-writer striped speedup = %.2fx over 1 stripe, want >= %.2fx (%+v)",
-			striped.Speedup, want, striped)
-	}
-	// Single-writer latency must not regress: one client takes the same
-	// latches either way, so parity within noise.
-	oneStripe1 := get(true, "write", 1)
-	oneStriped := get(false, "write", 1)
-	if oneStriped.Result.Throughput() < oneStripe1.Result.Throughput()*0.5 {
-		t.Errorf("single-writer striped throughput %.0f/s fell to under half of 1-stripe %.0f/s",
-			oneStriped.Result.Throughput(), oneStripe1.Result.Throughput())
-	}
-}
-
-func TestE10SyncReplicationShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timed experiment")
-	}
-	rows, err := RunE10(io.Discard, E10Config{
-		Commits: 40, Replicas: 1, SyncLevels: []int{0, 1}, Seed: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	async, quorum := rows[0], rows[1]
-	if async.Mean <= 0 || quorum.Mean <= 0 {
-		t.Fatalf("no latency measured: %+v", rows)
-	}
-	// The robust claim: every quorum commit actually assembled its quorum
-	// (no degrades) in a healthy group. The latency ordering (quorum p50
-	// above async p50) holds on real hardware but is a timed comparison
-	// of 40 commits — too noisy to hard-assert on a loaded 1-CPU CI box,
-	// so it is only logged.
-	if quorum.Degraded != 0 || async.Degraded != 0 {
-		t.Fatalf("degraded commits in a healthy group: %+v", rows)
-	}
-	if quorum.P50 < async.P50 {
-		t.Logf("note: quorum p50 %v below async p50 %v (noisy box?)", quorum.P50, async.P50)
-	}
-}
-
-func TestE12BatchingSpeedup(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timed experiment")
-	}
-	rows, err := RunE12(io.Discard, E12Config{
-		Nodes: 400, Clients: 1, Depth: 8, Replicas: 1,
-		Duration: 500 * time.Millisecond, Seed: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 5 {
-		t.Fatalf("rows = %d, want 5", len(rows))
-	}
-	get := func(mode string) E12Row {
-		for _, r := range rows {
-			if r.Mode == mode {
-				return r
-			}
-		}
-		t.Fatalf("mode %q missing from %+v", mode, rows)
-		return E12Row{}
-	}
-	for _, r := range rows {
-		if r.OpsPS <= 0 {
-			t.Fatalf("mode %s measured no ops: %+v", r.Mode, rows)
-		}
-	}
-	// Headline acceptance: a depth-8 batch of the write-leaning mixed
-	// stream (one round trip + ONE transaction per batch) beats one-op-
-	// per-round-trip by >= 3x. Race instrumentation multiplies the
-	// server-side per-op CPU until it rivals the round trip and commit
-	// costs the batch amortises, so under the race detector only the
-	// direction is asserted.
-	wantMixed := 3.0
-	if raceEnabled {
-		wantMixed = 1.3
-	}
-	if s := get("batched-mixed").Speedup; s < wantMixed {
-		t.Errorf("batched-mixed speedup = %.2fx, want >= %.2fx (%+v)", s, wantMixed, rows)
-	}
-	// Read-only batching saves only the round trip; on loopback that is
-	// still a solid win. Keep the bar conservative: loopback RTT is the
-	// floor of what any real network would amortise.
-	wantReads := 1.5
-	if raceEnabled {
-		wantReads = 1.1
-	}
-	if s := get("batched-reads").Speedup; s < wantReads {
-		t.Errorf("batched-reads speedup = %.2fx, want >= %.2fx (%+v)", s, wantReads, rows)
-	}
-	// The pooled row must demonstrate live replica routing, not scaling:
-	// reads flow and the fleet answers.
-	if get("pooled-replica-reads").Ops == 0 {
-		t.Errorf("pooled mode served no reads: %+v", rows)
-	}
-}
-
-func TestE14QueryPushdown(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timed experiment")
-	}
-	rows, err := RunE14(io.Discard, E14Config{
-		Nodes: 3_000, OutDegree: 6, Starts: 2, Depth: 3, Seed: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 {
-		t.Fatalf("rows = %d, want 3", len(rows))
-	}
-	get := func(mode string) E14Row {
-		for _, r := range rows {
-			if r.Mode == mode {
-				return r
-			}
-		}
-		t.Fatalf("mode %q missing from %+v", mode, rows)
-		return E14Row{}
-	}
-	// RunE14 itself fails if the two traversals visit different node
-	// sets, so by here the plan is correct; the shape assertions are
-	// about cost.
-	looped, pushed := get("client-looped"), get("server-khop")
-	if looped.Visited == 0 || looped.Rounds <= uint64(looped.Starts) {
-		t.Fatalf("client-looped did not traverse: %+v", looped)
-	}
-	if pushed.Rounds != uint64(pushed.Starts) {
-		t.Errorf("server-khop used %d round trips for %d starts, want one plan each", pushed.Rounds, pushed.Starts)
-	}
-	// Headline acceptance (ISSUE): the server-side 3-hop is >= 2x the
-	// client-looped traversal — it pays one round trip per chunk instead
-	// of one per frontier node. Race instrumentation inflates server-side
-	// traversal CPU until it rivals the round trips the plan amortises,
-	// so under the detector only a weaker bar is asserted.
-	want := 2.0
-	if raceEnabled {
-		want = 1.2
-	}
-	if pushed.Speedup < want {
-		t.Errorf("server-khop speedup = %.2fx, want >= %.2fx (%+v)", pushed.Speedup, want, rows)
-	}
-	// The unfiltered stream must deliver the whole graph.
-	if full := get("full-stream"); full.Visited != 3_000 {
-		t.Errorf("full-stream rows = %d, want 3000", full.Visited)
-	}
-}

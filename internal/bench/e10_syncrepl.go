@@ -1,29 +1,11 @@
 package bench
 
 import (
-	"fmt"
-	"io"
-	"os"
-	"sort"
 	"time"
 
 	"neograph"
+	"neograph/internal/fleet"
 )
-
-// E10Config parameterises the synchronous-replication latency experiment.
-type E10Config struct {
-	// Commits is the number of sequential committed transactions timed
-	// per quorum level.
-	Commits int
-	// Replicas is how many replicas are attached in every configuration
-	// (held constant so only the ack gating varies between rows). Must be
-	// >= the largest quorum swept.
-	Replicas int
-	// SyncLevels are the SyncReplicas settings swept; 0 is the async
-	// baseline.
-	SyncLevels []int
-	Seed       int64
-}
 
 // E10Row is one quorum level's measurements.
 type E10Row struct {
@@ -43,113 +25,56 @@ type E10Row struct {
 	Degraded uint64 `json:"degraded"`
 }
 
-// RunE10 measures commit latency versus the synchronous-replication
-// quorum (E10: the price of "an acknowledged commit survives primary
-// loss"). Every configuration runs the same sequential write workload
-// against a fresh primary with the same number of connected replicas;
-// only SyncReplicas varies, adding the replica fsync + ack round trip to
-// each commit at quorum >= 1.
-func RunE10(w io.Writer, cfg E10Config) ([]E10Row, error) {
-	if cfg.Commits <= 0 {
-		cfg.Commits = 200
-	}
-	if cfg.Replicas <= 0 {
-		cfg.Replicas = 2
-	}
-	if len(cfg.SyncLevels) == 0 {
-		cfg.SyncLevels = []int{0, 1, 2}
-	}
+var e10 = Experiment{"E10", "commit latency vs synchronous-replication quorum (SyncReplicas)", tabled(runE10,
+	"quorum >= 1 adds the ship + replica-fsync + ack round trip per commit over the async baseline; "+
+		"degraded must be 0 (the quorum actually held)")}
 
+// runE10 measures commit latency versus the synchronous-replication
+// quorum (E10: the price of "an acknowledged commit survives primary
+// loss"). Every quorum level (0 is the async baseline) runs the same
+// sequential write workload against a fresh primary with the same number
+// of attached replicas; only SyncReplicas varies, adding the replica
+// fsync + ack round trip to each commit at quorum >= 1.
+func runE10(p Params) ([]E10Row, error) {
+	const replicas = 2 // held constant so only the ack gating varies
 	var rows []E10Row
-	for _, level := range cfg.SyncLevels {
-		if level > cfg.Replicas {
-			return rows, fmt.Errorf("bench: E10 quorum %d exceeds %d replicas", level, cfg.Replicas)
-		}
-		row, err := runE10Config(level, cfg)
+	for level := 0; level <= replicas; level++ {
+		row, err := runE10Config(p, level, replicas)
 		if err != nil {
 			return rows, err
 		}
 		rows = append(rows, row)
-	}
-
-	if w != nil {
-		section(w, "E10", "commit latency vs synchronous-replication quorum (SyncReplicas)")
-		t := &Table{Headers: []string{"sync replicas", "replicas", "commits", "p50", "p95", "max", "mean", "commits/s", "degraded"}}
-		for _, r := range rows {
-			t.Add(r.SyncReplicas, r.Replicas, r.Commits, r.P50, r.P95, r.Max, r.Mean, r.CommitsPS, r.Degraded)
-		}
-		t.Print(w)
-		fmt.Fprintln(w, "expected shape: quorum >= 1 adds the ship + replica-fsync + ack round trip per")
-		fmt.Fprintln(w, "commit over the async baseline; degraded must be 0 (the quorum actually held)")
 	}
 	return rows, nil
 }
 
 // runE10Config measures one quorum level against a fresh replication
 // group.
-func runE10Config(level int, cfg E10Config) (E10Row, error) {
-	row := E10Row{SyncReplicas: level, Replicas: cfg.Replicas, Commits: cfg.Commits}
-
-	pdir, err := os.MkdirTemp("", "neograph-e10-primary-*")
-	if err != nil {
-		return row, err
-	}
-	defer os.RemoveAll(pdir)
-	primary, err := neograph.Open(neograph.Options{
-		Dir:             pdir,
-		ReplicationAddr: "127.0.0.1:0",
-		SyncReplicas:    level,
+func runE10Config(p Params, level, replicas int) (E10Row, error) {
+	row := E10Row{SyncReplicas: level, Replicas: replicas, Commits: pick(p, 300, 60)}
+	f, err := fleet.Start(fleet.Spec{Replicas: replicas, DB: neograph.Options{
+		SyncReplicas: level,
 		// Generous degrade window: a degrade means the row is measuring
 		// the timeout, not replication — it is reported so the reader can
 		// reject the row.
 		SyncReplicaTimeout: 10 * time.Second,
-	})
+	}})
 	if err != nil {
 		return row, err
 	}
-	defer primary.Close()
-
-	var replicas []*neograph.DB
-	defer func() {
-		for _, r := range replicas {
-			r.Close()
-		}
-	}()
-	for i := 0; i < cfg.Replicas; i++ {
-		rdir, err := os.MkdirTemp("", "neograph-e10-replica-*")
-		if err != nil {
-			return row, err
-		}
-		defer os.RemoveAll(rdir)
-		r, err := neograph.Open(neograph.Options{Dir: rdir, ReplicaOf: primary.ReplicationAddress()})
-		if err != nil {
-			return row, err
-		}
-		replicas = append(replicas, r)
-	}
-	// Seed one node and use its token to confirm every replica is
-	// connected and applying before the clock starts.
-	var id neograph.NodeID
-	warm := primary.Begin()
-	if id, err = warm.CreateNode([]string{"E10"}, neograph.Props{"v": neograph.Int(0)}); err != nil {
-		warm.Abort()
+	defer f.Close()
+	primary := f.Groups[0][0].DB
+	ids, err := createNodes(primary, 1, []string{"E10"}, neograph.Props{"v": neograph.Int(0)})
+	if err != nil {
 		return row, err
 	}
-	if err := warm.Commit(); err != nil {
-		return row, err
-	}
-	for i, r := range replicas {
-		if err := r.WaitApplied(warm.CommitLSN(), 60*time.Second); err != nil {
-			return row, fmt.Errorf("replica %d warm-up: %w", i, err)
-		}
-	}
 
-	lats := make([]time.Duration, 0, cfg.Commits)
+	lats := make([]time.Duration, 0, row.Commits)
 	t0 := time.Now()
-	for i := 0; i < cfg.Commits; i++ {
+	for i := 0; i < row.Commits; i++ {
 		c0 := time.Now()
 		err := primary.Update(3, func(tx *neograph.Tx) error {
-			return tx.SetNodeProp(id, "v", neograph.Int(int64(i)))
+			return tx.SetNodeProp(ids[0], "v", neograph.Int(int64(i)))
 		})
 		if err != nil {
 			return row, err
@@ -158,16 +83,9 @@ func runE10Config(level int, cfg E10Config) (E10Row, error) {
 	}
 	elapsed := time.Since(t0)
 
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	var sum time.Duration
-	for _, l := range lats {
-		sum += l
-	}
-	row.P50 = lats[len(lats)/2]
-	row.P95 = lats[len(lats)*95/100]
-	row.Max = lats[len(lats)-1]
-	row.Mean = sum / time.Duration(len(lats))
-	row.CommitsPS = float64(cfg.Commits) / elapsed.Seconds()
+	lat := summarize(lats)
+	row.P50, row.P95, row.Max, row.Mean = lat.P50, lat.P95, lat.Max, lat.Mean
+	row.CommitsPS = float64(row.Commits) / elapsed.Seconds()
 	row.Degraded = primary.ReplStatus().DegradedCommits
 	return row, nil
 }

@@ -2,34 +2,11 @@ package bench
 
 import (
 	"fmt"
-	"io"
 	"math/rand"
-	"runtime"
 	"time"
 
 	"neograph"
-	"neograph/internal/ids"
-	"neograph/internal/value"
 )
-
-// E11Config parameterises the striped-commit-pipeline scaling experiment.
-type E11Config struct {
-	// Nodes is the total population; each client owns a disjoint slice of
-	// it, so write transactions never conflict — what E11 measures is the
-	// commit pipeline itself, not the workload's conflict rate.
-	Nodes int
-	// WritesPerTxn is the write-set size of each committing transaction
-	// (spread over stripes; larger sets make the validate+install section
-	// the 1-stripe latch serialises more expensive).
-	WritesPerTxn int
-	// Clients are the concurrent committer counts to sweep.
-	Clients []int
-	// Stripes are the CommitStripes settings to compare; 0 means the
-	// engine default (GOMAXPROCS rounded up to a power of two).
-	Stripes  []int
-	Duration time.Duration
-	Seed     int64
-}
 
 // E11Row is one measured cell.
 type E11Row struct {
@@ -42,34 +19,32 @@ type E11Row struct {
 	Speedup float64
 }
 
-// RunE11 measures committed-transactions-per-second of the striped commit
+var e11 = Experiment{"E11", "striped commit pipeline, FCW validate+install", tabled(runE11,
+	"parity at 1 client; striped >= 2x the 1-stripe latch by 8 writers on a multi-core host")}
+
+// runE11 measures committed-transactions-per-second of the striped commit
 // pipeline: first-committer-wins validation+install against one global
 // latch (CommitStripes=1, the pre-striping engine) versus per-stripe
-// latches (CommitStripes=GOMAXPROCS). Write footprints are disjoint, so
-// with striping, commits proceed in parallel end to end; with one stripe
-// every commit funnels through the same latch regardless. A mixed 50/50
-// read/write sweep rides along: snapshot reads take no latch at all, so
-// their scaling is bounded only by the striped object map.
-func RunE11(w io.Writer, cfg E11Config) ([]E11Row, error) {
-	if cfg.Nodes <= 0 {
-		cfg.Nodes = 4096
-	}
-	if cfg.WritesPerTxn <= 0 {
-		cfg.WritesPerTxn = 4
-	}
-	if len(cfg.Clients) == 0 {
-		cfg.Clients = []int{1, 2, 4, 8}
-	}
-	if len(cfg.Stripes) == 0 {
-		cfg.Stripes = []int{1, 0} // baseline, then the GOMAXPROCS default
-	}
-	if cfg.Duration <= 0 {
-		cfg.Duration = 300 * time.Millisecond
-	}
+// latches. Each client owns a disjoint slice of the population, so write
+// transactions never conflict — what E11 measures is the commit pipeline
+// itself, not the workload's conflict rate: with striping, commits
+// proceed in parallel end to end; with one stripe every commit funnels
+// through the same latch regardless. A mixed 50/50 read/write sweep rides
+// along: snapshot reads take no latch at all, so their scaling is bounded
+// only by the striped object map.
+func runE11(p Params) ([]E11Row, error) {
+	// writesPerTxn is each committing transaction's write-set size
+	// (spread over stripes; larger sets make the validate+install section
+	// the 1-stripe latch serialises more expensive).
+	const writesPerTxn = 4
+	// The baseline, then the engine default (0: GOMAXPROCS rounded up to a
+	// power of two). Quick mode pins 8 so the striped cell exists even on
+	// a 1-CPU box where the default would degenerate to a single stripe.
+	stripeSettings := pick(p, []int{1, 0}, []int{1, 8})
 
 	var rows []E11Row
 	base := map[string]float64{} // mix/clients -> 1-stripe throughput
-	for _, stripes := range cfg.Stripes {
+	for _, stripes := range stripeSettings {
 		for _, mix := range []struct {
 			name     string
 			readFrac float64
@@ -77,7 +52,7 @@ func RunE11(w io.Writer, cfg E11Config) ([]E11Row, error) {
 			{"write", 0},
 			{"mixed 50/50", 0.5},
 		} {
-			for _, clients := range cfg.Clients {
+			for _, clients := range pick(p, []int{1, 2, 4, 8, 16}, []int{1, 2, 4, 8}) {
 				db, err := neograph.Open(neograph.Options{
 					Conflict:      neograph.FirstCommitterWins,
 					CommitStripes: stripes,
@@ -85,19 +60,18 @@ func RunE11(w io.Writer, cfg E11Config) ([]E11Row, error) {
 				if err != nil {
 					return nil, err
 				}
-				nodes, err := seedE11(db, cfg.Nodes)
+				nodes, err := createNodes(db, pick(p, 8192, 2048), nil, neograph.Props{"v": neograph.Int(0)})
 				if err != nil {
 					db.Close()
 					return nil, err
 				}
 				per := len(nodes) / clients
-				writes := cfg.WritesPerTxn
 				op := func(c int, r *rand.Rand) error {
 					tx := db.Begin()
 					if r.Float64() < mix.readFrac {
 						// Read transaction: point reads across the keyspace.
 						var err error
-						for k := 0; k < writes && err == nil; k++ {
+						for k := 0; k < writesPerTxn && err == nil; k++ {
 							_, err = tx.GetNode(nodes[r.Intn(len(nodes))])
 						}
 						tx.Abort()
@@ -106,7 +80,7 @@ func RunE11(w io.Writer, cfg E11Config) ([]E11Row, error) {
 					// Write transaction: update this client's private slice
 					// only — disjoint footprints, zero conflicts.
 					own := nodes[c*per : (c+1)*per]
-					for k := 0; k < writes; k++ {
+					for k := 0; k < writesPerTxn; k++ {
 						id := own[r.Intn(len(own))]
 						if err := tx.SetNodeProp(id, "v", neograph.Int(r.Int63n(1<<20))); err != nil {
 							tx.Abort()
@@ -115,7 +89,7 @@ func RunE11(w io.Writer, cfg E11Config) ([]E11Row, error) {
 					}
 					return tx.Commit()
 				}
-				res := (&Runner{Clients: clients, Duration: cfg.Duration, Seed: cfg.Seed, Op: op}).
+				res := (&Runner{Clients: clients, Duration: pick(p, time.Second, 250*time.Millisecond), Seed: p.Seed, Op: op}).
 					Run(fmt.Sprintf("stripes/%d/%s/%d", stripes, mix.name, clients))
 				row := E11Row{
 					Stripes: db.Engine().CommitStripes(),
@@ -135,39 +109,5 @@ func RunE11(w io.Writer, cfg E11Config) ([]E11Row, error) {
 			}
 		}
 	}
-
-	if w != nil {
-		section(w, "E11", fmt.Sprintf("striped commit pipeline, FCW validate+install (GOMAXPROCS=%d)", runtime.GOMAXPROCS(0)))
-		t := &Table{Headers: []string{"stripes", "mix", "clients", "txn/s", "abort rate", "p50", "p95", "speedup vs 1-stripe"}}
-		for _, r := range rows {
-			sp := "-"
-			if r.Speedup > 0 && r.Stripes != 1 {
-				sp = fmt.Sprintf("%.2fx", r.Speedup)
-			}
-			t.Add(r.Stripes, r.Mix, r.Clients, r.Result.Throughput(), r.Result.AbortRate(), r.Result.P50, r.Result.P95, sp)
-		}
-		t.Print(w)
-		fmt.Fprintln(w, "expected shape: parity at 1 client; striped >= 2x the 1-stripe latch by 8 writers on a multi-core host")
-	}
 	return rows, nil
-}
-
-// seedE11 populates the keyspace in chunked transactions.
-func seedE11(db *neograph.DB, n int) ([]ids.ID, error) {
-	nodes := make([]ids.ID, 0, n)
-	for off := 0; off < n; off += 1024 {
-		tx := db.Begin()
-		for i := off; i < n && i < off+1024; i++ {
-			id, err := tx.CreateNode(nil, value.Map{"v": value.Int(0)})
-			if err != nil {
-				tx.Abort()
-				return nil, err
-			}
-			nodes = append(nodes, id)
-		}
-		if err := tx.Commit(); err != nil {
-			return nil, err
-		}
-	}
-	return nodes, nil
 }

@@ -4,39 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
-	"os"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"neograph"
 	"neograph/client"
-	"neograph/internal/server"
+	"neograph/internal/fleet"
 )
-
-// E12Config parameterises the remote-client experiment: the cost of
-// chatty per-op RPC versus pipelined batch submission (the paper's
-// round-trips-kill-graph-workloads argument measured on our own wire),
-// plus pooled replica reads through the topology-aware client.
-type E12Config struct {
-	// Nodes is the graph size loaded before measuring.
-	Nodes int
-	// Clients is the number of concurrent client sessions per mode.
-	// E12 measures per-session pipelining, so the default is 1: with
-	// many concurrent single-op writers, cross-client group commit
-	// already amortises fsyncs and the baseline flatters itself (that
-	// scaling axis belongs to E2d/E9).
-	Clients int
-	// Depth is the batch size (ops per round trip) in batched mode.
-	Depth int
-	// Replicas is the replica count for the pooled-read mode.
-	Replicas int
-	// Duration is the measurement window per mode.
-	Duration time.Duration
-	Seed     int64
-}
 
 // E12Row is one mode's measurement.
 type E12Row struct {
@@ -53,74 +28,43 @@ type E12Row struct {
 	Speedup float64 `json:"speedup"`
 }
 
-// RunE12 measures remote throughput in three shapes: one op per TCP
-// round trip (the old client), Depth ops per round trip via the batch
-// op (one request frame, one response frame, one server-side
-// transaction), and pooled single reads routed over live replicas —
-// each for a read-only and a write-leaning op stream. Everything runs
-// over real loopback TCP and the real server.
-func RunE12(w io.Writer, cfg E12Config) ([]E12Row, error) {
-	if cfg.Nodes <= 0 {
-		cfg.Nodes = 2_000
-	}
-	if cfg.Clients <= 0 {
-		cfg.Clients = 1
-	}
-	if cfg.Depth <= 0 {
-		cfg.Depth = 8
-	}
-	if cfg.Replicas <= 0 {
-		cfg.Replicas = 2
-	}
-	if cfg.Duration <= 0 {
-		cfg.Duration = 2 * time.Second
-	}
+const (
+	// e12Clients is the number of concurrent client sessions per mode.
+	// E12 measures per-session pipelining, so it is 1: with many
+	// concurrent single-op writers, cross-client group commit already
+	// amortises fsyncs and the baseline flatters itself (that scaling
+	// axis belongs to E2d/E9).
+	e12Clients = 1
+	// e12Depth is the batch size (ops per round trip) in batched mode.
+	e12Depth = 8
+)
+
+var e12 = Experiment{"E12", "remote ops/s: single-op RPC vs pipelined batches vs pooled replica reads", tabled(runE12,
+	fmt.Sprintf("batched-mixed >= 3x single-mixed at depth %d (one round trip and ONE transaction per batch vs one "+
+		"of each per write); batched-reads gain is bounded by RTT/op-cost on loopback; pooled reads route to "+
+		"replicas over live WAL-shipping streams (routing demo, not CPU scaling — E9 models capacity)", e12Depth))}
+
+// runE12 measures remote throughput in three shapes: one op per TCP
+// round trip, e12Depth ops per round trip via the batch op (one request
+// frame, one response frame, one server-side transaction), and pooled
+// single reads routed over live replicas — the cost of chatty per-op RPC
+// versus pipelined batch submission (the paper's round-trips-kill-graph-
+// workloads argument measured on our own wire). Everything runs over
+// real loopback TCP and the real server.
+func runE12(p Params) ([]E12Row, error) {
+	duration := pick(p, 2*time.Second, 500*time.Millisecond)
 	ctx := context.Background()
 
-	pdir, err := os.MkdirTemp("", "neograph-e12-primary-*")
+	f, err := fleet.Start(fleet.Spec{Replicas: 2})
 	if err != nil {
 		return nil, err
 	}
-	defer os.RemoveAll(pdir)
-	primary, err := neograph.Open(neograph.Options{Dir: pdir, ReplicationAddr: "127.0.0.1:0"})
+	defer f.Close()
+	primary, replicas := f.Groups[0][0], f.Groups[0][1:]
+	nodes, err := createNodes(primary.DB, pick(p, 2_000, 400), []string{"E12"}, neograph.Props{"v": neograph.Int(0)})
 	if err != nil {
 		return nil, err
 	}
-	defer primary.Close()
-	psrv, err := server.New(primary, "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	defer psrv.Close()
-
-	// Load the graph through the SDK itself, one batch per round trip —
-	// the loader is also the batch path's smoke test.
-	loader, err := client.Dial(ctx, psrv.Addr())
-	if err != nil {
-		return nil, err
-	}
-	defer loader.Close()
-	nodes := make([]neograph.NodeID, 0, cfg.Nodes)
-	for len(nodes) < cfg.Nodes {
-		n := minInt(512, cfg.Nodes-len(nodes))
-		b := &client.Batch{}
-		for i := 0; i < n; i++ {
-			b.CreateNode([]string{"E12"}, neograph.Props{"v": neograph.Int(0)})
-		}
-		res, err := loader.RunBatch(ctx, b)
-		if err != nil {
-			return nil, fmt.Errorf("e12 load: %w", err)
-		}
-		for i := 0; i < n; i++ {
-			id, err := res.ID(i)
-			if err != nil {
-				return nil, err
-			}
-			nodes = append(nodes, id)
-		}
-	}
-
-	var rows []E12Row
 
 	// Two op streams, identical across shapes:
 	//   reads — every op a GetNode: batching amortises only the round
@@ -132,25 +76,22 @@ func RunE12(w io.Writer, cfg E12Config) ([]E12Row, error) {
 	//           executes the whole Depth-op unit as ONE transaction with
 	//           one commit — the shape the paper's whole-operation-
 	//           submission argument is about.
-	mixWrite := func(i int) bool { return i%8 != 7 } // 7 writes : 1 read
+	reads := func(int) bool { return false }
+	mixed := func(i int) bool { return i%8 != 7 } // 7 writes : 1 read
 	retriable := func(err error) bool {
 		return errors.Is(err, neograph.ErrWriteConflict) || errors.Is(err, neograph.ErrDeadlock)
 	}
-	singleWorker := func(write func(int) bool) func(<-chan struct{}, int) (uint64, error) {
+	type worker func(stop <-chan struct{}, cl int) (uint64, error)
+	single := func(write func(int) bool) worker {
 		return func(stop <-chan struct{}, cl int) (uint64, error) {
-			c, err := client.Dial(ctx, psrv.Addr())
+			c, err := client.Dial(ctx, primary.Addr())
 			if err != nil {
 				return 0, err
 			}
 			defer c.Close()
-			r := rand.New(rand.NewSource(cfg.Seed + int64(cl)*7919))
+			r := rand.New(rand.NewSource(p.Seed + int64(cl)*7919))
 			var ops uint64
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return ops, nil
-				default:
-				}
+			for i := 0; !stopped(stop); i++ {
 				if write(i) {
 					err = c.SetNodeProp(ctx, nodes[r.Intn(len(nodes))], "v", neograph.Int(r.Int63()))
 				} else {
@@ -164,25 +105,21 @@ func RunE12(w io.Writer, cfg E12Config) ([]E12Row, error) {
 					return ops, err
 				}
 			}
+			return ops, nil
 		}
 	}
-	batchWorker := func(write func(int) bool) func(<-chan struct{}, int) (uint64, error) {
+	batched := func(write func(int) bool) worker {
 		return func(stop <-chan struct{}, cl int) (uint64, error) {
-			c, err := client.Dial(ctx, psrv.Addr())
+			c, err := client.Dial(ctx, primary.Addr())
 			if err != nil {
 				return 0, err
 			}
 			defer c.Close()
-			r := rand.New(rand.NewSource(cfg.Seed + int64(cl)*104729))
+			r := rand.New(rand.NewSource(p.Seed + int64(cl)*104729))
 			var ops uint64
-			for {
-				select {
-				case <-stop:
-					return ops, nil
-				default:
-				}
+			for !stopped(stop) {
 				b := &client.Batch{}
-				for i := 0; i < cfg.Depth; i++ {
+				for i := 0; i < e12Depth; i++ {
 					if write(i) {
 						b.SetNodeProp(nodes[r.Intn(len(nodes))], "v", neograph.Int(r.Int63()))
 					} else {
@@ -191,92 +128,38 @@ func RunE12(w io.Writer, cfg E12Config) ([]E12Row, error) {
 				}
 				switch _, err := c.RunBatch(ctx, b); {
 				case err == nil:
-					ops += uint64(cfg.Depth)
+					ops += e12Depth
 				case retriable(err): // the whole batch aborted on a collision; retry
 				default:
 					return ops, err
 				}
 			}
+			return ops, nil
 		}
 	}
 
-	reads := func(int) bool { return false }
-	singleReads, err := e12Measure(cfg, "single-reads", 1, singleWorker(reads))
-	if err != nil {
-		return rows, err
-	}
-	singleReads.Speedup = 1
-	rows = append(rows, singleReads)
-	batchedReads, err := e12Measure(cfg, "batched-reads", cfg.Depth, batchWorker(reads))
-	if err != nil {
-		return rows, err
-	}
-	if singleReads.OpsPS > 0 {
-		batchedReads.Speedup = batchedReads.OpsPS / singleReads.OpsPS
-	}
-	rows = append(rows, batchedReads)
-
-	singleMixed, err := e12Measure(cfg, "single-mixed", 1, singleWorker(mixWrite))
-	if err != nil {
-		return rows, err
-	}
-	singleMixed.Speedup = 1
-	rows = append(rows, singleMixed)
-	batchedMixed, err := e12Measure(cfg, "batched-mixed", cfg.Depth, batchWorker(mixWrite))
-	if err != nil {
-		return rows, err
-	}
-	if singleMixed.OpsPS > 0 {
-		batchedMixed.Speedup = batchedMixed.OpsPS / singleMixed.OpsPS
-	}
-	rows = append(rows, batchedMixed)
-
-	// Mode 3: pooled single reads over live replicas. Replicas cold-start
-	// from the primary's WAL and serve at their applied position; the
-	// pool routes by least lag. (One process cannot add CPU by adding
-	// replicas, so this row demonstrates routing on real replication
-	// streams, not machine-level scaling — E9 models capacity.)
-	var replicaAddrs []string
-	for i := 0; i < cfg.Replicas; i++ {
-		rdir, err := os.MkdirTemp("", "neograph-e12-replica-*")
-		if err != nil {
-			return rows, err
+	// Pooled single reads over live replicas, routed by least lag. (One
+	// process cannot add CPU by adding replicas, so this row demonstrates
+	// routing on real replication streams, not machine-level scaling.)
+	for i, r := range replicas {
+		if err := r.DB.WaitApplied(primary.DB.DurableLSN(), 60*time.Second); err != nil {
+			return nil, fmt.Errorf("e12 replica %d catch-up: %w", i, err)
 		}
-		defer os.RemoveAll(rdir)
-		rdb, err := neograph.Open(neograph.Options{Dir: rdir, ReplicaOf: primary.ReplicationAddress()})
-		if err != nil {
-			return rows, err
-		}
-		defer rdb.Close()
-		if err := rdb.WaitApplied(primary.DurableLSN(), 60*time.Second); err != nil {
-			return rows, fmt.Errorf("e12 replica %d catch-up: %w", i, err)
-		}
-		rsrv, err := server.New(rdb, "127.0.0.1:0")
-		if err != nil {
-			return rows, err
-		}
-		defer rsrv.Close()
-		replicaAddrs = append(replicaAddrs, rsrv.Addr())
 	}
 	pool, err := client.OpenPool(ctx, client.PoolConfig{
-		Primary:      psrv.Addr(),
-		Replicas:     replicaAddrs,
+		Primary:      primary.Addr(),
+		Replicas:     []string{replicas[0].Addr(), replicas[1].Addr()},
 		Policy:       client.LeastLag,
-		ConnsPerHost: cfg.Clients,
+		ConnsPerHost: e12Clients,
 	})
 	if err != nil {
-		return rows, err
+		return nil, err
 	}
 	defer pool.Close()
-	pooled, err := e12Measure(cfg, "pooled-replica-reads", 1, func(stop <-chan struct{}, cl int) (uint64, error) {
-		r := rand.New(rand.NewSource(cfg.Seed + int64(cl)*31337))
+	pooled := func(stop <-chan struct{}, cl int) (uint64, error) {
+		r := rand.New(rand.NewSource(p.Seed + int64(cl)*31337))
 		var ops uint64
-		for {
-			select {
-			case <-stop:
-				return ops, nil
-			default:
-			}
+		for !stopped(stop) {
 			err := pool.Read(ctx, "", func(c *client.Client) error {
 				_, err := c.GetNode(ctx, nodes[r.Intn(len(nodes))])
 				return err
@@ -286,60 +169,43 @@ func RunE12(w io.Writer, cfg E12Config) ([]E12Row, error) {
 			}
 			ops++
 		}
-	})
-	if err != nil {
-		return rows, err
+		return ops, nil
 	}
-	if singleReads.OpsPS > 0 {
-		pooled.Speedup = pooled.OpsPS / singleReads.OpsPS
-	}
-	rows = append(rows, pooled)
 
-	if w != nil {
-		section(w, "E12", "remote ops/s: single-op RPC vs pipelined batches vs pooled replica reads")
-		t := &Table{Headers: []string{"mode", "clients", "depth", "ops", "ops/s", "speedup"}}
-		for _, r := range rows {
-			t.Add(r.Mode, r.Clients, r.Depth, r.Ops, r.OpsPS, r.Speedup)
-		}
-		t.Print(w)
-		fmt.Fprintf(w, "expected shape: batched-mixed >= 3x single-mixed at depth %d (one round trip and ONE\n", cfg.Depth)
-		fmt.Fprintln(w, "transaction per batch vs one of each per write); batched-reads gain is bounded by")
-		fmt.Fprintln(w, "RTT/op-cost on loopback; pooled reads route to replicas over live WAL-shipping")
-		fmt.Fprintln(w, "streams (routing demo, not CPU scaling — E9 models capacity)")
-	}
-	return rows, nil
-}
-
-// e12Measure runs Clients copies of worker for the window and aggregates
-// their op counts.
-func e12Measure(cfg E12Config, mode string, depth int, worker func(stop <-chan struct{}, cl int) (uint64, error)) (E12Row, error) {
-	row := E12Row{Mode: mode, Clients: cfg.Clients, Depth: depth}
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	var total atomic.Uint64
-	errc := make(chan error, cfg.Clients)
-	start := time.Now()
-	for cl := 0; cl < cfg.Clients; cl++ {
-		wg.Add(1)
-		go func(cl int) {
-			defer wg.Done()
-			ops, err := worker(stop, cl)
+	var rows []E12Row
+	for _, m := range []struct {
+		mode     string
+		depth    int
+		baseline int // row index this mode's speedup is measured against
+		run      worker
+	}{
+		{"single-reads", 1, 0, single(reads)},
+		{"batched-reads", e12Depth, 0, batched(reads)},
+		{"single-mixed", 1, 2, single(mixed)},
+		{"batched-mixed", e12Depth, 2, batched(mixed)},
+		{"pooled-replica-reads", 1, 0, pooled},
+	} {
+		row := E12Row{Mode: m.mode, Clients: e12Clients, Depth: m.depth, Speedup: 1}
+		var total atomic.Uint64
+		errc := make(chan error, e12Clients)
+		elapsed := during(duration, e12Clients, func(cl int, stop <-chan struct{}) {
+			ops, err := m.run(stop, cl)
 			total.Add(ops)
 			if err != nil {
 				errc <- err
 			}
-		}(cl)
+		})
+		select {
+		case err := <-errc:
+			return rows, fmt.Errorf("e12 %s: %w", m.mode, err)
+		default:
+		}
+		row.Ops = total.Load()
+		row.OpsPS = float64(row.Ops) / elapsed.Seconds()
+		if m.baseline < len(rows) && rows[m.baseline].OpsPS > 0 {
+			row.Speedup = row.OpsPS / rows[m.baseline].OpsPS
+		}
+		rows = append(rows, row)
 	}
-	time.Sleep(cfg.Duration)
-	close(stop)
-	wg.Wait()
-	elapsed := time.Since(start)
-	select {
-	case err := <-errc:
-		return row, fmt.Errorf("e12 %s: %w", mode, err)
-	default:
-	}
-	row.Ops = total.Load()
-	row.OpsPS = float64(row.Ops) / elapsed.Seconds()
-	return row, nil
+	return rows, nil
 }

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"io"
 	"math/rand"
 	"os"
 	"time"
@@ -11,17 +10,6 @@ import (
 	"neograph/internal/trace"
 	"neograph/internal/workload"
 )
-
-// E13Config parameterises the tracing-overhead measurement.
-type E13Config struct {
-	People   int
-	Clients  int
-	Duration time.Duration
-	Seed     int64
-	// Dir is the working directory for the durable stores (a temp dir per
-	// cell when empty).
-	Dir string
-}
 
 // E13Row is one measured cell: the E2d synced-commit workload at one
 // head-sampling rate.
@@ -34,40 +22,28 @@ type E13Row struct {
 	Overhead float64
 }
 
-// RunE13 measures the cost of commit-pipeline tracing on the E2d durable
+var e13 = Experiment{"E13", "tracing overhead on synced commits (off vs 1% vs 100% head sampling)", tabled(runE13,
+	"1% sampling within noise of untraced (>0.95x); 100% modestly below")}
+
+// runE13 measures the cost of commit-pipeline tracing on the E2d durable
 // group-commit workload: every transaction is a single property update
 // committed with the WAL fsync on, and the traced cells mint a root span
 // per commit so the engine records the full validate/append/fsync span
 // tree. The design goal is that 1% head sampling is free (within noise)
 // and even 100% costs little — the sampling decision happens once at the
 // root and an unsampled commit touches only nil checks.
-func RunE13(w io.Writer, cfg E13Config) ([]E13Row, error) {
-	if cfg.People <= 0 {
-		cfg.People = 1000
-	}
-	if cfg.Clients <= 0 {
-		cfg.Clients = 8
-	}
-	if cfg.Duration <= 0 {
-		cfg.Duration = 500 * time.Millisecond
-	}
-
+func runE13(p Params) ([]E13Row, error) {
 	var rows []E13Row
 	for _, sample := range []float64{0, 0.01, 1.0} {
-		dir, err := os.MkdirTemp(cfg.Dir, "neograph-e13-*")
-		if err != nil {
-			return nil, err
-		}
 		var tracer *trace.Tracer
 		if sample > 0 {
 			tracer = trace.New(sample, 0)
 		}
-		db, err := neograph.Open(neograph.Options{Dir: dir, Tracer: tracer})
+		db, dir, err := tempDB(neograph.Options{Tracer: tracer})
 		if err != nil {
-			os.RemoveAll(dir)
 			return nil, err
 		}
-		g, err := workload.BuildSocial(db, workload.SocialConfig{People: cfg.People, AvgFriends: 3, Seed: cfg.Seed})
+		g, err := workload.BuildSocial(db, workload.SocialConfig{People: pick(p, 2000, 500), AvgFriends: 3, Seed: p.Seed})
 		if err != nil {
 			db.Close()
 			os.RemoveAll(dir)
@@ -75,49 +51,21 @@ func RunE13(w io.Writer, cfg E13Config) ([]E13Row, error) {
 		}
 		op := func(c int, r *rand.Rand) error {
 			sp := tracer.StartRoot("bench.commit")
+			defer sp.Finish()
 			tx := db.Begin()
 			tx.SetTraceSpan(sp)
-			if err := tx.SetNodeProp(g.People[r.Intn(len(g.People))], "balance", neograph.Int(r.Int63n(1<<20))); err != nil {
-				tx.Abort()
-				sp.Finish()
-				return err
-			}
-			err := tx.Commit()
-			sp.Finish()
-			return err
+			return updateBalance(tx, g, r)
 		}
-		res := (&Runner{Clients: cfg.Clients, Duration: cfg.Duration, Seed: cfg.Seed, Op: op}).
+		res := (&Runner{Clients: pick(p, 16, 8), Duration: pick(p, 2*time.Second, 500*time.Millisecond), Seed: p.Seed, Op: op}).
 			Run(fmt.Sprintf("trace/%g", sample))
-		rows = append(rows, E13Row{Sample: sample, Result: res})
+		row := E13Row{Sample: sample, Result: res, Overhead: 1}
+		// Overhead relative to the sample=0 baseline (the first cell).
+		if len(rows) > 0 && rows[0].Result.Throughput() > 0 {
+			row.Overhead = res.Throughput() / rows[0].Result.Throughput()
+		}
+		rows = append(rows, row)
 		db.Close()
 		os.RemoveAll(dir)
-	}
-
-	// Overhead relative to the sample=0 baseline.
-	var base float64
-	for _, r := range rows {
-		if r.Sample == 0 {
-			base = r.Result.Throughput()
-		}
-	}
-	for i := range rows {
-		if base > 0 {
-			rows[i].Overhead = rows[i].Result.Throughput() / base
-		}
-	}
-
-	if w != nil {
-		section(w, "E13", "tracing overhead on synced commits (off vs 1% vs 100% head sampling)")
-		t := &Table{Headers: []string{"sample", "commit/s", "p50", "p95", "vs untraced"}}
-		for _, r := range rows {
-			rel := "-"
-			if r.Sample != 0 && r.Overhead > 0 {
-				rel = fmt.Sprintf("%.2fx", r.Overhead)
-			}
-			t.Add(fmt.Sprintf("%g", r.Sample), r.Result.Throughput(), r.Result.P50, r.Result.P95, rel)
-		}
-		t.Print(w)
-		fmt.Fprintln(w, "expected shape: 1% sampling within noise of untraced (>0.95x); 100% modestly below")
 	}
 	return rows, nil
 }

@@ -2,33 +2,12 @@ package bench
 
 import (
 	"fmt"
-	"io"
-	"net"
-	"os"
 	"time"
 
 	"neograph"
 	"neograph/internal/cluster"
-	"neograph/internal/server"
+	"neograph/internal/fleet"
 )
-
-// E15Config parameterises the auto-failover unavailability experiment.
-type E15Config struct {
-	// PreCommits is how many acknowledged commits land before the
-	// primary is killed.
-	PreCommits int
-	// SyncLevels are the SyncReplicas settings swept (0 = async
-	// baseline, where acknowledged loss is possible; 1 = quorum, where
-	// it must be zero).
-	SyncLevels []int
-	// SuspectAfter / ElectionTimeout / ProbeEvery tune the controllers;
-	// zero picks bench defaults (200ms / 1s / 50ms) — production-shaped
-	// but fast enough for a smoke run.
-	SuspectAfter    time.Duration
-	ElectionTimeout time.Duration
-	ProbeEvery      time.Duration
-	Seed            int64
-}
 
 // E15Row is one sync level's measurement of the window a primary death
 // leaves the cluster unwritable.
@@ -39,8 +18,7 @@ type E15Row struct {
 	// promote: the full client-visible write outage, covering suspicion,
 	// quorum confirmation, election, and promotion.
 	UnavailSeconds float64 `json:"unavail_seconds"`
-	// RecoveriesPS is 1/UnavailSeconds — the higher-is-better form the
-	// trend gate tracks.
+	// RecoveriesPS is 1/UnavailSeconds, the higher-is-better form.
 	RecoveriesPS float64 `json:"recoveries_per_sec"`
 	// Survived counts pre-kill acknowledged commits readable on the new
 	// primary; Lost is PreCommits - Survived. Lost must be 0 at quorum
@@ -51,194 +29,73 @@ type E15Row struct {
 	WinnerEpoch uint64 `json:"winner_epoch"`
 }
 
-// RunE15 measures the unavailability window of a self-driving failover
+var e15 = Experiment{"E15", "auto-failover unavailability window (last ack -> first post-promotion commit)", tabled(runE15,
+	"unavailability ~ SuspectAfter + a few probe ticks at both levels; "+
+		"lost must be 0 at quorum >= 1 (async level 0 may lose the unreplicated tail)")}
+
+// runE15 measures the unavailability window of a self-driving failover
 // (E15): a 3-node fleet under cluster controllers, the primary killed
 // hard mid-workload, and the clock running from the last acknowledged
 // commit until the auto-promoted winner accepts the next one. No
-// operator action occurs between those two commits.
-func RunE15(w io.Writer, cfg E15Config) ([]E15Row, error) {
-	if cfg.PreCommits <= 0 {
-		cfg.PreCommits = 100
-	}
-	if len(cfg.SyncLevels) == 0 {
-		cfg.SyncLevels = []int{0, 1}
-	}
-	if cfg.SuspectAfter <= 0 {
-		cfg.SuspectAfter = 200 * time.Millisecond
-	}
-	if cfg.ElectionTimeout <= 0 {
-		cfg.ElectionTimeout = time.Second
-	}
-	if cfg.ProbeEvery <= 0 {
-		cfg.ProbeEvery = 50 * time.Millisecond
-	}
-
+// operator action occurs between those two commits. Swept over
+// SyncReplicas 0 (the async baseline, where acknowledged loss is
+// possible) and 1 (quorum, where it must be zero).
+func runE15(p Params) ([]E15Row, error) {
 	var rows []E15Row
-	for _, level := range cfg.SyncLevels {
-		row, err := runE15Config(level, cfg)
+	for level := 0; level <= 1; level++ {
+		row, err := runE15Config(p, level)
 		if err != nil {
 			return rows, err
 		}
 		rows = append(rows, row)
 	}
-
-	if w != nil {
-		section(w, "E15", "auto-failover unavailability window (last ack -> first post-promotion commit)")
-		t := &Table{Headers: []string{"sync replicas", "pre commits", "unavail", "recoveries/s", "survived", "lost", "winner epoch"}}
-		for _, r := range rows {
-			t.Add(r.SyncReplicas, r.PreCommits,
-				time.Duration(r.UnavailSeconds*float64(time.Second)).Round(time.Millisecond),
-				fmt.Sprintf("%.2f", r.RecoveriesPS), r.Survived, r.Lost, r.WinnerEpoch)
-		}
-		t.Print(w)
-		fmt.Fprintln(w, "expected shape: unavailability ~ SuspectAfter + a few probe ticks at both levels;")
-		fmt.Fprintln(w, "lost must be 0 at quorum >= 1 (async level 0 may lose the unreplicated tail)")
-	}
 	return rows, nil
 }
 
-// e15Node is one fleet member: DB + server + controller.
-type e15Node struct {
-	db   *neograph.DB
-	srv  *server.Server
-	ctrl *cluster.Controller
-	addr string
-	repl string
-}
+func runE15Config(p Params, level int) (E15Row, error) {
+	// preCommits acknowledged commits land before the primary is killed.
+	preCommits := pick(p, 200, 40)
+	row := E15Row{SyncReplicas: level, PreCommits: preCommits}
 
-func (n *e15Node) close() {
-	if n.ctrl != nil {
-		n.ctrl.Stop()
-	}
-	if n.srv != nil {
-		n.srv.Close()
-	}
-	if n.db != nil {
-		n.db.Close()
-	}
-}
-
-// reservePort grabs and releases a loopback port.
-func reservePort() (string, error) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
+	f, err := fleet.Start(fleet.Spec{
+		Replicas: 2,
+		DB:       neograph.Options{SyncReplicas: level, SyncReplicaTimeout: -1},
+		// Production-shaped timings, fast enough for a smoke run.
+		Cluster: &cluster.Options{
+			SuspectAfter:    200 * time.Millisecond,
+			ElectionTimeout: time.Second,
+			ProbeEvery:      50 * time.Millisecond,
+		},
+	})
 	if err != nil {
-		return "", err
-	}
-	addr := l.Addr().String()
-	l.Close()
-	return addr, nil
-}
-
-func runE15Config(level int, cfg E15Config) (E15Row, error) {
-	row := E15Row{SyncReplicas: level, PreCommits: cfg.PreCommits}
-
-	nodes := make([]*e15Node, 3)
-	defer func() {
-		for _, n := range nodes {
-			if n != nil {
-				n.close()
-			}
-		}
-	}()
-	for i := range nodes {
-		dir, err := os.MkdirTemp("", "neograph-e15-*")
-		if err != nil {
-			return row, err
-		}
-		defer os.RemoveAll(dir)
-		addr, err := reservePort()
-		if err != nil {
-			return row, err
-		}
-		repl, err := reservePort()
-		if err != nil {
-			return row, err
-		}
-		n := &e15Node{addr: addr, repl: repl}
-		opts := neograph.Options{
-			Dir:                dir,
-			SyncReplicas:       level,
-			SyncReplicaTimeout: -1,
-		}
-		if i == 0 {
-			opts.ReplicationAddr = repl
-		} else {
-			opts.ReplicaOf = nodes[0].repl
-		}
-		if n.db, err = neograph.Open(opts); err != nil {
-			return row, err
-		}
-		if n.srv, err = server.New(n.db, addr); err != nil {
-			return row, err
-		}
-		nodes[i] = n
-	}
-	for i, n := range nodes {
-		var peers []string
-		for j, p := range nodes {
-			if j != i {
-				peers = append(peers, p.addr)
-			}
-		}
-		ctrl, err := cluster.New(n.db, cluster.Options{
-			NodeID:          uint64(i + 1),
-			SelfAddr:        n.addr,
-			SelfReplAddr:    n.repl,
-			Peers:           peers,
-			SuspectAfter:    cfg.SuspectAfter,
-			ElectionTimeout: cfg.ElectionTimeout,
-			ProbeEvery:      cfg.ProbeEvery,
-		})
-		if err != nil {
-			return row, err
-		}
-		n.srv.SetClusterInfo(func() any { return ctrl.NodeStatus() })
-		ctrl.Start()
-		n.ctrl = ctrl
-	}
-
-	// Warm-up: both replicas streaming before the clock matters.
-	warm := nodes[0].db.Begin()
-	if _, err := warm.CreateNode([]string{"E15Warm"}, nil); err != nil {
-		warm.Abort()
 		return row, err
 	}
-	if err := warm.Commit(); err != nil {
-		return row, err
-	}
-	for i, n := range nodes[1:] {
-		if err := n.db.WaitApplied(warm.CommitLSN(), 60*time.Second); err != nil {
-			return row, fmt.Errorf("replica %d warm-up: %w", i, err)
-		}
-	}
-
-	// Acked workload, then a hard kill.
-	for i := 0; i < cfg.PreCommits; i++ {
-		err := nodes[0].db.Update(3, func(tx *neograph.Tx) error {
+	defer f.Close()
+	primary, survivors := f.Groups[0][0], f.Groups[0][1:]
+	create := func(db *neograph.DB, retries, i int) error {
+		return db.Update(retries, func(tx *neograph.Tx) error {
 			_, err := tx.CreateNode([]string{"E15"}, neograph.Props{"i": neograph.Int(int64(i))})
 			return err
 		})
-		if err != nil {
+	}
+
+	// Acked workload, then a hard kill.
+	for i := 0; i < preCommits; i++ {
+		if err := create(primary.DB, 3, i); err != nil {
 			return row, err
 		}
 	}
 	lastAck := time.Now()
-	nodes[0].srv.Close()
-	nodes[0].db.Crash()
-	go nodes[0].ctrl.Stop() // its last tick may still be draining probes
+	primary.Crash()
 
 	// The unavailability window closes at the first commit the
 	// auto-promoted winner acknowledges; survivors reject writes with
 	// ErrReadOnlyReplica until then.
 	deadline := time.Now().Add(60 * time.Second)
-	var winner *e15Node
+	var winner *fleet.Node
 	for winner == nil {
-		for _, n := range nodes[1:] {
-			err := n.db.Update(1, func(tx *neograph.Tx) error {
-				_, err := tx.CreateNode([]string{"E15"}, neograph.Props{"i": neograph.Int(int64(cfg.PreCommits))})
-				return err
-			})
-			if err == nil {
+		for _, n := range survivors {
+			if create(n.DB, 1, preCommits) == nil {
 				winner = n
 				break
 			}
@@ -252,12 +109,11 @@ func runE15Config(level int, cfg E15Config) (E15Row, error) {
 	}
 	row.UnavailSeconds = time.Since(lastAck).Seconds()
 	row.RecoveriesPS = 1 / row.UnavailSeconds
-	row.WinnerEpoch, _ = winner.db.Epoch()
+	row.WinnerEpoch, _ = winner.DB.Epoch()
 
 	// Acked survival census on the winner (its own post-kill commit is
 	// excluded by the index property range).
-	survived := 0
-	err := winner.db.View(func(tx *neograph.Tx) error {
+	err = winner.DB.View(func(tx *neograph.Tx) error {
 		ids, err := tx.NodesByLabel("E15")
 		if err != nil {
 			return err
@@ -267,8 +123,8 @@ func runE15Config(level int, cfg E15Config) (E15Row, error) {
 			if err != nil {
 				return err
 			}
-			if v, _ := n.Props["i"].AsInt(); v < int64(cfg.PreCommits) {
-				survived++
+			if v, _ := n.Props["i"].AsInt(); v < int64(preCommits) {
+				row.Survived++
 			}
 		}
 		return nil
@@ -276,8 +132,7 @@ func runE15Config(level int, cfg E15Config) (E15Row, error) {
 	if err != nil {
 		return row, err
 	}
-	row.Survived = survived
-	row.Lost = cfg.PreCommits - survived
+	row.Lost = preCommits - row.Survived
 	if level >= 1 && row.Lost > 0 {
 		return row, fmt.Errorf("bench: E15 lost %d acknowledged commits at quorum %d", row.Lost, level)
 	}

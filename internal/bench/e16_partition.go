@@ -3,42 +3,15 @@ package bench
 import (
 	"context"
 	"fmt"
-	"io"
 	"math/rand"
-	"os"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"neograph"
 	"neograph/client"
-	"neograph/internal/partition"
-	"neograph/internal/server"
-	"neograph/internal/wire"
+	"neograph/internal/fleet"
 )
-
-// E16Config parameterises the partitioned write scale-up experiment.
-type E16Config struct {
-	// Partitions are the fleet sizes swept (partition counts); default
-	// 1, 2, 4. The 1-partition run is the unpartitioned baseline every
-	// speedup is measured against.
-	Partitions []int
-	// CrossPcts are the percentages of transactions that span two
-	// partitions (committed via 2PC); default 0 and 10. Cross traffic
-	// is the price of partitioning — 0% shows the ceiling, 10% the
-	// realistic mix.
-	CrossPcts []int
-	// ClientsPerPartition is the concurrent writers per partition, so
-	// offered load scales with the fleet; default 4.
-	ClientsPerPartition int
-	// AnchorsPerPartition is the pre-created node population per
-	// partition that the workload updates and connects; default 256.
-	AnchorsPerPartition int
-	// Duration is the measured window per configuration.
-	Duration time.Duration
-	Seed     int64
-}
 
 // E16Row is one (partitions, cross%) cell of the scale-up matrix.
 type E16Row struct {
@@ -59,217 +32,113 @@ type E16Row struct {
 	ScaleupVs1 float64 `json:"scaleup_vs_1,omitempty"`
 }
 
-// RunE16 measures aggregate commit throughput as the vertex space is
+var e16 = Experiment{"E16", "partitioned write scale-up (aggregate commit/s vs partition count)", tabled(runE16,
+	"near-linear scale-up at 0% cross (independent WALs and fsync streams); "+
+		"the 10% cross column gives up part of the gain to two-phase commit")}
+
+// runE16 measures aggregate commit throughput as the vertex space is
 // hash-partitioned over independent primaries (E16): each partition has
 // its own WAL, group-commit pipeline and fsync stream, so disjoint
 // write load should scale near-linearly, while cross-partition
-// transactions pay two-phase commit.
-func RunE16(w io.Writer, cfg E16Config) ([]E16Row, error) {
-	if len(cfg.Partitions) == 0 {
-		cfg.Partitions = []int{1, 2, 4}
-	}
-	if len(cfg.CrossPcts) == 0 {
-		cfg.CrossPcts = []int{0, 10}
-	}
-	if cfg.ClientsPerPartition <= 0 {
-		cfg.ClientsPerPartition = 4
-	}
-	if cfg.AnchorsPerPartition <= 0 {
-		cfg.AnchorsPerPartition = 256
-	}
-	if cfg.Duration <= 0 {
-		cfg.Duration = 2 * time.Second
-	}
-
+// transactions pay two-phase commit. The 1-partition run is the
+// unpartitioned baseline every speedup is measured against; cross
+// traffic is the price of partitioning — 0% shows the ceiling, 10% the
+// realistic mix.
+func runE16(p Params) ([]E16Row, error) {
 	var rows []E16Row
-	base := make(map[int]float64) // cross_pct -> 1-partition commits/s
-	for _, cross := range cfg.CrossPcts {
-		for _, parts := range cfg.Partitions {
-			row, err := runE16Config(parts, cross, cfg)
+	for _, cross := range []int{0, 10} {
+		var base float64 // 1-partition commits/s at this cross percentage
+		for _, parts := range pick(p, []int{1, 2, 4}, []int{1, 2}) {
+			row, err := runE16Config(p, parts, cross)
 			if err != nil {
 				return rows, err
 			}
 			if parts == 1 {
-				base[cross] = row.CommitsPerSec
-			} else if b := base[cross]; b > 0 {
-				row.ScaleupVs1 = row.CommitsPerSec / b
+				base = row.CommitsPerSec
+			} else if base > 0 {
+				row.ScaleupVs1 = row.CommitsPerSec / base
 			}
 			rows = append(rows, row)
 		}
 	}
-
-	if w != nil {
-		section(w, "E16", "partitioned write scale-up (aggregate commit/s vs partition count)")
-		t := &Table{Headers: []string{"partitions", "cross %", "clients", "commits", "commits/s", "cross commits", "conflicts", "scale-up vs 1"}}
-		for _, r := range rows {
-			scale := "-"
-			if r.ScaleupVs1 > 0 {
-				scale = fmt.Sprintf("%.2fx", r.ScaleupVs1)
-			}
-			t.Add(r.Partitions, r.CrossPct, r.Clients, r.Commits,
-				fmt.Sprintf("%.0f", r.CommitsPerSec), r.CrossCommits, r.Conflicts, scale)
-		}
-		t.Print(w)
-		fmt.Fprintln(w, "expected shape: near-linear scale-up at 0% cross (independent WALs and fsync")
-		fmt.Fprintln(w, "streams); the 10% cross column gives up part of the gain to two-phase commit")
-	}
 	return rows, nil
 }
 
-// e16Node is one partition's primary: DB + server + coordinator.
-type e16Node struct {
-	db    *neograph.DB
-	srv   *server.Server
-	coord *partition.Coordinator
-}
+func runE16Config(p Params, parts, crossPct int) (E16Row, error) {
+	// Concurrent writers per partition, so offered load scales with the
+	// fleet, over a pre-created node population per partition that the
+	// workload updates and connects.
+	const clientsPerPartition = 4
+	anchorsPerPartition := pick(p, 256, 128)
+	row := E16Row{Partitions: parts, CrossPct: crossPct, Clients: parts * clientsPerPartition}
 
-func (n *e16Node) close() {
-	if n.coord != nil {
-		n.coord.Close()
+	f, err := fleet.Start(fleet.Spec{Partitions: parts})
+	if err != nil {
+		return row, err
 	}
-	if n.srv != nil {
-		n.srv.Close()
-	}
-	if n.db != nil {
-		n.db.Close()
-	}
-}
-
-func runE16Config(parts, crossPct int, cfg E16Config) (E16Row, error) {
-	row := E16Row{Partitions: parts, CrossPct: crossPct, Clients: parts * cfg.ClientsPerPartition}
-
-	nodes := make([]*e16Node, parts)
-	defer func() {
-		for _, n := range nodes {
-			if n != nil {
-				n.close()
-			}
-		}
-	}()
-	pm := wire.PartitionMap{Version: 1, Count: parts}
-	for p := 0; p < parts; p++ {
-		dir, err := os.MkdirTemp("", "neograph-e16-*")
-		if err != nil {
-			return row, err
-		}
-		defer os.RemoveAll(dir)
-		n := &e16Node{}
-		if n.db, err = neograph.Open(neograph.Options{
-			Dir:            dir,
-			PartitionID:    p,
-			PartitionCount: parts,
-		}); err != nil {
-			return row, err
-		}
-		if n.srv, err = server.New(n.db, "127.0.0.1:0"); err != nil {
-			n.db.Close()
-			return row, err
-		}
-		nodes[p] = n
-		pm.Groups = append(pm.Groups, wire.PartitionGroup{ID: uint32(p), Addrs: []string{n.srv.Addr()}})
-	}
-	if parts > 1 {
-		for p, n := range nodes {
-			topo := partition.NewTopology(pm)
-			n.coord = partition.NewCoordinator(uint32(p), topo, n.srv.Local(), n.db.AppliedLSN(), nil)
-			n.srv.SetPartition(n.coord, uint32(p), parts)
-			n.coord.Start()
-		}
-	}
-
-	// Anchor population, one commit per partition.
+	defer f.Close()
 	anchors := make([][]neograph.NodeID, parts)
-	for p, n := range nodes {
-		tx := n.db.Begin()
-		for i := 0; i < cfg.AnchorsPerPartition; i++ {
-			id, err := tx.CreateNode([]string{"E16"}, nil)
-			if err != nil {
-				tx.Abort()
-				return row, err
-			}
-			anchors[p] = append(anchors[p], id)
-		}
-		if err := tx.Commit(); err != nil {
+	for part, g := range f.Groups {
+		if anchors[part], err = createNodes(g[0].DB, anchorsPerPartition, []string{"E16"}, nil); err != nil {
 			return row, err
 		}
 	}
-
 	ctx := context.Background()
-	router, err := client.OpenRouter(ctx, client.RouterConfig{Partitions: pm})
+	router, err := client.OpenRouter(ctx, client.RouterConfig{Partitions: f.PartitionMap()})
 	if err != nil {
 		return row, err
 	}
 	defer router.Close()
 
 	var commits, crossCommits, conflicts atomic.Int64
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for worker := 0; worker < row.Clients; worker++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(cfg.Seed + int64(worker)))
-			home := uint32(worker % parts)
-			for seq := 0; ; seq++ {
-				select {
-				case <-stop:
-					return
-				default:
+	elapsed := during(pick(p, 2*time.Second, 500*time.Millisecond), row.Clients, func(worker int, stop <-chan struct{}) {
+		rng := rand.New(rand.NewSource(p.Seed + int64(worker)))
+		home := worker % parts
+		for seq := 0; !stopped(stop); seq++ {
+			var err error
+			a := anchors[home][rng.Intn(len(anchors[home]))]
+			isCross := parts > 1 && rng.Intn(100) < crossPct
+			if isCross {
+				// Cross-partition: an edge from a home anchor to a
+				// remote one, plus a property write on each side —
+				// a 2PC transaction with work on both participants.
+				remote := rng.Intn(parts)
+				for remote == home {
+					remote = rng.Intn(parts)
 				}
-				var err error
-				isCross := parts > 1 && rng.Intn(100) < crossPct
-				if isCross {
-					// Cross-partition: an edge from a home anchor to a
-					// remote one, plus a property write on each side —
-					// a 2PC transaction with work on both participants.
-					remote := uint32(rng.Intn(parts))
-					for remote == home {
-						remote = uint32(rng.Intn(parts))
-					}
-					a := anchors[home][rng.Intn(len(anchors[home]))]
-					b := anchors[remote][rng.Intn(len(anchors[remote]))]
-					var batch client.Batch
-					batch.SetNodeProp(a, "w", neograph.Int(int64(seq)))
-					batch.SetNodeProp(b, "w", neograph.Int(int64(seq)))
-					batch.CreateRel("E16X", a, b, nil)
-					_, err = router.RunBatch(ctx, "", &batch)
-				} else {
-					// Single-partition: ordinary fast-path commit on the
-					// home partition.
-					a := anchors[home][rng.Intn(len(anchors[home]))]
-					err = router.Write(ctx, "", a, func(c *client.Client) error {
-						return c.SetNodeProp(ctx, a, "w", neograph.Int(int64(seq)))
-					})
-				}
-				switch {
-				case err == nil:
-					commits.Add(1)
-					if isCross {
-						crossCommits.Add(1)
-					}
-				case isConflict(err):
-					conflicts.Add(1)
-				default:
-					select {
-					case <-stop:
-						return // teardown races are not workload errors
-					default:
-					}
-					panic(fmt.Sprintf("bench: E16 worker: %v", err))
-				}
+				b := anchors[remote][rng.Intn(len(anchors[remote]))]
+				var batch client.Batch
+				batch.SetNodeProp(a, "w", neograph.Int(int64(seq)))
+				batch.SetNodeProp(b, "w", neograph.Int(int64(seq)))
+				batch.CreateRel("E16X", a, b, nil)
+				_, err = router.RunBatch(ctx, "", &batch)
+			} else {
+				// Single-partition: ordinary fast-path commit on the
+				// home partition.
+				err = router.Write(ctx, "", a, func(c *client.Client) error {
+					return c.SetNodeProp(ctx, a, "w", neograph.Int(int64(seq)))
+				})
 			}
-		}(worker)
-	}
-	start := time.Now()
-	time.Sleep(cfg.Duration)
-	close(stop)
-	wg.Wait()
-	elapsed := time.Since(start).Seconds()
+			switch {
+			case err == nil:
+				commits.Add(1)
+				if isCross {
+					crossCommits.Add(1)
+				}
+			case isConflict(err):
+				conflicts.Add(1)
+			case stopped(stop):
+				return // teardown races are not workload errors
+			default:
+				panic(fmt.Sprintf("bench: E16 worker: %v", err))
+			}
+		}
+	})
 
 	row.Commits = int(commits.Load())
 	row.CrossCommits = int(crossCommits.Load())
 	row.Conflicts = int(conflicts.Load())
-	row.CommitsPerSec = float64(row.Commits) / elapsed
+	row.CommitsPerSec = float64(row.Commits) / elapsed.Seconds()
 	return row, nil
 }
 

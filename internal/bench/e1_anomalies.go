@@ -1,25 +1,14 @@
 package bench
 
 import (
-	"fmt"
-	"io"
 	"math/rand"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"neograph"
+	"neograph/internal/core"
 	"neograph/internal/workload"
 )
-
-// E1Config parameterises the anomaly experiment.
-type E1Config struct {
-	People   int           // graph size
-	Writers  int           // mutating clients
-	Checkers int           // anomaly-detecting clients per isolation level
-	Duration time.Duration // measurement window
-	Seed     int64
-}
 
 // E1Result counts observed anomalies per isolation level.
 type E1Result struct {
@@ -29,74 +18,47 @@ type E1Result struct {
 	PhantomReads      uint64
 }
 
-// RunE1 reproduces the paper's §1 claim: read committed exhibits
+var e1 = Experiment{"E1", "anomalies under RC vs SI (paper §1)", tabled(runE1,
+	"SI rows are zero; RC rows are non-zero under write load")}
+
+// runE1 reproduces the paper's §1 claim: read committed exhibits
 // unrepeatable reads and phantoms; snapshot isolation exhibits neither.
 //
 // Writers continuously flip a property on random Person nodes and toggle
 // membership of the "Flagged" label. Checkers run transactions that (a)
 // read one node's property twice and (b) evaluate the predicate "nodes
 // labelled Flagged" twice, counting any difference as an anomaly.
-func RunE1(w io.Writer, cfg E1Config) ([2]E1Result, error) {
-	if cfg.People <= 0 {
-		cfg.People = 500
-	}
-	if cfg.Writers <= 0 {
-		cfg.Writers = 4
-	}
-	if cfg.Checkers <= 0 {
-		cfg.Checkers = 2
-	}
-	if cfg.Duration <= 0 {
-		cfg.Duration = time.Second
-	}
+func runE1(p Params) ([]E1Result, error) {
+	const writers, checkers = 8, 4 // checkers per isolation level
 	db, err := neograph.Open(neograph.Options{})
 	if err != nil {
-		return [2]E1Result{}, err
+		return nil, err
 	}
 	defer db.Close()
-	g, err := workload.BuildSocial(db, workload.SocialConfig{People: cfg.People, AvgFriends: 2, Seed: cfg.Seed})
+	g, err := workload.BuildSocial(db, workload.SocialConfig{People: pick(p, 2000, 300), AvgFriends: 2, Seed: p.Seed})
 	if err != nil {
-		return [2]E1Result{}, err
+		return nil, err
 	}
 
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	// Writers.
-	for i := 0; i < cfg.Writers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			r := rand.New(rand.NewSource(cfg.Seed + int64(i)))
-			for {
-				select {
-				case <-stop:
-					return
-				default:
+	write := func(i int, stop <-chan struct{}) {
+		r := rand.New(rand.NewSource(p.Seed + int64(i)))
+		for !stopped(stop) {
+			id := g.People[r.Intn(len(g.People))]
+			_ = db.Update(0, func(tx *neograph.Tx) error {
+				if err := tx.SetNodeProp(id, "balance", neograph.Int(r.Int63n(10000))); err != nil {
+					return err
 				}
-				id := g.People[r.Intn(len(g.People))]
-				_ = db.Update(0, func(tx *neograph.Tx) error {
-					if err := tx.SetNodeProp(id, "balance", neograph.Int(r.Int63n(10000))); err != nil {
-						return err
-					}
-					if r.Intn(2) == 0 {
-						return tx.AddLabel(id, "Flagged")
-					}
-					return tx.RemoveLabel(id, "Flagged")
-				})
-			}
-		}(i)
+				if r.Intn(2) == 0 {
+					return tx.AddLabel(id, "Flagged")
+				}
+				return tx.RemoveLabel(id, "Flagged")
+			})
+		}
 	}
-
-	check := func(level string, begin func() *neograph.Tx, res *E1Result) {
-		defer wg.Done()
-		r := rand.New(rand.NewSource(cfg.Seed ^ 0x5ee))
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			tx := begin()
+	check := func(level core.IsolationLevel, res *E1Result, stop <-chan struct{}) {
+		r := rand.New(rand.NewSource(p.Seed ^ 0x5ee))
+		for !stopped(stop) {
+			tx := db.BeginIsolation(level)
 			id := g.People[r.Intn(len(g.People))]
 			n1, err1 := tx.GetNode(id)
 			set1, errP1 := tx.NodesByLabel("Flagged")
@@ -120,25 +82,17 @@ func RunE1(w io.Writer, cfg E1Config) ([2]E1Result, error) {
 		}
 	}
 
-	results := [2]E1Result{{Isolation: "snapshot-isolation"}, {Isolation: "read-committed"}}
-	for i := 0; i < cfg.Checkers; i++ {
-		wg.Add(2)
-		go check("si", func() *neograph.Tx { return db.BeginIsolation(neograph.SnapshotIsolation) }, &results[0])
-		go check("rc", func() *neograph.Tx { return db.BeginIsolation(neograph.ReadCommitted) }, &results[1])
-	}
-	time.Sleep(cfg.Duration)
-	close(stop)
-	wg.Wait()
-
-	if w != nil {
-		section(w, "E1", "anomalies under RC vs SI (paper §1)")
-		t := &Table{Headers: []string{"isolation", "check txns", "unrepeatable reads", "phantom reads"}}
-		for _, r := range results {
-			t.Add(r.Isolation, r.CheckTxns, r.UnrepeatableReads, r.PhantomReads)
+	results := []E1Result{{Isolation: "snapshot-isolation"}, {Isolation: "read-committed"}}
+	during(pick(p, 5*time.Second, 700*time.Millisecond), writers+2*checkers, func(i int, stop <-chan struct{}) {
+		switch {
+		case i < writers:
+			write(i, stop)
+		case i < writers+checkers:
+			check(neograph.SnapshotIsolation, &results[0], stop)
+		default:
+			check(neograph.ReadCommitted, &results[1], stop)
 		}
-		t.Print(w)
-		fmt.Fprintln(w, "expected shape: SI rows are zero; RC rows are non-zero under write load")
-	}
+	})
 	return results, nil
 }
 

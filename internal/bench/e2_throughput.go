@@ -2,31 +2,21 @@ package bench
 
 import (
 	"fmt"
-	"io"
 	"math/rand"
 	"os"
 	"time"
 
 	"neograph"
+	"neograph/internal/core"
 	"neograph/internal/workload"
 )
 
-// E2Config parameterises the throughput comparison.
-type E2Config struct {
-	People   int
-	Clients  []int // client counts to sweep
-	Duration time.Duration
-	Seed     int64
-}
-
-// Mix is a read/write transaction mix.
-type Mix struct {
-	Name     string
-	ReadFrac float64 // probability a transaction is read-only
-}
-
-// DefaultMixes are the three mixes from DESIGN.md's E2 row.
-var DefaultMixes = []Mix{
+// mixes are E2's three read/write transaction mixes: a name and the
+// probability that a transaction is read-only.
+var mixes = []struct {
+	name     string
+	readFrac float64
+}{
 	{"read-heavy 90/10", 0.9},
 	{"balanced 50/50", 0.5},
 	{"write-heavy 10/90", 0.1},
@@ -40,46 +30,41 @@ type E2Row struct {
 	Result    Result
 }
 
-// RunE2 measures committed-transactions-per-second for SI versus the RC
+var e2 = Experiment{"E2", "throughput, SI vs RC (paper §1/§4: no read locks under SI)", tabled(runE2,
+	"SI >= RC, gap widening with write fraction and clients")}
+
+// runE2 measures committed-transactions-per-second for SI versus the RC
 // baseline across client counts and mixes. The paper's claim (§1/§4):
 // removing short read locks means SI readers never block, so SI
 // dominates as the write fraction grows.
-func RunE2(w io.Writer, cfg E2Config) ([]E2Row, error) {
-	if cfg.People <= 0 {
-		cfg.People = 2000
-	}
-	if len(cfg.Clients) == 0 {
-		cfg.Clients = []int{1, 4, 16}
-	}
-	if cfg.Duration <= 0 {
-		cfg.Duration = 500 * time.Millisecond
-	}
+func runE2(p Params) ([]E2Row, error) {
+	people := pick(p, 5000, 500)
+	duration := pick(p, 2*time.Second, 200*time.Millisecond)
 
 	var rows []E2Row
-	for _, mix := range DefaultMixes {
-		for _, clients := range cfg.Clients {
+	for _, mix := range mixes {
+		for _, clients := range pick(p, []int{1, 2, 4, 8, 16, 32, 64}, []int{1, 4, 16}) {
 			for _, iso := range []struct {
 				name  string
-				level func(*neograph.DB) *neograph.Tx
+				level core.IsolationLevel
 			}{
-				{"SI", func(db *neograph.DB) *neograph.Tx { return db.BeginIsolation(neograph.SnapshotIsolation) }},
-				{"RC", func(db *neograph.DB) *neograph.Tx { return db.BeginIsolation(neograph.ReadCommitted) }},
+				{"SI", neograph.SnapshotIsolation},
+				{"RC", neograph.ReadCommitted},
 			} {
 				db, err := neograph.Open(neograph.Options{})
 				if err != nil {
 					return nil, err
 				}
-				g, err := workload.BuildSocial(db, workload.SocialConfig{People: cfg.People, AvgFriends: 3, Seed: cfg.Seed})
+				g, err := workload.BuildSocial(db, workload.SocialConfig{People: people, AvgFriends: 3, Seed: p.Seed})
 				if err != nil {
 					db.Close()
 					return nil, err
 				}
-				begin := iso.level
 				op := func(c int, r *rand.Rand) error {
-					tx := begin(db)
-					var err error
-					if r.Float64() < mix.ReadFrac {
+					tx := db.BeginIsolation(iso.level)
+					if r.Float64() < mix.readFrac {
 						// Read transaction: point reads plus a 1-hop traversal.
+						var err error
 						for k := 0; k < 3 && err == nil; k++ {
 							_, err = tx.GetNode(g.People[r.Intn(len(g.People))])
 						}
@@ -89,44 +74,26 @@ func RunE2(w io.Writer, cfg E2Config) ([]E2Row, error) {
 						tx.Abort() // read-only
 						return err
 					}
-					// Write transaction: one property update.
-					err = tx.SetNodeProp(g.People[r.Intn(len(g.People))], "balance", neograph.Int(r.Int63n(1<<20)))
-					if err != nil {
-						tx.Abort()
-						return err
-					}
-					return tx.Commit()
+					return updateBalance(tx, g, r)
 				}
-				res := (&Runner{Clients: clients, Duration: cfg.Duration, Seed: cfg.Seed, Op: op}).
-					Run(fmt.Sprintf("%s/%d/%s", mix.Name, clients, iso.name))
-				rows = append(rows, E2Row{Mix: mix.Name, Clients: clients, Isolation: iso.name, Result: res})
+				res := (&Runner{Clients: clients, Duration: duration, Seed: p.Seed, Op: op}).
+					Run(fmt.Sprintf("%s/%d/%s", mix.name, clients, iso.name))
+				rows = append(rows, E2Row{Mix: mix.name, Clients: clients, Isolation: iso.name, Result: res})
 				db.Close()
 			}
 		}
 	}
-
-	if w != nil {
-		section(w, "E2", "throughput, SI vs RC (paper §1/§4: no read locks under SI)")
-		t := &Table{Headers: []string{"mix", "clients", "isolation", "txn/s", "abort rate", "p50", "p95"}}
-		for _, r := range rows {
-			t.Add(r.Mix, r.Clients, r.Isolation, r.Result.Throughput(), r.Result.AbortRate(), r.Result.P50, r.Result.P95)
-		}
-		t.Print(w)
-		fmt.Fprintln(w, "expected shape: SI >= RC, gap widening with write fraction and clients")
-	}
 	return rows, nil
 }
 
-// E2DurableConfig parameterises the synced-commit throughput comparison.
-type E2DurableConfig struct {
-	People   int
-	Clients  []int // client counts to sweep
-	Duration time.Duration
-	Seed     int64
-	// Dir is the working directory for the durable stores (a temp dir per
-	// cell when empty). Throughput here is disk-flush-bound, so the
-	// filesystem under Dir is part of what is measured.
-	Dir string
+// updateBalance is the write transaction E2, E2d and E13 share: one
+// property update on a random person, committed.
+func updateBalance(tx *neograph.Tx, g *workload.SocialGraph, r *rand.Rand) error {
+	if err := tx.SetNodeProp(g.People[r.Intn(len(g.People))], "balance", neograph.Int(r.Int63n(1<<20))); err != nil {
+		tx.Abort()
+		return err
+	}
+	return tx.Commit()
 }
 
 // E2DurableRow is one measured cell of the fsync comparison.
@@ -139,26 +106,24 @@ type E2DurableRow struct {
 	Flushes       uint64
 	SyncedCommits uint64
 	MeanBatch     float64
+	// Speedup is group-mode throughput over the per-commit cell with the
+	// same client count (0 on the baseline rows).
+	Speedup float64 `json:"-"`
 }
 
-// RunE2Durable measures committed-transactions-per-second with the WAL
+var e2d = Experiment{"E2d", "synced commit throughput, group commit vs per-commit fsync", tabled(runE2Durable,
+	"parity at 1 client; group >= 2x per-commit by 8+ clients")}
+
+// runE2Durable measures committed-transactions-per-second with the WAL
 // fsync enabled, group commit versus the per-commit-fsync baseline. With
 // one client both modes pay one fsync per commit; as writers are added the
 // baseline stays serialised on the disk flush while group commit amortises
-// one fsync over the whole batch.
-func RunE2Durable(w io.Writer, cfg E2DurableConfig) ([]E2DurableRow, error) {
-	if cfg.People <= 0 {
-		cfg.People = 1000
-	}
-	if len(cfg.Clients) == 0 {
-		cfg.Clients = []int{1, 8, 32}
-	}
-	if cfg.Duration <= 0 {
-		cfg.Duration = 500 * time.Millisecond
-	}
-
+// one fsync over the whole batch. Throughput here is disk-flush-bound, so
+// the filesystem under the temp dir is part of what is measured.
+func runE2Durable(p Params) ([]E2DurableRow, error) {
 	var rows []E2DurableRow
-	for _, clients := range cfg.Clients {
+	for _, clients := range pick(p, []int{1, 2, 8, 16, 32}, []int{1, 8}) {
+		var base float64
 		for _, mode := range []struct {
 			name    string
 			noGroup bool
@@ -166,32 +131,19 @@ func RunE2Durable(w io.Writer, cfg E2DurableConfig) ([]E2DurableRow, error) {
 			{"per-commit", true},
 			{"group", false},
 		} {
-			dir, err := os.MkdirTemp(cfg.Dir, "neograph-e2d-*")
+			db, dir, err := tempDB(neograph.Options{DisableGroupCommit: mode.noGroup})
 			if err != nil {
 				return nil, err
 			}
-			db, err := neograph.Open(neograph.Options{Dir: dir, DisableGroupCommit: mode.noGroup})
-			if err != nil {
-				os.RemoveAll(dir)
-				return nil, err
-			}
-			g, err := workload.BuildSocial(db, workload.SocialConfig{People: cfg.People, AvgFriends: 3, Seed: cfg.Seed})
+			g, err := workload.BuildSocial(db, workload.SocialConfig{People: pick(p, 2000, 500), AvgFriends: 3, Seed: p.Seed})
 			if err != nil {
 				db.Close()
 				os.RemoveAll(dir)
 				return nil, err
 			}
-			op := func(c int, r *rand.Rand) error {
-				// Write transaction: one property update, committed durably.
-				tx := db.Begin()
-				if err := tx.SetNodeProp(g.People[r.Intn(len(g.People))], "balance", neograph.Int(r.Int63n(1<<20))); err != nil {
-					tx.Abort()
-					return err
-				}
-				return tx.Commit()
-			}
+			op := func(c int, r *rand.Rand) error { return updateBalance(db.Begin(), g, r) }
 			st0 := db.Stats() // exclude BuildSocial's setup commits
-			res := (&Runner{Clients: clients, Duration: cfg.Duration, Seed: cfg.Seed, Op: op}).
+			res := (&Runner{Clients: clients, Duration: pick(p, 2*time.Second, 500*time.Millisecond), Seed: p.Seed, Op: op}).
 				Run(fmt.Sprintf("durable/%d/%s", clients, mode.name))
 			st := db.Stats()
 			row := E2DurableRow{
@@ -202,34 +154,15 @@ func RunE2Durable(w io.Writer, cfg E2DurableConfig) ([]E2DurableRow, error) {
 			if row.Flushes > 0 {
 				row.MeanBatch = float64(row.SyncedCommits) / float64(row.Flushes)
 			}
+			if mode.noGroup {
+				base = res.Throughput()
+			} else if base > 0 {
+				row.Speedup = res.Throughput() / base
+			}
 			rows = append(rows, row)
 			db.Close()
 			os.RemoveAll(dir)
 		}
-	}
-
-	if w != nil {
-		section(w, "E2d", "synced commit throughput, group commit vs per-commit fsync")
-		t := &Table{Headers: []string{"clients", "mode", "commit/s", "mean batch", "p50", "p95", "speedup"}}
-		base := map[int]float64{}
-		for _, r := range rows {
-			if r.Mode == "per-commit" {
-				base[r.Clients] = r.Result.Throughput()
-			}
-		}
-		for _, r := range rows {
-			speedup := "-"
-			if r.Mode == "group" && base[r.Clients] > 0 {
-				speedup = fmt.Sprintf("%.2fx", r.Result.Throughput()/base[r.Clients])
-			}
-			mean := "-"
-			if r.MeanBatch > 0 {
-				mean = fmt.Sprintf("%.1f", r.MeanBatch)
-			}
-			t.Add(r.Clients, r.Mode, r.Result.Throughput(), mean, r.Result.P50, r.Result.P95, speedup)
-		}
-		t.Print(w)
-		fmt.Fprintln(w, "expected shape: parity at 1 client; group >= 2x per-commit by 8+ clients")
 	}
 	return rows, nil
 }

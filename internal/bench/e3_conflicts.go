@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"io"
 	"math/rand"
 	"sync/atomic"
 	"time"
@@ -10,15 +9,6 @@ import (
 	"neograph"
 	"neograph/internal/workload"
 )
-
-// E3Config parameterises the conflict-policy comparison.
-type E3Config struct {
-	People   int
-	Clients  int
-	Thetas   []float64 // Zipf skew sweep
-	Duration time.Duration
-	Seed     int64
-}
 
 // E3Row is one measured cell.
 type E3Row struct {
@@ -30,27 +20,17 @@ type E3Row struct {
 	WastedOps uint64
 }
 
-// RunE3 compares first-updater-wins against first-committer-wins under
-// increasing access skew. Both enforce the same write rule; the paper
-// picks FUW (§4). The measurable difference is when the loser learns it
-// lost: FUW at its first conflicting update, FCW only at commit — so FCW
-// wastes the whole transaction's work.
-func RunE3(w io.Writer, cfg E3Config) ([]E3Row, error) {
-	if cfg.People <= 0 {
-		cfg.People = 1000
-	}
-	if cfg.Clients <= 0 {
-		cfg.Clients = 8
-	}
-	if len(cfg.Thetas) == 0 {
-		cfg.Thetas = []float64{0, 0.6, 0.9}
-	}
-	if cfg.Duration <= 0 {
-		cfg.Duration = 500 * time.Millisecond
-	}
+var e3 = Experiment{"E3", "write-write conflicts: first-updater-wins vs first-committer-wins (paper §3)", tabled(runE3,
+	"aborts grow with theta; FCW wastes more ops per abort (late detection)")}
 
+// runE3 compares first-updater-wins against first-committer-wins under
+// increasing access skew (Zipf theta). Both enforce the same write rule;
+// the paper picks FUW (§4). The measurable difference is when the loser
+// learns it lost: FUW at its first conflicting update, FCW only at commit
+// — so FCW wastes the whole transaction's work.
+func runE3(p Params) ([]E3Row, error) {
 	var rows []E3Row
-	for _, theta := range cfg.Thetas {
+	for _, theta := range []float64{0, 0.6, 0.9, 1.2} {
 		for _, pol := range []struct {
 			name   string
 			policy neograph.Options
@@ -62,13 +42,12 @@ func RunE3(w io.Writer, cfg E3Config) ([]E3Row, error) {
 			if err != nil {
 				return nil, err
 			}
-			g, err := workload.BuildSocial(db, workload.SocialConfig{People: cfg.People, AvgFriends: 2, Seed: cfg.Seed})
+			g, err := workload.BuildSocial(db, workload.SocialConfig{People: pick(p, 2000, 300), AvgFriends: 2, Seed: p.Seed})
 			if err != nil {
 				db.Close()
 				return nil, err
 			}
 			var wasted atomic.Uint64
-			theta := theta
 			op := func(c int, r *rand.Rand) error {
 				picker := rand.New(rand.NewSource(r.Int63()))
 				pick := func() neograph.NodeID {
@@ -96,21 +75,11 @@ func RunE3(w io.Writer, cfg E3Config) ([]E3Row, error) {
 				}
 				return nil
 			}
-			res := (&Runner{Clients: cfg.Clients, Duration: cfg.Duration, Seed: cfg.Seed, Op: op}).
+			res := (&Runner{Clients: 16, Duration: pick(p, 2*time.Second, 300*time.Millisecond), Seed: p.Seed, Op: op}).
 				Run(fmt.Sprintf("theta=%.1f/%s", theta, pol.name))
 			rows = append(rows, E3Row{Theta: theta, Policy: pol.name, Result: res, WastedOps: wasted.Load()})
 			db.Close()
 		}
-	}
-
-	if w != nil {
-		section(w, "E3", "write-write conflicts: first-updater-wins vs first-committer-wins (paper §3)")
-		t := &Table{Headers: []string{"zipf theta", "policy", "txn/s", "abort rate", "wasted ops"}}
-		for _, r := range rows {
-			t.Add(fmt.Sprintf("%.1f", r.Theta), r.Policy, r.Result.Throughput(), r.Result.AbortRate(), r.WastedOps)
-		}
-		t.Print(w)
-		fmt.Fprintln(w, "expected shape: aborts grow with theta; FCW wastes more ops per abort (late detection)")
 	}
 	return rows, nil
 }

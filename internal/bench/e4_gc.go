@@ -1,22 +1,10 @@
 package bench
 
 import (
-	"fmt"
-	"io"
 	"time"
 
 	"neograph"
 )
-
-// E4Config parameterises the GC comparison.
-type E4Config struct {
-	// LiveEntities sweeps store sizes (number of live nodes).
-	LiveEntities []int
-	// GarbageVersions is the number of superseded versions to produce
-	// before each collection (spread over a small hot set).
-	GarbageVersions int
-	Seed            int64
-}
 
 // E4Row is one measured cell.
 type E4Row struct {
@@ -28,21 +16,20 @@ type E4Row struct {
 	Scanned   int
 }
 
-// RunE4 reproduces the paper's §4 GC claim: with versions threaded on a
+var e4 = Experiment{"E4", "GC pause: threaded version list vs vacuum scan (paper §4)", tabled(runE4,
+	"threaded pause ~constant across store sizes (scanned == garbage); "+
+		"vacuum pause and scanned grow linearly with live entities at fixed garbage")}
+
+// runE4 reproduces the paper's §4 GC claim: with versions threaded on a
 // timestamp-sorted doubly-linked list, collection cost is proportional to
 // the garbage collected; a vacuum-style collector (the PostgreSQL
 // contrast) scans the whole store, so its pause grows with store size
 // even when garbage is constant.
-func RunE4(w io.Writer, cfg E4Config) ([]E4Row, error) {
-	if len(cfg.LiveEntities) == 0 {
-		cfg.LiveEntities = []int{10_000, 50_000, 200_000}
-	}
-	if cfg.GarbageVersions <= 0 {
-		cfg.GarbageVersions = 5_000
-	}
+func runE4(p Params) ([]E4Row, error) {
+	garbage := pick(p, 20_000, 2_000) // superseded versions produced before each collection
 
 	var rows []E4Row
-	for _, live := range cfg.LiveEntities {
+	for _, live := range pick(p, []int{10_000, 100_000, 1_000_000}, []int{2_000, 20_000}) {
 		for _, mode := range []neograph.Options{
 			{GCMode: neograph.GCThreaded},
 			{GCMode: neograph.GCVacuum},
@@ -52,34 +39,16 @@ func RunE4(w io.Writer, cfg E4Config) ([]E4Row, error) {
 				return nil, err
 			}
 			// Live store: `live` nodes, one version each.
-			nodes := make([]neograph.NodeID, 0, live)
-			const batch = 1024
-			for len(nodes) < live {
-				n := batch
-				if live-len(nodes) < n {
-					n = live - len(nodes)
-				}
-				err := db.Update(0, func(tx *neograph.Tx) error {
-					for i := 0; i < n; i++ {
-						id, err := tx.CreateNode(nil, neograph.Props{"v": neograph.Int(0)})
-						if err != nil {
-							return err
-						}
-						nodes = append(nodes, id)
-					}
-					return nil
-				})
-				if err != nil {
-					db.Close()
-					return nil, err
-				}
+			nodes, err := createNodes(db, live, nil, neograph.Props{"v": neograph.Int(0)})
+			if err != nil {
+				db.Close()
+				return nil, err
 			}
 			// Produce a fixed amount of garbage on a small hot set.
-			hot := nodes[:minInt(100, len(nodes))]
-			produced := 0
-			for produced < cfg.GarbageVersions {
+			hot := nodes[:min(100, len(nodes))]
+			for produced := 0; produced < garbage; produced += len(hot) {
 				err := db.Update(0, func(tx *neograph.Tx) error {
-					for i := 0; i < minInt(len(hot), cfg.GarbageVersions-produced); i++ {
+					for i := 0; i < min(len(hot), garbage-produced); i++ {
 						if err := tx.SetNodeProp(hot[i], "v", neograph.Int(int64(produced+i))); err != nil {
 							return err
 						}
@@ -90,7 +59,6 @@ func RunE4(w io.Writer, cfg E4Config) ([]E4Row, error) {
 					db.Close()
 					return nil, err
 				}
-				produced += minInt(len(hot), cfg.GarbageVersions-produced)
 			}
 
 			rep := db.RunGC()
@@ -99,29 +67,11 @@ func RunE4(w io.Writer, cfg E4Config) ([]E4Row, error) {
 				modeName = "vacuum"
 			}
 			rows = append(rows, E4Row{
-				Live: live, Garbage: cfg.GarbageVersions, Mode: modeName,
+				Live: live, Garbage: garbage, Mode: modeName,
 				Pause: rep.Duration, Collected: rep.Collected, Scanned: rep.Scanned,
 			})
 			db.Close()
 		}
 	}
-
-	if w != nil {
-		section(w, "E4", "GC pause: threaded version list vs vacuum scan (paper §4)")
-		t := &Table{Headers: []string{"live entities", "garbage versions", "collector", "pause", "collected", "versions scanned"}}
-		for _, r := range rows {
-			t.Add(r.Live, r.Garbage, r.Mode, r.Pause, r.Collected, r.Scanned)
-		}
-		t.Print(w)
-		fmt.Fprintln(w, "expected shape: threaded pause ~constant across store sizes (scanned == garbage);")
-		fmt.Fprintln(w, "vacuum pause and scanned grow linearly with live entities at fixed garbage")
-	}
 	return rows, nil
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

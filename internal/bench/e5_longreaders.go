@@ -1,19 +1,6 @@
 package bench
 
-import (
-	"fmt"
-	"io"
-
-	"neograph"
-)
-
-// E5Config parameterises the long-running-reader experiment.
-type E5Config struct {
-	HotNodes       int // nodes being updated
-	UpdatesPerStep int // committed updates between samples
-	Steps          int // samples while the reader is alive
-	Seed           int64
-}
+import "neograph"
 
 // E5Row is one sample of version accumulation.
 type E5Row struct {
@@ -24,36 +11,22 @@ type E5Row struct {
 	Backlog  int
 }
 
-// RunE5 shows the cost model of §3's horizon rule: while an old
+var e5 = Experiment{"E5", "version accumulation under a long-running transaction (paper §3)", tabled(runE5,
+	"versions/bytes grow ~linearly per step while the reader lives, then collapse to the live set after it finishes")}
+
+// runE5 shows the cost model of §3's horizon rule: while an old
 // transaction is active, superseded versions cannot be collected and
 // memory grows linearly with update volume; the moment the reader
 // finishes, one GC run reclaims the whole backlog.
-func RunE5(w io.Writer, cfg E5Config) ([]E5Row, error) {
-	if cfg.HotNodes <= 0 {
-		cfg.HotNodes = 100
-	}
-	if cfg.UpdatesPerStep <= 0 {
-		cfg.UpdatesPerStep = 1000
-	}
-	if cfg.Steps <= 0 {
-		cfg.Steps = 5
-	}
+func runE5(p Params) ([]E5Row, error) {
+	const steps = 5 // samples while the reader is alive
+	updatesPerStep := pick(p, 10_000, 500)
 	db, err := neograph.Open(neograph.Options{})
 	if err != nil {
 		return nil, err
 	}
 	defer db.Close()
-
-	nodes := make([]neograph.NodeID, cfg.HotNodes)
-	err = db.Update(0, func(tx *neograph.Tx) error {
-		for i := range nodes {
-			nodes[i], err = tx.CreateNode(nil, neograph.Props{"v": neograph.Int(0)})
-			if err != nil {
-				return err
-			}
-		}
-		return nil
-	})
+	nodes, err := createNodes(db, pick(p, 500, 100), nil, neograph.Props{"v": neograph.Int(0)})
 	if err != nil {
 		return nil, err
 	}
@@ -72,8 +45,8 @@ func RunE5(w io.Writer, cfg E5Config) ([]E5Row, error) {
 		return nil, err
 	}
 	sample("reader-active", 0)
-	for step := 1; step <= cfg.Steps; step++ {
-		for u := 0; u < cfg.UpdatesPerStep; u++ {
+	for step := 1; step <= steps; step++ {
+		for u := 0; u < updatesPerStep; u++ {
 			id := nodes[u%len(nodes)]
 			if err := db.Update(0, func(tx *neograph.Tx) error {
 				return tx.SetNodeProp(id, "v", neograph.Int(int64(u)))
@@ -87,17 +60,6 @@ func RunE5(w io.Writer, cfg E5Config) ([]E5Row, error) {
 	// Reader finishes: one GC run drains the backlog.
 	longReader.Abort()
 	db.RunGC()
-	sample("reader-done", cfg.Steps+1)
-
-	if w != nil {
-		section(w, "E5", "version accumulation under a long-running transaction (paper §3)")
-		t := &Table{Headers: []string{"phase", "step", "cached versions", "version bytes", "gc backlog"}}
-		for _, r := range rows {
-			t.Add(r.Phase, r.Step, r.Versions, r.Bytes, r.Backlog)
-		}
-		t.Print(w)
-		fmt.Fprintln(w, "expected shape: versions/bytes grow ~linearly per step while the reader lives,")
-		fmt.Fprintln(w, "then collapse to the live set after it finishes")
-	}
+	sample("reader-done", steps+1)
 	return rows, nil
 }

@@ -2,66 +2,48 @@ package bench
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"neograph"
 )
 
-// E6Config parameterises the versioned-index experiment.
-type E6Config struct {
-	Nodes         int
-	Selectivities []float64 // fraction of nodes carrying the probed label
-	Lookups       int       // lookups per measurement
-	Seed          int64
-}
-
 // E6Row is one measured cell.
 type E6Row struct {
-	Selectivity float64
+	Selectivity float64 // fraction of nodes carrying the probed label
 	Hits        int
 	IndexTime   time.Duration // per lookup
 	ScanTime    time.Duration // per lookup
+	Speedup     float64       `json:"-"` // ScanTime / IndexTime
 }
 
-// RunE6 measures the versioned label index (§4) against the full-scan
+var e6 = Experiment{"E6", "versioned label index vs full scan (paper §4)", tabled(runE6,
+	"index wins at low selectivity; gap narrows as selectivity -> 1")}
+
+// runE6 measures the versioned label index (§4) against the full-scan
 // baseline, across selectivities. The snapshot filtering is exercised by
 // interleaving label flips so the index holds dead entries that lookups
 // must skip.
-func RunE6(w io.Writer, cfg E6Config) ([]E6Row, error) {
-	if cfg.Nodes <= 0 {
-		cfg.Nodes = 20_000
-	}
-	if len(cfg.Selectivities) == 0 {
-		cfg.Selectivities = []float64{0.001, 0.01, 0.1}
-	}
-	if cfg.Lookups <= 0 {
-		cfg.Lookups = 20
-	}
+func runE6(p Params) ([]E6Row, error) {
+	nodes := pick(p, 100_000, 10_000)
+	lookups := pick(p, 50, 10) // lookups per measurement
 
 	var rows []E6Row
-	for _, sel := range cfg.Selectivities {
+	for _, sel := range []float64{0.001, 0.01, 0.1, 0.5} {
 		db, err := neograph.Open(neograph.Options{})
 		if err != nil {
 			return nil, err
 		}
 		label := "Hot"
-		want := int(float64(cfg.Nodes) * sel)
-		if want < 1 {
-			want = 1
-		}
+		want := max(int(float64(nodes)*sel), 1)
 		const batch = 1024
-		made := 0
-		for made < cfg.Nodes {
-			n := minInt(batch, cfg.Nodes-made)
-			base := made
+		for made := 0; made < nodes; made += batch {
 			err := db.Update(0, func(tx *neograph.Tx) error {
-				for i := 0; i < n; i++ {
+				for i := made; i < min(made+batch, nodes); i++ {
 					labels := []string{"Node"}
-					if (base+i)%(cfg.Nodes/want+1) == 0 {
+					if i%(nodes/want+1) == 0 {
 						labels = append(labels, label)
 					}
-					if _, err := tx.CreateNode(labels, neograph.Props{"i": neograph.Int(int64(base + i))}); err != nil {
+					if _, err := tx.CreateNode(labels, neograph.Props{"i": neograph.Int(int64(i))}); err != nil {
 						return err
 					}
 				}
@@ -71,7 +53,6 @@ func RunE6(w io.Writer, cfg E6Config) ([]E6Row, error) {
 				db.Close()
 				return nil, err
 			}
-			made += n
 		}
 		// Churn: flip the label on some nodes so dead index entries exist.
 		db.Update(0, func(tx *neograph.Tx) error {
@@ -92,24 +73,23 @@ func RunE6(w io.Writer, cfg E6Config) ([]E6Row, error) {
 			return nil
 		})
 
-		var hits int
-		var indexPer, scanPer time.Duration
+		row := E6Row{Selectivity: sel}
 		err = db.View(func(tx *neograph.Tx) error {
 			t0 := time.Now()
 			var got []neograph.NodeID
-			for i := 0; i < cfg.Lookups; i++ {
+			for i := 0; i < lookups; i++ {
 				var err error
 				got, err = tx.NodesByLabel(label)
 				if err != nil {
 					return err
 				}
 			}
-			indexPer = time.Since(t0) / time.Duration(cfg.Lookups)
-			hits = len(got)
+			row.IndexTime = time.Since(t0) / time.Duration(lookups)
+			row.Hits = len(got)
 
 			t0 = time.Now()
 			var scanned []neograph.NodeID
-			for i := 0; i < cfg.Lookups; i++ {
+			for i := 0; i < lookups; i++ {
 				scanned = scanned[:0]
 				all, err := tx.AllNodes()
 				if err != nil {
@@ -125,9 +105,9 @@ func RunE6(w io.Writer, cfg E6Config) ([]E6Row, error) {
 					}
 				}
 			}
-			scanPer = time.Since(t0) / time.Duration(cfg.Lookups)
-			if len(scanned) != hits {
-				return fmt.Errorf("bench: index (%d) and scan (%d) disagree", hits, len(scanned))
+			row.ScanTime = time.Since(t0) / time.Duration(lookups)
+			if len(scanned) != row.Hits {
+				return fmt.Errorf("bench: index (%d) and scan (%d) disagree", row.Hits, len(scanned))
 			}
 			return nil
 		})
@@ -135,25 +115,8 @@ func RunE6(w io.Writer, cfg E6Config) ([]E6Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, E6Row{Selectivity: sel, Hits: hits, IndexTime: indexPer, ScanTime: scanPer})
-	}
-
-	if w != nil {
-		section(w, "E6", "versioned label index vs full scan (paper §4)")
-		t := &Table{Headers: []string{"selectivity", "hits", "index/lookup", "scan/lookup", "speedup"}}
-		for _, r := range rows {
-			sp := float64(r.ScanTime) / float64(maxInt64(int64(r.IndexTime), 1))
-			t.Add(fmt.Sprintf("%.3f", r.Selectivity), r.Hits, r.IndexTime, r.ScanTime, sp)
-		}
-		t.Print(w)
-		fmt.Fprintln(w, "expected shape: index wins at low selectivity; gap narrows as selectivity -> 1")
+		row.Speedup = float64(row.ScanTime) / float64(max(row.IndexTime, 1))
+		rows = append(rows, row)
 	}
 	return rows, nil
-}
-
-func maxInt64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -2,41 +2,28 @@ package bench
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"neograph"
 )
 
-// E7Config parameterises the read-your-own-writes overhead experiment.
-type E7Config struct {
-	BaseNodes     int   // committed nodes under the probed label
-	WriteSetSizes []int // staged writes in the probing transaction
-	Lookups       int
-	Seed          int64
-}
-
 // E7Row is one measured cell.
 type E7Row struct {
-	WriteSet   int
+	WriteSet   int // staged writes in the probing transaction
 	PerLookup  time.Duration
 	ResultSize int
 }
 
-// RunE7 quantifies the enriched iterator of §4: every snapshot lookup
+var e7 = Experiment{"E7", "read-your-own-writes iterator merge overhead (paper §3/§4)", tabled(runE7,
+	"latency grows smoothly with write-set size; correctness is exact")}
+
+// runE7 quantifies the enriched iterator of §4: every snapshot lookup
 // must merge the transaction's private write set over the committed
 // index/iterator result. The merge cost grows with the write-set size —
 // the table shows per-lookup latency against staged writes.
-func RunE7(w io.Writer, cfg E7Config) ([]E7Row, error) {
-	if cfg.BaseNodes <= 0 {
-		cfg.BaseNodes = 5_000
-	}
-	if len(cfg.WriteSetSizes) == 0 {
-		cfg.WriteSetSizes = []int{0, 10, 100, 1000, 10000}
-	}
-	if cfg.Lookups <= 0 {
-		cfg.Lookups = 50
-	}
+func runE7(p Params) ([]E7Row, error) {
+	baseNodes := pick(p, 50_000, 2_000) // committed nodes under the probed label
+	lookups := pick(p, 50, 10)
 	db, err := neograph.Open(neograph.Options{})
 	if err != nil {
 		return nil, err
@@ -44,26 +31,12 @@ func RunE7(w io.Writer, cfg E7Config) ([]E7Row, error) {
 	defer db.Close()
 
 	const label = "Probe"
-	const batch = 1024
-	made := 0
-	for made < cfg.BaseNodes {
-		n := minInt(batch, cfg.BaseNodes-made)
-		err := db.Update(0, func(tx *neograph.Tx) error {
-			for i := 0; i < n; i++ {
-				if _, err := tx.CreateNode([]string{label}, nil); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		made += n
+	if _, err := createNodes(db, baseNodes, []string{label}, nil); err != nil {
+		return nil, err
 	}
 
 	var rows []E7Row
-	for _, ws := range cfg.WriteSetSizes {
+	for _, ws := range []int{0, 10, 100, 1_000, 10_000} {
 		tx := db.Begin()
 		for i := 0; i < ws; i++ {
 			if _, err := tx.CreateNode([]string{label}, nil); err != nil {
@@ -73,7 +46,7 @@ func RunE7(w io.Writer, cfg E7Config) ([]E7Row, error) {
 		}
 		t0 := time.Now()
 		var got []neograph.NodeID
-		for i := 0; i < cfg.Lookups; i++ {
+		for i := 0; i < lookups; i++ {
 			var err error
 			got, err = tx.NodesByLabel(label)
 			if err != nil {
@@ -81,23 +54,12 @@ func RunE7(w io.Writer, cfg E7Config) ([]E7Row, error) {
 				return nil, err
 			}
 		}
-		per := time.Since(t0) / time.Duration(cfg.Lookups)
-		if len(got) != cfg.BaseNodes+ws {
-			tx.Abort()
-			return nil, fmt.Errorf("bench: RYOW merge lost rows: %d != %d", len(got), cfg.BaseNodes+ws)
-		}
+		per := time.Since(t0) / time.Duration(lookups)
 		tx.Abort()
-		rows = append(rows, E7Row{WriteSet: ws, PerLookup: per, ResultSize: len(got)})
-	}
-
-	if w != nil {
-		section(w, "E7", "read-your-own-writes iterator merge overhead (paper §3/§4)")
-		t := &Table{Headers: []string{"staged writes", "result size", "per lookup"}}
-		for _, r := range rows {
-			t.Add(r.WriteSet, r.ResultSize, r.PerLookup)
+		if len(got) != baseNodes+ws {
+			return nil, fmt.Errorf("bench: RYOW merge lost rows: %d != %d", len(got), baseNodes+ws)
 		}
-		t.Print(w)
-		fmt.Fprintln(w, "expected shape: latency grows smoothly with write-set size; correctness is exact")
+		rows = append(rows, E7Row{WriteSet: ws, PerLookup: per, ResultSize: len(got)})
 	}
 	return rows, nil
 }

@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -10,22 +8,6 @@ import (
 
 	"neograph"
 )
-
-// E8Config parameterises the persistence experiment.
-type E8Config struct {
-	Entities       int // nodes written
-	UpdatesPerNode int // committed versions per node
-	Seed           int64
-	// Dir is the working directory (a temp dir is created when empty).
-	Dir string
-	// SyncedWriters drives the group-commit durability phase: that many
-	// concurrent writers commit with fsync enabled against the recovered
-	// store, then the store is crashed and recovered again. Zero means 8.
-	SyncedWriters int
-	// SyncedCommitsPerWriter is the per-writer commit count for the synced
-	// phase. Zero means 25.
-	SyncedCommitsPerWriter int
-}
 
 // E8Result captures the persistence measurements.
 type E8Result struct {
@@ -50,116 +32,78 @@ type E8Result struct {
 	SyncedRecovered  int
 }
 
-// RunE8 validates §4's persistence design: only the most recent committed
+var e8 = Experiment{"E8", "persist only the latest committed version (paper §4)", tabled(runE8,
+	"latest-only bytes ~= 1/versions of the all-versions ablation; WAL shrinks at checkpoint; "+
+		"recovery restores every entity; fsyncs <= synced commits (group commit) and none of those commits is lost")}
+
+// runE8 validates §4's persistence design: only the most recent committed
 // version of each entity reaches the store. The ablation column shows the
 // write amplification a persist-every-version design would pay, and the
 // recovery measurement shows a crash restart (store + WAL tail replay).
-func RunE8(w io.Writer, cfg E8Config) (E8Result, error) {
-	if cfg.Entities <= 0 {
-		cfg.Entities = 2_000
-	}
-	if cfg.UpdatesPerNode <= 0 {
-		cfg.UpdatesPerNode = 5
-	}
-	dir := cfg.Dir
-	if dir == "" {
-		var err error
-		dir, err = os.MkdirTemp("", "neograph-e8-*")
-		if err != nil {
-			return E8Result{}, err
-		}
-		defer os.RemoveAll(dir)
-	}
+func runE8(p Params) (E8Result, error) {
+	const updatesPerNode = 5 // committed versions per node
+	entities := pick(p, 20_000, 1_000)
+	fail := func(err error) (E8Result, error) { return E8Result{}, err }
 
-	db, err := neograph.Open(neograph.Options{Dir: dir, DisableSyncCommits: true})
+	db, dir, err := tempDB(neograph.Options{DisableSyncCommits: true})
 	if err != nil {
-		return E8Result{}, err
+		return fail(err)
 	}
-	nodes := make([]neograph.NodeID, 0, cfg.Entities)
+	defer os.RemoveAll(dir)
+	nodes, err := createNodes(db, entities, []string{"Data"}, neograph.Props{
+		"v":   neograph.Int(0),
+		"pad": neograph.String("xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx"),
+	})
 	const batch = 512
-	for len(nodes) < cfg.Entities {
-		n := minInt(batch, cfg.Entities-len(nodes))
-		err := db.Update(0, func(tx *neograph.Tx) error {
-			for i := 0; i < n; i++ {
-				id, err := tx.CreateNode([]string{"Data"}, neograph.Props{
-					"v":   neograph.Int(0),
-					"pad": neograph.String("xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx"),
-				})
-				if err != nil {
-					return err
-				}
-				nodes = append(nodes, id)
-			}
-			return nil
-		})
-		if err != nil {
-			db.Close()
-			return E8Result{}, err
-		}
-	}
-	for u := 1; u < cfg.UpdatesPerNode; u++ {
-		for start := 0; start < len(nodes); start += batch {
-			end := minInt(start+batch, len(nodes))
-			err := db.Update(0, func(tx *neograph.Tx) error {
-				for _, id := range nodes[start:end] {
+	for u := 1; u < updatesPerNode && err == nil; u++ {
+		for start := 0; start < len(nodes) && err == nil; start += batch {
+			err = db.Update(0, func(tx *neograph.Tx) error {
+				for _, id := range nodes[start:min(start+batch, len(nodes))] {
 					if err := tx.SetNodeProp(id, "v", neograph.Int(int64(u))); err != nil {
 						return err
 					}
 				}
 				return nil
 			})
-			if err != nil {
-				db.Close()
-				return E8Result{}, err
-			}
 		}
 	}
+	if err != nil {
+		db.Close()
+		return fail(err)
+	}
 
-	res := E8Result{Entities: cfg.Entities, VersionsPerEntity: cfg.UpdatesPerNode}
+	res := E8Result{Entities: entities, VersionsPerEntity: updatesPerNode}
 	res.WALBeforeCkpt = dirSize(filepath.Join(dir, "wal"))
 	// The all-versions ablation: every version's bytes.
 	res.AllVersionsBytes = uint64(db.VersionBytes())
 	if err := db.Checkpoint(); err != nil {
 		db.Close()
-		return E8Result{}, err
+		return fail(err)
 	}
 	res.LatestOnlyBytes = db.Stats().CheckpointBytes
 	res.WALAfterCkpt = dirSize(filepath.Join(dir, "wal"))
 	// Crash and recover.
-	if err := db.Engine().Crash(); err != nil {
-		return E8Result{}, err
+	if err := db.Crash(); err != nil {
+		return fail(err)
 	}
 	t0 := time.Now()
 	db2, err := neograph.Open(neograph.Options{Dir: dir})
 	if err != nil {
-		return E8Result{}, err
+		return fail(err)
 	}
 	res.RecoveryTime = time.Since(t0)
 	db2.View(func(tx *neograph.Tx) error {
 		all, err := tx.AllNodes()
-		if err != nil {
-			return err
-		}
 		res.RecoveredNodes = len(all)
-		return nil
+		return err
 	})
-	db2.Close()
 
 	// Group-commit durability phase: concurrent writers commit with fsync
-	// enabled (the batched group-commit pipeline), then crash and recover
-	// once more — every acknowledged commit must be replayed.
-	writers := cfg.SyncedWriters
-	if writers <= 0 {
-		writers = 8
-	}
-	perWriter := cfg.SyncedCommitsPerWriter
-	if perWriter <= 0 {
-		perWriter = 25
-	}
-	db3, err := neograph.Open(neograph.Options{Dir: dir})
-	if err != nil {
-		return E8Result{}, err
-	}
+	// enabled (the batched group-commit pipeline) against the recovered
+	// store, then crash and recover once more — every acknowledged commit
+	// must be replayed.
+	const writers = 8
+	perWriter := pick(p, 100, 25)
 	t0 = time.Now()
 	var wg sync.WaitGroup
 	errCh := make(chan error, writers)
@@ -168,7 +112,7 @@ func RunE8(w io.Writer, cfg E8Config) (E8Result, error) {
 		go func(i int) {
 			defer wg.Done()
 			for j := 0; j < perWriter; j++ {
-				err := db3.Update(3, func(tx *neograph.Tx) error {
+				err := db2.Update(3, func(tx *neograph.Tx) error {
 					_, err := tx.CreateNode([]string{"Synced"}, neograph.Props{
 						"writer": neograph.Int(int64(i)),
 						"seq":    neograph.Int(int64(j)),
@@ -186,50 +130,26 @@ func RunE8(w io.Writer, cfg E8Config) (E8Result, error) {
 	elapsed := time.Since(t0)
 	close(errCh)
 	if err := <-errCh; err != nil {
-		db3.Close()
-		return E8Result{}, err
+		db2.Close()
+		return fail(err)
 	}
-	st := db3.Stats()
+	st := db2.Stats()
 	res.SyncedCommits = st.WALSyncedCommits
 	res.SyncedFlushes = st.WALFlushes
 	res.SyncedThroughput = float64(writers*perWriter) / elapsed.Seconds()
-	if err := db3.Engine().Crash(); err != nil {
-		return E8Result{}, err
+	if err := db2.Crash(); err != nil {
+		return fail(err)
 	}
-	db4, err := neograph.Open(neograph.Options{Dir: dir})
+	db3, err := neograph.Open(neograph.Options{Dir: dir})
 	if err != nil {
-		return E8Result{}, err
+		return fail(err)
 	}
-	db4.View(func(tx *neograph.Tx) error {
+	defer db3.Close()
+	db3.View(func(tx *neograph.Tx) error {
 		ids, err := tx.NodesByLabel("Synced")
-		if err != nil {
-			return err
-		}
 		res.SyncedRecovered = len(ids)
-		return nil
+		return err
 	})
-	db4.Close()
-
-	if w != nil {
-		section(w, "E8", "persist only the latest committed version (paper §4)")
-		t := &Table{Headers: []string{"metric", "value"}}
-		t.Add("entities", res.Entities)
-		t.Add("versions per entity", res.VersionsPerEntity)
-		t.Add("checkpoint bytes (latest-only, paper)", res.LatestOnlyBytes)
-		t.Add("version bytes in cache (all-versions ablation)", res.AllVersionsBytes)
-		t.Add("wal bytes before checkpoint", res.WALBeforeCkpt)
-		t.Add("wal bytes after checkpoint", res.WALAfterCkpt)
-		t.Add("crash recovery time", res.RecoveryTime)
-		t.Add("recovered nodes", res.RecoveredNodes)
-		t.Add("synced commits (group commit)", res.SyncedCommits)
-		t.Add("commit fsyncs", res.SyncedFlushes)
-		t.Add("synced commit/s", res.SyncedThroughput)
-		t.Add("synced commits recovered after crash", res.SyncedRecovered)
-		t.Print(w)
-		fmt.Fprintln(w, "expected shape: latest-only bytes ~= 1/versions of the all-versions ablation;")
-		fmt.Fprintln(w, "WAL shrinks at checkpoint; recovery restores every entity;")
-		fmt.Fprintln(w, "fsyncs <= synced commits (group commit) and none of those commits is lost")
-	}
 	return res, nil
 }
 

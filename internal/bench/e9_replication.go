@@ -2,46 +2,14 @@ package bench
 
 import (
 	"fmt"
-	"io"
 	"math/rand"
-	"os"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"neograph"
+	"neograph/internal/fleet"
 )
-
-// E9Config parameterises the replication experiment.
-type E9Config struct {
-	// Nodes is the graph size loaded before measuring.
-	Nodes int
-	// Writers is the number of write clients kept running on the primary
-	// in every configuration (the replication stream is always live).
-	Writers int
-	// WriteEvery paces each writer (one commit per interval): the
-	// read-scaling claim is about a fixed write volume being replicated,
-	// not writers racing readers for the benchmark machine's CPU. Zero
-	// means 2ms (Writers/2ms commits/s total).
-	WriteEvery time.Duration
-	// ReadSlots is the per-instance read concurrency: the number of
-	// server slots each serving instance dedicates to read traffic.
-	ReadSlots int
-	// ServiceTime is each read slot's request period: one slot issues one
-	// read every ServiceTime (a closed-loop remote client's round-trip).
-	// A single process cannot add CPU by adding replicas, so instance
-	// capacity is modelled as slots/ServiceTime offered load — delivered
-	// only while the machine keeps up; the replication pipeline itself
-	// (TCP shipping, redo apply, lag) is fully real.
-	ServiceTime time.Duration
-	// Replicas are the replica counts swept; 0 means reads are served by
-	// the primary (the baseline).
-	Replicas []int
-	// Duration is the measurement window per configuration.
-	Duration time.Duration
-	Seed     int64
-}
 
 // E9Row is one configuration's measurements.
 type E9Row struct {
@@ -62,120 +30,74 @@ type E9Row struct {
 	MaxLagBytes uint64 `json:"max_lag_bytes"`
 }
 
-// RunE9 measures read throughput versus replica count and replica apply
-// lag under write load. Replicas cold-start against the primary's
-// retained WAL, catch up over TCP, and serve snapshot-isolated reads at
-// their applied position while the write load keeps streaming.
-func RunE9(w io.Writer, cfg E9Config) ([]E9Row, error) {
-	if cfg.Nodes <= 0 {
-		cfg.Nodes = 2_000
-	}
-	if cfg.Writers <= 0 {
-		cfg.Writers = 2
-	}
-	if cfg.ReadSlots <= 0 {
-		cfg.ReadSlots = 4
-	}
-	if cfg.ServiceTime <= 0 {
-		cfg.ServiceTime = 300 * time.Microsecond
-	}
-	if cfg.WriteEvery <= 0 {
-		cfg.WriteEvery = 2 * time.Millisecond
-	}
-	if len(cfg.Replicas) == 0 {
-		cfg.Replicas = []int{0, 1, 2}
-	}
-	if cfg.Duration <= 0 {
-		cfg.Duration = 2 * time.Second
-	}
+// The E9 read-capacity model. A single process cannot add CPU by adding
+// replicas, so instance capacity is modelled as slots/service-time
+// offered load — delivered only while the machine keeps up; the
+// replication pipeline itself (TCP shipping, redo apply, lag) is fully
+// real.
+const (
+	// e9ReadSlots is the per-instance read concurrency: the number of
+	// server slots each serving instance dedicates to read traffic.
+	e9ReadSlots = 4
+	// e9Writers write clients run on the primary in every configuration
+	// (the replication stream is always live), each pacing one commit per
+	// e9WriteEvery: the read-scaling claim is about a fixed write volume
+	// being replicated, not writers racing readers for the machine's CPU.
+	e9Writers    = 2
+	e9WriteEvery = 2 * time.Millisecond
+)
 
-	pdir, err := os.MkdirTemp("", "neograph-e9-primary-*")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(pdir)
-	// No checkpointing: the full WAL history stays available so every
-	// configuration's replicas can cold-start from position 0.
-	primary, err := neograph.Open(neograph.Options{Dir: pdir, ReplicationAddr: "127.0.0.1:0"})
-	if err != nil {
-		return nil, err
-	}
-	defer primary.Close()
+var e9 = Experiment{"E9", "read throughput vs replica count; replica apply lag (WAL-shipping replication)", tabled(runE9,
+	fmt.Sprintf("with %d read slots per instance, aggregate reads/s scales ~linearly with replica count while the "+
+		"primary keeps committing; apply lag stays bounded (replicas are prefix-consistent)", e9ReadSlots))}
 
-	nodes := make([]neograph.NodeID, 0, cfg.Nodes)
-	const batch = 512
-	for len(nodes) < cfg.Nodes {
-		n := minInt(batch, cfg.Nodes-len(nodes))
-		err := primary.Update(0, func(tx *neograph.Tx) error {
-			for i := 0; i < n; i++ {
-				id, err := tx.CreateNode([]string{"E9"}, neograph.Props{"v": neograph.Int(0)})
-				if err != nil {
-					return err
-				}
-				nodes = append(nodes, id)
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	probeID := nodes[0]
-
+// runE9 measures read throughput versus replica count (0 means reads are
+// served by the primary, the baseline) and replica apply lag under write
+// load. Replicas stream the primary's WAL over TCP and serve
+// snapshot-isolated reads at their applied position while the write load
+// keeps streaming.
+func runE9(p Params) ([]E9Row, error) {
 	var rows []E9Row
-	for _, nReplicas := range cfg.Replicas {
-		row, err := runE9Config(primary, nodes, probeID, nReplicas, cfg)
+	for _, nReplicas := range []int{0, 1, 2} {
+		row, err := runE9Config(p, nReplicas)
 		if err != nil {
 			return rows, err
 		}
+		row.Speedup = 1
 		if len(rows) > 0 && rows[0].ReadsPS > 0 {
 			row.Speedup = row.ReadsPS / rows[0].ReadsPS
-		} else {
-			row.Speedup = 1
 		}
 		rows = append(rows, row)
-	}
-
-	if w != nil {
-		section(w, "E9", "read throughput vs replica count; replica apply lag (WAL-shipping replication)")
-		t := &Table{Headers: []string{"replicas", "read slots", "reads/s", "speedup", "writes/s", "lag probes", "lag p50", "lag max", "max lag bytes"}}
-		for _, r := range rows {
-			t.Add(r.Replicas, r.Readers, r.ReadsPS, r.Speedup, r.WritesPS, r.LagProbes, r.LagP50, r.LagMax, r.MaxLagBytes)
-		}
-		t.Print(w)
-		fmt.Fprintf(w, "read capacity model: %d slots/instance, %v service occupancy per read (client RTT);\n",
-			cfg.ReadSlots, cfg.ServiceTime)
-		fmt.Fprintln(w, "expected shape: aggregate reads/s scales ~linearly with replica count while the")
-		fmt.Fprintln(w, "primary keeps committing; apply lag stays bounded (replicas are prefix-consistent)")
 	}
 	return rows, nil
 }
 
 // runE9Config measures one replica-count cell.
-func runE9Config(primary *neograph.DB, nodes []neograph.NodeID, probeID neograph.NodeID, nReplicas int, cfg E9Config) (E9Row, error) {
+func runE9Config(p Params, nReplicas int) (E9Row, error) {
 	row := E9Row{Replicas: nReplicas}
+	// serviceTime is each read slot's request period: one slot issues one
+	// read every serviceTime (a closed-loop remote client's round trip).
+	// The quick value keeps the real per-read CPU a negligible slice of
+	// each slot, so the slot-capacity ratio holds on a loaded small box.
+	serviceTime := pick(p, 300*time.Microsecond, time.Millisecond)
+	duration := pick(p, 2*time.Second, 500*time.Millisecond)
 
-	// Cold-start replicas and wait until each has caught up.
+	f, err := fleet.Start(fleet.Spec{Replicas: nReplicas})
+	if err != nil {
+		return row, err
+	}
+	defer f.Close()
+	primary := f.Groups[0][0].DB
+	nodes, err := createNodes(primary, pick(p, 2_000, 400), []string{"E9"}, neograph.Props{"v": neograph.Int(0)})
+	if err != nil {
+		return row, err
+	}
 	var replicas []*neograph.DB
-	defer func() {
-		for _, r := range replicas {
-			r.Close()
-		}
-	}()
-	for i := 0; i < nReplicas; i++ {
-		rdir, err := os.MkdirTemp("", "neograph-e9-replica-*")
-		if err != nil {
-			return row, err
-		}
-		defer os.RemoveAll(rdir)
-		r, err := neograph.Open(neograph.Options{Dir: rdir, ReplicaOf: primary.ReplicationAddress()})
-		if err != nil {
-			return row, err
-		}
-		replicas = append(replicas, r)
-		if err := r.WaitApplied(primary.DurableLSN(), 60*time.Second); err != nil {
+	for i, n := range f.Groups[0][1:] {
+		if err := n.DB.WaitApplied(primary.DurableLSN(), 60*time.Second); err != nil {
 			return row, fmt.Errorf("replica %d catch-up: %w", i, err)
 		}
+		replicas = append(replicas, n.DB)
 	}
 
 	// Reads go to the replica fleet when there is one, else the primary.
@@ -183,141 +105,116 @@ func runE9Config(primary *neograph.DB, nodes []neograph.NodeID, probeID neograph
 	if nReplicas == 0 {
 		serving = []*neograph.DB{primary}
 	}
-	row.Readers = cfg.ReadSlots * len(serving)
+	row.Readers = e9ReadSlots * len(serving)
 
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	var reads, writes atomic.Uint64
-	var maxLagBytes atomic.Uint64
+	var reads, writes, maxLagBytes atomic.Uint64
+	var lagMu sync.Mutex
+	var lags []time.Duration
 
 	// Write load on the primary, identical in every configuration.
-	for i := 0; i < cfg.Writers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			r := rand.New(rand.NewSource(cfg.Seed + int64(i)*7919))
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				id := nodes[r.Intn(len(nodes))]
-				err := primary.Update(3, func(tx *neograph.Tx) error {
-					return tx.SetNodeProp(id, "v", neograph.Int(r.Int63()))
-				})
-				if err == nil {
-					writes.Add(1)
-				}
-				time.Sleep(cfg.WriteEvery)
+	write := func(i int, stop <-chan struct{}) {
+		r := rand.New(rand.NewSource(p.Seed + int64(i)*7919))
+		for !stopped(stop) {
+			id := nodes[r.Intn(len(nodes))]
+			err := primary.Update(3, func(tx *neograph.Tx) error {
+				return tx.SetNodeProp(id, "v", neograph.Int(r.Int63()))
+			})
+			if err == nil {
+				writes.Add(1)
 			}
-		}(i)
-	}
-
-	// Read slots: each slot is one closed-loop client issuing a request
-	// every ServiceTime against an absolute schedule, so scheduler wakeup
-	// latency is absorbed as slack rather than stretching every period.
-	// Delivered throughput tracks the offered rate (slots/ServiceTime per
-	// instance) only while the machine keeps up — if reads are starved
-	// the slot falls behind its schedule and throughput honestly drops.
-	for si, db := range serving {
-		for s := 0; s < cfg.ReadSlots; s++ {
-			wg.Add(1)
-			go func(si, s int, db *neograph.DB) {
-				defer wg.Done()
-				r := rand.New(rand.NewSource(cfg.Seed + int64(si*1000+s)*104729))
-				// Stagger slot phases so request waves don't align.
-				next := time.Now().Add(time.Duration(r.Int63n(int64(cfg.ServiceTime))))
-				for {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					if d := time.Until(next); d > 0 {
-						time.Sleep(d)
-					}
-					id := nodes[r.Intn(len(nodes))]
-					err := db.View(func(tx *neograph.Tx) error {
-						_, err := tx.GetNode(id)
-						return err
-					})
-					if err == nil {
-						reads.Add(1)
-					}
-					next = next.Add(cfg.ServiceTime)
-					// An overloaded machine can leave the schedule far in
-					// the past; resync instead of bursting to catch up.
-					if behind := time.Since(next); behind > 10*cfg.ServiceTime {
-						next = time.Now()
-					}
-				}
-			}(si, s, db)
+			time.Sleep(e9WriteEvery)
 		}
 	}
-
+	// Read slots: each slot is one closed-loop client issuing a request
+	// every serviceTime against an absolute schedule, so scheduler wakeup
+	// latency is absorbed as slack rather than stretching every period.
+	// Delivered throughput tracks the offered rate (slots/serviceTime per
+	// instance) only while the machine keeps up — if reads are starved
+	// the slot falls behind its schedule and throughput honestly drops.
+	read := func(slot int, stop <-chan struct{}) {
+		db := serving[slot/e9ReadSlots]
+		r := rand.New(rand.NewSource(p.Seed + int64(slot/e9ReadSlots*1000+slot%e9ReadSlots)*104729))
+		// Stagger slot phases so request waves don't align.
+		next := time.Now().Add(time.Duration(r.Int63n(int64(serviceTime))))
+		for !stopped(stop) {
+			if d := time.Until(next); d > 0 {
+				time.Sleep(d)
+			}
+			id := nodes[r.Intn(len(nodes))]
+			err := db.View(func(tx *neograph.Tx) error {
+				_, err := tx.GetNode(id)
+				return err
+			})
+			if err == nil {
+				reads.Add(1)
+			}
+			next = next.Add(serviceTime)
+			// An overloaded machine can leave the schedule far in
+			// the past; resync instead of bursting to catch up.
+			if behind := time.Since(next); behind > 10*serviceTime {
+				next = time.Now()
+			}
+		}
+	}
 	// Staleness probes: commit on the primary, time how long until every
 	// replica has applied past the commit's LSN token (the read-your-
 	// writes wait a real client would pay). Byte lag is sampled alongside.
-	var lagMu sync.Mutex
-	var lags []time.Duration
-	if nReplicas > 0 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			tick := time.NewTicker(20 * time.Millisecond)
-			defer tick.Stop()
-			for {
-				select {
-				case <-stop:
-					return
-				case <-tick.C:
+	probe := func(stop <-chan struct{}) {
+		tick := time.NewTicker(20 * time.Millisecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-tick.C:
+			}
+			tx := primary.Begin()
+			if err := tx.SetNodeProp(nodes[0], "probe", neograph.Int(time.Now().UnixNano())); err != nil {
+				tx.Abort()
+				continue
+			}
+			if err := tx.Commit(); err != nil {
+				continue
+			}
+			t0 := time.Now()
+			ok := true
+			for _, rep := range replicas {
+				// Snapshot both positions; the replica may apply past
+				// the durable snapshot between the two reads, which is
+				// zero lag, not uint64 wraparound.
+				pd, ap := primary.DurableLSN(), rep.AppliedLSN()
+				if ap < pd && pd-ap > maxLagBytes.Load() {
+					maxLagBytes.Store(pd - ap)
 				}
-				tx := primary.Begin()
-				if err := tx.SetNodeProp(probeID, "probe", neograph.Int(time.Now().UnixNano())); err != nil {
-					tx.Abort()
-					continue
-				}
-				if err := tx.Commit(); err != nil {
-					continue
-				}
-				token := tx.CommitLSN()
-				t0 := time.Now()
-				ok := true
-				for _, rep := range replicas {
-					// Snapshot both positions; the replica may apply past
-					// the durable snapshot between the two reads, which is
-					// zero lag, not uint64 wraparound.
-					pd, ap := primary.DurableLSN(), rep.AppliedLSN()
-					if ap < pd && pd-ap > maxLagBytes.Load() {
-						maxLagBytes.Store(pd - ap)
-					}
-					if err := rep.WaitApplied(token, 30*time.Second); err != nil {
-						ok = false
-						break
-					}
-				}
-				if ok {
-					lagMu.Lock()
-					lags = append(lags, time.Since(t0))
-					lagMu.Unlock()
+				if err := rep.WaitApplied(tx.CommitLSN(), 30*time.Second); err != nil {
+					ok = false
+					break
 				}
 			}
-		}()
+			if ok {
+				lagMu.Lock()
+				lags = append(lags, time.Since(t0))
+				lagMu.Unlock()
+			}
+		}
 	}
 
-	time.Sleep(cfg.Duration)
-	close(stop)
-	wg.Wait()
+	slots := row.Readers
+	during(duration, e9Writers+slots+min(nReplicas, 1), func(i int, stop <-chan struct{}) {
+		switch {
+		case i < e9Writers:
+			write(i, stop)
+		case i < e9Writers+slots:
+			read(i-e9Writers, stop)
+		default:
+			probe(stop)
+		}
+	})
 
-	row.ReadsPS = float64(reads.Load()) / cfg.Duration.Seconds()
-	row.WritesPS = float64(writes.Load()) / cfg.Duration.Seconds()
+	row.ReadsPS = float64(reads.Load()) / duration.Seconds()
+	row.WritesPS = float64(writes.Load()) / duration.Seconds()
 	row.MaxLagBytes = maxLagBytes.Load()
-	sort.Slice(lags, func(i, j int) bool { return lags[i] < lags[j] })
-	row.LagProbes = len(lags)
-	if len(lags) > 0 {
-		row.LagP50 = lags[len(lags)/2]
-		row.LagMax = lags[len(lags)-1]
-	}
+	lat := summarize(lags)
+	row.LagProbes, row.LagP50, row.LagMax = len(lags), lat.P50, lat.Max
 	return row, nil
 }

@@ -4,57 +4,57 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 
 	"neograph"
 	"neograph/internal/workload"
 )
 
-// RunF1 regenerates Figure 1 as a live component inventory: it builds a
+// F1Row is one line of the component inventory.
+type F1Row struct {
+	Layer, Component, Footprint string
+}
+
+var f1 = Experiment{"F1", "architecture inventory (paper Figure 1)", runF1}
+
+// runF1 regenerates Figure 1 as a live component inventory: it builds a
 // sample graph on disk and reports each architectural layer of the
 // implementation with its observable footprint — the object cache
 // (version chains), the persistent store's record files, the indexes,
-// the WAL, and the transaction machinery.
-func RunF1(w io.Writer, people int, seed int64) error {
-	if people <= 0 {
-		people = 1_000
-	}
-	dir, err := os.MkdirTemp("", "neograph-f1-*")
+// the WAL, and the transaction machinery. It prints its table but returns
+// no rows: an inventory is not a measurement, so -json leaves it out.
+func runF1(w io.Writer, p Params) (any, error) {
+	db, dir, err := tempDB(neograph.Options{DisableSyncCommits: true})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer os.RemoveAll(dir)
-
-	db, err := neograph.Open(neograph.Options{Dir: dir, DisableSyncCommits: true})
-	if err != nil {
-		return err
-	}
 	defer db.Close()
-	g, err := workload.BuildSocial(db, workload.SocialConfig{People: people, AvgFriends: 3, Seed: seed})
+	g, err := workload.BuildSocial(db, workload.SocialConfig{People: pick(p, 5_000, 500), AvgFriends: 3, Seed: p.Seed})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if err := db.Checkpoint(); err != nil {
-		return err
+		return nil, err
 	}
 	versions, entities := db.VersionCount()
 	sizes, err := db.Engine().Store().FileSizes()
 	if err != nil {
-		return err
+		return nil, err
 	}
-
-	section(w, "F1", "architecture inventory (paper Figure 1)")
-	t := &Table{Headers: []string{"layer", "component", "footprint"}}
-	t.Add("object cache", "entities (nodes+rels)", entities)
-	t.Add("object cache", "version chains total versions", versions)
-	t.Add("object cache", "gc backlog (threaded list)", db.GCBacklog())
-	t.Add("persistent store", "neostore.nodes.db", fmt.Sprintf("%d B", sizes["nodes"]))
-	t.Add("persistent store", "neostore.rels.db", fmt.Sprintf("%d B", sizes["rels"]))
-	t.Add("persistent store", "neostore.props.db", fmt.Sprintf("%d B", sizes["props"]))
-	t.Add("persistent store", "neostore.dyn.db", fmt.Sprintf("%d B", sizes["dyn"]))
-	t.Add("wal", "segments", fmt.Sprintf("%d B", dirSize(dir+"/wal")))
-	t.Add("txn system", "commits", db.Stats().Committed)
-	t.Add("txn system", "watermark (commit TS)", db.Watermark())
-	t.Add("graph", "people / knows", fmt.Sprintf("%d / %d", len(g.People), len(g.Rels)))
-	t.Print(w)
-	return nil
+	bytes := func(n int64) string { return fmt.Sprintf("%d B", n) }
+	printRows(w, []F1Row{
+		{"object cache", "entities (nodes+rels)", fmt.Sprint(entities)},
+		{"object cache", "version chains total versions", fmt.Sprint(versions)},
+		{"object cache", "gc backlog (threaded list)", fmt.Sprint(db.GCBacklog())},
+		{"persistent store", "neostore.nodes.db", bytes(sizes["nodes"])},
+		{"persistent store", "neostore.rels.db", bytes(sizes["rels"])},
+		{"persistent store", "neostore.props.db", bytes(sizes["props"])},
+		{"persistent store", "neostore.dyn.db", bytes(sizes["dyn"])},
+		{"wal", "segments", bytes(dirSize(filepath.Join(dir, "wal")))},
+		{"txn system", "commits", fmt.Sprint(db.Stats().Committed)},
+		{"txn system", "watermark (commit TS)", fmt.Sprint(db.Watermark())},
+		{"graph", "people / knows", fmt.Sprintf("%d / %d", len(g.People), len(g.Rels))},
+	})
+	return nil, nil
 }

@@ -1,8 +1,12 @@
-// Package bench implements the experiment harness: a multi-client
-// transaction runner with throughput/latency/abort accounting, and one
-// driver per experiment in DESIGN.md's index (E1–E8, F1). Each driver
-// prints the table EXPERIMENTS.md records and returns structured results
-// so tests can assert the claimed shape.
+// Package bench is the experiment registry: Experiments lists every
+// experiment of the paper (E1–E7, F1) and of the system around it
+// (E2d, E8–E16) with its ID, title and driver. An experiment's full and
+// quick sizes live next to its code, once; cmd/neograph-bench, the root
+// benchmarks and the shape tests all run it through Experiment.Run. The
+// rest of this file is the shared harness: a multi-client transaction
+// runner with throughput/latency/abort accounting, a latency summariser,
+// fixture helpers, and table printing derived from the row structs that
+// -json serialises.
 package bench
 
 import (
@@ -10,6 +14,8 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"os"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -18,6 +24,54 @@ import (
 
 	"neograph"
 )
+
+// Params is everything a caller chooses about a run; sizes follow from
+// Quick inside each experiment.
+type Params struct {
+	// Quick selects the small configuration (seconds, not minutes).
+	Quick bool
+	Seed  int64
+}
+
+// pick returns the size for this run's mode.
+func pick[T any](p Params, full, quick T) T {
+	if p.Quick {
+		return quick
+	}
+	return full
+}
+
+// Experiment is one registry entry.
+type Experiment struct {
+	ID, Title string
+	run       func(w io.Writer, p Params) (rows any, err error)
+}
+
+// Run prints the experiment's banner, table and expected shape to w and
+// returns its structured rows (nil for a pure inventory).
+func (e Experiment) Run(w io.Writer, p Params) (any, error) {
+	fmt.Fprintf(w, "\n== %s: %s ==\n", e.ID, e.Title)
+	return e.run(w, p)
+}
+
+// Experiments is the registry, in report order.
+var Experiments = []Experiment{
+	e1, e2, e2d, e3, e4, e5, e6, e7, e8, e9, e10, e11, e12, e13, e14, e15, e16, f1,
+}
+
+// tabled adapts a typed driver to a registry entry: the rows it returns
+// are printed as a table, followed by the expected-shape note.
+func tabled[R any](run func(Params) (R, error), shape string) func(io.Writer, Params) (any, error) {
+	return func(w io.Writer, p Params) (any, error) {
+		rows, err := run(p)
+		if err != nil {
+			return nil, err
+		}
+		printRows(w, rows)
+		fmt.Fprintln(w, "expected shape: "+shape)
+		return rows, nil
+	}
+}
 
 // Op is one client operation: it runs a whole transaction (including
 // commit/abort) and reports the outcome through its error:
@@ -68,126 +122,205 @@ func (rn *Runner) Run(name string) Result {
 	var latMu sync.Mutex
 	var lats []time.Duration
 
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	start := time.Now()
-	for c := 0; c < rn.Clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			r := rand.New(rand.NewSource(rn.Seed + int64(c)*7919))
-			var local []time.Duration
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					latMu.Lock()
-					lats = append(lats, local...)
-					latMu.Unlock()
-					return
-				default:
-				}
-				t0 := time.Now()
-				err := rn.Op(c, r)
-				if i%8 == 0 { // sample 1/8 of latencies
-					local = append(local, time.Since(t0))
-				}
-				switch {
-				case err == nil:
-					commits.Add(1)
-				case errors.Is(err, neograph.ErrWriteConflict):
-					conflicts.Add(1)
-				case errors.Is(err, neograph.ErrDeadlock):
-					deadlocks.Add(1)
-				default:
-					errs.Add(1)
-				}
+	elapsed := during(rn.Duration, rn.Clients, func(c int, stop <-chan struct{}) {
+		r := rand.New(rand.NewSource(rn.Seed + int64(c)*7919))
+		var local []time.Duration
+		for i := 0; !stopped(stop); i++ {
+			t0 := time.Now()
+			err := rn.Op(c, r)
+			if i%8 == 0 { // sample 1/8 of latencies
+				local = append(local, time.Since(t0))
 			}
-		}(c)
-	}
-	time.Sleep(rn.Duration)
-	close(stop)
-	wg.Wait()
-	elapsed := time.Since(start)
-
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	pct := func(p float64) time.Duration {
-		if len(lats) == 0 {
-			return 0
+			switch {
+			case err == nil:
+				commits.Add(1)
+			case errors.Is(err, neograph.ErrWriteConflict):
+				conflicts.Add(1)
+			case errors.Is(err, neograph.ErrDeadlock):
+				deadlocks.Add(1)
+			default:
+				errs.Add(1)
+			}
 		}
-		i := int(p * float64(len(lats)-1))
-		return lats[i]
-	}
+		latMu.Lock()
+		lats = append(lats, local...)
+		latMu.Unlock()
+	})
+
+	lat := summarize(lats)
 	return Result{
 		Name:    name,
 		Clients: rn.Clients,
 		Elapsed: elapsed,
 		Commits: commits.Load(), Conflicts: conflicts.Load(),
 		Deadlocks: deadlocks.Load(), Errors: errs.Load(),
-		P50: pct(0.50), P95: pct(0.95),
+		P50: lat.P50, P95: lat.P95,
 	}
 }
 
-// Table renders aligned text tables for the experiment reports.
-type Table struct {
-	Headers []string
-	Rows    [][]string
+// during runs body on n goroutines for d, then closes their stop channel,
+// waits for them to return, and reports the elapsed wall time.
+func during(d time.Duration, n int, body func(worker int, stop <-chan struct{})) time.Duration {
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	start := time.Now()
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			body(i, stop)
+		}(i)
+	}
+	time.Sleep(d)
+	close(stop)
+	wg.Wait()
+	return time.Since(start)
 }
 
-// Add appends a row; cells are Sprint-ed.
-func (t *Table) Add(cells ...any) {
-	row := make([]string, len(cells))
-	for i, c := range cells {
-		switch v := c.(type) {
-		case float64:
-			row[i] = fmt.Sprintf("%.2f", v)
-		case time.Duration:
-			row[i] = v.Round(time.Microsecond).String()
-		default:
-			row[i] = fmt.Sprint(c)
+// stopped polls a stop channel.
+func stopped(stop <-chan struct{}) bool {
+	select {
+	case <-stop:
+		return true
+	default:
+		return false
+	}
+}
+
+// latency is the distribution summary every latency column reports.
+type latency struct {
+	P50, P95, Max, Mean time.Duration
+}
+
+// summarize sorts lats in place and summarises them (zero when empty).
+func summarize(lats []time.Duration) latency {
+	if len(lats) == 0 {
+		return latency{}
+	}
+	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
+	var sum time.Duration
+	for _, l := range lats {
+		sum += l
+	}
+	at := func(p float64) time.Duration { return lats[int(p*float64(len(lats)-1))] }
+	return latency{P50: at(0.50), P95: at(0.95), Max: lats[len(lats)-1], Mean: sum / time.Duration(len(lats))}
+}
+
+// tempDB opens a database on a fresh temporary directory (opts.Dir is
+// overwritten) and returns it with that directory.
+func tempDB(opts neograph.Options) (*neograph.DB, string, error) {
+	dir, err := os.MkdirTemp("", "neograph-bench-*")
+	if err != nil {
+		return nil, "", err
+	}
+	opts.Dir = dir
+	db, err := neograph.Open(opts)
+	if err != nil {
+		os.RemoveAll(dir)
+		return nil, "", err
+	}
+	return db, dir, nil
+}
+
+// createNodes commits n nodes carrying labels and props in chunked
+// transactions (one commit's write buffer stays modest) and returns
+// their IDs.
+func createNodes(db *neograph.DB, n int, labels []string, props neograph.Props) ([]neograph.NodeID, error) {
+	const chunk = 1024
+	nodes := make([]neograph.NodeID, 0, n)
+	for len(nodes) < n {
+		err := db.Update(0, func(tx *neograph.Tx) error {
+			for i := 0; i < chunk && len(nodes) < n; i++ {
+				id, err := tx.CreateNode(labels, props)
+				if err != nil {
+					return err
+				}
+				nodes = append(nodes, id)
+			}
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
 	}
-	t.Rows = append(t.Rows, row)
+	return nodes, nil
 }
 
-// Print writes the table to w.
-func (t *Table) Print(w io.Writer) {
-	widths := make([]int, len(t.Headers))
-	for i, h := range t.Headers {
-		widths[i] = len(h)
+// printRows renders rows — a struct, or a slice or array of structs — as
+// an aligned text table. A slice becomes one line per element with a
+// column per field; a single struct becomes one line per field. Headers
+// are the names -json uses (the field's json tag, else its Go name), and
+// a Result field expands into its throughput, abort-rate and latency
+// columns.
+func printRows(w io.Writer, rows any) {
+	v := reflect.ValueOf(rows)
+	var headers []string
+	var lines [][]string
+	if v.Kind() == reflect.Struct {
+		headers = []string{"metric", "value"}
+		h, c := cells(v)
+		for i := range h {
+			lines = append(lines, []string{h[i], c[i]})
+		}
+	} else {
+		for i := 0; i < v.Len(); i++ {
+			h, c := cells(v.Index(i))
+			headers = h
+			lines = append(lines, c)
+		}
 	}
-	for _, r := range t.Rows {
-		for i, c := range r {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
-			}
+	widths := make([]int, len(headers))
+	for _, l := range append([][]string{headers}, lines...) {
+		for i, c := range l {
+			widths[i] = max(widths[i], len(c))
 		}
 	}
 	line := func(cells []string) {
-		parts := make([]string, len(cells))
 		for i, c := range cells {
-			parts[i] = pad(c, widths[i])
+			fmt.Fprintf(w, "| %-*s ", widths[i], c)
 		}
-		fmt.Fprintln(w, "| "+strings.Join(parts, " | ")+" |")
+		fmt.Fprintln(w, "|")
 	}
-	line(t.Headers)
-	seps := make([]string, len(t.Headers))
+	line(headers)
+	seps := make([]string, len(headers))
 	for i := range seps {
 		seps[i] = strings.Repeat("-", widths[i])
 	}
 	line(seps)
-	for _, r := range t.Rows {
-		line(r)
+	for _, l := range lines {
+		line(l)
 	}
 }
 
-func pad(s string, w int) string {
-	if len(s) >= w {
-		return s
+// cells flattens one row struct into parallel header and cell lists.
+func cells(row reflect.Value) (headers, out []string) {
+	for i := 0; i < row.NumField(); i++ {
+		f := row.Type().Field(i)
+		if res, ok := row.Field(i).Interface().(Result); ok {
+			headers = append(headers, "txn/s", "abort rate", "p50", "p95")
+			out = append(out, cell(res.Throughput()), cell(res.AbortRate()), cell(res.P50), cell(res.P95))
+			continue
+		}
+		name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+		if name == "" || name == "-" {
+			name = f.Name
+		}
+		headers = append(headers, name)
+		out = append(out, cell(row.Field(i).Interface()))
 	}
-	return s + strings.Repeat(" ", w-len(s))
+	return headers, out
 }
 
-// section prints an experiment banner.
-func section(w io.Writer, id, title string) {
-	fmt.Fprintf(w, "\n== %s: %s ==\n", id, title)
+func cell(v any) string {
+	switch v := v.(type) {
+	case float64:
+		if v != 0 && v > -0.1 && v < 0.1 {
+			return fmt.Sprintf("%.2g", v) // selectivities, sampling rates
+		}
+		return fmt.Sprintf("%.2f", v)
+	case time.Duration:
+		return v.Round(time.Microsecond).String()
+	default:
+		return fmt.Sprint(v)
+	}
 }

@@ -6,13 +6,11 @@ import (
 	"testing"
 	"time"
 
-	"net"
-
 	"neograph"
 	"neograph/client"
 	"neograph/internal/cluster"
 	"neograph/internal/faultfs"
-	"neograph/internal/server"
+	"neograph/internal/fleet"
 )
 
 // These tests run the whole self-driving stack end to end: real DBs,
@@ -22,35 +20,10 @@ import (
 // replica death, and a node that slept through consecutive promotions
 // being fenced and then re-seeding itself back into the fleet.
 
-// reserveAddr grabs a free localhost port and releases it, so a node
-// keeps a stable address across kill/restart cycles.
-func reserveAddr(t *testing.T) string {
-	t.Helper()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := l.Addr().String()
-	l.Close()
-	return addr
-}
-
-type tnode struct {
-	id       uint64
-	dir      string
-	addr     string // client-protocol address, stable across restarts
-	replAddr string // WAL-shipping address if/when this node is primary
-
-	db   *neograph.DB
-	srv  *server.Server
-	ctrl *cluster.Controller
-	dead bool
-}
-
 type tcluster struct {
 	t     *testing.T
-	sync  int
-	nodes []*tnode
+	nodes []*fleet.Node // index 0 is the initial primary
+	dead  map[*fleet.Node]bool
 }
 
 // startCluster boots n nodes — node index 0 as the initial primary, the
@@ -59,116 +32,89 @@ type tcluster struct {
 // injector for the crash matrix.
 func startCluster(t *testing.T, n, syncReplicas int, primaryFS faultfs.FS) *tcluster {
 	t.Helper()
-	c := &tcluster{t: t, sync: syncReplicas}
-	for i := 0; i < n; i++ {
-		c.nodes = append(c.nodes, &tnode{
-			id:       uint64(i + 1),
-			dir:      t.TempDir(),
-			addr:     reserveAddr(t),
-			replAddr: reserveAddr(t),
-		})
-	}
-	for i, nd := range c.nodes {
-		opts := neograph.Options{
-			Dir:                nd.dir,
+	f, err := fleet.Start(fleet.Spec{
+		Replicas: n - 1,
+		DB: neograph.Options{
+			Dir:                t.TempDir(),
 			WALSegmentSize:     4096,
 			SyncReplicas:       syncReplicas,
 			SyncReplicaTimeout: -1, // never degrade: acked means replicated
-		}
-		if i == 0 {
-			opts.ReplicationAddr = nd.replAddr
-			opts.FS = primaryFS
-		} else {
-			opts.ReplicaOf = c.nodes[0].replAddr
-		}
-		c.boot(nd, opts)
-	}
-	return c
-}
-
-// boot opens the DB, serves it, and starts its controller. Used both at
-// cluster start and when restarting a killed node.
-func (c *tcluster) boot(nd *tnode, opts neograph.Options) {
-	t := c.t
-	t.Helper()
-	db, err := neograph.Open(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := server.New(db, nd.addr)
-	if err != nil {
-		db.Close()
-		t.Fatalf("listen %s: %v", nd.addr, err)
-	}
-	var peers []string
-	for _, p := range c.nodes {
-		if p != nd {
-			peers = append(peers, p.addr)
-		}
-	}
-	ctrl, err := cluster.New(db, cluster.Options{
-		NodeID:          nd.id,
-		SelfAddr:        nd.addr,
-		SelfReplAddr:    nd.replAddr,
-		Peers:           peers,
-		SuspectAfter:    150 * time.Millisecond,
-		ElectionTimeout: 800 * time.Millisecond,
-		ProbeEvery:      40 * time.Millisecond,
-		ProbeTimeout:    300 * time.Millisecond,
+		},
+		Cluster: &cluster.Options{
+			SuspectAfter:    150 * time.Millisecond,
+			ElectionTimeout: 800 * time.Millisecond,
+			ProbeEvery:      40 * time.Millisecond,
+			ProbeTimeout:    300 * time.Millisecond,
+		},
+		Each: func(_, member int, c *fleet.Config) {
+			if member == 0 {
+				c.DB.FS = primaryFS
+			}
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.SetClusterInfo(func() any { return ctrl.NodeStatus() })
-	ctrl.Start()
-	nd.db, nd.srv, nd.ctrl, nd.dead = db, srv, ctrl, false
-	t.Cleanup(func() { c.kill(nd) })
+	c := &tcluster{t: t, nodes: f.Groups[0], dead: map[*fleet.Node]bool{}}
+	// Hard deaths all round: restarted nodes replace their slot in
+	// f.Groups[0] (c.nodes aliases it), so this covers them too.
+	t.Cleanup(func() {
+		for _, nd := range c.nodes {
+			c.kill(nd)
+		}
+		f.Close()
+	})
+	return c
 }
 
 // kill simulates a hard node death: controller gone, listener gone,
 // engine crashed without flushing. Idempotent.
-func (c *tcluster) kill(nd *tnode) {
-	if nd.dead {
-		return
-	}
-	nd.dead = true
-	nd.ctrl.Stop()
-	nd.srv.Close()
-	nd.db.Crash()
+func (c *tcluster) kill(nd *fleet.Node) {
+	c.dead[nd] = true
+	nd.Crash()
 }
 
 // restart reopens a killed node from its surviving directory as a
 // replica of replicaOf (possibly a dead address — the controller's job
-// is to find the real primary), with a fresh server and controller.
-func (c *tcluster) restart(nd *tnode, replicaOf string) {
+// is to find the real primary), with a fresh server and controller; the
+// new incarnation takes the old one's slot in c.nodes.
+func (c *tcluster) restart(nd *fleet.Node, replicaOf string) {
 	c.t.Helper()
-	if !nd.dead {
+	if !c.dead[nd] {
 		c.t.Fatal("restart of a live node")
 	}
-	c.boot(nd, neograph.Options{
-		Dir:                nd.dir,
-		WALSegmentSize:     4096,
-		ReplicaOf:          replicaOf,
-		SyncReplicas:       c.sync,
-		SyncReplicaTimeout: -1,
-	})
+	cfg := nd.Config
+	cfg.DB.ReplicaOf = replicaOf
+	cfg.DB.FS = nil
+	re, err := fleet.StartNode(cfg)
+	if err != nil {
+		c.t.Fatal(err)
+	}
+	for i := range c.nodes {
+		if c.nodes[i] == nd {
+			c.nodes[i] = re
+		}
+	}
 }
+
+// replAddr is the WAL-shipping address nd serves if/when it is primary.
+func replAddr(nd *fleet.Node) string { return nd.Config.DB.ReplicationAddr }
 
 // waitPrimary polls until exactly one live node reports the primary
 // role and returns it. Two simultaneous primaries fail immediately —
 // that is the split-brain the epoch fencing must prevent.
-func (c *tcluster) waitPrimary(timeout time.Duration) *tnode {
+func (c *tcluster) waitPrimary(timeout time.Duration) *fleet.Node {
 	t := c.t
 	t.Helper()
 	deadline := time.Now().Add(timeout)
 	for {
-		var prim *tnode
+		var prim *fleet.Node
 		n := 0
 		for _, nd := range c.nodes {
-			if nd.dead {
+			if c.dead[nd] {
 				continue
 			}
-			if st := nd.db.ReplStatus(); st.Role == "primary" {
+			if st := nd.DB.ReplStatus(); st.Role == "primary" {
 				prim, n = nd, n+1
 			}
 		}
@@ -187,30 +133,30 @@ func (c *tcluster) waitPrimary(timeout time.Duration) *tnode {
 
 // waitFollowing polls until nd streams from replAddr with a live
 // connection.
-func (c *tcluster) waitFollowing(nd *tnode, replAddr string, timeout time.Duration) {
+func (c *tcluster) waitFollowing(nd *fleet.Node, replAddr string, timeout time.Duration) {
 	t := c.t
 	t.Helper()
 	deadline := time.Now().Add(timeout)
 	for {
-		st := nd.db.ReplStatus()
+		st := nd.DB.ReplStatus()
 		if st.Role == "replica" && st.PrimaryAddr == replAddr && st.Connected {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("node %d never followed %s; status %+v", nd.id, replAddr, st)
+			t.Fatalf("node %d never followed %s; status %+v", nd.Config.Cluster.NodeID, replAddr, st)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
 }
 
 // settle waits for every live replica to stream from the given primary.
-func (c *tcluster) settle(prim *tnode, timeout time.Duration) {
+func (c *tcluster) settle(prim *fleet.Node, timeout time.Duration) {
 	c.t.Helper()
 	for _, nd := range c.nodes {
-		if nd.dead || nd == prim {
+		if c.dead[nd] || nd == prim {
 			continue
 		}
-		c.waitFollowing(nd, prim.replAddr, timeout)
+		c.waitFollowing(nd, replAddr(prim), timeout)
 	}
 }
 
@@ -275,7 +221,7 @@ func TestAutoFailover(t *testing.T) {
 	c.settle(c.nodes[0], 10*time.Second)
 
 	const acked = 20
-	if n, err := writeAcked(t, c.nodes[0].addr, "Acked", acked, 0); err != nil {
+	if n, err := writeAcked(t, c.nodes[0].Addr(), "Acked", acked, 0); err != nil {
 		t.Fatalf("write %d: %v", n, err)
 	}
 
@@ -284,28 +230,28 @@ func TestAutoFailover(t *testing.T) {
 	if w == c.nodes[0] {
 		t.Fatal("dead node counted as primary")
 	}
-	if ep, _ := w.db.Epoch(); ep != 2 {
+	if ep, _ := w.DB.Epoch(); ep != 2 {
 		t.Fatalf("winner epoch = %d, want 2", ep)
 	}
 
 	// The loser re-targets at the winner automatically.
-	var surv *tnode
+	var surv *fleet.Node
 	for _, nd := range c.nodes[1:] {
 		if nd != w {
 			surv = nd
 		}
 	}
-	c.waitFollowing(surv, w.replAddr, 10*time.Second)
+	c.waitFollowing(surv, replAddr(w), 10*time.Second)
 
 	// Zero acknowledged-commit loss, and the fleet is writable again.
-	if got := countVia(t, w.addr, "Acked"); got != acked {
+	if got := countVia(t, w.Addr(), "Acked"); got != acked {
 		t.Fatalf("winner has %d acked nodes, want %d", got, acked)
 	}
-	if _, err := writeAcked(t, w.addr, "Acked", 1, acked); err != nil {
+	if _, err := writeAcked(t, w.Addr(), "Acked", 1, acked); err != nil {
 		t.Fatalf("write after auto-failover: %v", err)
 	}
-	waitCount(t, surv.addr, "Acked", acked+1, 10*time.Second)
-	if ep, _ := surv.db.Epoch(); ep != 2 {
+	waitCount(t, surv.Addr(), "Acked", acked+1, 10*time.Second)
+	if ep, _ := surv.DB.Epoch(); ep != 2 {
 		t.Fatalf("survivor epoch = %d, want 2", ep)
 	}
 }
@@ -316,26 +262,26 @@ func TestAutoFailover(t *testing.T) {
 func TestReplicaDeathNoFailover(t *testing.T) {
 	c := startCluster(t, 3, 0, nil)
 	c.settle(c.nodes[0], 10*time.Second)
-	if _, err := writeAcked(t, c.nodes[0].addr, "Pre", 5, 0); err != nil {
+	if _, err := writeAcked(t, c.nodes[0].Addr(), "Pre", 5, 0); err != nil {
 		t.Fatal(err)
 	}
 
 	c.kill(c.nodes[2])
 	// Several suspicion windows pass; nothing may change hands.
 	time.Sleep(1 * time.Second)
-	if st := c.nodes[0].db.ReplStatus(); st.Role != "primary" {
+	if st := c.nodes[0].DB.ReplStatus(); st.Role != "primary" {
 		t.Fatalf("primary role changed to %q after a replica died", st.Role)
 	}
-	if ep, _ := c.nodes[0].db.Epoch(); ep != 1 {
+	if ep, _ := c.nodes[0].DB.Epoch(); ep != 1 {
 		t.Fatalf("epoch bumped to %d by a replica death", ep)
 	}
-	if st := c.nodes[1].db.ReplStatus(); st.Role != "replica" || !st.Connected {
+	if st := c.nodes[1].DB.ReplStatus(); st.Role != "replica" || !st.Connected {
 		t.Fatalf("surviving replica disturbed: %+v", st)
 	}
-	if _, err := writeAcked(t, c.nodes[0].addr, "Pre", 5, 5); err != nil {
+	if _, err := writeAcked(t, c.nodes[0].Addr(), "Pre", 5, 5); err != nil {
 		t.Fatalf("write after replica death: %v", err)
 	}
-	waitCount(t, c.nodes[1].addr, "Pre", 10, 10*time.Second)
+	waitCount(t, c.nodes[1].Addr(), "Pre", 10, 10*time.Second)
 }
 
 // TestClusterCrashMatrixPrimary kills the primary at recorded WAL crash
@@ -350,7 +296,7 @@ func TestClusterCrashMatrixPrimary(t *testing.T) {
 	c := startCluster(t, 3, 1, rec)
 	c.settle(c.nodes[0], 10*time.Second)
 	base := rec.Counts()
-	if n, err := writeAcked(t, c.nodes[0].addr, "Acked", workload, 0); err != nil {
+	if n, err := writeAcked(t, c.nodes[0].Addr(), "Acked", workload, 0); err != nil {
 		t.Fatalf("recording write %d: %v", n, err)
 	}
 	counts := rec.Counts()
@@ -392,7 +338,7 @@ func runPrimaryKillCase(t *testing.T, fault faultfs.Fault, workload int) {
 	c.settle(c.nodes[0], 10*time.Second)
 
 	inj.Arm(fault)
-	acked, werr := writeAcked(t, c.nodes[0].addr, "Acked", workload, 0)
+	acked, werr := writeAcked(t, c.nodes[0].Addr(), "Acked", workload, 0)
 	if werr == nil {
 		if inj.Fired() {
 			t.Fatal("every write acknowledged after an injected crash")
@@ -404,30 +350,30 @@ func runPrimaryKillCase(t *testing.T, fault faultfs.Fault, workload int) {
 	// the fleet sees a dead node, not a zombie answering probes.
 	c.kill(c.nodes[0])
 	w := c.waitPrimary(10 * time.Second)
-	var surv *tnode
+	var surv *fleet.Node
 	for _, nd := range c.nodes[1:] {
 		if nd != w {
 			surv = nd
 		}
 	}
-	c.waitFollowing(surv, w.replAddr, 10*time.Second)
+	c.waitFollowing(surv, replAddr(w), 10*time.Second)
 
 	// Every acknowledged commit survived the failover. (The write that
 	// crashed may or may not have replicated before dying — both are
 	// correct — so the surviving count is bounded below by the acks.)
-	got := countVia(t, w.addr, "Acked")
+	got := countVia(t, w.Addr(), "Acked")
 	if got < acked {
 		t.Fatalf("acknowledged-commit loss: %d acked, %d survived", acked, got)
 	}
-	if ep, _ := w.db.Epoch(); ep != 2 {
+	if ep, _ := w.DB.Epoch(); ep != 2 {
 		t.Fatalf("winner epoch = %d, want 2", ep)
 	}
 
 	// The healed fleet accepts and replicates new writes.
-	if _, err := writeAcked(t, w.addr, "Acked", 3, got); err != nil {
+	if _, err := writeAcked(t, w.Addr(), "Acked", 3, got); err != nil {
 		t.Fatalf("write after crash failover: %v", err)
 	}
-	waitCount(t, surv.addr, "Acked", got+3, 10*time.Second)
+	waitCount(t, surv.Addr(), "Acked", got+3, 10*time.Second)
 }
 
 // TestFencedAfterMissedPromotionsAutoReseeds is the satellite extending
@@ -447,42 +393,42 @@ func TestFencedAfterMissedPromotionsAutoReseeds(t *testing.T) {
 		}
 		total += n
 	}
-	write(c.nodes[0].addr, 8)
+	write(c.nodes[0].Addr(), 8)
 
 	// First missed promotion: epoch 2.
 	c.kill(c.nodes[0])
 	w1 := c.waitPrimary(10 * time.Second)
 	c.settle(w1, 10*time.Second)
-	write(w1.addr, 8)
+	write(w1.Addr(), 8)
 
 	// Second missed promotion: epoch 3.
 	c.kill(w1)
 	w2 := c.waitPrimary(10 * time.Second)
 	c.settle(w2, 10*time.Second)
-	if ep, _ := w2.db.Epoch(); ep != 3 {
+	if ep, _ := w2.DB.Epoch(); ep != 3 {
 		t.Fatalf("second winner epoch = %d, want 3", ep)
 	}
-	write(w2.addr, 8)
+	write(w2.Addr(), 8)
 
 	// The original primary wakes up with an epoch-1 log extending past
 	// both fork points, pointed at its own dead address. Left alone, the
 	// controller must re-target it to w2, get fenced, and re-seed.
-	c.restart(c.nodes[0], c.nodes[0].replAddr)
+	c.restart(c.nodes[0], replAddr(c.nodes[0]))
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		st := c.nodes[0].db.ReplStatus()
-		ep, _ := c.nodes[0].db.Epoch()
+		st := c.nodes[0].DB.ReplStatus()
+		ep, _ := c.nodes[0].DB.Epoch()
 		if st.Role == "replica" && st.Connected && ep == 3 &&
-			countVia(t, c.nodes[0].addr, "Acked") == total {
+			countVia(t, c.nodes[0].Addr(), "Acked") == total {
 			break
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("fenced node never re-seeded: status %+v epoch %d count %d",
-				st, ep, countVia(t, c.nodes[0].addr, "Acked"))
+				st, ep, countVia(t, c.nodes[0].Addr(), "Acked"))
 		}
 		time.Sleep(25 * time.Millisecond)
 	}
 	// And it is a first-class replica again: it follows new writes.
-	write(w2.addr, 4)
-	waitCount(t, c.nodes[0].addr, "Acked", total, 10*time.Second)
+	write(w2.Addr(), 4)
+	waitCount(t, c.nodes[0].Addr(), "Acked", total, 10*time.Second)
 }

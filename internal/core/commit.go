@@ -265,6 +265,12 @@ func (t *Tx) Commit() error {
 			return fmt.Errorf("core: commit %d durable but not replicated: %w", cts, err)
 		}
 	}
+	// Acknowledge only once the commit is visible to a new snapshot: the
+	// watermark stops below cts while a lower timestamp is still
+	// installing, and the committer's next Begin must read its own
+	// commit. Placed after the durability and quorum waits, which
+	// almost always outlast the straggler's install.
+	t.e.oracle.WaitVisible(cts)
 	t.commitTS = cts
 	t.e.stats.committed.Add(1)
 	return nil

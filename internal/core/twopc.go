@@ -420,6 +420,9 @@ func (e *Engine) DecideTxn(gtxn uint64, commit bool, participants []uint32) (mvc
 			return 0, fmt.Errorf("core: decision %d installed but not durable: %w", gtxn, err)
 		}
 	}
+	if commit {
+		e.oracle.WaitVisible(cts) // as in Tx.Commit: ack only what a new snapshot reads
+	}
 	return cts, nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestOracleWatermarkInOrder(t *testing.T) {
@@ -416,4 +417,37 @@ func TestConcurrentInstallAndCollect(t *testing.T) {
 	if head := chain.Head(); head == nil || head.CommitTS != 2000 {
 		t.Fatalf("head = %+v", head)
 	}
+}
+
+// TestOracleWaitVisibleBlocksBehindStraggler: finishing commit 2 while
+// commit 1 is still installing must not make 2 visible — WaitVisible(2)
+// returns only once the watermark has passed both, which is what lets a
+// committer's next StartTS include its own commit.
+func TestOracleWaitVisibleBlocksBehindStraggler(t *testing.T) {
+	o := NewOracle(0)
+	a, b := o.BeginCommit(), o.BeginCommit()
+	o.FinishCommit(b)
+	if o.Watermark() != 0 {
+		t.Fatalf("watermark = %d with commit %d still installing", o.Watermark(), a)
+	}
+	done := make(chan TS)
+	go func() {
+		o.WaitVisible(b)
+		done <- o.StartTS()
+	}()
+	select {
+	case ts := <-done:
+		t.Fatalf("WaitVisible(%d) returned at snapshot %d while commit %d was still installing", b, ts, a)
+	case <-time.After(20 * time.Millisecond):
+	}
+	o.FinishCommit(a)
+	select {
+	case ts := <-done:
+		if ts < b {
+			t.Fatalf("snapshot after WaitVisible(%d) = %d", b, ts)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("WaitVisible never woke after the straggler finished")
+	}
+	o.WaitVisible(a) // already visible: the fast path returns at once
 }

@@ -47,13 +47,17 @@ type Oracle struct {
 	// advanceMu serialises watermark advancement; the fast paths never
 	// take it for reads.
 	advanceMu sync.Mutex
-	ring      [oracleRingSize]atomic.Uint64
+	// advanced (on advanceMu) wakes WaitVisible callers parked behind a
+	// lower timestamp that is still installing.
+	advanced sync.Cond
+	ring     [oracleRingSize]atomic.Uint64
 }
 
 // NewOracle returns an oracle whose watermark starts at base. Recovery
 // passes the largest commit timestamp found in the store/WAL.
 func NewOracle(base TS) *Oracle {
 	o := &Oracle{}
+	o.advanced.L = &o.advanceMu
 	o.lastCommit.Store(base)
 	o.watermark.Store(base)
 	return o
@@ -104,6 +108,25 @@ func (o *Oracle) advance() {
 		w++
 		o.watermark.Store(w)
 	}
+	o.advanced.Broadcast()
+	o.advanceMu.Unlock()
+}
+
+// WaitVisible blocks until the watermark has reached ts, i.e. until a
+// transaction begun now reads a snapshot that includes commit ts. A
+// committer calls it before acknowledging: FinishCommit(ts) alone does
+// not move the watermark while a lower timestamp is still installing, and
+// acknowledging then would hand the committer's own next Begin a
+// snapshot older than the commit it was just told succeeded. One atomic
+// load unless such a straggler exists.
+func (o *Oracle) WaitVisible(ts TS) {
+	if o.watermark.Load() >= ts {
+		return
+	}
+	o.advanceMu.Lock()
+	for o.watermark.Load() < ts {
+		o.advanced.Wait()
+	}
 	o.advanceMu.Unlock()
 }
 
@@ -120,6 +143,7 @@ func (o *Oracle) ObserveCommit(ts TS) {
 	if o.pending.Load() == 0 {
 		if lc := o.lastCommit.Load(); lc > o.watermark.Load() {
 			o.watermark.Store(lc)
+			o.advanced.Broadcast()
 		}
 	}
 	o.advanceMu.Unlock()

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"neograph/internal/core"
 	"neograph/internal/slog"
 	"neograph/internal/wire"
 )
@@ -36,30 +37,14 @@ type Local interface {
 	PrepareBatch(gtxn uint64, coordPart uint32, batch []wire.Request, validate []uint64) *wire.Response
 	// DecideTxn commits or aborts the locally prepared gtxn.
 	DecideTxn(gtxn uint64, commit bool, participants []uint32) (uint64, error)
-	// TxnStatus answers what became of gtxn: "committed", "aborted",
-	// "pending", or "unknown".
-	TxnStatus(gtxn uint64) string
 	// AckDecision records a participant's acknowledgement of gtxn's
 	// commit decision.
 	AckDecision(gtxn uint64, participant uint32)
-	// InDoubt lists locally prepared transactions with no decision, as
-	// (gtxn, coordPart) pairs.
-	InDoubt() []InDoubtTxn
+	// InDoubt lists locally prepared transactions with no decision.
+	InDoubt() []core.PreparedInfo
 	// UnackedDecisions lists commit decisions awaiting participant
 	// acknowledgements.
-	UnackedDecisions() []UnackedTxn
-}
-
-// InDoubtTxn is one prepared-but-undecided transaction.
-type InDoubtTxn struct {
-	Gtxn      uint64
-	CoordPart uint32
-}
-
-// UnackedTxn is one commit decision with outstanding acknowledgements.
-type UnackedTxn struct {
-	Gtxn         uint64
-	Participants []uint32
+	UnackedDecisions() []core.DecidedInfo
 }
 
 // Coordinator runs cross-partition transactions over the partition

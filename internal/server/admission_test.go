@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"neograph"
+	"neograph/client"
 	"neograph/internal/metrics"
 	"neograph/internal/wire"
 )
@@ -226,16 +227,16 @@ func TestServerMetricsEndToEnd(t *testing.T) {
 	}
 	t.Cleanup(func() { srv.Close(); db.Close() })
 
-	cl, err := Dial(srv.Addr())
+	cl, err := client.Dial(ctx, srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	id, err := cl.CreateNode([]string{"M"}, nil)
+	id, err := cl.CreateNode(ctx, []string{"M"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.GetNode(id); err != nil {
+	if _, err := cl.GetNode(ctx, id); err != nil {
 		t.Fatal(err)
 	}
 

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"neograph"
+	"neograph/client"
 	"neograph/internal/wire"
 )
 
@@ -46,7 +47,7 @@ func TestCloseDrainsInFlightResponse(t *testing.T) {
 	// Gate one byte past the replicated horizon: unreachable until the
 	// primary commits again.
 	gate := pdb.DurableLSN() + 1
-	cl, err := Dial(rsrv.Addr())
+	cl, err := client.Dial(ctx, rsrv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +60,7 @@ func TestCloseDrainsInFlightResponse(t *testing.T) {
 	}
 	resc := make(chan result, 1)
 	go func() {
-		ids, err := cl.AllNodes() // blocks server-side on the gate
+		ids, err := cl.AllNodes(ctx) // blocks server-side on the gate
 		resc <- result{ids, err}
 	}()
 	time.Sleep(150 * time.Millisecond) // handler is now parked in the gate
@@ -125,7 +126,7 @@ func TestCloseShedsGatedWaiters(t *testing.T) {
 		t.Fatal(err)
 	}
 	rsrv.DrainGrace = 500 * time.Millisecond
-	cl, err := Dial(rsrv.Addr())
+	cl, err := client.Dial(ctx, rsrv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +134,7 @@ func TestCloseShedsGatedWaiters(t *testing.T) {
 	cl.ReadAfter(gate)
 	errc := make(chan error, 1)
 	go func() {
-		_, err := cl.AllNodes()
+		_, err := cl.AllNodes(ctx)
 		errc <- err
 	}()
 	time.Sleep(150 * time.Millisecond)
@@ -295,7 +296,7 @@ func TestBatchCommitLSNGatesReplicaRead(t *testing.T) {
 		t.Fatalf("batch results = %d", len(resp.Results))
 	}
 	replica.ReadAfter(resp.LSN)
-	ids, err := replica.NodesByLabel("B")
+	ids, err := replica.NodesByLabel(ctx, "B")
 	if err != nil {
 		t.Fatal(err)
 	}

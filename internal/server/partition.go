@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"neograph"
+	"neograph/internal/core"
 	"neograph/internal/partition"
 	"neograph/internal/wire"
 )
@@ -39,8 +40,9 @@ func (s *Server) partitionView() (*partition.Coordinator, uint32, int) {
 // pass it to partition.NewCoordinator.
 func (s *Server) Local() partition.Local { return localPartition{s} }
 
-// localPartition adapts the server (op execution) and its database
-// (two-phase-commit state) to partition.Local.
+// localPartition adapts the server (op execution) and its database's
+// engine (two-phase-commit state) to partition.Local. The engine is
+// looked up per call: a re-seed swaps it under a live server.
 type localPartition struct{ s *Server }
 
 func (lp localPartition) PrepareBatch(gtxn uint64, coordPart uint32, batch []wire.Request, validate []uint64) *wire.Response {
@@ -48,31 +50,17 @@ func (lp localPartition) PrepareBatch(gtxn uint64, coordPart uint32, batch []wir
 }
 
 func (lp localPartition) DecideTxn(gtxn uint64, commit bool, participants []uint32) (uint64, error) {
-	return lp.s.db.DecideTxn(gtxn, commit, participants)
-}
-
-func (lp localPartition) TxnStatus(gtxn uint64) string {
-	return string(lp.s.db.TxnStatus(gtxn))
+	return lp.s.db.Engine().DecideTxn(gtxn, commit, participants)
 }
 
 func (lp localPartition) AckDecision(gtxn uint64, participant uint32) {
-	lp.s.db.AckDecision(gtxn, participant)
+	lp.s.db.Engine().AckDecision(gtxn, participant)
 }
 
-func (lp localPartition) InDoubt() []partition.InDoubtTxn {
-	var out []partition.InDoubtTxn
-	for _, p := range lp.s.db.InDoubt() {
-		out = append(out, partition.InDoubtTxn{Gtxn: p.Gtxn, CoordPart: p.CoordPart})
-	}
-	return out
-}
+func (lp localPartition) InDoubt() []core.PreparedInfo { return lp.s.db.Engine().InDoubt() }
 
-func (lp localPartition) UnackedDecisions() []partition.UnackedTxn {
-	var out []partition.UnackedTxn
-	for _, d := range lp.s.db.UnackedDecisions() {
-		out = append(out, partition.UnackedTxn{Gtxn: d.Gtxn, Participants: d.Participants})
-	}
-	return out
+func (lp localPartition) UnackedDecisions() []core.DecidedInfo {
+	return lp.s.db.Engine().UnackedDecisions()
 }
 
 // prepareBatch is phase one on a participant: run the sub-ops in a
@@ -105,7 +93,7 @@ func (s *Server) prepareBatch(gtxn uint64, coordPart uint32, batch []wire.Reques
 			FailedOp: &idx,
 		}
 	}
-	lsn, err := sess.tx.Prepare(gtxn, coordPart, validate)
+	lsn, err := sess.tx.Core().Prepare(gtxn, coordPart, validate)
 	if err != nil {
 		return fail(err) // Prepare aborts the transaction itself
 	}
@@ -181,13 +169,13 @@ func (sess *session) dispatchPartitionOp(req *wire.Request) *wire.Response {
 		if req.Commit == nil {
 			return fail(errors.New("server: decide without a verdict"))
 		}
-		lsn, err := sess.db.DecideTxn(req.TxnID, *req.Commit, req.Participants)
+		lsn, err := sess.db.Engine().DecideTxn(req.TxnID, *req.Commit, req.Participants)
 		if err != nil {
-			if errors.Is(err, neograph.ErrNotPrepared) {
+			if errors.Is(err, core.ErrNotPrepared) {
 				// Already decided (a repush raced the first push, or a
 				// recovery already resolved it): acknowledging again is
 				// harmless and lets the coordinator retire the decision.
-				return &wire.Response{OK: true, State: string(sess.db.TxnStatus(req.TxnID))}
+				return &wire.Response{OK: true, State: string(sess.db.Engine().TxnStatus(req.TxnID))}
 			}
 			return fail(err)
 		}
@@ -200,7 +188,7 @@ func (sess *session) dispatchPartitionOp(req *wire.Request) *wire.Response {
 		if sess.db.IsReplica() {
 			return fail(fmt.Errorf("%w: txn_status must go to the primary", neograph.ErrReadOnlyReplica))
 		}
-		return &wire.Response{OK: true, State: string(sess.db.TxnStatus(req.TxnID))}
+		return &wire.Response{OK: true, State: string(sess.db.Engine().TxnStatus(req.TxnID))}
 
 	default:
 		return fail(fmt.Errorf("server: unknown partition op %q", req.Op))

@@ -15,124 +15,73 @@ import (
 	"time"
 
 	"neograph"
-	"neograph/internal/partition"
-	"neograph/internal/server"
+	"neograph/internal/fleet"
 	"neograph/internal/wire"
 )
 
 // crashFleet is a 2-partition fleet whose nodes can crash (WAL kept,
-// caches dropped) and reopen on fresh ports, with the surviving
-// coordinators adopting the re-versioned topology.
+// caches dropped) and reopen on fresh ports, with every coordinator
+// adopting the re-versioned topology. The coordinators' background
+// recovery loops are halted — the matrix drives recovery passes
+// explicitly so every interleaving is deterministic.
 type crashFleet struct {
 	t       *testing.T
-	dirs    []string
-	dbs     []*neograph.DB
-	srvs    []*server.Server
-	coords  []*partition.Coordinator
-	topos   []*partition.Topology
-	version uint64
+	nodes   []*fleet.Node
+	version uint64 // of the partition map last adopted
 }
 
 func startCrashFleet(t *testing.T) *crashFleet {
 	t.Helper()
-	f := &crashFleet{t: t, version: 1}
-	const count = 2
-	f.dirs = make([]string, count)
-	f.dbs = make([]*neograph.DB, count)
-	f.srvs = make([]*server.Server, count)
-	f.coords = make([]*partition.Coordinator, count)
-	f.topos = make([]*partition.Topology, count)
-	for part := 0; part < count; part++ {
-		f.dirs[part] = t.TempDir()
-		f.openNode(part)
+	fl, err := fleet.Start(fleet.Spec{Partitions: 2, DB: neograph.Options{Dir: t.TempDir()}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	f.rewire()
+	f := &crashFleet{t: t, version: fl.PartitionMap().Version}
+	for _, g := range fl.Groups {
+		g[0].Coord.Close() // stops the loops; explicit passes still work
+		f.nodes = append(f.nodes, g[0])
+	}
 	t.Cleanup(func() {
-		for part := range f.dbs {
-			if f.coords[part] != nil {
-				f.coords[part].Close()
-			}
-			if f.srvs[part] != nil {
-				f.srvs[part].Close()
-			}
-			if f.dbs[part] != nil {
-				f.dbs[part].Close()
-			}
+		for _, n := range f.nodes {
+			n.Close() // restarted nodes are not in fl.Groups
 		}
+		fl.Close()
 	})
 	return f
 }
 
-// openNode opens partition part's database and server (fresh port).
-func (f *crashFleet) openNode(part int) {
-	f.t.Helper()
-	db, err := neograph.Open(neograph.Options{
-		Dir:            f.dirs[part],
-		PartitionID:    part,
-		PartitionCount: len(f.dirs),
-	})
-	if err != nil {
-		f.t.Fatalf("open partition %d: %v", part, err)
-	}
-	srv, err := server.New(db, "127.0.0.1:0")
-	if err != nil {
-		f.t.Fatalf("serve partition %d: %v", part, err)
-	}
-	f.dbs[part], f.srvs[part] = db, srv
-}
-
-// rewire rebuilds the topology from the current server addresses and
-// gives every live node a coordinator on it. Surviving coordinators
-// adopt the newer map (that is how a real fleet learns a restarted
-// peer's address); reopened nodes get a fresh coordinator. The resolver
-// loops are NOT started — the matrix drives recovery passes explicitly
-// so every interleaving is deterministic.
-func (f *crashFleet) rewire() {
-	f.t.Helper()
-	f.version++
-	pm := wire.PartitionMap{Version: f.version, Count: len(f.dbs)}
-	for part, srv := range f.srvs {
-		if srv == nil {
-			continue // still down; rewire again after its reopen
-		}
-		pm.Groups = append(pm.Groups, wire.PartitionGroup{
-			ID: uint32(part), Addrs: []string{srv.Addr()},
-		})
-	}
-	for part := range f.dbs {
-		if f.srvs[part] == nil {
-			continue
-		}
-		if f.coords[part] != nil {
-			f.topos[part].Adopt(&pm)
-			continue
-		}
-		f.topos[part] = partition.NewTopology(pm)
-		f.coords[part] = partition.NewCoordinator(uint32(part), f.topos[part],
-			f.srvs[part].Local(), f.dbs[part].AppliedLSN(), nil)
-		f.srvs[part].SetPartition(f.coords[part], uint32(part), len(f.dbs))
-	}
-}
-
-// crash kills partition part the hard way: server torn down, database
-// crashed without flushing.
+// crash kills partition part the hard way: coordinator and server torn
+// down, database crashed without flushing.
 func (f *crashFleet) crash(part int) {
 	f.t.Helper()
-	f.coords[part].Close()
-	f.coords[part] = nil
-	f.srvs[part].Close()
-	f.srvs[part] = nil
-	if err := f.dbs[part].Crash(); err != nil {
+	if err := f.nodes[part].Crash(); err != nil {
 		f.t.Fatalf("crash partition %d: %v", part, err)
 	}
-	f.dbs[part] = nil
 }
 
-// reopen restarts a crashed partition and rewires the fleet.
+// reopen restarts a crashed partition from what its WAL holds, on a fresh
+// port (the old one may have been taken since), and hands every node a
+// newer map naming it — that is how a real fleet learns a restarted
+// peer's address. A node still down keeps its stale entry until its own
+// reopen.
 func (f *crashFleet) reopen(part int) {
 	f.t.Helper()
-	f.openNode(part)
-	f.rewire()
+	cfg := f.nodes[part].Config
+	cfg.Addr = ""
+	n, err := fleet.StartNode(cfg)
+	if err != nil {
+		f.t.Fatalf("reopen partition %d: %v", part, err)
+	}
+	n.Coord.Close()
+	f.nodes[part] = n
+	f.version++
+	pm := wire.PartitionMap{Version: f.version, Count: len(f.nodes)}
+	for p, nd := range f.nodes {
+		pm.Groups = append(pm.Groups, wire.PartitionGroup{ID: uint32(p), Addrs: []string{nd.Addr()}})
+	}
+	for _, nd := range f.nodes {
+		nd.Topo.Adopt(&pm)
+	}
 }
 
 // recoverAll drives resolver and repusher passes on every node until no
@@ -141,13 +90,13 @@ func (f *crashFleet) recoverAll() {
 	f.t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		for _, c := range f.coords {
-			c.ResolveInDoubt()
-			c.RepushDecisions()
-		}
 		clean := true
-		for _, db := range f.dbs {
-			if len(db.InDoubt()) > 0 || len(db.UnackedDecisions()) > 0 {
+		for _, n := range f.nodes {
+			n.Coord.ResolveInDoubt()
+			n.Coord.RepushDecisions()
+		}
+		for _, n := range f.nodes {
+			if len(n.DB.InDoubt()) > 0 || len(n.DB.Engine().UnackedDecisions()) > 0 {
 				clean = false
 			}
 		}
@@ -155,8 +104,8 @@ func (f *crashFleet) recoverAll() {
 			return
 		}
 		if time.Now().After(deadline) {
-			for part, db := range f.dbs {
-				f.t.Logf("partition %d: in-doubt %v, unacked %v", part, db.InDoubt(), db.UnackedDecisions())
+			for part, n := range f.nodes {
+				f.t.Logf("partition %d: in-doubt %v, unacked %v", part, n.DB.InDoubt(), n.DB.Engine().UnackedDecisions())
 			}
 			f.t.Fatal("recovery did not converge: orphaned prepares or unacked decisions remain")
 		}
@@ -167,7 +116,7 @@ func (f *crashFleet) recoverAll() {
 // newAnchor commits one node on partition part and returns its ID.
 func (f *crashFleet) newAnchor(part int) neograph.NodeID {
 	f.t.Helper()
-	tx := f.dbs[part].Begin()
+	tx := f.nodes[part].DB.Begin()
 	id, err := tx.CreateNode([]string{"Anchor"}, nil)
 	if err != nil {
 		f.t.Fatal(err)
@@ -175,7 +124,7 @@ func (f *crashFleet) newAnchor(part int) neograph.NodeID {
 	if err := tx.Commit(); err != nil {
 		f.t.Fatal(err)
 	}
-	if id%uint64(len(f.dbs)) != uint64(part) {
+	if id%uint64(len(f.nodes)) != uint64(part) {
 		f.t.Fatalf("anchor %d allocated off-partition (partition %d)", id, part)
 	}
 	return id
@@ -184,7 +133,7 @@ func (f *crashFleet) newAnchor(part int) neograph.NodeID {
 // hasProp reports whether the node carries the marker property.
 func (f *crashFleet) hasProp(part int, id neograph.NodeID) bool {
 	f.t.Helper()
-	tx := f.dbs[part].Begin()
+	tx := f.nodes[part].DB.Begin()
 	defer tx.Abort()
 	n, err := tx.GetNode(id)
 	if err != nil {
@@ -222,28 +171,28 @@ func (f *crashFleet) runUpTo(step twopcStep, gtxn uint64, a0, a1 neograph.NodeID
 			f.t.Fatalf("2PC step failed: %s", resp.Error)
 		}
 	}
-	must(f.srvs[1].Local().PrepareBatch(gtxn, 0, []wire.Request{markerOp(a1)}, nil))
+	must(f.nodes[1].Srv.Local().PrepareBatch(gtxn, 0, []wire.Request{markerOp(a1)}, nil))
 	if step < stepAllPrepared {
 		return
 	}
-	must(f.srvs[0].Local().PrepareBatch(gtxn, 0, []wire.Request{markerOp(a0)}, nil))
+	must(f.nodes[0].Srv.Local().PrepareBatch(gtxn, 0, []wire.Request{markerOp(a0)}, nil))
 	if step < stepDecided {
 		return
 	}
-	if _, err := f.dbs[0].DecideTxn(gtxn, true, []uint32{0, 1}); err != nil {
+	if _, err := f.nodes[0].DB.Engine().DecideTxn(gtxn, true, []uint32{0, 1}); err != nil {
 		f.t.Fatal(err)
 	}
 	if step < stepPushed {
 		return
 	}
-	if _, err := f.dbs[1].DecideTxn(gtxn, true, nil); err != nil {
+	if _, err := f.nodes[1].DB.Engine().DecideTxn(gtxn, true, nil); err != nil {
 		f.t.Fatal(err)
 	}
 	if step < stepAcked {
 		return
 	}
-	f.dbs[0].AckDecision(gtxn, 0)
-	f.dbs[0].AckDecision(gtxn, 1)
+	f.nodes[0].DB.Engine().AckDecision(gtxn, 0)
+	f.nodes[0].DB.Engine().AckDecision(gtxn, 1)
 }
 
 // assertOutcome checks the matrix invariants: an acked transaction is
@@ -259,8 +208,8 @@ func (f *crashFleet) assertOutcome(acked bool, a0, a1 neograph.NodeID) {
 	if f.hasProp(0, a0) != f.hasProp(1, a1) {
 		f.t.Error("atomicity violated: partitions disagree on the transaction outcome")
 	}
-	for part, db := range f.dbs {
-		if d := db.InDoubt(); len(d) != 0 {
+	for part, n := range f.nodes {
+		if d := n.DB.InDoubt(); len(d) != 0 {
 			f.t.Errorf("partition %d: orphaned prepares %v", part, d)
 		}
 	}
@@ -357,7 +306,7 @@ func TestTwoPCCrashAbortDecision(t *testing.T) {
 	a0, a1 := f.newAnchor(0), f.newAnchor(1)
 	const gtxn = 4000
 	f.runUpTo(stepAllPrepared, gtxn, a0, a1)
-	if _, err := f.dbs[0].DecideTxn(gtxn, false, nil); err != nil {
+	if _, err := f.nodes[0].DB.Engine().DecideTxn(gtxn, false, nil); err != nil {
 		t.Fatal(err)
 	}
 	f.crash(0)
@@ -379,7 +328,7 @@ func TestTwoPCRecoveredPreparedBlocksWriters(t *testing.T) {
 	f.crash(1)
 	f.reopen(1)
 
-	tx := f.dbs[1].Begin()
+	tx := f.nodes[1].DB.Begin()
 	err := tx.SetNodeProp(a1, "x", neograph.Int(9))
 	if err == nil {
 		err = tx.Commit()
@@ -393,7 +342,7 @@ func TestTwoPCRecoveredPreparedBlocksWriters(t *testing.T) {
 	f.recoverAll()
 	f.assertOutcome(false, a0, a1)
 	// The key is writable again once the prepare resolved.
-	tx = f.dbs[1].Begin()
+	tx = f.nodes[1].DB.Begin()
 	if err := tx.SetNodeProp(a1, "y", neograph.Int(1)); err != nil {
 		t.Fatal(err)
 	}

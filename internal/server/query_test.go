@@ -267,7 +267,7 @@ func TestQueryBatchRefsServer(t *testing.T) {
 // commit LSN (read-your-writes).
 func TestQueryReplicaServes(t *testing.T) {
 	primary, replica, _, _ := startReplicatedPair(t)
-	if _, err := primary.CreateNode([]string{"Q"}, nil); err != nil {
+	if _, err := primary.CreateNode(ctx, []string{"Q"}, nil); err != nil {
 		t.Fatal(err)
 	}
 	token := primary.LastCommitLSN()

@@ -862,7 +862,7 @@ func (sess *session) dispatchOp(req *wire.Request) *wire.Response {
 		err = sess.inTx(true, func(tx *neograph.Tx) error {
 			var err error
 			if sess.crossPrepare {
-				id, err = tx.CreateRelCrossPartition(req.Type, req.Start, req.End, props)
+				id, err = tx.Core().CreateRelCrossPartition(req.Type, req.Start, req.End, props)
 			} else {
 				id, err = tx.CreateRel(req.Type, req.Start, req.End, props)
 			}

@@ -2,7 +2,7 @@ package server
 
 import (
 	"bufio"
-	"encoding/json"
+	"context"
 	"errors"
 	"net"
 	"os"
@@ -13,11 +13,15 @@ import (
 	"time"
 
 	"neograph"
+	"neograph/client"
 )
+
+// ctx is the context every SDK call in this package's tests runs under.
+var ctx = context.Background()
 
 // startServer spins up an in-memory DB + server and returns a connected
 // client.
-func startServer(t *testing.T) (*Server, *Client) {
+func startServer(t *testing.T) (*Server, *client.Client) {
 	t.Helper()
 	db, err := neograph.Open(neograph.Options{})
 	if err != nil {
@@ -28,7 +32,7 @@ func startServer(t *testing.T) (*Server, *Client) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close(); db.Close() })
-	cl, err := Dial(srv.Addr())
+	cl, err := client.Dial(ctx, srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,14 +42,14 @@ func startServer(t *testing.T) (*Server, *Client) {
 
 func TestPing(t *testing.T) {
 	_, cl := startServer(t)
-	if err := cl.Ping(); err != nil {
+	if err := cl.Ping(ctx); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestAutoCommitCRUD(t *testing.T) {
 	_, cl := startServer(t)
-	id, err := cl.CreateNode([]string{"Person"}, neograph.Props{
+	id, err := cl.CreateNode(ctx, []string{"Person"}, neograph.Props{
 		"name": neograph.String("ada"),
 		"age":  neograph.Int(36),
 		"temp": neograph.Float(36.6),
@@ -55,7 +59,7 @@ func TestAutoCommitCRUD(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := cl.GetNode(id)
+	n, err := cl.GetNode(ctx, id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,135 +76,135 @@ func TestAutoCommitCRUD(t *testing.T) {
 		t.Errorf("raw = %v", n.Props["raw"])
 	}
 
-	if err := cl.SetNodeProp(id, "age", neograph.Int(37)); err != nil {
+	if err := cl.SetNodeProp(ctx, id, "age", neograph.Int(37)); err != nil {
 		t.Fatal(err)
 	}
-	n, _ = cl.GetNode(id)
+	n, _ = cl.GetNode(ctx, id)
 	if v, _ := n.Props["age"].AsInt(); v != 37 {
 		t.Errorf("age after set = %v", n.Props["age"])
 	}
-	if err := cl.AddLabel(id, "Admin"); err != nil {
+	if err := cl.AddLabel(ctx, id, "Admin"); err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.RemoveLabel(id, "Person"); err != nil {
+	if err := cl.RemoveLabel(ctx, id, "Person"); err != nil {
 		t.Fatal(err)
 	}
-	n, _ = cl.GetNode(id)
+	n, _ = cl.GetNode(ctx, id)
 	if !reflect.DeepEqual(n.Labels, []string{"Admin"}) {
 		t.Errorf("labels = %v", n.Labels)
 	}
-	if err := cl.DeleteNode(id); err != nil {
+	if err := cl.DeleteNode(ctx, id); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.GetNode(id); !errors.Is(err, neograph.ErrNotFound) {
+	if _, err := cl.GetNode(ctx, id); !errors.Is(err, neograph.ErrNotFound) {
 		t.Fatalf("err = %v, want ErrNotFound across the wire", err)
 	}
 }
 
 func TestRelationshipOps(t *testing.T) {
 	_, cl := startServer(t)
-	a, _ := cl.CreateNode(nil, nil)
-	b, _ := cl.CreateNode(nil, nil)
-	r, err := cl.CreateRel("KNOWS", a, b, neograph.Props{"w": neograph.Float(0.5)})
+	a, _ := cl.CreateNode(ctx, nil, nil)
+	b, _ := cl.CreateNode(ctx, nil, nil)
+	r, err := cl.CreateRel(ctx, "KNOWS", a, b, neograph.Props{"w": neograph.Float(0.5)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := cl.GetRel(r)
+	got, err := cl.GetRel(ctx, r)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Type != "KNOWS" || got.Start != a || got.End != b {
 		t.Fatalf("rel = %+v", got)
 	}
-	rels, err := cl.Relationships(a, "out")
+	rels, err := cl.Relationships(ctx, a, "out")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rels) != 1 || rels[0].ID != r {
 		t.Fatalf("rels = %+v", rels)
 	}
-	nbrs, _ := cl.Neighbors(a, "both")
+	nbrs, _ := cl.Neighbors(ctx, a, "both")
 	if !reflect.DeepEqual(nbrs, []neograph.NodeID{b}) {
 		t.Fatalf("neighbors = %v", nbrs)
 	}
-	if err := cl.SetRelProp(r, "w", neograph.Float(0.9)); err != nil {
+	if err := cl.SetRelProp(ctx, r, "w", neograph.Float(0.9)); err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.DeleteRel(r); err != nil {
+	if err := cl.DeleteRel(ctx, r); err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.DetachDeleteNode(a); err != nil {
+	if err := cl.DetachDeleteNode(ctx, a); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestExplicitTransaction(t *testing.T) {
 	_, cl := startServer(t)
-	if err := cl.Begin("si"); err != nil {
+	if err := cl.Begin(ctx, "si"); err != nil {
 		t.Fatal(err)
 	}
-	id, err := cl.CreateNode([]string{"Tx"}, nil)
+	id, err := cl.CreateNode(ctx, []string{"Tx"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Another session must not see the uncommitted node.
-	cl2, err := Dial(mustAddr(t, cl))
+	cl2, err := client.Dial(ctx, mustAddr(t, cl))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl2.Close()
-	if _, err := cl2.GetNode(id); !errors.Is(err, neograph.ErrNotFound) {
+	if _, err := cl2.GetNode(ctx, id); !errors.Is(err, neograph.ErrNotFound) {
 		t.Fatalf("uncommitted node leaked: %v", err)
 	}
-	if err := cl.Commit(); err != nil {
+	if err := cl.Commit(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl2.GetNode(id); err != nil {
+	if _, err := cl2.GetNode(ctx, id); err != nil {
 		t.Fatalf("committed node invisible: %v", err)
 	}
 }
 
 // mustAddr digs the server address back out of a client's connection.
-func mustAddr(t *testing.T, cl *Client) string {
+func mustAddr(t *testing.T, cl *client.Client) string {
 	t.Helper()
 	return cl.RemoteAddr().String()
 }
 
 func TestAbortDiscardsAcrossWire(t *testing.T) {
 	_, cl := startServer(t)
-	if err := cl.Begin(""); err != nil {
+	if err := cl.Begin(ctx, ""); err != nil {
 		t.Fatal(err)
 	}
-	id, _ := cl.CreateNode(nil, nil)
-	if err := cl.Abort(); err != nil {
+	id, _ := cl.CreateNode(ctx, nil, nil)
+	if err := cl.Abort(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.GetNode(id); !errors.Is(err, neograph.ErrNotFound) {
+	if _, err := cl.GetNode(ctx, id); !errors.Is(err, neograph.ErrNotFound) {
 		t.Fatalf("aborted node visible: %v", err)
 	}
 }
 
 func TestSnapshotAcrossSessions(t *testing.T) {
 	_, cl := startServer(t)
-	id, _ := cl.CreateNode(nil, neograph.Props{"v": neograph.Int(1)})
+	id, _ := cl.CreateNode(ctx, nil, neograph.Props{"v": neograph.Int(1)})
 
-	reader, err := Dial(mustAddr(t, cl))
+	reader, err := client.Dial(ctx, mustAddr(t, cl))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer reader.Close()
-	if err := reader.Begin("si"); err != nil {
+	if err := reader.Begin(ctx, "si"); err != nil {
 		t.Fatal(err)
 	}
-	n1, err := reader.GetNode(id)
+	n1, err := reader.GetNode(ctx, id)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Concurrent write through the other session.
-	if err := cl.SetNodeProp(id, "v", neograph.Int(2)); err != nil {
+	if err := cl.SetNodeProp(ctx, id, "v", neograph.Int(2)); err != nil {
 		t.Fatal(err)
 	}
-	n2, err := reader.GetNode(id)
+	n2, err := reader.GetNode(ctx, id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,33 +213,33 @@ func TestSnapshotAcrossSessions(t *testing.T) {
 	if v1 != v2 {
 		t.Fatalf("unrepeatable read across the wire: %d -> %d", v1, v2)
 	}
-	reader.Abort()
+	reader.Abort(ctx)
 }
 
 func TestWriteConflictOverWire(t *testing.T) {
 	_, cl := startServer(t)
-	id, _ := cl.CreateNode(nil, neograph.Props{"v": neograph.Int(0)})
+	id, _ := cl.CreateNode(ctx, nil, neograph.Props{"v": neograph.Int(0)})
 
-	cl2, err := Dial(mustAddr(t, cl))
+	cl2, err := client.Dial(ctx, mustAddr(t, cl))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl2.Close()
-	if err := cl.Begin("si"); err != nil {
+	if err := cl.Begin(ctx, "si"); err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.SetNodeProp(id, "v", neograph.Int(1)); err != nil {
+	if err := cl.SetNodeProp(ctx, id, "v", neograph.Int(1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := cl2.Begin("si"); err != nil {
+	if err := cl2.Begin(ctx, "si"); err != nil {
 		t.Fatal(err)
 	}
-	err = cl2.SetNodeProp(id, "v", neograph.Int(2))
+	err = cl2.SetNodeProp(ctx, id, "v", neograph.Int(2))
 	if !errors.Is(err, neograph.ErrWriteConflict) {
 		t.Fatalf("err = %v, want ErrWriteConflict across the wire", err)
 	}
-	cl2.Abort()
-	if err := cl.Commit(); err != nil {
+	cl2.Abort(ctx)
+	if err := cl.Commit(ctx); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -244,41 +248,41 @@ func TestLookupsAndAdmin(t *testing.T) {
 	_, cl := startServer(t)
 	var want []neograph.NodeID
 	for i := 0; i < 3; i++ {
-		id, _ := cl.CreateNode([]string{"L"}, neograph.Props{"k": neograph.Int(7)})
+		id, _ := cl.CreateNode(ctx, []string{"L"}, neograph.Props{"k": neograph.Int(7)})
 		want = append(want, id)
 	}
-	ids, err := cl.NodesByLabel("L")
+	ids, err := cl.NodesByLabel(ctx, "L")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(ids, want) {
 		t.Fatalf("by label = %v, want %v", ids, want)
 	}
-	ids, err = cl.NodesByProperty("k", neograph.Int(7))
+	ids, err = cl.NodesByProperty(ctx, "k", neograph.Int(7))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(ids) != 3 {
 		t.Fatalf("by prop = %v", ids)
 	}
-	all, _ := cl.AllNodes()
+	all, _ := cl.AllNodes(ctx)
 	if len(all) != 3 {
 		t.Fatalf("all = %v", all)
 	}
-	if _, err := cl.Stats(); err != nil {
+	if _, err := cl.Stats(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.GC(); err != nil {
+	if _, err := cl.GC(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.Checkpoint(); err != nil {
+	if err := cl.Checkpoint(ctx); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestConcurrentSessions(t *testing.T) {
 	srv, cl := startServer(t)
-	seed, _ := cl.CreateNode(nil, neograph.Props{"n": neograph.Int(0)})
+	seed, _ := cl.CreateNode(ctx, nil, neograph.Props{"n": neograph.Int(0)})
 	_ = seed
 	var wg sync.WaitGroup
 	errs := make([]error, 8)
@@ -286,19 +290,19 @@ func TestConcurrentSessions(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			c, err := Dial(srv.Addr())
+			c, err := client.Dial(ctx, srv.Addr())
 			if err != nil {
 				errs[i] = err
 				return
 			}
 			defer c.Close()
 			for j := 0; j < 20; j++ {
-				id, err := c.CreateNode([]string{"W"}, neograph.Props{"i": neograph.Int(int64(j))})
+				id, err := c.CreateNode(ctx, []string{"W"}, neograph.Props{"i": neograph.Int(int64(j))})
 				if err != nil {
 					errs[i] = err
 					return
 				}
-				if _, err := c.GetNode(id); err != nil {
+				if _, err := c.GetNode(ctx, id); err != nil {
 					errs[i] = err
 					return
 				}
@@ -311,7 +315,7 @@ func TestConcurrentSessions(t *testing.T) {
 			t.Fatalf("session %d: %v", i, err)
 		}
 	}
-	ids, _ := cl.NodesByLabel("W")
+	ids, _ := cl.NodesByLabel(ctx, "W")
 	if len(ids) != 8*20 {
 		t.Fatalf("created = %d, want 160", len(ids))
 	}
@@ -319,20 +323,20 @@ func TestConcurrentSessions(t *testing.T) {
 
 func TestProtocolErrors(t *testing.T) {
 	_, cl := startServer(t)
-	if err := cl.Commit(); err == nil {
+	if err := cl.Commit(ctx); err == nil {
 		t.Fatal("commit without begin should fail")
 	}
-	if err := cl.Begin("banana"); err == nil {
+	if err := cl.Begin(ctx, "banana"); err == nil {
 		t.Fatal("bad isolation accepted")
 	}
-	if err := cl.Begin("si"); err != nil {
+	if err := cl.Begin(ctx, "si"); err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.Begin("si"); err == nil {
+	if err := cl.Begin(ctx, "si"); err == nil {
 		t.Fatal("double begin accepted")
 	}
-	cl.Abort()
-	if _, err := cl.Relationships(1, "sideways"); err == nil {
+	cl.Abort(ctx)
+	if _, err := cl.Relationships(ctx, 1, "sideways"); err == nil {
 		t.Fatal("bad direction accepted")
 	}
 }
@@ -341,7 +345,7 @@ func TestProtocolErrors(t *testing.T) {
 
 // startReplicatedPair spins up a persistent primary shipping its WAL and
 // a replica server streaming it, returning clients for both.
-func startReplicatedPair(t *testing.T) (primary, replica *Client, pdb, rdb *neograph.DB) {
+func startReplicatedPair(t *testing.T) (primary, replica *client.Client, pdb, rdb *neograph.DB) {
 	t.Helper()
 	pdb, err := neograph.Open(neograph.Options{Dir: t.TempDir(), ReplicationAddr: "127.0.0.1:0"})
 	if err != nil {
@@ -361,12 +365,12 @@ func startReplicatedPair(t *testing.T) (primary, replica *Client, pdb, rdb *neog
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { rsrv.Close(); rdb.Close() })
-	primary, err = Dial(psrv.Addr())
+	primary, err = client.Dial(ctx, psrv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { primary.Close() })
-	replica, err = Dial(rsrv.Addr())
+	replica, err = client.Dial(ctx, rsrv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +380,7 @@ func startReplicatedPair(t *testing.T) (primary, replica *Client, pdb, rdb *neog
 
 func TestReplicaRedirectsWrites(t *testing.T) {
 	_, replica, _, _ := startReplicatedPair(t)
-	_, err := replica.CreateNode([]string{"X"}, nil)
+	_, err := replica.CreateNode(ctx, []string{"X"}, nil)
 	if !errors.Is(err, neograph.ErrReadOnlyReplica) {
 		t.Fatalf("err = %v, want ErrReadOnlyReplica", err)
 	}
@@ -384,20 +388,20 @@ func TestReplicaRedirectsWrites(t *testing.T) {
 		t.Fatalf("redirect error does not name the primary: %v", err)
 	}
 	// Write ops inside an explicit transaction are rejected too.
-	if err := replica.Begin("si"); err != nil {
+	if err := replica.Begin(ctx, "si"); err != nil {
 		t.Fatal(err)
 	}
-	if err := replica.SetNodeProp(1, "k", neograph.Int(1)); !errors.Is(err, neograph.ErrReadOnlyReplica) {
+	if err := replica.SetNodeProp(ctx, 1, "k", neograph.Int(1)); !errors.Is(err, neograph.ErrReadOnlyReplica) {
 		t.Fatalf("staged write err = %v, want ErrReadOnlyReplica", err)
 	}
-	if err := replica.Abort(); err != nil {
+	if err := replica.Abort(ctx); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestReadYourWritesAcrossReplica(t *testing.T) {
 	primary, replica, _, _ := startReplicatedPair(t)
-	id, err := primary.CreateNode([]string{"RYW"}, neograph.Props{"v": neograph.Int(7)})
+	id, err := primary.CreateNode(ctx, []string{"RYW"}, neograph.Props{"v": neograph.Int(7)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,7 +411,7 @@ func TestReadYourWritesAcrossReplica(t *testing.T) {
 	}
 	// Gate replica reads on the token: the read must observe the write.
 	replica.ReadAfter(token)
-	n, err := replica.GetNode(id)
+	n, err := replica.GetNode(ctx, id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,15 +422,15 @@ func TestReadYourWritesAcrossReplica(t *testing.T) {
 
 func TestExplicitCommitReturnsLSN(t *testing.T) {
 	primary, replica, _, _ := startReplicatedPair(t)
-	if err := primary.Begin("si"); err != nil {
+	if err := primary.Begin(ctx, "si"); err != nil {
 		t.Fatal(err)
 	}
-	id, err := primary.CreateNode(nil, neograph.Props{"v": neograph.Int(1)})
+	id, err := primary.CreateNode(ctx, nil, neograph.Props{"v": neograph.Int(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	before := primary.LastCommitLSN()
-	if err := primary.Commit(); err != nil {
+	if err := primary.Commit(ctx); err != nil {
 		t.Fatal(err)
 	}
 	token := primary.LastCommitLSN()
@@ -434,7 +438,7 @@ func TestExplicitCommitReturnsLSN(t *testing.T) {
 		t.Fatalf("commit token = %d (before %d)", token, before)
 	}
 	replica.ReadAfter(token)
-	if _, err := replica.GetNode(id); err != nil {
+	if _, err := replica.GetNode(ctx, id); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -443,26 +447,19 @@ func TestReplStatusOp(t *testing.T) {
 	primary, replica, _, _ := startReplicatedPair(t)
 	// Commit something so positions are non-zero, then gate a replica
 	// read to ensure it is connected and caught up before asserting.
-	if _, err := primary.CreateNode(nil, nil); err != nil {
+	if _, err := primary.CreateNode(ctx, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	replica.ReadAfter(primary.LastCommitLSN())
-	if _, err := replica.AllNodes(); err != nil {
+	if _, err := replica.AllNodes(ctx); err != nil {
 		t.Fatal(err)
 	}
-	var pst, rst neograph.ReplStatus
-	raw, err := primary.ReplStatus()
+	pst, err := primary.ReplStatus(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := json.Unmarshal(raw, &pst); err != nil {
-		t.Fatal(err)
-	}
-	raw, err = replica.ReplStatus()
+	rst, err := replica.ReplStatus(ctx)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(raw, &rst); err != nil {
 		t.Fatal(err)
 	}
 	if pst.Role != "primary" || len(pst.Replicas) != 1 {
@@ -480,17 +477,17 @@ func TestReplStatusOp(t *testing.T) {
 func TestPromoteOverWire(t *testing.T) {
 	primary, replica, pdb, _ := startReplicatedPair(t)
 
-	id, err := primary.CreateNode([]string{"Pre"}, neograph.Props{"v": neograph.Int(1)})
+	id, err := primary.CreateNode(ctx, []string{"Pre"}, neograph.Props{"v": neograph.Int(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	replica.ReadAfter(primary.LastCommitLSN())
-	if _, err := replica.GetNode(id); err != nil {
+	if _, err := replica.GetNode(ctx, id); err != nil {
 		t.Fatal(err)
 	}
 	replica.ReadAfter(0)
 	// Still a replica: writes are redirected.
-	if _, err := replica.CreateNode([]string{"X"}, nil); !errors.Is(err, neograph.ErrReadOnlyReplica) {
+	if _, err := replica.CreateNode(ctx, []string{"X"}, nil); !errors.Is(err, neograph.ErrReadOnlyReplica) {
 		t.Fatalf("pre-promotion write err = %v, want ErrReadOnlyReplica", err)
 	}
 
@@ -498,61 +495,57 @@ func TestPromoteOverWire(t *testing.T) {
 	if err := pdb.Crash(); err != nil {
 		t.Fatal(err)
 	}
-	raw, err := replica.Promote("127.0.0.1:0")
+	st, err := replica.Promote(ctx, "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("promote op: %v", err)
-	}
-	var st neograph.ReplStatus
-	if err := json.Unmarshal(raw, &st); err != nil {
-		t.Fatal(err)
 	}
 	if st.Role != "primary" || st.Epoch != 2 {
 		t.Fatalf("post-promotion status = %+v, want primary at epoch 2", st)
 	}
 	// A second promote must fail cleanly.
-	if _, err := replica.Promote(""); err == nil {
+	if _, err := replica.Promote(ctx, ""); err == nil {
 		t.Fatal("second promote succeeded")
 	}
 
 	// The promoted server now takes writes; history is intact.
-	nid, err := replica.CreateNode([]string{"Post"}, neograph.Props{"v": neograph.Int(2)})
+	nid, err := replica.CreateNode(ctx, []string{"Post"}, neograph.Props{"v": neograph.Int(2)})
 	if err != nil {
 		t.Fatalf("post-promotion write: %v", err)
 	}
-	if _, err := replica.GetNode(nid); err != nil {
+	if _, err := replica.GetNode(ctx, nid); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := replica.GetNode(id); err != nil {
+	if _, err := replica.GetNode(ctx, id); err != nil {
 		t.Fatalf("pre-failover data lost: %v", err)
 	}
 }
 
 func TestPromoteNonReplicaFails(t *testing.T) {
 	_, cl := startServer(t)
-	if _, err := cl.Promote(""); err == nil || !strings.Contains(err.Error(), "not a replica") {
+	if _, err := cl.Promote(ctx, ""); err == nil || !strings.Contains(err.Error(), "not a replica") {
 		t.Fatalf("promote on standalone err = %v, want 'not a replica'", err)
 	}
 }
 
 func TestWaitLSNBogusTokenFails(t *testing.T) {
 	_, cl := startServerPersistent(t)
-	if _, err := cl.CreateNode(nil, nil); err != nil {
+	if _, err := cl.CreateNode(ctx, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	// A token far beyond the log end must error, not hang or spin.
 	cl.ReadAfter(1 << 40)
-	if _, err := cl.AllNodes(); err == nil {
+	if _, err := cl.AllNodes(ctx); err == nil {
 		t.Fatal("bogus WaitLSN token succeeded")
 	}
 	cl.ReadAfter(0)
-	if _, err := cl.AllNodes(); err != nil {
+	if _, err := cl.AllNodes(ctx); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // startServerPersistent is startServer with a durable store (WaitLSN
 // gating needs a WAL).
-func startServerPersistent(t *testing.T) (*Server, *Client) {
+func startServerPersistent(t *testing.T) (*Server, *client.Client) {
 	t.Helper()
 	db, err := neograph.Open(neograph.Options{Dir: t.TempDir()})
 	if err != nil {
@@ -563,7 +556,7 @@ func startServerPersistent(t *testing.T) (*Server, *Client) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close(); db.Close() })
-	cl, err := Dial(srv.Addr())
+	cl, err := client.Dial(ctx, srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -603,12 +596,12 @@ func expectClosed(t *testing.T, conn net.Conn) {
 // expectAlive asserts the server still accepts and serves new sessions.
 func expectAlive(t *testing.T, srv *Server) {
 	t.Helper()
-	cl, err := Dial(srv.Addr())
+	cl, err := client.Dial(ctx, srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	if err := cl.Ping(); err != nil {
+	if err := cl.Ping(ctx); err != nil {
 		t.Fatalf("server wedged: %v", err)
 	}
 }
@@ -657,20 +650,20 @@ func TestMidRequestDisconnectDoesNotWedge(t *testing.T) {
 
 func TestOpenTxAbortedOnDisconnect(t *testing.T) {
 	srv, cl := startServer(t)
-	if err := cl.Begin("si"); err != nil {
+	if err := cl.Begin(ctx, "si"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.CreateNode([]string{"Orphan"}, nil); err != nil {
+	if _, err := cl.CreateNode(ctx, []string{"Orphan"}, nil); err != nil {
 		t.Fatal(err)
 	}
 	cl.Close() // mid-transaction disconnect
 	// The staged write must not leak into committed state.
-	cl2, err := Dial(srv.Addr())
+	cl2, err := client.Dial(ctx, srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl2.Close()
-	ids, err := cl2.NodesByLabel("Orphan")
+	ids, err := cl2.NodesByLabel(ctx, "Orphan")
 	if err != nil {
 		t.Fatal(err)
 	}

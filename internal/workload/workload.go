@@ -1,8 +1,9 @@
 // Package workload builds synthetic graphs and operation streams for the
-// benchmark harness. The paper has no public workload; these generators
-// are the substitution documented in DESIGN.md: a social-style graph
-// (preferential attachment, the shape Neo4j deployments are measured on)
-// with Zipf-skewed access so lock/version contention is controllable.
+// experiments (internal/bench) and the benchmark (benchmark/). The paper
+// has no public workload; these generators are the substitution: a
+// social-style graph (preferential attachment, the shape Neo4j
+// deployments are measured on) with Zipf-skewed access so lock/version
+// contention is controllable.
 package workload
 
 import (

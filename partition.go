@@ -1,38 +1,17 @@
 package neograph
 
-import (
-	"neograph/internal/core"
-	"neograph/internal/value"
-)
+import "neograph/internal/core"
 
 // Partitioned deployments: the database participates in a hash-partitioned
 // cluster where node and relationship IDs are strided by partition
 // (id % PartitionCount == PartitionID) and cross-partition transactions
-// commit through two-phase commit. These passthroughs expose the engine's
-// participant/coordinator surface to the server layer; embedded users of a
-// single database never need them.
-
-// TxnState reports what became of a global transaction (see TxnStatus).
-type TxnState = core.TxnState
-
-// Global transaction outcomes.
-const (
-	TxnCommitted = core.TxnCommitted
-	TxnAborted   = core.TxnAborted
-	TxnPending   = core.TxnPending
-	TxnUnknown   = core.TxnUnknown
-)
-
-// ErrNotPrepared rejects a decision for a global transaction this node
-// holds no prepared state for (already decided, or never prepared).
-var ErrNotPrepared = core.ErrNotPrepared
+// commit through two-phase commit. The two-phase-commit participant and
+// coordinator surface stays on the engine (Engine, Tx.Core), where only
+// the server layer reaches it; what is public here is read-only
+// diagnostics.
 
 // PreparedInfo describes one in-doubt transaction (see InDoubt).
 type PreparedInfo = core.PreparedInfo
-
-// DecidedInfo describes one unacknowledged commit decision this
-// coordinator must keep re-pushing (see UnackedDecisions).
-type DecidedInfo = core.DecidedInfo
 
 // OwnsID reports whether this partition owns the given entity ID
 // (id % PartitionCount == PartitionID; always true when unpartitioned).
@@ -46,49 +25,6 @@ func (db *DB) PartitionID() uint32 { return uint32(db.opts.PartitionID) }
 // unpartitioned).
 func (db *DB) PartitionCount() int { return db.opts.PartitionCount }
 
-// Prepare parks the transaction's staged writes durably under global
-// transaction ID gtxn (phase one of two-phase commit): conflicts are
-// validated now, write guards are retained until the decision, and a
-// prepare record is fsynced to the WAL. validate lists locally-owned
-// node IDs that must stay alive for the global transaction (edge
-// endpoints referenced from other partitions). Returns the prepare
-// record's end LSN. After Prepare the transaction handle is spent —
-// the outcome is delivered through DecideTxn.
-func (tx *Tx) Prepare(gtxn uint64, coordPart uint32, validate []uint64) (uint64, error) {
-	return tx.t.Prepare(gtxn, coordPart, validate)
-}
-
-// DecideTxn commits or aborts the prepared transaction gtxn (phase two).
-// On the coordinating partition, participants lists the other partitions
-// involved: the durable decision record is then the global commit point
-// and must be re-pushed until every participant acknowledges.
-func (db *DB) DecideTxn(gtxn uint64, commit bool, participants []uint32) (uint64, error) {
-	ts, err := db.eng().DecideTxn(gtxn, commit, participants)
-	return uint64(ts), err
-}
-
-// TxnStatus answers a participant's in-doubt query: what became of gtxn
-// on this (coordinating) partition. TxnUnknown means presumed abort.
-func (db *DB) TxnStatus(gtxn uint64) TxnState { return db.eng().TxnStatus(gtxn) }
-
-// AckDecision records that participant has acknowledged gtxn's commit
-// decision; once every participant has, the repush obligation ends.
-func (db *DB) AckDecision(gtxn uint64, participant uint32) {
-	db.eng().AckDecision(gtxn, participant)
-}
-
 // InDoubt lists transactions prepared on this node whose decision has
 // not arrived — the resolver asks each one's coordinating partition.
 func (db *DB) InDoubt() []PreparedInfo { return db.eng().InDoubt() }
-
-// UnackedDecisions lists commit decisions this coordinator must keep
-// re-pushing to their participants.
-func (db *DB) UnackedDecisions() []DecidedInfo { return db.eng().UnackedDecisions() }
-
-// CreateRelCrossPartition creates a relationship whose endpoints may live
-// on other partitions: locally-owned endpoints are validated and locked
-// as CreateRel does, remote ones are guarded by the owning partition's
-// prepare. Only valid on the two-phase-commit prepare path.
-func (tx *Tx) CreateRelCrossPartition(relType string, start, end NodeID, props Props) (RelID, error) {
-	return tx.t.CreateRelCrossPartition(relType, start, end, value.Map(props))
-}

@@ -29,6 +29,11 @@ type Tx struct {
 	t *core.Tx
 }
 
+// Core exposes the underlying engine transaction to in-module callers,
+// as DB.Engine does for the engine (the server's two-phase-commit
+// prepare path runs on it).
+func (tx *Tx) Core() *core.Tx { return tx.t }
+
 // Commit publishes the transaction's writes atomically. Under snapshot
 // isolation it can fail with ErrWriteConflict (first-committer-wins) —
 // the transaction is then already aborted and should be retried.
