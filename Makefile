@@ -11,9 +11,13 @@ STATICCHECK_VERSION ?= 2025.1
 
 all: build test
 
-## build: compile every package and command
+## build: compile every package and command — and the benchmark, which is
+## a module of its own (root ./... never sees it) compiled against this
+## module's internal signatures: a change that breaks it must fail here,
+## not in the benchmark driver
 build:
 	$(GO) build ./...
+	cd benchmark && $(GO) build -o /dev/null ./...
 
 ## test: the tier-1 gate (build + full test suite), then the commit
 ## pipeline's packages again on one and two cores — a commit must be
@@ -35,9 +39,11 @@ bench: build
 bench-smoke: build
 	$(GO) run ./cmd/neograph-bench -quick -json bench-results.json
 
-## lint: go vet + gofmt diff check + log.Printf gate + staticcheck (pinned)
+## lint: go vet (benchmark module included) + gofmt diff check +
+## log.Printf gate + staticcheck (pinned)
 lint: staticcheck
 	$(GO) vet ./...
+	cd benchmark && $(GO) vet ./...
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rn 'log\.Printf\|log\.Println\|log\.Print(' \

@@ -9,6 +9,7 @@ package neograph_test
 import (
 	"io"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -234,5 +235,88 @@ func BenchmarkConflictDetection(b *testing.B) {
 	}
 	if sinkErr == nil {
 		b.Fatal("expected conflicts")
+	}
+}
+
+// ---- resident-layout benchmarks (bytes and allocations per entity) ----
+
+// socialPeople / socialFriends size the layout benchmarks' graph: the
+// BENCHMARK.json graph (12 000 people, ~96 000 KNOWS).
+const (
+	socialPeople  = 12_000
+	socialFriends = 8
+)
+
+// liveHeap returns the live heap and cumulative malloc count after a
+// forced collection.
+func liveHeap() (heap, mallocs uint64) {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc, ms.Mallocs
+}
+
+// loadSocial opens a durable-format (unsynced) database in dir, loads the
+// social graph and checkpoints it.
+func loadSocial(b *testing.B, dir string) (*neograph.DB, int) {
+	b.Helper()
+	db, err := neograph.Open(neograph.Options{Dir: dir, DisableSyncCommits: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	g, err := workload.BuildSocial(db, workload.SocialConfig{People: socialPeople, AvgFriends: socialFriends, Seed: 7})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := db.Checkpoint(); err != nil {
+		b.Fatal(err)
+	}
+	return db, len(g.People) + len(g.Rels)
+}
+
+// BenchmarkLoadSocial loads the benchmark graph through the commit path
+// and reports what one resident entity costs once it is checkpointed.
+func BenchmarkLoadSocial(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		heap0, mallocs0 := liveHeap()
+		db, entities := loadSocial(b, b.TempDir())
+		heap1, mallocs1 := liveHeap()
+		b.ReportMetric(float64(heap1-heap0)/float64(entities), "B/entity")
+		b.ReportMetric(float64(mallocs1-mallocs0)/float64(entities), "allocs/entity")
+		b.StopTimer()
+		if err := db.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+}
+
+// BenchmarkRecoverSocial reopens a crashed, fully checkpointed copy of the
+// benchmark graph: ns/op is Open, B/entity the recovered layout.
+func BenchmarkRecoverSocial(b *testing.B) {
+	dir := b.TempDir()
+	db, entities := loadSocial(b, dir)
+	if err := db.Crash(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		heap0, mallocs0 := liveHeap()
+		b.StartTimer()
+		re, err := neograph.Open(neograph.Options{Dir: dir, DisableSyncCommits: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		heap1, mallocs1 := liveHeap()
+		b.ReportMetric(float64(heap1-heap0)/float64(entities), "B/entity")
+		b.ReportMetric(float64(mallocs1-mallocs0)/float64(entities), "allocs/entity")
+		if err := re.Crash(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
 	}
 }

@@ -510,43 +510,73 @@ func (p *Pool) Read(ctx context.Context, token string, fn func(c *Client) error)
 	p.mu.Unlock()
 	var lastErr error
 	for _, h := range p.readOrder() {
-		c, err := h.acquire(ctx)
-		if err != nil {
-			lastErr = err
-			if p.pm != nil {
-				p.pm.readSkips.Inc()
-			}
-			continue
-		}
-		c.ReadAfter(gate)
-		c.span = trace.SpanFrom(ctx)
-		err = fn(c)
-		c.span = nil
-		c.ReadAfter(0)
-		broken := c.Broken()
-		h.release(c)
-		if err == nil {
-			if p.pm != nil {
-				if h == primary {
-					p.pm.readsPrimary.Inc()
-				} else {
-					p.pm.readsReplica.Inc()
-				}
-			}
-			return nil
+		next, err := p.readOn(ctx, h, gate, fn)
+		if !next {
+			return err
 		}
 		lastErr = err
-		if !broken && !isAvailabilityErr(err) {
-			return err // the server answered; fn's error is real
-		}
-		if p.pm != nil {
-			p.pm.readSkips.Inc()
+	}
+	// Nobody in the rotation could serve the read, the primary on record
+	// included. After a failover that record is stale — a pool whose only
+	// replica was promoted has an empty rotation and a dead primary — so
+	// look for the current primary, as Write does, and read there.
+	if _, derr := p.discoverPrimary(ctx); derr == nil {
+		p.mu.Lock()
+		found := p.primary
+		p.mu.Unlock()
+		if found != primary {
+			next, err := p.readOn(ctx, found, gate, fn)
+			if !next {
+				return err
+			}
+			lastErr = err
 		}
 	}
 	if lastErr == nil {
 		lastErr = errors.New("client: pool has no hosts")
 	}
 	return fmt.Errorf("client: pool read: %w", lastErr)
+}
+
+// readOn runs fn on a session to h behind the read-your-writes gate. next
+// reports that h could not serve the read (unreachable, draining, too far
+// behind) and another host should be tried; otherwise err is the read's
+// outcome.
+func (p *Pool) readOn(ctx context.Context, h *host, gate uint64, fn func(c *Client) error) (next bool, err error) {
+	c, err := h.acquire(ctx)
+	if err != nil {
+		if p.pm != nil {
+			p.pm.readSkips.Inc()
+		}
+		return true, err
+	}
+	c.ReadAfter(gate)
+	c.span = trace.SpanFrom(ctx)
+	err = fn(c)
+	c.span = nil
+	c.ReadAfter(0)
+	broken := c.Broken()
+	h.release(c)
+	if err == nil {
+		if p.pm != nil {
+			p.mu.Lock()
+			onPrimary := h == p.primary
+			p.mu.Unlock()
+			if onPrimary {
+				p.pm.readsPrimary.Inc()
+			} else {
+				p.pm.readsReplica.Inc()
+			}
+		}
+		return false, nil
+	}
+	if !broken && !isAvailabilityErr(err) {
+		return false, err // the server answered; fn's error is real
+	}
+	if p.pm != nil {
+		p.pm.readSkips.Inc()
+	}
+	return true, err
 }
 
 // Write runs fn on a session to the primary and records the newest

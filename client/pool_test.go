@@ -309,6 +309,14 @@ func TestPoolDemotedHostRejoinsReads(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
+	// lone knows the primary and only the replica about to be promoted.
+	lone, err := OpenPool(ctx, PoolConfig{
+		Primary: f.psrv.Addr(), Replicas: []string{f.r1srv.Addr()}, ProbeEvery: cfg.ProbeEvery,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lone.Close()
 
 	// Fail over: kill the primary, promote replica 1 onto its address.
 	f.psrv.Close()
@@ -321,6 +329,22 @@ func TestPoolDemotedHostRejoinsReads(t *testing.T) {
 		t.Fatal(err)
 	}
 	cl.Close()
+
+	// Reads first, before any write re-discovers the primary: once lone's
+	// probe sees replica 1's new role its read rotation is empty and the
+	// primary on record is dead, so Read itself must find the new one.
+	for until := time.Now().Add(10 * cfg.ProbeEvery); time.Now().Before(until); time.Sleep(cfg.ProbeEvery / 3) {
+		if err := lone.Read(ctx, "", func(c *Client) error {
+			_, err := c.AllNodes(ctx)
+			return err
+		}); err != nil {
+			t.Fatalf("read through a pool whose only replica was promoted: %v", err)
+		}
+	}
+	if got := lone.PrimaryAddr(); got != f.r1srv.Addr() {
+		t.Fatalf("reads left the pool's primary at %s, want the promoted %s", got, f.r1srv.Addr())
+	}
+
 	if err := p.Write(ctx, "u", func(c *Client) error {
 		_, err := c.CreateNode(ctx, []string{"F"}, nil)
 		return err

@@ -102,13 +102,13 @@ func (e *Engine) ApplyReplicated(lsn uint64, payload []byte) error {
 		}
 	case recCommit:
 		var err error
-		cts, muts, err = decodeCommit(payload)
+		cts, muts, err = decodeCommit(payload, e.tok)
 		if err != nil {
 			return err
 		}
 		isCommit = true
 	case recPrepare:
-		gtxn, coordPart, validate, pmuts, err := decodePrepare(payload)
+		gtxn, coordPart, validate, pmuts, err := decodePrepare(payload, e.tok)
 		if err != nil {
 			return err
 		}
@@ -164,7 +164,7 @@ func (e *Engine) ApplyReplicated(lsn uint64, payload []byte) error {
 	if isCommit {
 		keys := e.applyCommit(cts, muts)
 		e.markDirty(keys)
-		e.raiseHighWater(muts)
+		e.reserveIDs(keys)
 	}
 	var decidedKeys []entKey
 	if decision != nil {
@@ -190,22 +190,27 @@ func (e *Engine) ApplyReplicated(lsn uint64, payload []byte) error {
 	return nil
 }
 
-// raiseHighWater keeps the store's ID allocators ahead of replicated
-// entities, so a replica promoted to accept writes never reuses an ID the
-// stream already assigned. Recovery does the same in bulk.
-func (e *Engine) raiseHighWater(muts []mutation) {
-	if e.store == nil {
+// reserveIDs takes the IDs of entities installed from a log — replayed by
+// recovery, applied on a replica, parked by a prepare — out of the
+// store's allocators. The allocators know only the record files: an ID
+// freed there and since re-used by an entity that so far lives in the log
+// would otherwise be handed out a second time (on a replica, after its
+// promotion).
+func (e *Engine) reserveIDs(keys []entKey) {
+	if e.store == nil || len(keys) == 0 {
 		return
 	}
-	for _, m := range muts {
-		if m.key.kind == lock.KindNode {
-			if e.store.NodeHighWater() <= m.key.id {
-				e.store.SetNodeHighWater(m.key.id + 1)
-			}
-		} else if e.store.RelHighWater() <= m.key.id {
-			e.store.SetRelHighWater(m.key.id + 1)
+	var nodeBuf, relBuf [8]ids.ID // a replica reserves per applied commit: no garbage for small ones
+	nodes, rels := nodeBuf[:0], relBuf[:0]
+	for _, k := range keys {
+		if k.kind == lock.KindNode {
+			nodes = append(nodes, k.id)
+		} else {
+			rels = append(rels, k.id)
 		}
 	}
+	e.store.ReserveNodeIDs(nodes)
+	e.store.ReserveRelIDs(rels)
 }
 
 // CommitRecordEnd computes the end position of a WAL record appended at

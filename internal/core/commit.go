@@ -4,9 +4,11 @@ import (
 	"encoding/binary"
 	"fmt"
 	"strconv"
+	"strings"
 	"sync"
 
 	"neograph/internal/ids"
+	"neograph/internal/index"
 	"neograph/internal/lock"
 	"neograph/internal/mvcc"
 	"neograph/internal/trace"
@@ -479,59 +481,71 @@ func liveRel(m mutation) *RelState {
 // indexNodeDiff updates the label and node-property indexes for a node
 // transition old → new at commit timestamp cts (nil means absent/dead).
 func (e *Engine) indexNodeDiff(id ids.ID, old, new *NodeState, cts mvcc.TS) {
-	var oldLabels []string
-	var oldProps value.Map
+	var oldLabels, newLabels []string
+	var oldProps, newProps value.Packed
 	if old != nil {
 		oldLabels, oldProps = old.Labels, old.Props
 	}
-	var newLabels []string
-	var newProps value.Map
 	if new != nil {
 		newLabels, newProps = new.Labels, new.Props
 	}
 	for _, l := range oldLabels {
-		if new == nil || !hasLabel(newLabels, l) {
+		if !hasLabel(newLabels, l) {
 			e.labelIdx.Remove(e.tok.get(tokLabel, l), id, cts)
 		}
 	}
 	for _, l := range newLabels {
-		if old == nil || !hasLabel(oldLabels, l) {
+		if !hasLabel(oldLabels, l) {
 			e.labelIdx.Add(e.tok.get(tokLabel, l), id, cts)
 		}
 	}
-	for k, ov := range oldProps {
-		nv, ok := newProps[k]
-		if !ok || !nv.Equal(ov) {
-			e.nodePropIdx.Remove(e.tok.get(tokPropKey, k), ov, id, cts)
-		}
-	}
-	for k, nv := range newProps {
-		ov, ok := oldProps[k]
-		if !ok || !ov.Equal(nv) {
-			e.nodePropIdx.Add(e.tok.get(tokPropKey, k), nv, id, cts)
-		}
-	}
+	e.indexPropDiff(e.nodePropIdx, id, oldProps, newProps, cts)
 }
 
 // indexRelDiff updates the relationship property index.
 func (e *Engine) indexRelDiff(id ids.ID, old, new *RelState, cts mvcc.TS) {
-	var oldProps, newProps value.Map
+	var oldProps, newProps value.Packed
 	if old != nil {
 		oldProps = old.Props
 	}
 	if new != nil {
 		newProps = new.Props
 	}
-	for k, ov := range oldProps {
-		nv, ok := newProps[k]
-		if !ok || !nv.Equal(ov) {
-			e.relPropIdx.Remove(e.tok.get(tokPropKey, k), ov, id, cts)
+	e.indexPropDiff(e.relPropIdx, id, oldProps, newProps, cts)
+}
+
+// indexPropDiff moves entity id's entries in idx from the old property
+// list to the new one: a merge walk over the two key-sorted lists that
+// touches the index only where a key appeared, vanished or changed value.
+func (e *Engine) indexPropDiff(idx *index.PropertyIndex, id ids.ID, old, new value.Packed, cts mvcc.TS) {
+	i, j := 0, 0
+	for i < old.Len() || j < new.Len() {
+		var cmp int
+		switch {
+		case i == old.Len():
+			cmp = 1
+		case j == new.Len():
+			cmp = -1
+		default:
+			cmp = strings.Compare(old.At(i).Key, new.At(j).Key)
 		}
-	}
-	for k, nv := range newProps {
-		ov, ok := oldProps[k]
-		if !ok || !ov.Equal(nv) {
-			e.relPropIdx.Add(e.tok.get(tokPropKey, k), nv, id, cts)
+		switch {
+		case cmp < 0: // key vanished
+			o := old.At(i)
+			idx.Remove(e.tok.get(tokPropKey, o.Key), o.Val, id, cts)
+			i++
+		case cmp > 0: // key appeared
+			n := new.At(j)
+			idx.Add(e.tok.get(tokPropKey, n.Key), n.Val, id, cts)
+			j++
+		default:
+			if o, n := old.At(i), new.At(j); !o.Val.Equal(n.Val) {
+				tok := e.tok.get(tokPropKey, o.Key)
+				idx.Remove(tok, o.Val, id, cts)
+				idx.Add(tok, n.Val, id, cts)
+			}
+			i++
+			j++
 		}
 	}
 }
@@ -645,7 +659,7 @@ func appendMutations(buf []byte, muts []mutation) []byte {
 				buf = binary.AppendUvarint(buf, uint64(len(l)))
 				buf = append(buf, l...)
 			}
-			buf = value.AppendMap(buf, st.Props)
+			buf = value.AppendPacked(buf, st.Props)
 		case lock.KindRel:
 			st := m.rel
 			if st == nil {
@@ -655,7 +669,7 @@ func appendMutations(buf []byte, muts []mutation) []byte {
 			buf = append(buf, st.Type...)
 			buf = binary.LittleEndian.AppendUint64(buf, st.Start)
 			buf = binary.LittleEndian.AppendUint64(buf, st.End)
-			buf = value.AppendMap(buf, st.Props)
+			buf = value.AppendPacked(buf, st.Props)
 		}
 	}
 	return buf
@@ -675,13 +689,14 @@ func encodeCheckpoint(w mvcc.TS) []byte {
 const minMutationBytes = 10
 
 // decodeCommit parses a commit record. Returns the commit timestamp and
-// mutations.
-func decodeCommit(payload []byte) (mvcc.TS, []mutation, error) {
+// mutations, whose label, type and key strings come from tok (nil: each
+// is a fresh copy).
+func decodeCommit(payload []byte, tok *tokenTable) (mvcc.TS, []mutation, error) {
 	if len(payload) < 9 || payload[0] != recCommit {
 		return 0, nil, fmt.Errorf("core: not a commit record")
 	}
 	cts := binary.LittleEndian.Uint64(payload[1:])
-	muts, _, err := decodeMutations(payload, 9)
+	muts, _, err := decodeMutations(payload, 9, tok)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -690,7 +705,8 @@ func decodeCommit(payload []byte) (mvcc.TS, []mutation, error) {
 
 // decodeMutations parses a mutation list starting at off and returns the
 // mutations plus the offset just past them.
-func decodeMutations(payload []byte, off int) ([]mutation, int, error) {
+func decodeMutations(payload []byte, off int, tok *tokenTable) ([]mutation, int, error) {
+	propKey := func(b []byte) string { return tok.name(tokPropKey, b) }
 	n, sz := binary.Uvarint(payload[off:])
 	if sz <= 0 {
 		return nil, 0, fmt.Errorf("core: corrupt commit record (count)")
@@ -732,10 +748,10 @@ func decodeMutations(payload []byte, off int) ([]mutation, int, error) {
 					return nil, 0, fmt.Errorf("core: corrupt commit record (label)")
 				}
 				off += sz
-				st.Labels = append(st.Labels, string(payload[off:off+int(ll)]))
+				st.Labels = append(st.Labels, tok.name(tokLabel, payload[off:off+int(ll)]))
 				off += int(ll)
 			}
-			props, consumed, err := value.DecodeMap(payload[off:])
+			props, consumed, err := value.DecodePacked(payload[off:], propKey)
 			if err != nil {
 				return nil, 0, fmt.Errorf("core: corrupt commit record: %w", err)
 			}
@@ -748,7 +764,7 @@ func decodeMutations(payload []byte, off int) ([]mutation, int, error) {
 				return nil, 0, fmt.Errorf("core: corrupt commit record (type)")
 			}
 			off += sz
-			st := &RelState{Type: string(payload[off : off+int(tl)])}
+			st := &RelState{Type: tok.name(tokRelType, payload[off:off+int(tl)])}
 			off += int(tl)
 			if off+16 > len(payload) {
 				return nil, 0, fmt.Errorf("core: corrupt commit record (endpoints)")
@@ -756,7 +772,7 @@ func decodeMutations(payload []byte, off int) ([]mutation, int, error) {
 			st.Start = binary.LittleEndian.Uint64(payload[off:])
 			st.End = binary.LittleEndian.Uint64(payload[off+8:])
 			off += 16
-			props, consumed, err := value.DecodeMap(payload[off:])
+			props, consumed, err := value.DecodePacked(payload[off:], propKey)
 			if err != nil {
 				return nil, 0, fmt.Errorf("core: corrupt commit record: %w", err)
 			}

@@ -17,7 +17,7 @@ func sampleMutations() []mutation {
 			created: true,
 			node: &NodeState{
 				Labels: []string{"Account", "Person"},
-				Props:  value.Map{"name": value.String("alice"), "balance": value.Int(42)},
+				Props:  value.Pack(value.Map{"name": value.String("alice"), "balance": value.Int(42)}),
 			},
 		},
 		{
@@ -30,7 +30,7 @@ func sampleMutations() []mutation {
 			created: true,
 			rel: &RelState{
 				Type: "KNOWS", Start: 7, End: 9,
-				Props: value.Map{"since": value.Int(2016)},
+				Props: value.Pack(value.Map{"since": value.Int(2016)}),
 			},
 		},
 	}
@@ -39,7 +39,7 @@ func sampleMutations() []mutation {
 func TestCommitCodecRoundTrip(t *testing.T) {
 	muts := sampleMutations()
 	payload := encodeCommit(123, muts)
-	cts, got, err := decodeCommit(payload)
+	cts, got, err := decodeCommit(payload, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestCommitCodecRoundTrip(t *testing.T) {
 	if len(got) != len(muts) {
 		t.Fatalf("decoded %d mutations, want %d", len(got), len(muts))
 	}
-	if got[0].key != muts[0].key || !got[0].created || !got[0].node.Props["name"].Equal(value.String("alice")) {
+	if got[0].key != muts[0].key || !got[0].created || !got[0].node.Props.ToMap()["name"].Equal(value.String("alice")) {
 		t.Fatalf("mutation 0 mismatch: %+v", got[0])
 	}
 	if !got[1].deleted || got[1].node.Labels[0] != "Gone" {
@@ -73,7 +73,7 @@ func TestDecodeCommitAbsurdCount(t *testing.T) {
 		// One minimal mutation's worth of bytes at most: far fewer than
 		// the claimed count needs.
 		buf = append(buf, make([]byte, minMutationBytes)...)
-		if _, _, err := decodeCommit(buf); err == nil {
+		if _, _, err := decodeCommit(buf, nil); err == nil {
 			t.Fatalf("count %d over %d payload bytes decoded without error", count, len(buf))
 		}
 	}
@@ -81,7 +81,7 @@ func TestDecodeCommitAbsurdCount(t *testing.T) {
 	// mutations as the bytes allow. (A zero-ID node with no labels and a
 	// nil map is 12 bytes, so build the record honestly.)
 	honest := encodeCommit(1, []mutation{{key: entKey{lock.KindNode, 1}}})
-	if _, _, err := decodeCommit(honest); err != nil {
+	if _, _, err := decodeCommit(honest, nil); err != nil {
 		t.Fatalf("honest minimal record rejected: %v", err)
 	}
 }
@@ -103,7 +103,7 @@ func FuzzDecodeCommit(f *testing.F) {
 		f.Add(cp)
 	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		cts, muts, err := decodeCommit(payload)
+		cts, muts, err := decodeCommit(payload, nil)
 		if err != nil {
 			return
 		}

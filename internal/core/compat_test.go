@@ -1,0 +1,106 @@
+package core
+
+import (
+	"encoding/hex"
+	"os"
+	"path/filepath"
+	"reflect"
+	"testing"
+
+	"neograph/internal/value"
+)
+
+// The resident layout of properties is the engine's own business; the
+// bytes it logs and stores are not. These tests pin both against what the
+// last release with a Go map per version (PR 14) wrote.
+
+// goldenCommit is PR 14's encodeCommit(123, sampleMutations()).
+const goldenCommit = "437b00000000000000030007000000000000000102074163636f756e7406506572736f6e02" +
+	"0762616c616e63650254046e616d650405616c696365000900000000000000020104476f6e65" +
+	"0001030000000000000001054b4e4f575307000000000000000900000000000000010573696e" +
+	"636502c01f"
+
+func TestCommitRecordBytesUnchanged(t *testing.T) {
+	if got := hex.EncodeToString(encodeCommit(123, sampleMutations())); got != goldenCommit {
+		t.Fatalf("commit record bytes changed:\n got %s\nwant %s", got, goldenCommit)
+	}
+}
+
+// TestOpensStoreWrittenByPR14 recovers testdata/store-pr14 — a data
+// directory PR 14 wrote and crashed on: a checkpointed graph in the record
+// files (every value kind, a value spilled to the dynamic store, labels, a
+// self-loop) and a WAL tail over it (an update, a property removal, a
+// label, two creations, a deletion) — then checkpoints it and reads the
+// same graph back from its own files.
+func TestOpensStoreWrittenByPR14(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.CopyFS(dir, os.DirFS(filepath.Join("testdata", "store-pr14"))); err != nil {
+		t.Fatal(err)
+	}
+	const ada, bob, bare, carol = 0, 1, 2, 3 // nodes
+	const knows, likes, loop, knows2 = 0, 1, 2, 3
+	verify := func(e *Engine) {
+		t.Helper()
+		tx := e.Begin()
+		defer tx.Abort()
+		wantNode := func(id uint64, labels []string, props value.Map) {
+			t.Helper()
+			n, err := tx.GetNode(id)
+			if err != nil {
+				t.Fatalf("node %d: %v", id, err)
+			}
+			if !reflect.DeepEqual(n.Labels, labels) || !n.Props.Equal(props) {
+				t.Fatalf("node %d = %v %v, want %v %v", id, n.Labels, n.Props, labels, props)
+			}
+		}
+		wantNode(ada, []string{"Admin", "Person"}, value.Map{
+			"name": value.String("ada"), "age": value.Int(36), "score": value.Float(8.5),
+			"raw": value.Bytes([]byte{1, 2, 3}), "tags": value.List(value.String("x"), value.Int(7)),
+			"bio": value.String(string(make([]byte, 300))),
+		})
+		wantNode(bob, []string{"Admin", "Person"}, value.Map{"name": value.String("robert")})
+		wantNode(bare, nil, value.Map{})
+		wantNode(carol, []string{"Person"}, value.Map{"name": value.String("carol")})
+		wantRel := func(id uint64, relType string, start, end uint64, props value.Map) {
+			t.Helper()
+			r, err := tx.GetRel(id)
+			if err != nil {
+				t.Fatalf("rel %d: %v", id, err)
+			}
+			if r.Type != relType || r.Start != start || r.End != end || !r.Props.Equal(props) {
+				t.Fatalf("rel %d = %+v", id, r)
+			}
+		}
+		wantRel(knows, "KNOWS", ada, bob, value.Map{"since": value.Int(2009)})
+		wantRel(loop, "SELF", bare, bare, value.Map{"w": value.Float(0.25)})
+		wantRel(knows2, "KNOWS", carol, ada, value.Map{"since": value.Int(2020)})
+		if _, err := tx.GetRel(likes); err == nil {
+			t.Fatal("deleted relationship is visible")
+		}
+		if ids, _ := tx.NodesByLabel("Person"); !reflect.DeepEqual(ids, []uint64{ada, bob, carol}) {
+			t.Fatalf("label index = %v", ids)
+		}
+		if ids, _ := tx.NodesByProperty("name", value.String("robert")); !reflect.DeepEqual(ids, []uint64{bob}) {
+			t.Fatalf("property index = %v", ids)
+		}
+		if ids, _ := tx.NodesByProperty("ok", value.Bool(true)); len(ids) != 0 {
+			t.Fatalf("removed property still indexed: %v", ids)
+		}
+		if nb, _ := tx.Neighbors(ada, Both); !reflect.DeepEqual(nb, []uint64{bob, carol}) {
+			t.Fatalf("neighbors of ada = %v", nb)
+		}
+	}
+
+	e := diskEngine(t, dir)
+	verify(e)
+	if err := e.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	verify(e)
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	e = diskEngine(t, dir)
+	defer e.Close()
+	verify(e)
+}

@@ -218,20 +218,24 @@ type entKey struct {
 	id   ids.ID
 }
 
-// object is a cached entity: its identity plus its version chain. For
-// relationships the immutable endpoints and type are mirrored here so
-// that garbage collection of a fully dead relationship (whose chain is
-// empty) can still fix up adjacency and the persistent store.
+// object is a cached entity: its identity plus its version chain, held
+// by value (chain.Owner points back here, which is how the collector's
+// dead chains find their entity). For relationships the immutable
+// endpoints are mirrored here so that garbage collection of a fully dead
+// relationship (whose chain is empty) can still fix up adjacency and the
+// persistent store.
 type object struct {
 	key        entKey
-	chain      *mvcc.Chain
+	chain      mvcc.Chain
 	start, end ids.ID // relationships only
 }
 
-// NodeState is the payload of a node version.
+// NodeState is the payload of a node version. Versions are immutable and
+// a staged write shares its base version's Labels and Props until it
+// changes them, so neither is ever modified in place.
 type NodeState struct {
 	Labels []string // sorted, no duplicates
-	Props  value.Map
+	Props  value.Packed
 }
 
 // RelState is the payload of a relationship version. Endpoints and type
@@ -239,7 +243,7 @@ type NodeState struct {
 type RelState struct {
 	Type       string
 	Start, End ids.ID
-	Props      value.Map
+	Props      value.Packed
 }
 
 // stripe is one shard of the engine's in-memory concurrency-critical
@@ -285,12 +289,9 @@ type Engine struct {
 	gcList  *mvcc.GCList
 
 	// stripes holds the object cache split into power-of-two shards by
-	// entity-key hash; stripeMask selects a shard. chainOwner maps a
-	// version chain back to its owning object for GC reaping (written
-	// once per object lifetime, read only by the collector).
+	// entity-key hash; stripeMask selects a shard.
 	stripes    []stripe
 	stripeMask uint64
-	chainOwner sync.Map // *mvcc.Chain -> *object
 
 	labelIdx    *index.LabelIndex
 	nodePropIdx *index.PropertyIndex
@@ -420,15 +421,10 @@ func Open(opts Options) (*Engine, error) {
 		decided:     make(map[uint64]*decidedTxn),
 		stopBG:      make(chan struct{}),
 	}
-	for i := range e.stripes {
-		s := &e.stripes[i]
-		s.nodes = make(map[ids.ID]*object)
-		s.rels = make(map[ids.ID]*object)
-		s.adj = make(map[ids.ID]map[ids.ID]adjDir)
-	}
 	e.fs = faultfs.OrOS(opts.FS)
 	e.replica.Store(opts.Replica)
 	if opts.Dir == "" {
+		e.makeStripeMaps(0, 0)
 		e.memNodeAlloc = ids.NewAllocator()
 		e.memRelAlloc = ids.NewAllocator()
 		if opts.PartitionCount > 1 {
@@ -465,6 +461,11 @@ func Open(opts Options) (*Engine, error) {
 		return nil, err
 	}
 	e.store, e.wal = st, w
+	// Recovery fills the maps with every record below the store's high
+	// waters; sizing them for that up front spares the rehash-and-copy of
+	// growing each one from empty.
+	span := uint64(max(opts.PartitionCount, 1)) // strided IDs fill 1/PartitionCount of the range
+	e.makeStripeMaps(st.NodeHighWater()/span, st.RelHighWater()/span)
 	if err := e.loadEpoch(); err != nil {
 		w.Close()
 		st.Close()
@@ -483,6 +484,18 @@ func Open(opts Options) (*Engine, error) {
 	}
 	e.startBackground()
 	return e, nil
+}
+
+// makeStripeMaps allocates every stripe's maps, sized for nodes and rels
+// entities spread evenly over the stripes (the stripe hash mixes IDs).
+func (e *Engine) makeStripeMaps(nodes, rels uint64) {
+	n := uint64(len(e.stripes))
+	for i := range e.stripes {
+		s := &e.stripes[i]
+		s.nodes = make(map[ids.ID]*object, nodes/n)
+		s.rels = make(map[ids.ID]*object, rels/n)
+		s.adj = make(map[ids.ID]map[ids.ID]adjDir, nodes/n)
+	}
 }
 
 // startBackground launches periodic GC and checkpoint drivers when
@@ -792,9 +805,9 @@ func (e *Engine) ensureObject(k entKey) *object {
 	if o, ok := m[k.id]; ok {
 		return o
 	}
-	o := &object{key: k, chain: mvcc.NewChain()}
+	o := &object{key: k}
+	o.chain.Owner = o
 	m[k.id] = o
-	e.chainOwner.Store(o.chain, o)
 	return o
 }
 

@@ -47,10 +47,10 @@ func (e *Engine) RunGC() GCReport {
 			s := &e.stripes[i]
 			s.mu.RLock()
 			for _, o := range s.nodes {
-				chains = append(chains, o.chain)
+				chains = append(chains, &o.chain)
 			}
 			for _, o := range s.rels {
-				chains = append(chains, o.chain)
+				chains = append(chains, &o.chain)
 			}
 			s.mu.RUnlock()
 		}
@@ -92,11 +92,7 @@ func (e *Engine) reapDead(chains []*mvcc.Chain) {
 	}
 	var objs []*object
 	for _, c := range chains {
-		v, ok := e.chainOwner.LoadAndDelete(c)
-		if !ok {
-			continue
-		}
-		o := v.(*object)
+		o := c.Owner.(*object)
 		if o.key.kind == lock.KindNode {
 			s := e.stripeOf(o.key)
 			s.mu.Lock()

@@ -48,7 +48,7 @@ func (t *Tx) NodesByProperty(key string, val value.Value) ([]ids.ID, error) {
 		committed = t.e.nodePropIdx.Lookup(tok, val, t.readTS())
 	}
 	return t.mergeNodeIDs(committed, func(st *NodeState) bool {
-		v, ok := st.Props[key]
+		v, ok := st.Props.Get(key)
 		return ok && v.Equal(val)
 	})
 }
@@ -64,7 +64,7 @@ func (t *Tx) RelsByProperty(key string, val value.Value) ([]ids.ID, error) {
 		committed = t.e.relPropIdx.Lookup(tok, val, t.readTS())
 	}
 	match := func(st *RelState) bool {
-		v, ok := st.Props[key]
+		v, ok := st.Props.Get(key)
 		return ok && v.Equal(val)
 	}
 	out := make([]ids.ID, 0, len(committed))

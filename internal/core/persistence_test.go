@@ -168,7 +168,7 @@ func TestCheckpointPersistsOnlyLatestVersion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := st.Props["v"].AsInt(); v != 5 {
+	if v, _ := st.Props.ToMap()["v"].AsInt(); v != 5 {
 		t.Fatalf("persisted v = %d, want 5", v)
 	}
 	e.Close()
@@ -333,5 +333,135 @@ func TestLargePropertyPersistence(t *testing.T) {
 	got, _ := n.Props["blob"].AsBytes()
 	if !reflect.DeepEqual(got, big) {
 		t.Fatalf("blob corrupted: %d bytes", len(got))
+	}
+}
+
+// seedRel creates and commits one relationship, returning its ID.
+func seedRel(t *testing.T, e *Engine, relType string, start, end uint64) uint64 {
+	t.Helper()
+	tx := e.Begin()
+	id, err := tx.CreateRel(relType, start, end, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustCommit(t, tx)
+	return id
+}
+
+func mustDeleteRel(t *testing.T, e *Engine, id uint64) {
+	t.Helper()
+	tx := e.Begin()
+	if err := tx.DeleteRel(id); err != nil {
+		t.Fatal(err)
+	}
+	mustCommit(t, tx)
+}
+
+// wantRel checks that rel id is visible with the given endpoints.
+func wantRel(t *testing.T, e *Engine, id, start, end uint64) {
+	t.Helper()
+	tx := e.Begin()
+	defer tx.Abort()
+	r, err := tx.GetRel(id)
+	if err != nil {
+		t.Fatalf("rel %d: %v", id, err)
+	}
+	if r.Start != start || r.End != end {
+		t.Fatalf("rel %d runs %d->%d, want %d->%d", id, r.Start, r.End, start, end)
+	}
+}
+
+// An ID freed before the last checkpoint and re-used by an entity that so
+// far lives only in the WAL tail is free in the record file; recovery must
+// take it out of the rebuilt free list or the next allocation hands it out
+// a second time.
+func TestRecoveryReservesIDsReusedInWALTail(t *testing.T) {
+	dir := t.TempDir()
+	e := diskEngine(t, dir)
+	a, b := seedNode(t, e, nil, nil), seedNode(t, e, nil, nil)
+	old := seedRel(t, e, "R", a, b)
+	keep := seedRel(t, e, "R", a, b) // a higher in-use ID keeps old's slot below the high water
+	if err := e.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	mustDeleteRel(t, e, old)
+	if rep := e.RunGC(); rep.EntitiesDead != 1 {
+		t.Fatalf("entities dead = %d, want 1", rep.EntitiesDead)
+	}
+	if err := e.Checkpoint(); err != nil { // the freed slot reaches the file
+		t.Fatal(err)
+	}
+	reused := seedRel(t, e, "R", b, a)
+	if reused != old {
+		t.Fatalf("new rel got id %d, want the recycled %d", reused, old)
+	}
+	if err := e.Crash(); err != nil {
+		t.Fatal(err)
+	}
+
+	e2 := diskEngine(t, dir)
+	defer e2.Close()
+	wantRel(t, e2, reused, b, a)
+	fresh := seedRel(t, e2, "R", a, a)
+	if fresh == reused || fresh == keep {
+		t.Fatalf("recovered allocator handed out live rel id %d again", fresh)
+	}
+	wantRel(t, e2, reused, b, a)
+	wantRel(t, e2, keep, a, b)
+}
+
+// A relationship is deleted, its tombstone checkpointed and collected, and
+// its ID re-used — all before a crash that loses the store's unflushed
+// record removal. Recovery then finds the tombstone in the store and the
+// ID's new owner in the WAL tail: the new relationship must install over
+// the tombstone, and the next checkpoint must replace the dead record
+// (other endpoints, other chains) with the new one.
+func TestRecoveryReplaysIDReusedOverCheckpointedTombstone(t *testing.T) {
+	dir := t.TempDir()
+	e := diskEngine(t, dir)
+	a, b := seedNode(t, e, nil, nil), seedNode(t, e, nil, nil)
+	c, d := seedNode(t, e, nil, nil), seedNode(t, e, nil, nil)
+	old := seedRel(t, e, "R", a, b)
+	keep := seedRel(t, e, "R", a, b)
+	mustDeleteRel(t, e, old)
+	if err := e.Checkpoint(); err != nil { // tombstone image on disk
+		t.Fatal(err)
+	}
+	if rep := e.RunGC(); rep.EntitiesDead != 1 { // removal stays in the page cache
+		t.Fatalf("entities dead = %d, want 1", rep.EntitiesDead)
+	}
+	reused := seedRel(t, e, "S", c, d)
+	if reused != old {
+		t.Fatalf("new rel got id %d, want the recycled %d", reused, old)
+	}
+	if err := e.Crash(); err != nil {
+		t.Fatal(err)
+	}
+
+	e2 := diskEngine(t, dir)
+	wantRel(t, e2, reused, c, d)
+	tx := e2.Begin()
+	if rels, err := tx.Relationships(a, Both); err != nil || len(rels) != 1 || rels[0].ID != keep {
+		t.Fatalf("rels of the dead relationship's endpoint = %+v, %v; want only %d", rels, err, keep)
+	}
+	tx.Abort()
+	e2.RunGC()
+	wantRel(t, e2, reused, c, d)
+	if fresh := seedRel(t, e2, "R", a, a); fresh == reused || fresh == keep {
+		t.Fatalf("recovered allocator handed out live rel id %d again", fresh)
+	}
+	if err := e2.Close(); err != nil { // checkpoints the re-used record
+		t.Fatal(err)
+	}
+
+	e3 := diskEngine(t, dir)
+	defer e3.Close()
+	wantRel(t, e3, reused, c, d)
+	wantRel(t, e3, keep, a, b)
+	for node, want := range map[uint64]int{a: 2, b: 1, c: 1, d: 1} {
+		got, err := e3.Store().NodeRels(node)
+		if err != nil || len(got) != want {
+			t.Fatalf("store chain of node %d = %v, %v; want %d relationships", node, got, err, want)
+		}
 	}
 }

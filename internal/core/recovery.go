@@ -36,7 +36,10 @@ func (e *Engine) recover() error {
 	}
 
 	err := e.store.ScanNodes(func(nd store.NodeData) error {
-		st := &NodeState{Labels: normalizeLabels(nd.Labels), Props: nd.Props}
+		// The store hands over the final form: labels in the order a node
+		// state wrote them (sorted), their strings shared through its
+		// token registry, and properties already packed.
+		st := &NodeState{Labels: nd.Labels, Props: nd.Props}
 		v := &mvcc.Version{CommitTS: nd.CommitTS, Deleted: nd.Tombstone, Data: st}
 		k := entKey{lock.KindNode, nd.ID}
 		seed(k, v, 0, 0)
@@ -97,7 +100,7 @@ func (e *Engine) recover() error {
 			// replay has nobody to hand the span to.
 			return nil
 		case recCommit:
-			cts, muts, err := decodeCommit(payload)
+			cts, muts, err := decodeCommit(payload, e.tok)
 			if err != nil {
 				return err
 			}
@@ -107,7 +110,7 @@ func (e *Engine) recover() error {
 			replayed = append(replayed, e.applyCommit(cts, muts)...)
 			return nil
 		case recPrepare:
-			gtxn, coordPart, validate, muts, err := decodePrepare(payload)
+			gtxn, coordPart, validate, muts, err := decodePrepare(payload, e.tok)
 			if err != nil {
 				return err
 			}
@@ -152,39 +155,13 @@ func (e *Engine) recover() error {
 		return fmt.Errorf("core: wal replay: %w", err)
 	}
 	e.markDirty(replayed)
-
-	// Allocator high-water marks may trail the WAL tail after a crash
-	// (store allocators are rebuilt from record files, which the replayed
-	// commits never reached). Raise them past every recovered ID.
-	var maxNode, maxRel uint64
-	hasNode, hasRel := false, false
-	for i := range e.stripes {
-		s := &e.stripes[i]
-		s.mu.RLock()
-		for id := range s.nodes {
-			if !hasNode || id > maxNode {
-				maxNode, hasNode = id, true
-			}
-		}
-		for id := range s.rels {
-			if !hasRel || id > maxRel {
-				maxRel, hasRel = id, true
-			}
-		}
-		s.mu.RUnlock()
-	}
-	if hasNode && e.store.NodeHighWater() <= maxNode {
-		e.store.SetNodeHighWater(maxNode + 1)
-	}
-	if hasRel && e.store.RelHighWater() <= maxRel {
-		e.store.SetRelHighWater(maxRel + 1)
-	}
+	e.reserveIDs(replayed)
 
 	e.oracle = mvcc.NewOracle(maxTS)
 
 	// Re-arm the guards of every in-doubt transaction (rearmPrepared also
-	// raises the allocator high waters over their created IDs, so an
-	// undecided creation's ID can never be reallocated) and restore the
+	// reserves their IDs, so an undecided creation's ID can never be
+	// reallocated) and restore the
 	// coordinator's unacked-decision obligations.
 	for gtxn, p := range inDoubt {
 		e.rearmPrepared(gtxn, p.coordPart, p.validate, p.muts, p.lsn)

@@ -286,7 +286,7 @@ func TestCommitTimestampLSNOrder(t *testing.T) {
 				if len(payload) == 0 || payload[0] != recCommit {
 					return nil
 				}
-				cts, _, err := decodeCommit(payload)
+				cts, _, err := decodeCommit(payload, nil)
 				if err != nil {
 					return err
 				}

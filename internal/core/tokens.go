@@ -8,6 +8,7 @@ type tokKind uint8
 const (
 	tokLabel tokKind = iota
 	tokPropKey
+	tokRelType // interned only (name): relationship types have no index
 	tokKinds
 )
 
@@ -46,6 +47,27 @@ func (t *tokenTable) get(kind tokKind, name string) uint32 {
 	t.m[kind][name] = id
 	t.n[kind] = append(t.n[kind], name)
 	return id
+}
+
+// name returns the table's own copy of the name spelled by b, registering
+// it if new: every version decoded from a log record then shares one
+// string per label, key and type instead of allocating its own. A nil
+// table just copies.
+func (t *tokenTable) name(kind tokKind, b []byte) string {
+	if t == nil {
+		return string(b)
+	}
+	t.mu.RLock()
+	id, ok := t.m[kind][string(b)]
+	if ok {
+		s := t.n[kind][id]
+		t.mu.RUnlock()
+		return s
+	}
+	t.mu.RUnlock()
+	s := string(b)
+	t.get(kind, s)
+	return s
 }
 
 // lookup returns the token for name without assigning.

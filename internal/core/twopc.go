@@ -519,7 +519,7 @@ func (e *Engine) twopcFloor() (uint64, bool) {
 
 // rearmPrepared re-registers a prepared transaction's guards after
 // recovery or replica apply: prepared-table entries, long locks under a
-// fresh lock owner, and allocator high-water cover for its created IDs.
+// fresh lock owner, and its IDs reserved out of the allocators.
 func (e *Engine) rearmPrepared(gtxn uint64, coordPart uint32, validate []ids.ID, muts []mutation, lsn uint64) {
 	t := &Tx{e: e, id: e.txnSeq.Add(1)}
 	keys := t.prepFootprint(muts, validate)
@@ -535,7 +535,7 @@ func (e *Engine) rearmPrepared(gtxn uint64, coordPart uint32, validate []ids.ID,
 		_ = e.locks.TryAcquire(t.id, lock.Key{Kind: k.kind, ID: k.id}, lock.Exclusive)
 	}
 	unlatchAll(latched)
-	e.raiseHighWater(muts)
+	e.reserveIDs(keys)
 	e.prepMu.Lock()
 	e.prepared[gtxn] = &preparedTxn{
 		gtxn: gtxn, coordPart: coordPart, muts: muts,
@@ -590,7 +590,7 @@ func encodePrepare(gtxn uint64, coordPart uint32, validate []ids.ID, muts []muta
 }
 
 // decodePrepare parses a 'P' record.
-func decodePrepare(payload []byte) (gtxn uint64, coordPart uint32, validate []ids.ID, muts []mutation, err error) {
+func decodePrepare(payload []byte, tok *tokenTable) (gtxn uint64, coordPart uint32, validate []ids.ID, muts []mutation, err error) {
 	if len(payload) < 13 || payload[0] != recPrepare {
 		return 0, 0, nil, nil, fmt.Errorf("core: not a prepare record")
 	}
@@ -606,7 +606,7 @@ func decodePrepare(payload []byte) (gtxn uint64, coordPart uint32, validate []id
 		validate = append(validate, binary.LittleEndian.Uint64(payload[off:]))
 		off += 8
 	}
-	muts, _, err = decodeMutations(payload, off)
+	muts, _, err = decodeMutations(payload, off, tok)
 	if err != nil {
 		return 0, 0, nil, nil, fmt.Errorf("core: corrupt prepare record: %w", err)
 	}

@@ -135,7 +135,7 @@ func (t *Tx) visibleNode(id ids.ID) (*NodeState, bool, error) {
 	if o == nil {
 		return nil, false, nil
 	}
-	v, err := t.readVersion(k, o.chain)
+	v, err := t.readVersion(k, &o.chain)
 	if err != nil {
 		return nil, false, err
 	}
@@ -158,7 +158,7 @@ func (t *Tx) visibleRel(id ids.ID) (*RelState, bool, error) {
 	if o == nil {
 		return nil, false, nil
 	}
-	v, err := t.readVersion(k, o.chain)
+	v, err := t.readVersion(k, &o.chain)
 	if err != nil {
 		return nil, false, err
 	}
@@ -219,12 +219,8 @@ func (t *Tx) stageNodeWrite(id ids.ID) (*writeEntry, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := base.Data.(*NodeState)
-	w := &writeEntry{
-		key:  k,
-		base: base,
-		node: &NodeState{Labels: append([]string(nil), st.Labels...), Props: st.Props.Clone()},
-	}
+	st := *base.Data.(*NodeState) // shares Labels and Props until a write replaces them
+	w := &writeEntry{key: k, base: base, node: &st}
 	t.writes[k] = w
 	t.order = append(t.order, k)
 	return w, nil
@@ -247,12 +243,8 @@ func (t *Tx) stageRelWrite(id ids.ID) (*writeEntry, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := base.Data.(*RelState)
-	w := &writeEntry{
-		key:  k,
-		base: base,
-		rel:  &RelState{Type: st.Type, Start: st.Start, End: st.End, Props: st.Props.Clone()},
-	}
+	st := *base.Data.(*RelState) // shares Props until a write replaces them
+	w := &writeEntry{key: k, base: base, rel: &st}
 	t.writes[k] = w
 	t.order = append(t.order, k)
 	return w, nil
@@ -338,7 +330,7 @@ func (t *Tx) CreateNode(labels []string, props value.Map) (ids.ID, error) {
 	t.writes[k] = &writeEntry{
 		key:     k,
 		created: true,
-		node:    &NodeState{Labels: ls, Props: props.Clone()},
+		node:    &NodeState{Labels: ls, Props: value.Pack(props)},
 	}
 	t.order = append(t.order, k)
 	return id, nil
@@ -359,8 +351,25 @@ func (t *Tx) GetNode(id ids.ID) (NodeSnapshot, error) {
 	return NodeSnapshot{
 		ID:     id,
 		Labels: append([]string(nil), st.Labels...),
-		Props:  st.Props.Clone(),
+		Props:  st.Props.ToMap(),
 	}, nil
+}
+
+// NodeProp returns one property of the node visible in this snapshot,
+// read in place: no snapshot and no property map are built.
+func (t *Tx) NodeProp(id ids.ID, key string) (value.Value, bool, error) {
+	if err := t.check(); err != nil {
+		return value.Null, false, err
+	}
+	st, ok, err := t.visibleNode(id)
+	if err != nil {
+		return value.Null, false, err
+	}
+	if !ok {
+		return value.Null, false, fmt.Errorf("%w: node %d", ErrNotFound, id)
+	}
+	v, has := st.Props.Get(key)
+	return v, has, nil
 }
 
 // NodeExists reports whether the node is visible in the snapshot.
@@ -381,7 +390,7 @@ func (t *Tx) SetNodeProp(id ids.ID, key string, v value.Value) error {
 	if err != nil {
 		return err
 	}
-	w.node.Props[key] = v
+	w.node.Props = w.node.Props.With(key, v)
 	return nil
 }
 
@@ -395,11 +404,7 @@ func (t *Tx) SetNodeProps(id ids.ID, props value.Map) error {
 		return err
 	}
 	for k, v := range props {
-		if v.IsNull() {
-			delete(w.node.Props, k)
-		} else {
-			w.node.Props[k] = v
-		}
+		w.node.Props = w.node.Props.With(k, v)
 	}
 	return nil
 }
@@ -413,7 +418,7 @@ func (t *Tx) RemoveNodeProp(id ids.ID, key string) error {
 	if err != nil {
 		return err
 	}
-	delete(w.node.Props, key)
+	w.node.Props = w.node.Props.With(key, value.Null)
 	return nil
 }
 
@@ -530,15 +535,17 @@ func hasLabel(labels []string, l string) bool {
 	return i < len(labels) && labels[i] == l
 }
 
+// insertLabel and deleteLabel return a new slice when they change
+// anything: the argument may be a committed version's label set.
 func insertLabel(labels []string, l string) []string {
 	i := sort.SearchStrings(labels, l)
 	if i < len(labels) && labels[i] == l {
 		return labels
 	}
-	labels = append(labels, "")
-	copy(labels[i+1:], labels[i:])
-	labels[i] = l
-	return labels
+	out := make([]string, 0, len(labels)+1)
+	out = append(out, labels[:i]...)
+	out = append(out, l)
+	return append(out, labels[i:]...)
 }
 
 func deleteLabel(labels []string, l string) []string {
@@ -546,5 +553,7 @@ func deleteLabel(labels []string, l string) []string {
 	if i >= len(labels) || labels[i] != l {
 		return labels
 	}
-	return append(labels[:i], labels[i+1:]...)
+	out := make([]string, 0, len(labels)-1)
+	out = append(out, labels[:i]...)
+	return append(out, labels[i+1:]...)
 }

@@ -92,7 +92,7 @@ func (t *Tx) CreateRel(relType string, start, end ids.ID, props value.Map) (ids.
 	t.writes[k] = &writeEntry{
 		key:     k,
 		created: true,
-		rel:     &RelState{Type: relType, Start: start, End: end, Props: props.Clone()},
+		rel:     &RelState{Type: relType, Start: start, End: end, Props: value.Pack(props)},
 	}
 	t.order = append(t.order, k)
 	return id, nil
@@ -133,7 +133,7 @@ func (t *Tx) CreateRelCrossPartition(relType string, start, end ids.ID, props va
 	t.writes[k] = &writeEntry{
 		key:     k,
 		created: true,
-		rel:     &RelState{Type: relType, Start: start, End: end, Props: props.Clone()},
+		rel:     &RelState{Type: relType, Start: start, End: end, Props: value.Pack(props)},
 	}
 	t.order = append(t.order, k)
 	return id, nil
@@ -152,7 +152,7 @@ func (t *Tx) GetRel(id ids.ID) (RelSnapshot, error) {
 		return RelSnapshot{}, fmt.Errorf("%w: rel %d", ErrNotFound, id)
 	}
 	return RelSnapshot{
-		ID: id, Type: st.Type, Start: st.Start, End: st.End, Props: st.Props.Clone(),
+		ID: id, Type: st.Type, Start: st.Start, End: st.End, Props: st.Props.ToMap(),
 	}, nil
 }
 
@@ -165,7 +165,7 @@ func (t *Tx) SetRelProp(id ids.ID, key string, v value.Value) error {
 	if err != nil {
 		return err
 	}
-	w.rel.Props[key] = v
+	w.rel.Props = w.rel.Props.With(key, v)
 	return nil
 }
 
@@ -178,7 +178,7 @@ func (t *Tx) RemoveRelProp(id ids.ID, key string) error {
 	if err != nil {
 		return err
 	}
-	delete(w.rel.Props, key)
+	w.rel.Props = w.rel.Props.With(key, value.Null)
 	return nil
 }
 
@@ -233,7 +233,7 @@ func (t *Tx) Relationships(node ids.ID, dir Direction, relTypes ...string) ([]Re
 	var out []RelSnapshot
 	err := t.forEachVisibleRel(node, dir, relTypes, func(rid ids.ID, st *RelState) {
 		out = append(out, RelSnapshot{
-			ID: rid, Type: st.Type, Start: st.Start, End: st.End, Props: st.Props.Clone(),
+			ID: rid, Type: st.Type, Start: st.Start, End: st.End, Props: st.Props.ToMap(),
 		})
 	})
 	if err != nil {

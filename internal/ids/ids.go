@@ -106,6 +106,35 @@ func (a *Allocator) Release(id ID) {
 	a.free = append(a.free, id)
 }
 
+// Reserve marks every ID in taken as in use: the high-water mark rises
+// past each, and any that sit on the free list leave it. A store calls it
+// for the IDs of entities it learns of from elsewhere than its own record
+// file (a log replayed after a crash, a replication stream), which a
+// free list rebuilt from that file alone would hand out a second time.
+func (a *Allocator) Reserve(taken []ID) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	for _, id := range taken {
+		if id >= a.next {
+			a.next = id + 1
+		}
+	}
+	if len(a.free) == 0 || len(taken) == 0 {
+		return
+	}
+	set := make(map[ID]struct{}, len(taken))
+	for _, id := range taken {
+		set[id] = struct{}{}
+	}
+	kept := a.free[:0]
+	for _, id := range a.free {
+		if _, ok := set[id]; !ok {
+			kept = append(kept, id)
+		}
+	}
+	a.free = kept
+}
+
 // HighWater returns the lowest ID never handed out. Record stores size
 // their files from this.
 func (a *Allocator) HighWater() ID {

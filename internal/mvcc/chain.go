@@ -31,19 +31,31 @@ type Version struct {
 	inGCList     bool
 }
 
-// Chain is the version list of one entity, newest first.
+// Chain is the version list of one entity, newest first. The zero Chain
+// is empty and ready to use, so an entity can hold its chain by value.
 type Chain struct {
+	// Owner is the entity this chain belongs to, set once by whoever
+	// embeds the chain before its first Install and opaque to this
+	// package: the collector hands dead chains back (GCList.Collect) and
+	// the owner is how the engine finds the entity to reap without a
+	// chain-to-entity table.
+	Owner any
+
 	mu   sync.RWMutex
 	head *Version // newest committed version
-	size int
 }
 
 // NewChain returns an empty chain.
 func NewChain() *Chain { return &Chain{} }
 
 // Install links v as the new head and returns the superseded previous
-// head (nil for the first version). The caller adds the superseded
-// version — tagged with v.CommitTS — to the global GC list.
+// head, which the caller adds — tagged with v.CommitTS — to the global
+// GC list. It returns nil for the first version, and for a version
+// installed over a tombstone: a tombstone is collectable from its own
+// timestamp and was threaded when it was installed, so it keeps its
+// SupersededAt (and its place in the sorted list). That happens when a
+// recycled ID's new entity is replayed over the old one's not yet
+// collected tombstone, in recovery or on a replica.
 // Install panics if v would break the descending-timestamp invariant;
 // the write rule (no two concurrent writers) makes that impossible in
 // correct use.
@@ -57,11 +69,12 @@ func (c *Chain) Install(v *Version) (superseded *Version) {
 	v.older = c.head
 	if c.head != nil {
 		c.head.newer = v
-		superseded = c.head
-		superseded.SupersededAt = v.CommitTS
+		if !c.head.Deleted {
+			superseded = c.head
+			superseded.SupersededAt = v.CommitTS
+		}
 	}
 	c.head = v
-	c.size++
 	return superseded
 }
 
@@ -88,11 +101,18 @@ func (c *Chain) Head() *Version {
 	return c.head
 }
 
-// Len returns the number of versions currently in the chain.
+// Len returns the number of versions currently in the chain. It walks
+// the chain: chains are a version or two long once the collector has run,
+// and a stored count would cost every resident entity eight bytes for the
+// sake of the accounting calls that ask.
 func (c *Chain) Len() int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return c.size
+	n := 0
+	for v := c.head; v != nil; v = v.older {
+		n++
+	}
+	return n
 }
 
 // Each calls fn on every version in the chain, newest first, under the
@@ -120,7 +140,6 @@ func (c *Chain) remove(v *Version) (empty bool) {
 		v.older.newer = v.newer
 	}
 	v.newer, v.older = nil, nil
-	c.size--
 	return c.head == nil
 }
 
@@ -146,7 +165,6 @@ func (c *Chain) PruneOlderThan(horizon TS) (removed int, empty bool) {
 			removed++
 		}
 		c.head = nil
-		c.size = 0
 		return removed, true
 	}
 	for v := c.head; v != nil; {
@@ -157,7 +175,6 @@ func (c *Chain) PruneOlderThan(horizon TS) (removed int, empty bool) {
 				v.older.newer = v.newer
 			}
 			v.newer, v.older = nil, nil
-			c.size--
 			removed++
 		}
 		v = older

@@ -190,14 +190,13 @@ func compileStage(tx *neograph.Tx, plan *wire.QueryPlan, st *wire.QueryStage, in
 		}
 		key, lt := st.Key, st.Op == wire.StageFilterLt
 		return &filterIter{in: in, keep: func(id neograph.NodeID) (bool, error) {
-			n, err := tx.GetNode(id)
+			v, ok, err := tx.NodeProp(id, key)
 			if err != nil {
 				if errors.Is(err, neograph.ErrNotFound) {
 					return false, nil
 				}
 				return false, err
 			}
-			v, ok := n.Props[key]
 			if !ok {
 				return false, nil
 			}

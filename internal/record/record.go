@@ -197,6 +197,7 @@ func EncodeProp(dst []byte, p *PropRecord) {
 }
 
 // DecodeProp parses a property record from src (at least PropSize bytes).
+// Inline aliases src: decode or copy it before src is reused.
 func DecodeProp(src []byte) (PropRecord, error) {
 	if len(src) < PropSize {
 		return PropRecord{}, fmt.Errorf("%w: short prop record (%d bytes)", ErrCorrupt, len(src))
@@ -214,8 +215,7 @@ func DecodeProp(src []byte) (PropRecord, error) {
 		return PropRecord{}, fmt.Errorf("%w: inline length %d > max %d", ErrCorrupt, n, PropInlineMax)
 	}
 	if n > 0 {
-		p.Inline = make([]byte, n)
-		copy(p.Inline, src[propHeader+1:propHeader+1+n])
+		p.Inline = src[propHeader+1 : propHeader+1+n : propHeader+1+n]
 	}
 	return p, nil
 }
@@ -250,6 +250,7 @@ func EncodeDyn(dst []byte, d *DynRecord) {
 }
 
 // DecodeDyn parses a dynamic record from src (at least DynSize bytes).
+// Payload aliases src: copy it before src is reused.
 func DecodeDyn(src []byte) (DynRecord, error) {
 	if len(src) < DynSize {
 		return DynRecord{}, fmt.Errorf("%w: short dyn record (%d bytes)", ErrCorrupt, len(src))
@@ -263,8 +264,7 @@ func DecodeDyn(src []byte) (DynRecord, error) {
 		Next:  binary.LittleEndian.Uint64(src[4:]),
 	}
 	if n > 0 {
-		d.Payload = make([]byte, n)
-		copy(d.Payload, src[dynHeader:dynHeader+n])
+		d.Payload = src[dynHeader : dynHeader+n : dynHeader+n]
 	}
 	return d, nil
 }

@@ -15,7 +15,7 @@ import (
 type NodeData struct {
 	ID        ids.ID
 	Labels    []string
-	Props     value.Map
+	Props     value.Packed
 	CommitTS  uint64
 	Tombstone bool
 }
@@ -31,9 +31,10 @@ func (s *Store) ReleaseNodeID(id ids.ID) { s.nodes.alloc.Release(id) }
 // NodeHighWater returns the lowest never-allocated node ID.
 func (s *Store) NodeHighWater() ids.ID { return s.nodes.alloc.HighWater() }
 
-// SetNodeHighWater raises the node allocator past IDs recovered from the
-// WAL that never reached the record file.
-func (s *Store) SetNodeHighWater(hw ids.ID) { s.nodes.alloc.SetHighWater(hw) }
+// ReserveNodeIDs takes the IDs of nodes that exist outside the record
+// file (replayed from the WAL, applied from a replication stream) out of
+// the allocator: none of them is handed out again until released.
+func (s *Store) ReserveNodeIDs(taken []ids.ID) { s.nodes.alloc.Reserve(taken) }
 
 // SetIDStride restricts BOTH entity allocators (nodes and relationships)
 // to the congruence class id % stride == offset, so a partitioned
@@ -73,9 +74,7 @@ func (s *Store) putNodeLocked(n NodeData) error {
 		}
 	}
 
-	props := n.Props.Clone()
-	props[CommitTSKeyName] = value.Int(int64(n.CommitTS))
-	propHead, err := s.writePropChain(props)
+	propHead, err := s.writePropChain(n.Props, n.CommitTS)
 	if err != nil {
 		return err
 	}
@@ -117,17 +116,11 @@ func (s *Store) getNodeLocked(id ids.ID) (NodeData, error) {
 	if !rec.InUse {
 		return NodeData{}, fmt.Errorf("%w: node %d", ErrNotFound, id)
 	}
-	props, err := s.readPropChain(rec.FirstProp)
+	props, cts, err := s.readPropChain(rec.FirstProp)
 	if err != nil {
 		return NodeData{}, err
 	}
-	n := NodeData{ID: id, Tombstone: rec.Tombstone, Props: props}
-	if ctsVal, ok := props[CommitTSKeyName]; ok {
-		if cts, ok := ctsVal.AsInt(); ok {
-			n.CommitTS = uint64(cts)
-		}
-		delete(props, CommitTSKeyName)
-	}
+	n := NodeData{ID: id, Tombstone: rec.Tombstone, Props: props, CommitTS: cts}
 	if n.Labels, err = s.readLabelChain(rec.LabelRef); err != nil {
 		return NodeData{}, err
 	}

@@ -15,7 +15,7 @@ type RelData struct {
 	Type      string
 	StartNode ids.ID
 	EndNode   ids.ID
-	Props     value.Map
+	Props     value.Packed
 	CommitTS  uint64
 	Tombstone bool
 }
@@ -30,14 +30,15 @@ func (s *Store) ReleaseRelID(id ids.ID) { s.rels.alloc.Release(id) }
 // RelHighWater returns the lowest never-allocated relationship ID.
 func (s *Store) RelHighWater() ids.ID { return s.rels.alloc.HighWater() }
 
-// SetRelHighWater raises the relationship allocator past IDs recovered
-// from the WAL that never reached the record file.
-func (s *Store) SetRelHighWater(hw ids.ID) { s.rels.alloc.SetHighWater(hw) }
+// ReserveRelIDs is ReserveNodeIDs for relationships.
+func (s *Store) ReserveRelIDs(taken []ids.ID) { s.rels.alloc.Reserve(taken) }
 
 // PutRel persists a relationship image. On first write the record is
 // linked into the relationship chains of both endpoint nodes (which must
 // already be persisted); on rewrite the chain pointers are preserved and
-// only type, properties, commit timestamp and tombstone flag change.
+// only type, properties, commit timestamp and tombstone flag change —
+// unless the record is the tombstone of an earlier owner of a recycled ID,
+// which is unlinked and replaced.
 func (s *Store) PutRel(r RelData) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -55,9 +56,6 @@ func (s *Store) PutRel(r RelData) error {
 	if err != nil {
 		return err
 	}
-	props := r.Props.Clone()
-	props[CommitTSKeyName] = value.Int(int64(r.CommitTS))
-
 	rec := record.RelRecord{
 		InUse:     true,
 		Tombstone: r.Tombstone,
@@ -68,22 +66,35 @@ func (s *Store) PutRel(r RelData) error {
 		EndPrev: ids.NoID, EndNext: ids.NoID,
 	}
 
+	link := !old.InUse
 	if old.InUse {
-		if old.StartNode != r.StartNode || old.EndNode != r.EndNode {
+		switch {
+		case old.StartNode == r.StartNode && old.EndNode == r.EndNode:
+			rec.StartPrev, rec.StartNext = old.StartPrev, old.StartNext
+			rec.EndPrev, rec.EndNext = old.EndPrev, old.EndNext
+		case old.Tombstone:
+			// The ID was recycled: the record is the tombstone of a dead
+			// relationship whose removal never reached this file (it was
+			// collected, and its ID re-used, after the last flush before a
+			// crash — or on a replica, before its own collector got to
+			// it). Finish that removal and link the new one afresh.
+			if err := s.unlinkRelLocked(r.ID, &old); err != nil {
+				return err
+			}
+			link = true
+		default:
 			return fmt.Errorf("store: rel %d endpoints changed on rewrite", r.ID)
 		}
-		rec.StartPrev, rec.StartNext = old.StartPrev, old.StartNext
-		rec.EndPrev, rec.EndNext = old.EndPrev, old.EndNext
 		if err := s.freePropChain(old.FirstProp); err != nil {
 			return err
 		}
 	}
 
-	if rec.FirstProp, err = s.writePropChain(props); err != nil {
+	if rec.FirstProp, err = s.writePropChain(r.Props, r.CommitTS); err != nil {
 		return err
 	}
 
-	if !old.InUse {
+	if link {
 		// Link at the head of the start node's chain, and (unless this is a
 		// self-loop, which appears once) the end node's chain.
 		if err := s.linkRelLocked(r.ID, &rec, r.StartNode, true); err != nil {
@@ -223,22 +234,15 @@ func (s *Store) getRelLocked(id ids.ID) (RelData, error) {
 	if !ok {
 		return RelData{}, fmt.Errorf("store: rel %d has unknown type token %d", id, rec.Type)
 	}
-	props, err := s.readPropChain(rec.FirstProp)
+	props, cts, err := s.readPropChain(rec.FirstProp)
 	if err != nil {
 		return RelData{}, err
 	}
-	r := RelData{
+	return RelData{
 		ID: id, Type: typeName,
 		StartNode: rec.StartNode, EndNode: rec.EndNode,
-		Tombstone: rec.Tombstone, Props: props,
-	}
-	if ctsVal, ok := props[CommitTSKeyName]; ok {
-		if cts, ok := ctsVal.AsInt(); ok {
-			r.CommitTS = uint64(cts)
-		}
-		delete(props, CommitTSKeyName)
-	}
-	return r, nil
+		Tombstone: rec.Tombstone, Props: props, CommitTS: cts,
+	}, nil
 }
 
 // RemoveRel unlinks relationship id from both endpoint chains, erases its
@@ -259,13 +263,8 @@ func (s *Store) RemoveRel(id ids.ID) error {
 		return fmt.Errorf("%w: rel %d", ErrNotFound, id)
 	}
 
-	if err := s.unlinkLocked(id, rec.StartNode, rec.StartPrev, rec.StartNext); err != nil {
+	if err := s.unlinkRelLocked(id, &rec); err != nil {
 		return err
-	}
-	if rec.EndNode != rec.StartNode {
-		if err := s.unlinkLocked(id, rec.EndNode, rec.EndPrev, rec.EndNext); err != nil {
-			return err
-		}
 	}
 	if err := s.freePropChain(rec.FirstProp); err != nil {
 		return err
@@ -274,6 +273,17 @@ func (s *Store) RemoveRel(id ids.ID) error {
 		return err
 	}
 	s.rels.alloc.Release(id)
+	return nil
+}
+
+// unlinkRelLocked takes rel id out of both its endpoints' chains.
+func (s *Store) unlinkRelLocked(id ids.ID, rec *record.RelRecord) error {
+	if err := s.unlinkLocked(id, rec.StartNode, rec.StartPrev, rec.StartNext); err != nil {
+		return err
+	}
+	if rec.EndNode != rec.StartNode {
+		return s.unlinkLocked(id, rec.EndNode, rec.EndPrev, rec.EndNext)
+	}
 	return nil
 }
 

@@ -260,27 +260,44 @@ func (s *Store) freeDynChain(head ids.ID) error {
 
 // ---- property chains ----
 
-// writePropChain persists a property map as a chain of property records,
-// returning the head ID. Keys are registered in the token registry.
-// Caller holds s.mu.
-func (s *Store) writePropChain(props value.Map) (ids.ID, error) {
-	if len(props) == 0 {
-		return ids.NoID, nil
+// writePropChain persists an entity's properties as a chain of property
+// records in key order, returning the head ID. The commit timestamp rides
+// the chain as one more property under the reserved CommitTSKeyName, at
+// its place in that order (and in place of any user property of that
+// name). Keys are registered in the token registry. Caller holds s.mu.
+func (s *Store) writePropChain(props value.Packed, commitTS uint64) (ids.ID, error) {
+	var scratch [9]value.Field
+	fields := scratch[:0]
+	cts := value.Field{Key: CommitTSKeyName, Val: value.Int(int64(commitTS))}
+	placed := false
+	for i := 0; i < props.Len(); i++ {
+		f := props.At(i)
+		if !placed && f.Key >= CommitTSKeyName {
+			fields = append(fields, cts)
+			placed = true
+		}
+		if f.Key != CommitTSKeyName {
+			fields = append(fields, f)
+		}
 	}
-	keys := props.Keys()
-	recIDs := make([]ids.ID, len(keys))
+	if !placed {
+		fields = append(fields, cts)
+	}
+
+	recIDs := make([]ids.ID, len(fields))
 	for i := range recIDs {
 		recIDs[i] = s.props.alloc.Next()
 	}
 	var buf [record.PropSize]byte
-	for i, k := range keys {
-		tok, err := s.tokens.Get(TokenPropKey, k)
+	var enc []byte
+	for i, f := range fields {
+		tok, err := s.tokens.Get(TokenPropKey, f.Key)
 		if err != nil {
 			return ids.NoID, err
 		}
-		enc := value.EncodeValue(props[k])
+		enc = value.AppendValue(enc[:0], f.Val)
 		p := record.PropRecord{InUse: true, Key: tok, Next: ids.NoID}
-		if i+1 < len(keys) {
+		if i+1 < len(fields) {
 			p.Next = recIDs[i+1]
 		}
 		if len(enc) <= record.PropInlineMax {
@@ -302,45 +319,51 @@ func (s *Store) writePropChain(props value.Map) (ids.ID, error) {
 	return recIDs[0], nil
 }
 
-// readPropChain loads a property chain into a map.
-func (s *Store) readPropChain(head ids.ID) (value.Map, error) {
-	if head == ids.NoID {
-		return value.Map{}, nil
-	}
-	props := value.Map{}
+// readPropChain decodes a property chain straight into its packed form.
+// The reserved commit-timestamp property is returned apart, never as a
+// field.
+func (s *Store) readPropChain(head ids.ID) (props value.Packed, commitTS uint64, err error) {
+	var scratch [8]value.Field
+	fields := scratch[:0]
 	var buf [record.PropSize]byte
 	for id, hops := head, 0; id != ids.NoID; hops++ {
 		if hops > 1<<20 {
-			return nil, fmt.Errorf("store: property chain cycle at %d", id)
+			return props, 0, fmt.Errorf("store: property chain cycle at %d", id)
 		}
 		if err := s.props.read(id, buf[:]); err != nil {
-			return nil, err
+			return props, 0, err
 		}
 		p, err := record.DecodeProp(buf[:])
 		if err != nil {
-			return nil, err
+			return props, 0, err
 		}
 		if !p.InUse {
-			return nil, fmt.Errorf("%w: property record %d", ErrNotFound, id)
+			return props, 0, fmt.Errorf("%w: property record %d", ErrNotFound, id)
 		}
 		name, ok := s.tokens.Name(TokenPropKey, p.Key)
 		if !ok {
-			return nil, fmt.Errorf("store: property record %d has unknown key token %d", id, p.Key)
+			return props, 0, fmt.Errorf("store: property record %d has unknown key token %d", id, p.Key)
 		}
 		enc := p.Inline
 		if p.Spilled {
 			if enc, err = s.readDynChain(p.SpillRef); err != nil {
-				return nil, err
+				return props, 0, err
 			}
 		}
 		v, _, err := value.DecodeValue(enc)
 		if err != nil {
-			return nil, fmt.Errorf("store: property record %d: %w", id, err)
+			return props, 0, fmt.Errorf("store: property record %d: %w", id, err)
 		}
-		props[name] = v
+		if name == CommitTSKeyName {
+			if cts, ok := v.AsInt(); ok {
+				commitTS = uint64(cts)
+			}
+		} else {
+			fields = append(fields, value.Field{Key: name, Val: v})
+		}
 		id = p.Next
 	}
-	return props, nil
+	return value.PackFields(fields), commitTS, nil
 }
 
 // freePropChain releases a property chain and any spilled values.

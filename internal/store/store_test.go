@@ -78,7 +78,7 @@ func TestPutGetNode(t *testing.T) {
 	n := NodeData{
 		ID:       id,
 		Labels:   []string{"Person", "Admin"},
-		Props:    value.Map{"name": value.String("ada"), "age": value.Int(36)},
+		Props:    value.Pack(value.Map{"name": value.String("ada"), "age": value.Int(36)}),
 		CommitTS: 42,
 	}
 	if err := s.PutNode(n); err != nil {
@@ -94,10 +94,10 @@ func TestPutGetNode(t *testing.T) {
 	if len(got.Labels) != 2 || got.Labels[0] != "Person" || got.Labels[1] != "Admin" {
 		t.Errorf("labels = %v", got.Labels)
 	}
-	if !got.Props.Equal(n.Props) {
+	if !got.Props.ToMap().Equal(n.Props.ToMap()) {
 		t.Errorf("props = %v, want %v", got.Props, n.Props)
 	}
-	if _, ok := got.Props[CommitTSKeyName]; ok {
+	if _, ok := got.Props.Get(CommitTSKeyName); ok {
 		t.Error("reserved cts property leaked into props")
 	}
 }
@@ -122,7 +122,7 @@ func TestNodeRewritePreservesRelChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Rewrite node a with new props; chain must survive.
-	if err := s.PutNode(NodeData{ID: a, Props: value.Map{"v": value.Int(2)}, CommitTS: 3}); err != nil {
+	if err := s.PutNode(NodeData{ID: a, Props: value.Pack(value.Map{"v": value.Int(2)}), CommitTS: 3}); err != nil {
 		t.Fatal(err)
 	}
 	rels, err := s.NodeRels(a)
@@ -133,7 +133,7 @@ func TestNodeRewritePreservesRelChain(t *testing.T) {
 		t.Fatalf("rels = %v, want [%d]", rels, rid)
 	}
 	got, _ := s.GetNode(a)
-	if v := got.Props["v"]; !v.Equal(value.Int(2)) {
+	if v, _ := got.Props.Get("v"); !v.Equal(value.Int(2)) {
 		t.Fatalf("rewrite lost props: %v", got.Props)
 	}
 }
@@ -146,12 +146,12 @@ func TestLargePropertySpills(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := got.Props["bio"].AsString(); v != big {
-		t.Fatalf("spilled value corrupted: %d bytes", len(v))
+	if v, _ := got.Props.Get("bio"); !v.Equal(value.String(big)) {
+		t.Fatalf("spilled value corrupted: %v", v)
 	}
 	// Rewrite with a small value: dyn chain must be freed (ids recycled).
 	freeBefore := s.dyn.alloc.FreeCount()
-	if err := s.PutNode(NodeData{ID: id, Props: value.Map{"bio": value.String("s")}, CommitTS: 5}); err != nil {
+	if err := s.PutNode(NodeData{ID: id, Props: value.Pack(value.Map{"bio": value.String("s")}), CommitTS: 5}); err != nil {
 		t.Fatal(err)
 	}
 	if s.dyn.alloc.FreeCount() <= freeBefore {
@@ -273,7 +273,7 @@ func TestGetRelFields(t *testing.T) {
 	rid := s.AllocRelID()
 	in := RelData{
 		ID: rid, Type: "WORKS_AT", StartNode: a, EndNode: b,
-		Props: value.Map{"since": value.Int(2009)}, CommitTS: 77,
+		Props: value.Pack(value.Map{"since": value.Int(2009)}), CommitTS: 77,
 	}
 	if err := s.PutRel(in); err != nil {
 		t.Fatal(err)
@@ -285,7 +285,7 @@ func TestGetRelFields(t *testing.T) {
 	if got.Type != "WORKS_AT" || got.StartNode != a || got.EndNode != b || got.CommitTS != 77 {
 		t.Fatalf("got %+v", got)
 	}
-	if !got.Props.Equal(in.Props) {
+	if !got.Props.ToMap().Equal(in.Props.ToMap()) {
 		t.Fatalf("props = %v", got.Props)
 	}
 }
@@ -295,14 +295,14 @@ func TestRelRewrite(t *testing.T) {
 	a := mustNode(t, s, nil)
 	b := mustNode(t, s, nil)
 	rid := s.AllocRelID()
-	if err := s.PutRel(RelData{ID: rid, Type: "R", StartNode: a, EndNode: b, Props: value.Map{"w": value.Int(1)}, CommitTS: 1}); err != nil {
+	if err := s.PutRel(RelData{ID: rid, Type: "R", StartNode: a, EndNode: b, Props: value.Pack(value.Map{"w": value.Int(1)}), CommitTS: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.PutRel(RelData{ID: rid, Type: "R", StartNode: a, EndNode: b, Props: value.Map{"w": value.Int(2)}, CommitTS: 2}); err != nil {
+	if err := s.PutRel(RelData{ID: rid, Type: "R", StartNode: a, EndNode: b, Props: value.Pack(value.Map{"w": value.Int(2)}), CommitTS: 2}); err != nil {
 		t.Fatal(err)
 	}
 	got, _ := s.GetRel(rid)
-	if w := got.Props["w"]; !w.Equal(value.Int(2)) || got.CommitTS != 2 {
+	if w, _ := got.Props.Get("w"); !w.Equal(value.Int(2)) || got.CommitTS != 2 {
 		t.Fatalf("rewrite: %+v", got)
 	}
 	// Chain membership unchanged (still exactly once).
@@ -359,7 +359,7 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := got.Props["name"].AsString(); v != "ada" {
+	if v, _ := got.Props.Get("name"); !v.Equal(value.String("ada")) {
 		t.Fatalf("props lost: %v", got.Props)
 	}
 	rels, err := s2.NodeRels(a)
@@ -408,7 +408,7 @@ func TestTombstonePersisted(t *testing.T) {
 func mustNode(t *testing.T, s *Store, props value.Map) ids.ID {
 	t.Helper()
 	id := s.AllocNodeID()
-	if err := s.PutNode(NodeData{ID: id, Props: props, CommitTS: 1}); err != nil {
+	if err := s.PutNode(NodeData{ID: id, Props: value.Pack(props), CommitTS: 1}); err != nil {
 		t.Fatal(err)
 	}
 	return id

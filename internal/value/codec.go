@@ -146,31 +146,18 @@ func EncodeMap(m Map) []byte { return AppendMap(nil, m) }
 // DecodeMap decodes a property map from the front of buf, returning the
 // map and the number of bytes consumed.
 func DecodeMap(buf []byte) (Map, int, error) {
-	cnt, n := binary.Uvarint(buf)
-	if n <= 0 {
-		return nil, 0, fmt.Errorf("%w: bad map count", ErrCorrupt)
-	}
-	if cnt > uint64(len(buf)) {
-		return nil, 0, fmt.Errorf("%w: map count %d exceeds buffer", ErrCorrupt, cnt)
+	cnt, n, err := decodeMapCount(buf)
+	if err != nil {
+		return nil, 0, err
 	}
 	m := make(Map, cnt)
 	for i := uint64(0); i < cnt; i++ {
-		klen, kn := binary.Uvarint(buf[n:])
-		if kn <= 0 {
-			return nil, 0, fmt.Errorf("%w: bad key length", ErrCorrupt)
-		}
-		n += kn
-		if uint64(len(buf)-n) < klen {
-			return nil, 0, fmt.Errorf("%w: truncated key", ErrCorrupt)
-		}
-		key := string(buf[n : n+int(klen)])
-		n += int(klen)
-		v, vn, err := DecodeValue(buf[n:])
+		key, v, fn, err := decodeField(buf[n:])
 		if err != nil {
 			return nil, 0, err
 		}
-		n += vn
-		m[key] = v
+		n += fn
+		m[string(key)] = v
 	}
 	return m, n, nil
 }

@@ -1,0 +1,231 @@
+package value
+
+import (
+	"encoding/binary"
+	"fmt"
+	"slices"
+	"sort"
+	"strings"
+)
+
+// Field is one property: its key name and value.
+type Field struct {
+	Key string
+	Val Value
+}
+
+// Packed is an immutable property list: fields sorted by key, no key
+// twice. It is the resident form of a property set inside the engine —
+// every cached version of a node or relationship holds one — because a
+// Go map costs several hundred bytes before its first entry while a
+// three-field list is one 216-byte allocation. The public API and the
+// wire keep Map; convert with Pack and ToMap at that boundary.
+//
+// The zero Packed is the empty list. The unexported slice keeps the
+// invariant (sorted, duplicate-free, never mutated after construction)
+// inside this package.
+type Packed struct {
+	fields []Field
+}
+
+// linearScanMax is the list length up to which Get scans instead of
+// bisecting: property sets are almost always this small, and a scan over
+// adjacent fields beats the branches of a binary search.
+const linearScanMax = 8
+
+// Pack converts a map to its packed form.
+func Pack(m Map) Packed {
+	if len(m) == 0 {
+		return Packed{}
+	}
+	fields := make([]Field, 0, len(m))
+	for k, v := range m {
+		fields = append(fields, Field{k, v})
+	}
+	slices.SortFunc(fields, compareKeys)
+	return Packed{fields}
+}
+
+// PackFields builds a Packed from fields in any order (a later duplicate
+// of a key wins, as a map assignment would). The fields are copied into
+// an exactly sized list, so callers can collect them in a scratch buffer.
+func PackFields(fields []Field) Packed {
+	if len(fields) == 0 {
+		return Packed{}
+	}
+	cp := make([]Field, len(fields))
+	copy(cp, fields)
+	return Packed{normalize(cp)}
+}
+
+// normalize sorts fields by key and drops all but the last field of each
+// key, in place. Already normalized input — the common case: every
+// encoder writes keys in order — costs one pass.
+func normalize(fields []Field) []Field {
+	ordered := true
+	for i := 1; i < len(fields); i++ {
+		if fields[i-1].Key >= fields[i].Key {
+			ordered = false
+			break
+		}
+	}
+	if ordered {
+		return fields
+	}
+	slices.SortStableFunc(fields, compareKeys)
+	out := fields[:0]
+	for i, f := range fields {
+		if i+1 < len(fields) && fields[i+1].Key == f.Key {
+			continue
+		}
+		out = append(out, f)
+	}
+	return out
+}
+
+func compareKeys(a, b Field) int { return strings.Compare(a.Key, b.Key) }
+
+// Len returns the number of fields.
+func (p Packed) Len() int { return len(p.fields) }
+
+// At returns the i-th field in key order.
+func (p Packed) At(i int) Field { return p.fields[i] }
+
+// search returns the position of key, or where it would be inserted.
+func (p Packed) search(key string) (int, bool) {
+	if len(p.fields) <= linearScanMax {
+		for i := range p.fields {
+			if p.fields[i].Key >= key {
+				return i, p.fields[i].Key == key
+			}
+		}
+		return len(p.fields), false
+	}
+	i := sort.Search(len(p.fields), func(i int) bool { return p.fields[i].Key >= key })
+	return i, i < len(p.fields) && p.fields[i].Key == key
+}
+
+// Get returns the value stored under key.
+func (p Packed) Get(key string) (Value, bool) {
+	if i, ok := p.search(key); ok {
+		return p.fields[i].Val, true
+	}
+	return Null, false
+}
+
+// With returns a copy of p with key set to v; a Null v removes the key.
+// p itself is unchanged (versions share their lists).
+func (p Packed) With(key string, v Value) Packed {
+	i, found := p.search(key)
+	switch {
+	case v.IsNull() && !found:
+		return p
+	case v.IsNull():
+		if len(p.fields) == 1 {
+			return Packed{}
+		}
+		out := make([]Field, 0, len(p.fields)-1)
+		out = append(out, p.fields[:i]...)
+		return Packed{append(out, p.fields[i+1:]...)}
+	case found:
+		out := make([]Field, len(p.fields))
+		copy(out, p.fields)
+		out[i].Val = v
+		return Packed{out}
+	default:
+		out := make([]Field, 0, len(p.fields)+1)
+		out = append(out, p.fields[:i]...)
+		out = append(out, Field{key, v})
+		return Packed{append(out, p.fields[i:]...)}
+	}
+}
+
+// ToMap materialises p as a fresh map (never nil), the form the public
+// API hands out.
+func (p Packed) ToMap() Map {
+	m := make(Map, len(p.fields))
+	for _, f := range p.fields {
+		m[f.Key] = f.Val
+	}
+	return m
+}
+
+// Size estimates the footprint in bytes with the same formula as
+// Map.Size, so accounting reads the same on both sides of the API.
+func (p Packed) Size() int {
+	s := 48
+	for _, f := range p.fields {
+		s += len(f.Key) + f.Val.Size()
+	}
+	return s
+}
+
+// AppendPacked appends the map encoding of p to dst: the bytes AppendMap
+// writes for p.ToMap(), without building the map or sorting its keys.
+func AppendPacked(dst []byte, p Packed) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(p.fields)))
+	for _, f := range p.fields {
+		dst = binary.AppendUvarint(dst, uint64(len(f.Key)))
+		dst = append(dst, f.Key...)
+		dst = AppendValue(dst, f.Val)
+	}
+	return dst
+}
+
+// DecodePacked decodes a map encoding from the front of buf straight into
+// a Packed, returning it and the number of bytes consumed. intern, when
+// non-nil, supplies the key strings (so versions decoded from a log share
+// one copy of each key name); nil copies each key.
+func DecodePacked(buf []byte, intern func([]byte) string) (Packed, int, error) {
+	cnt, n, err := decodeMapCount(buf)
+	if err != nil || cnt == 0 {
+		return Packed{}, n, err
+	}
+	fields := make([]Field, 0, cnt)
+	for i := uint64(0); i < cnt; i++ {
+		key, v, fn, err := decodeField(buf[n:])
+		if err != nil {
+			return Packed{}, 0, err
+		}
+		n += fn
+		f := Field{Val: v}
+		if intern != nil {
+			f.Key = intern(key)
+		} else {
+			f.Key = string(key)
+		}
+		fields = append(fields, f)
+	}
+	return Packed{normalize(fields)}, n, nil
+}
+
+// decodeMapCount reads the entry count that starts a map encoding.
+func decodeMapCount(buf []byte) (cnt uint64, n int, err error) {
+	cnt, n = binary.Uvarint(buf)
+	if n <= 0 {
+		return 0, 0, fmt.Errorf("%w: bad map count", ErrCorrupt)
+	}
+	if cnt > uint64(len(buf)) {
+		return 0, 0, fmt.Errorf("%w: map count %d exceeds buffer", ErrCorrupt, cnt)
+	}
+	return cnt, n, nil
+}
+
+// decodeField reads one map entry; key aliases buf.
+func decodeField(buf []byte) (key []byte, v Value, n int, err error) {
+	klen, kn := binary.Uvarint(buf)
+	if kn <= 0 {
+		return nil, Null, 0, fmt.Errorf("%w: bad key length", ErrCorrupt)
+	}
+	n = kn
+	if uint64(len(buf)-n) < klen {
+		return nil, Null, 0, fmt.Errorf("%w: truncated key", ErrCorrupt)
+	}
+	key = buf[n : n+int(klen)]
+	n += int(klen)
+	v, vn, err := DecodeValue(buf[n:])
+	if err != nil {
+		return nil, Null, 0, err
+	}
+	return key, v, n + vn, nil
+}

@@ -67,6 +67,13 @@ func (tx *Tx) CreateNode(labels []string, props Props) (NodeID, error) {
 // GetNode returns the node visible in this transaction's snapshot.
 func (tx *Tx) GetNode(id NodeID) (Node, error) { return tx.t.GetNode(id) }
 
+// NodeProp returns one property of the node visible in this snapshot
+// without building the node's property map — the cheap way to test or
+// read a single key (ok is false when the node lacks it).
+func (tx *Tx) NodeProp(id NodeID, key string) (v Value, ok bool, err error) {
+	return tx.t.NodeProp(id, key)
+}
+
 // NodeExists reports whether the node is visible.
 func (tx *Tx) NodeExists(id NodeID) (bool, error) { return tx.t.NodeExists(id) }
 
