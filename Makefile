@@ -40,7 +40,7 @@ bench-smoke: build
 	$(GO) run ./cmd/neograph-bench -quick -json bench-results.json
 
 ## lint: go vet (benchmark module included) + gofmt diff check +
-## log.Printf gate + staticcheck (pinned)
+## log.Printf gate + wire-seam gates + staticcheck (pinned)
 lint: staticcheck
 	$(GO) vet ./...
 	cd benchmark && $(GO) vet ./...
@@ -51,6 +51,15 @@ lint: staticcheck
 		. | grep -v '^\./cmd/' | grep -v '^\./examples/' | grep -v 'slog\.' || true); \
 	if [ -n "$$out" ]; then \
 		echo "raw stdlib log calls found (use internal/slog):"; echo "$$out"; exit 1; fi
+	@out=$$(grep -rn 'json\.NewEncoder(\|json\.NewDecoder(' \
+		--include='*.go' --exclude='*_test.go' . \
+		| grep -v '^\./internal/wire/\|^\./benchmark/\|^\./dump\.go:\|^\./internal/trace/handler\.go:' || true); \
+	if [ -n "$$out" ]; then \
+		echo "stream codec over a connection outside internal/wire (frame through wire.Conn):"; echo "$$out"; exit 1; fi
+	@out=$$(grep -rn 'strings\.\(Contains\|HasPrefix\|HasSuffix\)([^,]*\([eE]rr\|\.Error\)' \
+		--include='*.go' --exclude='*_test.go' client internal/server internal/partition || true); \
+	if [ -n "$$out" ]; then \
+		echo "error routed by its text (set and match wire.Response.Code):"; echo "$$out"; exit 1; fi
 
 ## staticcheck: honnef.co/go/tools, version-pinned via `go run`. Skips
 ## with a warning when the module cannot be fetched (offline sandboxes);

@@ -32,10 +32,11 @@ func (b *Batch) add(req wire.Request) int {
 	return len(b.reqs) - 1
 }
 
-// fail records the first build-time error; the op still occupies an
+// addEnc queues a request built from an encoded value or property map,
+// recording the first build-time encoding error; the op still occupies an
 // index so earlier handles stay valid.
-func (b *Batch) fail(req wire.Request, err error) int {
-	if b.err == nil {
+func (b *Batch) addEnc(req wire.Request, err error) int {
+	if err != nil && b.err == nil {
 		b.err = err
 	}
 	return b.add(req)
@@ -44,10 +45,7 @@ func (b *Batch) fail(req wire.Request, err error) int {
 // CreateNode queues a node creation.
 func (b *Batch) CreateNode(labels []string, props neograph.Props) int {
 	enc, err := wire.EncodeProps(props)
-	if err != nil {
-		return b.fail(wire.Request{Op: wire.OpCreateNode}, err)
-	}
-	return b.add(wire.Request{Op: wire.OpCreateNode, Labels: labels, Props: enc})
+	return b.addEnc(wire.Request{Op: wire.OpCreateNode, Labels: labels, Props: enc}, err)
 }
 
 // GetNode queues a node fetch.
@@ -64,22 +62,16 @@ func (b *Batch) GetNode(id neograph.NodeID) int {
 // batch with a structured error naming the op.
 func (b *Batch) CreateRelRef(relType string, startOp, endOp int, props neograph.Props) int {
 	enc, err := wire.EncodeProps(props)
-	if err != nil {
-		return b.fail(wire.Request{Op: wire.OpCreateRel}, err)
-	}
 	s, e := startOp, endOp
-	return b.add(wire.Request{Op: wire.OpCreateRel, Type: relType, StartRef: &s, EndRef: &e, Props: enc})
+	return b.addEnc(wire.Request{Op: wire.OpCreateRel, Type: relType, StartRef: &s, EndRef: &e, Props: enc}, err)
 }
 
 // SetNodePropRef queues a property write on the node created by an
 // earlier op of this batch (see CreateRelRef).
 func (b *Batch) SetNodePropRef(op int, key string, v neograph.Value) int {
 	enc, err := wire.EncodeValue(v)
-	if err != nil {
-		return b.fail(wire.Request{Op: wire.OpSetNodeProp}, err)
-	}
 	o := op
-	return b.add(wire.Request{Op: wire.OpSetNodeProp, IDRef: &o, Key: key, Value: enc})
+	return b.addEnc(wire.Request{Op: wire.OpSetNodeProp, IDRef: &o, Key: key, Value: enc}, err)
 }
 
 // AddLabelRef queues a label addition on the node created by an earlier
@@ -92,10 +84,7 @@ func (b *Batch) AddLabelRef(op int, label string) int {
 // SetNodeProp queues a node property write.
 func (b *Batch) SetNodeProp(id neograph.NodeID, key string, v neograph.Value) int {
 	enc, err := wire.EncodeValue(v)
-	if err != nil {
-		return b.fail(wire.Request{Op: wire.OpSetNodeProp}, err)
-	}
-	return b.add(wire.Request{Op: wire.OpSetNodeProp, ID: id, Key: key, Value: enc})
+	return b.addEnc(wire.Request{Op: wire.OpSetNodeProp, ID: id, Key: key, Value: enc}, err)
 }
 
 // AddLabel queues a label addition.
@@ -121,10 +110,7 @@ func (b *Batch) DetachDeleteNode(id neograph.NodeID) int {
 // CreateRel queues a relationship creation.
 func (b *Batch) CreateRel(relType string, start, end neograph.NodeID, props neograph.Props) int {
 	enc, err := wire.EncodeProps(props)
-	if err != nil {
-		return b.fail(wire.Request{Op: wire.OpCreateRel}, err)
-	}
-	return b.add(wire.Request{Op: wire.OpCreateRel, Type: relType, Start: start, End: end, Props: enc})
+	return b.addEnc(wire.Request{Op: wire.OpCreateRel, Type: relType, Start: start, End: end, Props: enc}, err)
 }
 
 // GetRel queues a relationship fetch.
@@ -135,10 +121,7 @@ func (b *Batch) GetRel(id neograph.RelID) int {
 // SetRelProp queues a relationship property write.
 func (b *Batch) SetRelProp(id neograph.RelID, key string, v neograph.Value) int {
 	enc, err := wire.EncodeValue(v)
-	if err != nil {
-		return b.fail(wire.Request{Op: wire.OpSetRelProp}, err)
-	}
-	return b.add(wire.Request{Op: wire.OpSetRelProp, ID: id, Key: key, Value: enc})
+	return b.addEnc(wire.Request{Op: wire.OpSetRelProp, ID: id, Key: key, Value: enc}, err)
 }
 
 // DeleteRel queues a relationship deletion.
@@ -164,10 +147,7 @@ func (b *Batch) NodesByLabel(label string) int {
 // NodesByProperty queues a property lookup.
 func (b *Batch) NodesByProperty(key string, v neograph.Value) int {
 	enc, err := wire.EncodeValue(v)
-	if err != nil {
-		return b.fail(wire.Request{Op: wire.OpNodesByProp}, err)
-	}
-	return b.add(wire.Request{Op: wire.OpNodesByProp, Key: key, Value: enc})
+	return b.addEnc(wire.Request{Op: wire.OpNodesByProp, Key: key, Value: enc}, err)
 }
 
 // AllNodes queues a full node-ID listing.
@@ -267,7 +247,7 @@ func (c *Client) RunBatch(ctx context.Context, b *Batch) (*BatchResults, error) 
 	if err := wire.ValidateBatch(req); err != nil {
 		return nil, err
 	}
-	resp, err := c.roundTrip(ctx, req)
+	resp, err := c.Do(ctx, req)
 	if err != nil {
 		if resp != nil && resp.FailedOp != nil {
 			// The server aborted the whole transaction — including an

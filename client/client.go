@@ -25,7 +25,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"strings"
 	"time"
 
 	"neograph"
@@ -58,8 +57,7 @@ const deadlineGrace = 500 * time.Millisecond
 // Client is a typed session with one neograph server.
 type Client struct {
 	conn net.Conn
-	dec  *json.Decoder
-	enc  *json.Encoder
+	wc   *wire.Conn // frames over conn
 	// lastLSN is the commit position of the newest write acknowledged on
 	// this client — the token for read-your-writes against a replica.
 	lastLSN uint64
@@ -94,14 +92,14 @@ func Dial(ctx context.Context, addr string) (*Client, error) {
 	var d net.Dialer
 	conn, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
-		return nil, fmt.Errorf("client: dial: %w", err)
+		return nil, &transportError{"dial", err}
 	}
 	return NewConn(conn), nil
 }
 
 // NewConn wraps an established connection (custom transports, tests).
 func NewConn(conn net.Conn) *Client {
-	return &Client{conn: conn, dec: json.NewDecoder(conn), enc: json.NewEncoder(conn)}
+	return &Client{conn: conn, wc: wire.NewConn(conn, 0)}
 }
 
 // Close closes the connection (aborting any open transaction server-side).
@@ -137,18 +135,39 @@ func (c *Client) ReadAfter(pos uint64) { c.readAfter = pos }
 // starting one.
 func (c *Client) SetTracer(t *trace.Tracer) { c.tracer = t }
 
-// roundTrip sends req and reads the response under ctx: a context
-// deadline becomes the request's wire deadline_ms budget and the
-// connection I/O deadline; cancellation poisons the connection (the
-// client is Broken afterwards — framing is unrecoverable mid-call).
-// The response is returned even on a server-reported error so callers
-// can inspect error details (batch failure indexes).
-func (c *Client) roundTrip(ctx context.Context, req *wire.Request) (*wire.Response, error) {
+// call is one request in flight: its span, and the watcher that poisons
+// the connection if the context is cancelled before the reply — or, for a
+// query, the whole stream — has been read.
+type call struct {
+	span *trace.Span
+	stop func() bool
+	ran  chan struct{}
+}
+
+// end joins the cancellation watcher and finishes the span. The watcher is
+// JOINED, not just stopped — left running past its call, it could observe
+// the (by then routinely cancelled) context late and poison the connection
+// mid-way through the NEXT call.
+func (k *call) end() {
+	if k.stop != nil && !k.stop() {
+		<-k.ran
+	}
+	k.span.Finish()
+}
+
+// send stamps and writes one request under ctx — the send half every call
+// shares: the read-your-writes gate, the correlation seq, the trace
+// context, and the context's deadline as both the request's wire
+// deadline_ms budget and the connection I/O deadline; cancellation
+// poisons the connection (the client is Broken afterwards — framing is
+// unrecoverable mid-call). On success the caller reads the reply and then
+// ends the returned call.
+func (c *Client) send(ctx context.Context, req *wire.Request) (call, error) {
 	if c.broken {
-		return nil, ErrBroken
+		return call{}, ErrBroken
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("client: %w", err)
+		return call{}, fmt.Errorf("client: %w", err)
 	}
 	if req.WaitLSN == 0 {
 		req.WaitLSN = c.readAfter
@@ -157,25 +176,26 @@ func (c *Client) roundTrip(ctx context.Context, req *wire.Request) (*wire.Respon
 	req.Seq = c.seq
 	// Tracing: join the span carried by ctx, else the session's
 	// pool-installed one, else head-sample a new root. A nil span is
-	// free and ships no context.
+	// free and ships no context (nor is its name ever built).
 	sp := trace.SpanFrom(ctx)
 	if sp == nil {
 		sp = c.span
 	}
 	if sp != nil {
 		sp = sp.Child("client." + req.Op)
-	} else {
+	} else if c.tracer != nil {
 		sp = c.tracer.StartRoot("client." + req.Op)
 	}
 	if sp != nil {
 		sc := sp.Context()
 		req.Trace = &wire.TraceContext{TraceID: sc.TraceID, SpanID: sc.SpanID}
-		defer sp.Finish()
 	}
+	k := call{span: sp}
 	if dl, ok := ctx.Deadline(); ok {
 		rem := time.Until(dl)
 		if rem <= 0 {
-			return nil, fmt.Errorf("client: %w", context.DeadlineExceeded)
+			k.end()
+			return call{}, fmt.Errorf("client: %w", context.DeadlineExceeded)
 		}
 		ms := rem.Milliseconds()
 		if ms < 1 {
@@ -196,92 +216,111 @@ func (c *Client) roundTrip(ctx context.Context, req *wire.Request) (*wire.Respon
 	// cancelled, failing the blocked read/write immediately. A deadline
 	// expiry also fires Done, but the conn deadline already covers it
 	// (with grace, so the server's clean error frame can still land).
-	// The callback is JOINED before returning — left running past its
-	// call, it could observe the (by then routinely cancelled) context
-	// late and poison the connection mid-way through the NEXT call.
 	if ctx.Done() != nil {
 		ran := make(chan struct{})
-		stop := context.AfterFunc(ctx, func() {
+		k.ran = ran
+		k.stop = context.AfterFunc(ctx, func() {
 			defer close(ran)
 			if errors.Is(ctx.Err(), context.Canceled) {
 				c.conn.SetDeadline(time.Unix(1, 0))
 			}
 		})
-		defer func() {
-			if !stop() {
-				<-ran
-			}
-		}()
 	}
-	if err := c.enc.Encode(req); err != nil {
+	if err := c.wc.WriteRequest(req); err != nil {
 		c.broken = true
 		sp.Set("error", "send failed")
-		return nil, c.callErr(ctx, "send", err)
+		k.end()
+		return call{}, c.callErr(ctx, "send", err)
 	}
+	return k, nil
+}
+
+// recv reads the next response frame of the call that sent seq (sp is its
+// span), enforcing the seq echo (wire v2; a mismatch means the session's
+// framing slipped — treated like any mid-frame tear). The response is
+// returned even on a server-reported error so callers can inspect its
+// details.
+func (c *Client) recv(ctx context.Context, sp *trace.Span, seq uint64) (*wire.Response, error) {
 	var resp wire.Response
-	if err := c.dec.Decode(&resp); err != nil {
+	if err := c.wc.ReadResponse(&resp); err != nil {
 		c.broken = true
 		sp.Set("error", "recv failed")
 		return nil, c.callErr(ctx, "recv", err)
 	}
-	// The server echoes the request's seq (wire v2); a mismatch means the
-	// session's framing slipped — treat it like any mid-frame tear.
-	if resp.Seq != 0 && resp.Seq != req.Seq {
+	if resp.Seq != 0 && resp.Seq != seq {
 		c.broken = true
-		return nil, fmt.Errorf("client: response seq %d for request seq %d: %w", resp.Seq, req.Seq, ErrBroken)
+		return nil, fmt.Errorf("client: response seq %d for request seq %d: %w", resp.Seq, seq, ErrBroken)
 	}
 	if !resp.OK {
 		return &resp, remoteError(resp.Code, resp.Error)
 	}
-	if resp.LSN != 0 {
-		c.lastLSN = resp.LSN
-	}
 	return &resp, nil
 }
+
+// Do sends one raw request and reads its one response under ctx. The
+// response is returned even on a server-reported error — mapped to its
+// sentinel — so callers can inspect the details (a batch's failed index,
+// the error code). Every typed call is a Do; it is exported for in-tree
+// components that speak ops the typed SDK does not cover (the 2PC
+// coordinator's prepare, decide and txn_status): the argument types are
+// internal.
+func (c *Client) Do(ctx context.Context, req *wire.Request) (*wire.Response, error) {
+	k, err := c.send(ctx, req)
+	if err != nil {
+		return nil, err
+	}
+	defer k.end()
+	resp, err := c.recv(ctx, k.span, req.Seq)
+	if err == nil && resp.LSN != 0 {
+		c.lastLSN = resp.LSN
+	}
+	return resp, err
+}
+
+// transportError is a connection-level failure (dial refused, reset, EOF,
+// a deadline or cancellation tearing the call down mid-frame) as opposed
+// to a server-answered error.
+type transportError struct {
+	stage string // "dial", "send", "recv"
+	err   error
+}
+
+func (e *transportError) Error() string { return "client: " + e.stage + ": " + e.err.Error() }
+func (e *transportError) Unwrap() error { return e.err }
 
 // callErr attributes a transport failure to the context when the context
 // ended — the deadline/cancel is the cause, the I/O error the symptom.
 func (c *Client) callErr(ctx context.Context, stage string, err error) error {
 	if cerr := ctx.Err(); cerr != nil {
-		return fmt.Errorf("client: %s: %w", stage, cerr)
+		err = cerr
+	} else if dl, ok := ctx.Deadline(); ok && !time.Now().Before(dl) {
+		// The connection deadline can fire a beat before the context's own
+		// timer goroutine marks it done; attribute by clock, not by that
+		// timer race.
+		err = context.DeadlineExceeded
 	}
-	// The connection deadline can fire a beat before the context's own
-	// timer goroutine marks it done; attribute by clock, not by that
-	// timer race.
-	if dl, ok := ctx.Deadline(); ok && !time.Now().Before(dl) {
-		return fmt.Errorf("client: %s: %w", stage, context.DeadlineExceeded)
-	}
-	return fmt.Errorf("client: %s: %w", stage, err)
+	return &transportError{stage, err}
 }
 
-// remoteError maps well-known engine errors back to their sentinel values
-// so errors.Is works across the wire. The structured code field (wire
-// v2) classifies availability/deadline failures mechanically; the text
-// fallbacks keep older servers working.
+// remoteError maps a server-answered failure back to its sentinel by the
+// response's code, so errors.Is works across the wire. An error without a
+// code (bad arguments, unknown ops) stays plain text.
 func remoteError(code, msg string) error {
+	var sentinel error
 	switch code {
 	case wire.CodeDeadline:
-		return fmt.Errorf("%w (remote: %s)", context.DeadlineExceeded, msg)
+		sentinel = context.DeadlineExceeded
 	case wire.CodeUnavailable:
-		return fmt.Errorf("%w (remote: %s)", ErrUnavailable, msg)
+		sentinel = ErrUnavailable
 	case wire.CodeOverloaded:
-		return fmt.Errorf("%w (remote: %s)", ErrOverloaded, msg)
+		sentinel = ErrOverloaded
+	default:
+		sentinel = wire.Sentinel(code)
 	}
-	for _, sentinel := range []error{
-		neograph.ErrNotFound, neograph.ErrWriteConflict, neograph.ErrDeadlock,
-		neograph.ErrTxDone, neograph.ErrHasRels, neograph.ErrReadOnlyReplica,
-	} {
-		if strings.Contains(msg, sentinel.Error()) {
-			return fmt.Errorf("%w (remote: %s)", sentinel, msg)
-		}
+	if sentinel == nil {
+		return errors.New(msg)
 	}
-	if strings.Contains(msg, "deadline exceeded") {
-		return fmt.Errorf("%w (remote: %s)", context.DeadlineExceeded, msg)
-	}
-	if strings.Contains(msg, "shutting down") || strings.Contains(msg, "apply wait timed out") {
-		return fmt.Errorf("%w (remote: %s)", ErrUnavailable, msg)
-	}
-	return errors.New(msg)
+	return fmt.Errorf("%w (remote: %s)", sentinel, msg)
 }
 
 // decodeNode converts a wire node snapshot.
@@ -325,7 +364,7 @@ func decodeRels(rs []wire.RelJSON) ([]neograph.Relationship, error) {
 
 // Ping checks liveness and learns the server's protocol generation.
 func (c *Client) Ping(ctx context.Context) error {
-	resp, err := c.roundTrip(ctx, &wire.Request{Op: wire.OpPing})
+	resp, err := c.Do(ctx, &wire.Request{Op: wire.OpPing})
 	if err != nil {
 		return err
 	}
@@ -342,7 +381,7 @@ func (c *Client) SetTxClosed() { c.txOpen = false }
 
 // Begin opens an explicit transaction ("si" or "rc"; empty = si).
 func (c *Client) Begin(ctx context.Context, isolation string) error {
-	_, err := c.roundTrip(ctx, &wire.Request{Op: wire.OpBegin, Isolation: isolation})
+	_, err := c.Do(ctx, &wire.Request{Op: wire.OpBegin, Isolation: isolation})
 	if err == nil {
 		c.txOpen = true
 	}
@@ -352,14 +391,14 @@ func (c *Client) Begin(ctx context.Context, isolation string) error {
 // Commit commits the open transaction. Win or lose, the transaction is
 // finished afterwards (a failed commit is already aborted server-side).
 func (c *Client) Commit(ctx context.Context) error {
-	_, err := c.roundTrip(ctx, &wire.Request{Op: wire.OpCommit})
+	_, err := c.Do(ctx, &wire.Request{Op: wire.OpCommit})
 	c.txOpen = false
 	return err
 }
 
 // Abort aborts the open transaction.
 func (c *Client) Abort(ctx context.Context) error {
-	_, err := c.roundTrip(ctx, &wire.Request{Op: wire.OpAbort})
+	_, err := c.Do(ctx, &wire.Request{Op: wire.OpAbort})
 	c.txOpen = false
 	return err
 }
@@ -370,7 +409,7 @@ func (c *Client) CreateNode(ctx context.Context, labels []string, props neograph
 	if err != nil {
 		return 0, err
 	}
-	resp, err := c.roundTrip(ctx, &wire.Request{Op: wire.OpCreateNode, Labels: labels, Props: enc})
+	resp, err := c.Do(ctx, &wire.Request{Op: wire.OpCreateNode, Labels: labels, Props: enc})
 	if err != nil {
 		return 0, err
 	}
@@ -379,7 +418,7 @@ func (c *Client) CreateNode(ctx context.Context, labels []string, props neograph
 
 // GetNode fetches a node snapshot.
 func (c *Client) GetNode(ctx context.Context, id neograph.NodeID) (neograph.Node, error) {
-	resp, err := c.roundTrip(ctx, &wire.Request{Op: wire.OpGetNode, ID: id})
+	resp, err := c.Do(ctx, &wire.Request{Op: wire.OpGetNode, ID: id})
 	if err != nil {
 		return neograph.Node{}, err
 	}
@@ -392,31 +431,31 @@ func (c *Client) SetNodeProp(ctx context.Context, id neograph.NodeID, key string
 	if err != nil {
 		return err
 	}
-	_, err = c.roundTrip(ctx, &wire.Request{Op: wire.OpSetNodeProp, ID: id, Key: key, Value: enc})
+	_, err = c.Do(ctx, &wire.Request{Op: wire.OpSetNodeProp, ID: id, Key: key, Value: enc})
 	return err
 }
 
 // AddLabel adds a label to a node.
 func (c *Client) AddLabel(ctx context.Context, id neograph.NodeID, label string) error {
-	_, err := c.roundTrip(ctx, &wire.Request{Op: wire.OpAddLabel, ID: id, Label: label})
+	_, err := c.Do(ctx, &wire.Request{Op: wire.OpAddLabel, ID: id, Label: label})
 	return err
 }
 
 // RemoveLabel removes a label from a node.
 func (c *Client) RemoveLabel(ctx context.Context, id neograph.NodeID, label string) error {
-	_, err := c.roundTrip(ctx, &wire.Request{Op: wire.OpRemoveLabel, ID: id, Label: label})
+	_, err := c.Do(ctx, &wire.Request{Op: wire.OpRemoveLabel, ID: id, Label: label})
 	return err
 }
 
 // DeleteNode deletes a relationship-free node.
 func (c *Client) DeleteNode(ctx context.Context, id neograph.NodeID) error {
-	_, err := c.roundTrip(ctx, &wire.Request{Op: wire.OpDeleteNode, ID: id})
+	_, err := c.Do(ctx, &wire.Request{Op: wire.OpDeleteNode, ID: id})
 	return err
 }
 
 // DetachDeleteNode deletes a node and its relationships.
 func (c *Client) DetachDeleteNode(ctx context.Context, id neograph.NodeID) error {
-	_, err := c.roundTrip(ctx, &wire.Request{Op: wire.OpDetachDelete, ID: id})
+	_, err := c.Do(ctx, &wire.Request{Op: wire.OpDetachDelete, ID: id})
 	return err
 }
 
@@ -426,7 +465,7 @@ func (c *Client) CreateRel(ctx context.Context, relType string, start, end neogr
 	if err != nil {
 		return 0, err
 	}
-	resp, err := c.roundTrip(ctx, &wire.Request{Op: wire.OpCreateRel, Type: relType, Start: start, End: end, Props: enc})
+	resp, err := c.Do(ctx, &wire.Request{Op: wire.OpCreateRel, Type: relType, Start: start, End: end, Props: enc})
 	if err != nil {
 		return 0, err
 	}
@@ -435,7 +474,7 @@ func (c *Client) CreateRel(ctx context.Context, relType string, start, end neogr
 
 // GetRel fetches a relationship snapshot.
 func (c *Client) GetRel(ctx context.Context, id neograph.RelID) (neograph.Relationship, error) {
-	resp, err := c.roundTrip(ctx, &wire.Request{Op: wire.OpGetRel, ID: id})
+	resp, err := c.Do(ctx, &wire.Request{Op: wire.OpGetRel, ID: id})
 	if err != nil {
 		return neograph.Relationship{}, err
 	}
@@ -448,41 +487,42 @@ func (c *Client) SetRelProp(ctx context.Context, id neograph.RelID, key string, 
 	if err != nil {
 		return err
 	}
-	_, err = c.roundTrip(ctx, &wire.Request{Op: wire.OpSetRelProp, ID: id, Key: key, Value: enc})
+	_, err = c.Do(ctx, &wire.Request{Op: wire.OpSetRelProp, ID: id, Key: key, Value: enc})
 	return err
 }
 
 // DeleteRel deletes a relationship.
 func (c *Client) DeleteRel(ctx context.Context, id neograph.RelID) error {
-	_, err := c.roundTrip(ctx, &wire.Request{Op: wire.OpDeleteRel, ID: id})
+	_, err := c.Do(ctx, &wire.Request{Op: wire.OpDeleteRel, ID: id})
 	return err
 }
 
 // Relationships lists a node's relationships ("out", "in", "both").
 func (c *Client) Relationships(ctx context.Context, id neograph.NodeID, dir string, types ...string) ([]neograph.Relationship, error) {
-	resp, err := c.roundTrip(ctx, &wire.Request{Op: wire.OpRels, ID: id, Dir: dir, Types: types})
+	resp, err := c.Do(ctx, &wire.Request{Op: wire.OpRels, ID: id, Dir: dir, Types: types})
 	if err != nil {
 		return nil, err
 	}
 	return decodeRels(resp.Rels)
 }
 
-// Neighbors lists adjacent node IDs.
-func (c *Client) Neighbors(ctx context.Context, id neograph.NodeID, dir string, types ...string) ([]neograph.NodeID, error) {
-	resp, err := c.roundTrip(ctx, &wire.Request{Op: wire.OpNeighbors, ID: id, Dir: dir, Types: types})
+// ids runs a request answered with an ID list.
+func (c *Client) ids(ctx context.Context, req *wire.Request) ([]neograph.NodeID, error) {
+	resp, err := c.Do(ctx, req)
 	if err != nil {
 		return nil, err
 	}
 	return resp.IDs, nil
 }
 
+// Neighbors lists adjacent node IDs.
+func (c *Client) Neighbors(ctx context.Context, id neograph.NodeID, dir string, types ...string) ([]neograph.NodeID, error) {
+	return c.ids(ctx, &wire.Request{Op: wire.OpNeighbors, ID: id, Dir: dir, Types: types})
+}
+
 // NodesByLabel lists node IDs carrying a label.
 func (c *Client) NodesByLabel(ctx context.Context, label string) ([]neograph.NodeID, error) {
-	resp, err := c.roundTrip(ctx, &wire.Request{Op: wire.OpNodesByLabel, Label: label})
-	if err != nil {
-		return nil, err
-	}
-	return resp.IDs, nil
+	return c.ids(ctx, &wire.Request{Op: wire.OpNodesByLabel, Label: label})
 }
 
 // NodesByProperty lists node IDs whose property key equals v.
@@ -491,87 +531,65 @@ func (c *Client) NodesByProperty(ctx context.Context, key string, v neograph.Val
 	if err != nil {
 		return nil, err
 	}
-	resp, err := c.roundTrip(ctx, &wire.Request{Op: wire.OpNodesByProp, Key: key, Value: enc})
-	if err != nil {
-		return nil, err
-	}
-	return resp.IDs, nil
+	return c.ids(ctx, &wire.Request{Op: wire.OpNodesByProp, Key: key, Value: enc})
 }
 
 // AllNodes lists every visible node ID.
 func (c *Client) AllNodes(ctx context.Context) ([]neograph.NodeID, error) {
-	resp, err := c.roundTrip(ctx, &wire.Request{Op: wire.OpAllNodes})
+	return c.ids(ctx, &wire.Request{Op: wire.OpAllNodes})
+}
+
+// info runs an admin op and returns its JSON report, decoded into v when
+// v is non-nil.
+func (c *Client) info(ctx context.Context, req *wire.Request, v any) (json.RawMessage, error) {
+	resp, err := c.Do(ctx, req)
 	if err != nil {
 		return nil, err
 	}
-	return resp.IDs, nil
+	if v != nil {
+		if err := json.Unmarshal(resp.Info, v); err != nil {
+			return nil, fmt.Errorf("client: %s report: %w", req.Op, err)
+		}
+	}
+	return resp.Info, nil
 }
 
 // Stats returns the server's engine counters as raw JSON.
 func (c *Client) Stats(ctx context.Context) (json.RawMessage, error) {
-	resp, err := c.roundTrip(ctx, &wire.Request{Op: wire.OpStats})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Info, nil
+	return c.info(ctx, &wire.Request{Op: wire.OpStats}, nil)
 }
 
 // GC triggers a garbage collection cycle, returning the report as JSON.
 func (c *Client) GC(ctx context.Context) (json.RawMessage, error) {
-	resp, err := c.roundTrip(ctx, &wire.Request{Op: wire.OpGC})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Info, nil
+	return c.info(ctx, &wire.Request{Op: wire.OpGC}, nil)
 }
 
 // Checkpoint triggers a checkpoint.
 func (c *Client) Checkpoint(ctx context.Context) error {
-	_, err := c.roundTrip(ctx, &wire.Request{Op: wire.OpCheckpoint})
+	_, err := c.Do(ctx, &wire.Request{Op: wire.OpCheckpoint})
 	return err
 }
 
 // ReplStatus returns the server's replication role and progress — the
 // topology probe the Pool routes by.
-func (c *Client) ReplStatus(ctx context.Context) (neograph.ReplStatus, error) {
-	resp, err := c.roundTrip(ctx, &wire.Request{Op: wire.OpReplStatus})
-	if err != nil {
-		return neograph.ReplStatus{}, err
-	}
-	var st neograph.ReplStatus
-	if err := json.Unmarshal(resp.Info, &st); err != nil {
-		return neograph.ReplStatus{}, fmt.Errorf("client: repl status: %w", err)
-	}
-	return st, nil
+func (c *Client) ReplStatus(ctx context.Context) (st neograph.ReplStatus, err error) {
+	_, err = c.info(ctx, &wire.Request{Op: wire.OpReplStatus}, &st)
+	return st, err
 }
 
 // ClusterStatus returns the node's cluster self-view: role, epoch, log
 // positions, and the membership its controller announces. Servers
 // without a cluster controller fail the op — callers fall back to
 // ReplStatus.
-func (c *Client) ClusterStatus(ctx context.Context) (wire.ClusterInfo, error) {
-	resp, err := c.roundTrip(ctx, &wire.Request{Op: wire.OpClusterStatus})
-	if err != nil {
-		return wire.ClusterInfo{}, err
-	}
-	var ci wire.ClusterInfo
-	if err := json.Unmarshal(resp.Info, &ci); err != nil {
-		return wire.ClusterInfo{}, fmt.Errorf("client: cluster status: %w", err)
-	}
-	return ci, nil
+func (c *Client) ClusterStatus(ctx context.Context) (ci wire.ClusterInfo, err error) {
+	_, err = c.info(ctx, &wire.Request{Op: wire.OpClusterStatus}, &ci)
+	return ci, err
 }
 
 // Promote asks a replica server to promote itself to a writable primary
 // (failover), optionally starting a WAL shipper on addr so surviving
 // replicas can re-point. Returns the post-promotion replication status.
-func (c *Client) Promote(ctx context.Context, addr string) (neograph.ReplStatus, error) {
-	resp, err := c.roundTrip(ctx, &wire.Request{Op: wire.OpPromote, Addr: addr})
-	if err != nil {
-		return neograph.ReplStatus{}, err
-	}
-	var st neograph.ReplStatus
-	if err := json.Unmarshal(resp.Info, &st); err != nil {
-		return neograph.ReplStatus{}, fmt.Errorf("client: promote status: %w", err)
-	}
-	return st, nil
+func (c *Client) Promote(ctx context.Context, addr string) (st neograph.ReplStatus, err error) {
+	_, err = c.info(ctx, &wire.Request{Op: wire.OpPromote, Addr: addr}, &st)
+	return st, err
 }

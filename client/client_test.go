@@ -272,7 +272,7 @@ func TestBatchValidation(t *testing.T) {
 
 // TestCancelAfterCallDoesNotPoisonNextCall is the regression test for a
 // scheduling race: every CLI/pool call runs under its own context that
-// is cancelled as soon as the call returns. The roundTrip cancellation
+// is cancelled as soon as the call returns. The call's cancellation
 // watcher must not observe that routine cancellation late and expire the
 // connection deadline in the middle of the NEXT call (symptom: instant
 // spurious "i/o timeout", a broken session, and — through the pool's

@@ -5,7 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"strings"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -56,14 +56,13 @@ type PoolConfig struct {
 	// re-discovery and the retry all record under ONE trace ID — and the
 	// sessions fn borrows join it automatically.
 	Tracer *trace.Tracer
-	// Partitioned marks this pool as serving one partition of a
-	// partitioned fleet (set by the Router). Cluster announcements then
-	// carry members of EVERY partition; the pool folds in only members
-	// of its own PartitionID — node IDs are unique per replication
-	// group, not fleet-wide, so membership is keyed (NodeID, PartitionID).
-	Partitioned bool
-	// PartitionID is the partition this pool serves when Partitioned.
-	PartitionID uint32
+	// partitioned marks this pool as serving partition partitionID of a
+	// partitioned fleet; only the Router sets it. Cluster announcements
+	// then carry members of EVERY partition; the pool folds in only
+	// members of its own — node IDs are unique per replication group, not
+	// fleet-wide, so membership is keyed (NodeID, PartitionID).
+	partitioned bool
+	partitionID uint32
 }
 
 // poolMetrics counts routing decisions; nil when no registry is given.
@@ -96,8 +95,6 @@ type host struct {
 	sem  chan struct{} // dial permits: len(sem) sessions exist
 	// applied is the last probed applied LSN (least-lag routing).
 	applied atomic.Uint64
-	// primary is the last probed role (true = accepts writes).
-	primary atomic.Bool
 	// closed stops new dials and makes releases close instead of park —
 	// without it, a session in flight during Pool.Close would be parked
 	// back into the just-drained free-list and leak its connection.
@@ -234,25 +231,13 @@ func OpenPool(ctx context.Context, cfg PoolConfig) (*Pool, error) {
 	}
 	// Discovery retries within the caller's context: a fleet that is
 	// still binding its listeners (rolling start, failover in progress)
-	// becomes reachable moments later. Without a deadline the attempts
-	// are capped instead of spinning forever.
-	var derr error
-	for attempt := 0; ; attempt++ {
-		if _, derr = p.discoverPrimary(ctx); derr == nil {
-			break
-		}
-		_, hasDeadline := ctx.Deadline()
-		if (!hasDeadline && attempt >= 4) || ctx.Err() != nil {
-			// The probe loop has not started yet: satisfy Close's
-			// handshake so the failed-open cleanup cannot deadlock on it.
-			close(p.probeDone)
-			p.Close()
-			return nil, derr
-		}
-		select {
-		case <-time.After(200 * time.Millisecond):
-		case <-ctx.Done():
-		}
+	// becomes reachable moments later.
+	if err := retry(ctx, func(error) bool { return true }, p.discoverPrimary); err != nil {
+		// The probe loop has not started yet: satisfy Close's handshake
+		// so the failed-open cleanup cannot deadlock on it.
+		close(p.probeDone)
+		p.Close()
+		return nil, err
 	}
 	go p.probeLoop()
 	return p, nil
@@ -268,6 +253,17 @@ func (p *Pool) hostFor(addr string) *host {
 	return h
 }
 
+// allHosts snapshots the host set.
+func (p *Pool) allHosts() []*host {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	hosts := make([]*host, 0, len(p.hosts))
+	for _, h := range p.hosts {
+		hosts = append(hosts, h)
+	}
+	return hosts
+}
+
 // Close releases every pooled session and stops the topology probe.
 func (p *Pool) Close() error {
 	p.mu.Lock()
@@ -276,14 +272,10 @@ func (p *Pool) Close() error {
 		return nil
 	}
 	p.closed = true
-	hosts := make([]*host, 0, len(p.hosts))
-	for _, h := range p.hosts {
-		hosts = append(hosts, h)
-	}
 	p.mu.Unlock()
 	close(p.probeStop)
 	<-p.probeDone
-	for _, h := range hosts {
+	for _, h := range p.allHosts() {
 		h.closed.Store(true)
 		h.closeAll()
 	}
@@ -308,12 +300,7 @@ type HostStatus struct {
 // read-your-writes gate, no routing — for diagnostics: exactly the view
 // an operator needs when a replica is lagging or wedged.
 func (p *Pool) FleetStatus(ctx context.Context) []HostStatus {
-	p.mu.Lock()
-	hosts := make([]*host, 0, len(p.hosts))
-	for _, h := range p.hosts {
-		hosts = append(hosts, h)
-	}
-	p.mu.Unlock()
+	hosts := p.allHosts()
 	out := make([]HostStatus, 0, len(hosts))
 	for _, h := range hosts {
 		hs := HostStatus{Addr: h.addr}
@@ -359,13 +346,7 @@ func (p *Pool) probeLoop() {
 			return
 		case <-tick.C:
 		}
-		p.mu.Lock()
-		hosts := make([]*host, 0, len(p.hosts))
-		for _, h := range p.hosts {
-			hosts = append(hosts, h)
-		}
-		p.mu.Unlock()
-		for _, h := range hosts {
+		for _, h := range p.allHosts() {
 			ctx, cancel := context.WithTimeout(context.Background(), p.cfg.ProbeEvery)
 			p.probeHost(ctx, h)
 			cancel()
@@ -373,52 +354,56 @@ func (p *Pool) probeLoop() {
 	}
 }
 
-// probeHost refreshes one host's cached role/applied position and keeps
-// the read rotation in sync with probed roles: a demoted ex-primary that
-// comes back as a replica rejoins the rotation, and a host that turned
-// primary leaves it.
-func (p *Pool) probeHost(ctx context.Context, h *host) {
+// probe asks h for its role, refreshing its cached applied position. The
+// cluster controller's view is preferred: it carries the announced
+// membership, so the pool learns nodes that were never in its seed list
+// (and can find a post-failover primary among them). Nodes without a
+// controller answer repl_status instead.
+func (p *Pool) probe(ctx context.Context, h *host) (role string, err error) {
 	c, err := h.acquire(ctx)
 	if err != nil {
-		return
+		return "", err
 	}
-	// Prefer the cluster controller's view: it carries the announced
-	// membership, so the pool learns nodes that were never in its seed
-	// list (and can find a post-failover primary among them). Nodes
-	// without a controller answer repl_status instead.
-	var role string
+	defer h.release(c)
 	var applied uint64
 	if ci, cerr := c.ClusterStatus(ctx); cerr == nil {
 		role, applied = ci.Role, ci.AppliedLSN
 		p.mergeMembers(ci.Members)
 	} else {
-		st, rerr := c.ReplStatus(ctx)
-		if rerr != nil {
-			h.release(c)
-			return
+		st, err := c.ReplStatus(ctx)
+		if err != nil {
+			return "", err
 		}
 		role, applied = st.Role, st.AppliedLSN
 	}
-	h.release(c)
 	h.applied.Store(applied)
-	isPrimary := role == "primary" || role == "standalone"
-	h.primary.Store(isPrimary)
+	return role, nil
+}
 
+// writable reports whether a probed role accepts writes.
+func writable(role string) bool { return role == "primary" || role == "standalone" }
+
+// probeHost refreshes one host and keeps the read rotation in sync with
+// probed roles: a demoted ex-primary that comes back as a replica rejoins
+// the rotation, and a host that turned primary leaves it.
+func (p *Pool) probeHost(ctx context.Context, h *host) {
+	role, err := p.probe(ctx, h)
+	if err != nil {
+		return
+	}
 	p.mu.Lock()
-	idx := -1
-	for i, r := range p.replicas {
-		if r == h {
-			idx = i
-			break
-		}
-	}
+	defer p.mu.Unlock()
 	switch {
-	case role == "replica" && idx < 0 && h != p.primary:
+	case role == "replica" && h != p.primary && !slices.Contains(p.replicas, h):
 		p.replicas = append(p.replicas, h)
-	case isPrimary && idx >= 0:
-		p.replicas = append(p.replicas[:idx], p.replicas[idx+1:]...)
+	case writable(role):
+		p.dropReplica(h)
 	}
-	p.mu.Unlock()
+}
+
+// dropReplica takes h out of the read rotation; the caller holds p.mu.
+func (p *Pool) dropReplica(h *host) {
+	p.replicas = slices.DeleteFunc(p.replicas, func(r *host) bool { return r == h })
 }
 
 // memberKey identifies one announced fleet member. Node IDs are unique
@@ -447,7 +432,7 @@ func (p *Pool) mergeMembers(members []wire.ClusterMember) {
 		if m.Addr == "" {
 			continue
 		}
-		if p.cfg.Partitioned && m.PartitionID != p.cfg.PartitionID {
+		if p.cfg.partitioned && m.PartitionID != p.cfg.partitionID {
 			continue
 		}
 		if m.NodeID != 0 {
@@ -520,7 +505,7 @@ func (p *Pool) Read(ctx context.Context, token string, fn func(c *Client) error)
 	// included. After a failover that record is stale — a pool whose only
 	// replica was promoted has an empty rotation and a dead primary — so
 	// look for the current primary, as Write does, and read there.
-	if _, derr := p.discoverPrimary(ctx); derr == nil {
+	if p.discoverPrimary(ctx) == nil {
 		p.mu.Lock()
 		found := p.primary
 		p.mu.Unlock()
@@ -593,95 +578,77 @@ func (p *Pool) readOn(ctx context.Context, h *host, gate uint64, fn func(c *Clie
 // in-doubt.
 //
 // A primary answering ErrOverloaded is alive but shedding load — the
-// pool backs off (jittered, doubling, context-bounded) and retries a
-// few times rather than hammering it; if the overload persists the
-// ErrOverloaded surfaces to the caller.
+// pool backs off and retries (see retry) rather than hammering it; if the
+// overload outlasts the budget the ErrOverloaded surfaces to the caller.
+// Mid-election the fleet has no primary at all: every node answers
+// "replica" and discovery fails with ErrNoPrimary, which is retried the
+// same way until a node wins.
 func (p *Pool) Write(ctx context.Context, token string, fn func(c *Client) error) error {
 	// One root span covers the whole routed write: every attempt's calls,
 	// the backoffs and the post-failover retry share its trace ID.
 	sp := p.cfg.Tracer.StartRoot("pool.write")
 	defer sp.Finish()
 	ctx = trace.ContextWith(ctx, sp)
-	backoff := overloadBackoffMin
-	for attempt := 0; ; attempt++ {
-		err := p.writeOnce(ctx, token, fn)
-		if err == nil {
-			return nil
-		}
-		if errors.Is(err, ErrOverloaded) {
-			if attempt >= overloadRetries {
-				return err
-			}
-			if p.pm != nil {
-				p.pm.overloadBackoffs.Inc()
-			}
-			select {
-			case <-time.After(jitteredDelay(backoff)):
-			case <-ctx.Done():
-				return fmt.Errorf("client: pool write: %w", ctx.Err())
-			}
-			if backoff *= 2; backoff > overloadBackoffMax {
-				backoff = overloadBackoffMax
-			}
-			continue
-		}
-		if !p.shouldFailover(err) {
-			return err
+	overloaded := func(err error) bool {
+		if !errors.Is(err, ErrOverloaded) {
+			return false
 		}
 		if p.pm != nil {
-			p.pm.writeFailovers.Inc()
+			p.pm.overloadBackoffs.Inc()
 		}
-		// Re-discover the primary. Mid-election there is none: every node
-		// answers "replica", discoverPrimary returns ErrNoPrimary, and
-		// hammering the fleet just delays the election. Back off (jittered,
-		// doubling, context-bounded) and re-probe until a node wins.
-		dback := discoverBackoffMin
-		var derr error
-		for dattempt := 0; ; dattempt++ {
-			if _, derr = p.discoverPrimary(ctx); derr == nil {
-				break
-			}
-			if !errors.Is(derr, ErrNoPrimary) || dattempt >= discoverRetries {
-				return fmt.Errorf("client: pool write failed (%v) and no primary found: %w", err, derr)
-			}
-			select {
-			case <-time.After(jitteredDelay(dback)):
-			case <-ctx.Done():
-				return fmt.Errorf("client: pool write: %w: %w", ErrNoPrimary, ctx.Err())
-			}
-			if dback *= 2; dback > discoverBackoffMax {
-				dback = discoverBackoffMax
-			}
-		}
-		return p.writeOnce(ctx, token, fn)
+		return true
 	}
+	err := retry(ctx, overloaded, func(ctx context.Context) error { return p.writeOnce(ctx, token, fn) })
+	if err == nil || !p.shouldFailover(err) {
+		return err
+	}
+	if p.pm != nil {
+		p.pm.writeFailovers.Inc()
+	}
+	noPrimary := func(err error) bool { return errors.Is(err, ErrNoPrimary) }
+	if derr := retry(ctx, noPrimary, p.discoverPrimary); derr != nil {
+		return fmt.Errorf("client: pool write failed (%v) and no primary found: %w", err, derr)
+	}
+	return p.writeOnce(ctx, token, fn)
 }
 
-// Discovery backoff bounds: while an election is in flight the fleet has
-// no primary, so failed discovery retries wait ~discoverBackoffMin,
-// doubling up to discoverBackoffMax, for at most discoverRetries retries
-// before ErrNoPrimary surfaces to the caller.
+// The one backoff policy of the SDK: a retried operation waits
+// ~retryBackoffMin first, doubling per attempt up to retryBackoffMax,
+// until the context's deadline — or, under a context without one, for at
+// most retryMax retries.
 const (
-	discoverBackoffMin = 25 * time.Millisecond
-	discoverBackoffMax = time.Second
-	discoverRetries    = 8
+	retryBackoffMin = 50 * time.Millisecond
+	retryBackoffMax = time.Second
+	retryMax        = 6
 )
 
-// Overload backoff bounds: the first retry waits ~overloadBackoffMin,
-// doubling per attempt up to overloadBackoffMax, for at most
-// overloadRetries retries before ErrOverloaded surfaces.
-const (
-	overloadBackoffMin = 5 * time.Millisecond
-	overloadBackoffMax = 250 * time.Millisecond
-	overloadRetries    = 6
-)
+// retry runs op until it succeeds, fails with an error again declines, or
+// the budget above is spent; the last error is what surfaces (joined with
+// the context's when the context ended the wait). Every "not now, but
+// soon" of the fleet goes through here: an overloaded primary, a group
+// mid-election, a fleet still binding its listeners.
+func retry(ctx context.Context, again func(error) bool, op func(context.Context) error) error {
+	_, bounded := ctx.Deadline()
+	wait := retryBackoffMin
+	for tries := 0; ; tries++ {
+		err := op(ctx)
+		if err == nil || (!bounded && tries >= retryMax) || !again(err) {
+			return err
+		}
+		select {
+		case <-time.After(jitteredDelay(wait)):
+		case <-ctx.Done():
+			return fmt.Errorf("%w: %w", err, ctx.Err())
+		}
+		if wait *= 2; wait > retryBackoffMax {
+			wait = retryBackoffMax
+		}
+	}
+}
 
 // jitteredDelay spreads one backoff uniformly over [d/2, d] so a herd of
 // rejected writers doesn't retry in lockstep.
 func jitteredDelay(d time.Duration) time.Duration {
-	if d <= 1 {
-		return d
-	}
 	half := d / 2
 	return half + time.Duration(rand.Int63n(int64(d-half)+1))
 }
@@ -731,89 +698,44 @@ func isAvailabilityErr(err error) bool {
 }
 
 // isTransportErr detects connection-level failures (dial refused, reset,
-// EOF, poisoned session) as opposed to server-answered errors.
+// EOF, a call torn down mid-frame) as opposed to server-answered errors.
 func isTransportErr(err error) bool {
-	var be *BatchError
-	if errors.As(err, &be) {
-		return false // server answered with a per-op failure
-	}
-	s := err.Error()
-	for _, marker := range []string{
-		"client: dial:", "client: send:", "client: recv:", "connection refused",
-		"connection reset", "broken pipe", "EOF", "use of closed",
-	} {
-		if strings.Contains(s, marker) {
-			return true
-		}
-	}
-	return false
+	var te *transportError
+	return errors.As(err, &te)
 }
 
-// discoverPrimary probes ReplStatus on every known address and routes
-// writes to the first one holding the primary (or standalone) role —
-// after a failover Promote, that is the promoted replica. The demoted
-// address stays in the host set (it may come back as a replica).
-func (p *Pool) discoverPrimary(ctx context.Context) (string, error) {
+// discoverPrimary probes every known address — the primary on record,
+// then the replicas, then the rest — and routes writes to the first one
+// holding the primary (or standalone) role: after a failover Promote,
+// that is the promoted replica. The demoted address stays in the host set
+// (it may come back as a replica).
+func (p *Pool) discoverPrimary(ctx context.Context) error {
 	p.mu.Lock()
-	ordered := make([]*host, 0, len(p.hosts))
-	ordered = append(ordered, p.primary)
-	for _, h := range p.replicas {
-		ordered = append(ordered, h)
-	}
+	ordered := append([]*host{p.primary}, p.replicas...)
 	for _, h := range p.hosts {
-		seen := false
-		for _, o := range ordered {
-			if o == h {
-				seen = true
-				break
-			}
-		}
-		if !seen {
+		if !slices.Contains(ordered, h) {
 			ordered = append(ordered, h)
 		}
 	}
 	p.mu.Unlock()
 
 	for _, h := range ordered {
-		probeCtx := ctx
-		var cancel context.CancelFunc
+		probeCtx, cancel := ctx, func() {}
 		if _, ok := ctx.Deadline(); !ok {
 			probeCtx, cancel = context.WithTimeout(ctx, 2*time.Second)
 		}
-		c, err := h.acquire(probeCtx)
-		if err != nil {
-			if cancel != nil {
-				cancel()
-			}
-			continue
-		}
-		st, err := c.ReplStatus(probeCtx)
-		h.release(c)
-		if cancel != nil {
-			cancel()
-		}
-		if err != nil {
-			continue
-		}
-		h.applied.Store(st.AppliedLSN)
-		isPrimary := st.Role == "primary" || st.Role == "standalone"
-		h.primary.Store(isPrimary)
-		if !isPrimary {
+		role, err := p.probe(probeCtx, h)
+		cancel()
+		if err != nil || !writable(role) {
 			continue
 		}
 		p.mu.Lock()
 		p.primary = h
 		// Reads must not route to the write master unless nothing else
 		// can serve them; drop it from the replica rotation.
-		replicas := p.replicas[:0]
-		for _, r := range p.replicas {
-			if r != h {
-				replicas = append(replicas, r)
-			}
-		}
-		p.replicas = replicas
+		p.dropReplica(h)
 		p.mu.Unlock()
-		return h.addr, nil
+		return nil
 	}
-	return "", ErrNoPrimary
+	return ErrNoPrimary
 }

@@ -2,12 +2,10 @@ package client
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"time"
 
 	"neograph"
-	"neograph/internal/trace"
 	"neograph/internal/wire"
 )
 
@@ -146,15 +144,14 @@ type QueryRow struct {
 // ends. The stream must be fully consumed or Closed; abandoning it
 // mid-way leaves frames in flight, so Close then marks the session
 // broken (a Pool redials transparently). Cancelling the call's context
-// tears the stream down the same way roundTrip cancellation does.
+// tears the stream down the same way it does a unary call.
 type QueryStream struct {
-	c    *Client
-	ctx  context.Context
-	seq  uint64
-	span *trace.Span
-	// stop/ran join the context-cancellation watcher (see roundTrip).
-	stop func() bool
-	ran  chan struct{}
+	c   *Client
+	ctx context.Context
+	seq uint64
+	// call is the in-flight request: its cancellation watcher lives until
+	// the stream ends, not just until the first frame.
+	call call
 
 	rows  []wire.QueryRow
 	pos   int
@@ -169,68 +166,20 @@ type QueryStream struct {
 // plan in its first — and only — frame); execution errors surface from
 // the stream's Err. The session serves one stream at a time: finish or
 // Close the stream before the next call on this client.
+//
+// The context governs the WHOLE stream: its deadline becomes the wire
+// budget and the connection I/O deadline, and cancellation poisons the
+// connection exactly as for a unary call.
 func (c *Client) Query(ctx context.Context, q *Query) (*QueryStream, error) {
-	if c.broken {
-		return nil, ErrBroken
-	}
 	if q.err != nil {
 		return nil, fmt.Errorf("client: bad query: %w", q.err)
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("client: %w", err)
+	req := &wire.Request{Op: wire.OpQuery, Plan: &q.plan}
+	k, err := c.send(ctx, req)
+	if err != nil {
+		return nil, err
 	}
-	req := &wire.Request{Op: wire.OpQuery, Plan: &q.plan, WaitLSN: c.readAfter}
-	c.seq++
-	req.Seq = c.seq
-	sp := trace.SpanFrom(ctx)
-	if sp == nil {
-		sp = c.span
-	}
-	if sp != nil {
-		sp = sp.Child("client.query")
-	} else {
-		sp = c.tracer.StartRoot("client.query")
-	}
-	if sp != nil {
-		sc := sp.Context()
-		req.Trace = &wire.TraceContext{TraceID: sc.TraceID, SpanID: sc.SpanID}
-	}
-	st := &QueryStream{c: c, ctx: ctx, seq: req.Seq, span: sp}
-	// The context governs the WHOLE stream: its deadline becomes the wire
-	// budget and the connection I/O deadline (with the usual grace for the
-	// server's clean deadline-error frame), and cancellation poisons the
-	// connection exactly as in roundTrip — but the watcher lives until the
-	// stream ends, not just this call.
-	if dl, ok := ctx.Deadline(); ok {
-		rem := time.Until(dl)
-		if rem <= 0 {
-			st.release()
-			return nil, fmt.Errorf("client: %w", context.DeadlineExceeded)
-		}
-		ms := rem.Milliseconds()
-		if ms < 1 {
-			ms = 1
-		}
-		req.DeadlineMS = ms
-		c.conn.SetDeadline(dl.Add(deadlineGrace))
-	} else {
-		c.conn.SetDeadline(time.Time{})
-	}
-	if ctx.Done() != nil {
-		st.ran = make(chan struct{})
-		st.stop = context.AfterFunc(ctx, func() {
-			defer close(st.ran)
-			if errors.Is(ctx.Err(), context.Canceled) {
-				c.conn.SetDeadline(time.Unix(1, 0))
-			}
-		})
-	}
-	if err := c.enc.Encode(req); err != nil {
-		c.broken = true
-		sp.Set("error", "send failed")
-		st.release()
-		return nil, c.callErr(ctx, "send", err)
-	}
+	st := &QueryStream{c: c, ctx: ctx, seq: req.Seq, call: k}
 	// Decode the first frame eagerly so a rejected plan fails the call
 	// itself, not the first Next.
 	if err := st.fetchFrame(); err != nil {
@@ -239,26 +188,11 @@ func (c *Client) Query(ctx context.Context, q *Query) (*QueryStream, error) {
 	return st, nil
 }
 
-// fetchFrame decodes one response frame into the row buffer, enforcing
-// the per-frame seq echo and mapping error frames to their sentinels.
+// fetchFrame reads one response frame into the row buffer; an error frame
+// (mapped to its sentinel) or a transport failure ends the stream.
 func (st *QueryStream) fetchFrame() error {
-	c := st.c
-	var resp wire.Response
-	if err := c.dec.Decode(&resp); err != nil {
-		c.broken = true
-		st.span.Set("error", "recv failed")
-		err = c.callErr(st.ctx, "recv", err)
-		st.fail(err)
-		return err
-	}
-	if resp.Seq != 0 && resp.Seq != st.seq {
-		c.broken = true
-		err := fmt.Errorf("client: stream frame seq %d for request seq %d: %w", resp.Seq, st.seq, ErrBroken)
-		st.fail(err)
-		return err
-	}
-	if !resp.OK {
-		err := remoteError(resp.Code, resp.Error)
+	resp, err := st.c.recv(st.ctx, st.call.span, st.seq)
+	if err != nil {
 		st.fail(err)
 		return err
 	}
@@ -284,13 +218,10 @@ func (st *QueryStream) release() {
 		return
 	}
 	st.done = true
-	if st.stop != nil && !st.stop() {
-		<-st.ran
-	}
+	st.call.end()
 	if !st.c.broken {
 		st.c.conn.SetDeadline(time.Time{})
 	}
-	st.span.Finish()
 }
 
 // Next advances to the next row, fetching frames as needed. It returns

@@ -96,8 +96,8 @@ func OpenRouter(ctx context.Context, cfg RouterConfig) (*Router, error) {
 				ConnsPerHost: cfg.ConnsPerHost,
 				ProbeEvery:   cfg.ProbeEvery,
 				Tracer:       cfg.Tracer,
-				Partitioned:  true,
-				PartitionID:  g.ID,
+				partitioned:  true,
+				partitionID:  g.ID,
 			})
 			if err != nil {
 				errs <- fmt.Errorf("client: partition %d: %w", g.ID, err)
@@ -134,12 +134,7 @@ func (r *Router) Close() error {
 func (r *Router) Count() int { return len(r.pools) }
 
 // PartitionOf maps an entity ID to its owning partition.
-func (r *Router) PartitionOf(id uint64) uint32 {
-	if len(r.pools) <= 1 {
-		return 0
-	}
-	return uint32(id % uint64(len(r.pools)))
-}
+func (r *Router) PartitionOf(id uint64) uint32 { return wire.OwnerOf(id, len(r.pools)) }
 
 // Pool returns the pool serving one partition, for direct access
 // (FleetStatus, PrimaryAddr, per-partition diagnostics).
@@ -176,28 +171,16 @@ func (r *Router) WriteAny(ctx context.Context, token string, fn func(c *Client) 
 	return r.write(ctx, part, token, fn)
 }
 
-// write routes one write to a partition, absorbing ErrNoPrimary until
-// the deadline: a group mid-election elects within a probe interval, so
-// "no primary right now" is worth retrying. With no deadline the
-// retries are capped. What finally surfaces is the structured
-// *NoPartitionOwnerError.
+// write routes one write to a partition. A group mid-election has no
+// primary for a moment; its pool absorbs that (Pool.Write retries
+// discovery until the deadline, or its capped retries without one), so
+// what finally surfaces here is the structured *NoPartitionOwnerError.
 func (r *Router) write(ctx context.Context, part uint32, token string, fn func(c *Client) error) error {
-	var err error
-	for attempt := 0; ; attempt++ {
-		err = r.pools[part].Write(ctx, token, fn)
-		if err == nil || !errors.Is(err, ErrNoPrimary) {
-			return err
-		}
-		_, hasDeadline := ctx.Deadline()
-		if ctx.Err() != nil || (!hasDeadline && attempt >= 2) {
-			return &NoPartitionOwnerError{Partition: part, Err: err}
-		}
-		select {
-		case <-time.After(jitteredDelay(100 * time.Millisecond)):
-		case <-ctx.Done():
-			return &NoPartitionOwnerError{Partition: part, Err: err}
-		}
+	err := r.pools[part].Write(ctx, token, fn)
+	if errors.Is(err, ErrNoPrimary) {
+		return &NoPartitionOwnerError{Partition: part, Err: err}
 	}
+	return err
 }
 
 // Read runs fn on a read session routed to the fleet of the partition
@@ -262,26 +245,16 @@ func (r *Router) RunBatch(ctx context.Context, token string, b *Batch) (*BatchRe
 // case (everything one partition) the ordinary local commit and
 // minimizes 2PC participants otherwise.
 func (r *Router) homePartition(b *Batch) uint32 {
-	n := uint64(len(r.pools))
+	n := len(r.pools)
 	if n <= 1 {
 		return 0
 	}
+	// Creations, pings and back references follow the home partition;
+	// scans don't anchor (and don't belong in routed batches).
 	votes := make([]int, n)
 	for i := range b.reqs {
-		op := &b.reqs[i]
-		switch op.Op {
-		case wire.OpCreateNode, wire.OpPing:
-			// follows the home partition
-		case wire.OpCreateRel:
-			if op.StartRef == nil {
-				votes[op.Start%n]++
-			}
-		case wire.OpNodesByLabel, wire.OpNodesByProp, wire.OpAllNodes:
-			// scans don't anchor (and don't belong in routed batches)
-		default:
-			if op.IDRef == nil {
-				votes[op.ID%n]++
-			}
+		if pl := wire.Place(&b.reqs[i]); pl.Anchor != wire.AnchorNone && pl.Home.Back == nil {
+			votes[wire.OwnerOf(pl.Home.ID, n)]++
 		}
 	}
 	best, bestVotes := -1, 0

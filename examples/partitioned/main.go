@@ -31,7 +31,7 @@ func main() {
 	// SyncReplicas 1 means an acked write survives primary loss.
 	f, err := fleet.Start(fleet.Spec{Partitions: parts, Replicas: 1, DB: neograph.Options{SyncReplicas: 1}})
 	check(err)
-	defer f.Close()
+	defer func() { check(f.Close()) }() // a clean close checkpoints every node, cross-partition edges included
 	for p, g := range f.Groups {
 		fmt.Printf("partition %d: primary %s, replica %s\n", p, g[0].Addr(), g[1].Addr())
 	}
@@ -88,7 +88,7 @@ func main() {
 	fmt.Println("\n-- killing partition 1's primary --")
 	g1 := f.Groups[1]
 	shipAddr := g1[0].DB.ReplicationAddress()
-	g1[0].Close()
+	check(g1[0].Close())
 
 	cl, err := client.Dial(ctx, g1[1].Addr())
 	check(err)

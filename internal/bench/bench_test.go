@@ -323,30 +323,6 @@ var shapes = map[string]func(t *testing.T, rows any){
 		}
 	},
 
-	"E10": func(t *testing.T, rows any) {
-		cells := rows.([]E10Row)
-		get := func(level int) E10Row {
-			return find(t, cells, "quorum", func(r E10Row) bool { return r.SyncReplicas == level })
-		}
-		async, quorum := get(0), get(1)
-		if async.Mean <= 0 || quorum.Mean <= 0 {
-			t.Fatalf("no latency measured: %+v", cells)
-		}
-		// The robust claim: every quorum commit actually assembled its quorum
-		// (no degrades) in a healthy group. The latency ordering (quorum p50
-		// above async p50) holds on real hardware but is a timed comparison
-		// of a few dozen commits — too noisy to hard-assert on a loaded
-		// 1-CPU CI box, so it is only logged.
-		for _, r := range cells {
-			if r.Degraded != 0 {
-				t.Fatalf("degraded commits in a healthy group: %+v", cells)
-			}
-		}
-		if quorum.P50 < async.P50 {
-			t.Logf("note: quorum p50 %v below async p50 %v (noisy box?)", quorum.P50, async.P50)
-		}
-	},
-
 	"E11": func(t *testing.T, rows any) {
 		cells := rows.([]E11Row)
 		get := func(stripes1 bool, clients int) E11Row {
@@ -426,12 +402,6 @@ var shapes = map[string]func(t *testing.T, rows any){
 		}
 	},
 
-	"E13": func(t *testing.T, rows any) {
-		if got := len(rows.([]E13Row)); got != 3 {
-			t.Fatalf("rows = %d, want one per sampling rate", got)
-		}
-	},
-
 	"E14": func(t *testing.T, rows any) {
 		cells := rows.([]E14Row)
 		if len(cells) != 3 {
@@ -476,17 +446,6 @@ var shapes = map[string]func(t *testing.T, rows any){
 			// runE15 itself fails on acknowledged loss at quorum >= 1.
 			if r.Survived+r.Lost != r.PreCommits {
 				t.Errorf("census does not add up: %+v", r)
-			}
-		}
-	},
-
-	"E16": func(t *testing.T, rows any) {
-		for _, r := range rows.([]E16Row) {
-			if r.Commits == 0 {
-				t.Errorf("cell committed nothing: %+v", r)
-			}
-			if (r.CrossCommits > 0) != (r.Partitions > 1 && r.CrossPct > 0) {
-				t.Errorf("cross-partition commits where none belong (or none where they do): %+v", r)
 			}
 		}
 	},

@@ -86,7 +86,7 @@ func runE2(p Params) ([]E2Row, error) {
 	return rows, nil
 }
 
-// updateBalance is the write transaction E2, E2d and E13 share: one
+// updateBalance is the write transaction E2 and E2d share: one
 // property update on a random person, committed.
 func updateBalance(tx *neograph.Tx, g *workload.SocialGraph, r *rand.Rand) error {
 	if err := tx.SetNodeProp(g.People[r.Intn(len(g.People))], "balance", neograph.Int(r.Int63n(1<<20))); err != nil {

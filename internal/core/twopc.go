@@ -329,25 +329,29 @@ func (e *Engine) clearPrepared(p *preparedTxn) {
 // non-empty only on the coordinator's own decide — it is persisted in
 // the record and tracked until AckDecision drains it.
 //
+// It returns the commit timestamp (zero for an abort) and the decision
+// record's end position in the log — like Tx.CommitLSN, the position a
+// replica must have applied to observe the decision, i.e. the
+// read-your-writes token (zero without a store).
+//
 // Deciding an unknown gtxn returns ErrNotPrepared (the caller treats a
 // retried decision as already applied).
-func (e *Engine) DecideTxn(gtxn uint64, commit bool, participants []uint32) (mvcc.TS, error) {
+func (e *Engine) DecideTxn(gtxn uint64, commit bool, participants []uint32) (cts mvcc.TS, end uint64, err error) {
 	if e.closed.Load() {
-		return 0, ErrClosed
+		return 0, 0, ErrClosed
 	}
 	if e.replica.Load() {
-		return 0, fmt.Errorf("%w: decisions reach a replica through the WAL stream", ErrReadOnlyReplica)
+		return 0, 0, fmt.Errorf("%w: decisions reach a replica through the WAL stream", ErrReadOnlyReplica)
 	}
 	e.prepMu.Lock()
 	p, ok := e.prepared[gtxn]
 	if !ok {
 		e.prepMu.Unlock()
-		return 0, fmt.Errorf("%w: gtxn %d", ErrNotPrepared, gtxn)
+		return 0, 0, fmt.Errorf("%w: gtxn %d", ErrNotPrepared, gtxn)
 	}
 	delete(e.prepared, gtxn)
 	e.prepMu.Unlock()
 
-	var cts mvcc.TS
 	var lsn uint64
 	if e.store != nil {
 		e.commitGate.RLock()
@@ -355,9 +359,10 @@ func (e *Engine) DecideTxn(gtxn uint64, commit bool, participants []uint32) (mvc
 		if commit {
 			cts = e.oracle.BeginCommit()
 		}
-		var err error
-		lsn, err = e.wal.Append(encodeDecision(gtxn, commit, cts, participants))
+		rec := encodeDecision(gtxn, commit, cts, participants)
+		lsn, err = e.wal.Append(rec)
 		e.walSeqMu.Unlock()
+		end = CommitRecordEnd(lsn, len(rec))
 		if err != nil {
 			e.commitGate.RUnlock()
 			if commit {
@@ -368,7 +373,7 @@ func (e *Engine) DecideTxn(gtxn uint64, commit bool, participants []uint32) (mvc
 			e.prepMu.Lock()
 			e.prepared[gtxn] = p
 			e.prepMu.Unlock()
-			return 0, fmt.Errorf("core: decision wal append: %w", err)
+			return 0, 0, fmt.Errorf("core: decision wal append: %w", err)
 		}
 		if commit {
 			keys := make([]entKey, 0, len(p.muts))
@@ -417,13 +422,13 @@ func (e *Engine) DecideTxn(gtxn uint64, commit bool, participants []uint32) (mvc
 	}
 	if e.store != nil {
 		if err := e.syncRecord(lsn); err != nil {
-			return 0, fmt.Errorf("core: decision %d installed but not durable: %w", gtxn, err)
+			return 0, 0, fmt.Errorf("core: decision %d installed but not durable: %w", gtxn, err)
 		}
 	}
 	if commit {
 		e.oracle.WaitVisible(cts) // as in Tx.Commit: ack only what a new snapshot reads
 	}
-	return cts, nil
+	return cts, end, nil
 }
 
 // AckDecision records that a participant partition durably applied the

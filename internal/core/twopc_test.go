@@ -49,7 +49,7 @@ func TestPrepareDecideCommit(t *testing.T) {
 	if st := e.TxnStatus(77); st != TxnPending {
 		t.Fatalf("TxnStatus = %v, want pending", st)
 	}
-	if _, err := e.DecideTxn(77, true, nil); err != nil {
+	if _, _, err := e.DecideTxn(77, true, nil); err != nil {
 		t.Fatalf("DecideTxn: %v", err)
 	}
 	r = e.Begin()
@@ -62,7 +62,7 @@ func TestPrepareDecideCommit(t *testing.T) {
 	}
 	r.Abort()
 	// Idempotent / unknown retry.
-	if _, err := e.DecideTxn(77, true, nil); !errors.Is(err, ErrNotPrepared) {
+	if _, _, err := e.DecideTxn(77, true, nil); !errors.Is(err, ErrNotPrepared) {
 		t.Fatalf("second decide: %v, want ErrNotPrepared", err)
 	}
 }
@@ -80,7 +80,7 @@ func TestPrepareDecideAbort(t *testing.T) {
 	if _, err := tx.Prepare(5, 0, nil); err != nil {
 		t.Fatalf("Prepare: %v", err)
 	}
-	if _, err := e.DecideTxn(5, false, nil); err != nil {
+	if _, _, err := e.DecideTxn(5, false, nil); err != nil {
 		t.Fatalf("DecideTxn abort: %v", err)
 	}
 	r := e.Begin()
@@ -125,7 +125,7 @@ func TestPreparedKeyBlocksWriters(t *testing.T) {
 			t.Fatalf("policy %v: concurrent write on prepared key: err=%v, want ErrWriteConflict", policy, err)
 		}
 
-		if _, err := e.DecideTxn(9, true, nil); err != nil {
+		if _, _, err := e.DecideTxn(9, true, nil); err != nil {
 			t.Fatalf("DecideTxn: %v", err)
 		}
 		// Guards released: the same write now succeeds.
@@ -166,7 +166,7 @@ func TestValidateGuardBlocksDelete(t *testing.T) {
 	if !errors.Is(err, ErrWriteConflict) {
 		t.Fatalf("delete of guarded endpoint: err=%v, want ErrWriteConflict", err)
 	}
-	if _, err := e.DecideTxn(13, true, nil); err != nil {
+	if _, _, err := e.DecideTxn(13, true, nil); err != nil {
 		t.Fatalf("DecideTxn: %v", err)
 	}
 	w = e.Begin()
@@ -213,7 +213,7 @@ func TestPreparedSurvivesCrash(t *testing.T) {
 		t.Fatalf("in-doubt node ID %d reallocated", id)
 	}
 	alloc.Abort()
-	if _, err := e.DecideTxn(21, true, nil); err != nil {
+	if _, _, err := e.DecideTxn(21, true, nil); err != nil {
 		t.Fatalf("DecideTxn after recovery: %v", err)
 	}
 	r = e.Begin()
@@ -234,7 +234,7 @@ func TestDecisionSurvivesCrash(t *testing.T) {
 	if _, err := tx.Prepare(33, 0, nil); err != nil {
 		t.Fatalf("Prepare: %v", err)
 	}
-	if _, err := e.DecideTxn(33, true, []uint32{1}); err != nil {
+	if _, _, err := e.DecideTxn(33, true, []uint32{1}); err != nil {
 		t.Fatalf("DecideTxn: %v", err)
 	}
 	e.Crash()
@@ -292,7 +292,7 @@ func TestCheckpointRetainsPreparedWAL(t *testing.T) {
 	if len(e.InDoubt()) != 1 {
 		t.Fatalf("in-doubt transaction lost across checkpoint+crash: %+v", e.InDoubt())
 	}
-	if _, err := e.DecideTxn(55, true, nil); err != nil {
+	if _, _, err := e.DecideTxn(55, true, nil); err != nil {
 		t.Fatalf("DecideTxn: %v", err)
 	}
 	r := e.Begin()

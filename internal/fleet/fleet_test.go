@@ -74,11 +74,9 @@ func TestFleetFailoverAndTeardown(t *testing.T) {
 	defer r.Close()
 
 	// One account per partition, then a cross-partition transfer: both
-	// property writes commit atomically through 2PC. (No cross-partition
-	// edge: the source partition cannot checkpoint one yet — its store
-	// links a relationship into both endpoints' chains and the far
-	// endpoint is not local — which would fail the clean Close below. See
-	// ROADMAP.)
+	// property writes and the edge between the accounts commit atomically
+	// through 2PC. The edge lives on partition 0, whose clean Close below
+	// must checkpoint it.
 	var acct [2]neograph.NodeID
 	for p := range acct {
 		err := r.Pool(uint32(p)).Write(ctx, "t", func(c *client.Client) error {
@@ -96,6 +94,7 @@ func TestFleetFailoverAndTeardown(t *testing.T) {
 	var b client.Batch
 	b.SetNodeProp(acct[0], "balance", neograph.Int(60))
 	b.SetNodeProp(acct[1], "balance", neograph.Int(40))
+	b.CreateRel("PAYS", acct[0], acct[1], nil)
 	if _, err := r.RunBatch(ctx, "t", &b); err != nil {
 		t.Fatalf("cross-partition batch: %v", err)
 	}
@@ -137,12 +136,12 @@ func TestFleetFailoverAndTeardown(t *testing.T) {
 	if _, err := r.RunBatch(ctx, "t", &b2); err != nil {
 		t.Fatalf("cross-partition batch after failover: %v", err)
 	}
-	// Checked on the primaries themselves: a replica read gated on the
-	// batch's causality token can still be stale (the token a 2PC commit
-	// returns is not a log position yet — see ROADMAP).
-	for p, db := range []*neograph.DB{f.Groups[0][0].DB, heir.DB} {
-		err := db.View(func(tx *neograph.Tx) error {
-			n, err := tx.GetNode(acct[p])
+	// Read through the router under the batches' causality token: from
+	// partition 0's replica, and from the promoted node (partition 1 has no
+	// replica left).
+	for p := range acct {
+		err := r.Read(ctx, "t", uint64(acct[p]), func(c *client.Client) error {
+			n, err := c.GetNode(ctx, acct[p])
 			if err != nil {
 				return err
 			}
@@ -204,5 +203,172 @@ func TestStartOwnsItsTempDir(t *testing.T) {
 	}
 	if leaked := fleetGoroutines(); len(leaked) != 0 {
 		t.Fatalf("failed Start left goroutines:\n%s", strings.Join(leaked, "\n\n"))
+	}
+}
+
+// TestCrossPartitionEdgeSurvivesCheckpoint: an edge whose end node lives
+// on another partition is stored with its start node, and that partition
+// must be able to checkpoint it, close cleanly and find it again after a
+// restart. (The store used to link a relationship into both endpoints'
+// chains; the far endpoint is not a local node, so every checkpoint after
+// such an edge failed with "link rel N to missing node M".)
+func TestCrossPartitionEdgeSurvivesCheckpoint(t *testing.T) {
+	f, err := fleet.Start(fleet.Spec{Partitions: 2, DB: neograph.Options{Dir: t.TempDir()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { f.Close() }()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	r, err := client.OpenRouter(ctx, client.RouterConfig{Partitions: f.PartitionMap()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+
+	var acct [2]neograph.NodeID
+	for p := range acct {
+		err := r.Pool(uint32(p)).Write(ctx, "", func(c *client.Client) error {
+			var err error
+			acct[p], err = c.CreateNode(ctx, []string{"Account"}, nil)
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	// One edge by the single-op path, one inside a batch, one the other
+	// way round — so both partitions hold an edge with a far endpoint.
+	var edges [3]neograph.RelID
+	err = r.Write(ctx, "", uint64(acct[0]), func(c *client.Client) error {
+		var err error
+		edges[0], err = c.CreateRel(ctx, "PAYS", acct[0], acct[1], neograph.Props{"n": neograph.Int(1)})
+		return err
+	})
+	if err != nil {
+		t.Fatalf("cross-partition create_rel: %v", err)
+	}
+	var b client.Batch
+	b.SetNodeProp(acct[1], "seen", neograph.Int(1))
+	e1 := b.CreateRel("PAYS", acct[0], acct[1], nil)
+	e2 := b.CreateRel("OWES", acct[1], acct[0], nil)
+	res, err := r.RunBatch(ctx, "", &b)
+	if err != nil {
+		t.Fatalf("cross-partition batch: %v", err)
+	}
+	edges[1], _ = res.ID(e1)
+	edges[2], _ = res.ID(e2)
+
+	for p, g := range f.Groups {
+		if err := g[0].DB.Checkpoint(); err != nil {
+			t.Fatalf("partition %d checkpoint with a cross-partition edge: %v", p, err)
+		}
+	}
+	r.Close()
+	if err := f.Close(); err != nil {
+		t.Fatalf("clean close: %v", err)
+	}
+	for p, g := range f.Groups {
+		n, err := fleet.StartNode(g[0].Config)
+		if err != nil {
+			t.Fatalf("partition %d reopen: %v", p, err)
+		}
+		f.Groups[p][0] = n
+	}
+	for i, want := range []struct {
+		start, end neograph.NodeID
+		typ        string
+	}{{acct[0], acct[1], "PAYS"}, {acct[0], acct[1], "PAYS"}, {acct[1], acct[0], "OWES"}} {
+		db := f.Groups[r.PartitionOf(want.start)][0].DB
+		err := db.View(func(tx *neograph.Tx) error {
+			rels, err := tx.Relationships(want.start, neograph.Outgoing, want.typ)
+			if err != nil {
+				return err
+			}
+			for _, rel := range rels {
+				if rel.ID == edges[i] && rel.End == want.end {
+					return nil
+				}
+			}
+			t.Errorf("edge %d (%d -[%s]-> %d) not found on its start node after reopen: %+v", edges[i], want.start, want.typ, want.end, rels)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestCrossPartitionTokenIsLogPosition: the read-your-writes token a
+// cross-partition batch returns is the home partition's decision record's
+// end position — so it advances the router's gate for that partition and a
+// replica read carrying it observes the batch. (It used to be the commit
+// timestamp, a small number that never advanced a gate set by any earlier
+// write.)
+func TestCrossPartitionTokenIsLogPosition(t *testing.T) {
+	f, err := fleet.Start(fleet.Spec{Partitions: 2, Replicas: 1, DB: neograph.Options{Dir: t.TempDir()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	r, err := client.OpenRouter(ctx, client.RouterConfig{Partitions: f.PartitionMap()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+
+	var acct [2]neograph.NodeID
+	for p := range acct {
+		err := r.Pool(uint32(p)).Write(ctx, "t", func(c *client.Client) error {
+			var err error
+			acct[p], err = c.CreateNode(ctx, []string{"Account"}, nil)
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	home, replica := f.Groups[0][0].DB, f.Groups[0][1].DB
+	for i := int64(1); i <= 50; i++ {
+		before := r.Token(0, "t")
+		var b client.Batch
+		b.SetNodeProp(acct[0], "v", neograph.Int(i))
+		b.SetNodeProp(acct[1], "v", neograph.Int(i))
+		res, err := r.RunBatch(ctx, "t", &b) // a tie between the partitions: partition 0 is home
+		if err != nil {
+			t.Fatalf("batch %d: %v", i, err)
+		}
+		tok := r.Token(0, "t")
+		if tok <= before || tok != res.LSN() || tok > home.DurableLSN() {
+			t.Fatalf("batch %d: token %d (batch LSN %d) after %d with the home log durable to %d: not the decision's log position",
+				i, tok, res.LSN(), before, home.DurableLSN())
+		}
+		// The replica behind the token holds the write...
+		if err := replica.WaitApplied(tok, 10*time.Second); err != nil {
+			t.Fatal(err)
+		}
+		err = replica.View(func(tx *neograph.Tx) error {
+			v, _, err := tx.NodeProp(acct[0], "v")
+			if got, _ := v.AsInt(); err != nil || got != i {
+				t.Errorf("batch %d: replica at token %d reads v=%d (%v)", i, tok, got, err)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// ...and so does a routed read carrying it.
+		err = r.Read(ctx, "t", uint64(acct[0]), func(c *client.Client) error {
+			n, err := c.GetNode(ctx, acct[0])
+			if got, _ := n.Props["v"].AsInt(); err != nil || got != i {
+				t.Errorf("batch %d: routed read under the token sees v=%d (%v)", i, got, err)
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 }

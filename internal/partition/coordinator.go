@@ -1,14 +1,14 @@
 package partition
 
 import (
-	"encoding/json"
+	"context"
+	"errors"
 	"fmt"
-	"net"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"neograph/client"
 	"neograph/internal/core"
 	"neograph/internal/slog"
 	"neograph/internal/wire"
@@ -29,22 +29,15 @@ const rpcTimeout = 5 * time.Second
 
 // Local is the coordinator's handle on its own partition: batch
 // preparation runs through the server (it owns op execution), the rest
-// through the database's two-phase-commit surface.
-type Local interface {
+// through the engine's two-phase-commit surface.
+type Local struct {
 	// PrepareBatch executes batch in a fresh transaction and parks it
 	// prepared under gtxn (see wire.OpPrepare). The response carries
 	// per-op Results and the prepare record's LSN.
-	PrepareBatch(gtxn uint64, coordPart uint32, batch []wire.Request, validate []uint64) *wire.Response
-	// DecideTxn commits or aborts the locally prepared gtxn.
-	DecideTxn(gtxn uint64, commit bool, participants []uint32) (uint64, error)
-	// AckDecision records a participant's acknowledgement of gtxn's
-	// commit decision.
-	AckDecision(gtxn uint64, participant uint32)
-	// InDoubt lists locally prepared transactions with no decision.
-	InDoubt() []core.PreparedInfo
-	// UnackedDecisions lists commit decisions awaiting participant
-	// acknowledgements.
-	UnackedDecisions() []core.DecidedInfo
+	PrepareBatch func(gtxn uint64, coordPart uint32, batch []wire.Request, validate []uint64) *wire.Response
+	// Engine returns the partition's engine. It is looked up per call: a
+	// re-seed swaps it under a live server.
+	Engine func() *core.Engine
 }
 
 // Coordinator runs cross-partition transactions over the partition
@@ -69,8 +62,8 @@ type Coordinator struct {
 	// primaries caches each partition's last known good address.
 	primaries sync.Map // uint32 -> string
 
-	connMu sync.Mutex
-	conns  map[string]*rpcConn
+	peerMu sync.Mutex
+	peers  map[string]*peer
 
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -86,7 +79,7 @@ func NewCoordinator(self uint32, topo *Topology, local Local, seqBase uint64, lo
 		local:    local,
 		log:      logger,
 		inflight: make(map[uint64]struct{}),
-		conns:    make(map[string]*rpcConn),
+		peers:    make(map[string]*peer),
 		stop:     make(chan struct{}),
 	}
 	c.seq.Store(seqBase)
@@ -112,7 +105,7 @@ func (c *Coordinator) Start() {
 	}()
 }
 
-// Close stops the background loops and drops cached connections.
+// Close stops the background loops and drops cached sessions.
 func (c *Coordinator) Close() {
 	select {
 	case <-c.stop:
@@ -120,12 +113,13 @@ func (c *Coordinator) Close() {
 		close(c.stop)
 	}
 	c.wg.Wait()
-	c.connMu.Lock()
-	for _, rc := range c.conns {
-		rc.close()
+	c.peerMu.Lock()
+	for _, p := range c.peers {
+		p.mu.Lock()
+		p.drop()
+		p.mu.Unlock()
 	}
-	c.conns = map[string]*rpcConn{}
-	c.connMu.Unlock()
+	c.peerMu.Unlock()
 }
 
 // mint issues a cluster-unique global transaction ID.
@@ -172,17 +166,20 @@ func (c *Coordinator) CommitBatch(batch []wire.Request, deadline time.Time) *wir
 	results := make(map[uint32][]wire.Response)
 	var prepared []uint32
 
-	abortAll := func(failIdx int, msg string) *wire.Response {
+	// abortAll discards every prepare and answers with the failure that
+	// caused it: its message under the coordinator's heading, its code
+	// carried through, so the client still matches the engine sentinel.
+	abortAll := func(failIdx int, code, msg string) *wire.Response {
 		for _, p := range prepared {
 			if p == c.self {
-				c.local.DecideTxn(gtxn, false, nil)
+				c.local.Engine().DecideTxn(gtxn, false, nil)
 			} else if err := c.decideRemote(p, gtxn, false, deadline); err != nil {
 				// The participant resolves through the in-doubt loop:
 				// our status for gtxn stays "unknown" — presumed abort.
 				c.log.Warn("partition: abort push failed", "gtxn", gtxn, "part", p, "err", err.Error())
 			}
 		}
-		resp := &wire.Response{Error: fmt.Sprintf("partition: cross-partition batch aborted: %s", msg)}
+		resp := &wire.Response{Error: fmt.Sprintf("partition: cross-partition batch aborted: %s", msg), Code: code}
 		if failIdx >= 0 {
 			resp.FailedOp = &failIdx
 		}
@@ -199,7 +196,7 @@ func (c *Coordinator) CommitBatch(batch []wire.Request, deadline time.Time) *wir
 			}
 			id, ok := created[ps.target]
 			if !ok {
-				return abortAll(-1, fmt.Sprintf("internal: unresolved reference to sub-op %d", ps.target))
+				return abortAll(-1, "", fmt.Sprintf("internal: unresolved reference to sub-op %d", ps.target))
 			}
 			switch ps.field {
 			case fieldID:
@@ -229,7 +226,7 @@ func (c *Coordinator) CommitBatch(batch []wire.Request, deadline time.Time) *wir
 					}
 				}
 			}
-			return abortAll(idx, resp.Error)
+			return abortAll(idx, resp.Code, resp.Error)
 		}
 		prepared = append(prepared, part)
 		results[part] = resp.Results
@@ -251,9 +248,9 @@ func (c *Coordinator) CommitBatch(batch []wire.Request, deadline time.Time) *wir
 			participants = append(participants, p)
 		}
 	}
-	lsn, err := c.local.DecideTxn(gtxn, true, participants)
+	_, lsn, err := c.local.Engine().DecideTxn(gtxn, true, participants)
 	if err != nil {
-		return abortAll(-1, fmt.Sprintf("decision: %v", err))
+		return abortAll(-1, wire.CodeOf(err), fmt.Sprintf("decision: %v", err))
 	}
 
 	// Push the decision; failures are retried by the repush loop (the
@@ -263,7 +260,7 @@ func (c *Coordinator) CommitBatch(batch []wire.Request, deadline time.Time) *wir
 			c.log.Warn("partition: decide push failed, repush pending", "gtxn", gtxn, "part", p, "err", err.Error())
 			continue
 		}
-		c.local.AckDecision(gtxn, p)
+		c.local.Engine().AckDecision(gtxn, p)
 	}
 
 	// Merge per-partition results back into submission order.
@@ -287,7 +284,7 @@ func (c *Coordinator) CommitBatch(batch []wire.Request, deadline time.Time) *wir
 // flight are orphans of a coordinator crash before the decision — the
 // local status is authoritative, so they abort.
 func (c *Coordinator) ResolveInDoubt() {
-	for _, d := range c.local.InDoubt() {
+	for _, d := range c.local.Engine().InDoubt() {
 		if c.isInflight(d.Gtxn) {
 			continue
 		}
@@ -295,7 +292,7 @@ func (c *Coordinator) ResolveInDoubt() {
 			// Our own orphan: no durable decision exists (a decided
 			// transaction is no longer in doubt), so nobody was ever
 			// acked — presumed abort.
-			c.local.DecideTxn(d.Gtxn, false, nil)
+			c.local.Engine().DecideTxn(d.Gtxn, false, nil)
 			c.log.Info("partition: aborted orphaned local prepare", "gtxn", d.Gtxn)
 			continue
 		}
@@ -305,9 +302,9 @@ func (c *Coordinator) ResolveInDoubt() {
 		}
 		switch state {
 		case "committed":
-			c.local.DecideTxn(d.Gtxn, true, nil)
+			c.local.Engine().DecideTxn(d.Gtxn, true, nil)
 		case "aborted", "unknown":
-			c.local.DecideTxn(d.Gtxn, false, nil)
+			c.local.Engine().DecideTxn(d.Gtxn, false, nil)
 		}
 	}
 }
@@ -317,16 +314,16 @@ func (c *Coordinator) ResolveInDoubt() {
 // participants; an acknowledged push ends that participant's share of
 // the obligation.
 func (c *Coordinator) RepushDecisions() {
-	for _, d := range c.local.UnackedDecisions() {
+	for _, d := range c.local.Engine().UnackedDecisions() {
 		for _, p := range d.Participants {
 			if p == c.self {
-				c.local.AckDecision(d.Gtxn, p)
+				c.local.Engine().AckDecision(d.Gtxn, p)
 				continue
 			}
 			if err := c.decideRemote(p, d.Gtxn, true, time.Time{}); err != nil {
 				continue
 			}
-			c.local.AckDecision(d.Gtxn, p)
+			c.local.Engine().AckDecision(d.Gtxn, p)
 		}
 	}
 }
@@ -342,22 +339,15 @@ func (c *Coordinator) prepareRemote(part uint32, gtxn uint64, batch []wire.Reque
 		ValidateNodes: validate,
 	}
 	resp, err := c.rpc(part, req, deadline)
-	if err != nil {
-		return &wire.Response{Error: fmt.Sprintf("partition %d unreachable: %v", part, err)}
+	if resp == nil {
+		return &wire.Response{Error: fmt.Sprintf("partition %d unreachable: %v", part, err), Code: wire.CodeUnavailable}
 	}
 	return resp
 }
 
 func (c *Coordinator) decideRemote(part uint32, gtxn uint64, commit bool, deadline time.Time) error {
-	v := commit
-	resp, err := c.rpc(part, &wire.Request{Op: wire.OpDecide, TxnID: gtxn, Commit: &v}, deadline)
-	if err != nil {
-		return err
-	}
-	if !resp.OK {
-		return fmt.Errorf("partition %d: %s", part, resp.Error)
-	}
-	return nil
+	_, err := c.rpc(part, &wire.Request{Op: wire.OpDecide, TxnID: gtxn, Commit: &commit}, deadline)
+	return err
 }
 
 func (c *Coordinator) statusRemote(part uint32, gtxn uint64) (string, error) {
@@ -365,113 +355,94 @@ func (c *Coordinator) statusRemote(part uint32, gtxn uint64) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	if !resp.OK {
-		return "", fmt.Errorf("partition %d: %s", part, resp.Error)
-	}
 	return resp.State, nil
 }
 
 // rpc performs one request against partition part's current primary:
 // the cached primary first, then every configured group address. An
 // address that is unreachable — or answers as a read-only replica —
-// falls through to the next; any other response is final.
+// falls through to the next; any other answer is final, returned as the
+// SDK returns it: the response, and for a server-reported failure also
+// its error. A nil response means nobody answered.
 func (c *Coordinator) rpc(part uint32, req *wire.Request, deadline time.Time) (*wire.Response, error) {
 	addrs := c.topo.Addrs(part)
 	if len(addrs) == 0 {
 		return nil, fmt.Errorf("no addresses for partition %d", part)
 	}
 	if cached, ok := c.primaries.Load(part); ok {
-		if a := cached.(string); a != "" {
-			ordered := []string{a}
-			for _, x := range addrs {
-				if x != a {
-					ordered = append(ordered, x)
-				}
+		a := cached.(string)
+		ordered := []string{a}
+		for _, x := range addrs {
+			if x != a {
+				ordered = append(ordered, x)
 			}
-			addrs = ordered
 		}
+		addrs = ordered
 	}
 	var lastErr error
 	for _, addr := range addrs {
-		resp, err := c.roundTrip(addr, req, deadline)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		if !resp.OK && strings.Contains(resp.Error, "replica") {
-			lastErr = fmt.Errorf("%s: %s", addr, resp.Error)
+		resp, err := c.peer(addr).do(req, deadline)
+		if resp == nil || errors.Is(err, core.ErrReadOnlyReplica) {
+			lastErr = fmt.Errorf("%s: %w", addr, err)
 			continue
 		}
 		c.primaries.Store(part, addr)
-		return resp, nil
+		return resp, err
 	}
 	return nil, lastErr
 }
 
-// rpcConn is one cached connection, serialized by its mutex: the 2PC
-// control ops are stateless request/response pairs, so a single
-// connection per address is enough.
-type rpcConn struct {
+// peer is the coordinator's one cached SDK session to an address,
+// serialized by its mutex: the 2PC control ops are stateless
+// request/response pairs, so a single session per address is enough.
+type peer struct {
+	addr string
 	mu   sync.Mutex
-	conn net.Conn
-	enc  *json.Encoder
-	dec  *json.Decoder
+	cl   *client.Client // nil until dialled, and again after a broken session
 }
 
-func (rc *rpcConn) close() {
-	rc.mu.Lock()
-	if rc.conn != nil {
-		rc.conn.Close()
-		rc.conn = nil
+func (c *Coordinator) peer(addr string) *peer {
+	c.peerMu.Lock()
+	defer c.peerMu.Unlock()
+	p := c.peers[addr]
+	if p == nil {
+		p = &peer{addr: addr}
+		c.peers[addr] = p
 	}
-	rc.mu.Unlock()
+	return p
 }
 
-func (c *Coordinator) roundTrip(addr string, req *wire.Request, deadline time.Time) (*wire.Response, error) {
-	c.connMu.Lock()
-	rc := c.conns[addr]
-	if rc == nil {
-		rc = &rpcConn{}
-		c.conns[addr] = rc
+// drop closes the cached session; the caller holds p.mu.
+func (p *peer) drop() {
+	if p.cl != nil {
+		p.cl.Close()
+		p.cl = nil
 	}
-	c.connMu.Unlock()
+}
 
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
+// do sends req on the cached session, dialling it first if needed, within
+// deadline (zero: rpcTimeout from now). A session that broke under the
+// call — a cached one gone stale because the server restarted — gets one
+// redial.
+func (p *peer) do(req *wire.Request, deadline time.Time) (resp *wire.Response, err error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	if deadline.IsZero() {
 		deadline = time.Now().Add(rpcTimeout)
 	}
-	try := func() (*wire.Response, error) {
-		if rc.conn == nil {
-			conn, err := net.DialTimeout("tcp", addr, time.Until(deadline))
-			if err != nil {
+	ctx, cancel := context.WithDeadline(context.Background(), deadline)
+	defer cancel()
+	for attempt := 0; attempt < 2; attempt++ {
+		if p.cl == nil {
+			if p.cl, err = client.Dial(ctx, p.addr); err != nil {
 				return nil, err
 			}
-			rc.conn = conn
-			rc.enc = json.NewEncoder(conn)
-			rc.dec = json.NewDecoder(conn)
 		}
-		rc.conn.SetDeadline(deadline)
-		if err := rc.enc.Encode(req); err != nil {
-			return nil, err
+		r := *req // the session stamps seq, deadline and trace into what it sends
+		if resp, err = p.cl.Do(ctx, &r); !p.cl.Broken() {
+			return resp, err
 		}
-		var resp wire.Response
-		if err := rc.dec.Decode(&resp); err != nil {
-			return nil, err
-		}
-		rc.conn.SetDeadline(time.Time{})
-		return &resp, nil
+		p.drop()
 	}
-	resp, err := try()
-	if err != nil && rc.conn != nil {
-		// A stale cached connection (server restarted) gets one redial.
-		rc.conn.Close()
-		rc.conn, rc.enc, rc.dec = nil, nil, nil
-		resp, err = try()
-	}
-	if err != nil && rc.conn != nil {
-		rc.conn.Close()
-		rc.conn, rc.enc, rc.dec = nil, nil, nil
-	}
-	return resp, err
+	return nil, err
 }

@@ -45,13 +45,6 @@ type batchPlan struct {
 	subs     []pendingSub
 }
 
-// scanOps are partition-local scans that have no well-defined meaning
-// inside a coordinated cross-partition batch (they would silently see
-// one partition's slice); the query path fans them out instead.
-var scanOps = map[string]bool{
-	wire.OpNodesByLabel: true, wire.OpNodesByProp: true, wire.OpAllNodes: true,
-}
-
 // planBatch splits a validated batch across partitions. self is the
 // coordinating partition (creations without an anchor go there), count
 // the partition count. Returns an error for shapes coordination cannot
@@ -62,7 +55,6 @@ func planBatch(batch []wire.Request, self uint32, count int) (*batchPlan, error)
 		validate: make(map[uint32][]uint64),
 		route:    make([]opRoute, len(batch)),
 	}
-	owner := func(id uint64) uint32 { return uint32(id % uint64(count)) }
 	// deps[a][b]: partition a's sub-batch references a creation on b,
 	// so b must prepare first.
 	deps := make(map[uint32]map[uint32]bool)
@@ -78,26 +70,21 @@ func planBatch(batch []wire.Request, self uint32, count int) (*batchPlan, error)
 
 	for i := range batch {
 		op := batch[i] // copy: refs are rewritten per partition
-		if scanOps[op.Op] {
+		pl := wire.Place(&op)
+		if pl.Scan {
 			return nil, fmt.Errorf("partition: op %q (sub-op %d) is a partition-local scan; run it outside the cross-partition batch", op.Op, i)
 		}
-		// Partition assignment: a back reference anchors the op to the
-		// referenced creation's partition; an explicit ID to its owner;
-		// create_node (and ping) to the coordinator.
+		// Partition assignment: an unanchored op (create_node, ping) runs
+		// on the coordinator; a back reference anchors the op to the
+		// referenced creation's partition; an explicit ID to its owner.
 		var part uint32
 		switch {
-		case op.IDRef != nil:
-			part = p.route[*op.IDRef].part
-		case op.Op == wire.OpCreateRel:
-			if op.StartRef != nil {
-				part = p.route[*op.StartRef].part
-			} else {
-				part = owner(op.Start)
-			}
-		case op.Op == wire.OpCreateNode, op.Op == wire.OpPing:
+		case pl.Anchor == wire.AnchorNone:
 			part = self
+		case pl.Home.Back != nil:
+			part = p.route[*pl.Home.Back].part
 		default:
-			part = owner(op.ID)
+			part = wire.OwnerOf(pl.Home.ID, count)
 		}
 
 		// Rewrite each back reference: same-partition references become
@@ -129,8 +116,10 @@ func planBatch(batch []wire.Request, self uint32, count int) (*batchPlan, error)
 		// edge is assigned to its partition — and endpoints created
 		// inside this batch are guarded by their creation's prepared
 		// entry on whichever partition holds it.
-		if op.Op == wire.OpCreateRel && batch[i].EndRef == nil && owner(op.End) != part {
-			p.validate[owner(op.End)] = append(p.validate[owner(op.End)], op.End)
+		if pl.Anchor == wire.AnchorEnds && pl.Far.Back == nil {
+			if far := wire.OwnerOf(pl.Far.ID, count); far != part {
+				p.validate[far] = append(p.validate[far], pl.Far.ID)
+			}
 		}
 
 		p.route[i] = opRoute{part: part, localIdx: localIdx}
@@ -210,32 +199,18 @@ func topoOrder(parts []uint32, deps map[uint32]map[uint32]bool) ([]uint32, error
 
 // CrossPartition reports whether a batch touches more than one
 // partition — i.e. needs coordinated commit rather than the local
-// single-partition fast path on partition self of count.
+// single-partition fast path on partition self of count. Back references
+// stay within whatever partition their target landed on; only explicit
+// IDs can point off-partition.
 func CrossPartition(batch []wire.Request, self uint32, count int) bool {
 	if count <= 1 {
 		return false
 	}
-	owner := func(id uint64) uint32 { return uint32(id % uint64(count)) }
+	off := func(e wire.EntityRef) bool { return e.Back == nil && wire.OwnerOf(e.ID, count) != self }
 	for i := range batch {
-		op := &batch[i]
-		// Back references stay within whatever partition their target
-		// landed on; only explicit IDs can point off-partition.
-		switch op.Op {
-		case wire.OpCreateNode, wire.OpPing:
-		case wire.OpCreateRel:
-			if op.StartRef == nil && owner(op.Start) != self {
-				return true
-			}
-			if op.EndRef == nil && owner(op.End) != self {
-				return true
-			}
-		default:
-			if scanOps[op.Op] {
-				continue
-			}
-			if op.IDRef == nil && owner(op.ID) != self {
-				return true
-			}
+		pl := wire.Place(&batch[i])
+		if pl.Anchor != wire.AnchorNone && (off(pl.Home) || pl.Anchor == wire.AnchorEnds && off(pl.Far)) {
+			return true
 		}
 	}
 	return false

@@ -96,13 +96,7 @@ func (t *Topology) Count() int {
 
 // PartitionOf maps an entity ID to its owning partition.
 func (t *Topology) PartitionOf(id uint64) uint32 {
-	t.mu.RLock()
-	n := t.pm.Count
-	t.mu.RUnlock()
-	if n <= 1 {
-		return 0
-	}
-	return uint32(id % uint64(n))
+	return wire.OwnerOf(id, t.Count())
 }
 
 // Addrs returns the client-facing addresses of one partition's

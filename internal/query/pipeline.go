@@ -129,19 +129,19 @@ func compileSeed(tx *neograph.Tx, seed *wire.QuerySeed) (rowIter, error) {
 func compileStage(tx *neograph.Tx, plan *wire.QueryPlan, st *wire.QueryStage, in rowIter) (rowIter, error) {
 	switch st.Op {
 	case wire.StageExpand:
-		dir, err := parsePlanDir(st.Dir)
+		dir, err := wire.ParseDir(st.Dir)
 		if err != nil {
 			return nil, err
 		}
 		return &expandIter{tx: tx, in: in, dir: dir, types: st.Types}, nil
 	case wire.StageKHop:
-		dir, err := parsePlanDir(st.Dir)
+		dir, err := wire.ParseDir(st.Dir)
 		if err != nil {
 			return nil, err
 		}
 		return &khopIter{tx: tx, in: in, dir: dir, types: st.Types, depth: st.Depth}, nil
 	case wire.StageShortestPath:
-		dir, err := parsePlanDir(st.Dir)
+		dir, err := wire.ParseDir(st.Dir)
 		if err != nil {
 			return nil, err
 		}
@@ -228,20 +228,6 @@ func lessThan(a, b neograph.Value) bool {
 		return false
 	}
 	return a.Compare(b) < 0
-}
-
-// parsePlanDir maps a wire direction to the engine's.
-func parsePlanDir(d string) (neograph.Direction, error) {
-	switch d {
-	case "out":
-		return neograph.Outgoing, nil
-	case "in":
-		return neograph.Incoming, nil
-	case "", "both":
-		return neograph.Both, nil
-	default:
-		return 0, fmt.Errorf("query: bad direction %q", d)
-	}
 }
 
 // idSeed yields explicit seed nodes, verifying each exists in the

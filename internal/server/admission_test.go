@@ -76,7 +76,7 @@ func TestAdmissionOversizedFrameRejected(t *testing.T) {
 		t.Fatalf("ping after rejection failed: %s", resp.Error)
 	}
 
-	ad := srv.Admission()
+	ad := drained(srv)
 	if ad.Rejected == 0 {
 		t.Error("rejection not counted")
 	}
@@ -86,6 +86,17 @@ func TestAdmissionOversizedFrameRejected(t *testing.T) {
 	if ad.QueuedBytesPeak > 256 {
 		t.Errorf("queued-bytes peak %d exceeds the %d budget", ad.QueuedBytesPeak, 256)
 	}
+}
+
+// drained snapshots the admission state once the budget is released. The
+// server releases a request's charge right AFTER writing its response, so
+// a client that has just read that response can look a moment too early.
+func drained(srv *Server) AdmissionStats {
+	ad := srv.Admission()
+	for end := time.Now().Add(2 * time.Second); ad.Inflight != 0 && time.Now().Before(end); ad = srv.Admission() {
+		time.Sleep(time.Millisecond)
+	}
+	return ad
 }
 
 func mustProps(t *testing.T, p neograph.Props) json.RawMessage {
@@ -193,7 +204,7 @@ func TestAdmissionOverloadBoundedAndRecovers(t *testing.T) {
 	}
 
 	// Full recovery: budgets drained, a fresh session is served.
-	ad := srv.Admission()
+	ad := drained(srv)
 	if ad.Inflight != 0 || ad.QueuedBytes != 0 {
 		t.Errorf("budget not drained after load: inflight=%d queued=%d", ad.Inflight, ad.QueuedBytes)
 	}

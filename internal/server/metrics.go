@@ -31,7 +31,7 @@ func opClass(op string) string {
 		wire.OpReplStatus, wire.OpPromote:
 		return classAdmin
 	default:
-		if writeOps[op] {
+		if wire.ShapeOf(op).Write {
 			return classWrite
 		}
 		return classRead

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"neograph"
 	"neograph/internal/core"
 	"neograph/internal/partition"
 	"neograph/internal/wire"
@@ -38,29 +37,8 @@ func (s *Server) partitionView() (*partition.Coordinator, uint32, int) {
 
 // Local returns the coordinator's handle on this server's partition —
 // pass it to partition.NewCoordinator.
-func (s *Server) Local() partition.Local { return localPartition{s} }
-
-// localPartition adapts the server (op execution) and its database's
-// engine (two-phase-commit state) to partition.Local. The engine is
-// looked up per call: a re-seed swaps it under a live server.
-type localPartition struct{ s *Server }
-
-func (lp localPartition) PrepareBatch(gtxn uint64, coordPart uint32, batch []wire.Request, validate []uint64) *wire.Response {
-	return lp.s.prepareBatch(gtxn, coordPart, batch, validate)
-}
-
-func (lp localPartition) DecideTxn(gtxn uint64, commit bool, participants []uint32) (uint64, error) {
-	return lp.s.db.Engine().DecideTxn(gtxn, commit, participants)
-}
-
-func (lp localPartition) AckDecision(gtxn uint64, participant uint32) {
-	lp.s.db.Engine().AckDecision(gtxn, participant)
-}
-
-func (lp localPartition) InDoubt() []core.PreparedInfo { return lp.s.db.Engine().InDoubt() }
-
-func (lp localPartition) UnackedDecisions() []core.DecidedInfo {
-	return lp.s.db.Engine().UnackedDecisions()
+func (s *Server) Local() partition.Local {
+	return partition.Local{PrepareBatch: s.prepareBatch, Engine: s.db.Engine}
 }
 
 // prepareBatch is phase one on a participant: run the sub-ops in a
@@ -69,29 +47,17 @@ func (lp localPartition) UnackedDecisions() []core.DecidedInfo {
 // the coordinator prepares validate-only and decision-anchor entries
 // with no ops.
 func (s *Server) prepareBatch(gtxn uint64, coordPart uint32, batch []wire.Request, validate []uint64) *wire.Response {
-	if s.db.IsReplica() {
-		return fail(fmt.Errorf("%w: prepare must go to the primary", neograph.ErrReadOnlyReplica))
-	}
-	if len(batch) > wire.MaxBatchOps {
-		return fail(fmt.Errorf("server: prepare batch of %d ops exceeds limit %d", len(batch), wire.MaxBatchOps))
-	}
-	for i := range batch {
-		if !wire.Batchable(batch[i].Op) {
-			return fail(fmt.Errorf("server: op %q not allowed in a prepare (sub-op %d)", batch[i].Op, i))
-		}
-	}
 	sess := &session{db: s.db, srv: s, crossPrepare: true}
+	if s.db.IsReplica() {
+		return fail(sess.redirect("prepare"))
+	}
+	if err := wire.ValidateOps(batch); err != nil {
+		return fail(err)
+	}
 	sess.tx = s.db.Begin()
-	results, failIdx, msg := sess.runBatchOps(batch)
-	if failIdx >= 0 {
-		if sess.tx != nil {
-			sess.tx.Abort()
-		}
-		idx := failIdx
-		return &wire.Response{
-			Error:    fmt.Sprintf("server: prepare aborted at op %d: %s", failIdx, msg),
-			FailedOp: &idx,
-		}
+	results, failed := sess.runBatchOps("prepare", batch)
+	if failed != nil {
+		return failed
 	}
 	lsn, err := sess.tx.Core().Prepare(gtxn, coordPart, validate)
 	if err != nil {
@@ -103,9 +69,9 @@ func (s *Server) prepareBatch(gtxn uint64, coordPart uint32, batch []wire.Reques
 // misrouted builds the structured routing error for an op anchored to
 // an entity this partition does not own. Clients parse the owner out of
 // Response.Error only as a hint — the partition map is the real router.
-func misrouted(self uint32, count int, kind string, id uint64) error {
+func misrouted(self uint32, count int, kind wire.Anchor, id uint64) error {
 	return fmt.Errorf("server: wrong partition: %s %d belongs to partition %d of %d (this is partition %d)",
-		kind, id, uint32(id%uint64(count)), count, self)
+		kind, id, wire.OwnerOf(id, count), count, self)
 }
 
 // routePartitioned enforces single-op routing on a partitioned server
@@ -117,39 +83,27 @@ func (sess *session) routePartitioned(req *wire.Request) (*wire.Response, bool) 
 	if coord == nil || count <= 1 {
 		return nil, false
 	}
-	owns := func(id uint64) bool { return uint32(id%uint64(count)) == self }
-	switch req.Op {
-	case wire.OpCreateRel:
-		if owns(req.Start) && owns(req.End) {
-			return nil, false
-		}
-		if !owns(req.Start) {
-			// The edge lives on the start node's partition; this server
-			// cannot even allocate its ID. The client router should have
-			// sent it there.
-			return fail(misrouted(self, count, "node", req.Start)), true
-		}
-		// Local source, remote destination: a one-op cross-partition
-		// transaction (the destination partition pins the endpoint).
-		if sess.tx != nil {
-			return fail(errors.New("server: cross-partition create_rel is not allowed inside an explicit transaction")), true
-		}
-		return coord.CommitBatch([]wire.Request{*req}, sess.deadline), true
-	case wire.OpGetNode, wire.OpSetNodeProp, wire.OpAddLabel, wire.OpRemoveLabel,
-		wire.OpDeleteNode, wire.OpDetachDelete:
-		if !owns(req.ID) {
-			return fail(misrouted(self, count, "node", req.ID)), true
-		}
-	case wire.OpGetRel, wire.OpSetRelProp, wire.OpDeleteRel:
-		if !owns(req.ID) {
-			return fail(misrouted(self, count, "rel", req.ID)), true
-		}
-	case wire.OpRels, wire.OpNeighbors:
-		if !owns(req.ID) {
-			return fail(misrouted(self, count, "node", req.ID)), true
-		}
+	pl := wire.Place(req)
+	if pl.Anchor == wire.AnchorNone {
+		return nil, false
 	}
-	return nil, false
+	if wire.OwnerOf(pl.Home.ID, count) != self {
+		// For a relationship creation too: the edge lives on the start
+		// node's partition; this server cannot even allocate its ID. The
+		// client router should have sent it there.
+		return fail(misrouted(self, count, pl.Anchor, pl.Home.ID)), true
+	}
+	if pl.Anchor != wire.AnchorEnds || wire.OwnerOf(pl.Far.ID, count) == self {
+		return nil, false
+	}
+	// Local source, remote destination: a one-op cross-partition
+	// transaction (the destination partition pins the endpoint).
+	if sess.tx != nil {
+		return fail(errors.New("server: cross-partition create_rel is not allowed inside an explicit transaction")), true
+	}
+	op := *req // as a sub-op: gating belongs to the request as a whole
+	op.WaitLSN, op.DeadlineMS = 0, 0
+	return coord.CommitBatch([]wire.Request{op}, sess.deadline), true
 }
 
 // dispatchPartitionOp handles the 2PC control ops (top level only).
@@ -169,7 +123,7 @@ func (sess *session) dispatchPartitionOp(req *wire.Request) *wire.Response {
 		if req.Commit == nil {
 			return fail(errors.New("server: decide without a verdict"))
 		}
-		lsn, err := sess.db.Engine().DecideTxn(req.TxnID, *req.Commit, req.Participants)
+		_, lsn, err := sess.db.Engine().DecideTxn(req.TxnID, *req.Commit, req.Participants)
 		if err != nil {
 			if errors.Is(err, core.ErrNotPrepared) {
 				// Already decided (a repush raced the first push, or a
@@ -186,7 +140,7 @@ func (sess *session) dispatchPartitionOp(req *wire.Request) *wire.Response {
 		// could answer "unknown" for a transaction whose decision is on
 		// the wire, and "unknown" means presumed abort to the asker.
 		if sess.db.IsReplica() {
-			return fail(fmt.Errorf("%w: txn_status must go to the primary", neograph.ErrReadOnlyReplica))
+			return fail(sess.redirect("txn_status"))
 		}
 		return &wire.Response{OK: true, State: string(sess.db.Engine().TxnStatus(req.TxnID))}
 

@@ -179,13 +179,13 @@ func (f *crashFleet) runUpTo(step twopcStep, gtxn uint64, a0, a1 neograph.NodeID
 	if step < stepDecided {
 		return
 	}
-	if _, err := f.nodes[0].DB.Engine().DecideTxn(gtxn, true, []uint32{0, 1}); err != nil {
+	if _, _, err := f.nodes[0].DB.Engine().DecideTxn(gtxn, true, []uint32{0, 1}); err != nil {
 		f.t.Fatal(err)
 	}
 	if step < stepPushed {
 		return
 	}
-	if _, err := f.nodes[1].DB.Engine().DecideTxn(gtxn, true, nil); err != nil {
+	if _, _, err := f.nodes[1].DB.Engine().DecideTxn(gtxn, true, nil); err != nil {
 		f.t.Fatal(err)
 	}
 	if step < stepAcked {
@@ -306,7 +306,7 @@ func TestTwoPCCrashAbortDecision(t *testing.T) {
 	a0, a1 := f.newAnchor(0), f.newAnchor(1)
 	const gtxn = 4000
 	f.runUpTo(stepAllPrepared, gtxn, a0, a1)
-	if _, err := f.nodes[0].DB.Engine().DecideTxn(gtxn, false, nil); err != nil {
+	if _, _, err := f.nodes[0].DB.Engine().DecideTxn(gtxn, false, nil); err != nil {
 		t.Fatal(err)
 	}
 	f.crash(0)

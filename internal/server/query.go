@@ -1,14 +1,12 @@
 package server
 
 import (
-	"encoding/json"
 	"fmt"
 	"net"
 	"time"
 
 	"neograph"
 	"neograph/internal/query"
-	"neograph/internal/trace"
 	"neograph/internal/wire"
 )
 
@@ -24,58 +22,11 @@ import (
 // frame has More unset and may carry trailing rows. Pipeline errors,
 // spent deadlines, and server drain all end the stream with a clean,
 // complete error frame — never a torn chunk. Every frame echoes the
-// request's Seq and TraceID.
-//
-// The returned error is non-nil only for frame-write failures, after
-// which the session is unusable (a frame may be half-written).
-func (sess *session) streamQuery(conn net.Conn, enc *json.Encoder, req *wire.Request) error {
+// request's Seq and TraceID (session.writeFrame). serve owns the request's
+// span and deadline; the returned error is a frame-write failure.
+func (sess *session) streamQuery(conn net.Conn, wc *wire.Conn, req *wire.Request) error {
 	s := sess.srv
-	sess.deadline = time.Time{}
-	if req.DeadlineMS > 0 {
-		sess.deadline = time.Now().Add(time.Duration(req.DeadlineMS) * time.Millisecond)
-	}
-	if req.Trace != nil {
-		sess.span = s.tracer.StartRemote(
-			trace.Context{TraceID: req.Trace.TraceID, SpanID: req.Trace.SpanID},
-			"server.query")
-	} else {
-		sess.span = s.tracer.StartRoot("server.query")
-	}
-	t0 := time.Now()
-	tid := sess.span.TraceID()
-	defer func() {
-		sess.span.Finish()
-		sess.span = nil
-		if s.sm != nil {
-			s.sm.observe(req, time.Since(t0), tid)
-		}
-	}()
-
-	// writeFrame flushes one complete frame under the same write bound as
-	// unary responses: responseWriteTimeout, tightened by the request's
-	// deadline with a floor so a spent budget still gets its error frame.
-	writeFrame := func(resp *wire.Response) error {
-		resp.Seq = req.Seq
-		if req.Trace != nil {
-			resp.TraceID = req.Trace.TraceID
-		}
-		wd := time.Now().Add(responseWriteTimeout)
-		if !sess.deadline.IsZero() {
-			floor := time.Now().Add(time.Second)
-			switch {
-			case sess.deadline.Before(floor):
-				wd = floor
-			case sess.deadline.Before(wd):
-				wd = sess.deadline
-			}
-		}
-		conn.SetWriteDeadline(wd)
-		if err := enc.Encode(resp); err != nil {
-			return err
-		}
-		conn.SetWriteDeadline(time.Time{})
-		return nil
-	}
+	writeFrame := func(resp *wire.Response) error { return sess.writeFrame(conn, wc, req, resp) }
 	// failStream ends the stream with a final error frame; the client has
 	// a frame boundary and a structured code, not a torn chunk.
 	failStream := func(err error) error {
@@ -140,14 +91,13 @@ func (sess *session) streamQuery(conn net.Conn, enc *json.Encoder, req *wire.Req
 }
 
 // resolveBatchRefs substitutes a sub-op's $n back references with the
-// IDs created by earlier sub-ops of the same batch. ValidateBatch has
+// IDs created by earlier sub-ops of the same batch. ValidateOps has
 // already bounded the indexes; what remains is the execution-time rule
 // that the referenced op actually created an entity. Returns the request
-// to dispatch (a resolved shallow copy when refs are present) or the
-// message for a structured batch abort.
-func resolveBatchRefs(sub *wire.Request, i int, ids []neograph.NodeID, hasID []bool) (*wire.Request, string) {
+// to dispatch (a resolved shallow copy when refs are present).
+func resolveBatchRefs(sub *wire.Request, i int, ids []neograph.NodeID, hasID []bool) (*wire.Request, error) {
 	if sub.IDRef == nil && sub.StartRef == nil && sub.EndRef == nil {
-		return sub, ""
+		return sub, nil
 	}
 	r := *sub
 	for _, ref := range []struct {
@@ -164,9 +114,9 @@ func resolveBatchRefs(sub *wire.Request, i int, ids []neograph.NodeID, hasID []b
 		}
 		j := *ref.src
 		if j < 0 || j >= i || !hasID[j] {
-			return nil, fmt.Sprintf("server: %s $%d: op %d did not create an entity", ref.name, j, j)
+			return nil, fmt.Errorf("server: %s $%d: op %d did not create an entity", ref.name, j, j)
 		}
 		*ref.dst = ids[j]
 	}
-	return &r, ""
+	return &r, nil
 }

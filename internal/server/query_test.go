@@ -134,7 +134,7 @@ func TestQueryStreamDrainCleanFrame(t *testing.T) {
 	t.Cleanup(func() { cl.Close(); sv.Close() })
 	done := make(chan error, 1)
 	go func() {
-		done <- sess.streamQuery(sv, json.NewEncoder(sv), &wire.Request{
+		done <- sess.serve(sv, wire.NewConn(sv, 0), &wire.Request{
 			Op: wire.OpQuery, Seq: 9,
 			Plan: &wire.QueryPlan{Seed: wire.QuerySeed{All: true}},
 		})
@@ -192,7 +192,7 @@ func TestQueryStreamDeadlineCleanFrame(t *testing.T) {
 	t.Cleanup(func() { cl.Close(); sv.Close() })
 	done := make(chan error, 1)
 	go func() {
-		done <- sess.streamQuery(sv, json.NewEncoder(sv), &wire.Request{
+		done <- sess.serve(sv, wire.NewConn(sv, 0), &wire.Request{
 			Op: wire.OpQuery, Seq: 1, DeadlineMS: 30,
 			Plan: &wire.QueryPlan{Seed: wire.QuerySeed{All: true}},
 		})

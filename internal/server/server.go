@@ -10,7 +10,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -368,108 +367,100 @@ func (s *Server) handle(conn net.Conn) {
 		s.sm.sessions.Add(1)
 		defer s.sm.sessions.Add(-1)
 	}
-	lr := &io.LimitedReader{R: conn, N: maxRequestBytes}
-	dec := json.NewDecoder(lr)
-	enc := json.NewEncoder(conn)
-	// lastOff tracks the decoder's stream position so each frame's exact
-	// byte size (the admission charge) is the offset delta across Decode.
-	var lastOff int64
+	wc := wire.NewConn(conn, maxRequestBytes)
 	for {
-		// Reset the budget per request; a single frame larger than the
-		// limit starves the decoder mid-value and closes the session.
-		lr.N = maxRequestBytes
 		var req wire.Request
-		if err := dec.Decode(&req); err != nil {
+		frameBytes, err := wc.ReadRequest(&req)
+		if err != nil {
 			return // disconnect, garbage, oversized frame, or drain wake-up
 		}
-		off := dec.InputOffset()
-		frameBytes := off - lastOff
-		lastOff = off
-
+		sess.deadline = time.Time{}
 		// Admission: reject over-budget requests before any dispatch work,
 		// with a complete structured error frame — the session survives and
-		// the client backs off on the code.
-		admitted := s.admit(frameBytes)
-		// An admitted query streams its response as chunked frames and
-		// owns its span/deadline/frame writing; a rejected one falls
-		// through to the unary path — a single error frame (More unset)
-		// is a complete, valid stream.
-		if admitted == nil && req.Op == wire.OpQuery {
-			werr := sess.streamQuery(conn, enc, &req)
-			s.release(frameBytes)
-			if werr != nil || s.isDraining() {
-				return
-			}
-			continue
-		}
-		var resp *wire.Response
-		if admitted != nil {
-			resp = fail(admitted)
+		// the client backs off on the code. (For a query that single error
+		// frame, More unset, is a complete, valid stream.)
+		if rejected := s.admit(frameBytes); rejected != nil {
+			err = sess.writeFrame(conn, wc, &req, fail(rejected))
 		} else {
-			sess.deadline = time.Time{}
-			if req.DeadlineMS > 0 {
-				sess.deadline = time.Now().Add(time.Duration(req.DeadlineMS) * time.Millisecond)
-			}
-			// A request arriving with a trace context was sampled at the
-			// head (the client); open this process's view of the trace.
-			// An untraced request may still be head-sampled here, rooting
-			// the trace at the server (the -trace-sample knob).
-			if req.Trace != nil {
-				sess.span = s.tracer.StartRemote(
-					trace.Context{TraceID: req.Trace.TraceID, SpanID: req.Trace.SpanID},
-					"server."+req.Op)
-			} else {
-				sess.span = s.tracer.StartRoot("server." + req.Op)
-			}
-			t0 := time.Now()
-			resp = sess.dispatch(&req)
-			if !resp.OK {
-				sess.span.Set("error", resp.Error)
-			}
-			tid := sess.span.TraceID()
-			sess.span.Finish()
-			sess.span = nil
-			if s.sm != nil {
-				s.sm.observe(&req, time.Since(t0), tid)
-			}
-		}
-		// Correlation: every response frame — success, error, even an
-		// admission rejection — echoes the request's seq and trace ID so
-		// pipelined clients can pair frames and logs can be joined.
-		resp.Seq = req.Seq
-		if req.Trace != nil {
-			resp.TraceID = req.Trace.TraceID
-		}
-		// Bound the response write so a stalled reader cannot pin the
-		// handler; the request's own deadline tightens it, but with a
-		// floor — a budget that expired while the request executed must
-		// still get its error frame flushed, not a hangup.
-		wd := time.Now().Add(responseWriteTimeout)
-		if admitted == nil && !sess.deadline.IsZero() {
-			floor := time.Now().Add(time.Second)
-			switch {
-			case sess.deadline.Before(floor):
-				wd = floor
-			case sess.deadline.Before(wd):
-				wd = sess.deadline
-			}
-		}
-		conn.SetWriteDeadline(wd)
-		err := enc.Encode(resp)
-		if admitted == nil {
+			err = sess.serve(conn, wc, &req)
 			s.release(frameBytes)
 		}
-		if err != nil {
-			return
-		}
-		conn.SetWriteDeadline(time.Time{})
 		// A drain may have begun while this request executed; the decoder
 		// could still serve pipelined requests from its buffer, so check
 		// explicitly — the response above was the session's last.
-		if s.isDraining() {
+		if err != nil || s.isDraining() {
 			return
 		}
 	}
+}
+
+// serve runs one admitted request to its last response frame. The returned
+// error is non-nil only for frame-write failures, after which the session
+// is unusable (a frame may be half-written).
+func (sess *session) serve(conn net.Conn, wc *wire.Conn, req *wire.Request) error {
+	s := sess.srv
+	if req.DeadlineMS > 0 {
+		sess.deadline = time.Now().Add(time.Duration(req.DeadlineMS) * time.Millisecond)
+	}
+	// A request arriving with a trace context was sampled at the head (the
+	// client); open this process's view of the trace. An untraced request
+	// may still be head-sampled here, rooting the trace at the server (the
+	// -trace-sample knob).
+	switch {
+	case s.tracer == nil: // no span, and no span name to build
+	case req.Trace != nil:
+		sess.span = s.tracer.StartRemote(
+			trace.Context{TraceID: req.Trace.TraceID, SpanID: req.Trace.SpanID},
+			"server."+req.Op)
+	default:
+		sess.span = s.tracer.StartRoot("server." + req.Op)
+	}
+	t0 := time.Now()
+	tid := sess.span.TraceID()
+	done := func() {
+		sess.span.Finish()
+		sess.span = nil
+		if s.sm != nil {
+			s.sm.observe(req, time.Since(t0), tid)
+		}
+	}
+	// A query streams its response as chunked frames, all inside its span.
+	if req.Op == wire.OpQuery {
+		defer done()
+		return sess.streamQuery(conn, wc, req)
+	}
+	resp := sess.dispatch(req)
+	if !resp.OK {
+		sess.span.Set("error", resp.Error)
+	}
+	done()
+	return sess.writeFrame(conn, wc, req, resp)
+}
+
+// writeFrame flushes one complete response frame for req. Correlation:
+// every frame — success, error, even an admission rejection, and every
+// chunk of a stream — echoes the request's seq and trace ID so pipelined
+// clients can pair frames and logs can be joined. The write is bounded so
+// a stalled reader cannot pin the handler; the request's own deadline
+// tightens the bound, but with a floor — a budget that expired while the
+// request executed must still get its error frame flushed, not a hangup.
+func (sess *session) writeFrame(conn net.Conn, wc *wire.Conn, req *wire.Request, resp *wire.Response) error {
+	resp.Seq = req.Seq
+	if req.Trace != nil {
+		resp.TraceID = req.Trace.TraceID
+	}
+	wd := time.Now().Add(responseWriteTimeout)
+	if !sess.deadline.IsZero() {
+		floor := time.Now().Add(time.Second)
+		switch {
+		case sess.deadline.Before(floor):
+			wd = floor
+		case sess.deadline.Before(wd):
+			wd = sess.deadline
+		}
+	}
+	conn.SetWriteDeadline(wd) // every frame sets its own; nothing to clear after
+	return wc.WriteResponse(resp)
 }
 
 // inTx runs fn in the session's open transaction or an auto-committed one.
@@ -493,19 +484,8 @@ func (sess *session) inTx(write bool, fn func(tx *neograph.Tx) error) error {
 	return tx.Abort()
 }
 
-// writeOps are the operations a read-only replica redirects to its
-// primary — rejected up front so clients get the redirect before any
-// staging happens, whether auto-committed or inside an open transaction.
-var writeOps = map[string]bool{
-	wire.OpCreateNode: true, wire.OpSetNodeProp: true,
-	wire.OpAddLabel: true, wire.OpRemoveLabel: true,
-	wire.OpDeleteNode: true, wire.OpDetachDelete: true,
-	wire.OpCreateRel: true, wire.OpSetRelProp: true, wire.OpDeleteRel: true,
-}
-
-// errDeadline fails a request whose wire deadline budget is spent. The
-// message deliberately contains "deadline exceeded" so clients map it
-// back to context.DeadlineExceeded.
+// errDeadline fails a request whose wire deadline budget is spent
+// (wire.CodeDeadline; clients map it back to context.DeadlineExceeded).
 var errDeadline = errors.New("server: deadline exceeded")
 
 // checkDeadline fails once the request's deadline_ms budget is spent.
@@ -577,21 +557,20 @@ func (sess *session) waitGate(pos uint64) error {
 // the op and stamps write responses with their commit position (the RYW
 // token).
 func (sess *session) dispatch(req *wire.Request) *wire.Response {
-	if writeOps[req.Op] && sess.db.IsReplica() {
-		return fail(fmt.Errorf("%w: writes must go to the primary at %s",
-			neograph.ErrReadOnlyReplica, sess.db.PrimaryAddr()))
+	if wire.ShapeOf(req.Op).Write && sess.db.IsReplica() {
+		return fail(sess.redirect("writes"))
 	}
 	switch req.Op {
 	case wire.OpPrepare, wire.OpDecide, wire.OpTxnStatus:
 		return sess.dispatchPartitionOp(req)
 	}
+	if req.IDRef != nil || req.StartRef != nil || req.EndRef != nil {
+		return fail(errors.New("server: id references are only valid inside a batch"))
+	}
 	if sess.srv != nil {
 		if resp, handled := sess.routePartitioned(req); handled {
 			return resp
 		}
-	}
-	if req.IDRef != nil || req.StartRef != nil || req.EndRef != nil {
-		return fail(errors.New("server: id references are only valid inside a batch"))
 	}
 	if err := sess.checkDeadline(); err != nil {
 		return fail(err)
@@ -614,6 +593,15 @@ func (sess *session) dispatch(req *wire.Request) *wire.Response {
 	return resp
 }
 
+// redirect is what a read-only replica answers writes (a prepare, ...)
+// with, naming the primary. Callers reject up front, so clients get the
+// redirect before any staging happens, whether auto-committed or inside an
+// open transaction.
+func (sess *session) redirect(what string) error {
+	return fmt.Errorf("%w: %s must go to the primary at %s",
+		neograph.ErrReadOnlyReplica, what, sess.db.PrimaryAddr())
+}
+
 // dispatchBatch executes every sub-op of a batch inside ONE transaction —
 // the session's open one if there is one, else a transaction owned by the
 // batch and committed at the end. Atomic: the first failing sub-op aborts
@@ -626,9 +614,8 @@ func (sess *session) dispatchBatch(req *wire.Request) *wire.Response {
 	}
 	if sess.db.IsReplica() {
 		for i := range req.Batch {
-			if writeOps[req.Batch[i].Op] {
-				return fail(fmt.Errorf("%w: batch op %d is a write; writes must go to the primary at %s",
-					neograph.ErrReadOnlyReplica, i, sess.db.PrimaryAddr()))
+			if wire.ShapeOf(req.Batch[i].Op).Write {
+				return fail(sess.redirect(fmt.Sprintf("batch op %d is a write; writes", i)))
 			}
 		}
 	}
@@ -649,17 +636,9 @@ func (sess *session) dispatchBatch(req *wire.Request) *wire.Response {
 	if owned {
 		sess.tx = sess.db.Begin()
 	}
-	results, failIdx, msg := sess.runBatchOps(req.Batch)
-	if failIdx >= 0 {
-		if sess.tx != nil {
-			sess.tx.Abort()
-			sess.tx = nil
-		}
-		idx := failIdx
-		return &wire.Response{
-			Error:    fmt.Sprintf("server: batch aborted at op %d: %s", failIdx, msg),
-			FailedOp: &idx,
-		}
+	results, failed := sess.runBatchOps("batch", req.Batch)
+	if failed != nil {
+		return failed
 	}
 	resp := &wire.Response{OK: true, Results: results}
 	if owned {
@@ -675,36 +654,53 @@ func (sess *session) dispatchBatch(req *wire.Request) *wire.Response {
 }
 
 // runBatchOps executes batch sub-ops against the session's open
-// transaction, resolving $n back references as creations land. It
-// returns the per-op results, or the index and message of the first
-// failure (failIdx -1 on success). Shared by the batch op and the
-// two-phase-commit prepare path.
-func (sess *session) runBatchOps(batch []wire.Request) (results []wire.Response, failIdx int, msg string) {
-	results = make([]wire.Response, 0, len(batch))
+// transaction, resolving $n back references as creations land. It returns
+// the per-op results, or — after aborting the transaction — the failure
+// response: the first failing sub-op's message and error code under a
+// "what aborted at op N" heading, FailedOp naming it. Shared by the batch
+// op and the two-phase-commit prepare.
+func (sess *session) runBatchOps(what string, batch []wire.Request) ([]wire.Response, *wire.Response) {
+	results := make([]wire.Response, 0, len(batch))
 	ids := make([]neograph.NodeID, len(batch))
 	hasID := make([]bool, len(batch))
 	for i := range batch {
-		if err := sess.checkDeadline(); err != nil {
-			return nil, i, err.Error()
-		}
-		op, msg := resolveBatchRefs(&batch[i], i, ids, hasID)
-		if op == nil {
-			return nil, i, msg
-		}
-		sub := sess.dispatchOp(op)
+		sub := sess.runBatchOp(&batch[i], i, ids, hasID)
 		if !sub.OK {
-			return nil, i, sub.Error
-		}
-		if op.Op == wire.OpCreateNode || op.Op == wire.OpCreateRel {
-			ids[i], hasID[i] = sub.ID, true
+			sess.tx.Abort()
+			sess.tx = nil
+			idx := i
+			return nil, &wire.Response{
+				Error:    fmt.Sprintf("server: %s aborted at op %d: %s", what, i, sub.Error),
+				Code:     sub.Code,
+				FailedOp: &idx,
+			}
 		}
 		results = append(results, *sub)
 	}
-	return results, -1, ""
+	return results, nil
 }
 
+// runBatchOp executes sub-op i of a batch.
+func (sess *session) runBatchOp(sub *wire.Request, i int, ids []neograph.NodeID, hasID []bool) *wire.Response {
+	if err := sess.checkDeadline(); err != nil {
+		return fail(err)
+	}
+	op, err := resolveBatchRefs(sub, i, ids, hasID)
+	if err != nil {
+		return fail(err)
+	}
+	resp := sess.dispatchOp(op)
+	if resp.OK && (op.Op == wire.OpCreateNode || op.Op == wire.OpCreateRel) {
+		ids[i], hasID[i] = resp.ID, true
+	}
+	return resp
+}
+
+// fail is where an error becomes a response — the one place its wire code
+// is chosen: the server's own conditions here, engine sentinels from the
+// wire package's table.
 func fail(err error) *wire.Response {
-	resp := &wire.Response{Error: err.Error()}
+	resp := &wire.Response{Error: err.Error(), Code: wire.CodeOf(err)}
 	switch {
 	case errors.Is(err, errDeadline):
 		resp.Code = wire.CodeDeadline
@@ -722,17 +718,42 @@ var errShuttingDown = errors.New("server: shutting down")
 // errOverloaded rejects requests past the admission budget.
 var errOverloaded = errors.New("server: overloaded: admission budget exhausted")
 
-func parseDir(d string) (neograph.Direction, error) {
-	switch d {
-	case "out":
-		return neograph.Outgoing, nil
-	case "in":
-		return neograph.Incoming, nil
-	case "", "both":
-		return neograph.Both, nil
-	default:
-		return 0, fmt.Errorf("server: bad direction %q", d)
+// write runs fn as a write in the session's transaction (or its own
+// auto-committed one) and answers OK.
+func (sess *session) write(fn func(tx *neograph.Tx) error) *wire.Response {
+	if err := sess.inTx(true, fn); err != nil {
+		return fail(err)
 	}
+	return &wire.Response{OK: true}
+}
+
+// readIDs runs fn as a read and answers with the IDs it returns.
+func (sess *session) readIDs(fn func(tx *neograph.Tx) ([]uint64, error)) *wire.Response {
+	var ids []uint64
+	err := sess.inTx(false, func(tx *neograph.Tx) (err error) {
+		ids, err = fn(tx)
+		return err
+	})
+	if err != nil {
+		return fail(err)
+	}
+	return &wire.Response{OK: true, IDs: ids}
+}
+
+// info answers with v (a stats / gc / replication / cluster report)
+// JSON-marshalled into Response.Info.
+func info(v any) *wire.Response {
+	raw, err := json.Marshal(v)
+	if err != nil {
+		return fail(err)
+	}
+	return &wire.Response{OK: true, Info: raw}
+}
+
+// relJSON converts a relationship snapshot to its wire form.
+func relJSON(r neograph.Relationship) (wire.RelJSON, error) {
+	props, err := wire.EncodeProps(r.Props)
+	return wire.RelJSON{ID: r.ID, Type: r.Type, Start: r.Start, End: r.End, Props: props}, err
 }
 
 func (sess *session) dispatchOp(req *wire.Request) *wire.Response {
@@ -774,21 +795,25 @@ func (sess *session) dispatchOp(req *wire.Request) *wire.Response {
 		sess.tx = nil
 		return &wire.Response{OK: true}
 
-	case wire.OpCreateNode:
+	case wire.OpCreateNode, wire.OpCreateRel:
 		props, err := wire.DecodeProps(req.Props)
 		if err != nil {
 			return fail(err)
 		}
-		var id neograph.NodeID
-		err = sess.inTx(true, func(tx *neograph.Tx) error {
-			var err error
-			id, err = tx.CreateNode(req.Labels, props)
+		var id uint64
+		resp := sess.write(func(tx *neograph.Tx) (err error) {
+			switch {
+			case req.Op == wire.OpCreateNode:
+				id, err = tx.CreateNode(req.Labels, props)
+			case sess.crossPrepare:
+				id, err = tx.Core().CreateRelCrossPartition(req.Type, req.Start, req.End, props)
+			default:
+				id, err = tx.CreateRel(req.Type, req.Start, req.End, props)
+			}
 			return err
 		})
-		if err != nil {
-			return fail(err)
-		}
-		return &wire.Response{OK: true, ID: id}
+		resp.ID = id
+		return resp
 
 	case wire.OpGetNode:
 		var node *wire.NodeJSON
@@ -798,124 +823,63 @@ func (sess *session) dispatchOp(req *wire.Request) *wire.Response {
 				return err
 			}
 			props, err := wire.EncodeProps(n.Props)
-			if err != nil {
-				return err
-			}
 			node = &wire.NodeJSON{ID: n.ID, Labels: n.Labels, Props: props}
-			return nil
+			return err
 		})
 		if err != nil {
 			return fail(err)
 		}
 		return &wire.Response{OK: true, Node: node}
 
-	case wire.OpSetNodeProp:
+	case wire.OpSetNodeProp, wire.OpSetRelProp:
 		v, err := wire.DecodeValue(req.Value)
 		if err != nil {
 			return fail(err)
 		}
-		if err := sess.inTx(true, func(tx *neograph.Tx) error {
+		return sess.write(func(tx *neograph.Tx) error {
+			if req.Op == wire.OpSetRelProp {
+				return tx.SetRelProp(req.ID, req.Key, v)
+			}
 			return tx.SetNodeProp(req.ID, req.Key, v)
-		}); err != nil {
-			return fail(err)
-		}
-		return &wire.Response{OK: true}
+		})
 
 	case wire.OpAddLabel:
-		if err := sess.inTx(true, func(tx *neograph.Tx) error {
-			return tx.AddLabel(req.ID, req.Label)
-		}); err != nil {
-			return fail(err)
-		}
-		return &wire.Response{OK: true}
+		return sess.write(func(tx *neograph.Tx) error { return tx.AddLabel(req.ID, req.Label) })
 
 	case wire.OpRemoveLabel:
-		if err := sess.inTx(true, func(tx *neograph.Tx) error {
-			return tx.RemoveLabel(req.ID, req.Label)
-		}); err != nil {
-			return fail(err)
-		}
-		return &wire.Response{OK: true}
+		return sess.write(func(tx *neograph.Tx) error { return tx.RemoveLabel(req.ID, req.Label) })
 
 	case wire.OpDeleteNode:
-		if err := sess.inTx(true, func(tx *neograph.Tx) error {
-			return tx.DeleteNode(req.ID)
-		}); err != nil {
-			return fail(err)
-		}
-		return &wire.Response{OK: true}
+		return sess.write(func(tx *neograph.Tx) error { return tx.DeleteNode(req.ID) })
 
 	case wire.OpDetachDelete:
-		if err := sess.inTx(true, func(tx *neograph.Tx) error {
-			return tx.DetachDeleteNode(req.ID)
-		}); err != nil {
-			return fail(err)
-		}
-		return &wire.Response{OK: true}
+		return sess.write(func(tx *neograph.Tx) error { return tx.DetachDeleteNode(req.ID) })
 
-	case wire.OpCreateRel:
-		props, err := wire.DecodeProps(req.Props)
-		if err != nil {
-			return fail(err)
-		}
-		var id neograph.RelID
-		err = sess.inTx(true, func(tx *neograph.Tx) error {
-			var err error
-			if sess.crossPrepare {
-				id, err = tx.Core().CreateRelCrossPartition(req.Type, req.Start, req.End, props)
-			} else {
-				id, err = tx.CreateRel(req.Type, req.Start, req.End, props)
-			}
-			return err
-		})
-		if err != nil {
-			return fail(err)
-		}
-		return &wire.Response{OK: true, ID: id}
+	case wire.OpDeleteRel:
+		return sess.write(func(tx *neograph.Tx) error { return tx.DeleteRel(req.ID) })
 
 	case wire.OpGetRel:
-		var rel *wire.RelJSON
+		var rel wire.RelJSON
 		err := sess.inTx(false, func(tx *neograph.Tx) error {
 			r, err := tx.GetRel(req.ID)
 			if err != nil {
 				return err
 			}
-			props, err := wire.EncodeProps(r.Props)
-			if err != nil {
-				return err
-			}
-			rel = &wire.RelJSON{ID: r.ID, Type: r.Type, Start: r.Start, End: r.End, Props: props}
-			return nil
+			rel, err = relJSON(r)
+			return err
 		})
 		if err != nil {
 			return fail(err)
 		}
-		return &wire.Response{OK: true, Rel: rel}
+		return &wire.Response{OK: true, Rel: &rel}
 
-	case wire.OpSetRelProp:
-		v, err := wire.DecodeValue(req.Value)
+	case wire.OpRels, wire.OpNeighbors:
+		dir, err := wire.ParseDir(req.Dir)
 		if err != nil {
 			return fail(err)
 		}
-		if err := sess.inTx(true, func(tx *neograph.Tx) error {
-			return tx.SetRelProp(req.ID, req.Key, v)
-		}); err != nil {
-			return fail(err)
-		}
-		return &wire.Response{OK: true}
-
-	case wire.OpDeleteRel:
-		if err := sess.inTx(true, func(tx *neograph.Tx) error {
-			return tx.DeleteRel(req.ID)
-		}); err != nil {
-			return fail(err)
-		}
-		return &wire.Response{OK: true}
-
-	case wire.OpRels:
-		dir, err := parseDir(req.Dir)
-		if err != nil {
-			return fail(err)
+		if req.Op == wire.OpNeighbors {
+			return sess.readIDs(func(tx *neograph.Tx) ([]uint64, error) { return tx.Neighbors(req.ID, dir, req.Types...) })
 		}
 		var rels []wire.RelJSON
 		err = sess.inTx(false, func(tx *neograph.Tx) error {
@@ -924,11 +888,11 @@ func (sess *session) dispatchOp(req *wire.Request) *wire.Response {
 				return err
 			}
 			for _, r := range rs {
-				props, err := wire.EncodeProps(r.Props)
+				rel, err := relJSON(r)
 				if err != nil {
 					return err
 				}
-				rels = append(rels, wire.RelJSON{ID: r.ID, Type: r.Type, Start: r.Start, End: r.End, Props: props})
+				rels = append(rels, rel)
 			}
 			return nil
 		})
@@ -937,75 +901,24 @@ func (sess *session) dispatchOp(req *wire.Request) *wire.Response {
 		}
 		return &wire.Response{OK: true, Rels: rels}
 
-	case wire.OpNeighbors:
-		dir, err := parseDir(req.Dir)
-		if err != nil {
-			return fail(err)
-		}
-		var ids []uint64
-		err = sess.inTx(false, func(tx *neograph.Tx) error {
-			var err error
-			ids, err = tx.Neighbors(req.ID, dir, req.Types...)
-			return err
-		})
-		if err != nil {
-			return fail(err)
-		}
-		return &wire.Response{OK: true, IDs: ids}
-
 	case wire.OpNodesByLabel:
-		var ids []uint64
-		err := sess.inTx(false, func(tx *neograph.Tx) error {
-			var err error
-			ids, err = tx.NodesByLabel(req.Label)
-			return err
-		})
-		if err != nil {
-			return fail(err)
-		}
-		return &wire.Response{OK: true, IDs: ids}
+		return sess.readIDs(func(tx *neograph.Tx) ([]uint64, error) { return tx.NodesByLabel(req.Label) })
 
 	case wire.OpNodesByProp:
 		v, err := wire.DecodeValue(req.Value)
 		if err != nil {
 			return fail(err)
 		}
-		var ids []uint64
-		err = sess.inTx(false, func(tx *neograph.Tx) error {
-			var err error
-			ids, err = tx.NodesByProperty(req.Key, v)
-			return err
-		})
-		if err != nil {
-			return fail(err)
-		}
-		return &wire.Response{OK: true, IDs: ids}
+		return sess.readIDs(func(tx *neograph.Tx) ([]uint64, error) { return tx.NodesByProperty(req.Key, v) })
 
 	case wire.OpAllNodes:
-		var ids []uint64
-		err := sess.inTx(false, func(tx *neograph.Tx) error {
-			var err error
-			ids, err = tx.AllNodes()
-			return err
-		})
-		if err != nil {
-			return fail(err)
-		}
-		return &wire.Response{OK: true, IDs: ids}
+		return sess.readIDs((*neograph.Tx).AllNodes)
 
 	case wire.OpStats:
-		info, err := json.Marshal(sess.db.Stats())
-		if err != nil {
-			return fail(err)
-		}
-		return &wire.Response{OK: true, Info: info}
+		return info(sess.db.Stats())
 
 	case wire.OpGC:
-		info, err := json.Marshal(sess.db.RunGC())
-		if err != nil {
-			return fail(err)
-		}
-		return &wire.Response{OK: true, Info: info}
+		return info(sess.db.RunGC())
 
 	case wire.OpCheckpoint:
 		if err := sess.db.Checkpoint(); err != nil {
@@ -1014,11 +927,7 @@ func (sess *session) dispatchOp(req *wire.Request) *wire.Response {
 		return &wire.Response{OK: true}
 
 	case wire.OpReplStatus:
-		info, err := json.Marshal(sess.db.ReplStatus())
-		if err != nil {
-			return fail(err)
-		}
-		return &wire.Response{OK: true, Info: info}
+		return info(sess.db.ReplStatus())
 
 	case wire.OpClusterStatus:
 		var fn func() any
@@ -1028,11 +937,7 @@ func (sess *session) dispatchOp(req *wire.Request) *wire.Response {
 		if fn == nil {
 			return fail(errors.New("server: no cluster controller on this node"))
 		}
-		info, err := json.Marshal(fn())
-		if err != nil {
-			return fail(err)
-		}
-		return &wire.Response{OK: true, Info: info}
+		return info(fn())
 
 	case wire.OpPromote:
 		// Failover: only meaningful on a replica; afterwards this server
@@ -1042,11 +947,7 @@ func (sess *session) dispatchOp(req *wire.Request) *wire.Response {
 		if err := sess.db.Promote(req.Addr); err != nil {
 			return fail(err)
 		}
-		info, err := json.Marshal(sess.db.ReplStatus())
-		if err != nil {
-			return fail(err)
-		}
-		return &wire.Response{OK: true, Info: info}
+		return info(sess.db.ReplStatus())
 
 	default:
 		return fail(fmt.Errorf("server: unknown op %q", req.Op))

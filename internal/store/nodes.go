@@ -38,11 +38,21 @@ func (s *Store) ReserveNodeIDs(taken []ids.ID) { s.nodes.alloc.Reserve(taken) }
 
 // SetIDStride restricts BOTH entity allocators (nodes and relationships)
 // to the congruence class id % stride == offset, so a partitioned
-// deployment can compute any entity's owning partition from its ID.
-// Must be called right after Open, before any allocation.
+// deployment can compute any entity's owning partition from its ID — and
+// this store which nodes are its own to keep relationship chains for (see
+// owns). Must be called right after Open, before any allocation.
 func (s *Store) SetIDStride(offset, stride ids.ID) {
 	s.nodes.alloc.SetStride(offset, stride)
 	s.rels.alloc.SetStride(offset, stride)
+	s.idOffset, s.idStride = offset, stride
+}
+
+// owns reports whether node id lives in this store. A relationship may
+// name an endpoint another partition owns (a cross-partition edge is
+// stored with its start node); the record keeps both endpoint IDs, but it
+// is chained only through the endpoints kept here.
+func (s *Store) owns(id ids.ID) bool {
+	return s.idStride == 0 || id%s.idStride == s.idOffset
 }
 
 // PutNode persists a node image, replacing any previous image at the same

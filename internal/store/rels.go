@@ -34,11 +34,11 @@ func (s *Store) RelHighWater() ids.ID { return s.rels.alloc.HighWater() }
 func (s *Store) ReserveRelIDs(taken []ids.ID) { s.rels.alloc.Reserve(taken) }
 
 // PutRel persists a relationship image. On first write the record is
-// linked into the relationship chains of both endpoint nodes (which must
-// already be persisted); on rewrite the chain pointers are preserved and
-// only type, properties, commit timestamp and tombstone flag change —
-// unless the record is the tombstone of an earlier owner of a recycled ID,
-// which is unlinked and replaced.
+// linked into the relationship chains of its endpoint nodes — those this
+// store owns, which must already be persisted; on rewrite the chain
+// pointers are preserved and only type, properties, commit timestamp and
+// tombstone flag change — unless the record is the tombstone of an earlier
+// owner of a recycled ID, which is unlinked and replaced.
 func (s *Store) PutRel(r RelData) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -97,10 +97,12 @@ func (s *Store) PutRel(r RelData) error {
 	if link {
 		// Link at the head of the start node's chain, and (unless this is a
 		// self-loop, which appears once) the end node's chain.
-		if err := s.linkRelLocked(r.ID, &rec, r.StartNode, true); err != nil {
-			return err
+		if s.owns(r.StartNode) {
+			if err := s.linkRelLocked(r.ID, &rec, r.StartNode, true); err != nil {
+				return err
+			}
 		}
-		if r.EndNode != r.StartNode {
+		if r.EndNode != r.StartNode && s.owns(r.EndNode) {
 			if err := s.linkRelLocked(r.ID, &rec, r.EndNode, false); err != nil {
 				return err
 			}
@@ -276,12 +278,14 @@ func (s *Store) RemoveRel(id ids.ID) error {
 	return nil
 }
 
-// unlinkRelLocked takes rel id out of both its endpoints' chains.
+// unlinkRelLocked takes rel id out of the chains PutRel linked it into.
 func (s *Store) unlinkRelLocked(id ids.ID, rec *record.RelRecord) error {
-	if err := s.unlinkLocked(id, rec.StartNode, rec.StartPrev, rec.StartNext); err != nil {
-		return err
+	if s.owns(rec.StartNode) {
+		if err := s.unlinkLocked(id, rec.StartNode, rec.StartPrev, rec.StartNext); err != nil {
+			return err
+		}
 	}
-	if rec.EndNode != rec.StartNode {
+	if rec.EndNode != rec.StartNode && s.owns(rec.EndNode) {
 		return s.unlinkLocked(id, rec.EndNode, rec.EndPrev, rec.EndNext)
 	}
 	return nil

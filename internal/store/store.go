@@ -42,6 +42,8 @@ type Store struct {
 	props  *recordFile
 	dyn    *recordFile
 	tokens *Tokens
+	// idOffset/idStride mirror SetIDStride (stride 0: every ID is local).
+	idOffset, idStride ids.ID
 }
 
 // Open opens (creating if needed) the store in directory dir.

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -94,8 +95,10 @@ func FuzzDecodeBatch(f *testing.F) {
 	f.Add([]byte(`{"op":"batch"`))
 	f.Add([]byte(`{"op":"ping"}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
+		// Through the framing the server and the SDK use: read the frame
+		// off a Conn, write it back, read it again.
 		var req Request
-		if err := json.Unmarshal(data, &req); err != nil {
+		if _, err := NewConn(bytes.NewBuffer(data), 0).ReadRequest(&req); err != nil {
 			return
 		}
 		if err := ValidateBatch(&req); err != nil {
@@ -103,13 +106,14 @@ func FuzzDecodeBatch(f *testing.F) {
 		}
 		// A validated batch must re-encode and still validate: the server
 		// trusts ValidateBatch before executing.
-		out, err := json.Marshal(&req)
-		if err != nil {
+		var out bytes.Buffer
+		c := NewConn(&out, 0)
+		if err := c.WriteRequest(&req); err != nil {
 			t.Fatalf("validated batch failed to re-encode: %v", err)
 		}
 		var back Request
-		if err := json.Unmarshal(out, &back); err != nil {
-			t.Fatalf("re-encoded batch failed to decode: %v", err)
+		if n, err := c.ReadRequest(&back); err != nil || n == 0 {
+			t.Fatalf("re-encoded batch failed to decode: %d bytes, %v", n, err)
 		}
 		if err := ValidateBatch(&back); err != nil {
 			t.Fatalf("re-encoded batch failed validation: %v", err)

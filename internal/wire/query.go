@@ -3,6 +3,8 @@ package wire
 import (
 	"encoding/json"
 	"fmt"
+
+	"neograph/internal/core"
 )
 
 // OpQuery submits a QueryPlan for whole-query, engine-side execution —
@@ -113,13 +115,18 @@ type QueryRow struct {
 	Count uint64  `json:"count,omitempty"`
 }
 
-// validDir reports whether d is a wire direction ("" means both).
-func validDir(d string) bool {
+// ParseDir maps a wire direction ("out", "in", "both"; "" means both) to
+// the engine's — the one place the direction vocabulary is spelled.
+func ParseDir(d string) (core.Direction, error) {
 	switch d {
-	case "", "out", "in", "both":
-		return true
+	case "out":
+		return core.Outgoing, nil
+	case "in":
+		return core.Incoming, nil
+	case "", "both":
+		return core.Both, nil
 	}
-	return false
+	return 0, fmt.Errorf("wire: bad direction %q", d)
 }
 
 // ValidateQueryPlan checks a plan's structural rules before execution:
@@ -161,11 +168,11 @@ func ValidateQueryPlan(p *QueryPlan) error {
 		last := i == len(p.Stages)-1
 		switch st.Op {
 		case StageExpand:
-			if !validDir(st.Dir) {
+			if _, err := ParseDir(st.Dir); err != nil {
 				return fmt.Errorf("wire: stage %d: bad direction %q", i, st.Dir)
 			}
 		case StageKHop:
-			if !validDir(st.Dir) {
+			if _, err := ParseDir(st.Dir); err != nil {
 				return fmt.Errorf("wire: stage %d: bad direction %q", i, st.Dir)
 			}
 			if st.Depth < 1 || st.Depth > MaxQueryDepth {
@@ -178,7 +185,7 @@ func ValidateQueryPlan(p *QueryPlan) error {
 			if len(p.Seed.IDs) != 1 {
 				return fmt.Errorf("wire: shortest_path needs exactly one seed id")
 			}
-			if !validDir(st.Dir) {
+			if _, err := ParseDir(st.Dir); err != nil {
 				return fmt.Errorf("wire: stage %d: bad direction %q", i, st.Dir)
 			}
 		case StagePageRank:
@@ -215,18 +222,4 @@ func ValidateQueryPlan(p *QueryPlan) error {
 		}
 	}
 	return nil
-}
-
-// DecodeQueryPlan parses and validates a raw plan — the single entry
-// point fuzzing drives, so decode and structural validation cannot
-// drift apart.
-func DecodeQueryPlan(raw []byte) (*QueryPlan, error) {
-	var p QueryPlan
-	if err := json.Unmarshal(raw, &p); err != nil {
-		return nil, fmt.Errorf("wire: bad plan: %w", err)
-	}
-	if err := ValidateQueryPlan(&p); err != nil {
-		return nil, err
-	}
-	return &p, nil
 }

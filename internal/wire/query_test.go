@@ -1,14 +1,31 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/json"
 	"strings"
 	"testing"
 )
 
+// decodePlan parses raw the way the server receives a plan — inside a
+// query request frame read off a Conn — and validates it: the entry points
+// the tests and the fuzzer drive, so decode and structural validation
+// cannot drift apart.
+func decodePlan(raw []byte) (*QueryPlan, error) {
+	frame := append(append([]byte(`{"op":"query","plan":`), raw...), '}', '\n')
+	var req Request
+	if _, err := NewConn(bytes.NewBuffer(frame), 0).ReadRequest(&req); err != nil {
+		return nil, err
+	}
+	if err := ValidateQueryPlan(req.Plan); err != nil {
+		return nil, err
+	}
+	return req.Plan, nil
+}
+
 func mustPlan(t *testing.T, raw string) *QueryPlan {
 	t.Helper()
-	p, err := DecodeQueryPlan([]byte(raw))
+	p, err := decodePlan([]byte(raw))
 	if err != nil {
 		t.Fatalf("plan %s rejected: %v", raw, err)
 	}
@@ -46,9 +63,9 @@ func TestQueryPlanRejected(t *testing.T) {
 		{"pagerank-damping", `{"seed":{"all":true},"stages":[{"op":"pagerank","damping":1.5}]}`, "damping"},
 		{"filter-no-key", `{"seed":{"all":true},"stages":[{"op":"filter_eq","value":{"i":"1"}}]}`, "key and value"},
 		{"filter-label-empty", `{"seed":{"all":true},"stages":[{"op":"filter_label"}]}`, "needs a label"},
-		{"not-json", `{"seed":`, "bad plan"},
+		{"not-json", `{"seed":`, "invalid character"},
 	} {
-		if _, err := DecodeQueryPlan([]byte(tc.raw)); err == nil {
+		if _, err := decodePlan([]byte(tc.raw)); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		} else if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
@@ -66,7 +83,7 @@ func TestQueryPlanOversized(t *testing.T) {
 		sb.WriteString("1")
 	}
 	sb.WriteString(`]}}`)
-	if _, err := DecodeQueryPlan([]byte(sb.String())); err == nil || !strings.Contains(err.Error(), "exceeds limit") {
+	if _, err := decodePlan([]byte(sb.String())); err == nil || !strings.Contains(err.Error(), "exceeds limit") {
 		t.Fatalf("oversized seed: err = %v", err)
 	}
 
@@ -79,7 +96,7 @@ func TestQueryPlanOversized(t *testing.T) {
 		sb.WriteString(`{"op":"limit","n":1}`)
 	}
 	sb.WriteString(`]}`)
-	if _, err := DecodeQueryPlan([]byte(sb.String())); err == nil || !strings.Contains(err.Error(), "exceeds limit") {
+	if _, err := decodePlan([]byte(sb.String())); err == nil || !strings.Contains(err.Error(), "exceeds limit") {
 		t.Fatalf("oversized stages: err = %v", err)
 	}
 }
@@ -98,7 +115,7 @@ func FuzzDecodeQueryPlan(f *testing.F) {
 	f.Add([]byte(`{"seed":{"ids":[-1]}}`))
 	f.Add([]byte(strings.Repeat(`{"seed":`, 1000)))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		p, err := DecodeQueryPlan(data)
+		p, err := decodePlan(data)
 		if err != nil {
 			return
 		}
@@ -106,7 +123,7 @@ func FuzzDecodeQueryPlan(f *testing.F) {
 		if err != nil {
 			t.Fatalf("accepted plan does not re-encode: %v", err)
 		}
-		if _, err := DecodeQueryPlan(enc); err != nil {
+		if _, err := decodePlan(enc); err != nil {
 			t.Fatalf("round-tripped plan rejected: %v\nplan: %s", err, enc)
 		}
 	})

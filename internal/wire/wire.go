@@ -179,26 +179,8 @@ type TraceContext struct {
 	SpanID  string `json:"sid,omitempty"`
 }
 
-// batchableOps are the operations allowed inside a batch: the data plane
-// (CRUD, traversals, lookups) plus ping. Session control (begin, commit,
-// abort), admin (promote, checkpoint, gc) and nested batches are not —
-// a batch already IS one transaction.
-var batchableOps = map[string]bool{
-	OpPing: true, OpCreateNode: true, OpGetNode: true, OpSetNodeProp: true,
-	OpAddLabel: true, OpRemoveLabel: true, OpDeleteNode: true,
-	OpDetachDelete: true, OpCreateRel: true, OpGetRel: true,
-	OpSetRelProp: true, OpDeleteRel: true, OpRels: true, OpNeighbors: true,
-	OpNodesByLabel: true, OpNodesByProp: true, OpAllNodes: true,
-}
-
-// Batchable reports whether op may appear inside a batch.
-func Batchable(op string) bool { return batchableOps[op] }
-
-// ValidateBatch checks the structural rules of an OpBatch request:
-// non-empty, at most MaxBatchOps sub-ops, every sub-op batchable (no
-// nesting, no session control), no per-sub-op WaitLSN/DeadlineMS
-// (gating applies to the batch as a whole, on the outer request), and
-// every batch-local back reference pointing strictly backwards.
+// ValidateBatch checks the structural rules of an OpBatch request: it is
+// a batch, it is non-empty, and its sub-ops pass ValidateOps.
 func ValidateBatch(req *Request) error {
 	if req.Op != OpBatch {
 		return fmt.Errorf("wire: not a batch request (op %q)", req.Op)
@@ -206,12 +188,21 @@ func ValidateBatch(req *Request) error {
 	if len(req.Batch) == 0 {
 		return fmt.Errorf("wire: empty batch")
 	}
-	if len(req.Batch) > MaxBatchOps {
-		return fmt.Errorf("wire: batch of %d ops exceeds limit %d", len(req.Batch), MaxBatchOps)
+	return ValidateOps(req.Batch)
+}
+
+// ValidateOps checks the sub-ops of a batch or a prepare: at most
+// MaxBatchOps of them, every one batchable (no nesting, no session
+// control), no per-sub-op WaitLSN/DeadlineMS (gating applies to the batch
+// as a whole, on the outer request), and every batch-local back reference
+// pointing strictly backwards.
+func ValidateOps(ops []Request) error {
+	if len(ops) > MaxBatchOps {
+		return fmt.Errorf("wire: batch of %d ops exceeds limit %d", len(ops), MaxBatchOps)
 	}
-	for i := range req.Batch {
-		sub := &req.Batch[i]
-		if !Batchable(sub.Op) {
+	for i := range ops {
+		sub := &ops[i]
+		if !ShapeOf(sub.Op).Batchable {
 			return fmt.Errorf("wire: op %q not allowed in a batch (sub-op %d)", sub.Op, i)
 		}
 		if sub.WaitLSN != 0 || sub.DeadlineMS != 0 {
@@ -314,26 +305,13 @@ type RelJSON struct {
 	Props json.RawMessage `json:"props,omitempty"`
 }
 
-// Error codes carried in Response.Code — machine-readable classification
-// so clients route on structure, not on error prose.
-const (
-	// CodeUnavailable: this server cannot serve the request right now
-	// (draining, or a gated wait timed out) — another replica might.
-	CodeUnavailable = "unavailable"
-	// CodeDeadline: the request's own deadline_ms budget expired.
-	CodeDeadline = "deadline"
-	// CodeOverloaded: the server's admission budget (in-flight requests
-	// or queued bytes) is exhausted — back off and retry; the session
-	// stays open and the request had no effect.
-	CodeOverloaded = "overloaded"
-)
-
 // Response is the server's reply.
 type Response struct {
 	OK    bool   `json:"ok"`
 	Error string `json:"error,omitempty"`
-	// Code classifies well-known failure families (see Code* constants);
-	// empty for ordinary engine errors.
+	// Code classifies the failure (see the Code* constants): availability,
+	// deadline, overload, or the engine sentinel the error wraps; empty for
+	// errors with no class (bad arguments, unknown ops).
 	Code string          `json:"code,omitempty"`
 	ID   uint64          `json:"id,omitempty"`
 	Node *NodeJSON       `json:"node,omitempty"`
@@ -425,6 +403,13 @@ func DecodeValue(raw json.RawMessage) (value.Value, error) {
 		return value.Null, fmt.Errorf("wire: value must have exactly one tag, got %d", len(m))
 	}
 	for tag, payload := range m {
+		var str string
+		switch tag {
+		case "i", "f", "s", "sx", "x": // every scalar but bool travels as a JSON string
+			if err := json.Unmarshal(payload, &str); err != nil {
+				return value.Null, err
+			}
+		}
 		switch tag {
 		case "b":
 			var b bool
@@ -433,51 +418,28 @@ func DecodeValue(raw json.RawMessage) (value.Value, error) {
 			}
 			return value.Bool(b), nil
 		case "i":
-			var s string
-			if err := json.Unmarshal(payload, &s); err != nil {
-				return value.Null, err
-			}
-			i, err := strconv.ParseInt(s, 10, 64)
+			i, err := strconv.ParseInt(str, 10, 64)
 			if err != nil {
-				return value.Null, fmt.Errorf("wire: bad int %q: %w", s, err)
+				return value.Null, fmt.Errorf("wire: bad int %q: %w", str, err)
 			}
 			return value.Int(i), nil
 		case "f":
-			var s string
-			if err := json.Unmarshal(payload, &s); err != nil {
-				return value.Null, err
-			}
-			f, err := strconv.ParseFloat(s, 64)
+			f, err := strconv.ParseFloat(str, 64)
 			if err != nil {
-				return value.Null, fmt.Errorf("wire: bad float %q: %w", s, err)
+				return value.Null, fmt.Errorf("wire: bad float %q: %w", str, err)
 			}
 			return value.Float(f), nil
 		case "s":
-			var s string
-			if err := json.Unmarshal(payload, &s); err != nil {
-				return value.Null, err
-			}
-			return value.String(s), nil
-		case "sx":
-			var s string
-			if err := json.Unmarshal(payload, &s); err != nil {
-				return value.Null, err
-			}
-			b, err := hex.DecodeString(s)
-			if err != nil {
-				return value.Null, fmt.Errorf("wire: bad hex string: %w", err)
-			}
-			return value.String(string(b)), nil
-		case "x":
-			var s string
-			if err := json.Unmarshal(payload, &s); err != nil {
-				return value.Null, err
-			}
-			b, err := hex.DecodeString(s)
+			return value.String(str), nil
+		case "sx", "x":
+			raw, err := hex.DecodeString(str)
 			if err != nil {
 				return value.Null, fmt.Errorf("wire: bad hex: %w", err)
 			}
-			return value.Bytes(b), nil
+			if tag == "sx" {
+				return value.String(string(raw)), nil
+			}
+			return value.Bytes(raw), nil
 		case "l":
 			var elems []json.RawMessage
 			if err := json.Unmarshal(payload, &elems); err != nil {
