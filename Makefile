@@ -40,7 +40,8 @@ bench-smoke: build
 	$(GO) run ./cmd/neograph-bench -quick -json bench-results.json
 
 ## lint: go vet (benchmark module included) + gofmt diff check +
-## log.Printf gate + wire-seam gates + staticcheck (pinned)
+## log.Printf gate + wire-seam gates + one-log-fold gate + staticcheck
+## (pinned)
 lint: staticcheck
 	$(GO) vet ./...
 	cd benchmark && $(GO) vet ./...
@@ -60,6 +61,9 @@ lint: staticcheck
 		--include='*.go' --exclude='*_test.go' client internal/server internal/partition || true); \
 	if [ -n "$$out" ]; then \
 		echo "error routed by its text (set and match wire.Response.Code):"; echo "$$out"; exit 1; fi
+	@out=$$(grep -l 'case rec[A-Z]' --include='*.go' --exclude='*_test.go' -r internal/core | tr '\n' ' '); \
+	if [ "$$out" != "internal/core/record.go " ]; then \
+		echo "WAL record tags are case labels in [ $$out] (interpret a record in internal/core/record.go's fold only)"; exit 1; fi
 
 ## staticcheck: honnef.co/go/tools, version-pinned via `go run`. Skips
 ## with a warning when the module cannot be fetched (offline sandboxes);

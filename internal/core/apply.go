@@ -6,48 +6,26 @@ import (
 
 	"neograph/internal/ids"
 	"neograph/internal/lock"
-	"neograph/internal/mvcc"
 	"neograph/internal/trace"
 	"neograph/internal/wal"
 )
 
-// This file is the redo-apply path shared by crash recovery and
-// replication: both replay the primary's WAL commit records into the
-// object cache, adjacency, indexes and GC bookkeeping through
-// applyCommit. Recovery drives it from ForEach over the local log;
-// a replica's applier drives it record-by-record from the network
-// stream via ApplyReplicated.
-
-// applyCommit redo-applies one decoded commit record at its original
-// commit timestamp and returns the keys it installed. Application is
-// idempotent per entity: a chain whose head is already at or past cts
-// (installed by an earlier replay, or persisted by a checkpoint) is left
-// alone.
-func (e *Engine) applyCommit(cts mvcc.TS, muts []mutation) []entKey {
-	var keys []entKey
-	for _, m := range muts {
-		if o := e.getObject(m.key); o != nil {
-			if head := o.chain.Head(); head != nil && head.CommitTS >= cts {
-				continue // already installed at or past this commit
-			}
-		}
-		e.install(m, cts)
-		keys = append(keys, m.key)
-	}
-	return keys
-}
+// This file is the replica's end of the log: records arrive one by one
+// from the network stream and are folded (record.go) exactly as crash
+// recovery folds them from the local log.
 
 // ApplyReplicated appends one record of the primary's WAL stream to the
-// local log and redo-applies its effects. The record must arrive exactly
-// at the local log's next position — the replica's WAL is a byte-exact
-// prefix of the primary's, which is what lets a restarted replica resume
-// the stream from its own recovered log end.
+// local log and folds its effects. The record must arrive exactly at the
+// local log's next position — the replica's WAL is a byte-exact prefix of
+// the primary's, which is what lets a restarted replica resume the stream
+// from its own recovered log end.
 //
 // The caller (the replication applier) is the replica's only log writer:
 // local write commits are rejected with ErrReadOnlyReplica and replica
 // checkpoints skip their marker record. Applies take the commit gate
 // shared with the checkpointer so every record below a checkpoint's WAL
-// cut is reflected in the dirty set, exactly as primary commits do.
+// cut is reflected in the dirty set and the 2PC tables, exactly as on the
+// primary.
 //
 // The oracle watermark advances only after the install completes, so a
 // snapshot read begun on the replica can never observe half of a
@@ -65,90 +43,21 @@ func (e *Engine) ApplyReplicated(lsn uint64, payload []byte) error {
 	}
 	// Decode before touching the log: a corrupt record must not be
 	// appended (the local WAL only ever holds verified prefix bytes).
-	var cts mvcc.TS
-	var muts []mutation
-	var stash trace.Context
-	isCommit := false
-	// Two-phase-commit records mirror the primary's prepared/decided
-	// state onto the replica, so a promoted replica inherits in-doubt
-	// transactions and coordinator repush obligations wholesale.
-	var prep *struct {
-		gtxn      uint64
-		coordPart uint32
-		validate  []ids.ID
-		muts      []mutation
-	}
-	var decision *struct {
-		gtxn   uint64
-		commit bool
-		cts    mvcc.TS
-		parts  []uint32
-	}
-	var ackEnd *uint64
-	if len(payload) == 0 {
-		return fmt.Errorf("core: empty replicated record at lsn %d", lsn)
-	}
-	switch payload[0] {
-	case recCheckpoint:
-		// The primary's checkpoint markers are no-ops on redo but still
-		// occupy log bytes — append them to keep positions aligned.
-	case recTrace:
-		// Trace-context records likewise install nothing but occupy log
-		// bytes; the context they carry spans the NEXT record's apply.
-		var err error
-		stash, err = decodeTrace(payload)
-		if err != nil {
-			return err
-		}
-	case recCommit:
-		var err error
-		cts, muts, err = decodeCommit(payload, e.tok)
-		if err != nil {
-			return err
-		}
-		isCommit = true
-	case recPrepare:
-		gtxn, coordPart, validate, pmuts, err := decodePrepare(payload, e.tok)
-		if err != nil {
-			return err
-		}
-		prep = &struct {
-			gtxn      uint64
-			coordPart uint32
-			validate  []ids.ID
-			muts      []mutation
-		}{gtxn, coordPart, validate, pmuts}
-	case recDecision:
-		gtxn, commit, dcts, parts, err := decodeDecision(payload)
-		if err != nil {
-			return err
-		}
-		decision = &struct {
-			gtxn   uint64
-			commit bool
-			cts    mvcc.TS
-			parts  []uint32
-		}{gtxn, commit, dcts, parts}
-	case recAckEnd:
-		gtxn, err := decodeAckEnd(payload)
-		if err != nil {
-			return err
-		}
-		ackEnd = &gtxn
-	default:
-		return fmt.Errorf("core: unknown WAL record tag %q at lsn %d", payload[0], lsn)
+	r, err := decodeRecord(payload, e.tok)
+	if err != nil {
+		return fmt.Errorf("%w (replicated record at lsn %d)", err, lsn)
 	}
 
 	// The pending trace context belongs to exactly the record that
 	// immediately follows its 'T' record: consume it here, replacing it
-	// with this record's own stash (empty except for 'T' records), so an
+	// with this record's own (empty except on a 'T' record), so an
 	// orphaned context can never mislabel a later commit.
 	e.replTraceMu.Lock()
 	pending := e.replTrace
-	e.replTrace = stash
+	e.replTrace = r.trace
 	e.replTraceMu.Unlock()
 	var asp *trace.Span
-	if isCommit && pending.Valid() {
+	if r.tag == recCommit && pending.Valid() {
 		asp = e.opts.Tracer.StartRemote(pending, "replica.apply")
 	}
 
@@ -161,30 +70,10 @@ func (e *Engine) ApplyReplicated(lsn uint64, payload []byte) error {
 		e.commitGate.RUnlock()
 		return fmt.Errorf("core: replica wal append: %w", err)
 	}
-	if isCommit {
-		keys := e.applyCommit(cts, muts)
-		e.markDirty(keys)
-		e.reserveIDs(keys)
-	}
-	var decidedKeys []entKey
-	if decision != nil {
-		decidedKeys = e.applyDecision(decision.gtxn, decision.commit, decision.cts, decision.parts, lsn)
-		e.markDirty(decidedKeys)
-	}
+	e.reserveIDs(e.fold(&r, lsn, nil))
 	e.commitGate.RUnlock()
-	if isCommit {
-		e.oracle.ObserveCommit(cts)
-	}
-	if decision != nil && decision.commit && len(decidedKeys) > 0 {
-		e.oracle.ObserveCommit(decision.cts)
-	}
-	if prep != nil {
-		e.rearmPrepared(prep.gtxn, prep.coordPart, prep.validate, prep.muts, lsn)
-	}
-	if ackEnd != nil {
-		e.prepMu.Lock()
-		delete(e.decided, *ackEnd)
-		e.prepMu.Unlock()
+	if r.tsOffset() > 0 {
+		e.oracle.ObserveCommit(r.cts)
 	}
 	asp.Finish()
 	return nil

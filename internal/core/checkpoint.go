@@ -35,10 +35,12 @@ func (e *Engine) checkpointMaintLocked() error {
 		return nil
 	}
 
-	// Cut point: block commits for an instant so that every WAL record
-	// below walCut corresponds to an entity already in the dirty set.
+	// Cut point: block commits for an instant and take the checkpoint's
+	// three inputs as one snapshot — the WAL position, the dirty set and
+	// the 2PC floor — so that every WAL record below cut corresponds to an
+	// entity already in the dirty set.
 	e.commitGate.Lock()
-	walCut := e.wal.NextLSN()
+	cut := e.wal.NextLSN()
 	// Rotate at the cut: every pre-checkpoint record now lives in sealed
 	// segments that TruncateBefore can drop once the persist completes;
 	// commits during the persist land in the fresh segment.
@@ -53,6 +55,16 @@ func (e *Engine) checkpointMaintLocked() error {
 	}
 	e.dirty = make(map[entKey]struct{})
 	e.dirtyMu.Unlock()
+	// Two-phase commit pins the log: an undecided 'P' record is the only
+	// copy of an in-doubt transaction's mutations, and an unacked 'D'
+	// record is what a restarted coordinator re-pushes from. The floor is
+	// read at the cut, with the dirty set: a decision that lands while the
+	// persist below runs un-parks its 'P' and queues its installs for the
+	// *next* checkpoint, so until then the 'P' record is still their only
+	// durable copy.
+	if floor, ok := e.twopcFloor(); ok && floor < cut {
+		cut = floor
+	}
 	e.commitGate.Unlock()
 
 	// Nodes before relationships: the store links a new relationship
@@ -120,7 +132,7 @@ func (e *Engine) checkpointMaintLocked() error {
 	// it never appends its own checkpoint marker — the stream contains
 	// the primary's markers already.
 	if !e.replica.Load() {
-		if _, err := e.wal.Append(encodeCheckpoint(e.oracle.Watermark())); err != nil {
+		if _, err := e.wal.Append(appendRecord(nil, &record{tag: recCheckpoint, watermark: e.oracle.Watermark()})); err != nil {
 			return err
 		}
 	}
@@ -129,15 +141,8 @@ func (e *Engine) checkpointMaintLocked() error {
 	}
 	// The replication shipper can hold truncation below the cut so
 	// connected replicas still catching up keep their backlog readable.
-	cut := walCut
 	if retain, ok := e.walRetainPos(); ok && retain < cut {
 		cut = retain
-	}
-	// Two-phase commit pins the log too: an undecided 'P' record is the
-	// only copy of an in-doubt transaction's mutations, and an unacked
-	// 'D' record is what a restarted coordinator re-pushes from.
-	if floor, ok := e.twopcFloor(); ok && floor < cut {
-		cut = floor
 	}
 	if err := e.wal.TruncateBefore(cut); err != nil {
 		return err

@@ -2,9 +2,12 @@ package core
 
 import (
 	"encoding/binary"
+	"reflect"
 	"testing"
 
+	"neograph/internal/ids"
 	"neograph/internal/lock"
+	"neograph/internal/trace"
 	"neograph/internal/value"
 )
 
@@ -38,7 +41,7 @@ func sampleMutations() []mutation {
 
 func TestCommitCodecRoundTrip(t *testing.T) {
 	muts := sampleMutations()
-	payload := encodeCommit(123, muts)
+	payload := appendRecord(nil, &record{tag: recCommit, cts: 123, muts: muts})
 	cts, got, err := decodeCommit(payload, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -80,45 +83,94 @@ func TestDecodeCommitAbsurdCount(t *testing.T) {
 	// The boundary case must still decode: exactly as many minimal
 	// mutations as the bytes allow. (A zero-ID node with no labels and a
 	// nil map is 12 bytes, so build the record honestly.)
-	honest := encodeCommit(1, []mutation{{key: entKey{lock.KindNode, 1}}})
+	honest := appendRecord(nil, &record{tag: recCommit, cts: 1, muts: []mutation{{key: entKey{lock.KindNode, 1}}}})
 	if _, _, err := decodeCommit(honest, nil); err != nil {
 		t.Fatalf("honest minimal record rejected: %v", err)
 	}
 }
 
-// FuzzDecodeCommit hammers the decoder with corrupted commit records: it
-// must reject or decode them without panicking or over-allocating, and
-// valid records must round-trip. Runs its seed corpus as a normal test;
-// use `go test -fuzz FuzzDecodeCommit ./internal/core` to explore.
-func FuzzDecodeCommit(f *testing.F) {
-	f.Add(encodeCommit(1, sampleMutations()))
-	f.Add(encodeCommit(999, []mutation{{key: entKey{lock.KindRel, 1 << 40}, deleted: true, rel: &RelState{Type: "X"}}}))
+// sampleRecords is one record of every tag, the 2PC ones in each of their
+// shapes: the fuzz corpus, and (compat_test.go) the pinned bytes.
+func sampleRecords() map[string]*record {
+	return map[string]*record{
+		"commit":             {tag: recCommit, cts: 123, muts: sampleMutations()},
+		"checkpoint":         {tag: recCheckpoint, watermark: 99},
+		"trace":              {tag: recTrace, trace: trace.Context{TraceID: "0af7651916cd43dd8448eb211c80319c", SpanID: "b7ad6b7169203331"}},
+		"prepare":            {tag: recPrepare, gtxn: 0x0102030405060708, coordPart: 3, validate: []ids.ID{11, 12}, muts: sampleMutations()},
+		"prepareNoGuards":    {tag: recPrepare, gtxn: 77, muts: sampleMutations()[:1]},
+		"decideCommitOwing":  {tag: recDecision, gtxn: 77, commit: true, cts: 456, parts: []uint32{1, 2}},
+		"decideCommit":       {tag: recDecision, gtxn: 77, commit: true, cts: 456},
+		"decideAbortOwing":   {tag: recDecision, gtxn: 77, parts: []uint32{1, 2}},
+		"decideAbort":        {tag: recDecision, gtxn: 77},
+		"ackEnd":             {tag: recAckEnd, gtxn: 77},
+		"commitTombstoneRel": {tag: recCommit, cts: 999, muts: []mutation{{key: entKey{lock.KindRel, 1 << 40}, deleted: true, rel: &RelState{Type: "X"}}}},
+	}
+}
+
+// shortPrepare and shortDecision are the two records that used to panic
+// the decoder with an index out of range: a count that fits the bytes
+// left *including* its own varint, but not the bytes after it.
+var (
+	shortPrepare  = append(append([]byte{recPrepare}, make([]byte, 12)...), 1, 0, 0, 0, 0, 0, 0, 0) // 21 bytes: 1 guard, 7 bytes left
+	shortDecision = append(append([]byte{recDecision}, make([]byte, 17)...), 1, 0, 0, 0)            // 22 bytes: 1 participant, 3 bytes left
+)
+
+// TestDecodeShortRecord: a count running past the end of a record that
+// arrived from the replication stream is an error, not a panic.
+func TestDecodeShortRecord(t *testing.T) {
+	for name, payload := range map[string][]byte{"prepare": shortPrepare, "decision": shortDecision} {
+		if r, err := decodeRecord(payload, nil); err == nil {
+			t.Errorf("%d-byte %s record decoded: %+v", len(payload), name, r)
+		}
+	}
+}
+
+// FuzzDecodeRecord hammers the one decoder with corrupted records of
+// every tag: it must reject them or decode them without panicking or
+// over-allocating, and whatever it accepts must survive a round trip
+// through the encoder. Runs its seed corpus as a normal test; use
+// `go test -fuzz FuzzDecodeRecord ./internal/core` to explore.
+func FuzzDecodeRecord(f *testing.F) {
 	f.Add([]byte{recCommit})
-	f.Add([]byte{recCheckpoint, 0, 0, 0, 0, 0, 0, 0, 0})
-	// Seed systematic single-byte corruptions of a valid record.
-	base := encodeCommit(7, sampleMutations())
-	for i := 0; i < len(base); i += 3 {
-		cp := append([]byte(nil), base...)
-		cp[i] ^= 0xFF
-		f.Add(cp)
+	f.Add([]byte{})
+	f.Add([]byte{'?', 1, 2, 3})
+	f.Add(shortPrepare)
+	f.Add(shortDecision)
+	for _, r := range sampleRecords() {
+		base := appendRecord(nil, r)
+		f.Add(base)
+		// Seed systematic single-byte corruptions of each valid record.
+		for i := 0; i < len(base); i += 3 {
+			cp := append([]byte(nil), base...)
+			cp[i] ^= 0xFF
+			f.Add(cp)
+		}
 	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		cts, muts, err := decodeCommit(payload, nil)
+		r, err := decodeRecord(payload, nil)
 		if err != nil {
 			return
 		}
-		// Whatever decoded must satisfy basic invariants: the count fits
-		// the minimum-size bound and every mutation carries its payload.
-		if len(muts) > len(payload)/minMutationBytes {
-			t.Fatalf("decoded %d mutations from %d bytes", len(muts), len(payload))
+		// Whatever decoded must satisfy basic invariants: every count fits
+		// its minimum-size bound and every mutation carries its payload.
+		if len(r.muts) > len(payload)/minMutationBytes || len(r.validate) > len(payload)/8 || len(r.parts) > len(payload)/4 {
+			t.Fatalf("decoded %d mutations, %d guards, %d participants from %d bytes",
+				len(r.muts), len(r.validate), len(r.parts), len(payload))
 		}
-		for _, m := range muts {
+		for _, m := range r.muts {
 			if m.key.kind == lock.KindNode && m.node == nil {
-				t.Fatalf("node mutation without state (cts %d)", cts)
+				t.Fatalf("node mutation without state (tag %q)", r.tag)
 			}
 			if m.key.kind == lock.KindRel && m.rel == nil {
-				t.Fatalf("rel mutation without state (cts %d)", cts)
+				t.Fatalf("rel mutation without state (tag %q)", r.tag)
 			}
+		}
+		again, err := decodeRecord(appendRecord(nil, &r), nil)
+		if err != nil {
+			t.Fatalf("re-encoded %q record does not decode: %v", r.tag, err)
+		}
+		if !reflect.DeepEqual(r, again) {
+			t.Fatalf("round trip changed the record:\n got %+v\nwant %+v", again, r)
 		}
 	})
 }

@@ -14,15 +14,36 @@ import (
 // bytes it logs and stores are not. These tests pin both against what the
 // last release with a Go map per version (PR 14) wrote.
 
-// goldenCommit is PR 14's encodeCommit(123, sampleMutations()).
+// goldenCommit is PR 14's commit record of (123, sampleMutations()).
 const goldenCommit = "437b00000000000000030007000000000000000102074163636f756e7406506572736f6e02" +
 	"0762616c616e63650254046e616d650405616c696365000900000000000000020104476f6e65" +
 	"0001030000000000000001054b4e4f575307000000000000000900000000000000010573696e" +
 	"636502c01f"
 
-func TestCommitRecordBytesUnchanged(t *testing.T) {
-	if got := hex.EncodeToString(encodeCommit(123, sampleMutations())); got != goldenCommit {
-		t.Fatalf("commit record bytes changed:\n got %s\nwant %s", got, goldenCommit)
+// goldenRecords are the other tags' bytes as PR 16 — the last release with
+// an encoder per call site — wrote them for sampleRecords().
+var goldenRecords = map[string]string{
+	"commit":     goldenCommit,
+	"checkpoint": "4b6300000000000000",
+	"trace":      "542030616637363531393136636434336464383434386562323131633830333139631062376164366237313639323033333331",
+	"prepare": "50080706050403020103000000020b000000000000000c00000000000000030007000000000000000102074163636f756e74" +
+		"06506572736f6e020762616c616e63650254046e616d650405616c696365000900000000000000020104476f6e65000103000000" +
+		"0000000001054b4e4f575307000000000000000900000000000000010573696e636502c01f",
+	"prepareNoGuards": "504d000000000000000000000000010007000000000000000102074163636f756e7406506572736f6e0207" +
+		"62616c616e63650254046e616d650405616c696365",
+	"decideCommitOwing": "444d0000000000000001c801000000000000020100000002000000",
+	"decideCommit":      "444d0000000000000001c80100000000000000",
+	"decideAbortOwing":  "444d00000000000000000000000000000000020100000002000000",
+	"decideAbort":       "444d0000000000000000000000000000000000",
+	"ackEnd":            "454d00000000000000",
+}
+
+func TestRecordBytesUnchanged(t *testing.T) {
+	samples := sampleRecords()
+	for name, want := range goldenRecords {
+		if got := hex.EncodeToString(appendRecord(nil, samples[name])); got != want {
+			t.Errorf("%s record bytes changed:\n got %s\nwant %s", name, got, want)
+		}
 	}
 }
 

@@ -359,6 +359,10 @@ type Engine struct {
 	prepMu   sync.Mutex
 	prepared map[uint64]*preparedTxn
 	decided  map[uint64]*decidedTxn
+	// replaying is set while Open folds the log: no transaction exists yet
+	// to lock out, so a parked prepare takes its long locks only once the
+	// replay has shown it to be still in doubt.
+	replaying bool
 
 	txnSeq  atomic.Uint64
 	stats   statsCounters
@@ -739,19 +743,18 @@ func (e *Engine) allocRelID() ids.ID {
 	return e.memRelAlloc.Next()
 }
 
-func (e *Engine) releaseNodeID(id ids.ID) {
-	if e.store != nil {
-		e.store.ReleaseNodeID(id)
-	} else {
-		e.memNodeAlloc.Release(id)
-	}
-}
-
-func (e *Engine) releaseRelID(id ids.ID) {
-	if e.store != nil {
-		e.store.ReleaseRelID(id)
-	} else {
-		e.memRelAlloc.Release(id)
+// releaseID returns the ID of an entity that was allocated but never
+// committed (an aborted creation) to its allocator.
+func (e *Engine) releaseID(k entKey) {
+	switch {
+	case e.store == nil && k.kind == lock.KindNode:
+		e.memNodeAlloc.Release(k.id)
+	case e.store == nil:
+		e.memRelAlloc.Release(k.id)
+	case k.kind == lock.KindNode:
+		e.store.ReleaseNodeID(k.id)
+	default:
+		e.store.ReleaseRelID(k.id)
 	}
 }
 

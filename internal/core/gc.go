@@ -126,11 +126,7 @@ func (e *Engine) reapDead(chains []*mvcc.Chain) {
 
 	if e.store == nil {
 		for _, o := range objs {
-			if o.key.kind == lock.KindNode {
-				e.releaseNodeID(o.key.id)
-			} else {
-				e.releaseRelID(o.key.id)
-			}
+			e.releaseID(o.key)
 		}
 		return
 	}

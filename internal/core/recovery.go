@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"neograph/internal/ids"
 	"neograph/internal/lock"
 	"neograph/internal/mvcc"
 	"neograph/internal/store"
@@ -15,9 +14,10 @@ import (
 //  1. every persisted entity image (the newest committed version only,
 //     per §4) becomes a single-version chain at its stored commit
 //     timestamp; tombstone images re-enter the GC list;
-//  2. WAL commit records newer than the persisted image are re-installed
-//     (idempotently — older or equal timestamps are skipped), exactly as
-//     if the original transactions had just committed;
+//  2. the WAL tail is folded over it (record.go): commit records newer
+//     than the persisted image are re-installed, exactly as if the
+//     original transactions had just committed, and the 2PC tables are
+//     rebuilt;
 //  3. the oracle resumes from the largest commit timestamp seen.
 func (e *Engine) recover() error {
 	var maxTS mvcc.TS
@@ -71,105 +71,38 @@ func (e *Engine) recover() error {
 		return fmt.Errorf("core: recover rels: %w", err)
 	}
 
-	// Replay the WAL tail through the same redo-apply path the
-	// replication applier uses. Records whose effects are already
-	// persisted (head commit TS >= record TS) are skipped per entity,
-	// making replay idempotent. Two-phase-commit records are folded as
-	// the stream dictates: a 'P' parks its mutations, the matching 'D'
-	// installs or discards them, and whatever is still parked at the end
-	// of the log is in doubt — its guards are re-armed and the resolver
-	// will ask the coordinator.
-	type pendingPrep struct {
-		coordPart uint32
-		validate  []ids.ID
-		muts      []mutation
-		lsn       uint64
-	}
-	inDoubt := make(map[uint64]*pendingPrep)
-	unacked := make(map[uint64]*decidedTxn)
+	// Fold the WAL tail, exactly as a replica folds the stream. Installs are
+	// idempotent per entity (a head already at or past the record's
+	// timestamp — persisted by a checkpoint — is left alone), so replaying
+	// over the store is safe. Two-phase-commit records rebuild their tables
+	// as the log dictates: a 'P' parks and re-arms its guards, its 'D'
+	// settles it, and whatever is still parked at the end of the log is in
+	// doubt — the resolver will ask the coordinator.
 	var replayed []entKey
+	e.replaying = true
 	err = e.wal.ForEach(func(lsn uint64, payload []byte) error {
 		if len(payload) == 0 {
 			return nil
 		}
-		switch payload[0] {
-		case recCheckpoint:
-			return nil
-		case recTrace:
-			// Trace-context records only matter to a live replica stream;
-			// replay has nobody to hand the span to.
-			return nil
-		case recCommit:
-			cts, muts, err := decodeCommit(payload, e.tok)
-			if err != nil {
-				return err
-			}
-			if cts > maxTS {
-				maxTS = cts
-			}
-			replayed = append(replayed, e.applyCommit(cts, muts)...)
-			return nil
-		case recPrepare:
-			gtxn, coordPart, validate, muts, err := decodePrepare(payload, e.tok)
-			if err != nil {
-				return err
-			}
-			inDoubt[gtxn] = &pendingPrep{coordPart: coordPart, validate: validate, muts: muts, lsn: lsn}
-			return nil
-		case recDecision:
-			gtxn, commit, cts, parts, err := decodeDecision(payload)
-			if err != nil {
-				return err
-			}
-			if p, ok := inDoubt[gtxn]; ok {
-				delete(inDoubt, gtxn)
-				if commit {
-					if cts > maxTS {
-						maxTS = cts
-					}
-					replayed = append(replayed, e.applyCommit(cts, p.muts)...)
-				}
-			}
-			// A commit decision with participants is a coordinator's own:
-			// the repush obligation survives restart until 'E'.
-			if commit && len(parts) > 0 {
-				pm := make(map[uint32]struct{}, len(parts))
-				for _, id := range parts {
-					pm[id] = struct{}{}
-				}
-				unacked[gtxn] = &decidedTxn{gtxn: gtxn, commit: true, lsn: lsn, participants: pm}
-			}
-			return nil
-		case recAckEnd:
-			gtxn, err := decodeAckEnd(payload)
-			if err != nil {
-				return err
-			}
-			delete(unacked, gtxn)
-			return nil
-		default:
-			return fmt.Errorf("core: unknown WAL record tag %q", payload[0])
+		r, err := decodeRecord(payload, e.tok)
+		if err != nil {
+			return err
 		}
+		if r.tsOffset() > 0 && r.cts > maxTS {
+			maxTS = r.cts
+		}
+		replayed = append(replayed, e.fold(&r, lsn, nil)...)
+		return nil
 	})
 	if err != nil {
 		return fmt.Errorf("core: wal replay: %w", err)
 	}
-	e.markDirty(replayed)
+	e.replaying = false
 	e.reserveIDs(replayed)
+	for _, p := range e.prepared {
+		_ = e.lockKeys(p.lockTxn, p.keys) // nobody else holds a lock yet
+	}
 
 	e.oracle = mvcc.NewOracle(maxTS)
-
-	// Re-arm the guards of every in-doubt transaction (rearmPrepared also
-	// reserves their IDs, so an undecided creation's ID can never be
-	// reallocated) and restore the
-	// coordinator's unacked-decision obligations.
-	for gtxn, p := range inDoubt {
-		e.rearmPrepared(gtxn, p.coordPart, p.validate, p.muts, p.lsn)
-	}
-	e.prepMu.Lock()
-	for gtxn, d := range unacked {
-		e.decided[gtxn] = d
-	}
-	e.prepMu.Unlock()
 	return nil
 }

@@ -1,9 +1,9 @@
 package core
 
 import (
-	"encoding/binary"
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"neograph/internal/ids"
 	"neograph/internal/lock"
@@ -34,14 +34,14 @@ import (
 // Records ride the existing WAL/LSN/epoch machinery, so they replicate
 // to the partition's replicas byte-exactly: a promoted replica inherits
 // the prepared table and any coordinator decisions wholesale.
-
-// Additional WAL record tags (recCommit/recCheckpoint/recTrace live in
-// commit.go).
-const (
-	recPrepare  = 'P' // prepared cross-partition transaction: gtxn, coordinator partition, guards, mutations
-	recDecision = 'D' // 2PC verdict: gtxn, commit/abort, local cts, participant partitions (coordinator only)
-	recAckEnd   = 'E' // all participants acked the decision; the repush obligation ends
-)
+//
+// The two tables below change in one place only — fold's park, settle
+// and end transitions (record.go) — and on a running primary always
+// inside the commit-gate section that appended the record causing the
+// change. They are what pins the WAL (twopcFloor), and the checkpointer
+// reads that floor at its cut under the exclusive gate: a table that
+// changed anywhere else could let a checkpoint truncate the only copy of
+// a prepared transaction's mutations.
 
 // ErrNotPrepared reports a decide or status probe for a global
 // transaction this engine holds no prepared state for.
@@ -64,10 +64,10 @@ type preparedTxn struct {
 	gtxn      uint64
 	coordPart uint32
 	muts      []mutation
-	validate  []ids.ID // endpoint nodes guarded (but not written) for a remote partition's edge
-	keys      []entKey // write keys + validate keys, the prepared-table footprint
+	keys      []entKey // write keys + guarded endpoints, the prepared-table footprint (sorted, no duplicates)
 	lockTxn   uint64   // lock.Manager owner holding the long locks until decide
 	lsn       uint64   // LSN of the 'P' record (WAL truncation floor)
+	deciding  bool     // a DecideTxn has claimed it (guarded by prepMu): a second one is a retry
 }
 
 // decidedTxn is a coordinator-side committed decision whose participants
@@ -104,70 +104,49 @@ func (e *Engine) OwnsID(id ids.ID) bool {
 	return id%uint64(e.opts.PartitionCount) == uint64(e.opts.PartitionID)
 }
 
-// latchKeys acquires the per-stripe validation latches covering a key
-// set, in ascending stripe order (same discipline as latchFCW). The
-// caller must release in reverse order.
-func (e *Engine) latchKeys(keys []entKey) []*stripe {
-	idxs := make([]int, 0, len(keys))
-	for _, k := range keys {
-		idxs = append(idxs, int(e.stripeIndex(k)))
-	}
-	sort.Ints(idxs)
-	latched := make([]*stripe, 0, len(idxs))
-	prev := -1
-	for _, idx := range idxs {
-		if idx == prev {
-			continue
-		}
-		prev = idx
-		s := &e.stripes[idx]
-		s.valMu.Lock()
-		latched = append(latched, s)
-	}
-	return latched
-}
-
-func unlatchAll(latched []*stripe) {
-	for i := len(latched) - 1; i >= 0; i-- {
-		latched[i].valMu.Unlock()
-	}
-}
-
-// prepFootprint computes the prepared-table footprint of a write set:
-// every write key, plus the locally-owned endpoint nodes of created
-// relationships, plus the validate set.
-func (t *Tx) prepFootprint(muts []mutation, validate []ids.ID) []entKey {
-	seen := make(map[entKey]struct{}, len(muts)+len(validate))
-	keys := make([]entKey, 0, len(muts)+len(validate))
-	add := func(k entKey) {
-		if _, ok := seen[k]; ok {
-			return
-		}
-		seen[k] = struct{}{}
-		keys = append(keys, k)
-	}
-	for _, m := range muts {
-		add(m.key)
+// newPrepared builds the parked form of a 'P' record, its long locks to
+// be held by lockTxn. The footprint is every write key, plus the locally
+// owned endpoint nodes of created relationships, plus the guard set —
+// sorted, each key once.
+func (e *Engine) newPrepared(r *record, lockTxn uint64) *preparedTxn {
+	keys := make([]entKey, 0, len(r.muts)+len(r.validate))
+	for _, m := range r.muts {
+		keys = append(keys, m.key)
 		if m.created && m.rel != nil && !m.deleted {
-			for _, n := range []ids.ID{m.rel.Start, m.rel.End} {
-				if t.e.OwnsID(n) {
-					add(entKey{lock.KindNode, n})
+			for _, n := range [2]ids.ID{m.rel.Start, m.rel.End} {
+				if e.OwnsID(n) {
+					keys = append(keys, entKey{lock.KindNode, n})
 				}
 			}
 		}
 	}
-	for _, n := range validate {
-		add(entKey{lock.KindNode, n})
+	for _, n := range r.validate {
+		keys = append(keys, entKey{lock.KindNode, n})
 	}
-	return keys
+	slices.SortFunc(keys, func(a, b entKey) int {
+		return cmp.Or(cmp.Compare(a.kind, b.kind), cmp.Compare(a.id, b.id))
+	})
+	return &preparedTxn{gtxn: r.gtxn, coordPart: r.coordPart, muts: r.muts, keys: slices.Compact(keys), lockTxn: lockTxn}
+}
+
+// lockKeys takes (or re-enters) the long write locks on keys for owner,
+// without waiting.
+func (e *Engine) lockKeys(owner uint64, keys []entKey) error {
+	for _, k := range keys {
+		if err := e.locks.TryAcquire(owner, lock.Key{Kind: k.kind, ID: k.id}, lock.Exclusive); err != nil {
+			return e.conflict(k, fmt.Errorf("%w: %s locked by concurrent transaction", ErrWriteConflict, fmtKey(k)))
+		}
+	}
+	return nil
 }
 
 // Prepare runs phase one of two-phase commit for this transaction: it
 // validates the write set exactly as Commit would, takes (or keeps) the
-// write locks, registers every touched key in the prepared tables,
-// logs a durable 'P' record, and parks the transaction until DecideTxn.
+// write locks, logs a durable 'P' record, and parks the transaction —
+// every touched key registered in the prepared tables — until DecideTxn.
 // validate lists endpoint nodes this partition must guard alive for a
-// relationship stored on another partition.
+// relationship stored on another partition. It returns the 'P' record's
+// LSN.
 //
 // On success the transaction is consumed (Commit/Abort return ErrTxDone)
 // and its guards persist until the decision; on failure everything is
@@ -177,155 +156,58 @@ func (t *Tx) Prepare(gtxn uint64, coordPart uint32, validate []ids.ID) (uint64, 
 		return 0, err
 	}
 	t.done = true
-
-	muts := t.mutations()
-	if t.e.replica.Load() {
-		t.abortStaged()
-		t.cleanup()
-		t.e.stats.aborted.Add(1)
-		return 0, fmt.Errorf("%w: prepare rejected", ErrReadOnlyReplica)
-	}
-
 	e := t.e
-	keys := t.prepFootprint(muts, validate)
-	fcw := t.iso == SnapshotIsolation && e.opts.Conflict == FirstCommitterWins
 
-	latched := e.latchKeys(keys)
 	fail := func(err error) (uint64, error) {
-		unlatchAll(latched)
-		e.stats.conflicts.Add(1)
 		t.abortStaged()
 		t.cleanup()
 		e.stats.aborted.Add(1)
 		return 0, err
 	}
-	// No key may already belong to another prepared transaction.
-	for _, k := range keys {
-		s := e.stripeOf(k)
-		if g, ok := s.prep[k]; ok {
-			return fail(fmt.Errorf("%w: %s held by prepared transaction %d", ErrWriteConflict, fmtKey(k), g))
-		}
-	}
-	if fcw {
-		// First-committer-wins validation, identical to Commit's: every
-		// non-created write must still derive from the chain head, and
-		// created relationships' (local) endpoints must be alive.
-		for _, w := range t.writes {
-			if w.created {
-				if w.rel != nil && !w.deleted {
-					for _, n := range []ids.ID{w.rel.Start, w.rel.End} {
-						if !e.OwnsID(n) {
-							continue
-						}
-						if err := t.validateEndpointAlive(n); err != nil {
-							return fail(err)
-						}
-					}
-				}
-				continue
-			}
-			o := e.getObject(w.key)
-			if o == nil || o.chain.Head() != w.base {
-				return fail(fmt.Errorf("%w: %s modified by concurrent transaction (first-committer-wins)",
-					ErrWriteConflict, fmtKey(w.key)))
-			}
-		}
-	}
-	// Guarded endpoints for a remote partition's edge must be alive here.
-	for _, n := range validate {
-		o := e.getObject(entKey{lock.KindNode, n})
-		if o == nil {
-			return fail(fmt.Errorf("%w: endpoint node %d", ErrNotFound, n))
-		}
-		if head := o.chain.Head(); head == nil || head.Deleted {
-			return fail(fmt.Errorf("%w: endpoint node %d deleted", ErrNotFound, n))
-		}
-	}
-	// Take (or re-enter) the long write locks so lock-based transactions
-	// (FUW staging, read-committed) block on prepared keys too. Under FUW
-	// the write keys are already held by this transaction; TryAcquire is
-	// re-entrant.
-	for _, k := range keys {
-		if err := e.locks.TryAcquire(t.id, lock.Key{Kind: k.kind, ID: k.id}, lock.Exclusive); err != nil {
-			return fail(fmt.Errorf("%w: %s locked by concurrent transaction", ErrWriteConflict, fmtKey(k)))
-		}
-	}
-	// Point of no return for validation: register the prepared guards.
-	for _, k := range keys {
-		s := e.stripeOf(k)
-		if s.prep == nil {
-			s.prep = make(map[entKey]uint64)
-		}
-		s.prep[k] = gtxn
-	}
-	unlatchAll(latched)
-
-	// Durability: the 'P' record carries everything recovery needs to
-	// re-arm the guards and later install the decision.
-	var lsn uint64
-	if e.store != nil {
-		rec := encodePrepare(gtxn, coordPart, validate, muts)
-		e.commitGate.RLock()
-		e.walSeqMu.Lock()
-		var err error
-		lsn, err = e.wal.Append(rec)
-		e.walSeqMu.Unlock()
-		e.commitGate.RUnlock()
-		if err == nil {
-			err = e.syncRecord(lsn)
-		}
-		if err != nil {
-			e.clearPrepared(&preparedTxn{keys: keys, lockTxn: t.id})
-			t.abortStaged()
-			if t.iso == SnapshotIsolation {
-				e.active.Unregister(t.id)
-			}
-			e.stats.aborted.Add(1)
-			return 0, fmt.Errorf("core: prepare wal: %w", err)
-		}
+	if e.replica.Load() {
+		return fail(fmt.Errorf("%w: prepare rejected", ErrReadOnlyReplica))
 	}
 
-	e.prepMu.Lock()
-	e.prepared[gtxn] = &preparedTxn{
-		gtxn: gtxn, coordPart: coordPart, muts: muts,
-		validate: validate, keys: keys, lockTxn: t.id, lsn: lsn,
+	// The latches are held even when nothing validates at commit: the
+	// prepared tables live under them. The long locks make lock-based
+	// transactions (first-updater-wins staging, read committed) block on a
+	// prepared key too; under first-updater-wins this transaction already
+	// holds those of its writes.
+	r := record{tag: recPrepare, gtxn: gtxn, coordPart: coordPart, validate: validate, muts: t.mutations()}
+	p := e.newPrepared(&r, t.id)
+	var ls latchSet
+	e.latch(&ls, nil, p.keys)
+	err := t.validate(t.fcw(), validate)
+	if err == nil {
+		err = e.lockKeys(t.id, p.keys)
 	}
-	e.prepMu.Unlock()
-	// The snapshot registration is released (the prepared state no longer
-	// reads), but the locks stay held under t.id until the decision.
+	var lsn, end uint64
+	if err == nil {
+		if lsn, end, err = e.logInstall(nil, &r, p); err != nil {
+			err = fmt.Errorf("core: prepare %w", err)
+		}
+	}
+	e.unlatch(&ls)
+	if err != nil {
+		return fail(err)
+	}
+	// Parked. The snapshot registration is released (the prepared state no
+	// longer reads); the locks stay held under t.id until the decision.
 	if t.iso == SnapshotIsolation {
 		e.active.Unregister(t.id)
+	}
+	// The 'P' record is in the log, so the transaction stays parked even
+	// if it cannot be made durable: only a 'D' un-parks.
+	if err := e.await(nil, &r, lsn, end); err != nil {
+		return 0, fmt.Errorf("core: prepare %d %w", gtxn, err)
 	}
 	return lsn, nil
 }
 
-// syncRecord makes an appended record durable: through the group-commit
-// batcher when one runs, else a direct sync (mirroring Commit).
-func (e *Engine) syncRecord(lsn uint64) error {
-	if e.batcher != nil {
-		return e.batcher.WaitDurable(lsn)
-	}
-	if !e.opts.NoSyncCommits {
-		return e.wal.Sync()
-	}
-	return nil
-}
-
-// clearPrepared removes a prepared transaction's guards: prepared-table
-// entries (under the stripe latches) and long locks.
-func (e *Engine) clearPrepared(p *preparedTxn) {
-	latched := e.latchKeys(p.keys)
-	for _, k := range p.keys {
-		delete(e.stripeOf(k).prep, k)
-	}
-	unlatchAll(latched)
-	e.locks.ReleaseAll(p.lockTxn)
-}
-
 // DecideTxn delivers the verdict for a transaction prepared on this
-// engine: commit installs the prepared mutations at a fresh local commit
-// timestamp, abort discards them; either way a durable 'D' record is
-// logged first and every guard is released after. participants is
+// engine: a durable 'D' record is logged, and its fold installs the
+// prepared mutations at a fresh local commit timestamp (commit) or
+// discards them (abort) and releases every guard. participants is
 // non-empty only on the coordinator's own decide — it is persisted in
 // the record and tracked until AckDecision drains it.
 //
@@ -343,114 +225,65 @@ func (e *Engine) DecideTxn(gtxn uint64, commit bool, participants []uint32) (cts
 	if e.replica.Load() {
 		return 0, 0, fmt.Errorf("%w: decisions reach a replica through the WAL stream", ErrReadOnlyReplica)
 	}
+	// Claim the parked transaction. It stays in the table — and so keeps
+	// pinning its 'P' record and answering "pending" — until the fold of
+	// the 'D' record replaces it.
 	e.prepMu.Lock()
-	p, ok := e.prepared[gtxn]
-	if !ok {
+	p := e.prepared[gtxn]
+	if p == nil || p.deciding {
 		e.prepMu.Unlock()
 		return 0, 0, fmt.Errorf("%w: gtxn %d", ErrNotPrepared, gtxn)
 	}
-	delete(e.prepared, gtxn)
+	p.deciding = true
 	e.prepMu.Unlock()
 
-	var lsn uint64
-	if e.store != nil {
-		e.commitGate.RLock()
-		e.walSeqMu.Lock()
-		if commit {
-			cts = e.oracle.BeginCommit()
-		}
-		rec := encodeDecision(gtxn, commit, cts, participants)
-		lsn, err = e.wal.Append(rec)
-		e.walSeqMu.Unlock()
-		end = CommitRecordEnd(lsn, len(rec))
-		if err != nil {
-			e.commitGate.RUnlock()
-			if commit {
-				e.oracle.AbortCommit(cts)
-			}
-			// The decision is not durable; re-park the prepared state so a
-			// retry (or recovery) can decide again.
-			e.prepMu.Lock()
-			e.prepared[gtxn] = p
-			e.prepMu.Unlock()
-			return 0, 0, fmt.Errorf("core: decision wal append: %w", err)
-		}
-		if commit {
-			keys := make([]entKey, 0, len(p.muts))
-			for _, m := range p.muts {
-				e.install(m, cts)
-				keys = append(keys, m.key)
-			}
-			e.markDirty(keys)
-		}
-		e.commitGate.RUnlock()
-		if commit {
-			e.oracle.FinishCommit(cts)
-		}
-	} else if commit {
-		cts = e.oracle.BeginCommit()
-		for _, m := range p.muts {
-			e.install(m, cts)
-		}
-		e.oracle.FinishCommit(cts)
-	}
-	if !commit {
-		for _, m := range p.muts {
-			if !m.created {
-				continue
-			}
-			if m.key.kind == lock.KindNode {
-				e.releaseNodeID(m.key.id)
-			} else {
-				e.releaseRelID(m.key.id)
-			}
-		}
-		e.stats.aborted.Add(1)
-	} else {
-		e.stats.committed.Add(1)
-	}
-	e.clearPrepared(p)
-
-	if commit && len(participants) > 0 {
-		parts := make(map[uint32]struct{}, len(participants))
-		for _, id := range participants {
-			parts[id] = struct{}{}
-		}
+	r := record{tag: recDecision, gtxn: gtxn, commit: commit, parts: participants}
+	var ls latchSet
+	e.latch(&ls, nil, p.keys)
+	lsn, end, err := e.logInstall(nil, &r, p)
+	e.unlatch(&ls)
+	if err != nil {
+		// Not logged, so not decided: a retry (or recovery) decides again.
 		e.prepMu.Lock()
-		e.decided[gtxn] = &decidedTxn{gtxn: gtxn, commit: commit, lsn: lsn, participants: parts}
+		p.deciding = false
 		e.prepMu.Unlock()
-	}
-	if e.store != nil {
-		if err := e.syncRecord(lsn); err != nil {
-			return 0, 0, fmt.Errorf("core: decision %d installed but not durable: %w", gtxn, err)
-		}
+		return 0, 0, fmt.Errorf("core: decision %w", err)
 	}
 	if commit {
-		e.oracle.WaitVisible(cts) // as in Tx.Commit: ack only what a new snapshot reads
+		e.stats.committed.Add(1)
+	} else {
+		e.stats.aborted.Add(1)
 	}
-	return cts, end, nil
+	if err := e.await(nil, &r, lsn, end); err != nil {
+		return 0, 0, fmt.Errorf("core: decision %d %w", gtxn, err)
+	}
+	return r.cts, end, nil
 }
 
 // AckDecision records that a participant partition durably applied the
 // decision for gtxn. When the last participant acks, an 'E' record ends
-// the repush obligation and releases the decision's WAL pin.
+// the repush obligation and releases the decision's WAL pin. A replica's
+// tables change only through the stream: the primary's own 'E' will
+// arrive there.
 func (e *Engine) AckDecision(gtxn uint64, participant uint32) {
-	e.prepMu.Lock()
-	d, ok := e.decided[gtxn]
-	if ok {
-		delete(d.participants, participant)
-		if len(d.participants) == 0 {
-			delete(e.decided, gtxn)
-		}
+	if e.replica.Load() {
+		return
 	}
+	e.prepMu.Lock()
+	d := e.decided[gtxn]
+	if d != nil {
+		delete(d.participants, participant)
+	}
+	drained := d != nil && len(d.participants) == 0
 	e.prepMu.Unlock()
-	if ok && len(d.participants) == 0 && e.store != nil && !e.replica.Load() {
-		rec := make([]byte, 0, 9)
-		rec = append(rec, recAckEnd)
-		rec = binary.LittleEndian.AppendUint64(rec, gtxn)
-		e.walSeqMu.Lock()
-		_, _ = e.wal.Append(rec) // lost 'E' records only cost harmless re-pushes
-		e.walSeqMu.Unlock()
+	if drained {
+		r := record{tag: recAckEnd, gtxn: gtxn}
+		if _, _, err := e.logInstall(nil, &r, nil); err != nil {
+			// Nobody is left to push to, so the obligation ends in memory even
+			// if the log would not take the record: a lost 'E' only costs
+			// harmless re-pushes after a restart.
+			e.fold(&r, 0, nil)
+		}
 	}
 }
 
@@ -520,148 +353,4 @@ func (e *Engine) twopcFloor() (uint64, bool) {
 		consider(d.lsn)
 	}
 	return floor, found
-}
-
-// rearmPrepared re-registers a prepared transaction's guards after
-// recovery or replica apply: prepared-table entries, long locks under a
-// fresh lock owner, and its IDs reserved out of the allocators.
-func (e *Engine) rearmPrepared(gtxn uint64, coordPart uint32, validate []ids.ID, muts []mutation, lsn uint64) {
-	t := &Tx{e: e, id: e.txnSeq.Add(1)}
-	keys := t.prepFootprint(muts, validate)
-	latched := e.latchKeys(keys)
-	for _, k := range keys {
-		s := e.stripeOf(k)
-		if s.prep == nil {
-			s.prep = make(map[entKey]uint64)
-		}
-		s.prep[k] = gtxn
-		// Recovery and the replica applier run single-writer; the locks
-		// cannot conflict.
-		_ = e.locks.TryAcquire(t.id, lock.Key{Kind: k.kind, ID: k.id}, lock.Exclusive)
-	}
-	unlatchAll(latched)
-	e.reserveIDs(keys)
-	e.prepMu.Lock()
-	e.prepared[gtxn] = &preparedTxn{
-		gtxn: gtxn, coordPart: coordPart, muts: muts,
-		validate: validate, keys: keys, lockTxn: t.id, lsn: lsn,
-	}
-	e.prepMu.Unlock()
-}
-
-// applyDecision installs (or discards) a prepared transaction's effects
-// when its verdict arrives through recovery or the replica stream.
-// Missing prepared state is not an error: the 'P' record may have been
-// truncated once its effects were checkpointed.
-func (e *Engine) applyDecision(gtxn uint64, commit bool, cts mvcc.TS, participants []uint32, lsn uint64) []entKey {
-	e.prepMu.Lock()
-	p, ok := e.prepared[gtxn]
-	if ok {
-		delete(e.prepared, gtxn)
-	}
-	if commit && len(participants) > 0 {
-		parts := make(map[uint32]struct{}, len(participants))
-		for _, id := range participants {
-			parts[id] = struct{}{}
-		}
-		e.decided[gtxn] = &decidedTxn{gtxn: gtxn, commit: commit, lsn: lsn, participants: parts}
-	}
-	e.prepMu.Unlock()
-	if !ok {
-		return nil
-	}
-	var keys []entKey
-	if commit {
-		keys = e.applyCommit(cts, p.muts)
-	}
-	e.clearPrepared(p)
-	return keys
-}
-
-// ---- 2PC record codecs ----
-
-// encodePrepare renders a 'P' record: gtxn, coordinator partition, the
-// guarded-endpoint list, then the mutation list (commit-record codec).
-func encodePrepare(gtxn uint64, coordPart uint32, validate []ids.ID, muts []mutation) []byte {
-	buf := make([]byte, 0, 32+8*len(validate)+64*len(muts))
-	buf = append(buf, recPrepare)
-	buf = binary.LittleEndian.AppendUint64(buf, gtxn)
-	buf = binary.LittleEndian.AppendUint32(buf, coordPart)
-	buf = binary.AppendUvarint(buf, uint64(len(validate)))
-	for _, id := range validate {
-		buf = binary.LittleEndian.AppendUint64(buf, id)
-	}
-	return appendMutations(buf, muts)
-}
-
-// decodePrepare parses a 'P' record.
-func decodePrepare(payload []byte, tok *tokenTable) (gtxn uint64, coordPart uint32, validate []ids.ID, muts []mutation, err error) {
-	if len(payload) < 13 || payload[0] != recPrepare {
-		return 0, 0, nil, nil, fmt.Errorf("core: not a prepare record")
-	}
-	gtxn = binary.LittleEndian.Uint64(payload[1:])
-	coordPart = binary.LittleEndian.Uint32(payload[9:])
-	off := 13
-	n, sz := binary.Uvarint(payload[off:])
-	if sz <= 0 || n > uint64(len(payload)-off)/8 {
-		return 0, 0, nil, nil, fmt.Errorf("core: corrupt prepare record (validate count)")
-	}
-	off += sz
-	for i := uint64(0); i < n; i++ {
-		validate = append(validate, binary.LittleEndian.Uint64(payload[off:]))
-		off += 8
-	}
-	muts, _, err = decodeMutations(payload, off, tok)
-	if err != nil {
-		return 0, 0, nil, nil, fmt.Errorf("core: corrupt prepare record: %w", err)
-	}
-	return gtxn, coordPart, validate, muts, nil
-}
-
-// encodeDecision renders a 'D' record: gtxn, verdict, local commit
-// timestamp (commit only), participant partitions (coordinator only).
-func encodeDecision(gtxn uint64, commit bool, cts mvcc.TS, participants []uint32) []byte {
-	buf := make([]byte, 0, 24+4*len(participants))
-	buf = append(buf, recDecision)
-	buf = binary.LittleEndian.AppendUint64(buf, gtxn)
-	if commit {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
-	}
-	buf = binary.LittleEndian.AppendUint64(buf, cts)
-	buf = binary.AppendUvarint(buf, uint64(len(participants)))
-	for _, p := range participants {
-		buf = binary.LittleEndian.AppendUint32(buf, p)
-	}
-	return buf
-}
-
-// decodeDecision parses a 'D' record.
-func decodeDecision(payload []byte) (gtxn uint64, commit bool, cts mvcc.TS, participants []uint32, err error) {
-	if len(payload) < 18 || payload[0] != recDecision {
-		return 0, false, 0, nil, fmt.Errorf("core: not a decision record")
-	}
-	gtxn = binary.LittleEndian.Uint64(payload[1:])
-	commit = payload[9] == 1
-	cts = binary.LittleEndian.Uint64(payload[10:])
-	off := 18
-	n, sz := binary.Uvarint(payload[off:])
-	if sz <= 0 || n > uint64(len(payload)-off)/4 {
-		return 0, false, 0, nil, fmt.Errorf("core: corrupt decision record")
-	}
-	off += sz
-	for i := uint64(0); i < n; i++ {
-		participants = append(participants, binary.LittleEndian.Uint32(payload[off:]))
-		off += 4
-	}
-	return gtxn, commit, cts, participants, nil
-}
-
-// decodeAckEnd parses an 'E' record.
-func decodeAckEnd(payload []byte) (uint64, error) {
-	if len(payload) != 9 || payload[0] != recAckEnd {
-		return 0, fmt.Errorf("core: not an ack-end record")
-	}
-	return binary.LittleEndian.Uint64(payload[1:]), nil
 }

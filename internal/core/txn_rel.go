@@ -41,7 +41,7 @@ func (t *Tx) lockEndpoint(node ids.ID) error {
 	if w, ok := t.writes[k]; ok && w.created {
 		return nil
 	}
-	if t.iso == SnapshotIsolation && t.e.opts.Conflict == FirstCommitterWins {
+	if t.fcw() {
 		return nil
 	}
 	lk := lock.Key{Kind: lock.KindNode, ID: node}
