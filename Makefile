@@ -7,7 +7,7 @@ GO ?= go
 # toolchain install, no go.mod entry). Bump deliberately.
 STATICCHECK_VERSION ?= 2025.1
 
-.PHONY: all build test race bench bench-smoke lint staticcheck fmt clean
+.PHONY: all build test race bench bench-smoke mem lint staticcheck fmt clean
 
 all: build test
 
@@ -38,6 +38,14 @@ bench: build
 ## bench-smoke: quick experiment pass; writes bench-results.json
 bench-smoke: build
 	$(GO) run ./cmd/neograph-bench -quick -json bench-results.json
+
+## mem: where the resident heap of the benchmark's graph goes, by
+## allocation site — BenchmarkRecoverSocial keeps its last recovered
+## graph reachable for exactly this profile (B/entity and allocs/entity
+## are in the benchmark lines above it)
+mem:
+	$(GO) test -run '^$$' -bench 'LoadSocial|RecoverSocial' -benchtime 1x -benchmem -memprofile mem.pprof .
+	$(GO) tool pprof -sample_index=inuse_space -top -nodecount=15 mem.pprof
 
 ## lint: go vet (benchmark module included) + gofmt diff check +
 ## log.Printf gate + wire-seam gates + one-log-fold gate + staticcheck
@@ -80,4 +88,4 @@ fmt:
 	gofmt -w .
 
 clean:
-	rm -f bench-results.json cpu.pprof mem.pprof
+	rm -f bench-results.json cpu.pprof mem.pprof neograph.test

@@ -14,6 +14,10 @@ type E4Row struct {
 	Pause     time.Duration
 	Collected int
 	Scanned   int
+	// The indexes' share of the pass: entries dropped and queued removals
+	// examined — in both modes, their collector is always threaded.
+	IndexPruned  int
+	IndexScanned int
 }
 
 var e4 = Experiment{"E4", "GC pause: threaded version list vs vacuum scan (paper §4)", tabled(runE4,
@@ -69,6 +73,7 @@ func runE4(p Params) ([]E4Row, error) {
 			rows = append(rows, E4Row{
 				Live: live, Garbage: garbage, Mode: modeName,
 				Pause: rep.Duration, Collected: rep.Collected, Scanned: rep.Scanned,
+				IndexPruned: rep.IndexPruned, IndexScanned: rep.IndexScanned,
 			})
 			db.Close()
 		}

@@ -15,9 +15,11 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -251,10 +253,10 @@ type RelState struct {
 // plus the first-committer-wins validation latch for the entities that
 // hash here. Transactions touching disjoint stripes never contend.
 type stripe struct {
-	mu    sync.RWMutex                 // guards the maps below
-	nodes map[ids.ID]*object           // node objects hashed to this stripe
-	rels  map[ids.ID]*object           // rel objects hashed to this stripe
-	adj   map[ids.ID]map[ids.ID]adjDir // node -> rel IDs ever attached, with orientation (pruned on rel death)
+	mu    sync.RWMutex          // guards the maps below
+	nodes map[ids.ID]*object    // node objects hashed to this stripe
+	rels  map[ids.ID]*object    // rel objects hashed to this stripe
+	adj   map[ids.ID][]adjEntry // node -> rels ever attached, sorted by rel ID (pruned on rel death)
 
 	// valMu is the per-stripe FCW commit latch: a committing FCW
 	// transaction latches every stripe in its write footprint (in index
@@ -498,7 +500,7 @@ func (e *Engine) makeStripeMaps(nodes, rels uint64) {
 		s := &e.stripes[i]
 		s.nodes = make(map[ids.ID]*object, nodes/n)
 		s.rels = make(map[ids.ID]*object, rels/n)
-		s.adj = make(map[ids.ID]map[ids.ID]adjDir, nodes/n)
+		s.adj = make(map[ids.ID][]adjEntry, nodes/n)
 	}
 }
 
@@ -604,6 +606,16 @@ func (e *Engine) VersionCount() (versions, entities int) {
 		s.mu.RUnlock()
 	}
 	return versions, entities
+}
+
+// IndexStats reports the size of each versioned index, keyed by the
+// `index` label its /metrics series carry.
+func (e *Engine) IndexStats() map[string]index.Stats {
+	return map[string]index.Stats{
+		"label":     e.labelIdx.Stats(),
+		"node_prop": e.nodePropIdx.Stats(),
+		"rel_prop":  e.relPropIdx.Stats(),
+	}
 }
 
 // GCBacklog returns the number of versions waiting on the threaded GC list.
@@ -823,24 +835,68 @@ const (
 	adjIn
 )
 
+// adjEntry is one relationship in a node's adjacency list: the
+// relationship's ID above its two orientation bits, so a list sorted by
+// entry is sorted by relationship ID. Allocators hand out IDs far below
+// 2^62.
+type adjEntry uint64
+
+func newAdjEntry(rel ids.ID, d adjDir) adjEntry { return adjEntry(rel<<2) | adjEntry(d) }
+
+func (a adjEntry) rel() ids.ID { return ids.ID(a >> 2) }
+func (a adjEntry) dir() adjDir { return adjDir(a & 3) }
+
+// searchAdj returns where rel is, or belongs, in a sorted adjacency list.
+func searchAdj(list []adjEntry, rel ids.ID) (int, bool) {
+	return slices.BinarySearchFunc(list, rel, func(a adjEntry, rel ids.ID) int {
+		return cmp.Compare(a.rel(), rel)
+	})
+}
+
 // addAdjacency records rel as attached to node with orientation d.
 func (e *Engine) addAdjacency(node, rel ids.ID, d adjDir) {
 	s := e.nodeStripe(node)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	set := s.adj[node]
-	if set == nil {
-		set = make(map[ids.ID]adjDir)
-		s.adj[node] = set
+	list := s.adj[node]
+	// Fresh IDs ascend, and so does a recovery scan: try the end first.
+	i := len(list)
+	if i > 0 && list[i-1].rel() >= rel {
+		var found bool
+		if i, found = searchAdj(list, rel); found {
+			list[i] |= adjEntry(d)
+			return
+		}
 	}
-	set[rel] |= d
+	if len(list) == cap(list) {
+		// A quarter of growing room, not append's doubling: most of a
+		// graph's adjacency is built once and then read.
+		list = append(make([]adjEntry, 0, len(list)+max(2, len(list)/4)), list...)
+	}
+	s.adj[node] = slices.Insert(list, i, newAdjEntry(rel, d))
+}
+
+// removeAdjacency detaches rel from node.
+func (e *Engine) removeAdjacency(node, rel ids.ID) {
+	s := e.nodeStripe(node)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	list := s.adj[node]
+	i, found := searchAdj(list, rel)
+	switch {
+	case !found:
+	case len(list) == 1:
+		delete(s.adj, node)
+	default:
+		s.adj[node] = slices.Delete(list, i, i+1)
+	}
 }
 
 // adjacentRels snapshots the rel IDs ever attached to node, pre-filtered
 // by orientation: a directed traversal never pays a version-chain walk
 // for a relationship pointing the wrong way. Visibility is still decided
 // per relationship by its own version chain. The returned IDs are
-// duplicate-free (the adjacency entry is a set), appended to buf.
+// ascending and duplicate-free, appended to buf.
 func (e *Engine) adjacentRels(node ids.ID, dir Direction, buf []ids.ID) []ids.ID {
 	want := adjOut | adjIn
 	switch dir {
@@ -852,9 +908,9 @@ func (e *Engine) adjacentRels(node ids.ID, dir Direction, buf []ids.ID) []ids.ID
 	s := e.nodeStripe(node)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	for id, d := range s.adj[node] {
-		if d&want != 0 {
-			buf = append(buf, id)
+	for _, a := range s.adj[node] {
+		if a.dir()&want != 0 {
+			buf = append(buf, a.rel())
 		}
 	}
 	return buf

@@ -16,6 +16,7 @@ type GCReport struct {
 	Collected    int // versions reclaimed from chains
 	Scanned      int // versions examined (== Collected+1 at most for threaded; whole cache for vacuum)
 	IndexPruned  int // dead index entries dropped
+	IndexScanned int // queued index removals examined (<= IndexPruned + one per queue that stopped the walk)
 	EntitiesDead int // chains fully collected (tombstoned entities removed)
 	Duration     time.Duration
 }
@@ -65,9 +66,13 @@ func (e *Engine) RunGC() GCReport {
 		}
 	}
 
-	rep.IndexPruned += e.labelIdx.Prune(horizon)
-	rep.IndexPruned += e.nodePropIdx.Prune(horizon)
-	rep.IndexPruned += e.relPropIdx.Prune(horizon)
+	for _, collect := range []func(mvcc.TS) (int, int){
+		e.labelIdx.Collect, e.nodePropIdx.Collect, e.relPropIdx.Collect,
+	} {
+		pruned, scanned := collect(horizon)
+		rep.IndexPruned += pruned
+		rep.IndexScanned += scanned
+	}
 
 	rep.EntitiesDead = len(deadChains)
 	e.reapDead(deadChains)
@@ -106,13 +111,9 @@ func (e *Engine) reapDead(chains []*mvcc.Chain) {
 			s.mu.Unlock()
 			// Adjacency entries live with the endpoint nodes, which may
 			// hash to different stripes than the relationship itself.
-			for _, n := range []uint64{o.start, o.end} {
-				ns := e.nodeStripe(n)
-				ns.mu.Lock()
-				if set := ns.adj[n]; set != nil {
-					delete(set, o.key.id)
-				}
-				ns.mu.Unlock()
+			e.removeAdjacency(o.start, o.key.id)
+			if o.end != o.start {
+				e.removeAdjacency(o.end, o.key.id)
 			}
 		}
 		objs = append(objs, o)

@@ -11,10 +11,11 @@ import (
 // heapBudgetPerEntity is what one resident entity of the social graph
 // (12 % nodes with three properties and a label, 88 % relationships with
 // one property, each with its single version, adjacency and index
-// entries) may cost in live heap: 15 % above the 913 B it measures on
-// the 2 000-person graph (a Go map per version made that 1 610 B). The
-// store's page cache is part of the figure.
-const heapBudgetPerEntity = 1050 // bytes
+// entries) may cost in live heap: 15 % above the 797 B it measures on
+// the 2 000-person graph (913 B with a heap-allocated posting per index
+// key and a Go map per node's adjacency; 1 610 B with a Go map per
+// version as well). The store's page cache is part of the figure.
+const heapBudgetPerEntity = 915 // bytes
 
 // liveHeap returns the live heap after a forced collection.
 func liveHeap() uint64 {

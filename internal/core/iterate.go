@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 
 	"neograph/internal/ids"
 	"neograph/internal/lock"
@@ -113,17 +113,8 @@ func (t *Tx) mergeNodeIDs(committed []uint64, match func(*NodeState) bool) ([]id
 }
 
 func dedupeSorted(in []ids.ID) []ids.ID {
-	if len(in) == 0 {
-		return in
-	}
-	sort.Slice(in, func(i, j int) bool { return in[i] < in[j] })
-	out := in[:1]
-	for _, id := range in[1:] {
-		if id != out[len(out)-1] {
-			out = append(out, id)
-		}
-	}
-	return out
+	slices.Sort(in)
+	return slices.Compact(in)
 }
 
 // AllNodes returns every node ID visible in this transaction's view,

@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"neograph/internal/ids"
 	"neograph/internal/lock"
@@ -239,16 +239,15 @@ func (t *Tx) Relationships(node ids.ID, dir Direction, relTypes ...string) ([]Re
 	if err != nil {
 		return nil, err
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out, nil
 }
 
 // forEachVisibleRel drives the enriched iterator without materialising
-// snapshots: fn receives each visible relationship's state borrowed from
-// the version chain — NOT cloned, valid only during the call. Traversals
-// that only need endpoints (Neighbors, and through it every BFS frontier
-// expansion) skip the per-relationship props clone that dominates
-// adjacency cost on property-bearing graphs.
+// snapshots: fn receives each visible relationship, in ID order, with its
+// state borrowed from the version chain — NOT cloned, valid only during
+// the call. Traversals that only need endpoints (Neighbors, and through
+// it every BFS frontier expansion) skip the per-relationship props clone
+// that dominates adjacency cost on property-bearing graphs.
 func (t *Tx) forEachVisibleRel(node ids.ID, dir Direction, relTypes []string, fn func(rid ids.ID, st *RelState)) error {
 	if err := t.check(); err != nil {
 		return err
@@ -269,32 +268,23 @@ func (t *Tx) forEachVisibleRel(node ids.ID, dir Direction, relTypes []string, fn
 	} else {
 		candidates = t.e.adjacentRels(node, dir, nil)
 	}
-	// Merge staged creations touching this node (their IDs are fresh, so
-	// they cannot collide with installed candidates — but dedup anyway in
-	// case that invariant ever changes).
-	staged := 0
-	if len(t.writes) > 0 {
-		for k, w := range t.writes {
-			if k.kind != lock.KindRel || !w.created || w.deleted || w.rel == nil {
-				continue
-			}
-			if w.rel.Start == node || w.rel.End == node {
-				candidates = append(candidates, k.id)
-				staged++
-			}
+	// Merge staged creations touching this node. Their IDs are fresh, so
+	// they cannot collide with installed candidates (dedup anyway in case
+	// that invariant ever changes), but a recycled ID may sort below them.
+	installed := len(candidates)
+	for k, w := range t.writes {
+		if k.kind != lock.KindRel || !w.created || w.deleted || w.rel == nil {
+			continue
+		}
+		if w.rel.Start == node || w.rel.End == node {
+			candidates = append(candidates, k.id)
 		}
 	}
-	var seen map[ids.ID]bool
-	if staged > 0 {
-		seen = make(map[ids.ID]bool, len(candidates))
+	if len(candidates) > installed {
+		slices.Sort(candidates)
+		candidates = slices.Compact(candidates)
 	}
 	for _, rid := range candidates {
-		if seen != nil {
-			if seen[rid] {
-				continue
-			}
-			seen[rid] = true
-		}
 		st, ok, err := t.visibleRel(rid)
 		if err != nil {
 			return err
@@ -366,23 +356,11 @@ func (t *Tx) ForEachNeighbor(node ids.ID, dir Direction, relTypes []string, fn f
 // directly — endpoints come from the borrowed relationship state, so no
 // snapshot (and no props clone) is built per relationship.
 func (t *Tx) Neighbors(node ids.ID, dir Direction, relTypes ...string) ([]ids.ID, error) {
-	set := make(map[ids.ID]struct{})
-	err := t.forEachVisibleRel(node, dir, relTypes, func(_ ids.ID, st *RelState) {
-		other := st.End
-		if st.End == node && st.Start != node {
-			other = st.Start
-		} else if st.Start == node {
-			other = st.End
-		}
-		set[other] = struct{}{}
-	})
+	out := []ids.ID{}
+	err := t.ForEachNeighbor(node, dir, relTypes, func(other ids.ID) { out = append(out, other) })
 	if err != nil {
 		return nil, err
 	}
-	out := make([]ids.ID, 0, len(set))
-	for id := range set {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out, nil
+	slices.Sort(out)
+	return slices.Compact(out), nil
 }

@@ -5,12 +5,14 @@ import (
 	"os"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"neograph"
 	"neograph/client"
 	"neograph/internal/cluster"
+	"neograph/internal/faultfs"
 	"neograph/internal/fleet"
 )
 
@@ -370,5 +372,120 @@ func TestCrossPartitionTokenIsLogPosition(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// walGate is the real file system, except that once armed it holds the
+// next append to a WAL segment until released — which is where a prepare
+// sits after validation and before the engine knows the transaction.
+type walGate struct {
+	faultfs.OS
+	armed   atomic.Bool
+	parked  chan struct{} // receives once an append is being held
+	release chan struct{} // send to let it through
+}
+
+func (g *walGate) OpenFile(name string, flag int, perm os.FileMode) (faultfs.File, error) {
+	f, err := g.OS.OpenFile(name, flag, perm)
+	if err != nil || faultfs.DefaultLabel(name) != "wal" {
+		return f, err
+	}
+	return &gatedFile{File: f, g: g}, nil
+}
+
+type gatedFile struct {
+	faultfs.File
+	g *walGate
+}
+
+func (f *gatedFile) Write(p []byte) (int, error) {
+	if f.g.armed.CompareAndSwap(true, false) {
+		f.g.parked <- struct{}{}
+		<-f.g.release
+	}
+	return f.File.Write(p)
+}
+
+// TestResolverWaitsForCoordinatorStillPreparing: a coordinator prepares
+// its participants in plan order, which may put a remote partition before
+// its own; until its own prepare is logged its engine knows nothing of
+// the transaction. A participant's resolver asking in that window must
+// hear "pending", not "unknown" — it used to presume abort and discard a
+// prepare the coordinator then committed, losing that partition's share
+// of an acknowledged batch.
+func TestResolverWaitsForCoordinatorStillPreparing(t *testing.T) {
+	gate := &walGate{parked: make(chan struct{}), release: make(chan struct{})}
+	f, err := fleet.Start(fleet.Spec{
+		Partitions: 2,
+		DB:         neograph.Options{Dir: t.TempDir()},
+		Each: func(part, _ int, cfg *fleet.Config) {
+			if part == 0 {
+				cfg.DB.FS = gate
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	home, remote := f.Groups[0][0], f.Groups[1][0]
+
+	var acct [2]neograph.NodeID
+	for p, n := range []*fleet.Node{home, remote} {
+		err := n.DB.Update(0, func(tx *neograph.Tx) error {
+			var err error
+			acct[p], err = tx.CreateNode([]string{"Account"}, nil)
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	c, err := client.Dial(ctx, home.Addr()) // partition 0 coordinates
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	// The plan's order is a map's (the remote partition leads about one
+	// time in eight): try until it does.
+	for attempt := int64(1); ; attempt++ {
+		if attempt > 256 {
+			t.Fatal("256 batches and none prepared the remote partition first")
+		}
+		var b client.Batch
+		b.SetNodeProp(acct[0], "v", neograph.Int(attempt))
+		b.SetNodeProp(acct[1], "v", neograph.Int(attempt))
+		gate.armed.Store(true)
+		done := make(chan error, 1)
+		go func() {
+			_, err := c.RunBatch(ctx, &b)
+			done <- err
+		}()
+		<-gate.parked // the home prepare is validated and not yet logged
+		remoteFirst := len(remote.DB.Engine().InDoubt()) == 1
+		if remoteFirst {
+			remote.Coord.ResolveInDoubt() // the 500 ms tick, landing in the window
+		}
+		gate.release <- struct{}{}
+		if err := <-done; err != nil {
+			t.Fatalf("batch %d: %v", attempt, err)
+		}
+		if !remoteFirst {
+			continue
+		}
+		err := remote.DB.View(func(tx *neograph.Tx) error {
+			v, _, err := tx.NodeProp(acct[1], "v")
+			if got, _ := v.AsInt(); err != nil || got != attempt {
+				t.Errorf("batch %d was acknowledged, yet the remote partition holds v=%d (%v): its prepare was presumed aborted", attempt, got, err)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return
 	}
 }

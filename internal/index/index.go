@@ -4,9 +4,9 @@
 // relationships); labels and properties are never deleted, so the paper
 // versions them instead:
 //
-//   - each index *key* (label or property) records the commit timestamp of
-//     the transaction that created it, letting a reader discard the whole
-//     key when it was created after the reader's snapshot;
+//   - each property *key* records the commit timestamp of the transaction
+//     that created it, letting a reader discard the whole key when it was
+//     created after the reader's snapshot;
 //   - each index *entry* (the membership of one entity under a key) is
 //     tagged with the commit timestamp that added it and, when the entity
 //     is removed from the key, the commit timestamp that removed it. A
@@ -15,284 +15,233 @@
 // Only committed changes reach the index; a transaction's own uncommitted
 // writes are merged over index lookups by the engine's enriched iterators
 // (read-your-own-writes, §4).
+//
+// Memory and garbage collection follow the live data (table.go): a
+// posting exists only while it has an entry, and every removal is
+// threaded onto a timestamp-ordered queue, so pruning costs the entries
+// it drops — the cost model of mvcc.GCList applied to the index.
 package index
 
 import (
-	"sort"
+	"hash/maphash"
+	"math"
 	"sync"
+	"sync/atomic"
 
 	"neograph/internal/mvcc"
 	"neograph/internal/value"
 )
 
-// neverRemoved marks a live entry.
-const neverRemoved = ^mvcc.TS(0)
-
-// entryRec is one versioned membership: entity id was associated with the
-// key at Added and dissociated at Removed (neverRemoved while live).
-type entryRec struct {
-	ID      uint64
-	Added   mvcc.TS
-	Removed mvcc.TS
+// Stats describes an index's size: distinct keys with at least one
+// entry, versioned entries (live + removed but not yet pruned), and
+// removals waiting for the horizon to pass them.
+type Stats struct {
+	Keys            int
+	Entries         int
+	PendingRemovals int
 }
 
-// posting is the versioned entry list of one index key.
-type posting struct {
-	mu      sync.RWMutex
-	created mvcc.TS // commit TS of the transaction that created this key
-	entries []entryRec
-}
+// labelKey is a label token as an index key.
+type labelKey uint32
 
-// add appends a new live entry.
-func (p *posting) add(id uint64, ts mvcc.TS) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.entries = append(p.entries, entryRec{ID: id, Added: ts, Removed: neverRemoved})
-}
-
-// remove marks the live entry for id as removed at ts. Missing entries are
-// ignored (idempotent with respect to replay).
-func (p *posting) remove(id uint64, ts mvcc.TS) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for i := range p.entries {
-		if p.entries[i].ID == id && p.entries[i].Removed == neverRemoved {
-			p.entries[i].Removed = ts
-			return
-		}
-	}
-}
-
-// lookup returns the IDs visible at startTS, sorted ascending.
-func (p *posting) lookup(startTS mvcc.TS) []uint64 {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	if p.created > startTS {
-		// Key itself is newer than the snapshot: discard wholesale (§4).
-		return nil
-	}
-	var out []uint64
-	for _, e := range p.entries {
-		if e.Added <= startTS && startTS < e.Removed {
-			out = append(out, e.ID)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// prune drops entries whose removal is at or below the horizon — no
-// active or future transaction can see them. Returns entries dropped.
-func (p *posting) prune(horizon mvcc.TS) int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	kept := p.entries[:0]
-	dropped := 0
-	for _, e := range p.entries {
-		if e.Removed <= horizon {
-			dropped++
-			continue
-		}
-		kept = append(kept, e)
-	}
-	p.entries = kept
-	return dropped
-}
-
-func (p *posting) size() int {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return len(p.entries)
-}
+func (k labelKey) shard() uint32 { return uint32(k) }
 
 // LabelIndex maps label tokens to versioned node sets.
 type LabelIndex struct {
-	mu       sync.RWMutex
-	postings map[uint32]*posting
+	t table[labelKey]
 }
 
 // NewLabelIndex returns an empty label index.
-func NewLabelIndex() *LabelIndex {
-	return &LabelIndex{postings: make(map[uint32]*posting)}
-}
-
-// postingFor returns (creating at ts if absent) the posting for label.
-func (ix *LabelIndex) postingFor(label uint32, ts mvcc.TS) *posting {
-	ix.mu.RLock()
-	p, ok := ix.postings[label]
-	ix.mu.RUnlock()
-	if ok {
-		return p
-	}
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	if p, ok = ix.postings[label]; ok {
-		return p
-	}
-	p = &posting{created: ts}
-	ix.postings[label] = p
-	return p
-}
+func NewLabelIndex() *LabelIndex { return &LabelIndex{} }
 
 // Add records that node id gained the label at commit timestamp ts.
 func (ix *LabelIndex) Add(label uint32, id uint64, ts mvcc.TS) {
-	ix.postingFor(label, ts).add(id, ts)
+	ix.t.add(labelKey(label), id, ts)
 }
 
 // Remove records that node id lost the label at commit timestamp ts.
 func (ix *LabelIndex) Remove(label uint32, id uint64, ts mvcc.TS) {
-	ix.mu.RLock()
-	p, ok := ix.postings[label]
-	ix.mu.RUnlock()
-	if ok {
-		p.remove(id, ts)
-	}
+	ix.t.remove(labelKey(label), id, ts)
 }
 
-// Lookup returns the node IDs carrying label in the snapshot at startTS.
+// Lookup returns the node IDs carrying label in the snapshot at startTS,
+// ascending.
 func (ix *LabelIndex) Lookup(label uint32, startTS mvcc.TS) []uint64 {
-	ix.mu.RLock()
-	p, ok := ix.postings[label]
-	ix.mu.RUnlock()
-	if !ok {
-		return nil
-	}
-	return p.lookup(startTS)
+	return ix.t.lookup(labelKey(label), startTS)
 }
 
-// Prune drops dead entries below the horizon, returning entries dropped.
+// Collect drops the entries removed at or below the horizon — no active
+// or future transaction can see them. It returns the entries dropped and
+// the removals it examined: the dropped ones plus at most the one that
+// stopped the walk.
+func (ix *LabelIndex) Collect(horizon mvcc.TS) (pruned, scanned int) {
+	return ix.t.collect(horizon)
+}
+
+// Prune is Collect reporting only the entries dropped.
 func (ix *LabelIndex) Prune(horizon mvcc.TS) int {
-	ix.mu.RLock()
-	ps := make([]*posting, 0, len(ix.postings))
-	for _, p := range ix.postings {
-		ps = append(ps, p)
-	}
-	ix.mu.RUnlock()
-	dropped := 0
-	for _, p := range ps {
-		dropped += p.prune(horizon)
-	}
-	return dropped
+	pruned, _ := ix.Collect(horizon)
+	return pruned
 }
 
-// EntryCount returns the total number of versioned entries (live + dead),
-// used by GC accounting and tests.
-func (ix *LabelIndex) EntryCount() int {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	n := 0
-	for _, p := range ix.postings {
-		n += p.size()
-	}
-	return n
+// Stats returns the index's current size.
+func (ix *LabelIndex) Stats() Stats { return ix.t.stats() }
+
+// EntryCount returns the total number of versioned entries (live + dead).
+func (ix *LabelIndex) EntryCount() int { return ix.t.stats().Entries }
+
+// scalarKey identifies a (property key, value) pair whose value is a
+// bool, an int or a float: the value is its kind and 64-bit payload.
+type scalarKey struct {
+	num  uint64
+	key  uint32
+	kind value.Kind
 }
 
-// propKey identifies one (property key, value) index key. The value is
-// captured by its deterministic binary encoding.
-type propKey struct {
-	key uint32
-	val string
+func (k scalarKey) shard() uint32 {
+	h := (k.num ^ uint64(k.key)<<32 ^ uint64(k.kind)) * 0x9E3779B97F4A7C15
+	return uint32(h >> 32)
+}
+
+// textKey identifies a (property key, value) pair whose value is a string
+// or a byte array (its bytes, shared with the value) or a list (its
+// binary encoding).
+type textKey struct {
+	text string
+	key  uint32
+	kind value.Kind
+}
+
+var textSeed = maphash.MakeSeed()
+
+func (k textKey) shard() uint32 {
+	return uint32(maphash.String(textSeed, k.text)) ^ k.key
 }
 
 // PropertyIndex maps (property key token, value) pairs to versioned entity
 // sets. It serves both the node property index and the relationship
 // property index — the engine instantiates one of each.
 type PropertyIndex struct {
-	mu       sync.RWMutex
-	postings map[propKey]*posting
-	keyBorn  map[uint32]mvcc.TS // first commit TS each property key appeared
+	scalars table[scalarKey]
+	texts   table[textKey]
+
+	// born holds the first commit timestamp at which each property key
+	// appeared. Property keys are few and new ones rare, so the map is
+	// replaced, not updated: readers load it without a lock.
+	bornMu sync.Mutex
+	born   atomic.Pointer[map[uint32]mvcc.TS]
 }
 
 // NewPropertyIndex returns an empty property index.
-func NewPropertyIndex() *PropertyIndex {
-	return &PropertyIndex{
-		postings: make(map[propKey]*posting),
-		keyBorn:  make(map[uint32]mvcc.TS),
+func NewPropertyIndex() *PropertyIndex { return &PropertyIndex{} }
+
+// keyBorn returns the commit timestamp that created property key.
+func (ix *PropertyIndex) keyBorn(key uint32) (mvcc.TS, bool) {
+	m := ix.born.Load()
+	if m == nil {
+		return 0, false
 	}
+	ts, ok := (*m)[key]
+	return ts, ok
 }
 
-func encodeKey(key uint32, val value.Value) propKey {
-	return propKey{key: key, val: string(value.EncodeValue(val))}
+// noteBorn lowers property key's creation timestamp to ts. Commits
+// install concurrently, so the first Add to arrive need not carry the
+// smallest timestamp.
+func (ix *PropertyIndex) noteBorn(key uint32, ts mvcc.TS) {
+	if born, ok := ix.keyBorn(key); ok && born <= ts {
+		return
+	}
+	ix.bornMu.Lock()
+	defer ix.bornMu.Unlock()
+	if born, ok := ix.keyBorn(key); ok && born <= ts {
+		return
+	}
+	next := map[uint32]mvcc.TS{key: ts}
+	if m := ix.born.Load(); m != nil {
+		for k, v := range *m {
+			if k != key {
+				next[k] = v
+			}
+		}
+	}
+	ix.born.Store(&next)
 }
 
-func (ix *PropertyIndex) postingFor(k propKey, ts mvcc.TS) *posting {
-	ix.mu.RLock()
-	p, ok := ix.postings[k]
-	ix.mu.RUnlock()
-	if ok {
-		return p
+// split turns a (property key, value) pair into its typed index key;
+// scalar says which of the two it filled. Values that Value.Equal holds
+// equal get the same key: every NaN is one float, and so are both zeros.
+func split(key uint32, val value.Value) (sk scalarKey, tk textKey, scalar bool) {
+	kind := val.Kind()
+	num, text := val.Payload()
+	switch kind {
+	case value.KindString, value.KindBytes:
+		return sk, textKey{text: text, key: key, kind: kind}, false
+	case value.KindList:
+		return sk, textKey{text: string(value.EncodeValue(val)), key: key, kind: kind}, false
+	case value.KindFloat:
+		switch f := math.Float64frombits(num); {
+		case f == 0:
+			num = 0
+		case f != f:
+			num = math.Float64bits(math.NaN())
+		}
 	}
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	if p, ok = ix.postings[k]; ok {
-		return p
-	}
-	if _, born := ix.keyBorn[k.key]; !born {
-		ix.keyBorn[k.key] = ts
-	}
-	p = &posting{created: ts}
-	ix.postings[k] = p
-	return p
+	return scalarKey{num: num, key: key, kind: kind}, tk, true
 }
 
 // Add records that entity id gained property key=val at commit TS ts.
 func (ix *PropertyIndex) Add(key uint32, val value.Value, id uint64, ts mvcc.TS) {
-	ix.postingFor(encodeKey(key, val), ts).add(id, ts)
+	ix.noteBorn(key, ts)
+	if sk, tk, scalar := split(key, val); scalar {
+		ix.scalars.add(sk, id, ts)
+	} else {
+		ix.texts.add(tk, id, ts)
+	}
 }
 
 // Remove records that entity id lost property key=val at commit TS ts.
 func (ix *PropertyIndex) Remove(key uint32, val value.Value, id uint64, ts mvcc.TS) {
-	k := encodeKey(key, val)
-	ix.mu.RLock()
-	p, ok := ix.postings[k]
-	ix.mu.RUnlock()
-	if ok {
-		p.remove(id, ts)
+	if sk, tk, scalar := split(key, val); scalar {
+		ix.scalars.remove(sk, id, ts)
+	} else {
+		ix.texts.remove(tk, id, ts)
 	}
 }
 
 // Lookup returns the entity IDs whose property key equals val in the
-// snapshot at startTS.
+// snapshot at startTS, ascending.
 func (ix *PropertyIndex) Lookup(key uint32, val value.Value, startTS mvcc.TS) []uint64 {
-	// Fast path: the property key itself post-dates the snapshot (§4).
-	ix.mu.RLock()
-	born, known := ix.keyBorn[key]
-	ix.mu.RUnlock()
-	if known && born > startTS {
+	// The property key itself post-dates the snapshot (§4).
+	if born, ok := ix.keyBorn(key); !ok || born > startTS {
 		return nil
 	}
-	k := encodeKey(key, val)
-	ix.mu.RLock()
-	p, ok := ix.postings[k]
-	ix.mu.RUnlock()
-	if !ok {
-		return nil
+	sk, tk, scalar := split(key, val)
+	if scalar {
+		return ix.scalars.lookup(sk, startTS)
 	}
-	return p.lookup(startTS)
+	return ix.texts.lookup(tk, startTS)
 }
 
-// Prune drops dead entries below the horizon, returning entries dropped.
+// Collect drops the entries removed at or below the horizon, returning
+// the entries dropped and the removals examined (see LabelIndex.Collect).
+func (ix *PropertyIndex) Collect(horizon mvcc.TS) (pruned, scanned int) {
+	p1, s1 := ix.scalars.collect(horizon)
+	p2, s2 := ix.texts.collect(horizon)
+	return p1 + p2, s1 + s2
+}
+
+// Prune is Collect reporting only the entries dropped.
 func (ix *PropertyIndex) Prune(horizon mvcc.TS) int {
-	ix.mu.RLock()
-	ps := make([]*posting, 0, len(ix.postings))
-	for _, p := range ix.postings {
-		ps = append(ps, p)
-	}
-	ix.mu.RUnlock()
-	dropped := 0
-	for _, p := range ps {
-		dropped += p.prune(horizon)
-	}
-	return dropped
+	pruned, _ := ix.Collect(horizon)
+	return pruned
+}
+
+// Stats returns the index's current size.
+func (ix *PropertyIndex) Stats() Stats {
+	s, t := ix.scalars.stats(), ix.texts.stats()
+	return Stats{s.Keys + t.Keys, s.Entries + t.Entries, s.PendingRemovals + t.PendingRemovals}
 }
 
 // EntryCount returns the total number of versioned entries (live + dead).
-func (ix *PropertyIndex) EntryCount() int {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	n := 0
-	for _, p := range ix.postings {
-		n += p.size()
-	}
-	return n
-}
+func (ix *PropertyIndex) EntryCount() int { return ix.Stats().Entries }

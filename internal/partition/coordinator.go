@@ -139,7 +139,12 @@ func (c *Coordinator) unmarkInflight(gtxn uint64) {
 	c.inflightMu.Unlock()
 }
 
-func (c *Coordinator) isInflight(gtxn uint64) bool {
+// IsInflight reports whether this coordinator is still driving gtxn to
+// its decision. Until it has prepared its own partition the engine holds
+// no state for the transaction, so the engine alone would answer a
+// participant's status question "unknown" — presumed abort — for a batch
+// that is about to commit.
+func (c *Coordinator) IsInflight(gtxn uint64) bool {
 	c.inflightMu.Lock()
 	_, ok := c.inflight[gtxn]
 	c.inflightMu.Unlock()
@@ -285,7 +290,7 @@ func (c *Coordinator) CommitBatch(batch []wire.Request, deadline time.Time) *wir
 // local status is authoritative, so they abort.
 func (c *Coordinator) ResolveInDoubt() {
 	for _, d := range c.local.Engine().InDoubt() {
-		if c.isInflight(d.Gtxn) {
+		if c.IsInflight(d.Gtxn) {
 			continue
 		}
 		if d.CoordPart == c.self {

@@ -1,6 +1,8 @@
 package server
 
 import (
+	"maps"
+	"slices"
 	"strconv"
 	"time"
 
@@ -119,6 +121,18 @@ func RegisterDBMetrics(reg *metrics.Registry, db *neograph.DB) {
 		func() float64 { return float64(db.Stats().GCCollected) })
 	reg.CounterFunc("neograph_checkpoints_total", "checkpoints written",
 		func() float64 { return float64(db.Stats().Checkpoints) })
+
+	// Versioned indexes: what they hold and what their collector still owes.
+	// Keys and entries follow the live data; pending removals drain to zero
+	// whenever the horizon catches up.
+	for _, ix := range slices.Sorted(maps.Keys(e.IndexStats())) {
+		reg.GaugeFunc("neograph_index_keys", "distinct index keys holding an entry",
+			func() float64 { return float64(e.IndexStats()[ix].Keys) }, metrics.L("index", ix))
+		reg.GaugeFunc("neograph_index_entries", "versioned index entries, live and removed",
+			func() float64 { return float64(e.IndexStats()[ix].Entries) }, metrics.L("index", ix))
+		reg.GaugeFunc("neograph_index_pending_removals", "removed index entries awaiting the GC horizon",
+			func() float64 { return float64(e.IndexStats()[ix].PendingRemovals) }, metrics.L("index", ix))
+	}
 
 	// Per-stripe FCW conflicts: the contention-skew view. One series per
 	// stripe, sampled from the stripe's own atomic.

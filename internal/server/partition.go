@@ -142,7 +142,14 @@ func (sess *session) dispatchPartitionOp(req *wire.Request) *wire.Response {
 		if sess.db.IsReplica() {
 			return fail(sess.redirect("txn_status"))
 		}
-		return &wire.Response{OK: true, State: string(sess.db.Engine().TxnStatus(req.TxnID))}
+		// The coordinator's in-flight set is read first: a coordination
+		// that ends between the two reads has left its verdict in the engine.
+		inflight := coord.IsInflight(req.TxnID)
+		state := sess.db.Engine().TxnStatus(req.TxnID)
+		if state == core.TxnUnknown && inflight {
+			state = core.TxnPending
+		}
+		return &wire.Response{OK: true, State: string(state)}
 
 	default:
 		return fail(fmt.Errorf("server: unknown partition op %q", req.Op))

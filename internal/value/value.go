@@ -200,6 +200,12 @@ func (v Value) AsList() ([]Value, bool) {
 	return cp, true
 }
 
+// Payload exposes v's content in comparable form, for hash keys: the
+// 64-bit payload of a bool, an int or a float (its IEEE bits), and the
+// bytes of a string or byte array as a string sharing v's storage. A list
+// has neither; use EncodeValue.
+func (v Value) Payload() (num uint64, text string) { return v.num, v.str }
+
 // Numeric reports whether v is an int or float, and its value as float64.
 func (v Value) Numeric() (float64, bool) {
 	switch v.kind {
