@@ -7,7 +7,7 @@ GO ?= go
 # toolchain install, no go.mod entry). Bump deliberately.
 STATICCHECK_VERSION ?= 2025.1
 
-.PHONY: all build test race bench bench-smoke mem lint staticcheck fmt clean
+.PHONY: all build test race bench bench-smoke mem logbytes lint staticcheck fmt clean
 
 all: build test
 
@@ -46,6 +46,14 @@ bench-smoke: build
 mem:
 	$(GO) test -run '^$$' -bench 'LoadSocial|RecoverSocial' -benchtime 1x -benchmem -memprofile mem.pprof .
 	$(GO) tool pprof -sample_index=inuse_space -top -nodecount=15 mem.pprof
+
+## logbytes: what a commit of each of the benchmark's write shapes costs
+## the log, the replication stream and every replica's log, in bytes
+## (TestCommitRecordBudget holds the same numbers to a budget in tier-1);
+## the benchmark's rows land in commit-record-bytes.json as test2json lines
+logbytes:
+	$(GO) test -run '^$$' -bench CommitRecordBytes -benchtime 1x -json . > commit-record-bytes.json
+	@grep 'B/commit' commit-record-bytes.json
 
 ## lint: go vet (benchmark module included) + gofmt diff check +
 ## log.Printf gate + wire-seam gates + one-log-fold gate + staticcheck
@@ -88,4 +96,4 @@ fmt:
 	gofmt -w .
 
 clean:
-	rm -f bench-results.json cpu.pprof mem.pprof neograph.test
+	rm -f bench-results.json commit-record-bytes.json cpu.pprof mem.pprof neograph.test

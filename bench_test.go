@@ -326,3 +326,128 @@ func BenchmarkRecoverSocial(b *testing.B) {
 		b.StartTimer()
 	}
 }
+
+// ---- what a commit costs the log ----
+
+// commitShapes are the four write transactions of the repository's
+// benchmark (benchmark/exec.go), on a graph with its schema: person i is
+// {uid, name, balance}, a ledger {client, seq, xseq}.
+var commitShapes = []struct {
+	name   string
+	budget float64 // B/commit, frame included: the measurement below plus a tenth
+	stage  func(tx *neograph.Tx, g *workload.SocialGraph, ledger neograph.NodeID, i int) error
+}{
+	// A transfer changes one integer on each of two persons and one on the
+	// ledger: 80 B since updates are logged as deltas, 167 B as whole
+	// entities (169.7 on the benchmark's 100 000 persons, whose uids and
+	// names are longer).
+	{"transfer", 88, func(tx *neograph.Tx, g *workload.SocialGraph, ledger neograph.NodeID, i int) error {
+		return stageTransfer(tx, g, ledger, i)
+	}},
+	// ... and every fourth records a relationship, a creation, logged whole
+	// as ever: 128 B (+48; was 216).
+	{"transfer+rel", 141, func(tx *neograph.Tx, g *workload.SocialGraph, ledger neograph.NodeID, i int) error {
+		if err := stageTransfer(tx, g, ledger, i); err != nil {
+			return err
+		}
+		from, to := g.People[(2*i)%len(g.People)], g.People[(2*i+1)%len(g.People)]
+		_, err := tx.CreateRel("TRANSFERRED", from, to, neograph.Props{"amount": neograph.Int(int64(1 + i%10))})
+		return err
+	}},
+	// fleet_batch's eight-op batch, a stamp and seven touched persons:
+	// 190 B (was 519).
+	{"touch-batch", 209, func(tx *neograph.Tx, g *workload.SocialGraph, ledger neograph.NodeID, i int) error {
+		if err := tx.SetNodeProp(ledger, "seq", neograph.Int(int64(1000+i))); err != nil {
+			return err
+		}
+		for j := 0; j < 7; j++ {
+			if err := tx.SetNodeProp(g.People[(7*i+j)%len(g.People)], "touched", neograph.Int(int64(1000+i))); err != nil {
+				return err
+			}
+		}
+		return nil
+	}},
+	// remote_traverse's insert, four relationships (whole) and a stamp:
+	// 168 B (was 192).
+	{"knows+stamp", 185, func(tx *neograph.Tx, g *workload.SocialGraph, ledger neograph.NodeID, i int) error {
+		for j := 1; j <= 4; j++ {
+			from, to := g.People[(5*i)%len(g.People)], g.People[(5*i+j)%len(g.People)]
+			if _, err := tx.CreateRel(workload.RelKnows, from, to, nil); err != nil {
+				return err
+			}
+		}
+		return tx.SetNodeProp(ledger, "seq", neograph.Int(int64(1000+i)))
+	}},
+}
+
+func stageTransfer(tx *neograph.Tx, g *workload.SocialGraph, ledger neograph.NodeID, i int) error {
+	from, to := g.People[(2*i)%len(g.People)], g.People[(2*i+1)%len(g.People)]
+	if err := tx.SetNodeProp(from, "balance", neograph.Int(int64(1000-i))); err != nil {
+		return err
+	}
+	if err := tx.SetNodeProp(to, "balance", neograph.Int(int64(1000+i))); err != nil {
+		return err
+	}
+	return tx.SetNodeProp(ledger, "seq", neograph.Int(int64(1000+i)))
+}
+
+// commitRecordBytes commits n transactions of each shape and returns the
+// log bytes per commit: the record and its frame, which is also what the
+// replication stream carries and every replica logs again.
+func commitRecordBytes(tb testing.TB, n int) map[string]float64 {
+	tb.Helper()
+	db, err := neograph.Open(neograph.Options{Dir: tb.TempDir(), DisableSyncCommits: true})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer db.Close()
+	g, err := workload.BuildSocial(db, workload.SocialConfig{People: 2_000, AvgFriends: 1, Seed: 7})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var ledger neograph.NodeID
+	err = db.Update(0, func(tx *neograph.Tx) (err error) {
+		ledger, err = tx.CreateNode([]string{"Ledger"}, neograph.Props{
+			"client": neograph.Int(0), "seq": neograph.Int(0), "xseq": neograph.Int(0)})
+		return err
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	out := make(map[string]float64, len(commitShapes))
+	i := 1 // runs on across the shapes: no write sets a value the property already has
+	for _, shape := range commitShapes {
+		start := db.AppliedLSN()
+		for end := i + n; i < end; i++ {
+			if err := db.Update(0, func(tx *neograph.Tx) error { return shape.stage(tx, g, ledger, i) }); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		out[shape.name] = float64(db.AppliedLSN()-start) / float64(n)
+	}
+	return out
+}
+
+// BenchmarkCommitRecordBytes reports B/commit per write shape (`make
+// logbytes` writes the row to commit-record-bytes.json).
+func BenchmarkCommitRecordBytes(b *testing.B) {
+	var bytes map[string]float64
+	for i := 0; i < b.N; i++ {
+		bytes = commitRecordBytes(b, 200)
+	}
+	for _, shape := range commitShapes {
+		b.ReportMetric(bytes[shape.name], shape.name+"-B/commit")
+	}
+}
+
+// TestCommitRecordBudget is the tier-1 form of the benchmark: a change
+// that makes a commit log more than a tenth over what it logs today fails.
+func TestCommitRecordBudget(t *testing.T) {
+	bytes := commitRecordBytes(t, 200)
+	for _, shape := range commitShapes {
+		t.Logf("%-13s %6.1f B/commit (budget %.0f)", shape.name, bytes[shape.name], shape.budget)
+		if bytes[shape.name] > shape.budget {
+			t.Errorf("%s logs %.1f B/commit, over its budget of %.0f", shape.name, bytes[shape.name], shape.budget)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -30,13 +31,24 @@ import (
 //	Engine.DecideTxn   latch the parked footprint (nothing left to validate); await durable, visible
 
 // mutation is the neutral form of one entity change: what a commit
-// installs, what the WAL records, and what recovery replays.
+// installs, what the WAL records, and what a redo replays.
 type mutation struct {
 	key     entKey
 	created bool
 	deleted bool
-	node    *NodeState // nodes: state (for tombstones, the last live state)
-	rel     *RelState  // relationships: likewise
+	// node / rel is the version the mutation installs: the entity's whole
+	// state, for a tombstone the state it deletes. A delta decoded from
+	// the log has none until install builds it from the chain's head.
+	node *NodeState
+	rel  *RelState
+	// delta: the entity existed before, so the log carries only what
+	// changed — nothing for a delete; for an update the property patch
+	// and, if the label set changed (relabel), the new set. Creations —
+	// and every record written before deltas existed — log the whole state.
+	delta   bool
+	relabel bool
+	labels  []string
+	patch   value.Packed // new.Diff(old)
 }
 
 // Commit makes the transaction's writes visible atomically at a fresh
@@ -349,6 +361,7 @@ func (e *Engine) logInstall(sp *trace.Span, r *record, live *preparedTxn) (lsn, 
 	e.walSeqMu.Unlock()
 	wsp.Finish()
 	end = CommitRecordEnd(lsn, len(buf.b))
+	e.recordBytes.Observe(float64(len(buf.b)))
 	commitBufPool.Put(buf)
 	if err != nil {
 		err = fmt.Errorf("wal append: %w", err)
@@ -422,7 +435,10 @@ func (e *Engine) await(sp *trace.Span, r *record, lsn, end uint64) error {
 }
 
 // mutations converts the write set to install order, dropping writes that
-// cancelled out (created then deleted in the same transaction).
+// cancelled out (created then deleted in the same transaction). A write
+// to an entity that already existed becomes a delta against the version
+// it was staged from — which is still the chain's head when it installs:
+// the write lock, or first-committer-wins validation, saw to that.
 func (t *Tx) mutations() []mutation {
 	out := make([]mutation, 0, len(t.order))
 	for _, k := range t.order {
@@ -430,23 +446,25 @@ func (t *Tx) mutations() []mutation {
 		if w.created && w.deleted {
 			continue
 		}
-		m := mutation{key: w.key, created: w.created, deleted: w.deleted}
-		if w.deleted {
-			// Tombstones carry the last live state so the checkpointer can
-			// persist a complete deleted image (paper §4: tombstones are
-			// kept until no active transaction can read an older version).
+		m := mutation{key: w.key, created: w.created, deleted: w.deleted, node: w.node, rel: w.rel}
+		if w.base != nil {
+			m.delta = true
+			oldNode, _ := w.base.Data.(*NodeState)
+			oldRel, _ := w.base.Data.(*RelState)
 			switch {
-			case w.node != nil:
-				m.node = w.node
-			case w.rel != nil:
-				m.rel = w.rel
-			case w.base != nil && k.kind == lock.KindNode:
-				m.node = w.base.Data.(*NodeState)
-			case w.base != nil:
-				m.rel = w.base.Data.(*RelState)
+			case w.deleted:
+				// The tombstone keeps the image it deletes (paper §4: kept until
+				// no active transaction can read an older version), whatever
+				// the transaction staged before deleting.
+				m.node, m.rel = oldNode, oldRel
+			case oldNode != nil:
+				m.patch = w.node.Props.Diff(oldNode.Props)
+				if !slices.Equal(w.node.Labels, oldNode.Labels) {
+					m.relabel, m.labels = true, w.node.Labels
+				}
+			default:
+				m.patch = w.rel.Props.Diff(oldRel.Props)
 			}
-		} else {
-			m.node, m.rel = w.node, w.rel
 		}
 		out = append(out, m)
 	}
@@ -488,9 +506,9 @@ func (t *Tx) cleanup() {
 // returns the keys it installed a version for.
 func (e *Engine) installAll(cts mvcc.TS, muts []mutation) []entKey {
 	keys := make([]entKey, 0, len(muts))
-	for _, m := range muts {
-		if e.install(m, cts) {
-			keys = append(keys, m.key)
+	for i := range muts {
+		if e.install(&muts[i], cts) {
+			keys = append(keys, muts[i].key)
 		}
 	}
 	return keys
@@ -500,32 +518,58 @@ func (e *Engine) installAll(cts mvcc.TS, muts []mutation) []entKey {
 // and GC bookkeeping at commit timestamp cts. It is idempotent, which is
 // what lets a log be replayed over whatever it already produced: a chain
 // whose head is at or past cts — installed by an earlier replay, or
-// persisted by a checkpoint — is left alone (false).
-func (e *Engine) install(m mutation, cts mvcc.TS) bool {
-	o := e.ensureObject(m.key)
+// persisted by a checkpoint — is left alone (false). So is a change to an
+// entity that is not there: a checkpoint persisted its tombstone and the
+// collector reaped it while something — a prepared transaction in doubt, a
+// replica still catching up — kept the log behind them from being
+// truncated, and the entity's whole remaining history, up to the delete,
+// replays as nothing. (A running transaction staged its change from a
+// live version, so it never lands here.)
+func (e *Engine) install(m *mutation, cts mvcc.TS) bool {
+	var o *object
+	if m.created {
+		o = e.ensureObject(m.key)
+	} else if o = e.getObject(m.key); o == nil {
+		return false
+	}
 	head := o.chain.Head()
-	if head != nil && head.CommitTS >= cts {
+	if head == nil && !m.created || head != nil && head.CommitTS >= cts {
 		return false
 	}
 
-	// Snapshot the previous head state for the index diff.
+	// The previous head's state, for the index diff — and, for a delta read
+	// back from the log (see fold), to build the new state from: the head's,
+	// changed as the delta says.
+	node, rel := m.node, m.rel
 	var oldNode *NodeState
 	var oldRel *RelState
-	if head != nil && !head.Deleted {
-		switch m.key.kind {
-		case lock.KindNode:
-			oldNode = head.Data.(*NodeState)
-		case lock.KindRel:
-			oldRel = head.Data.(*RelState)
+	if head != nil {
+		oldNode, _ = head.Data.(*NodeState)
+		oldRel, _ = head.Data.(*RelState)
+	}
+	if m.delta && node == nil && rel == nil {
+		switch {
+		case m.deleted:
+			node, rel = oldNode, oldRel
+		case oldNode != nil:
+			node = &NodeState{Labels: oldNode.Labels, Props: oldNode.Props.Merge(m.patch)}
+			if m.relabel {
+				node.Labels = m.labels
+			}
+		case oldRel != nil:
+			rel = &RelState{Type: oldRel.Type, Start: oldRel.Start, End: oldRel.End, Props: oldRel.Props.Merge(m.patch)}
 		}
+	}
+	if head != nil && head.Deleted {
+		oldNode, oldRel = nil, nil // nothing of a tombstone is indexed
 	}
 
 	v := &mvcc.Version{CommitTS: cts, Deleted: m.deleted}
 	switch m.key.kind {
 	case lock.KindNode:
-		v.Data = m.node
+		v.Data = node
 	case lock.KindRel:
-		v.Data = m.rel
+		v.Data = rel
 	}
 	superseded := o.chain.Install(v)
 	if e.opts.GCMode == GCThreaded {
@@ -540,38 +584,27 @@ func (e *Engine) install(m mutation, cts mvcc.TS) bool {
 	}
 
 	// Adjacency: a created relationship attaches to both endpoints.
-	if m.key.kind == lock.KindRel && m.created && m.rel != nil {
-		o.start, o.end = m.rel.Start, m.rel.End
-		if m.rel.End == m.rel.Start {
-			e.addAdjacency(m.rel.Start, m.key.id, adjOut|adjIn)
+	if m.created && rel != nil {
+		o.start, o.end = rel.Start, rel.End
+		if rel.End == rel.Start {
+			e.addAdjacency(rel.Start, m.key.id, adjOut|adjIn)
 		} else {
-			e.addAdjacency(m.rel.Start, m.key.id, adjOut)
-			e.addAdjacency(m.rel.End, m.key.id, adjIn)
+			e.addAdjacency(rel.Start, m.key.id, adjOut)
+			e.addAdjacency(rel.End, m.key.id, adjIn)
 		}
 	}
 
 	// Versioned index maintenance (§4): diff old state against new.
+	if m.deleted {
+		node, rel = nil, nil
+	}
 	switch m.key.kind {
 	case lock.KindNode:
-		e.indexNodeDiff(m.key.id, oldNode, liveNode(m), cts)
+		e.indexNodeDiff(m.key.id, oldNode, node, cts)
 	case lock.KindRel:
-		e.indexRelDiff(m.key.id, oldRel, liveRel(m), cts)
+		e.indexRelDiff(m.key.id, oldRel, rel, cts)
 	}
 	return true
-}
-
-func liveNode(m mutation) *NodeState {
-	if m.deleted {
-		return nil
-	}
-	return m.node
-}
-
-func liveRel(m mutation) *RelState {
-	if m.deleted {
-		return nil
-	}
-	return m.rel
 }
 
 // indexNodeDiff updates the label and node-property indexes for a node

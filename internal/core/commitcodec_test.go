@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"reflect"
 	"testing"
@@ -81,11 +82,90 @@ func TestDecodeCommitAbsurdCount(t *testing.T) {
 		}
 	}
 	// The boundary case must still decode: exactly as many minimal
-	// mutations as the bytes allow. (A zero-ID node with no labels and a
-	// nil map is 12 bytes, so build the record honestly.)
-	honest := appendRecord(nil, &record{tag: recCommit, cts: 1, muts: []mutation{{key: entKey{lock.KindNode, 1}}}})
-	if _, _, err := decodeCommit(honest, nil); err != nil {
-		t.Fatalf("honest minimal record rejected: %v", err)
+	// mutations — deltas that delete — as the bytes allow.
+	minimal := mutation{key: entKey{lock.KindNode, 1}, deleted: true, delta: true}
+	honest := appendRecord(nil, &record{tag: recCommit, cts: 1, muts: []mutation{minimal, minimal}})
+	if len(honest) != 10+2*minMutationBytes {
+		t.Fatalf("two minimal mutations take %d bytes, want %d", len(honest)-10, 2*minMutationBytes)
+	}
+	if _, muts, err := decodeCommit(honest, nil); err != nil || len(muts) != 2 {
+		t.Fatalf("honest minimal record: %d mutations, %v", len(muts), err)
+	}
+}
+
+// deltaMutations is one delta of every shape: a node whose properties
+// changed (one set, one set to an explicit Null, one removed), a node whose
+// labels changed too, a node that lost its last label, a relationship
+// update, and a deletion of each kind.
+func deltaMutations() []mutation {
+	old := value.Pack(value.Map{"balance": value.Int(42), "gone": value.Bool(true), "name": value.String("alice")})
+	patch := value.Pack(value.Map{"balance": value.Int(41), "name": value.String("alice"), "void": value.Null}).Diff(old)
+	return []mutation{
+		{key: entKey{lock.KindNode, 7}, delta: true, patch: patch},
+		{key: entKey{lock.KindNode, 8}, delta: true, relabel: true, labels: []string{"Account", "Closed"}, patch: patch},
+		{key: entKey{lock.KindNode, 9}, delta: true, relabel: true},
+		{key: entKey{lock.KindRel, 3}, delta: true, patch: value.Pack(value.Map{"since": value.Int(2017)})},
+		{key: entKey{lock.KindNode, 10}, delta: true, deleted: true},
+		{key: entKey{lock.KindRel, 4}, delta: true, deleted: true},
+	}
+}
+
+// TestDeltaCodecRoundTrip: deltas come back from the log as they went in
+// — without a state, which install builds — and cost what they say.
+func TestDeltaCodecRoundTrip(t *testing.T) {
+	muts := deltaMutations()
+	payload := appendRecord(nil, &record{tag: recCommit, cts: 5, muts: muts})
+	r, err := decodeRecord(payload, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(r.muts, muts) {
+		t.Fatalf("decoded\n %+v\nwant\n %+v", r.muts, muts)
+	}
+	for _, m := range r.muts {
+		if m.node != nil || m.rel != nil {
+			t.Errorf("decoded delta of %s carries a state", fmtKey(m.key))
+		}
+	}
+	deletes := appendRecord(nil, &record{tag: recCommit, cts: 5, muts: muts[4:]})
+	if want := 10 + 2*minMutationBytes; len(deletes) != want {
+		t.Errorf("two deletions take %d bytes, want %d: a deletion logs its key and nothing else", len(deletes), want)
+	}
+}
+
+// TestDecodeRejectsWhatItDoesNotKnow: an entity kind or a flag bit this
+// version never writes means the record carries something it cannot
+// apply, and a record that merely parses — but not as the bytes the
+// encoder writes — is not a record of this log.
+func TestDecodeRejectsWhatItDoesNotKnow(t *testing.T) {
+	base := appendRecord(nil, &record{tag: recCommit, cts: 5, muts: deltaMutations()[:1]})
+	const kindAt, flagsAt = 10, 19
+	corrupt := func(at int, b byte) []byte {
+		cp := append([]byte(nil), base...)
+		cp[at] = b
+		return cp
+	}
+	cases := map[string][]byte{
+		"entity kind 2":               corrupt(kindAt, 2),
+		"flag bit 4":                  corrupt(flagsAt, mutDelta|1<<4),
+		"flag bit 7":                  corrupt(flagsAt, 1<<7),
+		"created delta":               corrupt(flagsAt, mutDelta|mutCreated),
+		"created and deleted":         corrupt(flagsAt, mutCreated|mutDeleted),
+		"relabel without delta":       corrupt(flagsAt, mutRelabel),
+		"relabelling delete":          corrupt(flagsAt, mutDelta|mutDeleted|mutRelabel),
+		"relabelled relationship":     append(corrupt(kindAt, 1)[:flagsAt], mutDelta|mutRelabel, 0, 0),
+		"bytes after the mutations":   append(append([]byte(nil), base...), 0),
+		"decision flag 2":             {recDecision, 1, 0, 0, 0, 0, 0, 0, 0, 2, 9, 0, 0, 0, 0, 0, 0, 0, 0},
+		"padded mutation count":       {recCommit, 5, 0, 0, 0, 0, 0, 0, 0, 0x80, 0x00},
+		"removal mark in a full list": {recCommit, 5, 0, 0, 0, 0, 0, 0, 0, 1, 0, 7, 0, 0, 0, 0, 0, 0, 0, mutCreated, 0, 1, 1, 'k', 0xFF},
+	}
+	for name, payload := range cases {
+		if r, err := decodeRecord(payload, nil); err == nil {
+			t.Errorf("%s: decoded as %+v", name, r)
+		}
+	}
+	if _, err := decodeRecord(base, nil); err != nil {
+		t.Fatalf("the uncorrupted record: %v", err)
 	}
 }
 
@@ -104,6 +184,8 @@ func sampleRecords() map[string]*record {
 		"decideAbort":        {tag: recDecision, gtxn: 77},
 		"ackEnd":             {tag: recAckEnd, gtxn: 77},
 		"commitTombstoneRel": {tag: recCommit, cts: 999, muts: []mutation{{key: entKey{lock.KindRel, 1 << 40}, deleted: true, rel: &RelState{Type: "X"}}}},
+		"commitDeltas":       {tag: recCommit, cts: 124, muts: deltaMutations()},
+		"prepareDeltas":      {tag: recPrepare, gtxn: 78, coordPart: 1, validate: []ids.ID{11}, muts: deltaMutations()},
 	}
 }
 
@@ -127,8 +209,9 @@ func TestDecodeShortRecord(t *testing.T) {
 
 // FuzzDecodeRecord hammers the one decoder with corrupted records of
 // every tag: it must reject them or decode them without panicking or
-// over-allocating, and whatever it accepts must survive a round trip
-// through the encoder. Runs its seed corpus as a normal test; use
+// over-allocating, and whatever it accepts must be exactly what the
+// encoder writes for it — a replica re-logs what it decoded, byte for
+// byte. Runs its seed corpus as a normal test; use
 // `go test -fuzz FuzzDecodeRecord ./internal/core` to explore.
 func FuzzDecodeRecord(f *testing.F) {
 	f.Add([]byte{recCommit})
@@ -158,14 +241,16 @@ func FuzzDecodeRecord(f *testing.F) {
 				len(r.muts), len(r.validate), len(r.parts), len(payload))
 		}
 		for _, m := range r.muts {
-			if m.key.kind == lock.KindNode && m.node == nil {
-				t.Fatalf("node mutation without state (tag %q)", r.tag)
-			}
-			if m.key.kind == lock.KindRel && m.rel == nil {
-				t.Fatalf("rel mutation without state (tag %q)", r.tag)
+			// A whole state, of its kind, for what is not a delta; none for what is.
+			if (m.node != nil) != (!m.delta && m.key.kind == lock.KindNode) || (m.rel != nil) != (!m.delta && m.key.kind == lock.KindRel) {
+				t.Fatalf("%s mutation (delta=%v) decoded with node=%v rel=%v (tag %q)", fmtKey(m.key), m.delta, m.node, m.rel, r.tag)
 			}
 		}
-		again, err := decodeRecord(appendRecord(nil, &r), nil)
+		encoded := appendRecord(nil, &r)
+		if !bytes.Equal(encoded, payload) {
+			t.Fatalf("accepted %q record re-encodes differently:\n got %x\nwant %x", r.tag, encoded, payload)
+		}
+		again, err := decodeRecord(encoded, nil)
 		if err != nil {
 			t.Fatalf("re-encoded %q record does not decode: %v", r.tag, err)
 		}

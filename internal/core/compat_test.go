@@ -21,7 +21,10 @@ const goldenCommit = "437b00000000000000030007000000000000000102074163636f756e74
 	"636502c01f"
 
 // goldenRecords are the other tags' bytes as PR 16 — the last release with
-// an encoder per call site — wrote them for sampleRecords().
+// an encoder per call site — wrote them for sampleRecords(): every
+// mutation a whole state. Nothing writes an update or a deletion that way
+// any more, but logs that hold them are still out there, so these stay as
+// what the decoder must keep reading.
 var goldenRecords = map[string]string{
 	"commit":     goldenCommit,
 	"checkpoint": "4b6300000000000000",
@@ -38,11 +41,39 @@ var goldenRecords = map[string]string{
 	"ackEnd":            "454d00000000000000",
 }
 
+// goldenDeltas pin the layout PR 20 added to 'C' and 'P': flag bit 2 (a
+// delta: the payload is a patch, a removed key marked 0xff; no labels, no
+// relationship identity; a deletion nothing at all) and bit 3 (the new
+// label set follows), over deltaMutations().
+var goldenDeltas = map[string]string{
+	"commitDeltas": "437c000000000000000600070000000000000004030762616c616e6365025204676f6e65ff04766f696400" +
+		"0008000000000000000c02074163636f756e7406436c6f736564030762616c616e6365025204676f6e65ff04766f696400" +
+		"0009000000000000000c0000" + "01030000000000000004010573696e636502c21f" +
+		"000a0000000000000006" + "01040000000000000006",
+	"prepareDeltas": "504e0000000000000001000000010b00000000000000" +
+		"0600070000000000000004030762616c616e6365025204676f6e65ff04766f696400" +
+		"0008000000000000000c02074163636f756e7406436c6f736564030762616c616e6365025204676f6e65ff04766f696400" +
+		"0009000000000000000c0000" + "01030000000000000004010573696e636502c21f" +
+		"000a0000000000000006" + "01040000000000000006",
+}
+
+// TestRecordBytesUnchanged: every pinned record decodes to its sample,
+// and the sample encodes back to the pinned bytes — one decoder and one
+// encoder for old logs and new.
 func TestRecordBytesUnchanged(t *testing.T) {
 	samples := sampleRecords()
-	for name, want := range goldenRecords {
-		if got := hex.EncodeToString(appendRecord(nil, samples[name])); got != want {
-			t.Errorf("%s record bytes changed:\n got %s\nwant %s", name, got, want)
+	for _, goldens := range []map[string]string{goldenRecords, goldenDeltas} {
+		for name, want := range goldens {
+			payload, err := hex.DecodeString(want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, err := decodeRecord(payload, nil); err != nil || !reflect.DeepEqual(&got, samples[name]) {
+				t.Errorf("%s golden decodes to\n %+v, %v\nwant\n %+v", name, got, err, samples[name])
+			}
+			if got := hex.EncodeToString(appendRecord(nil, samples[name])); got != want {
+				t.Errorf("%s record bytes changed:\n got %s\nwant %s", name, got, want)
+			}
 		}
 	}
 }

@@ -28,6 +28,7 @@ import (
 	"neograph/internal/ids"
 	"neograph/internal/index"
 	"neograph/internal/lock"
+	"neograph/internal/metrics"
 	"neograph/internal/mvcc"
 	"neograph/internal/store"
 	"neograph/internal/trace"
@@ -366,6 +367,11 @@ type Engine struct {
 	// replay has shown it to be still in doubt.
 	replaying bool
 
+	// recordBytes is the size distribution of the records this engine
+	// logged (payload, without the WAL's framing): what a commit costs the
+	// log, the replication stream and every replica's log.
+	recordBytes *metrics.Histogram
+
 	txnSeq  atomic.Uint64
 	stats   statsCounters
 	closed  atomic.Bool
@@ -426,6 +432,7 @@ func Open(opts Options) (*Engine, error) {
 		prepared:    make(map[uint64]*preparedTxn),
 		decided:     make(map[uint64]*decidedTxn),
 		stopBG:      make(chan struct{}),
+		recordBytes: metrics.NewHistogram(metrics.ExpBuckets(32, 2, 12)), // 32 B .. 64 KiB
 	}
 	e.fs = faultfs.OrOS(opts.FS)
 	e.replica.Store(opts.Replica)
@@ -578,6 +585,9 @@ func (e *Engine) StripeConflicts() []uint64 {
 	}
 	return out
 }
+
+// RecordBytes exposes the histogram of logged record sizes for /metrics.
+func (e *Engine) RecordBytes() *metrics.Histogram { return e.recordBytes }
 
 // CommitBatcher exposes the group-commit batcher for metrics sampling
 // (queue depth, fsync latency). Nil when commits are unsynced or group

@@ -125,32 +125,54 @@ func (e *Engine) reapDead(chains []*mvcc.Chain) {
 	}
 	e.dirtyMu.Unlock()
 
-	if e.store == nil {
-		for _, o := range objs {
-			e.releaseID(o.key)
-		}
-		return
+	if e.store != nil {
+		e.maintMu.Lock()
+		defer e.maintMu.Unlock()
 	}
-	e.maintMu.Lock()
-	defer e.maintMu.Unlock()
 	// Relationships first: the store refuses to remove a node whose
 	// relationship chain is non-empty.
-	for _, o := range objs {
-		if o.key.kind == lock.KindRel {
-			err := e.store.RemoveRel(o.key.id)
-			if errors.Is(err, store.ErrNotFound) {
-				// Created and deleted before any checkpoint: the record was
-				// never written, so only the ID needs recycling.
-				e.store.ReleaseRelID(o.key.id)
+	for _, kind := range [...]lock.EntityKind{lock.KindRel, lock.KindNode} {
+		for _, o := range objs {
+			if o.key.kind == kind {
+				e.reapID(o.key)
 			}
 		}
 	}
-	for _, o := range objs {
-		if o.key.kind == lock.KindNode {
-			err := e.store.RemoveNode(o.key.id)
-			if errors.Is(err, store.ErrNotFound) {
-				e.store.ReleaseNodeID(o.key.id)
+}
+
+// reapID erases a reaped entity's record from the store and returns its ID
+// to the allocator — unless the ID has its next owner already: the primary
+// reaped the entity and re-used the ID for a creation that is now parked
+// in a prepared transaction, and this engine (a recovery over a store one
+// flush behind, a replica whose collector lags) reaps the previous owner
+// only now. The stripe latch orders the check against a redo parking that
+// transaction (fold), which reserves the ID under the same latch.
+func (e *Engine) reapID(k entKey) {
+	s := e.stripeOf(k)
+	s.valMu.Lock()
+	defer s.valMu.Unlock()
+	if e.store != nil {
+		var err error
+		if k.kind == lock.KindRel {
+			err = e.store.RemoveRel(k.id)
+		} else if err = e.store.RemoveNode(k.id); errors.Is(err, store.ErrHasRels) {
+			// A dead node's relationships all died before it, and their
+			// records went before this one — those whose chains this collector
+			// emptied. One still chained to the record belongs to a chain that
+			// never emptied: its ID, too, was handed out again, and a created
+			// version sits on top of the tombstone. The ID is that version's
+			// now; the record is nobody's.
+			if err = e.store.ForgetNodeRels(k.id); err == nil {
+				err = e.store.RemoveNode(k.id)
 			}
 		}
+		// Not found: created and deleted before any checkpoint — there never
+		// was a record, only the ID.
+		if err != nil && !errors.Is(err, store.ErrNotFound) {
+			return
+		}
+	}
+	if _, parked := s.prep[k]; !parked {
+		e.releaseID(k)
 	}
 }

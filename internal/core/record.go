@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -154,7 +155,7 @@ func decodeRecord(payload []byte, tok *tokenTable) (record, error) {
 			r.validate = append(r.validate, binary.LittleEndian.Uint64(payload[off:]))
 			off += 8
 		}
-		if r.muts, _, err = decodeMutations(payload, off, tok); err != nil {
+		if r.muts, err = decodeMutations(payload, off, tok); err != nil {
 			err = fmt.Errorf("core: corrupt prepare record: %w", err)
 		}
 	case recDecision:
@@ -182,7 +183,23 @@ func decodeRecord(payload []byte, tok *tokenTable) (record, error) {
 	default:
 		err = fmt.Errorf("core: unknown WAL record tag %q", r.tag)
 	}
-	return r, err
+	if err != nil {
+		return r, err
+	}
+	// A record is accepted only as the very bytes this encoder writes for
+	// what was decoded. Whatever else parses — an entity kind or a flag bit
+	// this version does not know, bytes after the last mutation, a padded
+	// varint — was written by another version or corrupted, and folding the
+	// part that parsed would silently drop the rest: a delta applied as a
+	// whole state loses every property it does not name.
+	buf := commitBufPool.Get().(*commitBuf)
+	buf.b = appendRecord(buf.b[:0], &r)
+	same := bytes.Equal(buf.b, payload)
+	commitBufPool.Put(buf)
+	if !same {
+		return r, fmt.Errorf("core: %q record is not in canonical form", r.tag)
+	}
+	return r, nil
 }
 
 // fold applies one record, appended at lsn, to engine state and returns
@@ -197,6 +214,30 @@ func decodeRecord(payload []byte, tok *tokenTable) (record, error) {
 // that caller has validated under the footprint's latches and long locks
 // and still holds them. A redo (live == nil) has no concurrent validator
 // to race and takes them itself.
+//
+// A mutation of an entity that already existed is logged as a delta — the
+// change, not the state (commit.go) — and a redo applies it to whatever
+// head the entity's chain has. That head is always the version the delta
+// was made from, because
+//
+//   - an entity's records are in the log in the order of their commit
+//     timestamps: a timestamp is drawn inside walSeqMu together with the
+//     append, and a 'P' record's entity can get no other version between
+//     the prepare and its 'D' (the footprint stays locked and guarded);
+//   - the store changes on disk by whole flushes only (store/journal.go),
+//     so the image a recovery reads is a version the entity really had,
+//     and a checkpoint truncates only below a cut whose every effect its
+//     flush holds: the first of an entity's records a recovery meets
+//     follows either the stored version or one the store is already past;
+//   - install skips a record whose entity is at or past its timestamp, so
+//     over a store that is ahead of the log's truncation point (a crash
+//     between a checkpoint's flush and its truncation) a replay drops the
+//     entity's records up to its stored version and resumes with the very
+//     next one.
+//
+// A replica receives the log from its own end on, in order, which is the
+// same argument with nothing to skip. TestRedoEquivalenceOfRandomHistories
+// holds all three to it.
 func (e *Engine) fold(r *record, lsn uint64, live *preparedTxn) []entKey {
 	var keys []entKey
 	switch r.tag {
@@ -289,56 +330,100 @@ func (e *Engine) fold(r *record, lsn uint64, live *preparedTxn) []entKey {
 
 // ---- mutation lists (the shared body of 'C' and 'P') ----
 
-// appendMutations renders a mutation list: count, then each mutation's
-// key, flags and payload.
+// A mutation is its key, a flags byte and a payload:
+//
+//	kind:u8 (0 node, 1 relationship)  id:u64le  flags:u8
+//	node:  [n:uvarint (len:uvarint label)*n]  props       labels unless a delta that keeps them
+//	rel:   [len:uvarint type  start:u64le  end:u64le]  props   identity unless a delta
+//
+// props is value.AppendPacked of the whole property list or, in a delta,
+// of the patch (value.Packed.Diff). A delta that deletes has no payload
+// at all. Records written before deltas existed have neither of the two
+// upper flag bits and decode as what they are, whole states.
+const (
+	mutCreated = 1 << iota
+	mutDeleted
+	mutDelta   // the payload is the change from the entity's previous version
+	mutRelabel // a node delta whose label set changed: the labels follow
+)
+
+// mutationFlags renders m's flags byte; validFlags is its inverse's guard.
+func mutationFlags(m *mutation) (flags byte) {
+	if m.created {
+		flags |= mutCreated
+	}
+	if m.deleted {
+		flags |= mutDeleted
+	}
+	if m.delta {
+		flags |= mutDelta
+	}
+	if m.relabel {
+		flags |= mutRelabel
+	}
+	return flags
+}
+
+// validFlags reports whether a flags byte is one a transaction can log for
+// an entity of the given kind: the format's six. (Bits this version does
+// not know fail it too, before decodeRecord's re-encoding would.)
+func validFlags(kind lock.EntityKind, flags byte) bool {
+	switch flags {
+	case 0, mutCreated, mutDeleted, mutDelta, mutDelta | mutDeleted:
+		return true
+	case mutDelta | mutRelabel:
+		return kind == lock.KindNode
+	}
+	return false
+}
+
+// appendMutations renders a mutation list: count, then each mutation.
 func appendMutations(buf []byte, muts []mutation) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(muts)))
-	for _, m := range muts {
+	for i := range muts {
+		m := &muts[i]
 		var kind byte
 		if m.key.kind == lock.KindRel {
 			kind = 1
 		}
 		buf = append(buf, kind)
 		buf = binary.LittleEndian.AppendUint64(buf, m.key.id)
-		var flags byte
-		if m.created {
-			flags |= 1
+		buf = append(buf, mutationFlags(m))
+		props := m.patch
+		switch {
+		case m.delta && m.deleted:
+			continue
+		case m.delta && m.relabel:
+			buf = appendLabels(buf, m.labels)
+		case m.delta:
+		case m.key.kind == lock.KindNode:
+			buf = appendLabels(buf, m.node.Labels)
+			props = m.node.Props
+		default:
+			buf = binary.AppendUvarint(buf, uint64(len(m.rel.Type)))
+			buf = append(buf, m.rel.Type...)
+			buf = binary.LittleEndian.AppendUint64(buf, m.rel.Start)
+			buf = binary.LittleEndian.AppendUint64(buf, m.rel.End)
+			props = m.rel.Props
 		}
-		if m.deleted {
-			flags |= 2
-		}
-		buf = append(buf, flags)
-		switch m.key.kind {
-		case lock.KindNode:
-			st := m.node
-			if st == nil {
-				st = &NodeState{}
-			}
-			buf = binary.AppendUvarint(buf, uint64(len(st.Labels)))
-			for _, l := range st.Labels {
-				buf = binary.AppendUvarint(buf, uint64(len(l)))
-				buf = append(buf, l...)
-			}
-			buf = value.AppendPacked(buf, st.Props)
-		case lock.KindRel:
-			st := m.rel
-			if st == nil {
-				st = &RelState{}
-			}
-			buf = binary.AppendUvarint(buf, uint64(len(st.Type)))
-			buf = append(buf, st.Type...)
-			buf = binary.LittleEndian.AppendUint64(buf, st.Start)
-			buf = binary.LittleEndian.AppendUint64(buf, st.End)
-			buf = value.AppendPacked(buf, st.Props)
-		}
+		buf = value.AppendPacked(buf, props)
+	}
+	return buf
+}
+
+func appendLabels(buf []byte, labels []string) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(labels)))
+	for _, l := range labels {
+		buf = binary.AppendUvarint(buf, uint64(len(l)))
+		buf = append(buf, l...)
 	}
 	return buf
 }
 
 // minMutationBytes is the smallest possible encoded mutation: kind (1) +
-// id (8) + flags (1); the payload that follows only adds bytes. It caps
-// how many mutations a record of a given size can possibly hold, so a
-// corrupt count cannot drive a huge allocation.
+// id (8) + flags (1) — a delta that deletes; any payload only adds bytes.
+// It caps how many mutations a record of a given size can possibly hold,
+// so a corrupt count cannot drive a huge allocation.
 const minMutationBytes = 10
 
 // decodeCommit parses the body of a 'C' record: the commit timestamp and
@@ -347,91 +432,104 @@ func decodeCommit(payload []byte, tok *tokenTable) (mvcc.TS, []mutation, error) 
 	if len(payload) < 9 || payload[0] != recCommit {
 		return 0, nil, fmt.Errorf("core: not a commit record")
 	}
-	muts, _, err := decodeMutations(payload, 9, tok)
+	muts, err := decodeMutations(payload, 9, tok)
 	if err != nil {
 		return 0, nil, err
 	}
 	return binary.LittleEndian.Uint64(payload[1:]), muts, nil
 }
 
-// decodeMutations parses a mutation list starting at off and returns the
-// mutations plus the offset just past them.
-func decodeMutations(payload []byte, off int, tok *tokenTable) ([]mutation, int, error) {
+// decodeMutations parses the mutation list that starts at off of payload.
+func decodeMutations(payload []byte, off int, tok *tokenTable) ([]mutation, error) {
 	propKey := func(b []byte) string { return tok.name(tokPropKey, b) }
 	n, sz := binary.Uvarint(payload[off:])
 	if sz <= 0 {
-		return nil, 0, fmt.Errorf("core: corrupt commit record (count)")
+		return nil, fmt.Errorf("core: corrupt commit record (count)")
 	}
 	off += sz
 	if n > uint64(len(payload)-off)/minMutationBytes {
-		return nil, 0, fmt.Errorf("core: corrupt commit record (count %d exceeds %d payload bytes)",
+		return nil, fmt.Errorf("core: corrupt commit record (count %d exceeds %d payload bytes)",
 			n, len(payload)-off)
 	}
 	muts := make([]mutation, 0, n)
 	for i := uint64(0); i < n; i++ {
-		if off+10 > len(payload) {
-			return nil, 0, fmt.Errorf("core: corrupt commit record (header)")
+		if off+minMutationBytes > len(payload) {
+			return nil, fmt.Errorf("core: corrupt commit record (header)")
 		}
 		var m mutation
-		if payload[off] == 1 {
+		m.key.kind = lock.KindNode
+		if payload[off] == 1 { // any other kind byte does not survive decodeRecord's re-encoding
 			m.key.kind = lock.KindRel
-		} else {
-			m.key.kind = lock.KindNode
 		}
 		m.key.id = binary.LittleEndian.Uint64(payload[off+1:])
 		flags := payload[off+9]
-		m.created = flags&1 != 0
-		m.deleted = flags&2 != 0
-		off += 10
-		switch m.key.kind {
-		case lock.KindNode:
+		if !validFlags(m.key.kind, flags) {
+			return nil, fmt.Errorf("core: commit record with mutation flags %#x: written by a newer version?", flags)
+		}
+		m.created = flags&mutCreated != 0
+		m.deleted = flags&mutDeleted != 0
+		m.delta = flags&mutDelta != 0
+		m.relabel = flags&mutRelabel != 0
+		off += minMutationBytes
+		if m.delta && m.deleted {
+			muts = append(muts, m)
+			continue
+		}
+
+		var labels []string
+		if m.key.kind == lock.KindNode && (!m.delta || m.relabel) {
 			nl, sz := binary.Uvarint(payload[off:])
 			// Each label costs at least one length byte, bounding the count
 			// by the bytes remaining.
 			if sz <= 0 || nl > uint64(len(payload)-off-sz) {
-				return nil, 0, fmt.Errorf("core: corrupt commit record (labels)")
+				return nil, fmt.Errorf("core: corrupt commit record (labels)")
 			}
 			off += sz
-			st := &NodeState{}
 			for j := uint64(0); j < nl; j++ {
 				ll, sz := binary.Uvarint(payload[off:])
 				if sz <= 0 || ll > uint64(len(payload)-off-sz) {
-					return nil, 0, fmt.Errorf("core: corrupt commit record (label)")
+					return nil, fmt.Errorf("core: corrupt commit record (label)")
 				}
 				off += sz
-				st.Labels = append(st.Labels, tok.name(tokLabel, payload[off:off+int(ll)]))
+				labels = append(labels, tok.name(tokLabel, payload[off:off+int(ll)]))
 				off += int(ll)
 			}
-			props, consumed, err := value.DecodePacked(payload[off:], propKey)
-			if err != nil {
-				return nil, 0, fmt.Errorf("core: corrupt commit record: %w", err)
-			}
-			off += consumed
-			st.Props = props
-			m.node = st
-		case lock.KindRel:
+		}
+		var rel *RelState
+		if m.key.kind == lock.KindRel && !m.delta {
 			tl, sz := binary.Uvarint(payload[off:])
 			if sz <= 0 || tl > uint64(len(payload)-off-sz) {
-				return nil, 0, fmt.Errorf("core: corrupt commit record (type)")
+				return nil, fmt.Errorf("core: corrupt commit record (type)")
 			}
 			off += sz
-			st := &RelState{Type: tok.name(tokRelType, payload[off:off+int(tl)])}
+			rel = &RelState{Type: tok.name(tokRelType, payload[off:off+int(tl)])}
 			off += int(tl)
 			if off+16 > len(payload) {
-				return nil, 0, fmt.Errorf("core: corrupt commit record (endpoints)")
+				return nil, fmt.Errorf("core: corrupt commit record (endpoints)")
 			}
-			st.Start = binary.LittleEndian.Uint64(payload[off:])
-			st.End = binary.LittleEndian.Uint64(payload[off+8:])
+			rel.Start = binary.LittleEndian.Uint64(payload[off:])
+			rel.End = binary.LittleEndian.Uint64(payload[off+8:])
 			off += 16
-			props, consumed, err := value.DecodePacked(payload[off:], propKey)
-			if err != nil {
-				return nil, 0, fmt.Errorf("core: corrupt commit record: %w", err)
-			}
-			off += consumed
-			st.Props = props
-			m.rel = st
+		}
+		decode := value.DecodePacked
+		if m.delta {
+			decode = value.DecodePatch
+		}
+		props, consumed, err := decode(payload[off:], propKey)
+		if err != nil {
+			return nil, fmt.Errorf("core: corrupt commit record: %w", err)
+		}
+		off += consumed
+		switch {
+		case m.delta:
+			m.labels, m.patch = labels, props
+		case rel != nil:
+			rel.Props = props
+			m.rel = rel
+		default:
+			m.node = &NodeState{Labels: labels, Props: props}
 		}
 		muts = append(muts, m)
 	}
-	return muts, off, nil
+	return muts, nil
 }

@@ -5,7 +5,7 @@
 // when armed, fires one scripted fault — a full crash (the process-kill
 // model: the triggering operation and every later one fail), a torn
 // write (a prefix of the triggering write reaches the file, then crash),
-// a short read, or a one-shot fsync failure.
+// a short read, a one-shot fsync failure, or a one-shot partial write.
 //
 // Crash points are names of the form "<label>.<op>", e.g. "wal.write" or
 // "store.sync". The label classifies the file (DefaultLabel knows this

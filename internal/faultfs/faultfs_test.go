@@ -190,6 +190,37 @@ func TestInjectorSyncFail(t *testing.T) {
 	}
 }
 
+func TestInjectorWriteFail(t *testing.T) {
+	dir := t.TempDir()
+	inj := NewInjector(OS{}, nil)
+	inj.Arm(Fault{Point: "wal.write", Hit: 2, Mode: ModeWriteFail, TornBytes: 3})
+	seg := filepath.Join(dir, "wal-00000000000000000000.log")
+	f := openSeg(t, inj, seg)
+	defer f.Close()
+	mustWrite(t, f, []byte("head"))
+	if n, err := f.Write([]byte("partial")); !errors.Is(err, ErrWriteFailed) || n != 3 {
+		t.Fatalf("failing write = (%d, %v), want (3, ErrWriteFailed)", n, err)
+	}
+	if inj.Crashed() {
+		t.Fatal("ModeWriteFail must not crash the injector")
+	}
+	// One-shot, and the process lives on: it can see the stray prefix and
+	// take it back.
+	if data, _ := os.ReadFile(seg); string(data) != "headpar" {
+		t.Fatalf("file holds %q, want %q", data, "headpar")
+	}
+	if err := f.Truncate(4); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Seek(4, io.SeekStart); err != nil {
+		t.Fatal(err)
+	}
+	mustWrite(t, f, []byte("tail"))
+	if data, _ := os.ReadFile(seg); string(data) != "headtail" {
+		t.Fatalf("file holds %q, want %q", data, "headtail")
+	}
+}
+
 func TestInjectorCrashAtSync(t *testing.T) {
 	dir := t.TempDir()
 	inj := NewInjector(OS{}, nil)

@@ -27,6 +27,11 @@ const (
 	// the injector stays alive (the kernel-writeback-error model that
 	// must poison the WAL).
 	ModeSyncFail
+	// ModeWriteFail fails the triggering write once with ErrWriteFailed
+	// after a prefix of it (Fault.TornBytes) reached the file; the
+	// injector stays alive (the disk-full model: the process survives and
+	// must leave the file as if the write had never begun).
+	ModeWriteFail
 )
 
 // Errors injected by faults.
@@ -36,6 +41,8 @@ var (
 	ErrCrashed = errors.New("faultfs: injected crash")
 	// ErrSyncFailed is the one-shot fsync failure of ModeSyncFail.
 	ErrSyncFailed = errors.New("faultfs: injected fsync failure")
+	// ErrWriteFailed is the one-shot write failure of ModeWriteFail.
+	ErrWriteFailed = errors.New("faultfs: injected write failure")
 )
 
 // Fault is one scripted fault: fire Mode at the Hit'th time crash point
@@ -48,7 +55,8 @@ type Fault struct {
 	// Mode selects the failure behaviour at the point.
 	Mode Mode
 	// TornBytes is how many bytes of the triggering write survive under
-	// ModeTornWrite (clamped to the write size); -1 means half the write.
+	// ModeTornWrite and ModeWriteFail (clamped to the write size); -1 means
+	// half the write.
 	// Under ModeShortRead it is the byte length the read is cut to.
 	TornBytes int
 }
@@ -239,17 +247,21 @@ type injFile struct {
 	inner File
 }
 
-// write is the shared Write/WriteAt fault logic: under ModeTornWrite the
-// surviving prefix is written through before the crash error returns.
+// write is the shared Write/WriteAt fault logic: under ModeTornWrite and
+// ModeWriteFail the surviving prefix is written through before the error
+// returns — the crash error, or the one the process lives to handle.
 func (f *injFile) write(buf []byte, do func([]byte) (int, error)) (int, error) {
 	ft, err := f.inj.at(f.label + ".write")
 	if err != nil {
 		return 0, err
 	}
-	if ft != nil && ft.Mode == ModeTornWrite {
+	if ft != nil && (ft.Mode == ModeTornWrite || ft.Mode == ModeWriteFail) {
 		n := 0
 		if keep := shortLen(ft.TornBytes, len(buf)); keep > 0 {
 			n, _ = do(buf[:keep])
+		}
+		if ft.Mode == ModeWriteFail {
+			return n, fmt.Errorf("%w (%d of %d bytes written)", ErrWriteFailed, n, len(buf))
 		}
 		return n, fmt.Errorf("%w: torn write (%d of %d bytes)", ErrCrashed, n, len(buf))
 	}

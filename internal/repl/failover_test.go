@@ -186,7 +186,7 @@ func runCrashCase(t *testing.T, fault faultfs.Fault, syncReplicas int) {
 func TestCrashMatrixPromotion(t *testing.T) {
 	counts := recordCrashPoints(t)
 	writes, syncs := counts["wal.write"], counts["wal.sync"]
-	if writes < 2*crashWorkload || syncs < crashWorkload {
+	if writes < crashWorkload || syncs < crashWorkload { // a record is one write: header and payload leave together
 		t.Fatalf("crash-point registry too small: %v", counts)
 	}
 	for hit := 1; hit <= writes; hit++ {

@@ -66,8 +66,12 @@ const (
 	magic = "NGRP"
 	// protoVersion 2 added the epoch field to the handshake, the epoch
 	// announce frame and the heartbeat flags byte. Version 3 added the
-	// handshake mode byte and the snapshot re-seed frames.
-	protoVersion = 3
+	// handshake mode byte and the snapshot re-seed frames. Version 4 has
+	// the same frames around a changed payload: an update travels as a delta
+	// (core's mutation flag bits 2 and 3), which a version 3 replica would
+	// apply as a whole entity and lose every property the delta leaves out —
+	// it must refuse the stream at the handshake instead.
+	protoVersion = 4
 
 	// maxFramePayload bounds one frame's payload. WAL records are capped
 	// by the segment size (16 MiB default); anything larger is a corrupt

@@ -364,6 +364,21 @@ func TestShipperRejectsGarbageHandshake(t *testing.T) {
 	}
 	conn.Close()
 
+	// And on a well-formed one of the protocol before this: a replica
+	// built then reads every mutation as a whole entity, and would apply a
+	// delta by dropping the properties it leaves out.
+	if conn, err = net.Dial("tcp", ship.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeRawHandshakeV(conn, 3, 0); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if _, err := conn.Read(make([]byte, 1)); err == nil {
+		t.Fatal("shipper streamed to a replica that cannot read deltas")
+	}
+	conn.Close()
+
 	replica := openReplica(t, t.TempDir())
 	defer replica.Close()
 	applier := fastApplier(t, replica, ship.Addr())
@@ -371,12 +386,14 @@ func TestShipperRejectsGarbageHandshake(t *testing.T) {
 	waitConverged(t, applier, primary)
 }
 
-// writeRawHandshake mirrors the v3 protocol for tests that need a raw
-// conn (stream mode; epoch 1: a pristine replica; fixed instance id).
-func writeRawHandshake(w io.Writer, from uint64) error {
+// writeRawHandshake mirrors the current protocol for tests that need a
+// raw conn (stream mode; epoch 1: a pristine replica; fixed instance id).
+func writeRawHandshake(w io.Writer, from uint64) error { return writeRawHandshakeV(w, 4, from) }
+
+func writeRawHandshakeV(w io.Writer, version uint16, from uint64) error {
 	buf := make([]byte, 31)
 	copy(buf, "NGRP")
-	binary.LittleEndian.PutUint16(buf[4:], 3)
+	binary.LittleEndian.PutUint16(buf[4:], version)
 	buf[6] = 0 // modeStream
 	binary.LittleEndian.PutUint64(buf[7:], from)
 	binary.LittleEndian.PutUint64(buf[15:], 1)

@@ -264,6 +264,8 @@ func TestServerMetricsEndToEnd(t *testing.T) {
 		"neograph_txn_committed_total",
 		"neograph_wal_durable_lsn",
 		"neograph_wal_fsync_seconds_bucket",
+		"neograph_wal_append_failures_total 0",
+		`neograph_commit_record_bytes_bucket{le="+Inf"} 1`, // the one create
 		`neograph_pagecache_hits_total{file="nodes"}`,
 		"neograph_repl_connected 0",
 	} {

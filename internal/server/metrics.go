@@ -153,6 +153,13 @@ func RegisterDBMetrics(reg *metrics.Registry, db *neograph.DB) {
 		func() float64 { return float64(db.Stats().WALFlushes) })
 	reg.CounterFunc("neograph_wal_synced_commits_total", "commits made durable",
 		func() float64 { return float64(db.Stats().WALSyncedCommits) })
+	if w := e.WAL(); w != nil {
+		reg.CounterFunc("neograph_wal_append_failures_total",
+			"WAL appends whose write failed (the commit aborted, the segment was rewound)",
+			func() float64 { return float64(w.AppendFailures()) })
+		reg.AttachHistogram("neograph_commit_record_bytes",
+			"payload bytes of each logged commit, prepare and decision record", e.RecordBytes())
+	}
 	if b := e.CommitBatcher(); b != nil {
 		reg.GaugeFunc("neograph_wal_batcher_depth", "committers parked in group commit",
 			func() float64 { return float64(b.Depth()) })

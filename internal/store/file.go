@@ -13,7 +13,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"neograph/internal/faultfs"
 	"neograph/internal/ids"
 	"neograph/internal/pagecache"
 )
@@ -27,11 +26,13 @@ type recordFile struct {
 	path    string // store file path (id file is path + ".id")
 }
 
-func openRecordFile(fs faultfs.FS, dir, name string, recSize, cachePages int) (*recordFile, error) {
-	path := filepath.Join(dir, name)
+// openRecordFile opens record file number file of journalFiles. Its cache
+// writes back into j, which alone writes the file itself.
+func openRecordFile(j *journal, file, recSize, cachePages int) (*recordFile, error) {
+	path := filepath.Join(j.dir, journalFiles[file])
 	// Open through the fault seam so crash tests can kill store I/O; the
 	// page cache itself only needs the File surface.
-	backing, err := fs.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	backing, err := j.fs.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("store: open %s: %w", path, err)
 	}
@@ -40,7 +41,8 @@ func openRecordFile(fs faultfs.FS, dir, name string, recSize, cachePages int) (*
 		backing.Close()
 		return nil, fmt.Errorf("store: stat %s: %w", path, err)
 	}
-	cache, err := pagecache.New(backing, cachePages, st.Size())
+	j.files[file] = backing
+	cache, err := pagecache.New(stagedFile{j, file}, cachePages, st.Size())
 	if err != nil {
 		backing.Close()
 		return nil, err
@@ -118,7 +120,5 @@ func (f *recordFile) locate(id ids.ID) (page uint64, off int) {
 func (f *recordFile) zero(id ids.ID) error {
 	return f.write(id, make([]byte, f.size))
 }
-
-func (f *recordFile) flush() error { return f.cache.Flush() }
 
 func (f *recordFile) close() error { return f.cache.Close() }

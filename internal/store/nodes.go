@@ -24,8 +24,8 @@ type NodeData struct {
 // creation so cache IDs and store IDs coincide.
 func (s *Store) AllocNodeID() ids.ID { return s.nodes.alloc.Next() }
 
-// ReleaseNodeID returns an ID whose creating transaction aborted before
-// the node was ever persisted.
+// ReleaseNodeID returns an ID no node holds any more: its creating
+// transaction aborted, or its record was removed.
 func (s *Store) ReleaseNodeID(id ids.ID) { s.nodes.alloc.Release(id) }
 
 // NodeHighWater returns the lowest never-allocated node ID.
@@ -137,9 +137,10 @@ func (s *Store) getNodeLocked(id ids.ID) (NodeData, error) {
 	return n, nil
 }
 
-// RemoveNode erases the persisted image of node id and recycles the ID.
-// Any relationships must have been removed first; RemoveNode fails if the
-// relationship chain is non-empty.
+// RemoveNode erases the persisted image of node id. The ID stays taken:
+// ReleaseNodeID returns it, once the caller knows it has no next owner
+// yet. Any relationships must have been removed first; RemoveNode fails
+// with ErrHasRels if the relationship chain is non-empty.
 func (s *Store) RemoveNode(id ids.ID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -155,7 +156,7 @@ func (s *Store) RemoveNode(id ids.ID) error {
 		return fmt.Errorf("%w: node %d", ErrNotFound, id)
 	}
 	if rec.FirstRel != ids.NoID {
-		return fmt.Errorf("store: node %d still has relationships", id)
+		return fmt.Errorf("%w: node %d", ErrHasRels, id)
 	}
 	if err := s.freePropChain(rec.FirstProp); err != nil {
 		return err
@@ -163,11 +164,7 @@ func (s *Store) RemoveNode(id ids.ID) error {
 	if err := s.freeDynChain(rec.LabelRef); err != nil {
 		return err
 	}
-	if err := s.nodes.zero(id); err != nil {
-		return err
-	}
-	s.nodes.alloc.Release(id)
-	return nil
+	return s.nodes.zero(id)
 }
 
 // ScanNodes calls fn for every in-use node image, in ID order. fn errors

@@ -23,8 +23,7 @@ type RelData struct {
 // AllocRelID hands out a fresh relationship ID.
 func (s *Store) AllocRelID() ids.ID { return s.rels.alloc.Next() }
 
-// ReleaseRelID returns an ID whose creating transaction aborted before the
-// relationship was ever persisted.
+// ReleaseRelID is ReleaseNodeID for relationships.
 func (s *Store) ReleaseRelID(id ids.ID) { s.rels.alloc.Release(id) }
 
 // RelHighWater returns the lowest never-allocated relationship ID.
@@ -37,8 +36,10 @@ func (s *Store) ReserveRelIDs(taken []ids.ID) { s.rels.alloc.Reserve(taken) }
 // linked into the relationship chains of its endpoint nodes — those this
 // store owns, which must already be persisted; on rewrite the chain
 // pointers are preserved and only type, properties, commit timestamp and
-// tombstone flag change — unless the record is the tombstone of an earlier
-// owner of a recycled ID, which is unlinked and replaced.
+// tombstone flag change — unless the record belongs to an earlier owner of
+// a recycled ID (other endpoints and an older commit timestamp), which is
+// unlinked and replaced. Other endpoints at no newer a timestamp are
+// refused.
 func (s *Store) PutRel(r RelData) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -72,18 +73,27 @@ func (s *Store) PutRel(r RelData) error {
 		case old.StartNode == r.StartNode && old.EndNode == r.EndNode:
 			rec.StartPrev, rec.StartNext = old.StartPrev, old.StartNext
 			rec.EndPrev, rec.EndNext = old.EndPrev, old.EndNext
-		case old.Tombstone:
-			// The ID was recycled: the record is the tombstone of a dead
-			// relationship whose removal never reached this file (it was
-			// collected, and its ID re-used, after the last flush before a
-			// crash — or on a replica, before its own collector got to
-			// it). Finish that removal and link the new one afresh.
+		default:
+			// Other endpoints: a relationship never changes its own, so the
+			// record can only belong to an earlier owner of a recycled ID —
+			// dead, its removal not yet in this file (it was collected, and
+			// the ID re-used, after the last flush before a crash; or on a
+			// replica, before its own collector got to it), and not even a
+			// tombstone if the collector took it off the checkpoint queue
+			// first. A later owner is newer than anything the earlier one
+			// wrote; an image that is not is a caller's mistake.
+			_, oldTS, err := s.readPropChain(old.FirstProp)
+			if err != nil {
+				return err
+			}
+			if r.CommitTS <= oldTS {
+				return fmt.Errorf("store: rel %d endpoints changed on rewrite", r.ID)
+			}
+			// Finish the removal and link the new owner afresh.
 			if err := s.unlinkRelLocked(r.ID, &old); err != nil {
 				return err
 			}
 			link = true
-		default:
-			return fmt.Errorf("store: rel %d endpoints changed on rewrite", r.ID)
 		}
 		if err := s.freePropChain(old.FirstProp); err != nil {
 			return err
@@ -247,12 +257,51 @@ func (s *Store) getRelLocked(id ids.ID) (RelData, error) {
 	}, nil
 }
 
-// RemoveRel unlinks relationship id from both endpoint chains, erases its
-// record and recycles the ID.
+// RemoveRel unlinks relationship id from both endpoint chains and erases
+// its record. The ID stays taken, as with RemoveNode.
 func (s *Store) RemoveRel(id ids.ID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.eraseRelLocked(id)
+}
 
+// ForgetNodeRels erases every relationship record still chained to node id;
+// their IDs stay taken. It is for the caller that
+// knows node id and all its relationships to be dead, and finds RemoveNode
+// refusing: a record still chained there is what is left of a relationship
+// whose ID was handed out again before its removal reached this file, so
+// the ID has an owner — just not this record.
+func (s *Store) ForgetNodeRels(id ids.ID) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var nbuf [record.NodeSize]byte
+	for {
+		if err := s.nodes.read(id, nbuf[:]); err != nil {
+			return err
+		}
+		nrec, err := record.DecodeNode(nbuf[:])
+		if err != nil {
+			return err
+		}
+		if !nrec.InUse || nrec.FirstRel == ids.NoID {
+			return nil
+		}
+		if !s.relLiveAtLocked(nrec.FirstRel, id) {
+			// A pointer left dangling by a checkpoint torn before flushes were
+			// atomic (journal.go): nothing is chained.
+			nrec.FirstRel = ids.NoID
+			record.EncodeNode(nbuf[:], &nrec)
+			return s.nodes.write(id, nbuf[:])
+		}
+		if err := s.eraseRelLocked(nrec.FirstRel); err != nil { // moves the chain's head on
+			return err
+		}
+	}
+}
+
+// eraseRelLocked unlinks relationship id from both endpoint chains and
+// erases its record and properties.
+func (s *Store) eraseRelLocked(id ids.ID) error {
 	var buf [record.RelSize]byte
 	if err := s.rels.read(id, buf[:]); err != nil {
 		return err
@@ -271,11 +320,7 @@ func (s *Store) RemoveRel(id ids.ID) error {
 	if err := s.freePropChain(rec.FirstProp); err != nil {
 		return err
 	}
-	if err := s.rels.zero(id); err != nil {
-		return err
-	}
-	s.rels.alloc.Release(id)
-	return nil
+	return s.rels.zero(id)
 }
 
 // unlinkRelLocked takes rel id out of the chains PutRel linked it into.

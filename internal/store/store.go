@@ -16,6 +16,9 @@ import (
 // Errors returned by the store.
 var (
 	ErrNotFound = errors.New("store: record not found")
+	// ErrHasRels refuses to remove a node whose relationship chain still
+	// holds records.
+	ErrHasRels = errors.New("store: node still has relationships")
 )
 
 // Options tune the store.
@@ -34,14 +37,15 @@ const DefaultCachePages = 1024
 // Store bundles the record files and token registry that together form the
 // persistent store of Figure 1.
 type Store struct {
-	mu     sync.Mutex // serialises structural (chain) updates
-	dir    string
-	fs     faultfs.FS
-	nodes  *recordFile
-	rels   *recordFile
-	props  *recordFile
-	dyn    *recordFile
-	tokens *Tokens
+	mu      sync.Mutex // serialises structural (chain) updates
+	dir     string
+	fs      faultfs.FS
+	nodes   *recordFile
+	rels    *recordFile
+	props   *recordFile
+	dyn     *recordFile
+	journal *journal // where the four files' caches write back (journal.go)
+	tokens  *Tokens
 	// idOffset/idStride mirror SetIDStride (stride 0: every ID is local).
 	idOffset, idStride ids.ID
 }
@@ -55,20 +59,24 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err := fs.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: mkdir %s: %w", dir, err)
 	}
-	s := &Store{dir: dir, fs: fs}
+	if err := replayJournal(fs, dir); err != nil {
+		return nil, err
+	}
+	j := &journal{fs: fs, dir: dir, slots: make(map[pageKey]int64)}
+	s := &Store{dir: dir, fs: fs, journal: j}
 	var err error
-	if s.nodes, err = openRecordFile(fs, dir, "neostore.nodes.db", record.NodeSize, opts.CachePages); err != nil {
+	if s.nodes, err = openRecordFile(j, 0, record.NodeSize, opts.CachePages); err != nil {
 		return nil, err
 	}
-	if s.rels, err = openRecordFile(fs, dir, "neostore.rels.db", record.RelSize, opts.CachePages); err != nil {
+	if s.rels, err = openRecordFile(j, 1, record.RelSize, opts.CachePages); err != nil {
 		s.closePartial()
 		return nil, err
 	}
-	if s.props, err = openRecordFile(fs, dir, "neostore.props.db", record.PropSize, opts.CachePages); err != nil {
+	if s.props, err = openRecordFile(j, 2, record.PropSize, opts.CachePages); err != nil {
 		s.closePartial()
 		return nil, err
 	}
-	if s.dyn, err = openRecordFile(fs, dir, "neostore.dyn.db", record.DynSize, opts.CachePages); err != nil {
+	if s.dyn, err = openRecordFile(j, 3, record.DynSize, opts.CachePages); err != nil {
 		s.closePartial()
 		return nil, err
 	}
@@ -93,30 +101,34 @@ func (s *Store) Tokens() *Tokens { return s.tokens }
 // Dir returns the store directory.
 func (s *Store) Dir() string { return s.dir }
 
-// Flush writes all dirty pages of every record file to disk.
+// Flush makes every change since the last flush durable — all of them or,
+// if it is cut short, none (journal.go).
 func (s *Store) Flush() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	for _, f := range []*recordFile{s.nodes, s.rels, s.props, s.dyn} {
-		if err := f.flush(); err != nil {
+		if err := f.cache.Flush(); err != nil { // stages what is still dirty
 			return err
 		}
 	}
-	return nil
+	return s.journal.flush()
 }
 
 // Close flushes and closes every file.
 func (s *Store) Close() error {
-	var firstErr error
+	firstErr := s.Flush()
 	for _, f := range []*recordFile{s.nodes, s.rels, s.props, s.dyn} {
 		if err := f.close(); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
+	s.journal.close()
 	return firstErr
 }
 
 // Crash closes every file without flushing dirty pages, simulating a
-// process crash. Only previously flushed/evicted pages survive on disk.
-// Test-support only.
+// process crash. Only what the last completed Flush wrote survives on
+// disk. Test-support only.
 func (s *Store) Crash() error {
 	var firstErr error
 	for _, f := range []*recordFile{s.nodes, s.rels, s.props, s.dyn} {
@@ -124,6 +136,7 @@ func (s *Store) Crash() error {
 			firstErr = err
 		}
 	}
+	s.journal.close()
 	return firstErr
 }
 

@@ -2,6 +2,7 @@ package store
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -171,7 +172,11 @@ func TestRemoveNode(t *testing.T) {
 	if err := s.RemoveNode(id); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("double remove: %v", err)
 	}
-	// ID is recycled.
+	// The ID is the caller's to recycle.
+	if got := s.AllocNodeID(); got == id {
+		t.Fatalf("AllocNodeID = %d, which nobody released", got)
+	}
+	s.ReleaseNodeID(id)
 	if got := s.AllocNodeID(); got != id {
 		t.Fatalf("AllocNodeID = %d, want recycled %d", got, id)
 	}
@@ -313,6 +318,76 @@ func TestRelRewrite(t *testing.T) {
 	// Endpoint change is rejected.
 	if err := s.PutRel(RelData{ID: rid, Type: "R", StartNode: b, EndNode: a}); err == nil {
 		t.Fatal("endpoint change should fail")
+	}
+}
+
+// A relationship never changes its endpoints, so a newer image with other
+// endpoints than the record's is a new owner of a recycled ID, put before
+// the previous owner's removal reached the file — whether that record is
+// a tombstone or (the collector drops a dead entity from the checkpoint
+// queue) still the live image. The record leaves the old endpoints' chains
+// and joins the new ones. An image that is not newer is no later owner,
+// and refused: nothing moves.
+func TestRelPutOverEarlierOwner(t *testing.T) {
+	for _, tombstone := range []bool{false, true} {
+		s := openTestStore(t)
+		a, b, c := mustNode(t, s, nil), mustNode(t, s, nil), mustNode(t, s, nil)
+		other := mustRel(t, s, "R", a, b)
+		rid := s.AllocRelID()
+		if err := s.PutRel(RelData{ID: rid, Type: "R", StartNode: a, EndNode: b, Tombstone: tombstone, CommitTS: 5}); err != nil {
+			t.Fatal(err)
+		}
+		for _, cts := range []uint64{4, 5} {
+			if err := s.PutRel(RelData{ID: rid, Type: "S", StartNode: b, EndNode: c, CommitTS: cts}); err == nil {
+				t.Fatalf("put with other endpoints at timestamp %d over one of 5 (tombstone=%v) should fail", cts, tombstone)
+			}
+		}
+		if got, _ := s.NodeRels(a); !reflect.DeepEqual(got, []uint64{rid, other}) {
+			t.Fatalf("tombstone=%v: chain of node %d after the refused puts = %v", tombstone, a, got)
+		}
+		if err := s.PutRel(RelData{ID: rid, Type: "S", StartNode: b, EndNode: c, CommitTS: 9}); err != nil {
+			t.Fatalf("put over an earlier owner (tombstone=%v): %v", tombstone, err)
+		}
+		for node, want := range map[uint64][]uint64{a: {other}, b: {rid, other}, c: {rid}} {
+			if got, err := s.NodeRels(node); err != nil || !reflect.DeepEqual(got, want) {
+				t.Fatalf("tombstone=%v: chain of node %d = %v, %v; want %v", tombstone, node, got, err, want)
+			}
+		}
+		if got, _ := s.GetRel(rid); got.Type != "S" || got.StartNode != b || got.EndNode != c || got.CommitTS != 9 {
+			t.Fatalf("tombstone=%v: rel = %+v", tombstone, got)
+		}
+	}
+}
+
+// ForgetNodeRels is what lets a dead node's record go when a relationship
+// record is still chained to it: the chain is emptied, the other
+// endpoints' chains stay whole, and the erased records' IDs stay taken.
+func TestForgetNodeRels(t *testing.T) {
+	s := openTestStore(t)
+	a, b, c := mustNode(t, s, nil), mustNode(t, s, nil), mustNode(t, s, nil)
+	ab, ca, loop := mustRel(t, s, "R", a, b), mustRel(t, s, "R", c, a), mustRel(t, s, "R", a, a)
+	bc := mustRel(t, s, "R", b, c)
+	if err := s.RemoveNode(a); !errors.Is(err, ErrHasRels) {
+		t.Fatalf("RemoveNode of a chained node: %v, want ErrHasRels", err)
+	}
+	if err := s.ForgetNodeRels(a); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RemoveNode(a); err != nil {
+		t.Fatalf("RemoveNode after ForgetNodeRels: %v", err)
+	}
+	for node, want := range map[uint64][]uint64{b: {bc}, c: {bc}} {
+		if got, err := s.NodeRels(node); err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("chain of node %d = %v, %v; want %v", node, got, err, want)
+		}
+	}
+	for _, rid := range []uint64{ab, ca, loop} {
+		if _, err := s.GetRel(rid); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("rel %d after ForgetNodeRels: %v", rid, err)
+		}
+	}
+	if id := s.AllocRelID(); id == ab || id == ca || id == loop {
+		t.Fatalf("AllocRelID = %d: a forgotten record's ID belongs to its new owner", id)
 	}
 }
 

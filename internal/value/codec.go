@@ -33,7 +33,7 @@ var (
 func AppendValue(dst []byte, v Value) []byte {
 	dst = append(dst, byte(v.kind))
 	switch v.kind {
-	case KindNull:
+	case KindNull, kindRemoved: // the kind byte is all there is
 	case KindBool:
 		dst = append(dst, byte(v.num))
 	case KindInt:
@@ -152,7 +152,7 @@ func DecodeMap(buf []byte) (Map, int, error) {
 	}
 	m := make(Map, cnt)
 	for i := uint64(0); i < cnt; i++ {
-		key, v, fn, err := decodeField(buf[n:])
+		key, v, fn, err := decodeField(buf[n:], false)
 		if err != nil {
 			return nil, 0, err
 		}

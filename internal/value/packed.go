@@ -140,6 +140,101 @@ func (p Packed) With(key string, v Value) Packed {
 	}
 }
 
+// removed marks, inside a patch (Diff), a key the newer list no longer
+// holds. It needs a marker of its own because a list may hold an explicit
+// Null (Pack keeps what a map holds), so "set to Null" and "removed" are
+// different changes. The marker exists only in patches: Merge consumes
+// it, AppendPacked writes its one kind byte, DecodePatch alone reads it
+// back — DecodeValue, and with it the store and the wire, rejects it.
+const kindRemoved Kind = 0xFF
+
+var removed = Value{kind: kindRemoved}
+
+// identical reports whether a and b encode to the same bytes. Equal is
+// the wrong question for a patch: it holds 0.0 equal to -0.0 and every NaN
+// equal to every other, and a redo must reproduce the value bit for bit.
+func identical(a, b Value) bool {
+	if a.kind != b.kind || a.num != b.num || a.str != b.str || len(a.list) != len(b.list) {
+		return false
+	}
+	for i := range a.list {
+		if !identical(a.list[i], b.list[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// Diff returns the patch that turns base into p: p's fields that base
+// lacks or holds with a different value, and a removal mark for every key
+// only base holds — one merge walk over the two sorted lists. The result
+// is a patch, not a property list: hand it only to Merge and AppendPacked.
+func (p Packed) Diff(base Packed) Packed {
+	var out []Field
+	i, j := 0, 0
+	for i < len(base.fields) || j < len(p.fields) {
+		switch {
+		case j == len(p.fields) || (i < len(base.fields) && base.fields[i].Key < p.fields[j].Key):
+			out = append(out, Field{base.fields[i].Key, removed})
+			i++
+		case i == len(base.fields) || p.fields[j].Key < base.fields[i].Key:
+			out = append(out, p.fields[j])
+			j++
+		default:
+			if !identical(base.fields[i].Val, p.fields[j].Val) {
+				out = append(out, p.fields[j])
+			}
+			i++
+			j++
+		}
+	}
+	return Packed{out}
+}
+
+// Merge applies a patch made by Diff: base.Merge(p.Diff(base)) holds
+// exactly p's fields. The result is a fresh, exactly sized list that
+// shares base's key strings; a removal of a key p does not hold is
+// ignored.
+func (p Packed) Merge(patch Packed) Packed {
+	if len(patch.fields) == 0 {
+		return p
+	}
+	n := len(p.fields)
+	for _, f := range patch.fields {
+		_, found := p.search(f.Key)
+		switch {
+		case f.Val.kind == kindRemoved && found:
+			n--
+		case f.Val.kind != kindRemoved && !found:
+			n++
+		}
+	}
+	if n == 0 {
+		return Packed{}
+	}
+	out := make([]Field, 0, n)
+	i, j := 0, 0
+	for i < len(p.fields) || j < len(patch.fields) {
+		switch {
+		case j == len(patch.fields) || (i < len(p.fields) && p.fields[i].Key < patch.fields[j].Key):
+			out = append(out, p.fields[i])
+			i++
+		case i == len(p.fields) || patch.fields[j].Key < p.fields[i].Key:
+			if patch.fields[j].Val.kind != kindRemoved {
+				out = append(out, patch.fields[j])
+			}
+			j++
+		default:
+			if patch.fields[j].Val.kind != kindRemoved {
+				out = append(out, Field{p.fields[i].Key, patch.fields[j].Val})
+			}
+			i++
+			j++
+		}
+	}
+	return Packed{out}
+}
+
 // ToMap materialises p as a fresh map (never nil), the form the public
 // API hands out.
 func (p Packed) ToMap() Map {
@@ -161,7 +256,8 @@ func (p Packed) Size() int {
 }
 
 // AppendPacked appends the map encoding of p to dst: the bytes AppendMap
-// writes for p.ToMap(), without building the map or sorting its keys.
+// writes for p.ToMap(), without building the map or sorting its keys. A
+// patch is written the same way, each removal mark as its kind byte.
 func AppendPacked(dst []byte, p Packed) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(p.fields)))
 	for _, f := range p.fields {
@@ -177,13 +273,23 @@ func AppendPacked(dst []byte, p Packed) []byte {
 // non-nil, supplies the key strings (so versions decoded from a log share
 // one copy of each key name); nil copies each key.
 func DecodePacked(buf []byte, intern func([]byte) string) (Packed, int, error) {
+	return decodePacked(buf, intern, false)
+}
+
+// DecodePatch is DecodePacked for the encoding of a patch (Diff): it alone
+// accepts removal marks.
+func DecodePatch(buf []byte, intern func([]byte) string) (Packed, int, error) {
+	return decodePacked(buf, intern, true)
+}
+
+func decodePacked(buf []byte, intern func([]byte) string, patch bool) (Packed, int, error) {
 	cnt, n, err := decodeMapCount(buf)
 	if err != nil || cnt == 0 {
 		return Packed{}, n, err
 	}
 	fields := make([]Field, 0, cnt)
 	for i := uint64(0); i < cnt; i++ {
-		key, v, fn, err := decodeField(buf[n:])
+		key, v, fn, err := decodeField(buf[n:], patch)
 		if err != nil {
 			return Packed{}, 0, err
 		}
@@ -211,8 +317,9 @@ func decodeMapCount(buf []byte) (cnt uint64, n int, err error) {
 	return cnt, n, nil
 }
 
-// decodeField reads one map entry; key aliases buf.
-func decodeField(buf []byte) (key []byte, v Value, n int, err error) {
+// decodeField reads one map entry — of a patch, one that may be a removal
+// mark; key aliases buf.
+func decodeField(buf []byte, patch bool) (key []byte, v Value, n int, err error) {
 	klen, kn := binary.Uvarint(buf)
 	if kn <= 0 {
 		return nil, Null, 0, fmt.Errorf("%w: bad key length", ErrCorrupt)
@@ -223,6 +330,9 @@ func decodeField(buf []byte) (key []byte, v Value, n int, err error) {
 	}
 	key = buf[n : n+int(klen)]
 	n += int(klen)
+	if patch && n < len(buf) && Kind(buf[n]) == kindRemoved {
+		return key, removed, n + 1, nil
+	}
 	v, vn, err := DecodeValue(buf[n:])
 	if err != nil {
 		return nil, Null, 0, err

@@ -3,6 +3,7 @@ package value
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -133,6 +134,95 @@ func TestDecodePackedInternsKeys(t *testing.T) {
 	checkPacked(t, p, Map{"interned-name": String("ada"), "interned-age": Int(36)})
 	if len(seen) != 2 {
 		t.Fatalf("intern saw %v, want both keys once", seen)
+	}
+}
+
+// A patch turns its base into its target — whatever the two share — and
+// survives the codec; the merged list is a list like any other: sorted,
+// exactly sized, and the base is untouched.
+func TestDiffMergeRoundTrip(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		baseMap, targetMap := randomMap(r, 14), randomMap(r, 14)
+		for k, v := range baseMap { // about half of what they share is unchanged
+			if r.Intn(2) == 0 {
+				targetMap[k] = v
+			}
+		}
+		base, target := Pack(baseMap), Pack(targetMap)
+		patch := target.Diff(base)
+		for i := 0; i < patch.Len(); i++ {
+			f := patch.At(i)
+			was, had := base.Get(f.Key)
+			now, has := target.Get(f.Key)
+			if had && has && identical(was, now) {
+				t.Fatalf("patch carries %q, which did not change", f.Key)
+			}
+		}
+		encoded := AppendPacked(nil, patch)
+		decoded, n, err := DecodePatch(encoded, nil)
+		if err != nil || n != len(encoded) {
+			t.Fatalf("DecodePatch: %d of %d bytes, %v", n, len(encoded), err)
+		}
+		if !bytes.Equal(AppendPacked(nil, decoded), encoded) {
+			t.Fatal("decoded patch encodes differently")
+		}
+		merged := base.Merge(decoded)
+		checkPacked(t, merged, targetMap)
+		checkPacked(t, base, baseMap)
+		if !bytes.Equal(AppendPacked(nil, merged), AppendPacked(nil, target)) {
+			t.Fatalf("merged %v, target %v", merged.ToMap(), targetMap)
+		}
+		if cap(merged.fields) != len(merged.fields) {
+			t.Fatalf("merged list has room for %d fields and holds %d", cap(merged.fields), len(merged.fields))
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
+// A patch tells apart what Equal does not, and "removed" from "set to
+// Null"; only the patch decoder reads its removal marks.
+func TestDiffIsExact(t *testing.T) {
+	negZero, nan2 := Float(math.Copysign(0, -1)), Float(math.Float64frombits(0x7ff8000000000002))
+	base := Pack(Map{"zero": Float(0), "nan": Float(math.NaN()), "gone": Int(1), "null": Null, "same": String("s")})
+	target := Pack(Map{"zero": negZero, "nan": nan2, "null": Null, "nulled": Null, "same": String("s")})
+	patch := target.Diff(base)
+	want := []Field{{"gone", removed}, {"nan", nan2}, {"nulled", Null}, {"zero", negZero}}
+	if patch.Len() != len(want) {
+		t.Fatalf("patch = %v", patch.fields)
+	}
+	for i, w := range want {
+		if got := patch.At(i); got.Key != w.Key || !identical(got.Val, w.Val) {
+			t.Errorf("patch field %d = %q %v, want %q %v", i, got.Key, got.Val, w.Key, w.Val)
+		}
+	}
+	merged := base.Merge(patch)
+	if v, ok := merged.Get("nulled"); !ok || !v.IsNull() {
+		t.Errorf("a key set to Null: %v, %v", v, ok)
+	}
+	if _, ok := merged.Get("gone"); ok {
+		t.Error("a removed key survived the merge")
+	}
+	if v, _ := merged.Get("zero"); !identical(v, negZero) {
+		t.Errorf("zero = %v, want -0", v)
+	}
+	// Removing what is not there, and an empty patch, change nothing.
+	if got := Pack(Map{"a": Int(1)}).Merge(patch); got.Len() != 4 {
+		t.Errorf("merge over a list without the removed key = %v", got.ToMap())
+	}
+	if got := base.Merge(Packed{}); got.Len() != base.Len() {
+		t.Errorf("empty patch changed the list: %v", got.ToMap())
+	}
+
+	encoded := AppendPacked(nil, patch)
+	if _, _, err := DecodePacked(encoded, nil); err == nil {
+		t.Error("DecodePacked read a removal mark: a property list has none")
+	}
+	if _, _, err := DecodeValue([]byte{byte(kindRemoved)}); err == nil {
+		t.Error("DecodeValue read a removal mark")
 	}
 }
 

@@ -30,6 +30,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"neograph/internal/faultfs"
@@ -52,6 +53,11 @@ type Options struct {
 const DefaultSegmentSize = 16 << 20
 
 const frameHeader = 8 // length + crc
+
+// maxKeptFrame is the largest frame buffer Append keeps for the next
+// record: commits log a few hundred bytes, and one bulk load's record
+// must not pin its size for the life of the log.
+const maxKeptFrame = 64 << 10
 
 // FrameOverhead is the number of framing bytes that precede each record's
 // payload. A record appended at LSN l with payload p occupies the byte
@@ -94,17 +100,24 @@ type WAL struct {
 	// caller's bookkeeping can run. Appends never take syncMu, so the log
 	// keeps filling while a flush is in flight.
 	syncMu sync.Mutex
-	// failErr is a sticky fsync failure (from Sync, rotation, or Close's
-	// seal sync). The kernel reports a writeback error once per fd and may
-	// drop the dirty pages, so after any failed fsync no later fsync can
-	// be trusted to mean the earlier records are durable: the log is
-	// poisoned and every subsequent Append/Sync fails with this error.
+	// failErr is a sticky failure — of an fsync (from Sync, rotation, or
+	// Close's seal sync), or of the rewind after a failed write. The kernel
+	// reports a writeback error once per fd and may drop the dirty pages,
+	// so after any failed fsync no later fsync can be trusted to mean the
+	// earlier records are durable; and a segment that could not be rewound
+	// no longer ends where the log does. Either way the log is poisoned:
+	// every subsequent Append/Sync fails with this error.
 	failErr error
 	// durable is the durability horizon: every byte below it has been
 	// covered by a successful fsync (or was found on disk at Open). It is
 	// the position replication ships up to — a replica never applies a
 	// record its primary could still lose.
 	durable uint64
+	// frame is Append's reused buffer: a record's header and payload are
+	// assembled in it and written with one call. Guarded by mu.
+	frame []byte
+	// appendFailures counts appends whose write failed (and was rewound).
+	appendFailures atomic.Uint64
 	// notifyC, when non-nil, is closed whenever the shippable horizon
 	// advances (durable moves, or any append under NoSync) and at Close,
 	// waking WaitShippable callers. Lazily created by the first waiter.
@@ -280,7 +293,7 @@ func (w *WAL) Append(payload []byte) (uint64, error) {
 		return 0, ErrClosed
 	}
 	if w.failErr != nil {
-		return 0, fmt.Errorf("wal: log poisoned by earlier fsync failure: %w", w.failErr)
+		return 0, fmt.Errorf("wal: log poisoned by an earlier failure: %w", w.failErr)
 	}
 	frame := int64(frameHeader + len(payload))
 	if frame > w.opts.SegmentSize {
@@ -292,13 +305,28 @@ func (w *WAL) Append(payload []byte) (uint64, error) {
 		}
 	}
 	lsn := w.nextLSN
-	var hdr [frameHeader]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.Checksum(payload, castagnoli))
-	if _, err := w.active.Write(hdr[:]); err != nil {
-		return 0, fmt.Errorf("wal: append: %w", err)
+	// Header and payload go out as one write: one system call inside the
+	// caller's ordering section, and no failure can fall between them.
+	w.frame = binary.LittleEndian.AppendUint32(w.frame[:0], uint32(len(payload)))
+	w.frame = binary.LittleEndian.AppendUint32(w.frame, crc32.Checksum(payload, castagnoli))
+	w.frame = append(w.frame, payload...)
+	_, err := w.active.Write(w.frame)
+	if cap(w.frame) > maxKeptFrame {
+		w.frame = nil
 	}
-	if _, err := w.active.Write(payload); err != nil {
+	if err != nil {
+		// Part of the frame may have reached the file (a full disk): put the
+		// file back to the log's end, or the next record would land behind
+		// the stray bytes, at an LSN that is not its offset, and a reopen
+		// would cut the log — acknowledged records and all — at the stray.
+		w.appendFailures.Add(1)
+		rerr := w.active.Truncate(w.size)
+		if rerr == nil {
+			_, rerr = w.active.Seek(w.size, io.SeekStart)
+		}
+		if rerr != nil {
+			w.failErr = fmt.Errorf("append failed (%v) and the segment could not be rewound: %w", err, rerr)
+		}
 		return 0, fmt.Errorf("wal: append: %w", err)
 	}
 	w.size += frame
@@ -323,7 +351,7 @@ func (w *WAL) Sync() error {
 	if w.failErr != nil {
 		err := w.failErr
 		w.mu.Unlock()
-		return fmt.Errorf("wal: log poisoned by earlier fsync failure: %w", err)
+		return fmt.Errorf("wal: log poisoned by an earlier failure: %w", err)
 	}
 	if w.opts.NoSync {
 		w.mu.Unlock()
@@ -352,7 +380,7 @@ func (w *WAL) Sync() error {
 		// kernel's once-per-fd writeback error and set failErr while we
 		// were syncing — our nil then proves nothing about those records.
 		if w.failErr != nil {
-			return fmt.Errorf("wal: log poisoned by earlier fsync failure: %w", w.failErr)
+			return fmt.Errorf("wal: log poisoned by an earlier failure: %w", w.failErr)
 		}
 		w.markDurableLocked(target)
 		return nil
@@ -366,11 +394,14 @@ func (w *WAL) Sync() error {
 		return nil
 	}
 	if w.failErr != nil {
-		return fmt.Errorf("wal: log poisoned by earlier fsync failure: %w", w.failErr)
+		return fmt.Errorf("wal: log poisoned by an earlier failure: %w", w.failErr)
 	}
 	w.failErr = err
 	return err
 }
+
+// AppendFailures counts the appends whose write to the segment failed.
+func (w *WAL) AppendFailures() uint64 { return w.appendFailures.Load() }
 
 // NextLSN returns the LSN the next Append will receive.
 func (w *WAL) NextLSN() uint64 {
@@ -499,7 +530,7 @@ func (w *WAL) WaitShippable(after uint64, timeout time.Duration, cancel <-chan s
 		case w.failErr != nil:
 			err := w.failErr
 			w.mu.Unlock()
-			return pos, fmt.Errorf("wal: log poisoned by earlier fsync failure: %w", err)
+			return pos, fmt.Errorf("wal: log poisoned by an earlier failure: %w", err)
 		}
 		if w.notifyC == nil {
 			w.notifyC = make(chan struct{})

@@ -468,3 +468,96 @@ func TestNoSyncShippableIsAppendHorizon(t *testing.T) {
 		t.Fatalf("NoSync durable = %d, want %d", got, lsn+FrameOverhead+1)
 	}
 }
+
+// A write that fails having put part of a frame in the file (a full disk)
+// must leave the log as if it had never begun: the next record lands at
+// the position the log reports for it, and a reopen finds every record
+// appended — and fsynced, and acknowledged — after the failure. Before
+// the rewind the stray bytes stayed, the next record sat behind them at
+// an LSN that was not its offset, and the reopen cut the log at the stray.
+func TestFailedAppendLeavesNoStrayBytes(t *testing.T) {
+	for _, stray := range []int{3, frameHeader, -1} { // part of the header, all of it, half the frame
+		t.Run(fmt.Sprint(stray), func(t *testing.T) {
+			inj := faultfs.NewInjector(faultfs.OS{}, nil)
+			w, dir := openTestWAL(t, Options{FS: inj})
+			first, err := w.Append([]byte("first"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			inj.Arm(faultfs.Fault{Point: "wal.write", Hit: 1, Mode: faultfs.ModeWriteFail, TornBytes: stray})
+			end := w.NextLSN()
+			if _, err := w.Append([]byte("second")); !errors.Is(err, faultfs.ErrWriteFailed) {
+				t.Fatalf("Append over a failing write: %v, want ErrWriteFailed", err)
+			}
+			if w.NextLSN() != end || w.AppendFailures() != 1 {
+				t.Fatalf("after the failure: NextLSN %d (was %d), %d failures counted", w.NextLSN(), end, w.AppendFailures())
+			}
+			third, err := w.Append([]byte("third"))
+			if err != nil || third != end {
+				t.Fatalf("Append after the failure = %d, %v; want lsn %d", third, err, end)
+			}
+			if err := w.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			// A reader of the durable range — the replication shipper — sees
+			// the two records and nothing between them.
+			var shipped []string
+			err = w.ReadRange(first, w.DurableLSN(), func(_ uint64, p []byte) error {
+				shipped = append(shipped, string(p))
+				return nil
+			})
+			if err != nil || fmt.Sprint(shipped) != "[first third]" {
+				t.Fatalf("ReadRange = %v, %v", shipped, err)
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			w, err = Open(dir, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer w.Close()
+			lsns, got := collect(t, w)
+			if fmt.Sprint(got) != "[first third]" || lsns[1] != third {
+				t.Fatalf("after reopen: records %v at %v; the fsynced %q at %d must survive", got, lsns, "third", third)
+			}
+		})
+	}
+}
+
+// When the rewind after a failed write fails too, the segment no longer
+// ends where the log does: nothing more may be appended to it.
+func TestFailedRewindPoisonsTheLog(t *testing.T) {
+	inj := faultfs.NewInjector(faultfs.OS{}, nil)
+	w, _ := openTestWAL(t, Options{FS: inj})
+	defer w.Close()
+	// The write is torn by a crash, so the truncate that follows fails.
+	inj.Arm(faultfs.Fault{Point: "wal.write", Hit: 1, Mode: faultfs.ModeTornWrite, TornBytes: 5})
+	if _, err := w.Append([]byte("lost")); err == nil {
+		t.Fatal("Append over a torn write succeeded")
+	}
+	inj.Arm(faultfs.Fault{}) // the file system is back; the log must not be
+	if _, err := w.Append([]byte("later")); err == nil {
+		t.Fatal("Append succeeded on a segment that holds stray bytes")
+	}
+	if err := w.Sync(); err == nil {
+		t.Fatal("Sync succeeded on a poisoned log")
+	}
+}
+
+// One record, one write: the header does not go out on its own.
+func TestAppendIsOneWrite(t *testing.T) {
+	inj := faultfs.NewInjector(faultfs.OS{}, nil)
+	w, _ := openTestWAL(t, Options{FS: inj})
+	defer w.Close()
+	const n = 50
+	for i := 0; i < n; i++ {
+		if _, err := w.Append([]byte(fmt.Sprintf("record-%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := inj.Counts()["wal.write"]; got != n {
+		t.Fatalf("%d appends took %d writes", n, got)
+	}
+}
