@@ -7,7 +7,7 @@ GO ?= go
 # toolchain install, no go.mod entry). Bump deliberately.
 STATICCHECK_VERSION ?= 2025.1
 
-.PHONY: all build test race bench bench-smoke mem logbytes lint staticcheck fmt clean
+.PHONY: all build test race bench bench-smoke mem logbytes recover lint staticcheck fmt clean
 
 all: build test
 
@@ -44,7 +44,7 @@ bench-smoke: build
 ## graph reachable for exactly this profile (B/entity and allocs/entity
 ## are in the benchmark lines above it)
 mem:
-	$(GO) test -run '^$$' -bench 'LoadSocial|RecoverSocial' -benchtime 1x -benchmem -memprofile mem.pprof .
+	$(GO) test -run '^$$' -bench 'LoadSocial|RecoverSocial/people=12000$$' -benchtime 1x -benchmem -memprofile mem.pprof .
 	$(GO) tool pprof -sample_index=inuse_space -top -nodecount=15 mem.pprof
 
 ## logbytes: what a commit of each of the benchmark's write shapes costs
@@ -54,6 +54,15 @@ mem:
 logbytes:
 	$(GO) test -run '^$$' -bench CommitRecordBytes -benchtime 1x -json . > commit-record-bytes.json
 	@grep 'B/commit' commit-record-bytes.json
+
+## recover: what Open costs and what it grows with — the benchmark's graph
+## and one ten times its size, reopened on 1, 2 and 4 processors: ns/op,
+## B/entity, page-cache pins per store page and the time per stage
+## (TestOpenPinsEachPageOnce holds the pins to a budget in tier-1); the
+## rows land in recover-bench.json as test2json lines
+recover:
+	$(GO) test -run '^$$' -bench RecoverSocial -benchtime 2x -benchmem -cpu 1,2,4 -timeout 30m -json . > recover-bench.json
+	@grep 'pins/page' recover-bench.json
 
 ## lint: go vet (benchmark module included) + gofmt diff check +
 ## log.Printf gate + wire-seam gates + one-log-fold gate + staticcheck
@@ -96,4 +105,4 @@ fmt:
 	gofmt -w .
 
 clean:
-	rm -f bench-results.json commit-record-bytes.json cpu.pprof mem.pprof neograph.test
+	rm -f bench-results.json commit-record-bytes.json recover-bench.json cpu.pprof mem.pprof neograph.test

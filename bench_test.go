@@ -7,6 +7,7 @@ package neograph_test
 // and `cmd/neograph-bench` prints the full-size versions.
 
 import (
+	"fmt"
 	"io"
 	"math/rand"
 	"runtime"
@@ -15,6 +16,8 @@ import (
 
 	"neograph"
 	"neograph/internal/bench"
+	"neograph/internal/core"
+	"neograph/internal/pagecache"
 	"neograph/internal/workload"
 )
 
@@ -256,15 +259,15 @@ func liveHeap() (heap, mallocs uint64) {
 	return ms.HeapAlloc, ms.Mallocs
 }
 
-// loadSocial opens a durable-format (unsynced) database in dir, loads the
-// social graph and checkpoints it.
-func loadSocial(b *testing.B, dir string) (*neograph.DB, int) {
+// loadSocial opens a durable-format (unsynced) database in dir, loads a
+// social graph of that many people and checkpoints it.
+func loadSocial(b *testing.B, dir string, people int) (*neograph.DB, int) {
 	b.Helper()
 	db, err := neograph.Open(neograph.Options{Dir: dir, DisableSyncCommits: true})
 	if err != nil {
 		b.Fatal(err)
 	}
-	g, err := workload.BuildSocial(db, workload.SocialConfig{People: socialPeople, AvgFriends: socialFriends, Seed: 7})
+	g, err := workload.BuildSocial(db, workload.SocialConfig{People: people, AvgFriends: socialFriends, Seed: 7})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -280,7 +283,7 @@ func BenchmarkLoadSocial(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		heap0, mallocs0 := liveHeap()
-		db, entities := loadSocial(b, b.TempDir())
+		db, entities := loadSocial(b, b.TempDir(), socialPeople)
 		heap1, mallocs1 := liveHeap()
 		b.ReportMetric(float64(heap1-heap0)/float64(entities), "B/entity")
 		b.ReportMetric(float64(mallocs1-mallocs0)/float64(entities), "allocs/entity")
@@ -298,13 +301,24 @@ func BenchmarkLoadSocial(b *testing.B) {
 var residentDB *neograph.DB
 
 // BenchmarkRecoverSocial reopens a crashed, fully checkpointed copy of the
-// benchmark graph: ns/op is Open, B/entity the recovered layout.
+// benchmark graph, and of one ten times its size: ns/op is Open — what it
+// grows with is the ratio of the two — B/entity the recovered layout,
+// pins/page how often Open asked the page cache for each page of the
+// store, and the three ms metrics where OpenReport says the time went.
 func BenchmarkRecoverSocial(b *testing.B) {
+	for _, people := range []int{socialPeople, 10 * socialPeople} {
+		b.Run(fmt.Sprintf("people=%d", people), func(b *testing.B) { benchRecoverSocial(b, people) })
+	}
+}
+
+func benchRecoverSocial(b *testing.B, people int) {
 	dir := b.TempDir()
-	db, entities := loadSocial(b, dir)
+	db, entities := loadSocial(b, dir, people)
 	if err := db.Crash(); err != nil {
 		b.Fatal(err)
 	}
+	var pins, pages float64
+	var rep core.OpenReport
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -319,12 +333,32 @@ func BenchmarkRecoverSocial(b *testing.B) {
 		heap1, mallocs1 := liveHeap()
 		b.ReportMetric(float64(heap1-heap0)/float64(entities), "B/entity")
 		b.ReportMetric(float64(mallocs1-mallocs0)/float64(entities), "allocs/entity")
+		st := re.Engine().Store()
+		for _, cs := range st.CacheStats() {
+			pins += float64(cs.Hits + cs.Misses)
+		}
+		sizes, err := st.FileSizes()
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, size := range sizes {
+			pages += float64((size + pagecache.PageSize - 1) / pagecache.PageSize)
+		}
+		r := re.Engine().OpenReport()
+		rep.Store += r.Store
+		rep.Scan += r.Scan
+		rep.Replay += r.Replay
 		if err := re.Crash(); err != nil {
 			b.Fatal(err)
 		}
 		residentDB = re
 		b.StartTimer()
 	}
+	b.ReportMetric(pins/pages, "pins/page")
+	ms := func(d time.Duration) float64 { return d.Seconds() * 1e3 / float64(b.N) }
+	b.ReportMetric(ms(rep.Store), "store-ms/op")
+	b.ReportMetric(ms(rep.Scan), "scan-ms/op")
+	b.ReportMetric(ms(rep.Replay), "replay-ms/op")
 }
 
 // ---- what a commit costs the log ----

@@ -378,6 +378,9 @@ type Engine struct {
 	bg      sync.WaitGroup
 	stopBG  chan struct{}
 	stopped sync.Once
+
+	// opened is what Open did and how long it took; not written after.
+	opened OpenReport
 }
 
 // statsCounters is the atomic backing of Stats.
@@ -454,16 +457,20 @@ func Open(opts Options) (*Engine, error) {
 		return nil, fmt.Errorf("%w: marker %s present in %s", ErrReseedIncomplete, ReseedMarkerName, opts.Dir)
 	}
 
+	openStart := time.Now()
 	st, err := store.Open(opts.Dir, store.Options{CachePages: opts.StoreCachePages, FS: opts.FS})
 	if err != nil {
 		return nil, err
 	}
+	e.opened.Store = time.Since(openStart)
+	e.opened.JournalReplays = st.JournalReplays()
 	if opts.PartitionCount > 1 {
 		// Strided IDs: this partition only ever allocates its own
 		// congruence class, so ownership is computable client-side from
 		// any ID. Must precede recovery (which may extend high waters).
 		st.SetIDStride(uint64(opts.PartitionID), uint64(opts.PartitionCount))
 	}
+	walStart := time.Now()
 	w, err := wal.Open(opts.Dir+"/wal", wal.Options{
 		NoSync:      opts.NoSyncCommits,
 		SegmentSize: opts.WALSegmentSize,
@@ -473,6 +480,7 @@ func Open(opts Options) (*Engine, error) {
 		st.Close()
 		return nil, err
 	}
+	e.opened.Replay = time.Since(walStart)
 	e.store, e.wal = st, w
 	// Recovery fills the maps with every record below the store's high
 	// waters; sizing them for that up front spares the rehash-and-copy of

@@ -267,6 +267,14 @@ func TestServerMetricsEndToEnd(t *testing.T) {
 		"neograph_wal_append_failures_total 0",
 		`neograph_commit_record_bytes_bucket{le="+Inf"} 1`, // the one create
 		`neograph_pagecache_hits_total{file="nodes"}`,
+		`neograph_open_seconds{stage="store"}`,
+		`neograph_open_seconds{stage="scan"}`,
+		`neograph_open_seconds{stage="replay"}`,
+		`neograph_open_entities{kind="node"} 0`, // opened empty
+		`neograph_open_entities{kind="rel"} 0`,
+		`neograph_open_entities{kind="wal_record"} 0`,
+		"neograph_open_workers",
+		"neograph_store_journal_replays_total 0",
 		"neograph_repl_connected 0",
 	} {
 		if !strings.Contains(out, want) {

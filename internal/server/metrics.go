@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"neograph"
+	"neograph/internal/core"
 	"neograph/internal/metrics"
 	"neograph/internal/wire"
 )
@@ -121,6 +122,31 @@ func RegisterDBMetrics(reg *metrics.Registry, db *neograph.DB) {
 		func() float64 { return float64(db.Stats().GCCollected) })
 	reg.CounterFunc("neograph_checkpoints_total", "checkpoints written",
 		func() float64 { return float64(db.Stats().Checkpoints) })
+
+	// Open: why this node took as long as it did to come back. Read through
+	// db.Engine() each time: a re-seed opens a new engine.
+	opened := func() core.OpenReport { return db.Engine().OpenReport() }
+	const (
+		openSeconds  = "time the last Open spent per stage"
+		openEntities = "what the last Open read: store images and log records"
+	)
+	reg.GaugeFunc("neograph_open_seconds", openSeconds,
+		func() float64 { return opened().Store.Seconds() }, metrics.L("stage", "store"))
+	reg.GaugeFunc("neograph_open_seconds", openSeconds,
+		func() float64 { return opened().Scan.Seconds() }, metrics.L("stage", "scan"))
+	reg.GaugeFunc("neograph_open_seconds", openSeconds,
+		func() float64 { return opened().Replay.Seconds() }, metrics.L("stage", "replay"))
+	reg.GaugeFunc("neograph_open_entities", openEntities,
+		func() float64 { return float64(opened().Nodes) }, metrics.L("kind", "node"))
+	reg.GaugeFunc("neograph_open_entities", openEntities,
+		func() float64 { return float64(opened().Rels) }, metrics.L("kind", "rel"))
+	reg.GaugeFunc("neograph_open_entities", openEntities,
+		func() float64 { return float64(opened().WALRecords) }, metrics.L("kind", "wal_record"))
+	reg.GaugeFunc("neograph_open_workers", "goroutines the last Open's store scan was spread over",
+		func() float64 { return float64(opened().Workers) })
+	reg.CounterFunc("neograph_store_journal_replays_total",
+		"interrupted store flushes that Open finished from their journal",
+		func() float64 { return float64(opened().JournalReplays) })
 
 	// Versioned indexes: what they hold and what their collector still owes.
 	// Keys and entries follow the live data; pending removals drain to zero

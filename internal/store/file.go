@@ -15,6 +15,7 @@ import (
 
 	"neograph/internal/ids"
 	"neograph/internal/pagecache"
+	"neograph/internal/record"
 )
 
 // recordFile is a fixed-size-record array over a page cache.
@@ -56,29 +57,29 @@ func openRecordFile(j *journal, file, recSize, cachePages int) (*recordFile, err
 	// Allocator state is rebuilt by scanning in-use flags rather than
 	// trusting a side file: after a crash, a persisted free list could
 	// hand out the ID of a record that became live since it was saved.
-	// Every record format keeps its in-use bit in byte 0, bit 0.
+	// Every record format keeps its in-use bit in byte 0, bit 0. One pass,
+	// one pin per page: the slots between one record in use and the next
+	// are free; those after the last were never allocated.
 	alloc := ids.NewAllocator()
 	var free []ids.ID
 	hw := ids.ID(0)
-	pages := cache.PageCount()
-	buf := make([]byte, recSize)
-	for id := ids.ID(0); id < pages*uint64(f.perPage); id++ {
-		if err := f.read(id, buf); err != nil {
+	for page := uint64(0); page < cache.PageCount(); page++ {
+		p, err := cache.Pin(page)
+		if err != nil {
 			cache.Close()
-			return nil, err
+			return nil, fmt.Errorf("store: read page %d of %s: %w", page, path, err)
 		}
-		if buf[0]&1 != 0 { // record.FlagInUse
+		data, id := p.Data(), page*uint64(f.perPage)
+		for off := 0; off+recSize <= pagecache.PageSize; off, id = off+recSize, id+1 {
+			if data[off]&record.FlagInUse == 0 {
+				continue
+			}
+			for ; hw < id; hw++ {
+				free = append(free, hw)
+			}
 			hw = id + 1
 		}
-	}
-	for id := ids.ID(0); id < hw; id++ {
-		if err := f.read(id, buf); err != nil {
-			cache.Close()
-			return nil, err
-		}
-		if buf[0]&1 == 0 {
-			free = append(free, id)
-		}
+		cache.Unpin(p, false)
 	}
 	alloc.SetHighWater(hw)
 	for _, id := range free {

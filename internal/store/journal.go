@@ -235,34 +235,35 @@ func readJournalEntry(f faultfs.File, i int, buf []byte) (file int, page uint64,
 }
 
 // replayJournal finishes the flush a crash interrupted, if its journal is
-// whole, and removes the journal either way. It runs before the record
-// files are opened.
-func replayJournal(fs faultfs.FS, dir string) error {
+// whole — replayed says it was — and removes the journal either way. It
+// runs before the record files are opened.
+func replayJournal(fs faultfs.FS, dir string) (replayed bool, err error) {
 	path := filepath.Join(dir, journalName)
 	f, err := fs.OpenFile(path, os.O_RDONLY, 0)
 	if os.IsNotExist(err) {
-		return nil
+		return false, nil
 	}
 	if err != nil {
-		return fmt.Errorf("store: journal: %w", err)
+		return false, fmt.Errorf("store: journal: %w", err)
 	}
 	defer f.Close()
-	if n, whole := journalEntries(f); whole {
+	n, whole := journalEntries(f)
+	if whole {
 		var files [len(journalFiles)]faultfs.File
 		for i, name := range journalFiles {
 			if files[i], err = fs.OpenFile(filepath.Join(dir, name), os.O_RDWR|os.O_CREATE, 0o644); err != nil {
-				return fmt.Errorf("store: journal replay: %w", err)
+				return false, fmt.Errorf("store: journal replay: %w", err)
 			}
 			defer files[i].Close()
 		}
 		if err := applyJournal(f, n, files[:]); err != nil {
-			return fmt.Errorf("store: journal replay: %w", err)
+			return false, fmt.Errorf("store: journal replay: %w", err)
 		}
 	}
 	if err := fs.Remove(path); err != nil {
-		return fmt.Errorf("store: journal: %w", err)
+		return false, fmt.Errorf("store: journal: %w", err)
 	}
-	return nil
+	return whole, nil
 }
 
 // journalEntries counts the entries of f and reports whether f is whole.

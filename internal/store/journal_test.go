@@ -143,23 +143,61 @@ func TestFlushIsAllOrNothing(t *testing.T) {
 	}
 }
 
+// journalLabel puts the journal under a fault label of its own:
+// "store.write" is then a write into a record file, the second half of a
+// flush.
+func journalLabel(path string) string {
+	if filepath.Base(path) == journalName {
+		return "journal"
+	}
+	return faultfs.DefaultLabel(path)
+}
+
+// An Open that finds a whole journal finishes the flush and says so
+// (neograph_store_journal_replays_total); the next Open finds none.
+func TestJournalReplayIsCounted(t *testing.T) {
+	dir := t.TempDir()
+	inj := faultfs.NewInjector(faultfs.OS{}, journalLabel)
+	s, err := Open(dir, Options{CachePages: 4, FS: inj})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.JournalReplays() != 0 {
+		t.Fatalf("a new store replayed %d journals", s.JournalReplays())
+	}
+	if err := journalWorkload(s, 1); err != nil {
+		t.Fatal(err)
+	}
+	want := dumpStore(t, s)
+	inj.Arm(faultfs.Fault{Point: "store.write", Hit: 2}) // the journal is whole, the copy into place begun
+	if err := s.Flush(); !errors.Is(err, faultfs.ErrCrashed) {
+		t.Fatalf("Flush = %v, want the injected crash", err)
+	}
+	s.Crash()
+	for open, replays := range []uint64{1, 0} {
+		re, err := Open(dir, Options{CachePages: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if re.JournalReplays() != replays {
+			t.Errorf("open %d: %d journal replays, want %d", open, re.JournalReplays(), replays)
+		}
+		if got := dumpStore(t, re); got != want {
+			t.Errorf("open %d: the flush was not finished", open)
+		}
+		re.Crash()
+	}
+}
+
 // A flush whose journal was whole and whose copy into place then failed —
 // the process lives: a full disk, not a crash — leaves record files that
 // only that journal can repair. Whatever the store does next, it finishes
 // that flush first: a crash while the next journal is being written must
 // not find the files torn and the journal gone.
 func TestFailedFlushIsFinishedBeforeTheNext(t *testing.T) {
-	// The journal under a label of its own: "store.write" is a write into
-	// a record file, the second half of a flush.
-	label := func(path string) string {
-		if filepath.Base(path) == journalName {
-			return "journal"
-		}
-		return faultfs.DefaultLabel(path)
-	}
 	for _, crashAt := range []string{"journal.write", "store.write"} {
 		dir := t.TempDir()
-		inj := faultfs.NewInjector(faultfs.OS{}, label)
+		inj := faultfs.NewInjector(faultfs.OS{}, journalLabel)
 		s, err := Open(dir, Options{CachePages: 4, FS: inj})
 		if err != nil {
 			t.Fatal(err)

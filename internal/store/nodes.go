@@ -126,15 +126,9 @@ func (s *Store) getNodeLocked(id ids.ID) (NodeData, error) {
 	if !rec.InUse {
 		return NodeData{}, fmt.Errorf("%w: node %d", ErrNotFound, id)
 	}
-	props, cts, err := s.readPropChain(rec.FirstProp)
-	if err != nil {
-		return NodeData{}, err
-	}
-	n := NodeData{ID: id, Tombstone: rec.Tombstone, Props: props, CommitTS: cts}
-	if n.Labels, err = s.readLabelChain(rec.LabelRef); err != nil {
-		return NodeData{}, err
-	}
-	return n, nil
+	r := s.newReader()
+	defer r.release()
+	return r.node(id, &rec)
 }
 
 // RemoveNode erases the persisted image of node id. The ID stays taken:
@@ -168,21 +162,20 @@ func (s *Store) RemoveNode(id ids.ID) error {
 }
 
 // ScanNodes calls fn for every in-use node image, in ID order. fn errors
-// abort the scan.
+// abort the scan, and so does a node that cannot be read whole: the error
+// names it. For a store that has no writer, as at Open.
 func (s *Store) ScanNodes(fn func(NodeData) error) error {
-	hw := s.nodes.alloc.HighWater()
-	for id := ids.ID(0); id < hw; id++ {
-		s.mu.Lock()
-		n, err := s.getNodeLocked(id)
-		s.mu.Unlock()
+	return s.scan(s.nodes, func(r *reader, id ids.ID, buf []byte) error {
+		var n NodeData
+		rec, err := record.DecodeNode(buf)
+		if err == nil {
+			n, err = r.node(id, &rec)
+		}
 		if err != nil {
-			continue // not in use
+			return fmt.Errorf("store: node %d of %s: %w", id, s.nodes.path, err)
 		}
-		if err := fn(n); err != nil {
-			return err
-		}
-	}
-	return nil
+		return fn(n)
+	})
 }
 
 // writeLabelChain persists a label set as a dynamic chain of uint32 label
@@ -200,28 +193,4 @@ func (s *Store) writeLabelChain(labels []string) (ids.ID, error) {
 		buf = binary.LittleEndian.AppendUint32(buf, tok)
 	}
 	return s.writeDynChain(buf)
-}
-
-// readLabelChain loads a label set from a dynamic chain.
-func (s *Store) readLabelChain(ref ids.ID) ([]string, error) {
-	if ref == ids.NoID {
-		return nil, nil
-	}
-	raw, err := s.readDynChain(ref)
-	if err != nil {
-		return nil, err
-	}
-	if len(raw)%4 != 0 {
-		return nil, fmt.Errorf("store: label chain %d has odd length %d", ref, len(raw))
-	}
-	labels := make([]string, 0, len(raw)/4)
-	for off := 0; off < len(raw); off += 4 {
-		tok := binary.LittleEndian.Uint32(raw[off:])
-		name, ok := s.tokens.Name(TokenLabel, tok)
-		if !ok {
-			return nil, fmt.Errorf("store: unknown label token %d", tok)
-		}
-		labels = append(labels, name)
-	}
-	return labels, nil
 }

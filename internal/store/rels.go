@@ -82,7 +82,9 @@ func (s *Store) PutRel(r RelData) error {
 			// tombstone if the collector took it off the checkpoint queue
 			// first. A later owner is newer than anything the earlier one
 			// wrote; an image that is not is a caller's mistake.
-			_, oldTS, err := s.readPropChain(old.FirstProp)
+			chains := s.newReader()
+			_, oldTS, err := chains.propChain(old.FirstProp)
+			chains.release()
 			if err != nil {
 				return err
 			}
@@ -242,19 +244,9 @@ func (s *Store) getRelLocked(id ids.ID) (RelData, error) {
 	if !rec.InUse {
 		return RelData{}, fmt.Errorf("%w: rel %d", ErrNotFound, id)
 	}
-	typeName, ok := s.tokens.Name(TokenRelType, rec.Type)
-	if !ok {
-		return RelData{}, fmt.Errorf("store: rel %d has unknown type token %d", id, rec.Type)
-	}
-	props, cts, err := s.readPropChain(rec.FirstProp)
-	if err != nil {
-		return RelData{}, err
-	}
-	return RelData{
-		ID: id, Type: typeName,
-		StartNode: rec.StartNode, EndNode: rec.EndNode,
-		Tombstone: rec.Tombstone, Props: props, CommitTS: cts,
-	}, nil
+	r := s.newReader()
+	defer r.release()
+	return r.rel(id, &rec)
 }
 
 // RemoveRel unlinks relationship id from both endpoint chains and erases
@@ -412,19 +404,18 @@ func (s *Store) NodeRels(id ids.ID) ([]ids.ID, error) {
 	return out, nil
 }
 
-// ScanRels calls fn for every in-use relationship image, in ID order.
+// ScanRels calls fn for every in-use relationship image, in ID order; see
+// ScanNodes.
 func (s *Store) ScanRels(fn func(RelData) error) error {
-	hw := s.rels.alloc.HighWater()
-	for id := ids.ID(0); id < hw; id++ {
-		s.mu.Lock()
-		r, err := s.getRelLocked(id)
-		s.mu.Unlock()
+	return s.scan(s.rels, func(r *reader, id ids.ID, buf []byte) error {
+		var rd RelData
+		rec, err := record.DecodeRel(buf)
+		if err == nil {
+			rd, err = r.rel(id, &rec)
+		}
 		if err != nil {
-			continue // not in use
+			return fmt.Errorf("store: rel %d of %s: %w", id, s.rels.path, err)
 		}
-		if err := fn(r); err != nil {
-			return err
-		}
-	}
-	return nil
+		return fn(rd)
+	})
 }

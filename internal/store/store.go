@@ -48,6 +48,7 @@ type Store struct {
 	tokens  *Tokens
 	// idOffset/idStride mirror SetIDStride (stride 0: every ID is local).
 	idOffset, idStride ids.ID
+	journalReplays     uint64
 }
 
 // Open opens (creating if needed) the store in directory dir.
@@ -59,12 +60,15 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err := fs.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: mkdir %s: %w", dir, err)
 	}
-	if err := replayJournal(fs, dir); err != nil {
+	replayed, err := replayJournal(fs, dir)
+	if err != nil {
 		return nil, err
 	}
 	j := &journal{fs: fs, dir: dir, slots: make(map[pageKey]int64)}
 	s := &Store{dir: dir, fs: fs, journal: j}
-	var err error
+	if replayed {
+		s.journalReplays = 1
+	}
 	if s.nodes, err = openRecordFile(j, 0, record.NodeSize, opts.CachePages); err != nil {
 		return nil, err
 	}
@@ -97,6 +101,10 @@ func (s *Store) closePartial() {
 
 // Tokens exposes the token registry.
 func (s *Store) Tokens() *Tokens { return s.tokens }
+
+// JournalReplays counts the flushes a crash had interrupted that Open
+// finished from their journal before reading the files: one or none.
+func (s *Store) JournalReplays() uint64 { return s.journalReplays }
 
 // Dir returns the store directory.
 func (s *Store) Dir() string { return s.dir }
@@ -214,33 +222,6 @@ func (s *Store) writeDynChain(data []byte) (ids.ID, error) {
 	return blockIDs[0], nil
 }
 
-// readDynChain reads a whole dynamic chain starting at head.
-func (s *Store) readDynChain(head ids.ID) ([]byte, error) {
-	if head == ids.NoID {
-		return nil, nil
-	}
-	var out []byte
-	var buf [record.DynSize]byte
-	for id, hops := head, 0; id != ids.NoID; hops++ {
-		if hops > 1<<20 {
-			return nil, fmt.Errorf("store: dynamic chain cycle at %d", id)
-		}
-		if err := s.dyn.read(id, buf[:]); err != nil {
-			return nil, err
-		}
-		d, err := record.DecodeDyn(buf[:])
-		if err != nil {
-			return nil, err
-		}
-		if !d.InUse {
-			return nil, fmt.Errorf("%w: dynamic record %d", ErrNotFound, id)
-		}
-		out = append(out, d.Payload...)
-		id = d.Next
-	}
-	return out, nil
-}
-
 // freeDynChain releases every record of a dynamic chain. Caller holds s.mu.
 //
 // The walk stops — without error — at anything that is not a live,
@@ -332,53 +313,6 @@ func (s *Store) writePropChain(props value.Packed, commitTS uint64) (ids.ID, err
 		}
 	}
 	return recIDs[0], nil
-}
-
-// readPropChain decodes a property chain straight into its packed form.
-// The reserved commit-timestamp property is returned apart, never as a
-// field.
-func (s *Store) readPropChain(head ids.ID) (props value.Packed, commitTS uint64, err error) {
-	var scratch [8]value.Field
-	fields := scratch[:0]
-	var buf [record.PropSize]byte
-	for id, hops := head, 0; id != ids.NoID; hops++ {
-		if hops > 1<<20 {
-			return props, 0, fmt.Errorf("store: property chain cycle at %d", id)
-		}
-		if err := s.props.read(id, buf[:]); err != nil {
-			return props, 0, err
-		}
-		p, err := record.DecodeProp(buf[:])
-		if err != nil {
-			return props, 0, err
-		}
-		if !p.InUse {
-			return props, 0, fmt.Errorf("%w: property record %d", ErrNotFound, id)
-		}
-		name, ok := s.tokens.Name(TokenPropKey, p.Key)
-		if !ok {
-			return props, 0, fmt.Errorf("store: property record %d has unknown key token %d", id, p.Key)
-		}
-		enc := p.Inline
-		if p.Spilled {
-			if enc, err = s.readDynChain(p.SpillRef); err != nil {
-				return props, 0, err
-			}
-		}
-		v, _, err := value.DecodeValue(enc)
-		if err != nil {
-			return props, 0, fmt.Errorf("store: property record %d: %w", id, err)
-		}
-		if name == CommitTSKeyName {
-			if cts, ok := v.AsInt(); ok {
-				commitTS = uint64(cts)
-			}
-		} else {
-			fields = append(fields, value.Field{Key: name, Val: v})
-		}
-		id = p.Next
-	}
-	return value.PackFields(fields), commitTS, nil
 }
 
 // freePropChain releases a property chain and any spilled values.

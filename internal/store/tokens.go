@@ -156,6 +156,15 @@ func (t *Tokens) Name(kind TokenKind, id uint32) (string, bool) {
 	return t.byID[kind][id], true
 }
 
+// names returns a namespace's names indexed by token id, as of now. The
+// table only ever grows past the slice's end, so the caller may read it
+// without the lock.
+func (t *Tokens) names(kind TokenKind) []string {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.byID[kind]
+}
+
 // Count returns the number of tokens in a namespace.
 func (t *Tokens) Count(kind TokenKind) int {
 	t.mu.RLock()

@@ -178,7 +178,8 @@ type Options struct {
 	// trace ID the caller minted. Nil disables engine-side tracing.
 	Tracer *trace.Tracer
 	// Logger receives the replication endpoints' structured log records
-	// (connection state changes, stream refusals). Nil is silent.
+	// (connection state changes, stream refusals) and one line per engine
+	// Open saying where its time went. Nil is silent.
 	Logger *slog.Logger
 	// PartitionID / PartitionCount place this database in a hash-
 	// partitioned cluster: it owns node and relationship IDs where
@@ -252,6 +253,22 @@ func coreOptions(opts Options, replica bool) core.Options {
 	}
 }
 
+// openEngine opens the engine and logs what its Open did: the numbers of
+// core.OpenReport, which /metrics has as neograph_open_*.
+func openEngine(opts Options, replica bool) (*core.Engine, error) {
+	e, err := core.Open(coreOptions(opts, replica))
+	if err != nil {
+		return nil, err
+	}
+	if r := e.OpenReport(); opts.Dir != "" {
+		opts.Logger.With("component", "engine").Info("opened", "dir", opts.Dir,
+			"store_s", r.Store.Seconds(), "scan_s", r.Scan.Seconds(), "replay_s", r.Replay.Seconds(),
+			"nodes", r.Nodes, "rels", r.Rels, "wal_records", r.WALRecords,
+			"workers", r.Workers, "journal_replays", r.JournalReplays)
+	}
+	return e, nil
+}
+
 // Open opens (creating or recovering as needed) a database.
 func Open(opts Options) (*DB, error) {
 	if opts.ReplicaOf != "" && opts.ReplicationAddr != "" {
@@ -260,7 +277,7 @@ func Open(opts Options) (*DB, error) {
 	if (opts.ReplicaOf != "" || opts.ReplicationAddr != "") && opts.Dir == "" {
 		return nil, errors.New("neograph: replication requires a persistent Dir")
 	}
-	e, err := core.Open(coreOptions(opts, opts.ReplicaOf != ""))
+	e, err := openEngine(opts, opts.ReplicaOf != "")
 	if err != nil {
 		return nil, err
 	}
@@ -399,7 +416,7 @@ func (db *DB) ReseedFrom(primaryReplAddr string) error {
 	old.Crash() // no flush — the dir is about to be replaced wholesale
 
 	restart := func() (*repl.Applier, error) {
-		e, err := core.Open(coreOptions(db.opts, true))
+		e, err := openEngine(db.opts, true)
 		if err != nil {
 			return nil, err
 		}
