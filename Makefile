@@ -40,12 +40,17 @@ bench-smoke: build
 	$(GO) run ./cmd/neograph-bench -quick -json bench-results.json
 
 ## mem: where the resident heap of the benchmark's graph goes, by
-## allocation site — BenchmarkRecoverSocial keeps its last recovered
-## graph reachable for exactly this profile (B/entity and allocs/entity
-## are in the benchmark lines above it)
+## allocation site, twice: as Open leaves it — no property key has index
+## entries until a lookup names it — and with every key looked up
+## (BenchmarkPropertyIndexBuild's last case; its rows are what a first
+## lookup costs). Both benchmarks keep their last engine reachable for
+## exactly this profile; B/entity and allocs/entity are in the benchmark
+## lines above each
 mem:
 	$(GO) test -run '^$$' -bench 'LoadSocial|RecoverSocial/people=12000$$' -benchtime 1x -benchmem -memprofile mem.pprof .
 	$(GO) tool pprof -sample_index=inuse_space -top -nodecount=15 mem.pprof
+	$(GO) test -run '^$$' -bench 'PropertyIndexBuild/people=12000$$' -benchtime 1x -memprofile mem-indexed.pprof .
+	$(GO) tool pprof -sample_index=inuse_space -top -nodecount=15 mem-indexed.pprof
 
 ## logbytes: what a commit of each of the benchmark's write shapes costs
 ## the log, the replication stream and every replica's log, in bytes
@@ -58,11 +63,14 @@ logbytes:
 ## recover: what Open costs and what it grows with — the benchmark's graph
 ## and one ten times its size, reopened on 1, 2 and 4 processors: ns/op,
 ## B/entity, page-cache pins per store page and the time per stage
-## (TestOpenPinsEachPageOnce holds the pins to a budget in tier-1); the
-## rows land in recover-bench.json as test2json lines
+## (TestOpenPinsEachPageOnce holds the pins to a budget in tier-1) — and
+## what Open no longer pays for: a property key's first lookup, at both
+## sizes (entries, B/entry, commits held out, a concurrent writer's slowest
+## commit). The rows land in recover-bench.json as test2json lines
 recover:
 	$(GO) test -run '^$$' -bench RecoverSocial -benchtime 2x -benchmem -cpu 1,2,4 -timeout 30m -json . > recover-bench.json
-	@grep 'pins/page' recover-bench.json
+	$(GO) test -run '^$$' -bench PropertyIndexBuild -benchtime 2x -cpu 2 -timeout 30m -json . >> recover-bench.json
+	@grep 'pins/page\|entries' recover-bench.json
 
 ## lint: go vet (benchmark module included) + gofmt diff check +
 ## log.Printf gate + wire-seam gates + one-log-fold gate + staticcheck
@@ -105,4 +113,4 @@ fmt:
 	gofmt -w .
 
 clean:
-	rm -f bench-results.json commit-record-bytes.json recover-bench.json cpu.pprof mem.pprof neograph.test
+	rm -f bench-results.json commit-record-bytes.json recover-bench.json cpu.pprof mem.pprof mem-indexed.pprof neograph.test

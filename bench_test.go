@@ -361,6 +361,150 @@ func benchRecoverSocial(b *testing.B, people int) {
 	b.ReportMetric(ms(rep.Replay), "replay-ms/op")
 }
 
+// indexBuildRounds counts BenchmarkPropertyIndexBuild's iterations across
+// its runs, for its writer to change every balance it touches: the
+// writers' commits stay in the store from one iteration to the next.
+var indexBuildRounds int64
+
+// indexBuildWriterRate is the commits per second of the writer that runs
+// beside BenchmarkPropertyIndexBuild's builds: embed_mix's offered rate.
+const indexBuildWriterRate = 4000
+
+// BenchmarkPropertyIndexBuild is the cost side of indexing on demand: the
+// first lookup of a property key builds its postings from the resident
+// versions, on the benchmark's graph and on one ten times its size.
+// `weight` is the large case — every relationship has one, each its own
+// value: 96 000 one-entity postings — `balance` the other shape, 12 000
+// people under two values. ns/op is the lookup (Open is not timed),
+// entries what the scan emitted.
+//
+// Beside those two a writer commits balance changes at the rate of the
+// benchmark's embed_mix workload, going round the people: side-log is how many of them reached the
+// build's side log, held how many of those it replayed with commits held
+// out, excl-us for how long that was, and writer-max-us the writer's
+// slowest commit — to hold against the build's own length.
+//
+// key=all looks up all four keys of the graph with nothing else running:
+// B/entry is the live heap the entries cost, B/entity the whole resident
+// graph with every key built — what Open used to leave. It parks its
+// engine for `make mem`'s second profile.
+func BenchmarkPropertyIndexBuild(b *testing.B) {
+	lookup := func(keys ...string) func(tx *neograph.Tx) error {
+		return func(tx *neograph.Tx) error {
+			for _, key := range keys {
+				if key == "weight" {
+					if _, err := tx.RelsByProperty(key, neograph.Float(2)); err != nil {
+						return err
+					}
+				} else if _, err := tx.NodesByProperty(key, neograph.Int(1000)); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+	}
+	keys := []struct {
+		name   string
+		writer bool
+		lookup func(tx *neograph.Tx) error
+	}{
+		{"weight", true, lookup("weight")},
+		{"balance", true, lookup("balance")},
+		{"all", false, lookup("uid", "name", "balance", "weight")},
+	}
+	for _, people := range []int{socialPeople, 10 * socialPeople} {
+		b.Run(fmt.Sprintf("people=%d", people), func(b *testing.B) {
+			dir := b.TempDir()
+			db, entities := loadSocial(b, dir, people)
+			var persons []neograph.NodeID
+			if err := db.View(func(tx *neograph.Tx) (err error) {
+				persons, err = tx.NodesByLabel(workload.LabelPerson)
+				return err
+			}); err != nil {
+				b.Fatal(err)
+			}
+			if err := db.Crash(); err != nil {
+				b.Fatal(err)
+			}
+			for _, key := range keys {
+				b.Run("key="+key.name, func(b *testing.B) {
+					var entries, sideLog, held, excl, writerMax float64
+					for i := 0; i < b.N; i++ {
+						b.StopTimer()
+						residentDB = nil
+						heap0, _ := liveHeap()
+						re, err := neograph.Open(neograph.Options{Dir: dir, DisableSyncCommits: true})
+						if err != nil {
+							b.Fatal(err)
+						}
+						heap1, _ := liveHeap()
+						indexBuildRounds++
+						stop, slowest := make(chan struct{}), make(chan time.Duration)
+						go func() {
+							var worst time.Duration
+							began := time.Now()
+							for n := int64(0); key.writer; n++ {
+								select {
+								case <-stop:
+									slowest <- worst
+									return
+								default:
+								}
+								time.Sleep(time.Until(began.Add(time.Duration(n) * time.Second / indexBuildWriterRate)))
+								t0 := time.Now()
+								err := re.Update(0, func(tx *neograph.Tx) error {
+									return tx.SetNodeProp(persons[n%int64(len(persons))], "balance", neograph.Int(1000+(n+indexBuildRounds)%2))
+								})
+								if err != nil {
+									b.Error(err)
+								}
+								worst = max(worst, time.Since(t0))
+							}
+							slowest <- 0
+						}()
+						b.StartTimer()
+						err = re.View(key.lookup)
+						b.StopTimer()
+						close(stop)
+						writerMax = max(writerMax, float64((<-slowest).Microseconds()))
+						if err != nil {
+							b.Fatal(err)
+						}
+						heap2, _ := liveHeap()
+						var built float64
+						for _, build := range re.Engine().IndexBuilds() {
+							built += float64(build.Entries)
+							sideLog += float64(build.SideLog)
+							held += float64(build.Held)
+							excl = max(excl, float64(build.Exclusive.Microseconds()))
+						}
+						entries += built
+						if !key.writer {
+							b.ReportMetric((float64(heap2)-float64(heap1))/built, "B/entry")
+							b.ReportMetric(float64(heap2-heap0)/float64(entities), "B/entity")
+						}
+						// Collect and checkpoint what the writer did: the next
+						// iteration opens one version an entity again.
+						re.RunGC()
+						if err := re.Close(); err != nil {
+							b.Fatal(err)
+						}
+						residentDB = re
+						b.StartTimer()
+					}
+					b.ReportMetric(entries/float64(b.N), "entries")
+					if key.writer {
+						b.ReportMetric(sideLog/float64(b.N), "side-log")
+						b.ReportMetric(held/float64(b.N), "held")
+						b.ReportMetric(excl, "excl-us")
+						b.ReportMetric(writerMax, "writer-max-us")
+					}
+				})
+			}
+		})
+	}
+}
+
 // ---- what a commit costs the log ----
 
 // commitShapes are the four write transactions of the repository's

@@ -71,10 +71,12 @@ func (e *Engine) ApplyReplicated(lsn uint64, payload []byte) error {
 		return fmt.Errorf("core: replica wal append: %w", err)
 	}
 	e.reserveIDs(e.fold(&r, lsn, nil))
-	e.commitGate.RUnlock()
+	// Inside the gate: whoever cuts the stream (buildKey) reads the last
+	// timestamp folded off the oracle.
 	if r.tsOffset() > 0 {
 		e.oracle.ObserveCommit(r.cts)
 	}
+	e.commitGate.RUnlock()
 	asp.Finish()
 	return nil
 }

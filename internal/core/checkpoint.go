@@ -2,6 +2,7 @@ package core
 
 import (
 	"sort"
+	"time"
 
 	"neograph/internal/lock"
 	"neograph/internal/mvcc"
@@ -30,10 +31,17 @@ func (e *Engine) checkpointLocked() error {
 // checkpointMaintLocked is the checkpoint body; the caller holds maintMu
 // (WithSnapshot keeps it held after checkpointing to freeze store files
 // and WAL truncation while a snapshot streams out).
-func (e *Engine) checkpointMaintLocked() error {
+func (e *Engine) checkpointMaintLocked() (err error) {
 	if e.store == nil {
 		return nil
 	}
+	defer func() {
+		if err != nil {
+			e.stats.checkpointFailures.Add(1)
+		} else {
+			e.stats.lastCheckpoint.Store(time.Now().UnixNano())
+		}
+	}()
 
 	// Cut point: block commits for an instant and take the checkpoint's
 	// three inputs as one snapshot — the WAL position, the dirty set and

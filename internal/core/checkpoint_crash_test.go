@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"neograph/internal/faultfs"
 	"neograph/internal/value"
@@ -208,5 +209,38 @@ func TestCheckpointCrashThenSecondCheckpoint(t *testing.T) {
 	}
 	if len(got) != len(ids) {
 		t.Fatalf("recovered %d CW nodes, want %d", len(got), len(ids))
+	}
+}
+
+// TestFailedCheckpointsAreCounted: the background checkpointer has nobody
+// to return an error to, and a store whose every checkpoint fails looked
+// healthy from outside. A failed checkpoint is counted and leaves the age
+// of the last good one running; the background loop keeps trying, and its
+// next success resets the age.
+func TestFailedCheckpointsAreCounted(t *testing.T) {
+	inj := faultfs.NewInjector(faultfs.OS{}, nil)
+	e, err := Open(Options{Dir: t.TempDir(), FS: inj, NoSyncCommits: true, CheckpointEvery: 5 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Crash()
+	opened := e.LastCheckpoint()
+	if opened.IsZero() {
+		t.Fatal("no checkpoint age on a freshly opened store")
+	}
+	seedNode(t, e, nil, value.Map{"v": value.Int(1)})
+	inj.Arm(faultfs.Fault{Point: "store.sync", Hit: 1, Mode: faultfs.ModeSyncFail})
+	deadline := time.Now().Add(10 * time.Second)
+	for e.Stats().CheckpointFailures == 0 || e.Stats().Checkpoints == 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("background checkpointer: %+v, fault fired %v", e.Stats(), inj.Fired())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if got := e.Stats().CheckpointFailures; got != 1 {
+		t.Errorf("one store fsync failed: %d checkpoint failures", got)
+	}
+	if !e.LastCheckpoint().After(opened) {
+		t.Errorf("the checkpoint after the failed one left the age at Open's %v", opened)
 	}
 }

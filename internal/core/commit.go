@@ -307,7 +307,9 @@ var commitBufPool = sync.Pool{
 // and folds it into engine state, both inside one shared section of the
 // commit gate, so the checkpointer — which takes the gate exclusively to
 // cut — sees every record below its cut already reflected in the dirty
-// set and the 2PC tables. It returns the record's LSN and end position.
+// set and the 2PC tables, and a property key's first lookup (buildKey)
+// every timestamp handed out so far already installed. It returns the
+// record's LSN and end position.
 // On an error nothing was folded and the caller still owns its staged
 // state.
 //
@@ -328,11 +330,15 @@ func (e *Engine) logInstall(sp *trace.Span, r *record, live *preparedTxn) (lsn, 
 	tsOff := r.tsOffset()
 	if e.store == nil {
 		// Memory-only engine: no log, no replicas, no checkpointer — the
-		// timestamp needs no ordering beyond the oracle's own.
+		// timestamp needs no ordering beyond the oracle's own. The gate is
+		// taken for the one thing left that cuts the commit stream in two, a
+		// property key's first lookup (buildKey).
+		e.commitGate.RLock()
 		if tsOff > 0 {
 			r.cts = e.oracle.BeginCommit()
 		}
 		e.fold(r, 0, live)
+		e.commitGate.RUnlock()
 		if tsOff > 0 {
 			e.oracle.FinishCommit(r.cts)
 		}
@@ -618,6 +624,13 @@ func (e *Engine) indexNodeDiff(id ids.ID, old, new *NodeState, cts mvcc.TS) {
 	if new != nil {
 		newLabels, newProps = new.Labels, new.Props
 	}
+	e.indexLabelDiff(id, oldLabels, newLabels, cts)
+	e.indexPropDiff(e.nodeProps.PropertyIndex, id, oldProps, newProps, cts)
+}
+
+// indexLabelDiff moves node id's label-index entries from the old label
+// set to the new one.
+func (e *Engine) indexLabelDiff(id ids.ID, oldLabels, newLabels []string, cts mvcc.TS) {
 	for _, l := range oldLabels {
 		if !hasLabel(newLabels, l) {
 			e.labelIdx.Remove(e.tok.get(tokLabel, l), id, cts)
@@ -628,7 +641,6 @@ func (e *Engine) indexNodeDiff(id ids.ID, old, new *NodeState, cts mvcc.TS) {
 			e.labelIdx.Add(e.tok.get(tokLabel, l), id, cts)
 		}
 	}
-	e.indexPropDiff(e.nodePropIdx, id, oldProps, newProps, cts)
 }
 
 // indexRelDiff updates the relationship property index.
@@ -640,13 +652,17 @@ func (e *Engine) indexRelDiff(id ids.ID, old, new *RelState, cts mvcc.TS) {
 	if new != nil {
 		newProps = new.Props
 	}
-	e.indexPropDiff(e.relPropIdx, id, oldProps, newProps, cts)
+	e.indexPropDiff(e.relProps.PropertyIndex, id, oldProps, newProps, cts)
 }
 
-// indexPropDiff moves entity id's entries in idx from the old property
+// indexPropDiff tells idx how entity id's properties changed from the old
 // list to the new one: a merge walk over the two key-sorted lists that
-// touches the index only where a key appeared, vanished or changed value.
+// touches the index only where a key appeared, vanished or changed value
+// — and not at all while nobody has looked anything up in it.
 func (e *Engine) indexPropDiff(idx *index.PropertyIndex, id ids.ID, old, new value.Packed, cts mvcc.TS) {
+	if !idx.Tracking() {
+		return
+	}
 	i, j := 0, 0
 	for i < old.Len() || j < new.Len() {
 		var cmp int
@@ -661,17 +677,15 @@ func (e *Engine) indexPropDiff(idx *index.PropertyIndex, id ids.ID, old, new val
 		switch {
 		case cmp < 0: // key vanished
 			o := old.At(i)
-			idx.Remove(e.tok.get(tokPropKey, o.Key), o.Val, id, cts)
+			idx.Update(e.tok.get(tokPropKey, o.Key), id, &o.Val, nil, cts)
 			i++
 		case cmp > 0: // key appeared
 			n := new.At(j)
-			idx.Add(e.tok.get(tokPropKey, n.Key), n.Val, id, cts)
+			idx.Update(e.tok.get(tokPropKey, n.Key), id, nil, &n.Val, cts)
 			j++
 		default:
 			if o, n := old.At(i), new.At(j); !o.Val.Equal(n.Val) {
-				tok := e.tok.get(tokPropKey, o.Key)
-				idx.Remove(tok, o.Val, id, cts)
-				idx.Add(tok, n.Val, id, cts)
+				idx.Update(e.tok.get(tokPropKey, o.Key), id, &o.Val, &n.Val, cts)
 			}
 			i++
 			j++

@@ -31,6 +31,7 @@ func heapInUse() int64 {
 func TestIndexMemoryFollowsLiveData(t *testing.T) {
 	e := memEngine(t)
 	id := seedNode(t, e, nil, value.Map{"v": value.Int(-1)})
+	materialise(t, e, "v")
 	updateN(t, e, id, 1000) // let the engine's own tables reach their working size
 	e.RunGC()
 	base := heapInUse()
@@ -64,6 +65,7 @@ func TestIndexMemoryFollowsLiveData(t *testing.T) {
 // that stops the walk), the paper's GC cost model applied to the index.
 func TestIndexPruneTouchesOnlyGarbage(t *testing.T) {
 	e := memEngine(t)
+	materialise(t, e, "uid")
 	const keys, batch = 100_000, 1000
 	nodes := make([]ids.ID, 0, keys)
 	for len(nodes) < keys {

@@ -213,6 +213,9 @@ type Stats struct {
 	// SyncedCommits/Flushes is the mean group size.
 	WALFlushes       uint64
 	WALSyncedCommits uint64
+	// CheckpointFailures counts checkpoints that returned an error, the
+	// background checkpointer's included — which has nobody to return it to.
+	CheckpointFailures uint64
 }
 
 // entKey identifies an entity across the node/relationship namespaces.
@@ -296,9 +299,11 @@ type Engine struct {
 	stripes    []stripe
 	stripeMask uint64
 
-	labelIdx    *index.LabelIndex
-	nodePropIdx *index.PropertyIndex
-	relPropIdx  *index.PropertyIndex
+	labelIdx *index.LabelIndex
+	// The property indexes hold a key's postings from its first lookup on
+	// (propindex.go); indexBuilt, when set, hears of every such build.
+	nodeProps, relProps *propIndex
+	indexBuilt          func(IndexBuild)
 	// tok maps label and property-key names to the dense uint32 tokens the
 	// indexes are keyed by. Purely in-memory: it is rebuilt from the store
 	// and WAL during recovery.
@@ -388,6 +393,10 @@ type statsCounters struct {
 	begun, committed, aborted, conflicts, deadlocks atomic.Uint64
 	gcRuns, gcCollected, gcScanned, dead            atomic.Uint64
 	checkpoints, checkpointPuts, checkpointBytes    atomic.Uint64
+	checkpointFailures                              atomic.Uint64
+	// lastCheckpoint is when the store last became a complete checkpoint,
+	// in Unix nanoseconds: the last successful one, or Open.
+	lastCheckpoint atomic.Int64
 }
 
 // maxCommitStripes bounds the stripe count: beyond this the per-stripe
@@ -428,8 +437,8 @@ func Open(opts Options) (*Engine, error) {
 		stripeMask: uint64(opts.CommitStripes - 1),
 
 		labelIdx:    index.NewLabelIndex(),
-		nodePropIdx: index.NewPropertyIndex(),
-		relPropIdx:  index.NewPropertyIndex(),
+		nodeProps:   newPropIndex("node_prop", lock.KindNode),
+		relProps:    newPropIndex("rel_prop", lock.KindRel),
 		tok:         newTokenTable(),
 		dirty:       make(map[entKey]struct{}),
 		prepared:    make(map[uint64]*preparedTxn),
@@ -503,6 +512,7 @@ func Open(opts Options) (*Engine, error) {
 		st.Close()
 		return nil, err
 	}
+	e.stats.lastCheckpoint.Store(time.Now().UnixNano())
 	e.startBackground()
 	return e, nil
 }
@@ -549,10 +559,9 @@ func (e *Engine) startBackground() {
 				case <-e.stopBG:
 					return
 				case <-t.C:
-					if err := e.Checkpoint(); err != nil && !errors.Is(err, ErrClosed) {
-						// Background checkpoint failures surface at Close.
-						continue
-					}
+					// A failure is counted (Stats.CheckpointFailures) and the
+					// next tick tries again; Close reports its own.
+					_ = e.Checkpoint()
 				}
 			}
 		}()
@@ -581,7 +590,19 @@ func (e *Engine) Stats() Stats {
 		Checkpoints:      e.stats.checkpoints.Load(),
 		CheckpointPuts:   e.stats.checkpointPuts.Load(),
 		CheckpointBytes:  e.stats.checkpointBytes.Load(),
+
+		CheckpointFailures: e.stats.checkpointFailures.Load(),
 	}
+}
+
+// LastCheckpoint returns when the store last became a complete
+// checkpoint: the end of the last successful one, or of Open. Zero in
+// memory-only mode.
+func (e *Engine) LastCheckpoint() time.Time {
+	if ns := e.stats.lastCheckpoint.Load(); ns != 0 {
+		return time.Unix(0, ns)
+	}
+	return time.Time{}
 }
 
 // StripeConflicts snapshots the per-stripe FCW conflict counters, in
@@ -630,9 +651,9 @@ func (e *Engine) VersionCount() (versions, entities int) {
 // `index` label its /metrics series carry.
 func (e *Engine) IndexStats() map[string]index.Stats {
 	return map[string]index.Stats{
-		"label":     e.labelIdx.Stats(),
-		"node_prop": e.nodePropIdx.Stats(),
-		"rel_prop":  e.relPropIdx.Stats(),
+		"label":          e.labelIdx.Stats(),
+		e.nodeProps.name: e.nodeProps.Stats(),
+		e.relProps.name:  e.relProps.Stats(),
 	}
 }
 

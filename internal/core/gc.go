@@ -67,7 +67,7 @@ func (e *Engine) RunGC() GCReport {
 	}
 
 	for _, collect := range []func(mvcc.TS) (int, int){
-		e.labelIdx.Collect, e.nodePropIdx.Collect, e.relPropIdx.Collect,
+		e.labelIdx.Collect, e.nodeProps.Collect, e.relProps.Collect,
 	} {
 		pruned, scanned := collect(horizon)
 		rep.IndexPruned += pruned

@@ -173,6 +173,7 @@ func TestGCIdempotentWhenClean(t *testing.T) {
 func TestGCIndexPrune(t *testing.T) {
 	e := memEngine(t)
 	id := seedNode(t, e, []string{"L"}, value.Map{"p": value.Int(1)})
+	materialise(t, e, "p")
 	tx := e.Begin()
 	if err := tx.RemoveLabel(id, "L"); err != nil {
 		t.Fatal(err)

@@ -43,10 +43,7 @@ func (t *Tx) NodesByProperty(key string, val value.Value) ([]ids.ID, error) {
 	if err := t.check(); err != nil {
 		return nil, err
 	}
-	var committed []uint64
-	if tok, ok := t.e.tok.lookup(tokPropKey, key); ok {
-		committed = t.e.nodePropIdx.Lookup(tok, val, t.readTS())
-	}
+	committed := t.e.propLookup(t.e.nodeProps, key, val, t.readTS())
 	return t.mergeNodeIDs(committed, func(st *NodeState) bool {
 		v, ok := st.Props.Get(key)
 		return ok && v.Equal(val)
@@ -59,10 +56,7 @@ func (t *Tx) RelsByProperty(key string, val value.Value) ([]ids.ID, error) {
 	if err := t.check(); err != nil {
 		return nil, err
 	}
-	var committed []uint64
-	if tok, ok := t.e.tok.lookup(tokPropKey, key); ok {
-		committed = t.e.relPropIdx.Lookup(tok, val, t.readTS())
-	}
+	committed := t.e.propLookup(t.e.relProps, key, val, t.readTS())
 	match := func(st *RelState) bool {
 		v, ok := st.Props.Get(key)
 		return ok && v.Equal(val)
@@ -124,15 +118,7 @@ func (t *Tx) AllNodes() ([]ids.ID, error) {
 	if err := t.check(); err != nil {
 		return nil, err
 	}
-	var cand []ids.ID
-	for i := range t.e.stripes {
-		s := &t.e.stripes[i]
-		s.mu.RLock()
-		for id := range s.nodes {
-			cand = append(cand, id)
-		}
-		s.mu.RUnlock()
-	}
+	cand := t.e.entityIDs(lock.KindNode)
 	out := make([]ids.ID, 0, len(cand))
 	for _, id := range cand {
 		_, ok, err := t.visibleNode(id)
@@ -157,15 +143,7 @@ func (t *Tx) AllRels() ([]ids.ID, error) {
 	if err := t.check(); err != nil {
 		return nil, err
 	}
-	var cand []ids.ID
-	for i := range t.e.stripes {
-		s := &t.e.stripes[i]
-		s.mu.RLock()
-		for id := range s.rels {
-			cand = append(cand, id)
-		}
-		s.mu.RUnlock()
-	}
+	cand := t.e.entityIDs(lock.KindRel)
 	out := make([]ids.ID, 0, len(cand))
 	for _, id := range cand {
 		_, ok, err := t.visibleRel(id)

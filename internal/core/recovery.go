@@ -15,12 +15,12 @@ import (
 // log: where a slow restart spent its time.
 type OpenReport struct {
 	Store  time.Duration // store.Open: journal replay, free lists, tokens
-	Scan   time.Duration // store scan into object cache, adjacency, indexes
+	Scan   time.Duration // store scan into object cache, label index, adjacency
 	Replay time.Duration // wal.Open and the fold of the WAL tail
 
 	Nodes, Rels    uint64 // entity images read from the store
 	WALRecords     uint64 // log records folded over them
-	Workers        int    // goroutines the scan was spread over
+	Workers        int    // goroutines the scan was spread over: 1, or 3 on more than one processor
 	JournalReplays uint64 // interrupted store flushes finished first
 }
 
@@ -85,8 +85,10 @@ func seedFrom[T any](scan func(func(T) error) error, seeds ...func(T)) (int, err
 	return 1 + len(seeds), err
 }
 
-// recover rebuilds the object cache, adjacency, indexes and oracle from
-// the persistent store and the WAL tail:
+// recover rebuilds the object cache, adjacency, label index and oracle
+// from the persistent store and the WAL tail — not the property indexes,
+// which a lookup builds from the object cache when it first names a key
+// (propindex.go):
 //
 //  1. every persisted entity image (the newest committed version only,
 //     per §4) becomes a single-version chain at its stored commit
@@ -98,8 +100,8 @@ func seedFrom[T any](scan func(func(T) error) error, seeds ...func(T)) (int, err
 //  3. the oracle resumes from the largest commit timestamp seen.
 //
 // Step 1 is a pipeline (seedFrom): the store scan reads, and the object
-// cache, the adjacency and the indexes are each built by one goroutine of
-// their own, every one in ID order.
+// cache and the label index — for relationships, the object cache and the
+// adjacency — are each built by one goroutine of their own, in ID order.
 func (e *Engine) recover() error {
 	scanStart := time.Now()
 	var maxTS mvcc.TS
@@ -117,7 +119,8 @@ func (e *Engine) recover() error {
 		}
 	}
 
-	_, err := seedFrom(e.store.ScanNodes,
+	var err error
+	e.opened.Workers, err = seedFrom(e.store.ScanNodes,
 		func(nd store.NodeData) {
 			// The store hands over the final form: labels in the order a node
 			// state wrote them (sorted), their strings shared through its
@@ -129,13 +132,13 @@ func (e *Engine) recover() error {
 		},
 		func(nd store.NodeData) {
 			if !nd.Tombstone {
-				e.indexNodeDiff(nd.ID, nil, &NodeState{Labels: nd.Labels, Props: nd.Props}, nd.CommitTS)
+				e.indexLabelDiff(nd.ID, nil, nd.Labels, nd.CommitTS)
 			}
 		})
 	if err != nil {
 		return fmt.Errorf("core: recover nodes: %w", err)
 	}
-	e.opened.Workers, err = seedFrom(e.store.ScanRels, // one seed more than the nodes had
+	_, err = seedFrom(e.store.ScanRels,
 		func(rd store.RelData) {
 			st := &RelState{Type: rd.Type, Start: rd.StartNode, End: rd.EndNode, Props: rd.Props}
 			v := &mvcc.Version{CommitTS: rd.CommitTS, Deleted: rd.Tombstone, Data: st}
@@ -148,11 +151,6 @@ func (e *Engine) recover() error {
 			} else {
 				e.addAdjacency(rd.StartNode, rd.ID, adjOut)
 				e.addAdjacency(rd.EndNode, rd.ID, adjIn)
-			}
-		},
-		func(rd store.RelData) {
-			if !rd.Tombstone {
-				e.indexRelDiff(rd.ID, nil, &RelState{Props: rd.Props}, rd.CommitTS)
 			}
 		})
 	if err != nil {

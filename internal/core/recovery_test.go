@@ -157,7 +157,7 @@ func TestRecoverIsWorkerCountInvariant(t *testing.T) {
 		e := openPartitioned(t, copyDir(t, dir), 1, 2, func(o *Options) { o.StoreCachePages = 8 })
 		defer e.Crash()
 		rep := e.OpenReport()
-		if want := map[bool]int{true: 1, false: 4}[procs == 1]; rep.Workers != want {
+		if want := map[bool]int{true: 1, false: 3}[procs == 1]; rep.Workers != want {
 			t.Errorf("GOMAXPROCS %d: recovered on %d goroutines, want %d", procs, rep.Workers, want)
 		}
 		if rep.Nodes == 0 || rep.Rels == 0 || rep.WALRecords == 0 {

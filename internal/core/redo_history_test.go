@@ -358,6 +358,24 @@ func runRedoHistory(t *testing.T, seed int64, policy ConflictPolicy, fault *faul
 		}
 	}
 	h := &redoHistory{rng: rand.New(rand.NewSource(seed))}
+	// Property postings are built by the first lookup that names a key. The
+	// comparisons below look every key up on every engine; these lookups —
+	// off a source of their own, so that the history is the same with or
+	// without them — make some of those first lookups happen in the middle
+	// of the history, on the primary and on the replica at different
+	// points: from there on each maintains what it built.
+	lookups := rand.New(rand.NewSource(seed + 1000))
+	lookup := func(e *Engine) {
+		tx := e.Begin()
+		defer tx.Abort()
+		k, v := redoUniverse.keys[lookups.Intn(len(redoUniverse.keys))], redoUniverse.values[lookups.Intn(len(redoUniverse.values))]
+		if _, err := tx.NodesByProperty(k, v); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tx.RelsByProperty(k, v); err != nil {
+			t.Fatal(err)
+		}
+	}
 	h.beforeCheckpoint = func() {
 		if !inj.Crashed() {
 			ship()
@@ -383,6 +401,12 @@ func runRedoHistory(t *testing.T, seed int64, policy ConflictPolicy, fault *faul
 			t.Fatalf("step %d: %v", i, err)
 		}
 		ship()
+		switch lookups.Intn(12) {
+		case 0:
+			lookup(a)
+		case 1:
+			lookup(c)
+		}
 		if i%10 == 9 {
 			// The replica's collector runs on a clock of its own, behind the
 			// primary's: a re-used ID can reach it — installed, or parked in

@@ -121,51 +121,66 @@ func (k textKey) shard() uint32 {
 // PropertyIndex maps (property key token, value) pairs to versioned entity
 // sets. It serves both the node property index and the relationship
 // property index — the engine instantiates one of each.
+//
+// Add, Remove, Lookup and Collect are the postings themselves. Whether a
+// property key has postings at all is the subject of ondemand.go: the
+// engine maintains them through Update, which ignores a key nobody has
+// looked up.
 type PropertyIndex struct {
 	scalars table[scalarKey]
 	texts   table[textKey]
 
-	// born holds the first commit timestamp at which each property key
-	// appeared. Property keys are few and new ones rare, so the map is
-	// replaced, not updated: readers load it without a lock.
-	bornMu sync.Mutex
-	born   atomic.Pointer[map[uint32]mvcc.TS]
+	// keys holds what the index knows of each property key. Property keys
+	// are few and new ones rare, so the map is replaced, not updated:
+	// readers load it without a lock.
+	keysMu sync.Mutex
+	keys   atomic.Pointer[map[uint32]*keyInfo]
+	// tracked counts the keys that are building or built.
+	tracked atomic.Int32
 }
 
 // NewPropertyIndex returns an empty property index.
 func NewPropertyIndex() *PropertyIndex { return &PropertyIndex{} }
 
-// keyBorn returns the commit timestamp that created property key.
-func (ix *PropertyIndex) keyBorn(key uint32) (mvcc.TS, bool) {
-	m := ix.born.Load()
-	if m == nil {
-		return 0, false
+// info returns what the index knows of property key, or nil.
+func (ix *PropertyIndex) info(key uint32) *keyInfo {
+	if m := ix.keys.Load(); m != nil {
+		return (*m)[key]
 	}
-	ts, ok := (*m)[key]
-	return ts, ok
+	return nil
 }
 
-// noteBorn lowers property key's creation timestamp to ts. Commits
-// install concurrently, so the first Add to arrive need not carry the
-// smallest timestamp.
-func (ix *PropertyIndex) noteBorn(key uint32, ts mvcc.TS) {
-	if born, ok := ix.keyBorn(key); ok && born <= ts {
-		return
+// ensureInfo is info for a key the caller is about to write to.
+func (ix *PropertyIndex) ensureInfo(key uint32) *keyInfo {
+	if inf := ix.info(key); inf != nil {
+		return inf
 	}
-	ix.bornMu.Lock()
-	defer ix.bornMu.Unlock()
-	if born, ok := ix.keyBorn(key); ok && born <= ts {
-		return
+	ix.keysMu.Lock()
+	defer ix.keysMu.Unlock()
+	if inf := ix.info(key); inf != nil {
+		return inf
 	}
-	next := map[uint32]mvcc.TS{key: ts}
-	if m := ix.born.Load(); m != nil {
+	inf := &keyInfo{}
+	inf.born.Store(neverRemoved)
+	next := map[uint32]*keyInfo{key: inf}
+	if m := ix.keys.Load(); m != nil {
 		for k, v := range *m {
-			if k != key {
-				next[k] = v
-			}
+			next[k] = v
 		}
 	}
-	ix.born.Store(&next)
+	ix.keys.Store(&next)
+	return inf
+}
+
+// noteBorn lowers the key's creation timestamp to ts. Commits install
+// concurrently, so the first Add to arrive need not carry the smallest
+// timestamp.
+func (inf *keyInfo) noteBorn(ts mvcc.TS) {
+	for born := inf.born.Load(); ts < born; born = inf.born.Load() {
+		if inf.born.CompareAndSwap(born, ts) {
+			return
+		}
+	}
 }
 
 // split turns a (property key, value) pair into its typed index key;
@@ -192,7 +207,7 @@ func split(key uint32, val value.Value) (sk scalarKey, tk textKey, scalar bool) 
 
 // Add records that entity id gained property key=val at commit TS ts.
 func (ix *PropertyIndex) Add(key uint32, val value.Value, id uint64, ts mvcc.TS) {
-	ix.noteBorn(key, ts)
+	ix.ensureInfo(key).noteBorn(ts)
 	if sk, tk, scalar := split(key, val); scalar {
 		ix.scalars.add(sk, id, ts)
 	} else {
@@ -213,7 +228,7 @@ func (ix *PropertyIndex) Remove(key uint32, val value.Value, id uint64, ts mvcc.
 // snapshot at startTS, ascending.
 func (ix *PropertyIndex) Lookup(key uint32, val value.Value, startTS mvcc.TS) []uint64 {
 	// The property key itself post-dates the snapshot (§4).
-	if born, ok := ix.keyBorn(key); !ok || born > startTS {
+	if inf := ix.info(key); inf == nil || inf.born.Load() > startTS {
 		return nil
 	}
 	sk, tk, scalar := split(key, val)

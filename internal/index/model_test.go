@@ -105,15 +105,62 @@ var modelValues = []value.Value{
 	value.List(value.Int(1), value.String("a")), value.List(),
 }
 
+// lazyModel drives a second property index the way the engine drives its
+// own: every change goes through Update, and a key has postings from the
+// first time it is looked up — built from a copy of the model's entries
+// taken when the build starts (the data the owner would scan), with the
+// changes that arrive before Publish left to the side log.
+type lazyModel struct {
+	ix       *PropertyIndex
+	building map[uint32]*Build
+	data     map[uint32][]modelEntry // per building key: the model's entries at StartBuild
+	built    map[uint32]bool
+	horizon  mvcc.TS // the highest the collector has reached
+}
+
+func (l *lazyModel) start(m *model, key uint32) {
+	if b := l.ix.StartBuild(key); b != nil {
+		l.building[key] = b
+		l.data[key] = slices.DeleteFunc(slices.Clone(m.entries), func(e modelEntry) bool { return e.label || e.key != key })
+	}
+}
+
+func (l *lazyModel) publish(key uint32) {
+	b := l.building[key]
+	b.Scan(func(run func(value.Value, uint64, mvcc.TS, mvcc.TS)) {
+		for _, e := range l.data[key] {
+			run(e.val, e.id, e.added, e.removed)
+		}
+	})
+	b.Publish()
+	// The engine pins a snapshot at the build's cut; here the collector may
+	// have passed removals that were still in the side log. Its next run:
+	l.ix.Prune(l.horizon)
+	delete(l.building, key)
+	delete(l.data, key)
+	l.built[key] = true
+}
+
+// prune is the collector reaching the data before the scan does.
+func (l *lazyModel) prune(horizon mvcc.TS) {
+	l.horizon = max(l.horizon, horizon)
+	l.ix.Prune(horizon)
+	for key, d := range l.data {
+		l.data[key] = slices.DeleteFunc(d, func(e modelEntry) bool { return e.removed <= horizon })
+	}
+}
+
 // runModel interprets ops — four bytes each: operation, key/value pick,
-// entity, timestamp step — against both indexes and the model, comparing
-// every lookup, every prune count and, at the end, the size statistics.
+// entity, timestamp step — against both indexes, the on-demand index and
+// the model, comparing every lookup, every prune count and, at the end,
+// the size statistics.
 func runModel(t *testing.T, ops []byte) {
 	labels, props := NewLabelIndex(), NewPropertyIndex()
+	lazy := lazyModel{ix: NewPropertyIndex(), building: map[uint32]*Build{}, data: map[uint32][]modelEntry{}, built: map[uint32]bool{}}
 	var m model
 	ts := mvcc.TS(1)
 	for ; len(ops) >= 4; ops = ops[4:] {
-		op, pick, id, step := ops[0]%8, ops[1], uint64(ops[2]%6), mvcc.TS(ops[3]%4)
+		op, pick, id, step := ops[0]%10, ops[1], uint64(ops[2]%6), mvcc.TS(ops[3]%4)
 		label := pick&1 == 0
 		key := uint32(pick>>1) % 3
 		val := modelValues[int(pick>>3)%len(modelValues)]
@@ -129,6 +176,7 @@ func runModel(t *testing.T, ops []byte) {
 				labels.Add(key, id, at)
 			} else {
 				props.Add(key, val, id, at)
+				lazy.ix.Update(key, id, nil, &val, at)
 			}
 		case 2, 3:
 			m.remove(label, key, val, id, at)
@@ -136,12 +184,21 @@ func runModel(t *testing.T, ops []byte) {
 				labels.Remove(key, id, at)
 			} else {
 				props.Remove(key, val, id, at)
+				lazy.ix.Update(key, id, &val, nil, at)
 			}
 		case 4:
 			horizon := ts - min(ts, mvcc.TS(id))
 			want := m.prune(horizon)
 			if got := labels.Prune(horizon) + props.Prune(horizon); got != want {
 				t.Fatalf("Prune(%d) dropped %d entries, model %d", horizon, got, want)
+			}
+			lazy.prune(horizon)
+		case 8:
+			// A key's build starts, or the one in progress is published.
+			if lazy.building[key] != nil {
+				lazy.publish(key)
+			} else {
+				lazy.start(&m, key)
 			}
 		default:
 			snap := ts - min(ts, step*3)
@@ -151,8 +208,17 @@ func runModel(t *testing.T, ops []byte) {
 			} else {
 				got = props.Lookup(key, val, snap)
 			}
-			if want := m.lookup(label, key, val, snap); !reflect.DeepEqual(got, want) {
+			want := m.lookup(label, key, val, snap)
+			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("Lookup(label=%v key=%d val=%v ts=%d) = %v, model %v", label, key, val, snap, got, want)
+			}
+			if !label && lazy.built[key] {
+				if !lazy.ix.Await(key) {
+					t.Fatalf("key %d was published and is not built", key)
+				}
+				if got := lazy.ix.Lookup(key, val, snap); !reflect.DeepEqual(got, want) {
+					t.Fatalf("on demand: Lookup(key=%d val=%v ts=%d) = %v, model %v", key, val, snap, got, want)
+				}
 			}
 		}
 		ts += step
@@ -166,6 +232,20 @@ func runModel(t *testing.T, ops []byte) {
 		if got != want {
 			t.Fatalf("Stats(label=%v) = %+v, model %+v", label, got, want)
 		}
+	}
+	// With every key built the on-demand index holds what the other does.
+	for key := uint32(0); key < 3; key++ {
+		lazy.start(&m, key)
+		if lazy.building[key] != nil {
+			lazy.publish(key)
+		}
+	}
+	// (Both after the collector's next run: a removal that arrived below
+	// the horizon — commits install out of order — waits for it.)
+	props.Prune(lazy.horizon)
+	lazy.ix.Prune(lazy.horizon)
+	if got, want := lazy.ix.Stats(), props.Stats(); got != want {
+		t.Fatalf("on demand, every key built: Stats = %+v, the eager index %+v", got, want)
 	}
 }
 

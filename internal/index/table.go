@@ -197,18 +197,7 @@ func (t *table[K]) add(k K, id uint64, ts mvcc.TS) {
 // it for collection. Missing entries are ignored (idempotent with respect
 // to replay).
 func (t *table[K]) remove(k K, id uint64, ts mvcc.TS) {
-	s := t.shardOf(k)
-	s.mu.Lock()
-	marked := false
-	if p, ok := s.m[k]; ok {
-		if i := p.find(id, neverRemoved); i >= 0 {
-			p.at(i).Removed = ts
-			s.m[k] = p
-			marked = true
-		}
-	}
-	s.mu.Unlock()
-	if !marked {
+	if !t.mark(k, id, ts) {
 		return
 	}
 	t.qmu.Lock()
@@ -218,6 +207,51 @@ func (t *table[K]) remove(k K, id uint64, ts mvcc.TS) {
 	}
 	t.queue = slices.Insert(t.queue, i, removal[K]{ts: ts, id: id, key: k})
 	t.qmu.Unlock()
+}
+
+// mark sets the removal timestamp of the live entry of id under k and
+// reports whether there was one.
+func (t *table[K]) mark(k K, id uint64, ts mvcc.TS) bool {
+	s := t.shardOf(k)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	p, ok := s.m[k]
+	if !ok {
+		return false
+	}
+	i := p.find(id, neverRemoved)
+	if i < 0 {
+		return false
+	}
+	p.at(i).Removed = ts
+	s.m[k] = p
+	return true
+}
+
+// removeSorted is remove for a batch in ascending timestamp order, merged
+// into the queue in one pass: old removals — a key's build finds them in
+// the data — would each walk back from the tail past everything queued
+// since.
+func (t *table[K]) removeSorted(batch []removal[K]) {
+	marked := batch[:0]
+	for _, r := range batch {
+		if t.mark(r.key, r.id, r.ts) {
+			marked = append(marked, r)
+		}
+	}
+	if batch = marked; len(batch) == 0 {
+		return
+	}
+	t.qmu.Lock()
+	defer t.qmu.Unlock()
+	merged := make([]removal[K], 0, len(t.queue)+len(batch))
+	for _, q := range t.queue {
+		for len(batch) > 0 && batch[0].ts < q.ts {
+			merged, batch = append(merged, batch[0]), batch[1:]
+		}
+		merged = append(merged, q)
+	}
+	t.queue = append(merged, batch...)
 }
 
 // lookup returns the IDs under k visible at startTS, ascending.

@@ -206,6 +206,9 @@ type series struct {
 	histogram   *Histogram
 	counterFunc func() float64
 	gaugeFunc   func() float64
+	// histogramFunc resolves the histogram at scrape time; nil from it
+	// means the owner has none right now and the series is skipped.
+	histogramFunc func() *Histogram
 }
 
 // family is all series sharing one metric name.
@@ -402,6 +405,15 @@ func (r *Registry) AttachHistogram(name, help string, h *Histogram, labels ...La
 	})
 }
 
+// HistogramFunc registers a histogram whose owner can be replaced while
+// the registry lives — a database reopens its engine on a re-seed — and
+// is therefore looked up through fn at every scrape.
+func (r *Registry) HistogramFunc(name, help string, fn func() *Histogram, labels ...Label) {
+	r.register(name, help, typeHistogram, labels, func() *series {
+		return &series{histogramFunc: fn}
+	})
+}
+
 // formatFloat renders a sample value: integral floats without exponent
 // noise, +Inf/-Inf/NaN in Prometheus spelling.
 func formatFloat(v float64) string {
@@ -457,8 +469,13 @@ func writeSeries(b *strings.Builder, f *family, s *series) {
 		fmt.Fprintf(b, "%s%s %s\n", f.name, s.labels, strconv.FormatInt(s.gauge.Value(), 10))
 	case s.gaugeFunc != nil:
 		fmt.Fprintf(b, "%s%s %s\n", f.name, s.labels, formatFloat(s.gaugeFunc()))
-	case s.histogram != nil:
+	case s.histogram != nil || s.histogramFunc != nil:
 		h := s.histogram
+		if h == nil {
+			if h = s.histogramFunc(); h == nil {
+				return
+			}
+		}
 		counts, sum := h.Snapshot()
 		// Cumulative bucket counts are sums over one snapshot pass, so
 		// they are monotone non-decreasing and _count == the +Inf bucket

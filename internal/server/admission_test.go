@@ -275,6 +275,11 @@ func TestServerMetricsEndToEnd(t *testing.T) {
 		`neograph_open_entities{kind="wal_record"} 0`,
 		"neograph_open_workers",
 		"neograph_store_journal_replays_total 0",
+		"neograph_checkpoint_failures_total 0",
+		"neograph_last_checkpoint_age_seconds",
+		`neograph_index_materialised_keys{index="node_prop"} 0`, // nothing was looked up
+		`neograph_index_builds_total{index="rel_prop"} 0`,
+		`neograph_index_build_seconds_count{index="node_prop"} 0`,
 		"neograph_repl_connected 0",
 	} {
 		if !strings.Contains(out, want) {

@@ -9,6 +9,7 @@ import (
 	"neograph"
 	"neograph/internal/core"
 	"neograph/internal/metrics"
+	"neograph/internal/store"
 	"neograph/internal/wire"
 )
 
@@ -98,8 +99,14 @@ func (m *serverMetrics) observe(req *wire.Request, d time.Duration, traceID stri
 // replication series into reg. Everything is sampled at scrape time from
 // the components' own atomic counters — registering metrics adds zero
 // work to commit or read paths. Call once per DB per registry.
+//
+// Every series reads through db.Engine() when scraped: a re-seed closes
+// the engine and opens another, and a series bound to the first would
+// report a dead engine for ever. Which series exist is settled here, from
+// what the options fix for every engine the database will open (stripes,
+// durability, group commit, page-cache shards).
 func RegisterDBMetrics(reg *metrics.Registry, db *neograph.DB) {
-	e := db.Engine()
+	e := db.Engine
 
 	// Engine: transaction outcomes and MVCC state.
 	reg.CounterFunc("neograph_txn_begun_total", "transactions begun",
@@ -113,19 +120,27 @@ func RegisterDBMetrics(reg *metrics.Registry, db *neograph.DB) {
 	reg.CounterFunc("neograph_txn_deadlocks_total", "lock-wait deadlocks broken",
 		func() float64 { return float64(db.Stats().Deadlocks) })
 	reg.GaugeFunc("neograph_txn_active", "currently active transactions",
-		func() float64 { return float64(e.ActiveTransactions()) })
+		func() float64 { return float64(e().ActiveTransactions()) })
 	reg.GaugeFunc("neograph_oracle_watermark", "newest stable snapshot timestamp",
-		func() float64 { return float64(e.Watermark()) })
-	reg.CounterFunc("neograph_gc_runs_total", "version GC passes",
-		func() float64 { return float64(db.Stats().GCRuns) })
+		func() float64 { return float64(e().Watermark()) })
 	reg.CounterFunc("neograph_gc_collected_total", "versions reclaimed by GC",
 		func() float64 { return float64(db.Stats().GCCollected) })
 	reg.CounterFunc("neograph_checkpoints_total", "checkpoints written",
 		func() float64 { return float64(db.Stats().Checkpoints) })
+	reg.CounterFunc("neograph_checkpoint_failures_total",
+		"checkpoints that failed, the background checkpointer's included",
+		func() float64 { return float64(db.Stats().CheckpointFailures) })
+	reg.GaugeFunc("neograph_last_checkpoint_age_seconds",
+		"time since the store last became a complete checkpoint (the last successful one, or Open)",
+		func() float64 {
+			if at := e().LastCheckpoint(); !at.IsZero() {
+				return time.Since(at).Seconds()
+			}
+			return 0
+		})
 
-	// Open: why this node took as long as it did to come back. Read through
-	// db.Engine() each time: a re-seed opens a new engine.
-	opened := func() core.OpenReport { return db.Engine().OpenReport() }
+	// Open: why this node took as long as it did to come back.
+	opened := func() core.OpenReport { return e().OpenReport() }
 	const (
 		openSeconds  = "time the last Open spent per stage"
 		openEntities = "what the last Open read: store images and log records"
@@ -142,7 +157,8 @@ func RegisterDBMetrics(reg *metrics.Registry, db *neograph.DB) {
 		func() float64 { return float64(opened().Rels) }, metrics.L("kind", "rel"))
 	reg.GaugeFunc("neograph_open_entities", openEntities,
 		func() float64 { return float64(opened().WALRecords) }, metrics.L("kind", "wal_record"))
-	reg.GaugeFunc("neograph_open_workers", "goroutines the last Open's store scan was spread over",
+	reg.GaugeFunc("neograph_open_workers",
+		"goroutines the last Open's store scan was spread over: 1, or 3 (scan, object cache, label index or adjacency) on more than one processor",
 		func() float64 { return float64(opened().Workers) })
 	reg.CounterFunc("neograph_store_journal_replays_total",
 		"interrupted store flushes that Open finished from their journal",
@@ -150,23 +166,40 @@ func RegisterDBMetrics(reg *metrics.Registry, db *neograph.DB) {
 
 	// Versioned indexes: what they hold and what their collector still owes.
 	// Keys and entries follow the live data; pending removals drain to zero
-	// whenever the horizon catches up.
-	for _, ix := range slices.Sorted(maps.Keys(e.IndexStats())) {
+	// whenever the horizon catches up. A property index holds a property
+	// key's entries from the first lookup that names the key.
+	for _, ix := range slices.Sorted(maps.Keys(e().IndexStats())) {
 		reg.GaugeFunc("neograph_index_keys", "distinct index keys holding an entry",
-			func() float64 { return float64(e.IndexStats()[ix].Keys) }, metrics.L("index", ix))
+			func() float64 { return float64(e().IndexStats()[ix].Keys) }, metrics.L("index", ix))
 		reg.GaugeFunc("neograph_index_entries", "versioned index entries, live and removed",
-			func() float64 { return float64(e.IndexStats()[ix].Entries) }, metrics.L("index", ix))
+			func() float64 { return float64(e().IndexStats()[ix].Entries) }, metrics.L("index", ix))
 		reg.GaugeFunc("neograph_index_pending_removals", "removed index entries awaiting the GC horizon",
-			func() float64 { return float64(e.IndexStats()[ix].PendingRemovals) }, metrics.L("index", ix))
+			func() float64 { return float64(e().IndexStats()[ix].PendingRemovals) }, metrics.L("index", ix))
+	}
+	for _, ix := range slices.Sorted(maps.Keys(e().IndexBuildSeconds())) {
+		builds := func() float64 {
+			n := 0
+			for _, b := range e().IndexBuilds() {
+				if b.Index == ix {
+					n++
+				}
+			}
+			return float64(n)
+		}
+		reg.GaugeFunc("neograph_index_materialised_keys",
+			"property keys this engine holds postings for: the keys looked up since its Open", builds, metrics.L("index", ix))
+		reg.CounterFunc("neograph_index_builds_total",
+			"first lookups of a property key, each of which built its postings", builds, metrics.L("index", ix))
+		reg.HistogramFunc("neograph_index_build_seconds", "how long a property key's first lookup took to build its postings",
+			func() *metrics.Histogram { return e().IndexBuildSeconds()[ix] }, metrics.L("index", ix))
 	}
 
 	// Per-stripe FCW conflicts: the contention-skew view. One series per
 	// stripe, sampled from the stripe's own atomic.
-	for i := range e.StripeConflicts() {
-		i := i
+	for i := range e().StripeConflicts() {
 		reg.CounterFunc("neograph_stripe_conflicts_total",
 			"FCW validation failures by commit stripe",
-			func() float64 { return float64(e.StripeConflicts()[i]) },
+			func() float64 { return float64(e().StripeConflicts()[i]) },
 			metrics.L("stripe", strconv.Itoa(i)))
 	}
 
@@ -179,45 +212,45 @@ func RegisterDBMetrics(reg *metrics.Registry, db *neograph.DB) {
 		func() float64 { return float64(db.Stats().WALFlushes) })
 	reg.CounterFunc("neograph_wal_synced_commits_total", "commits made durable",
 		func() float64 { return float64(db.Stats().WALSyncedCommits) })
-	if w := e.WAL(); w != nil {
+	if e().WAL() != nil {
 		reg.CounterFunc("neograph_wal_append_failures_total",
 			"WAL appends whose write failed (the commit aborted, the segment was rewound)",
-			func() float64 { return float64(w.AppendFailures()) })
-		reg.AttachHistogram("neograph_commit_record_bytes",
-			"payload bytes of each logged commit, prepare and decision record", e.RecordBytes())
+			func() float64 { return float64(e().WAL().AppendFailures()) })
+		reg.HistogramFunc("neograph_commit_record_bytes",
+			"payload bytes of each logged commit, prepare and decision record",
+			func() *metrics.Histogram { return e().RecordBytes() })
 	}
-	if b := e.CommitBatcher(); b != nil {
+	if e().CommitBatcher() != nil {
 		reg.GaugeFunc("neograph_wal_batcher_depth", "committers parked in group commit",
-			func() float64 { return float64(b.Depth()) })
-		reg.AttachHistogram("neograph_wal_fsync_seconds", "group-commit fsync latency",
-			b.SyncLatency())
+			func() float64 { return float64(e().CommitBatcher().Depth()) })
+		reg.HistogramFunc("neograph_wal_fsync_seconds", "group-commit fsync latency",
+			func() *metrics.Histogram { return e().CommitBatcher().SyncLatency() })
 	}
 
 	// Page cache: per-file aggregates plus the per-shard hit/miss split.
-	if st := e.Store(); st != nil {
+	if e().Store() != nil {
+		st := func() *store.Store { return e().Store() }
 		for _, file := range []string{"nodes", "rels", "props", "dyn"} {
-			file := file
 			reg.CounterFunc("neograph_pagecache_hits_total", "page-cache hits by store file",
-				func() float64 { return float64(st.CacheStats()[file].Hits) },
+				func() float64 { return float64(st().CacheStats()[file].Hits) },
 				metrics.L("file", file))
 			reg.CounterFunc("neograph_pagecache_misses_total", "page-cache misses by store file",
-				func() float64 { return float64(st.CacheStats()[file].Misses) },
+				func() float64 { return float64(st().CacheStats()[file].Misses) },
 				metrics.L("file", file))
 			reg.CounterFunc("neograph_pagecache_evictions_total", "page evictions by store file",
-				func() float64 { return float64(st.CacheStats()[file].Evictions) },
+				func() float64 { return float64(st().CacheStats()[file].Evictions) },
 				metrics.L("file", file))
 			reg.CounterFunc("neograph_pagecache_flushes_total", "dirty page write-backs by store file",
-				func() float64 { return float64(st.CacheStats()[file].Flushes) },
+				func() float64 { return float64(st().CacheStats()[file].Flushes) },
 				metrics.L("file", file))
-			for shard := range st.CacheShardStats()[file] {
-				shard := shard
+			for shard := range st().CacheShardStats()[file] {
 				lbls := []metrics.Label{metrics.L("file", file), metrics.L("shard", strconv.Itoa(shard))}
 				reg.CounterFunc("neograph_pagecache_shard_hits_total",
 					"page-cache hits by LRU segment",
-					func() float64 { return float64(st.CacheShardStats()[file][shard].Hits) }, lbls...)
+					func() float64 { return float64(st().CacheShardStats()[file][shard].Hits) }, lbls...)
 				reg.CounterFunc("neograph_pagecache_shard_misses_total",
 					"page-cache misses by LRU segment",
-					func() float64 { return float64(st.CacheShardStats()[file][shard].Misses) }, lbls...)
+					func() float64 { return float64(st().CacheShardStats()[file][shard].Misses) }, lbls...)
 			}
 		}
 	}

@@ -253,19 +253,27 @@ func coreOptions(opts Options, replica bool) core.Options {
 	}
 }
 
-// openEngine opens the engine and logs what its Open did: the numbers of
-// core.OpenReport, which /metrics has as neograph_open_*.
+// openEngine opens the engine and logs what its Open did — the numbers of
+// core.OpenReport, which /metrics has as neograph_open_* — and arranges
+// for its index builds to be logged.
 func openEngine(opts Options, replica bool) (*core.Engine, error) {
 	e, err := core.Open(coreOptions(opts, replica))
 	if err != nil {
 		return nil, err
 	}
+	log := opts.Logger.With("component", "engine")
 	if r := e.OpenReport(); opts.Dir != "" {
-		opts.Logger.With("component", "engine").Info("opened", "dir", opts.Dir,
+		log.Info("opened", "dir", opts.Dir,
 			"store_s", r.Store.Seconds(), "scan_s", r.Scan.Seconds(), "replay_s", r.Replay.Seconds(),
 			"nodes", r.Nodes, "rels", r.Rels, "wal_records", r.WALRecords,
 			"workers", r.Workers, "journal_replays", r.JournalReplays)
 	}
+	// A property key's first lookup on this engine builds its postings
+	// (neograph_index_build* on /metrics): say what that cost.
+	e.OnIndexBuilt(func(b core.IndexBuild) {
+		log.Info("index built", "index", b.Index, "key", b.Key, "entries", b.Entries,
+			"scan_s", b.Scan.Seconds(), "side_log", b.SideLog, "exclusive_s", b.Exclusive.Seconds())
+	})
 	return e, nil
 }
 
