@@ -44,13 +44,14 @@ bench-smoke: build
 ## entries until a lookup names it — and with every key looked up
 ## (BenchmarkPropertyIndexBuild's last case; its rows are what a first
 ## lookup costs). Both benchmarks keep their last engine reachable for
-## exactly this profile; B/entity and allocs/entity are in the benchmark
-## lines above each
+## exactly this profile; B/entity and allocs/entity are in the benchmark's
+## rows, which land in mem-bench.json as test2json lines
 mem:
-	$(GO) test -run '^$$' -bench 'LoadSocial|RecoverSocial/people=12000$$' -benchtime 1x -benchmem -memprofile mem.pprof .
+	$(GO) test -run '^$$' -bench 'LoadSocial|RecoverSocial/people=12000$$' -benchtime 1x -benchmem -memprofile mem.pprof -json . > mem-bench.json
 	$(GO) tool pprof -sample_index=inuse_space -top -nodecount=15 mem.pprof
-	$(GO) test -run '^$$' -bench 'PropertyIndexBuild/people=12000$$' -benchtime 1x -memprofile mem-indexed.pprof .
+	$(GO) test -run '^$$' -bench 'PropertyIndexBuild/people=12000$$' -benchtime 1x -memprofile mem-indexed.pprof -json . >> mem-bench.json
 	$(GO) tool pprof -sample_index=inuse_space -top -nodecount=15 mem-indexed.pprof
+	@grep 'B/entity' mem-bench.json
 
 ## logbytes: what a commit of each of the benchmark's write shapes costs
 ## the log, the replication stream and every replica's log, in bytes
@@ -113,4 +114,4 @@ fmt:
 	gofmt -w .
 
 clean:
-	rm -f bench-results.json commit-record-bytes.json recover-bench.json cpu.pprof mem.pprof mem-indexed.pprof neograph.test
+	rm -f bench-results.json commit-record-bytes.json recover-bench.json mem-bench.json cpu.pprof mem.pprof mem-indexed.pprof neograph.test

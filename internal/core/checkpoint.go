@@ -3,6 +3,7 @@ package core
 import (
 	"sort"
 	"time"
+	"unsafe"
 
 	"neograph/internal/lock"
 	"neograph/internal/mvcc"
@@ -111,12 +112,9 @@ func (e *Engine) checkpointMaintLocked() (err error) {
 			if err := e.store.PutNode(nd); err != nil {
 				return err
 			}
-			bytes += uint64(estimateNodeBytes(st))
+			bytes += uint64(nodeBytes(st))
 		case lock.KindRel:
-			st, _ := head.Data.(*RelState)
-			if st == nil {
-				st = &RelState{Start: o.start, End: o.end, Type: "?"}
-			}
+			st := head.Data.(*RelState) // a tombstone holds the state it deleted
 			rd := store.RelData{
 				ID:        k.id,
 				Type:      st.Type,
@@ -129,7 +127,7 @@ func (e *Engine) checkpointMaintLocked() (err error) {
 			if err := e.store.PutRel(rd); err != nil {
 				return err
 			}
-			bytes += uint64(estimateRelBytes(st))
+			bytes += uint64(relBytes(st))
 		}
 		puts++
 	}
@@ -168,58 +166,39 @@ func (e *Engine) DirtyCount() int {
 	return len(e.dirty)
 }
 
-func estimateNodeBytes(st *NodeState) int {
-	n := 32
-	for _, l := range st.Labels {
-		n += len(l) + 4
-	}
-	n += st.Props.Size()
-	return n
+// nodeBytes and relBytes are the memory one version holds, read off the
+// structs themselves: header and state (one allocation), the label slice
+// and the property list. Label, type and key names are not counted — the
+// token table shares one copy of each.
+func nodeBytes(st *NodeState) int {
+	return int(unsafe.Sizeof(*st)) + len(st.Labels)*int(unsafe.Sizeof("")) + st.Props.HeapBytes()
 }
 
-func estimateRelBytes(st *RelState) int {
-	return 64 + len(st.Type) + st.Props.Size()
-}
+func relBytes(st *RelState) int { return int(unsafe.Sizeof(*st)) + st.Props.HeapBytes() }
 
-// estimateStateBytes supports E5's memory accounting: the in-memory size
-// of one version payload.
-func estimateStateBytes(data any) int {
-	switch st := data.(type) {
+// versionBytes is nodeBytes or relBytes for a version allocated with its
+// state, and the bare header for a tombstone, whose Data is the state of
+// the version under it.
+func versionBytes(v *mvcc.Version) int {
+	switch st := v.Data.(type) {
 	case *NodeState:
-		if st == nil {
-			return 16
+		if &st.ver == v {
+			return nodeBytes(st)
 		}
-		return estimateNodeBytes(st)
 	case *RelState:
-		if st == nil {
-			return 16
+		if &st.ver == v {
+			return relBytes(st)
 		}
-		return estimateRelBytes(st)
-	default:
-		return 16
 	}
+	return int(unsafe.Sizeof(*v))
 }
 
-// VersionBytes estimates the total memory held by version payloads in the
-// cache (E5's accounting of obsolete-version buildup).
+// VersionBytes returns the total memory held by the versions in the cache
+// (E5's accounting of obsolete-version buildup).
 func (e *Engine) VersionBytes() int {
-	var objs []*object
-	for i := range e.stripes {
-		s := &e.stripes[i]
-		s.mu.RLock()
-		for _, o := range s.nodes {
-			objs = append(objs, o)
-		}
-		for _, o := range s.rels {
-			objs = append(objs, o)
-		}
-		s.mu.RUnlock()
-	}
 	total := 0
-	for _, o := range objs {
-		o.chain.Each(func(v *mvcc.Version) {
-			total += estimateStateBytes(v.Data) + 64 // 64 ≈ Version struct + links
-		})
+	for _, o := range e.objects() {
+		o.chain.Each(func(v *mvcc.Version) { total += versionBytes(v) })
 	}
 	return total
 }

@@ -36,9 +36,11 @@ type mutation struct {
 	key     entKey
 	created bool
 	deleted bool
-	// node / rel is the version the mutation installs: the entity's whole
-	// state, for a tombstone the state it deletes. A delta decoded from
-	// the log has none until install builds it from the chain's head.
+	// node / rel is the version the mutation installs — header and whole
+	// state in one allocation, linked into the chain as it is, so a mutation
+	// is installed once — and for a tombstone the state it deletes. A delta
+	// decoded from the log has none until install builds it from the chain's
+	// head.
 	node *NodeState
 	rel  *RelState
 	// delta: the entity existed before, so the log carries only what
@@ -570,28 +572,35 @@ func (e *Engine) install(m *mutation, cts mvcc.TS) bool {
 		oldNode, oldRel = nil, nil // nothing of a tombstone is indexed
 	}
 
-	v := &mvcc.Version{CommitTS: cts, Deleted: m.deleted}
-	switch m.key.kind {
-	case lock.KindNode:
-		v.Data = node
-	case lock.KindRel:
-		v.Data = rel
+	// A state is allocated with its version header, so installing it is
+	// stamping and linking it; a tombstone is a bare header over the state
+	// it deletes (paper §4: kept until no active transaction can read an
+	// older version).
+	var v *mvcc.Version
+	switch {
+	case m.deleted && m.key.kind == lock.KindNode:
+		v = &mvcc.Version{Deleted: true, Data: node}
+	case m.deleted:
+		v = &mvcc.Version{Deleted: true, Data: rel}
+	case m.key.kind == lock.KindNode:
+		v, node.ver.Data = &node.ver, node
+	default:
+		v, rel.ver.Data = &rel.ver, rel
 	}
+	v.CommitTS = cts
 	superseded := o.chain.Install(v)
 	if e.opts.GCMode == GCThreaded {
 		if superseded != nil {
-			e.gcList.Add(superseded)
+			e.gcList.Add(&o.chain, o, superseded, v)
 		}
 		if m.deleted {
 			// The tombstone becomes collectable at its own timestamp.
-			v.SupersededAt = cts
-			e.gcList.Add(v)
+			e.gcList.Add(&o.chain, o, v, nil)
 		}
 	}
 
 	// Adjacency: a created relationship attaches to both endpoints.
 	if m.created && rel != nil {
-		o.start, o.end = rel.Start, rel.End
 		if rel.End == rel.Start {
 			e.addAdjacency(rel.Start, m.key.id, adjOut|adjIn)
 		} else {

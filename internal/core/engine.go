@@ -225,28 +225,30 @@ type entKey struct {
 }
 
 // object is a cached entity: its identity plus its version chain, held
-// by value (chain.Owner points back here, which is how the collector's
-// dead chains find their entity). For relationships the immutable
-// endpoints are mirrored here so that garbage collection of a fully dead
-// relationship (whose chain is empty) can still fix up adjacency and the
-// persistent store.
+// by value. It is the owner the engine threads garbage versions with, so
+// the collector hands a dead entity back as its object and last version.
 type object struct {
-	key        entKey
-	chain      mvcc.Chain
-	start, end ids.ID // relationships only
+	key   entKey
+	chain mvcc.Chain
 }
 
-// NodeState is the payload of a node version. Versions are immutable and
-// a staged write shares its base version's Labels and Props until it
-// changes them, so neither is ever modified in place.
+// NodeState is a node version: the chain's header and the node's state in
+// one allocation (ver.Data points back at the struct from install on). A
+// version is immutable once installed, and a staged write shares its base
+// version's Labels and Props until it changes them, so neither is ever
+// modified in place.
 type NodeState struct {
+	ver    mvcc.Version
 	Labels []string // sorted, no duplicates
 	Props  value.Packed
 }
 
-// RelState is the payload of a relationship version. Endpoints and type
-// are immutable over the relationship's lifetime.
+// RelState is a relationship version, laid out like NodeState. Endpoints
+// and type are immutable over the relationship's lifetime; they live here
+// and nowhere else, so a dead relationship's adjacency is detached with
+// the endpoints of the tombstone the collector hands back.
 type RelState struct {
+	ver        mvcc.Version
 	Type       string
 	Start, End ids.ID
 	Props      value.Packed
@@ -860,7 +862,6 @@ func (e *Engine) ensureObject(k entKey) *object {
 		return o
 	}
 	o := &object{key: k}
-	o.chain.Owner = o
 	m[k.id] = o
 	return o
 }

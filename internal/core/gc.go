@@ -32,8 +32,10 @@ func (e *Engine) RunGC() GCReport {
 	rep.Mode = e.opts.GCMode
 	rep.Horizon = horizon
 
-	var deadChains []*mvcc.Chain
-	onDead := func(c *mvcc.Chain) { deadChains = append(deadChains, c) }
+	// An entity is dead when the collector has emptied its chain; the last
+	// version to go — the tombstone — still names a relationship's endpoints.
+	var dead []deadEntity
+	onDead := func(owner any, last *mvcc.Version) { dead = append(dead, deadEntity{owner.(*object), last}) }
 
 	switch e.opts.GCMode {
 	case GCThreaded:
@@ -43,25 +45,13 @@ func (e *Engine) RunGC() GCReport {
 		rep.Scanned = rep.Collected + 1
 	case GCVacuum:
 		// Vacuum-style: visit every chain in the cache.
-		var chains []*mvcc.Chain
-		for i := range e.stripes {
-			s := &e.stripes[i]
-			s.mu.RLock()
-			for _, o := range s.nodes {
-				chains = append(chains, &o.chain)
-			}
-			for _, o := range s.rels {
-				chains = append(chains, &o.chain)
-			}
-			s.mu.RUnlock()
-		}
-		for _, c := range chains {
-			before := c.Len()
-			removed, empty := c.PruneOlderThan(horizon)
+		for _, o := range e.objects() {
+			before := o.chain.Len()
+			removed, tombstone := o.chain.PruneOlderThan(horizon)
 			rep.Scanned += before
 			rep.Collected += removed
-			if empty {
-				onDead(c)
+			if tombstone != nil {
+				onDead(o, tombstone)
 			}
 		}
 	}
@@ -74,8 +64,8 @@ func (e *Engine) RunGC() GCReport {
 		rep.IndexScanned += scanned
 	}
 
-	rep.EntitiesDead = len(deadChains)
-	e.reapDead(deadChains)
+	rep.EntitiesDead = len(dead)
+	e.reapDead(dead)
 
 	rep.Duration = time.Since(start)
 	e.stats.gcRuns.Add(1)
@@ -85,19 +75,43 @@ func (e *Engine) RunGC() GCReport {
 	return rep
 }
 
+// deadEntity is an entity whose chain the collector emptied, and the
+// version that went last.
+type deadEntity struct {
+	o    *object
+	last *mvcc.Version
+}
+
+// objects snapshots every cached entity.
+func (e *Engine) objects() []*object {
+	var objs []*object
+	for i := range e.stripes {
+		s := &e.stripes[i]
+		s.mu.RLock()
+		for _, o := range s.nodes {
+			objs = append(objs, o)
+		}
+		for _, o := range s.rels {
+			objs = append(objs, o)
+		}
+		s.mu.RUnlock()
+	}
+	return objs
+}
+
 // reapDead removes fully collected entities from the cache maps, the
 // adjacency structure, the dirty queue, and the persistent store. A dead
 // relationship detaches from both endpoints; a dead node drops its (by
 // now empty) adjacency set. Store removals share the maintenance mutex
 // with the checkpointer so a stale checkpoint write cannot resurrect a
 // removed record.
-func (e *Engine) reapDead(chains []*mvcc.Chain) {
-	if len(chains) == 0 {
+func (e *Engine) reapDead(dead []deadEntity) {
+	if len(dead) == 0 {
 		return
 	}
 	var objs []*object
-	for _, c := range chains {
-		o := c.Owner.(*object)
+	for _, d := range dead {
+		o := d.o
 		if o.key.kind == lock.KindNode {
 			s := e.stripeOf(o.key)
 			s.mu.Lock()
@@ -111,9 +125,10 @@ func (e *Engine) reapDead(chains []*mvcc.Chain) {
 			s.mu.Unlock()
 			// Adjacency entries live with the endpoint nodes, which may
 			// hash to different stripes than the relationship itself.
-			e.removeAdjacency(o.start, o.key.id)
-			if o.end != o.start {
-				e.removeAdjacency(o.end, o.key.id)
+			st := d.last.Data.(*RelState)
+			e.removeAdjacency(st.Start, o.key.id)
+			if st.End != st.Start {
+				e.removeAdjacency(st.End, o.key.id)
 			}
 		}
 		objs = append(objs, o)

@@ -16,15 +16,12 @@ import (
 //
 // A property key has index entries from the first lookup that names it:
 // an engine nobody has queried by property holds none, and measures
-// 667 B an entity; the budget is 15 % above. One that has been asked for
-// every key holds what every engine used to hold from Open on, 797 B —
-// its budget is the one that figure has had since the index went on a
-// diet (913 B with a heap-allocated posting per index key and a Go map
-// per node's adjacency; 1 610 B with a Go map per version as well): what
-// a user who queries pays has not moved.
+// 519 B an entity; one that has been asked for every key holds 649 B.
+// Each budget is 15 % above. TestResidentLayout pins the structs the
+// figures are made of.
 const (
-	heapBudgetPerEntity        = 770 // bytes, nothing looked up
-	heapBudgetPerIndexedEntity = 915 // bytes, every property key looked up
+	heapBudgetPerEntity        = 597 // bytes, nothing looked up
+	heapBudgetPerIndexedEntity = 746 // bytes, every property key looked up
 )
 
 // liveHeap returns the live heap after a forced collection.

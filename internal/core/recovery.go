@@ -106,16 +106,14 @@ func (e *Engine) recover() error {
 	scanStart := time.Now()
 	var maxTS mvcc.TS
 
-	seed := func(k entKey, v *mvcc.Version, relStart, relEnd uint64) {
+	seed := func(k entKey, v *mvcc.Version) {
 		o := e.ensureObject(k)
-		o.start, o.end = relStart, relEnd
 		o.chain.Install(v)
 		if v.CommitTS > maxTS {
 			maxTS = v.CommitTS
 		}
 		if v.Deleted && e.opts.GCMode == GCThreaded {
-			v.SupersededAt = v.CommitTS
-			e.gcList.Add(v)
+			e.gcList.Add(&o.chain, o, v, nil)
 		}
 	}
 
@@ -126,8 +124,8 @@ func (e *Engine) recover() error {
 			// state wrote them (sorted), their strings shared through its
 			// token registry, and properties already packed.
 			st := &NodeState{Labels: nd.Labels, Props: nd.Props}
-			v := &mvcc.Version{CommitTS: nd.CommitTS, Deleted: nd.Tombstone, Data: st}
-			seed(entKey{lock.KindNode, nd.ID}, v, 0, 0)
+			st.ver = mvcc.Version{CommitTS: nd.CommitTS, Deleted: nd.Tombstone, Data: st}
+			seed(entKey{lock.KindNode, nd.ID}, &st.ver)
 			e.opened.Nodes++
 		},
 		func(nd store.NodeData) {
@@ -141,8 +139,8 @@ func (e *Engine) recover() error {
 	_, err = seedFrom(e.store.ScanRels,
 		func(rd store.RelData) {
 			st := &RelState{Type: rd.Type, Start: rd.StartNode, End: rd.EndNode, Props: rd.Props}
-			v := &mvcc.Version{CommitTS: rd.CommitTS, Deleted: rd.Tombstone, Data: st}
-			seed(entKey{lock.KindRel, rd.ID}, v, rd.StartNode, rd.EndNode)
+			st.ver = mvcc.Version{CommitTS: rd.CommitTS, Deleted: rd.Tombstone, Data: st}
+			seed(entKey{lock.KindRel, rd.ID}, &st.ver)
 			e.opened.Rels++
 		},
 		func(rd store.RelData) {

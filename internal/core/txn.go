@@ -219,8 +219,8 @@ func (t *Tx) stageNodeWrite(id ids.ID) (*writeEntry, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := *base.Data.(*NodeState) // shares Labels and Props until a write replaces them
-	w := &writeEntry{key: k, base: base, node: &st}
+	old := base.Data.(*NodeState) // the staged version shares Labels and Props until a write replaces them
+	w := &writeEntry{key: k, base: base, node: &NodeState{Labels: old.Labels, Props: old.Props}}
 	t.writes[k] = w
 	t.order = append(t.order, k)
 	return w, nil
@@ -243,8 +243,8 @@ func (t *Tx) stageRelWrite(id ids.ID) (*writeEntry, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := *base.Data.(*RelState) // shares Props until a write replaces them
-	w := &writeEntry{key: k, base: base, rel: &st}
+	old := base.Data.(*RelState) // the staged version shares Props until a write replaces them
+	w := &writeEntry{key: k, base: base, rel: &RelState{Type: old.Type, Start: old.Start, End: old.End, Props: old.Props}}
 	t.writes[k] = w
 	t.order = append(t.order, k)
 	return w, nil

@@ -3,6 +3,7 @@ package mvcc
 import (
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -91,7 +92,7 @@ func TestChainVisible(t *testing.T) {
 	if c.Install(v10) != nil {
 		t.Fatal("first install supersedes nothing")
 	}
-	if sup := c.Install(v20); sup != v10 || sup.SupersededAt != 20 {
+	if sup := c.Install(v20); sup != v10 {
 		t.Fatalf("superseded = %+v", sup)
 	}
 	c.Install(v30)
@@ -139,16 +140,17 @@ func TestChainTombstoneVisible(t *testing.T) {
 func TestGCListSortedAndCollect(t *testing.T) {
 	l := NewGCList()
 	chain := NewChain()
-	var supers []*Version
+	var supers [][2]*Version // superseded, by
 	for ts := TS(1); ts <= 10; ts++ {
-		if sup := chain.Install(&Version{CommitTS: ts, Data: ts}); sup != nil {
-			supers = append(supers, sup)
+		v := &Version{CommitTS: ts, Data: ts}
+		if sup := chain.Install(v); sup != nil {
+			supers = append(supers, [2]*Version{sup, v})
 		}
 	}
 	// Add out of arrival order to exercise sorted insertion.
 	rand.New(rand.NewSource(7)).Shuffle(len(supers), func(i, j int) { supers[i], supers[j] = supers[j], supers[i] })
 	for _, s := range supers {
-		l.Add(s)
+		l.Add(chain, nil, s[0], s[1])
 	}
 	if !l.checkSorted() {
 		t.Fatal("GC list not sorted after shuffled adds")
@@ -189,46 +191,58 @@ func TestGCListTombstoneKillsEntity(t *testing.T) {
 		t.Fatal("unexpected supersede")
 	}
 	tomb := &Version{CommitTS: 2, Deleted: true}
+	const owner = "the entity"
 	if sup := chain.Install(tomb); sup != nil {
-		sup.SupersededAt = tomb.CommitTS
-		l.Add(sup)
+		l.Add(chain, owner, sup, tomb)
 	}
 	// The tombstone itself becomes garbage at its own commit TS.
-	tomb.SupersededAt = tomb.CommitTS
-	l.Add(tomb)
+	l.Add(chain, owner, tomb, nil)
 
-	var dead []*Chain
-	n := l.Collect(10, func(c *Chain) { dead = append(dead, c) })
+	var dead []any
+	var last *Version
+	n := l.Collect(10, func(o any, v *Version) { dead, last = append(dead, o), v })
 	if n != 2 {
 		t.Fatalf("collected %d, want 2", n)
 	}
-	if len(dead) != 1 || dead[0] != chain {
-		t.Fatalf("dead chains = %v", dead)
+	if len(dead) != 1 || dead[0] != owner || last != tomb {
+		t.Fatalf("dead owners = %v, last version %+v", dead, last)
 	}
 	if chain.Len() != 0 || chain.Head() != nil {
 		t.Fatal("chain must be empty after tombstone collection")
 	}
 }
 
-func TestGCListDoubleAddPanics(t *testing.T) {
+// TestCollectUnderRecycledCreation: a redo or a replica can install an
+// ID's next entity over the previous owner's not yet collected tombstone.
+// The tombstone was threaded as the head and is a head no more: the
+// collector finds it from the top and takes the old versions out from
+// under the new one, which lives on.
+func TestCollectUnderRecycledCreation(t *testing.T) {
 	l := NewGCList()
-	v := &Version{CommitTS: 1, SupersededAt: 2}
-	v.chain = NewChain()
-	l.Add(v)
-	defer func() {
-		if recover() == nil {
-			t.Error("double add should panic")
-		}
-	}()
-	l.Add(v)
+	chain := NewChain()
+	tomb, reborn := &Version{CommitTS: 2, Deleted: true}, &Version{CommitTS: 5}
+	chain.Install(&Version{CommitTS: 1})
+	l.Add(chain, nil, chain.Install(tomb), tomb)
+	l.Add(chain, nil, tomb, nil)
+	if sup := chain.Install(reborn); sup != nil {
+		t.Fatalf("the tombstone was superseded a second time: %+v", sup)
+	}
+	died := false
+	if n := l.Collect(10, func(any, *Version) { died = true }); n != 2 || died {
+		t.Fatalf("collected %d (entity dead: %v), want 2 versions of a living entity", n, died)
+	}
+	if chain.Len() != 1 || chain.Head() != reborn || chain.Visible(4) != nil {
+		t.Fatalf("chain of %d, head %+v, visible at 4: %+v", chain.Len(), chain.Head(), chain.Visible(4))
+	}
 }
 
 func TestGCCollectStopsAtHorizon(t *testing.T) {
 	l := NewGCList()
 	chain := NewChain()
 	for ts := TS(1); ts <= 5; ts++ {
-		if sup := chain.Install(&Version{CommitTS: ts}); sup != nil {
-			l.Add(sup)
+		v := &Version{CommitTS: ts}
+		if sup := chain.Install(v); sup != nil {
+			l.Add(chain, nil, sup, v)
 		}
 	}
 	if n := l.Collect(0, nil); n != 0 {
@@ -244,10 +258,10 @@ func TestPruneOlderThanVacuum(t *testing.T) {
 	for ts := TS(1); ts <= 5; ts++ {
 		chain.Install(&Version{CommitTS: ts, Data: ts})
 	}
-	removed, empty := chain.PruneOlderThan(3)
+	removed, dead := chain.PruneOlderThan(3)
 	// Versions 1 and 2 were superseded at TS 2 and 3 ≤ horizon.
-	if removed != 2 || empty {
-		t.Fatalf("removed=%d empty=%v, want 2,false", removed, empty)
+	if removed != 2 || dead != nil {
+		t.Fatalf("removed=%d dead=%v, want 2,nil", removed, dead)
 	}
 	if chain.Len() != 3 {
 		t.Fatalf("len = %d, want 3", chain.Len())
@@ -262,10 +276,11 @@ func TestPruneTombstoneChainDies(t *testing.T) {
 	chain := NewChain()
 	chain.Install(&Version{CommitTS: 1, Data: "a"})
 	chain.Install(&Version{CommitTS: 2, Data: "b"})
-	chain.Install(&Version{CommitTS: 3, Deleted: true})
-	removed, empty := chain.PruneOlderThan(3)
-	if removed != 3 || !empty {
-		t.Fatalf("removed=%d empty=%v, want 3,true", removed, empty)
+	tomb := &Version{CommitTS: 3, Deleted: true}
+	chain.Install(tomb)
+	removed, dead := chain.PruneOlderThan(3)
+	if removed != 3 || dead != tomb || chain.Head() != nil {
+		t.Fatalf("removed=%d dead=%v head=%v, want 3, the tombstone, nil", removed, dead, chain.Head())
 	}
 }
 
@@ -273,10 +288,10 @@ func TestPruneKeepsVisibleAboveHorizon(t *testing.T) {
 	chain := NewChain()
 	chain.Install(&Version{CommitTS: 10, Data: "a"})
 	chain.Install(&Version{CommitTS: 20, Deleted: true})
-	removed, empty := chain.PruneOlderThan(15)
+	removed, dead := chain.PruneOlderThan(15)
 	// Tombstone at 20 > horizon: a reader at 15 still sees version 10.
-	if removed != 0 || empty {
-		t.Fatalf("removed=%d empty=%v, want 0,false", removed, empty)
+	if removed != 0 || dead != nil {
+		t.Fatalf("removed=%d dead=%v, want 0,nil", removed, dead)
 	}
 	if v := chain.Visible(15); v == nil || v.CommitTS != 10 {
 		t.Fatal("prune removed a visible version")
@@ -327,8 +342,9 @@ func TestGCNeverCollectsVisible(t *testing.T) {
 			if head != nil && head.CommitTS >= ts {
 				continue
 			}
-			if sup := c.Install(&Version{CommitTS: ts, Data: ts}); sup != nil {
-				l.Add(sup)
+			v := &Version{CommitTS: ts, Data: ts}
+			if sup := c.Install(v); sup != nil {
+				l.Add(c, nil, sup, v)
 			}
 		}
 		// Random set of readers.
@@ -362,60 +378,118 @@ func TestGCNeverCollectsVisible(t *testing.T) {
 	}
 }
 
+// TestConcurrentInstallAndCollect runs the chain's three parties at once:
+// writers installing at the head, a collector unlinking below the
+// horizon, and readers — each registered in the active table, which is
+// what holds the horizon under it — walking the chain without a lock. A
+// reader must always get the newest version at or below its timestamp.
 func TestConcurrentInstallAndCollect(t *testing.T) {
+	const writers, perWriter, readers = 4, 500, 3
 	o := NewOracle(0)
+	active := NewActiveTable()
 	l := NewGCList()
 	chain := NewChain()
-	var mu sync.Mutex // serialises installs on the single chain (the write rule)
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
+	chain.Install(&Version{CommitTS: o.BeginCommit()})
+	o.FinishCommit(1)
 
-	wg.Add(1)
-	go func() { // collector
-		defer wg.Done()
+	// installed[ts] is set before ts becomes visible: what a reader at ts
+	// must see is the greatest installed timestamp at or below it.
+	var installed [1 + 1 + writers*perWriter]atomic.Bool
+	installed[1].Store(true)
+	var mu sync.Mutex // serialises installs on the single chain (the write rule)
+	var writing, reading sync.WaitGroup
+	stop, stopCollector := make(chan struct{}), make(chan struct{})
+
+	collected := make(chan int)
+	go func() {
+		n := 0
 		for {
 			select {
-			case <-stop:
-				l.Collect(o.Watermark(), nil)
+			case <-stopCollector:
+				collected <- n + l.Collect(active.Horizon(o.Watermark()), nil)
 				return
 			default:
-				l.Collect(o.Watermark(), nil)
+				n += l.Collect(active.Horizon(o.Watermark()), nil)
 			}
 		}
 	}()
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
+	for r := 0; r < readers; r++ {
+		reading.Add(1)
+		go func(id uint64) {
+			defer reading.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				// Registered first, at or below the snapshot taken next: a
+				// horizon computed in between must not pass the snapshot.
+				active.Register(id, o.StartTS())
+				ts := o.StartTS()
+				for i := 0; i < 20; i++ {
+					v := chain.Visible(ts)
+					if v == nil {
+						t.Errorf("reader at %d: no version", ts)
+						return
+					}
+					want := ts
+					for !installed[want].Load() {
+						want--
+					}
+					if v.CommitTS != want {
+						t.Errorf("reader at %d saw version %d, want %d", ts, v.CommitTS, want)
+						return
+					}
+				}
+				active.Unregister(id)
+			}
+		}(uint64(r))
+	}
+	for w := 0; w < writers; w++ {
+		writing.Add(1)
 		go func() {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
+			defer writing.Done()
+			for i := 0; i < perWriter; i++ {
 				mu.Lock()
 				ts := o.BeginCommit()
-				if sup := chain.Install(&Version{CommitTS: ts}); sup != nil {
-					l.Add(sup)
+				if i%3 == 0 { // a commit that writes something else
+					o.FinishCommit(ts)
+					mu.Unlock()
+					continue
 				}
+				v := &Version{CommitTS: ts}
+				if sup := chain.Install(v); sup != nil {
+					l.Add(chain, nil, sup, v)
+				}
+				installed[ts].Store(true)
 				o.FinishCommit(ts)
 				mu.Unlock()
 			}
 		}()
 	}
-	// Writers finish, then collector drains.
-	go func() {
-		// close stop after writers complete: reuse wg via separate sync
-	}()
-	wgWait := make(chan struct{})
-	go func() { wg.Wait(); close(wgWait) }()
-	// Signal the collector once writers are done: writers are 4 of the 5
-	// wg members; simplest is to sleep-free poll the oracle.
-	for o.Watermark() < 2000 {
-	}
+	writing.Wait()
 	close(stop)
-	<-wgWait
+	reading.Wait()
+	close(stopCollector)
+	n := <-collected
 
-	if chain.Len() != 1 {
-		t.Fatalf("chain len = %d, want 1 after full collection", chain.Len())
+	if chain.Len() != 1 || l.Len() != 0 {
+		t.Fatalf("chain len = %d, GC list len = %d, want 1, 0 after full collection", chain.Len(), l.Len())
 	}
-	if head := chain.Head(); head == nil || head.CommitTS != 2000 {
-		t.Fatalf("head = %+v", head)
+	head := chain.Head()
+	if want := chain.Visible(o.Watermark()); head == nil || head != want {
+		t.Fatalf("head = %+v, newest visible %+v", head, want)
+	}
+	// Every install but the last was collected; the first is version 1.
+	var installs int
+	for i := range installed {
+		if installed[i].Load() {
+			installs++
+		}
+	}
+	if n != installs-1 {
+		t.Fatalf("collected %d of %d installed versions, want all but the head", n, installs)
 	}
 }
 

@@ -44,10 +44,7 @@ func AppendValue(dst []byte, v Value) []byte {
 		dst = binary.AppendUvarint(dst, uint64(len(v.str)))
 		dst = append(dst, v.str...)
 	case KindList:
-		dst = binary.AppendUvarint(dst, uint64(len(v.list)))
-		for _, e := range v.list {
-			dst = AppendValue(dst, e)
-		}
+		dst = append(dst, v.str...)
 	}
 	return dst
 }
@@ -122,7 +119,9 @@ func DecodeValue(buf []byte) (Value, int, error) {
 			elems = append(elems, e)
 			n += m
 		}
-		return Value{kind: KindList, list: elems}, n, nil
+		// Through List, not buf[1:n]: a padded varint decodes too, and a
+		// list holds its elements as this codec writes them.
+		return List(elems...), n, nil
 	default:
 		return Null, 0, fmt.Errorf("%w: unknown kind %d", ErrCorrupt, k)
 	}

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"unsafe"
 )
 
 // Field is one property: its key name and value.
@@ -18,7 +19,7 @@ type Field struct {
 // twice. It is the resident form of a property set inside the engine —
 // every cached version of a node or relationship holds one — because a
 // Go map costs several hundred bytes before its first entry while a
-// three-field list is one 216-byte allocation. The public API and the
+// three-field list is one 144-byte allocation. The public API and the
 // wire keep Map; convert with Pack and ToMap at that boundary.
 //
 // The zero Packed is the empty list. The unexported slice keeps the
@@ -150,21 +151,6 @@ const kindRemoved Kind = 0xFF
 
 var removed = Value{kind: kindRemoved}
 
-// identical reports whether a and b encode to the same bytes. Equal is
-// the wrong question for a patch: it holds 0.0 equal to -0.0 and every NaN
-// equal to every other, and a redo must reproduce the value bit for bit.
-func identical(a, b Value) bool {
-	if a.kind != b.kind || a.num != b.num || a.str != b.str || len(a.list) != len(b.list) {
-		return false
-	}
-	for i := range a.list {
-		if !identical(a.list[i], b.list[i]) {
-			return false
-		}
-	}
-	return true
-}
-
 // Diff returns the patch that turns base into p: p's fields that base
 // lacks or holds with a different value, and a removal mark for every key
 // only base holds — one merge walk over the two sorted lists. The result
@@ -181,7 +167,10 @@ func (p Packed) Diff(base Packed) Packed {
 			out = append(out, p.fields[j])
 			j++
 		default:
-			if !identical(base.fields[i].Val, p.fields[j].Val) {
+			// == and not Equal, which holds 0.0 equal to -0.0 and every NaN
+			// equal to every other: a redo must reproduce the value bit for
+			// bit, and two Values are == exactly when they encode the same.
+			if base.fields[i].Val != p.fields[j].Val {
 				out = append(out, p.fields[j])
 			}
 			i++
@@ -245,12 +234,13 @@ func (p Packed) ToMap() Map {
 	return m
 }
 
-// Size estimates the footprint in bytes with the same formula as
-// Map.Size, so accounting reads the same on both sides of the API.
-func (p Packed) Size() int {
-	s := 48
-	for _, f := range p.fields {
-		s += len(f.Key) + f.Val.Size()
+// HeapBytes returns the memory the list holds beside its own header: the
+// field array and the payload bytes the values point at. Key names are
+// not counted: the engine shares one copy of each through its token table.
+func (p Packed) HeapBytes() int {
+	s := len(p.fields) * int(unsafe.Sizeof(Field{}))
+	for i := range p.fields {
+		s += len(p.fields[i].Val.str)
 	}
 	return s
 }

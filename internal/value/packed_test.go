@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 // randomMap builds a map of up to max entries over a small key alphabet
@@ -42,8 +43,13 @@ func checkPacked(t *testing.T, p Packed, want Map) {
 	if _, ok := p.Get("absent"); ok {
 		t.Fatal("Get found a key that was never set")
 	}
-	if p.Size() != want.Size() {
-		t.Fatalf("Size = %d, the map's is %d", p.Size(), want.Size())
+	heap := len(want) * int(unsafe.Sizeof(Field{}))
+	for _, v := range want {
+		_, payload := v.Payload()
+		heap += len(payload)
+	}
+	if p.HeapBytes() != heap {
+		t.Fatalf("HeapBytes = %d, the field array and the payloads are %d", p.HeapBytes(), heap)
 	}
 }
 
@@ -155,7 +161,7 @@ func TestDiffMergeRoundTrip(t *testing.T) {
 			f := patch.At(i)
 			was, had := base.Get(f.Key)
 			now, has := target.Get(f.Key)
-			if had && has && identical(was, now) {
+			if had && has && was == now {
 				t.Fatalf("patch carries %q, which did not change", f.Key)
 			}
 		}
@@ -195,7 +201,7 @@ func TestDiffIsExact(t *testing.T) {
 		t.Fatalf("patch = %v", patch.fields)
 	}
 	for i, w := range want {
-		if got := patch.At(i); got.Key != w.Key || !identical(got.Val, w.Val) {
+		if got := patch.At(i); got.Key != w.Key || got.Val != w.Val {
 			t.Errorf("patch field %d = %q %v, want %q %v", i, got.Key, got.Val, w.Key, w.Val)
 		}
 	}
@@ -206,7 +212,7 @@ func TestDiffIsExact(t *testing.T) {
 	if _, ok := merged.Get("gone"); ok {
 		t.Error("a removed key survived the merge")
 	}
-	if v, _ := merged.Get("zero"); !identical(v, negZero) {
+	if v, _ := merged.Get("zero"); v != negZero {
 		t.Errorf("zero = %v, want -0", v)
 	}
 	// Removing what is not there, and an empty patch, change nothing.

@@ -10,6 +10,8 @@
 package value
 
 import (
+	"cmp"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"sort"
@@ -55,11 +57,17 @@ func (k Kind) String() string {
 }
 
 // Value is an immutable property value. The zero Value is Null.
+//
+// A Value is 32 bytes and holds no slice: every resident property pays
+// for it, and almost every property is a number or a short string. A
+// list — the rare case — keeps its elements encoded (codec.go: count,
+// then each element) in str and decodes them when asked. That also makes
+// Value comparable: == holds exactly when two values encode to the same
+// bytes.
 type Value struct {
 	kind Kind
 	num  uint64 // bool (0/1), int64 bits, or float64 bits
-	str  string // string payload; bytes are stored as string to keep Value comparable-by-method
-	list []Value
+	str  string // string or bytes payload; a list's encoded elements
 }
 
 // Null is the absent value.
@@ -86,11 +94,31 @@ func String(s string) Value { return Value{kind: KindString, str: s} }
 // Bytes returns a byte-array value. The slice is copied.
 func Bytes(b []byte) Value { return Value{kind: KindBytes, str: string(b)} }
 
-// List returns a list value. The slice is copied.
+// List returns a list value. The elements are copied.
 func List(vs ...Value) Value {
-	cp := make([]Value, len(vs))
-	copy(cp, vs)
-	return Value{kind: KindList, list: cp}
+	enc := binary.AppendUvarint(nil, uint64(len(vs)))
+	for _, e := range vs {
+		enc = AppendValue(enc, e)
+	}
+	return Value{kind: KindList, str: string(enc)}
+}
+
+// elems decodes a list's elements (nil for any other kind).
+func (v Value) elems() []Value {
+	if v.kind != KindList {
+		return nil
+	}
+	buf := []byte(v.str)
+	cnt, n := binary.Uvarint(buf)
+	out := make([]Value, 0, cnt)
+	for len(out) < int(cnt) {
+		e, m, err := DecodeValue(buf[n:])
+		if err != nil {
+			panic("value: list holds a corrupt element: " + err.Error()) // List wrote it
+		}
+		out, n = append(out, e), n+m
+	}
+	return out
 }
 
 // Of converts a native Go value to a Value. Supported inputs: nil, bool,
@@ -195,15 +223,13 @@ func (v Value) AsList() ([]Value, bool) {
 	if v.kind != KindList {
 		return nil, false
 	}
-	cp := make([]Value, len(v.list))
-	copy(cp, v.list)
-	return cp, true
+	return v.elems(), true
 }
 
 // Payload exposes v's content in comparable form, for hash keys: the
 // 64-bit payload of a bool, an int or a float (its IEEE bits), and the
-// bytes of a string or byte array as a string sharing v's storage. A list
-// has neither; use EncodeValue.
+// bytes of a string or byte array — for a list, of its encoded elements —
+// as a string sharing v's storage.
 func (v Value) Payload() (num uint64, text string) { return v.num, v.str }
 
 // Numeric reports whether v is an int or float, and its value as float64.
@@ -238,7 +264,7 @@ func (v Value) String() string {
 	case KindList:
 		var sb strings.Builder
 		sb.WriteByte('[')
-		for i, e := range v.list {
+		for i, e := range v.elems() {
 			if i > 0 {
 				sb.WriteString(", ")
 			}
@@ -299,22 +325,13 @@ func (v Value) Compare(o Value) int {
 	case KindString, KindBytes:
 		return strings.Compare(v.str, o.str)
 	case KindList:
-		n := len(v.list)
-		if len(o.list) < n {
-			n = len(o.list)
-		}
-		for i := 0; i < n; i++ {
-			if c := v.list[i].Compare(o.list[i]); c != 0 {
+		a, b := v.elems(), o.elems()
+		for i := 0; i < min(len(a), len(b)); i++ {
+			if c := a[i].Compare(b[i]); c != 0 {
 				return c
 			}
 		}
-		switch {
-		case len(v.list) < len(o.list):
-			return -1
-		case len(v.list) > len(o.list):
-			return 1
-		}
-		return 0
+		return cmp.Compare(len(a), len(b))
 	default:
 		return 0
 	}
@@ -351,7 +368,7 @@ func (v Value) Hash() uint64 {
 			mix(v.str[i])
 		}
 	case KindList:
-		for _, e := range v.list {
+		for _, e := range v.elems() {
 			sub := e.Hash()
 			for i := 0; i < 8; i++ {
 				mix(byte(sub >> (8 * i)))
@@ -361,12 +378,15 @@ func (v Value) Hash() uint64 {
 	return h
 }
 
-// Size returns an estimate of the in-memory footprint of the value in
-// bytes, used by the object cache and the GC accounting in E5.
+// Size returns an estimate of the value's footprint in bytes as a user
+// sees it (a nominal header plus the payload), independent of how the
+// engine lays a value out; Packed.HeapBytes is what it really holds.
 func (v Value) Size() int {
-	s := 24 // struct header estimate
-	s += len(v.str)
-	for _, e := range v.list {
+	s := 24
+	if v.kind != KindList {
+		return s + len(v.str)
+	}
+	for _, e := range v.elems() {
 		s += e.Size()
 	}
 	return s
@@ -411,7 +431,8 @@ func (m Map) Keys() []string {
 	return ks
 }
 
-// Size estimates the memory footprint of the map in bytes.
+// Size estimates the footprint of the map's content in bytes (see
+// Value.Size).
 func (m Map) Size() int {
 	s := 48
 	for k, v := range m {
