@@ -7,7 +7,7 @@ GO ?= go
 # toolchain install, no go.mod entry). Bump deliberately.
 STATICCHECK_VERSION ?= 2025.1
 
-.PHONY: all build test race bench bench-smoke mem logbytes recover lint staticcheck fmt clean
+.PHONY: all build test race bench bench-smoke mem logbytes recover pairs lint staticcheck fmt clean
 
 all: build test
 
@@ -72,6 +72,18 @@ recover:
 	$(GO) test -run '^$$' -bench RecoverSocial -benchtime 2x -benchmem -cpu 1,2,4 -timeout 30m -json . > recover-bench.json
 	$(GO) test -run '^$$' -bench PropertyIndexBuild -benchtime 2x -cpu 2 -timeout 30m -json . >> recover-bench.json
 	@grep 'pins/page\|entries' recover-bench.json
+
+## pairs: what a perf claim is judged by — `make pairs WORKLOAD=remote_mix,embed_mix
+## PARENT=<sha> N=10`: N alternated parent/change pairs of the BENCHMARK.json
+## benchmark per workload (parent from `git archive`, change from the working
+## tree, each built in its own directory), then the change's full -json
+## summary, all in ONE file, BENCH_<tree>.json (the change's tree object as
+## measured; parent and tree are fields in it); per metric it prints both
+## sides' medians and quartiles and in how many pairs the change was lower.
+## ~70 s a pair: run nothing beside it
+N ?= 10
+pairs:
+	$(GO) run ./internal/benchpairs -workload $(WORKLOAD) -parent $(PARENT) -n $(N)
 
 ## lint: go vet (benchmark module included) + gofmt diff check +
 ## log.Printf gate + wire-seam gates + one-log-fold gate + staticcheck

@@ -13,7 +13,7 @@ import (
 // result from the BatchResults by the same index.
 //
 // The server executes the whole batch inside a single transaction: the
-// session's open explicit transaction if Begin is active, otherwise a
+// session's explicit transaction if one is open, otherwise a
 // transaction owned by the batch and committed when every op succeeds.
 // Atomicity: the first failing op aborts the entire batch (and an
 // enclosing explicit transaction) — Run then returns a *BatchError
@@ -155,14 +155,23 @@ func (b *Batch) AllNodes() int {
 	return b.add(wire.Request{Op: wire.OpAllNodes})
 }
 
-// BatchError reports which op aborted a batch. Unwrap exposes the op's
-// error, mapped to engine sentinels, so errors.Is works.
+// BatchError reports which op aborted a batch — or, out of the call that
+// flushed an explicit transaction, which of the calls deferred since the
+// last flush aborted it (Index counts those calls in call order; the
+// message says which of the two it is). Unwrap exposes the op's error,
+// mapped to engine sentinels, so errors.Is works.
 type BatchError struct {
 	Index int
 	Err   error
+	// deferred is the op of the deferred call Index counts, empty for a
+	// Batch's own op.
+	deferred string
 }
 
 func (e *BatchError) Error() string {
+	if e.deferred != "" {
+		return fmt.Sprintf("deferred %s (call %d since the last flush): %v", e.deferred, e.Index, e.Err)
+	}
 	return fmt.Sprintf("batch op %d: %v", e.Index, e.Err)
 }
 
@@ -236,26 +245,24 @@ func (r *BatchResults) IDs(i int) ([]uint64, error) {
 	return resp.IDs, nil
 }
 
-// RunBatch submits the batch in one round trip. On a server-side abort
-// the returned error is a *BatchError naming the failed op; the engine
-// sentinel it wraps is reachable through errors.Is.
+// RunBatch submits the batch in one round trip — inside an explicit
+// transaction, the same one that carries the calls deferred so far. On a
+// server-side abort the returned error is a *BatchError naming the failed
+// op; the engine sentinel it wraps is reachable through errors.Is.
 func (c *Client) RunBatch(ctx context.Context, b *Batch) (*BatchResults, error) {
 	if b.err != nil {
 		return nil, fmt.Errorf("client: batch build: %w", b.err)
 	}
-	req := &wire.Request{Op: wire.OpBatch, Batch: b.reqs}
-	if err := wire.ValidateBatch(req); err != nil {
+	if err := wire.ValidateBatch(&wire.Request{Op: wire.OpBatch, Batch: b.reqs}); err != nil {
 		return nil, err
 	}
-	resp, err := c.Do(ctx, req)
+	resp, at, err := c.flush(ctx, b.reqs, false)
 	if err != nil {
-		if resp != nil && resp.FailedOp != nil {
-			// The server aborted the whole transaction — including an
-			// enclosing explicit one.
-			c.SetTxClosed()
-			return nil, &BatchError{Index: *resp.FailedOp, Err: err}
+		if resp != nil && resp.FailedOp != nil && *resp.FailedOp >= at {
+			// One of the batch's own ops: its index, the frame's offset removed.
+			return nil, &BatchError{Index: *resp.FailedOp - at, Err: err}
 		}
 		return nil, err
 	}
-	return &BatchResults{resps: resp.Results, lsn: resp.LSN}, nil
+	return &BatchResults{resps: resp.Results[at : at+len(b.reqs)], lsn: resp.LSN}, nil
 }

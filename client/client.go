@@ -9,10 +9,51 @@
 //   - a Batch submits many operations in ONE round trip, executed
 //     server-side inside a single transaction (atomic: any failed op
 //     aborts the batch),
+//   - an explicit transaction (Begin … Commit) is write-behind — see
+//     below,
 //   - a Pool dials the primary plus any number of replicas, routes reads
 //     to replicas (least-lag or round-robin) and writes to the primary,
 //     carries read-your-writes tokens automatically, and re-discovers
 //     the primary after a failover promotion.
+//
+// # Explicit transactions
+//
+// A transaction's writes are private until it commits, and its snapshot
+// may be any time before its first read (paper §3/§4: the start timestamp
+// only has to precede what the transaction reads). So Begin sends
+// nothing, and the calls that return no data — SetNodeProp, SetRelProp,
+// AddLabel, RemoveLabel, DeleteNode, DetachDeleteNode, DeleteRel — are
+// queued and return nil. The next call that needs an answer — a read,
+// CreateNode, CreateRel, RunBatch, Commit, or Flush — sends the begin, the
+// queue and itself as ONE batch frame (wire protocol generation 3 lets a
+// begin be a batch's first sub-op and a commit its last): a transfer is
+// [begin,get] · get · [set,set,set,commit], three round trips, not seven.
+// A later snapshot is still the paper's snapshot: the server takes it when
+// the begin arrives, with the first read. A Query streams and cannot be a
+// batch sub-op; it flushes in a frame of its own first.
+//
+// When an error surfaces: a deferred call's failure comes out of the call
+// that flushed it, as a *BatchError counting the calls deferred since the
+// last flush in call order, its Unwrap keeping the engine's sentinel
+// (errors.Is(err, neograph.ErrWriteConflict) is what a retry loop tests).
+// The server has then aborted the whole transaction — as it has when the
+// flushing call itself failed inside that frame (a GetNode of a missing
+// node sent as [begin,get]; sent alone, as the frame of its own it is once
+// the server holds the transaction and nothing is deferred, the same
+// failure leaves the transaction open). So after an error ask InTx: false
+// means nothing of the transaction can commit, and every further call is
+// refused, unsent, until an Abort (which costs no frame), a Commit (which
+// fails) or the next Begin acknowledges it — what was meant for the transaction never runs
+// auto-committed outside it. An error that names no failed op
+// (ErrOverloaded, a spent deadline) means the server ran nothing of the
+// frame: transaction and queue are as they were and the call can be
+// repeated. Flush is for a caller that needs a lock held, a snapshot taken
+// or a conflict known now rather than at the next read.
+//
+// A snapshot transaction whose every call was still deferred at Commit
+// goes out as a plain auto-committed batch. Only that shape may span
+// partitions: a transaction that read (or flushed) first is held by one
+// server, and a commit that would cross partitions is refused.
 //
 // A Client is one server session (at most one open explicit transaction)
 // and is not safe for concurrent use — open one per worker, or let a
@@ -66,12 +107,11 @@ type Client struct {
 	// proto is the server's protocol generation, learned from Ping.
 	proto  int
 	broken bool
-	// txOpen tracks whether this session holds an open explicit
-	// transaction server-side. Conservative: a server-side batch abort
-	// also clears it. Pools refuse to recycle a session mid-transaction
-	// — the next borrower's "auto-committed" writes would silently stage
-	// into the leftover transaction and never commit.
-	txOpen bool
+	// tx is the session's explicit transaction (see tx.go). Pools refuse
+	// to recycle a session mid-transaction — the next borrower's
+	// "auto-committed" writes would silently stage into the leftover
+	// transaction and never commit.
+	tx txState
 	// tracer, when set, head-samples a root span for every call whose
 	// context does not already carry one (a Pool's spans do); sampled
 	// calls ship their trace context in the request's trace field.
@@ -372,44 +412,13 @@ func (c *Client) Ping(ctx context.Context) error {
 	return nil
 }
 
-// InTx reports whether the session holds an open explicit transaction.
-func (c *Client) InTx() bool { return c.txOpen }
-
-// SetTxClosed records that the server finished the transaction without a
-// client-side Commit/Abort (a failed batch aborts an enclosing one).
-func (c *Client) SetTxClosed() { c.txOpen = false }
-
-// Begin opens an explicit transaction ("si" or "rc"; empty = si).
-func (c *Client) Begin(ctx context.Context, isolation string) error {
-	_, err := c.Do(ctx, &wire.Request{Op: wire.OpBegin, Isolation: isolation})
-	if err == nil {
-		c.txOpen = true
-	}
-	return err
-}
-
-// Commit commits the open transaction. Win or lose, the transaction is
-// finished afterwards (a failed commit is already aborted server-side).
-func (c *Client) Commit(ctx context.Context) error {
-	_, err := c.Do(ctx, &wire.Request{Op: wire.OpCommit})
-	c.txOpen = false
-	return err
-}
-
-// Abort aborts the open transaction.
-func (c *Client) Abort(ctx context.Context) error {
-	_, err := c.Do(ctx, &wire.Request{Op: wire.OpAbort})
-	c.txOpen = false
-	return err
-}
-
 // CreateNode creates a node and returns its ID.
 func (c *Client) CreateNode(ctx context.Context, labels []string, props neograph.Props) (neograph.NodeID, error) {
 	enc, err := wire.EncodeProps(props)
 	if err != nil {
 		return 0, err
 	}
-	resp, err := c.Do(ctx, &wire.Request{Op: wire.OpCreateNode, Labels: labels, Props: enc})
+	resp, err := c.ask(ctx, &wire.Request{Op: wire.OpCreateNode, Labels: labels, Props: enc})
 	if err != nil {
 		return 0, err
 	}
@@ -418,7 +427,7 @@ func (c *Client) CreateNode(ctx context.Context, labels []string, props neograph
 
 // GetNode fetches a node snapshot.
 func (c *Client) GetNode(ctx context.Context, id neograph.NodeID) (neograph.Node, error) {
-	resp, err := c.Do(ctx, &wire.Request{Op: wire.OpGetNode, ID: id})
+	resp, err := c.ask(ctx, &wire.Request{Op: wire.OpGetNode, ID: id})
 	if err != nil {
 		return neograph.Node{}, err
 	}
@@ -431,32 +440,27 @@ func (c *Client) SetNodeProp(ctx context.Context, id neograph.NodeID, key string
 	if err != nil {
 		return err
 	}
-	_, err = c.Do(ctx, &wire.Request{Op: wire.OpSetNodeProp, ID: id, Key: key, Value: enc})
-	return err
+	return c.later(ctx, &wire.Request{Op: wire.OpSetNodeProp, ID: id, Key: key, Value: enc})
 }
 
 // AddLabel adds a label to a node.
 func (c *Client) AddLabel(ctx context.Context, id neograph.NodeID, label string) error {
-	_, err := c.Do(ctx, &wire.Request{Op: wire.OpAddLabel, ID: id, Label: label})
-	return err
+	return c.later(ctx, &wire.Request{Op: wire.OpAddLabel, ID: id, Label: label})
 }
 
 // RemoveLabel removes a label from a node.
 func (c *Client) RemoveLabel(ctx context.Context, id neograph.NodeID, label string) error {
-	_, err := c.Do(ctx, &wire.Request{Op: wire.OpRemoveLabel, ID: id, Label: label})
-	return err
+	return c.later(ctx, &wire.Request{Op: wire.OpRemoveLabel, ID: id, Label: label})
 }
 
 // DeleteNode deletes a relationship-free node.
 func (c *Client) DeleteNode(ctx context.Context, id neograph.NodeID) error {
-	_, err := c.Do(ctx, &wire.Request{Op: wire.OpDeleteNode, ID: id})
-	return err
+	return c.later(ctx, &wire.Request{Op: wire.OpDeleteNode, ID: id})
 }
 
 // DetachDeleteNode deletes a node and its relationships.
 func (c *Client) DetachDeleteNode(ctx context.Context, id neograph.NodeID) error {
-	_, err := c.Do(ctx, &wire.Request{Op: wire.OpDetachDelete, ID: id})
-	return err
+	return c.later(ctx, &wire.Request{Op: wire.OpDetachDelete, ID: id})
 }
 
 // CreateRel creates a relationship and returns its ID.
@@ -465,7 +469,7 @@ func (c *Client) CreateRel(ctx context.Context, relType string, start, end neogr
 	if err != nil {
 		return 0, err
 	}
-	resp, err := c.Do(ctx, &wire.Request{Op: wire.OpCreateRel, Type: relType, Start: start, End: end, Props: enc})
+	resp, err := c.ask(ctx, &wire.Request{Op: wire.OpCreateRel, Type: relType, Start: start, End: end, Props: enc})
 	if err != nil {
 		return 0, err
 	}
@@ -474,7 +478,7 @@ func (c *Client) CreateRel(ctx context.Context, relType string, start, end neogr
 
 // GetRel fetches a relationship snapshot.
 func (c *Client) GetRel(ctx context.Context, id neograph.RelID) (neograph.Relationship, error) {
-	resp, err := c.Do(ctx, &wire.Request{Op: wire.OpGetRel, ID: id})
+	resp, err := c.ask(ctx, &wire.Request{Op: wire.OpGetRel, ID: id})
 	if err != nil {
 		return neograph.Relationship{}, err
 	}
@@ -487,19 +491,17 @@ func (c *Client) SetRelProp(ctx context.Context, id neograph.RelID, key string, 
 	if err != nil {
 		return err
 	}
-	_, err = c.Do(ctx, &wire.Request{Op: wire.OpSetRelProp, ID: id, Key: key, Value: enc})
-	return err
+	return c.later(ctx, &wire.Request{Op: wire.OpSetRelProp, ID: id, Key: key, Value: enc})
 }
 
 // DeleteRel deletes a relationship.
 func (c *Client) DeleteRel(ctx context.Context, id neograph.RelID) error {
-	_, err := c.Do(ctx, &wire.Request{Op: wire.OpDeleteRel, ID: id})
-	return err
+	return c.later(ctx, &wire.Request{Op: wire.OpDeleteRel, ID: id})
 }
 
 // Relationships lists a node's relationships ("out", "in", "both").
 func (c *Client) Relationships(ctx context.Context, id neograph.NodeID, dir string, types ...string) ([]neograph.Relationship, error) {
-	resp, err := c.Do(ctx, &wire.Request{Op: wire.OpRels, ID: id, Dir: dir, Types: types})
+	resp, err := c.ask(ctx, &wire.Request{Op: wire.OpRels, ID: id, Dir: dir, Types: types})
 	if err != nil {
 		return nil, err
 	}
@@ -508,7 +510,7 @@ func (c *Client) Relationships(ctx context.Context, id neograph.NodeID, dir stri
 
 // ids runs a request answered with an ID list.
 func (c *Client) ids(ctx context.Context, req *wire.Request) ([]neograph.NodeID, error) {
-	resp, err := c.Do(ctx, req)
+	resp, err := c.ask(ctx, req)
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package client_test
 import (
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -151,6 +152,9 @@ func TestErrorsIsAcrossTheWire(t *testing.T) {
 				if err := holder.SetNodeProp(ctx, f.b0, "v", neograph.Int(1)); err != nil {
 					t.Fatal(err)
 				}
+				if err := holder.Flush(ctx); err != nil { // the rival must find the lock held
+					t.Fatal(err)
+				}
 				return f.primary(0).SetNodeProp(ctx, f.b0, "v", neograph.Int(2))
 			}, ""},
 			{"batch", func(t *testing.T) error {
@@ -162,6 +166,9 @@ func TestErrorsIsAcrossTheWire(t *testing.T) {
 				if err := holder.SetNodeProp(ctx, f.b0, "v", neograph.Int(1)); err != nil {
 					t.Fatal(err)
 				}
+				if err := holder.Flush(ctx); err != nil { // the rival must find the lock held
+					t.Fatal(err)
+				}
 				var b Batch
 				b.GetNode(f.a0)
 				b.SetNodeProp(f.b0, "v", neograph.Int(2))
@@ -171,7 +178,9 @@ func TestErrorsIsAcrossTheWire(t *testing.T) {
 			}, ""},
 			{"commit", func(t *testing.T) error {
 				// First-committer-wins validates at commit; the key is held
-				// by a prepared (undecided) two-phase transaction.
+				// by a prepared (undecided) two-phase transaction. Both ways a
+				// commit travels: as the last sub-op of the transaction's last
+				// frame, and — every call deferred — as an auto-committed batch.
 				cl := f.dial(f.fcw.Addr())
 				id, err := cl.CreateNode(ctx, nil, nil)
 				if err != nil {
@@ -185,15 +194,29 @@ func TestErrorsIsAcrossTheWire(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer f.fcwDB.Engine().DecideTxn(77, false, nil)
-				if err := cl.Begin(ctx, "si"); err != nil {
-					t.Fatal(err)
-				}
-				if err := cl.SetNodeProp(ctx, id, "v", neograph.Int(2)); err != nil {
-					t.Fatal(err)
-				}
-				err = cl.Commit(ctx)
-				if err == nil || !strings.Contains(err.Error(), "held by prepared transaction") {
-					t.Errorf("commit over a prepared key: %v", err)
+				for _, readFirst := range []bool{true, false} {
+					if err := cl.Begin(ctx, "si"); err != nil {
+						t.Fatal(err)
+					}
+					if readFirst {
+						if _, err := cl.GetNode(ctx, id); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if err := cl.SetNodeProp(ctx, id, "v", neograph.Int(2)); err != nil {
+						t.Fatal(err)
+					}
+					err = cl.Commit(ctx)
+					if err == nil || !strings.Contains(err.Error(), "held by prepared transaction") || !errors.Is(err, neograph.ErrWriteConflict) {
+						t.Errorf("commit over a prepared key (read first: %v): %v", readFirst, err)
+					}
+					var be *BatchError
+					if errors.As(err, &be) {
+						t.Errorf("a commit's own failure came back as a deferred call's: %v", err)
+					}
+					if cl.InTx() {
+						t.Errorf("a failed commit (read first: %v) left the transaction open", readFirst)
+					}
 				}
 				return err
 			}, ""},
@@ -285,7 +308,20 @@ func TestErrorsIsAcrossTheWire(t *testing.T) {
 				if err := cl.Begin(ctx, "si"); err != nil {
 					t.Fatal(err)
 				}
-				return f.gated(t, cl, func(cl *Client, sctx context.Context) error { return cl.Commit(sctx) })
+				if _, err := cl.GetNode(ctx, f.a0); err != nil { // else there is nothing to commit, and no frame
+					t.Fatal(err)
+				}
+				err := f.gated(t, cl, func(cl *Client, sctx context.Context) error { return cl.Commit(sctx) })
+				// The server refused the frame without running it: the
+				// transaction is still there to commit or abort.
+				if !cl.InTx() {
+					t.Error("a commit refused at the gate closed the transaction")
+				}
+				cl.ReadAfter(0)
+				if err := cl.Abort(ctx); err != nil || cl.InTx() {
+					t.Errorf("abort after the refused commit: %v (in tx: %v)", err, cl.InTx())
+				}
+				return err
 			}, ""},
 			{"cross", nil, "the gate is checked before a batch is split; a participant that cannot answer within the budget is 'unavailable'"},
 		}},
@@ -355,14 +391,21 @@ func (f *errFixture) deadlock(t *testing.T, asBatch bool) error {
 		}
 		defer c.Abort(ctx)
 	}
-	if err := one.SetNodeProp(ctx, f.a0, "d", neograph.Int(1)); err != nil {
+	// write is a write whose lock is taken now, not at the next flush.
+	write := func(c *Client, id neograph.NodeID, v int64) error {
+		if err := c.SetNodeProp(ctx, id, "d", neograph.Int(v)); err != nil {
+			return err
+		}
+		return c.Flush(ctx)
+	}
+	if err := write(one, f.a0, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := two.SetNodeProp(ctx, f.b0, "d", neograph.Int(2)); err != nil {
+	if err := write(two, f.b0, 2); err != nil {
 		t.Fatal(err)
 	}
 	blocked := make(chan error, 1)
-	go func() { blocked <- one.SetNodeProp(ctx, f.b0, "d", neograph.Int(1)) }()
+	go func() { blocked <- write(one, f.b0, 1) }()
 	time.Sleep(50 * time.Millisecond) // let one queue up behind two's lock
 	var err error
 	if asBatch {
@@ -370,17 +413,18 @@ func (f *errFixture) deadlock(t *testing.T, asBatch bool) error {
 		b.SetNodeProp(f.a0, "d", neograph.Int(2))
 		_, err = two.RunBatch(ctx, &b)
 	} else {
-		err = two.SetNodeProp(ctx, f.a0, "d", neograph.Int(2))
+		err = write(two, f.a0, 2)
 	}
 	if err == nil {
 		// one was the victim instead; two holds both locks until it ends.
 		two.Abort(ctx)
 		return <-blocked
 	}
-	if asBatch {
-		wantBatchErr(t, err, 0)
+	wantBatchErr(t, err, 0) // the batch's only op, or the only call deferred
+	if two.InTx() {
+		t.Error("the deadlock victim's transaction is still open")
 	}
-	two.Abort(ctx) // release one
+	two.Abort(ctx) // (already aborted, which is what released one: no frame)
 	<-blocked
 	return err
 }
@@ -416,9 +460,9 @@ func TestErrorTextIsNotRouted(t *testing.T) {
 		neograph.ErrWriteConflict.Error(), neograph.ErrNotFound.Error(),
 		"deadline exceeded", "shutting down", "EOF", "connection refused",
 	} {
-		err := cl.Begin(ctx, text) // "server: bad isolation <text>"
+		_, err := cl.Neighbors(ctx, 0, text) // "wire: bad direction <text>", from the server
 		if err == nil || !strings.Contains(err.Error(), text) {
-			t.Fatalf("begin with isolation %q: %v", text, err)
+			t.Fatalf("neighbors with direction %q: %v", text, err)
 		}
 		for _, sentinel := range []error{
 			neograph.ErrWriteConflict, neograph.ErrNotFound, neograph.ErrDeadlock, neograph.ErrTxDone,
@@ -426,11 +470,11 @@ func TestErrorTextIsNotRouted(t *testing.T) {
 			ErrUnavailable, ErrOverloaded, ErrBroken,
 		} {
 			if errors.Is(err, sentinel) {
-				t.Errorf("begin with isolation %q surfaced as %v", text, sentinel)
+				t.Errorf("direction %q surfaced as %v", text, sentinel)
 			}
 		}
-		if cl.InTx() || cl.Broken() {
-			t.Fatalf("a refused begin left the session in tx=%v broken=%v", cl.InTx(), cl.Broken())
+		if cl.Broken() {
+			t.Fatal("a refused call broke the session")
 		}
 	}
 	// ...and a pool does not take such a server-answered error for a dead
@@ -443,9 +487,245 @@ func TestErrorTextIsNotRouted(t *testing.T) {
 	calls := 0
 	err = p.Write(ctx, "", func(c *Client) error {
 		calls++
-		return c.Begin(ctx, "connection refused")
+		_, err := c.Neighbors(ctx, 0, "connection refused")
+		return err
 	})
 	if err == nil || calls != 1 {
 		t.Fatalf("pool write ran fn %d times (err %v), want once: the server answered", calls, err)
+	}
+}
+
+// TestDeferredErrorContract is what a caller of an explicit transaction may
+// rely on now that its writes are sent with the next call that needs an
+// answer:
+//
+//   - a deferred call's failure comes out of the call that flushed it as a
+//     *BatchError whose Index counts the calls deferred since the last
+//     flush, in call order, and whose Unwrap keeps the engine's sentinel;
+//   - a Batch run inside the transaction still reports its own indices;
+//   - either way the transaction is over: InTx is false, nothing of it
+//     committed, and the Abort a careful caller still issues costs nothing;
+//   - a transaction the server never saw costs no frame to abort or commit.
+func TestDeferredErrorContract(t *testing.T) {
+	db, srv, _ := startServer(t)
+	cl, rec := dialRecorded(t, srv)
+	ctx := context.Background()
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	a, err := cl.CreateNode(ctx, nil, neograph.Props{"v": neograph.Int(0)})
+	must(err)
+	b, err := cl.CreateNode(ctx, nil, neograph.Props{"v": neograph.Int(0)})
+	must(err)
+	const missing = neograph.NodeID(1 << 40)
+	set := func(id neograph.NodeID, v int64) { t.Helper(); must(cl.SetNodeProp(ctx, id, "v", neograph.Int(v))) }
+	// over asserts the transaction is finished and left nothing behind.
+	over := func(what string) {
+		t.Helper()
+		if cl.InTx() || cl.Broken() {
+			t.Fatalf("%s: in tx=%v broken=%v, want neither", what, cl.InTx(), cl.Broken())
+		}
+		rec.take()
+		if err, sent := cl.Abort(ctx), rec.take(); err != nil || len(sent) != 0 {
+			t.Errorf("%s: abort of the already-aborted transaction: %v, frames %v; want nil and none", what, err, sent)
+		}
+		for _, id := range []neograph.NodeID{a, b} {
+			n, err := cl.GetNode(ctx, id)
+			must(err)
+			if n.Props["v"] != neograph.Int(0) || len(n.Labels) != 0 {
+				t.Errorf("%s: node %d is %v %v: a write of the aborted transaction committed", what, id, n.Labels, n.Props)
+			}
+		}
+	}
+	deferredErr := func(what string, err error, idx int, sentinel error) {
+		t.Helper()
+		var be *BatchError
+		if !errors.As(err, &be) || be.Index != idx || !errors.Is(err, sentinel) || !strings.Contains(err.Error(), "deferred set_node_prop") {
+			t.Errorf("%s: got %v, want a BatchError for deferred set_node_prop %d wrapping %v", what, err, idx, sentinel)
+		}
+	}
+
+	// The failing call is the second of three deferred; a read flushes them.
+	must(cl.Begin(ctx, ""))
+	set(a, 1)
+	set(missing, 1)
+	set(b, 1)
+	_, err = cl.GetNode(ctx, a)
+	deferredErr("flushed by a read", err, 1, neograph.ErrNotFound)
+	over("flushed by a read")
+
+	// Index counts from the last flush, and the commit can be what flushes.
+	must(cl.Begin(ctx, ""))
+	set(a, 1)
+	must(cl.Flush(ctx))
+	must(cl.AddLabel(ctx, b, "L"))
+	set(missing, 1)
+	deferredErr("flushed by the commit", cl.Commit(ctx), 1, neograph.ErrNotFound)
+	over("flushed by the commit")
+
+	// A Batch inside the transaction: a deferred call before it fails as a
+	// deferred call, one of its own ops under its own index.
+	var batch Batch
+	batch.GetNode(a)
+	batch.GetNode(missing)
+	must(cl.Begin(ctx, ""))
+	set(missing, 1)
+	_, err = cl.RunBatch(ctx, &batch)
+	deferredErr("flushed by a batch", err, 0, neograph.ErrNotFound)
+	over("flushed by a batch")
+	must(cl.Begin(ctx, ""))
+	set(a, 1)
+	set(b, 1)
+	_, err = cl.RunBatch(ctx, &batch)
+	var be *BatchError
+	if !errors.As(err, &be) || be.Index != 1 || !errors.Is(err, neograph.ErrNotFound) || strings.Contains(err.Error(), "deferred") {
+		t.Errorf("a batch's own op failing behind two deferred calls: %v, want BatchError op 1", err)
+	}
+	over("a batch's own op")
+
+	// The flushing call's own failure is just its error.
+	must(cl.Begin(ctx, ""))
+	set(a, 1)
+	_, err = cl.GetNode(ctx, missing)
+	if errors.As(err, &be) || !errors.Is(err, neograph.ErrNotFound) {
+		t.Errorf("the flushing read's own failure: %v, want a plain ErrNotFound", err)
+	}
+	over("the flushing call's own failure")
+
+	// A transaction the server aborted under its caller stays ended until the
+	// caller ends it: what was meant for it is refused without a frame, not
+	// run auto-committed one call at a time.
+	for _, again := range []string{"abort", "begin", "commit"} {
+		must(cl.Begin(ctx, ""))
+		if _, err = cl.GetNode(ctx, missing); !errors.Is(err, neograph.ErrNotFound) || cl.InTx() {
+			t.Fatalf("[begin,get] of a missing node: %v, in tx=%v", err, cl.InTx())
+		}
+		rec.take()
+		_, createErr := cl.CreateNode(ctx, []string{"Stray"}, nil)
+		_, getErr := cl.GetNode(ctx, a)
+		_, batchErr := cl.RunBatch(ctx, &batch)
+		_, queryErr := cl.Query(ctx, SeedLabel("Stray"))
+		for what, err := range map[string]error{
+			"create": createErr, "get": getErr, "batch": batchErr, "query": queryErr, "set": cl.SetNodeProp(ctx, a, "v", neograph.Int(1)),
+			"label": cl.AddLabel(ctx, a, "L"), "flush": cl.Flush(ctx),
+		} {
+			if err == nil || !strings.Contains(err.Error(), "aborted by an earlier error") {
+				t.Errorf("%s after the transaction was aborted: %v, want it refused", what, err)
+			}
+		}
+		if sent := rec.take(); len(sent) != 0 || cl.InTx() {
+			t.Errorf("calls after the abort sent %v (in tx=%v), want nothing", sent, cl.InTx())
+		}
+		switch again {
+		case "begin": // a retry loop's next attempt acknowledges it as well
+			must(cl.Begin(ctx, ""))
+			set(a, 1)
+			must(cl.Abort(ctx))
+		case "commit": // so does a commit, which must not claim it committed
+			if err := cl.Commit(ctx); err == nil || !strings.Contains(err.Error(), "aborted by an earlier error") {
+				t.Errorf("commit of the aborted transaction: %v", err)
+			}
+			rec.take()
+		}
+		over("refused until " + again)
+	}
+	if ids, err := cl.NodesByLabel(ctx, "Stray"); err != nil || len(ids) != 0 {
+		t.Errorf("nodes created outside the aborted transaction: %v, %v", ids, err)
+	}
+
+	// The sentinel a retry loop looks for survives: a rival holds b.
+	rival := db.Begin()
+	must(rival.SetNodeProp(b, "v", neograph.Int(9)))
+	must(cl.Begin(ctx, ""))
+	set(a, 1)
+	set(b, 1)
+	err = cl.Commit(ctx)
+	deferredErr("a rival holds the key", err, 1, neograph.ErrWriteConflict)
+	must(rival.Abort())
+	over("a rival holds the key")
+
+	// What the server never saw costs nothing to end; what it did, one frame.
+	frames := func(what string, want ...string) {
+		t.Helper()
+		if got := rec.take(); len(got)+len(want) > 0 && !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: frames %v, want %v", what, got, want)
+		}
+	}
+	rec.take()
+	must(cl.Abort(ctx)) // none open
+	must(cl.Begin(ctx, ""))
+	must(cl.Abort(ctx))
+	must(cl.Begin(ctx, "rc"))
+	set(a, 1)
+	must(cl.Abort(ctx))
+	must(cl.Begin(ctx, ""))
+	must(cl.Commit(ctx))
+	must(cl.Flush(ctx)) // none open
+	frames("transactions the server never saw")
+	if err := cl.Commit(ctx); err == nil {
+		t.Error("commit with no transaction open succeeded")
+	}
+	if err := cl.Begin(ctx, "serializable"); err == nil || cl.InTx() {
+		t.Errorf("begin with an unknown isolation: %v", err)
+	}
+	must(cl.Begin(ctx, ""))
+	if err := cl.Begin(ctx, ""); err == nil {
+		t.Error("begin inside a transaction succeeded")
+	}
+	must(cl.Flush(ctx))
+	must(cl.Flush(ctx)) // nothing new to send
+	set(a, 1)
+	must(cl.Abort(ctx))
+	frames("begun, then aborted with a write still deferred", "[begin]", "abort")
+	over("aborted with a write still deferred")
+
+	// Back references inside a Batch follow it to wherever the flush puts it,
+	// a query reads what was deferred before it, and a queue longer than one
+	// frame may be is sent in more.
+	var refs Batch
+	made := refs.CreateNode([]string{"Made"}, nil)
+	refs.CreateRelRef("R", made, made, nil)
+	refs.SetNodePropRef(made, "v", neograph.Int(7))
+	get := refs.GetNode(a)
+	must(cl.Begin(ctx, ""))
+	set(a, 5)
+	must(cl.AddLabel(ctx, a, "Seen"))
+	res, err := cl.RunBatch(ctx, &refs)
+	must(err)
+	id, _ := res.ID(made)
+	if n, err := res.Node(get); err != nil || n.Props["v"] != neograph.Int(5) || res.Len() != refs.Len() {
+		t.Errorf("a batch behind deferred calls: %d results, read %v %v", res.Len(), n.Props, err)
+	}
+	must(cl.SetNodeProp(ctx, id, "w", neograph.Int(8)))
+	st, err := cl.Query(ctx, SeedLabel("Seen"))
+	must(err)
+	var seen []neograph.NodeID
+	for st.Next() {
+		seen = append(seen, st.Row().ID)
+	}
+	must(st.Err())
+	if !reflect.DeepEqual(seen, []neograph.NodeID{a}) {
+		t.Errorf("a query inside the transaction sees %v, want the deferred label on %d", seen, a)
+	}
+	rec.take()
+	for i := 0; i < 5000; i++ {
+		set(b, int64(i))
+	}
+	must(cl.Commit(ctx))
+	if got := len(rec.take()); got != 2 {
+		t.Errorf("5000 deferred writes and a commit went out in %d frames, want 2", got)
+	}
+	n, err := cl.GetNode(ctx, id)
+	must(err)
+	rels, err := cl.Relationships(ctx, id, "out")
+	must(err)
+	if n.Props["v"] != neograph.Int(7) || n.Props["w"] != neograph.Int(8) || len(rels) != 1 || rels[0].End != id {
+		t.Errorf("the node the batch made: %v, rels %v", n.Props, rels)
+	}
+	if n, _ := cl.GetNode(ctx, b); n.Props["v"] != neograph.Int(4999) {
+		t.Errorf("b after 5000 writes: %v", n.Props)
 	}
 }

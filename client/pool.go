@@ -145,6 +145,9 @@ func (h *host) release(c *Client) {
 		<-h.sem
 		return
 	}
+	// A transaction the server aborted under the borrower is over on both
+	// sides; the next borrower owes it no acknowledgement.
+	c.endTx()
 	select {
 	case h.free <- c:
 	default: // cap shrank? should not happen; drop the session

@@ -165,7 +165,8 @@ type QueryStream struct {
 // stream. Plan validation errors surface here (the server rejects the
 // plan in its first — and only — frame); execution errors surface from
 // the stream's Err. The session serves one stream at a time: finish or
-// Close the stream before the next call on this client.
+// Close the stream before the next call on this client. Inside an explicit
+// transaction the query runs in it, after a flush of what it has deferred.
 //
 // The context governs the WHOLE stream: its deadline becomes the wire
 // budget and the connection I/O deadline, and cancellation poisons the
@@ -173,6 +174,11 @@ type QueryStream struct {
 func (c *Client) Query(ctx context.Context, q *Query) (*QueryStream, error) {
 	if q.err != nil {
 		return nil, fmt.Errorf("client: bad query: %w", q.err)
+	}
+	// A stream is not a batch sub-op: what the transaction has deferred
+	// goes first, in a frame of its own, so the query reads it.
+	if err := c.Flush(ctx); err != nil {
+		return nil, err
 	}
 	req := &wire.Request{Op: wire.OpQuery, Plan: &q.plan}
 	k, err := c.send(ctx, req)

@@ -288,8 +288,8 @@ func TestClusterTraceEndToEnd(t *testing.T) {
 	}
 
 	want := []string{
-		"client.commit",    // SDK call
-		"server.commit",    // server op
+		"client.batch",     // SDK call: the transaction's one frame, its commit included
+		"server.batch",     // server op
 		"commit.validate",  // engine validation phase
 		"validate.stripe",  // per-stripe validation
 		"wal.append",       // log write
@@ -305,7 +305,7 @@ func TestClusterTraceEndToEnd(t *testing.T) {
 	for {
 		tid, missing = "", nil
 		for id, names := range spanNames(tracer) {
-			if !names["client.commit"] {
+			if !names["client.batch"] {
 				continue
 			}
 			tid = id

@@ -15,6 +15,13 @@
 //
 //	begin [si|rc]              open a transaction (single-server mode)
 //	commit | abort             finish it
+//
+// The SDK sends a transaction's writes with the next call that needs an
+// answer; the shell flushes after every statement instead, so inside
+// begin … commit a conflict is reported at the statement that caused it.
+// It ends the transaction there; the SDK refuses the statements after it,
+// rather than auto-committing them, until an abort or a new begin.
+//
 //	create [Label ...]         create a node
 //	get <id>                   show a node
 //	set <id> <key> <value>     set a node property
@@ -159,7 +166,13 @@ func main() {
 		if line == "quit" || line == "exit" {
 			return
 		}
-		if err := run(sh, line); err != nil {
+		err := run(sh, line)
+		if err == nil && sh.cl != nil && sh.cl.InTx() {
+			// Inside a transaction: send what the statement deferred, so its
+			// failure is this statement's.
+			err = sh.single(func(ctx context.Context, c *client.Client) error { return c.Flush(ctx) })
+		}
+		if err != nil {
 			fmt.Printf("error: %v\n", err)
 		}
 	}
@@ -173,6 +186,8 @@ func run(sh *shell, line string) error {
 		fmt.Println("label <id> +L|-L | del <id> | detach <id> | rel <type> <from> <to> | rels <id> [dir]")
 		fmt.Println("nbrs <id> [dir] | find <Label> | where <k> <v> | all | stats | gc | checkpoint")
 		fmt.Println("status | promote [repl-addr] | quit")
+		fmt.Println("inside begin … commit every statement is sent as it is entered: a conflict shows")
+		fmt.Println("at the statement that caused it and ends the transaction; nothing runs until abort or begin")
 		return nil
 	case "begin":
 		iso := "si"

@@ -295,6 +295,9 @@ type Engine struct {
 	active  *mvcc.ActiveTable
 	locks   *lock.Manager
 	gcList  *mvcc.GCList
+	// beginGap, which only tests set, runs inside BeginWith between the
+	// registration of a snapshot transaction and the read of its snapshot.
+	beginGap func()
 
 	// stripes holds the object cache split into power-of-two shards by
 	// entity-key hash; stripeMask selects a shard.

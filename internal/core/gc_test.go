@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"sync/atomic"
 	"testing"
 
 	"neograph/internal/value"
@@ -219,5 +220,54 @@ func TestVersionBytesShrinkWithGC(t *testing.T) {
 	after := e.VersionBytes()
 	if after >= before {
 		t.Fatalf("version bytes %d -> %d, want shrink", before, after)
+	}
+}
+
+// TestSnapshotRegisteredBeforeItIsRead: a Begin stalled between its two
+// steps — joining the active table and reading the watermark — while an
+// update commits and a collection runs must still read a version: the one
+// its snapshot timestamp selects. (Read first and registered second, the
+// collector found no reader at the old watermark, unlinked the version that
+// snapshot selects, and the read found nothing.)
+func TestSnapshotRegisteredBeforeItIsRead(t *testing.T) {
+	e := memEngine(t)
+	id := seedNode(t, e, nil, value.Map{"v": value.Int(1)})
+
+	reached, resume := make(chan struct{}), make(chan struct{})
+	var stalled atomic.Bool
+	e.beginGap = func() {
+		if stalled.CompareAndSwap(false, true) { // only the first Begin, not the updater's
+			close(reached)
+			<-resume
+		}
+	}
+	began := make(chan *Tx)
+	go func() { began <- e.Begin() }()
+	<-reached
+
+	upd := e.Begin()
+	if err := upd.SetNodeProp(id, "v", value.Int(2)); err != nil {
+		t.Fatal(err)
+	}
+	mustCommit(t, upd)
+	rep := e.RunGC()
+	close(resume)
+	tx := <-began
+	defer tx.Abort()
+
+	n, err := tx.GetNode(id)
+	if err != nil {
+		t.Fatalf("snapshot %d (update at %d, collection at horizon %d took %d versions): %v",
+			tx.StartTS(), upd.CommitTS(), rep.Horizon, rep.Collected, err)
+	}
+	want := int64(1)
+	if tx.StartTS() >= upd.CommitTS() {
+		want = 2
+	}
+	if v, _ := n.Props["v"].AsInt(); v != want {
+		t.Fatalf("snapshot %d reads v=%d, want %d (update at %d)", tx.StartTS(), v, want, upd.CommitTS())
+	}
+	if rep.Horizon > tx.StartTS() {
+		t.Errorf("the collector's horizon %d passed the stalled snapshot %d", rep.Horizon, tx.StartTS())
 	}
 }

@@ -75,9 +75,16 @@ func (e *Engine) BeginWith(opts TxOptions) *Tx {
 	}
 	e.stats.begun.Add(1)
 	if tx.iso == SnapshotIsolation {
+		// Register so the GC horizon cannot pass this snapshot (§3) —
+		// before reading it, at the watermark so far: a collector that
+		// looked in between would take the snapshot for idle and unlink the
+		// version it selects. The watermark only rises, so what is read next
+		// is never below what was registered.
+		e.active.Register(tx.id, e.oracle.Watermark())
+		if e.beginGap != nil {
+			e.beginGap()
+		}
 		tx.startTS = e.oracle.StartTS()
-		// Register so the GC horizon cannot pass this snapshot (§3).
-		e.active.Register(tx.id, tx.startTS)
 	}
 	return tx
 }

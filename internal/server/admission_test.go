@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"net"
 	"strings"
 	"sync"
@@ -284,6 +285,210 @@ func TestServerMetricsEndToEnd(t *testing.T) {
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("scrape missing %q", want)
+		}
+	}
+}
+
+// TestTxnFramesHistogram: neograph_server_txn_frames is the number of
+// request frames each explicit transaction spanned, observed when it ends —
+// 3 for the SDK's read-read-write transfer, one per call for a client that
+// flushes every call, and a disconnect's abort is counted too.
+func TestTxnFramesHistogram(t *testing.T) {
+	reg := metrics.NewRegistry()
+	srv := startAdmissionServer(t, Config{Metrics: reg})
+	dial := func() *client.Client {
+		cl, err := client.Dial(ctx, srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { cl.Close() })
+		return cl
+	}
+	cl := dial()
+	a, _ := cl.CreateNode(ctx, nil, nil)
+	b, _ := cl.CreateNode(ctx, nil, nil)
+	transfer := func(eager bool) {
+		t.Helper()
+		step := func(err error) {
+			t.Helper()
+			if err == nil && eager {
+				err = cl.Flush(ctx)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		step(cl.Begin(ctx, ""))
+		for _, id := range []uint64{a, b} {
+			_, err := cl.GetNode(ctx, id)
+			step(err)
+		}
+		step(cl.SetNodeProp(ctx, a, "balance", neograph.Int(1)))
+		step(cl.SetNodeProp(ctx, b, "balance", neograph.Int(2)))
+		step(cl.SetNodeProp(ctx, a, "seq", neograph.Int(3)))
+		step(cl.Commit(ctx))
+	}
+	scrape := func() string {
+		var sb strings.Builder
+		if err := reg.WriteText(&sb); err != nil {
+			t.Fatal(err)
+		}
+		return sb.String()
+	}
+	want := func(lines ...string) {
+		t.Helper()
+		out := scrape()
+		for _, l := range lines {
+			if !strings.Contains(out, l) {
+				t.Errorf("scrape missing %q in:\n%s", l, grepLines(out, "txn_frames"))
+			}
+		}
+	}
+
+	transfer(false)
+	want(`neograph_server_txn_frames_bucket{le="2"} 0`, `neograph_server_txn_frames_bucket{le="3"} 1`,
+		"neograph_server_txn_frames_sum 3", "neograph_server_txn_frames_count 1")
+	transfer(true) // begin · get · get · set · set · set · commit
+	want(`neograph_server_txn_frames_bucket{le="6"} 1`, `neograph_server_txn_frames_bucket{le="8"} 2`,
+		"neograph_server_txn_frames_sum 10", "neograph_server_txn_frames_count 2")
+
+	// A transaction in one frame; one a failing sub-op aborts; one the
+	// client walks away from.
+	if err := cl.Begin(ctx, "rc"); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.SetNodeProp(ctx, a, "seq", neograph.Int(4)); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Commit(ctx); err != nil {
+		t.Fatal(err)
+	}
+	want("neograph_server_txn_frames_sum 11", "neograph_server_txn_frames_count 3")
+	cl.Begin(ctx, "")
+	if _, err := cl.GetNode(ctx, a); err != nil {
+		t.Fatal(err)
+	}
+	cl.SetNodeProp(ctx, 1<<40, "seq", neograph.Int(5))
+	if _, err := cl.GetNode(ctx, a); err == nil || cl.InTx() {
+		t.Fatalf("a flush carrying a write to a missing node: %v, in tx %v", err, cl.InTx())
+	}
+	want("neograph_server_txn_frames_sum 13", "neograph_server_txn_frames_count 4")
+	gone := dial()
+	gone.Begin(ctx, "")
+	if _, err := gone.GetNode(ctx, a); err != nil {
+		t.Fatal(err)
+	}
+	gone.Close()
+	for end := time.Now().Add(5 * time.Second); !strings.Contains(scrape(), "neograph_server_txn_frames_count 5") && time.Now().Before(end); {
+		time.Sleep(time.Millisecond)
+	}
+	want("neograph_server_txn_frames_sum 14", "neograph_server_txn_frames_count 5")
+}
+
+func grepLines(s, sub string) string {
+	var out []string
+	for _, l := range strings.Split(s, "\n") {
+		if strings.Contains(l, sub) {
+			out = append(out, l)
+		}
+	}
+	return strings.Join(out, "\n")
+}
+
+// TestFlushAdmittedOrShedAsOneUnit: a transaction's flush is one frame, so
+// admission takes or sheds all of it — one rejection, nothing of it run —
+// and the shed flush leaves the transaction open and its queue intact: the
+// same call again, once there is room, carries every deferred write.
+func TestFlushAdmittedOrShedAsOneUnit(t *testing.T) {
+	db, err := neograph.Open(neograph.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewWithConfig(db, "127.0.0.1:0", Config{MaxInflight: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close(); db.Close() })
+	dial := func() *client.Client {
+		cl, err := client.Dial(ctx, srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { cl.Close() })
+		return cl
+	}
+	cl, blocker := dial(), dial()
+	var ids [4]uint64
+	for i := range ids {
+		if ids[i], err = cl.CreateNode(ctx, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Fill the server: an embedded transaction holds ids[3]'s write lock and
+	// a read-committed session's write waits for it, in flight.
+	holder := db.Begin()
+	if err := holder.SetNodeProp(ids[3], "v", neograph.Int(0)); err != nil {
+		t.Fatal(err)
+	}
+	blocked := make(chan error, 1)
+	go func() {
+		blocker.Begin(ctx, "rc")
+		blocker.SetNodeProp(ctx, ids[3], "v", neograph.Int(1))
+		blocked <- blocker.Commit(ctx)
+	}()
+	for end := time.Now().Add(5 * time.Second); srv.Admission().Inflight != 1; {
+		if time.Now().After(end) {
+			t.Fatal("the blocker's frame never went in flight")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	if err := cl.Begin(ctx, ""); err != nil {
+		t.Fatal(err)
+	}
+	for i, id := range ids[:3] {
+		if err := cl.SetNodeProp(ctx, id, "v", neograph.Int(int64(10+i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := srv.Admission()
+	_, err = cl.GetNode(ctx, ids[0])
+	if !errors.Is(err, client.ErrOverloaded) {
+		t.Fatalf("flush into a full server: %v, want ErrOverloaded", err)
+	}
+	after := srv.Admission()
+	if after.Rejected != before.Rejected+1 || after.Admitted != before.Admitted {
+		t.Errorf("the flush cost %d rejections and %d admissions, want 1 and 0",
+			after.Rejected-before.Rejected, after.Admitted-before.Admitted)
+	}
+	if !cl.InTx() || cl.Broken() {
+		t.Fatalf("a shed flush left the session in tx=%v broken=%v", cl.InTx(), cl.Broken())
+	}
+	if err := cl.Commit(ctx); !errors.Is(err, client.ErrOverloaded) || !cl.InTx() {
+		t.Fatalf("a shed commit: %v, in tx=%v; want ErrOverloaded and the transaction still open", err, cl.InTx())
+	}
+
+	if err := holder.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-blocked; err != nil {
+		t.Fatal(err)
+	}
+	drained(srv)
+	n, err := cl.GetNode(ctx, ids[0]) // the same call again: begin, the three writes, the read
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n.Props["v"] != neograph.Int(10) {
+		t.Errorf("the retried flush reads v=%v, want its own deferred write 10", n.Props["v"])
+	}
+	if err := cl.Commit(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for i, id := range ids[:3] {
+		n, err := cl.GetNode(ctx, id)
+		if err != nil || n.Props["v"] != neograph.Int(int64(10+i)) {
+			t.Errorf("node %d after the retry committed: v=%v err=%v, want %d", id, n.Props["v"], err, 10+i)
 		}
 	}
 }

@@ -213,7 +213,9 @@ func TestBatchMalformedRejectedSessionSurvives(t *testing.T) {
 	for _, bad := range []struct{ name, frame string }{
 		{"empty", `{"op":"batch"}`},
 		{"nested", `{"op":"batch","batch":[{"op":"batch","batch":[{"op":"ping"}]}]}`},
-		{"session-control", `{"op":"batch","batch":[{"op":"begin"}]}`},
+		{"session-control", `{"op":"batch","batch":[{"op":"abort"}]}`},
+		{"begin-not-first", `{"op":"batch","batch":[{"op":"ping"},{"op":"begin"}]}`},
+		{"commit-not-last", `{"op":"batch","batch":[{"op":"commit"},{"op":"ping"}]}`},
 		{"admin", `{"op":"batch","batch":[{"op":"promote"}]}`},
 		{"per-op-gate", `{"op":"batch","batch":[{"op":"ping","wait_lsn":5}]}`},
 		{"unknown-sub-op", `{"op":"batch","batch":[{"op":"no_such_op"}]}`},

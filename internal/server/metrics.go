@@ -46,9 +46,10 @@ func opClass(op string) string {
 // request touches is an atomic op on a pre-registered series — no lock,
 // no allocation, no map write.
 type serverMetrics struct {
-	sessions *metrics.Gauge
-	latency  map[string]*metrics.Histogram
-	batchOps *metrics.Histogram
+	sessions  *metrics.Gauge
+	latency   map[string]*metrics.Histogram
+	batchOps  *metrics.Histogram
+	txnFrames *metrics.Histogram
 }
 
 // newServerMetrics registers the server's operational series on reg,
@@ -65,6 +66,9 @@ func newServerMetrics(reg *metrics.Registry, s *Server) *serverMetrics {
 	}
 	m.batchOps = reg.Histogram("neograph_server_batch_ops",
 		"sub-operations per batch request", metrics.ExpBuckets(1, 4, 8))
+	m.txnFrames = reg.Histogram("neograph_server_txn_frames",
+		"request frames an explicit transaction spanned, begin to commit or abort",
+		[]float64{1, 2, 3, 4, 6, 8, 12, 16, 32, 64})
 	reg.GaugeFunc("neograph_server_requests_inflight",
 		"requests admitted and not yet responded",
 		func() float64 { return float64(s.inflight.Load()) })

@@ -347,6 +347,9 @@ type session struct {
 	// relationship creation tolerates endpoints owned by other
 	// partitions (the coordinator guards them there).
 	crossPrepare bool
+	// txFrames counts the request frames the open explicit transaction has
+	// spanned, its begin's included; zero when there is none.
+	txFrames int
 }
 
 func (s *Server) handle(conn net.Conn) {
@@ -361,6 +364,8 @@ func (s *Server) handle(conn net.Conn) {
 	defer func() {
 		if sess.tx != nil {
 			sess.tx.Abort()
+			sess.tx = nil
+			sess.txFrame(false)
 		}
 	}()
 	if s.sm != nil {
@@ -417,9 +422,11 @@ func (sess *session) serve(conn net.Conn, wc *wire.Conn, req *wire.Request) erro
 	}
 	t0 := time.Now()
 	tid := sess.span.TraceID()
+	inTx := sess.tx != nil
 	done := func() {
 		sess.span.Finish()
 		sess.span = nil
+		sess.txFrame(inTx)
 		if s.sm != nil {
 			s.sm.observe(req, time.Since(t0), tid)
 		}
@@ -435,6 +442,23 @@ func (sess *session) serve(conn net.Conn, wc *wire.Conn, req *wire.Request) erro
 	}
 	done()
 	return sess.writeFrame(conn, wc, req, resp)
+}
+
+// txFrame counts the frame just served against the explicit transaction it
+// ran in — inTx: one was open when the frame arrived; a begin inside the
+// frame has started the count itself — and, once that transaction is gone
+// (commit, abort, a failed batch, a disconnect), observes how many frames it
+// spanned: a client still sending one frame per call shows up here.
+func (sess *session) txFrame(inTx bool) {
+	if inTx {
+		sess.txFrames++
+	}
+	if sess.txFrames > 0 && sess.tx == nil {
+		if sess.srv.sm != nil {
+			sess.srv.sm.txnFrames.Observe(float64(sess.txFrames))
+		}
+		sess.txFrames = 0
+	}
 }
 
 // writeFrame flushes one complete response frame for req. Correlation:
@@ -603,14 +627,24 @@ func (sess *session) redirect(what string) error {
 }
 
 // dispatchBatch executes every sub-op of a batch inside ONE transaction —
-// the session's open one if there is one, else a transaction owned by the
-// batch and committed at the end. Atomic: the first failing sub-op aborts
-// the whole transaction (including an enclosing explicit one — its staged
-// writes cannot be separated from the batch's) and the response names the
-// failed op.
+// the session's open one if there is one, the one its leading begin opens,
+// else a transaction owned by the batch and committed at the end. Atomic:
+// the first failing sub-op aborts the whole transaction (including an
+// enclosing explicit one — its staged writes cannot be separated from the
+// batch's) and the response names the failed op. A response that names
+// none means no sub-op ran: the session's transaction is as it was.
 func (sess *session) dispatchBatch(req *wire.Request) *wire.Response {
 	if err := wire.ValidateBatch(req); err != nil {
 		return fail(err)
+	}
+	// ValidateBatch has placed them: a begin is first, a commit last.
+	begins := req.Batch[0].Op == wire.OpBegin
+	commits := req.Batch[len(req.Batch)-1].Op == wire.OpCommit
+	switch {
+	case begins && sess.tx != nil:
+		return fail(errTxOpen)
+	case commits && !begins && sess.tx == nil:
+		return fail(errNoTx)
 	}
 	if sess.db.IsReplica() {
 		for i := range req.Batch {
@@ -626,13 +660,13 @@ func (sess *session) dispatchBatch(req *wire.Request) *wire.Response {
 	if sess.srv != nil {
 		if coord, self, count := sess.srv.partitionView(); coord != nil &&
 			partition.CrossPartition(req.Batch, self, count) {
-			if sess.tx != nil {
+			if sess.tx != nil || begins || commits {
 				return fail(errors.New("server: cross-partition batch is not allowed inside an explicit transaction"))
 			}
 			return coord.CommitBatch(req.Batch, sess.deadline)
 		}
 	}
-	owned := sess.tx == nil
+	owned := sess.tx == nil && !begins
 	if owned {
 		sess.tx = sess.db.Begin()
 	}
@@ -641,7 +675,10 @@ func (sess *session) dispatchBatch(req *wire.Request) *wire.Response {
 		return failed
 	}
 	resp := &wire.Response{OK: true, Results: results}
-	if owned {
+	switch {
+	case commits:
+		resp.LSN = results[len(results)-1].LSN
+	case owned:
 		tx := sess.tx
 		sess.tx = nil
 		tx.SetTraceSpan(sess.span)
@@ -666,8 +703,12 @@ func (sess *session) runBatchOps(what string, batch []wire.Request) ([]wire.Resp
 	for i := range batch {
 		sub := sess.runBatchOp(&batch[i], i, ids, hasID)
 		if !sub.OK {
-			sess.tx.Abort()
-			sess.tx = nil
+			// (A begin that failed opened none; a commit that failed has
+			// already aborted and dropped it.)
+			if sess.tx != nil {
+				sess.tx.Abort()
+				sess.tx = nil
+			}
 			idx := i
 			return nil, &wire.Response{
 				Error:    fmt.Sprintf("server: %s aborted at op %d: %s", what, i, sub.Error),
@@ -718,6 +759,13 @@ var errShuttingDown = errors.New("server: shutting down")
 // errOverloaded rejects requests past the admission budget.
 var errOverloaded = errors.New("server: overloaded: admission budget exhausted")
 
+// errTxOpen and errNoTx refuse session control that does not fit the
+// session's state: a second begin, a commit or abort of nothing.
+var (
+	errTxOpen = errors.New("server: transaction already open")
+	errNoTx   = errors.New("server: no open transaction")
+)
+
 // write runs fn as a write in the session's transaction (or its own
 // auto-committed one) and answers OK.
 func (sess *session) write(fn func(tx *neograph.Tx) error) *wire.Response {
@@ -763,7 +811,7 @@ func (sess *session) dispatchOp(req *wire.Request) *wire.Response {
 
 	case wire.OpBegin:
 		if sess.tx != nil {
-			return fail(errors.New("server: transaction already open"))
+			return fail(errTxOpen)
 		}
 		switch req.Isolation {
 		case "", "si":
@@ -773,11 +821,12 @@ func (sess *session) dispatchOp(req *wire.Request) *wire.Response {
 		default:
 			return fail(fmt.Errorf("server: bad isolation %q", req.Isolation))
 		}
+		sess.txFrames = 1
 		return &wire.Response{OK: true}
 
 	case wire.OpCommit:
 		if sess.tx == nil {
-			return fail(errors.New("server: no open transaction"))
+			return fail(errNoTx)
 		}
 		tx := sess.tx
 		sess.tx = nil
@@ -789,7 +838,7 @@ func (sess *session) dispatchOp(req *wire.Request) *wire.Response {
 
 	case wire.OpAbort:
 		if sess.tx == nil {
-			return fail(errors.New("server: no open transaction"))
+			return fail(errNoTx)
 		}
 		sess.tx.Abort()
 		sess.tx = nil

@@ -231,12 +231,21 @@ func TestWriteConflictOverWire(t *testing.T) {
 	if err := cl.SetNodeProp(ctx, id, "v", neograph.Int(1)); err != nil {
 		t.Fatal(err)
 	}
+	if err := cl.Flush(ctx); err != nil { // the write's lock is held from here
+		t.Fatal(err)
+	}
 	if err := cl2.Begin(ctx, "si"); err != nil {
 		t.Fatal(err)
 	}
-	err = cl2.SetNodeProp(ctx, id, "v", neograph.Int(2))
+	if err := cl2.SetNodeProp(ctx, id, "v", neograph.Int(2)); err != nil {
+		t.Fatalf("a deferred write answered %v before it was sent", err)
+	}
+	err = cl2.Flush(ctx)
 	if !errors.Is(err, neograph.ErrWriteConflict) {
 		t.Fatalf("err = %v, want ErrWriteConflict across the wire", err)
+	}
+	if cl2.InTx() {
+		t.Fatal("the loser's transaction outlived the flush that aborted it")
 	}
 	cl2.Abort(ctx)
 	if err := cl.Commit(ctx); err != nil {
@@ -391,7 +400,10 @@ func TestReplicaRedirectsWrites(t *testing.T) {
 	if err := replica.Begin(ctx, "si"); err != nil {
 		t.Fatal(err)
 	}
-	if err := replica.SetNodeProp(ctx, 1, "k", neograph.Int(1)); !errors.Is(err, neograph.ErrReadOnlyReplica) {
+	if err := replica.SetNodeProp(ctx, 1, "k", neograph.Int(1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := replica.Flush(ctx); !errors.Is(err, neograph.ErrReadOnlyReplica) {
 		t.Fatalf("staged write err = %v, want ErrReadOnlyReplica", err)
 	}
 	if err := replica.Abort(ctx); err != nil {

@@ -20,9 +20,29 @@ func TestValidateBatch(t *testing.T) {
 	if err := ValidateBatch(&Request{Op: OpPing}); err == nil {
 		t.Error("non-batch request validated as batch")
 	}
-	for _, bad := range []string{OpBatch, OpBegin, OpCommit, OpAbort, OpPromote, OpCheckpoint, OpGC, OpStats, OpReplStatus, "bogus"} {
+	for _, bad := range []string{OpBatch, OpAbort, OpPromote, OpCheckpoint, OpGC, OpStats, OpReplStatus, "bogus"} {
 		if err := ok(Request{Op: bad}); err == nil {
 			t.Errorf("op %q accepted inside a batch", bad)
+		}
+	}
+	// Placement: a begin only first, a commit only last — and neither
+	// inside a prepare, whose transaction the coordinator decides.
+	begin, commit, ping := Request{Op: OpBegin, Isolation: "rc"}, Request{Op: OpCommit}, Request{Op: OpPing}
+	for _, good := range [][]Request{
+		{begin, ping}, {ping, commit}, {begin, ping, commit}, {begin}, {commit}, {begin, commit},
+	} {
+		if err := ok(good...); err != nil {
+			t.Errorf("bracketed batch %v rejected: %v", opsOf(good), err)
+		}
+		if err := ValidateOps(good); err == nil {
+			t.Errorf("prepare of %v accepted", opsOf(good))
+		}
+	}
+	for _, bad := range [][]Request{
+		{ping, begin}, {commit, ping}, {begin, begin}, {commit, commit}, {ping, begin, commit}, {begin, commit, ping},
+	} {
+		if err := ok(bad...); err == nil || !strings.Contains(err.Error(), "may only be") {
+			t.Errorf("misplaced session control %v: %v", opsOf(bad), err)
 		}
 	}
 	if err := ok(Request{Op: OpPing, WaitLSN: 7}); err == nil {
@@ -45,6 +65,13 @@ func TestValidateBatch(t *testing.T) {
 	if err := ok(exact...); err != nil {
 		t.Errorf("batch at the limit rejected: %v", err)
 	}
+}
+
+func opsOf(reqs []Request) (ops []string) {
+	for _, r := range reqs {
+		ops = append(ops, r.Op)
+	}
+	return ops
 }
 
 func TestBatchRoundTrip(t *testing.T) {
@@ -92,6 +119,8 @@ func FuzzDecodeBatch(f *testing.F) {
 	f.Add([]byte(`{"op":"batch","batch":[{"op":"batch","batch":[{"op":"ping"}]}]}`))
 	f.Add([]byte(`{"op":"batch","batch":[]}`))
 	f.Add([]byte(`{"op":"batch","batch":[{"op":"set_node_prop","id":1,"key":"k","value":{"f":"1.5"},"wait_lsn":3}]}`))
+	f.Add([]byte(`{"op":"batch","batch":[{"op":"begin","iso":"rc"},{"op":"get_node","id":1},{"op":"commit"}]}`))
+	f.Add([]byte(`{"op":"batch","batch":[{"op":"commit"},{"op":"begin"}]}`))
 	f.Add([]byte(`{"op":"batch"`))
 	f.Add([]byte(`{"op":"ping"}`))
 	f.Fuzz(func(t *testing.T, data []byte) {

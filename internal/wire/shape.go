@@ -32,10 +32,15 @@ func (a Anchor) String() string {
 type Shape struct {
 	// Write: a read-only replica redirects the op to its primary.
 	Write bool
-	// Batchable: the op may appear inside a batch or a prepare. Session
-	// control (begin, commit, abort), admin ops and nested batches may
-	// not — a batch already IS one transaction.
+	// Batchable: the op may appear anywhere inside a batch or a prepare.
+	// Admin ops, abort and nested batches may not; begin and commit only
+	// where First and Last say.
 	Batchable bool
+	// First / Last: session control that may bracket a batch (never a
+	// prepare) — begin only as its first sub-op, opening the session's
+	// explicit transaction for the sub-ops after it (and the frames after
+	// the batch); commit only as its last, committing that transaction.
+	First, Last bool
 	// Scan: a partition-local scan; it sees one partition's slice of the
 	// ID space, so it has no meaning inside a coordinated batch.
 	Scan   bool
@@ -63,7 +68,7 @@ var shapes = map[string]Shape{
 	OpNodesByProp:  {Batchable: true, Scan: true},
 	OpAllNodes:     {Batchable: true, Scan: true},
 
-	OpBegin: {}, OpCommit: {}, OpAbort: {},
+	OpBegin: {First: true}, OpCommit: {Last: true}, OpAbort: {},
 	OpBatch: {}, OpQuery: {},
 	OpStats: {}, OpGC: {}, OpCheckpoint: {},
 	OpReplStatus: {}, OpClusterStatus: {}, OpPromote: {},

@@ -32,7 +32,7 @@ func boolp(b bool) *bool           { return &b }
 func transcript() []exchange {
 	props := raw(`{"age":{"i":"41"},"name":{"s":"ada"}}`)
 	return []exchange{
-		{Request{Op: OpPing, Seq: 1}, []Response{{OK: true, Proto: ProtocolVersion, Seq: 1}}},
+		{Request{Op: OpPing, Seq: 1}, []Response{{OK: true, Proto: 2, Seq: 1}}}, // recorded at generation 2
 		{Request{Op: OpBegin, Isolation: "rc", Seq: 2}, []Response{{OK: true, Seq: 2}}},
 		{Request{Op: OpCreateNode, Labels: []string{"Person", "Admin"}, Props: props, Seq: 3,
 			Trace: &TraceContext{TraceID: "00f1", SpanID: "0a"}},
@@ -109,6 +109,18 @@ func transcript() []exchange {
 			[]Response{{Error: "server: shutting down", Code: CodeUnavailable, Seq: 35}}},
 		{Request{Op: OpPing, Seq: 36},
 			[]Response{{Error: "server: overloaded: admission budget exhausted", Code: CodeOverloaded, Seq: 36}}},
+
+		// Generation 3, appended: a session transaction's first and last
+		// frames carry its begin and its commit (the commit's LSN is the
+		// batch's), and a commit anywhere else is refused whole.
+		{Request{Op: OpPing, Seq: 37}, []Response{{OK: true, Proto: ProtocolVersion, Seq: 37}}},
+		{Request{Op: OpBatch, Seq: 38, Batch: []Request{{Op: OpBegin}, {Op: OpGetNode, ID: 7}}},
+			[]Response{{OK: true, Seq: 38, Results: []Response{{OK: true}, {OK: true, Node: &NodeJSON{ID: 7}}}}}},
+		{Request{Op: OpBatch, Seq: 39, Batch: []Request{
+			{Op: OpSetNodeProp, ID: 7, Key: "score", Value: raw(`{"f":"2.5"}`)}, {Op: OpCommit}}},
+			[]Response{{OK: true, LSN: 5400, Seq: 39, Results: []Response{{OK: true}, {OK: true, LSN: 5400}}}}},
+		{Request{Op: OpBatch, Seq: 40, Batch: []Request{{Op: OpCommit}, {Op: OpGetNode, ID: 7}}},
+			[]Response{{Error: "wire: commit may only be a batch's last sub-op (found at 0 of 2)", Seq: 40}}},
 	}
 }
 

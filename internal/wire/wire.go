@@ -18,13 +18,8 @@
 package wire
 
 import (
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"strconv"
-	"unicode/utf8"
-
-	"neograph/internal/value"
 )
 
 // ProtocolVersion is the wire protocol generation this package speaks.
@@ -32,8 +27,12 @@ import (
 // optional JSON fields, so v1 clients keep working against a v2 server
 // unchanged (a v2 client can discover the server's generation from the
 // ping response's proto field). Request correlation (seq) and trace
-// propagation (trace) are likewise optional fields within v2.
-const ProtocolVersion = 2
+// propagation (trace) are likewise optional fields within v2. Version 3
+// added no field, only a placement rule: begin may be a batch's first
+// sub-op and commit its last (Shape.First / Shape.Last), so a session
+// transaction's frames can carry its begin and its commit — a v2 server
+// refuses such a batch whole, before running any of it.
+const ProtocolVersion = 3
 
 // MaxBatchOps bounds one batch request. A batch runs as a single
 // server-side transaction; an unbounded one would let a client pin a
@@ -79,7 +78,9 @@ const (
 	// The server executes the whole batch inside a single transaction
 	// (the session's open one, or its own auto-committed one) and replies
 	// with one Response carrying per-op Results. Atomic: the first failed
-	// op aborts the entire batch (Response.FailedOp names it).
+	// op aborts the entire batch (Response.FailedOp names it). The first
+	// sub-op may be a begin — the transaction it opens outlives the batch —
+	// and the last a commit, whose LSN the Response carries.
 	OpBatch = "batch"
 	// OpPrepare is phase one of a cross-partition commit: execute
 	// Request.Batch in a fresh transaction and park it prepared under
@@ -180,7 +181,8 @@ type TraceContext struct {
 }
 
 // ValidateBatch checks the structural rules of an OpBatch request: it is
-// a batch, it is non-empty, and its sub-ops pass ValidateOps.
+// a batch, it is non-empty, and its sub-ops pass ValidateOps — except that
+// a begin may come first and a commit last.
 func ValidateBatch(req *Request) error {
 	if req.Op != OpBatch {
 		return fmt.Errorf("wire: not a batch request (op %q)", req.Op)
@@ -188,21 +190,35 @@ func ValidateBatch(req *Request) error {
 	if len(req.Batch) == 0 {
 		return fmt.Errorf("wire: empty batch")
 	}
-	return ValidateOps(req.Batch)
+	return validateOps(req.Batch, true)
 }
 
-// ValidateOps checks the sub-ops of a batch or a prepare: at most
-// MaxBatchOps of them, every one batchable (no nesting, no session
-// control), no per-sub-op WaitLSN/DeadlineMS (gating applies to the batch
-// as a whole, on the outer request), and every batch-local back reference
-// pointing strictly backwards.
-func ValidateOps(ops []Request) error {
+// ValidateOps checks the sub-ops of a prepare (and, through ValidateBatch,
+// of a batch): at most MaxBatchOps of them, every one batchable (no
+// nesting, no session control), no per-sub-op WaitLSN/DeadlineMS (gating
+// applies to the batch as a whole, on the outer request), and every
+// batch-local back reference pointing strictly backwards.
+func ValidateOps(ops []Request) error { return validateOps(ops, false) }
+
+// validateOps is ValidateOps; with bracketed, a begin is also accepted as
+// the first sub-op and a commit as the last.
+func validateOps(ops []Request, bracketed bool) error {
 	if len(ops) > MaxBatchOps {
 		return fmt.Errorf("wire: batch of %d ops exceeds limit %d", len(ops), MaxBatchOps)
 	}
 	for i := range ops {
 		sub := &ops[i]
-		if !ShapeOf(sub.Op).Batchable {
+		switch sh := ShapeOf(sub.Op); {
+		case sh.Batchable:
+		case bracketed && sh.First:
+			if i != 0 {
+				return fmt.Errorf("wire: %s may only be a batch's first sub-op (found at %d)", sub.Op, i)
+			}
+		case bracketed && sh.Last:
+			if i != len(ops)-1 {
+				return fmt.Errorf("wire: %s may only be a batch's last sub-op (found at %d of %d)", sub.Op, i, len(ops))
+			}
+		default:
 			return fmt.Errorf("wire: op %q not allowed in a batch (sub-op %d)", sub.Op, i)
 		}
 		if sub.WaitLSN != 0 || sub.DeadlineMS != 0 {
@@ -324,7 +340,8 @@ type Response struct {
 	// (Request.WaitLSN) on replicas and for durable-read gating.
 	LSN uint64 `json:"lsn,omitempty"`
 	// Proto is the server's wire protocol generation, reported on ping so
-	// clients can detect feature support (batch needs >= 2).
+	// clients can detect feature support (batch needs >= 2, a begin or
+	// commit inside one >= 3).
 	Proto int `json:"proto,omitempty"`
 	// Results holds the per-op responses of a successful batch, in
 	// submission order.
@@ -350,148 +367,4 @@ type Response struct {
 	// State answers a txn_status request: "committed", "aborted",
 	// "pending", or "unknown" (presumed abort).
 	State string `json:"state,omitempty"`
-}
-
-// EncodeValue renders a value in the tagged JSON form.
-func EncodeValue(v value.Value) (json.RawMessage, error) {
-	switch v.Kind() {
-	case value.KindNull:
-		return json.RawMessage("null"), nil
-	case value.KindBool:
-		b, _ := v.AsBool()
-		return json.Marshal(map[string]bool{"b": b})
-	case value.KindInt:
-		i, _ := v.AsInt()
-		return json.Marshal(map[string]string{"i": strconv.FormatInt(i, 10)})
-	case value.KindFloat:
-		f, _ := v.AsFloat()
-		return json.Marshal(map[string]string{"f": strconv.FormatFloat(f, 'g', -1, 64)})
-	case value.KindString:
-		s, _ := v.AsString()
-		if !utf8.ValidString(s) {
-			return json.Marshal(map[string]string{"sx": hex.EncodeToString([]byte(s))})
-		}
-		return json.Marshal(map[string]string{"s": s})
-	case value.KindBytes:
-		b, _ := v.AsBytes()
-		return json.Marshal(map[string]string{"x": hex.EncodeToString(b)})
-	case value.KindList:
-		l, _ := v.AsList()
-		elems := make([]json.RawMessage, len(l))
-		for i, e := range l {
-			var err error
-			if elems[i], err = EncodeValue(e); err != nil {
-				return nil, err
-			}
-		}
-		return json.Marshal(map[string][]json.RawMessage{"l": elems})
-	default:
-		return nil, fmt.Errorf("wire: unsupported kind %v", v.Kind())
-	}
-}
-
-// DecodeValue parses the tagged JSON form.
-func DecodeValue(raw json.RawMessage) (value.Value, error) {
-	if len(raw) == 0 || string(raw) == "null" {
-		return value.Null, nil
-	}
-	var m map[string]json.RawMessage
-	if err := json.Unmarshal(raw, &m); err != nil {
-		return value.Null, fmt.Errorf("wire: bad value: %w", err)
-	}
-	if len(m) != 1 {
-		return value.Null, fmt.Errorf("wire: value must have exactly one tag, got %d", len(m))
-	}
-	for tag, payload := range m {
-		var str string
-		switch tag {
-		case "i", "f", "s", "sx", "x": // every scalar but bool travels as a JSON string
-			if err := json.Unmarshal(payload, &str); err != nil {
-				return value.Null, err
-			}
-		}
-		switch tag {
-		case "b":
-			var b bool
-			if err := json.Unmarshal(payload, &b); err != nil {
-				return value.Null, err
-			}
-			return value.Bool(b), nil
-		case "i":
-			i, err := strconv.ParseInt(str, 10, 64)
-			if err != nil {
-				return value.Null, fmt.Errorf("wire: bad int %q: %w", str, err)
-			}
-			return value.Int(i), nil
-		case "f":
-			f, err := strconv.ParseFloat(str, 64)
-			if err != nil {
-				return value.Null, fmt.Errorf("wire: bad float %q: %w", str, err)
-			}
-			return value.Float(f), nil
-		case "s":
-			return value.String(str), nil
-		case "sx", "x":
-			raw, err := hex.DecodeString(str)
-			if err != nil {
-				return value.Null, fmt.Errorf("wire: bad hex: %w", err)
-			}
-			if tag == "sx" {
-				return value.String(string(raw)), nil
-			}
-			return value.Bytes(raw), nil
-		case "l":
-			var elems []json.RawMessage
-			if err := json.Unmarshal(payload, &elems); err != nil {
-				return value.Null, err
-			}
-			vs := make([]value.Value, len(elems))
-			for i, e := range elems {
-				var err error
-				if vs[i], err = DecodeValue(e); err != nil {
-					return value.Null, err
-				}
-			}
-			return value.List(vs...), nil
-		default:
-			return value.Null, fmt.Errorf("wire: unknown value tag %q", tag)
-		}
-	}
-	return value.Null, nil
-}
-
-// EncodeProps renders a property map.
-func EncodeProps(m value.Map) (json.RawMessage, error) {
-	if len(m) == 0 {
-		return nil, nil
-	}
-	out := make(map[string]json.RawMessage, len(m))
-	for k, v := range m {
-		enc, err := EncodeValue(v)
-		if err != nil {
-			return nil, err
-		}
-		out[k] = enc
-	}
-	return json.Marshal(out)
-}
-
-// DecodeProps parses a property map.
-func DecodeProps(raw json.RawMessage) (value.Map, error) {
-	if len(raw) == 0 || string(raw) == "null" {
-		return nil, nil
-	}
-	var m map[string]json.RawMessage
-	if err := json.Unmarshal(raw, &m); err != nil {
-		return nil, fmt.Errorf("wire: bad props: %w", err)
-	}
-	out := make(value.Map, len(m))
-	for k, e := range m {
-		v, err := DecodeValue(e)
-		if err != nil {
-			return nil, err
-		}
-		out[k] = v
-	}
-	return out, nil
 }
