@@ -7,7 +7,7 @@ GO ?= go
 # toolchain install, no go.mod entry). Bump deliberately.
 STATICCHECK_VERSION ?= 2025.1
 
-.PHONY: all build test race bench bench-smoke mem logbytes recover pairs lint staticcheck fmt clean
+.PHONY: all build test race bench bench-smoke mem logbytes recover pairs loc lint staticcheck fmt clean
 
 all: build test
 
@@ -85,9 +85,16 @@ N ?= 10
 pairs:
 	$(GO) run ./internal/benchpairs -workload $(WORKLOAD) -parent $(PARENT) -n $(N)
 
+## loc: the size a deletion PR is judged by — Go lines outside benchmark/
+## (a module of its own, frozen between benchmark PRs) in tracked files and
+## in new ones git does not ignore, without tests and with them
+loc:
+	@echo "non-test Go lines: $$(git ls-files -co --exclude-standard '*.go' | grep -v '^benchmark/' | grep -v '_test\.go$$' | xargs cat | wc -l)"
+	@echo "all Go lines:      $$(git ls-files -co --exclude-standard '*.go' | grep -v '^benchmark/' | xargs cat | wc -l)"
+
 ## lint: go vet (benchmark module included) + gofmt diff check +
-## log.Printf gate + wire-seam gates + one-log-fold gate + staticcheck
-## (pinned)
+## log.Printf gate + wire-seam gates + one-session-cache gate +
+## one-log-fold gate + staticcheck (pinned)
 lint: staticcheck
 	$(GO) vet ./...
 	cd benchmark && $(GO) vet ./...
@@ -97,7 +104,7 @@ lint: staticcheck
 		--include='*.go' --exclude='*_test.go' \
 		. | grep -v '^\./cmd/' | grep -v '^\./examples/' | grep -v 'slog\.' || true); \
 	if [ -n "$$out" ]; then \
-		echo "raw stdlib log calls found (use internal/slog):"; echo "$$out"; exit 1; fi
+		echo "raw stdlib log calls found (take a *log/slog.Logger):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rn 'json\.NewEncoder(\|json\.NewDecoder(' \
 		--include='*.go' --exclude='*_test.go' . \
 		| grep -v '^\./internal/wire/\|^\./benchmark/\|^\./dump\.go:\|^\./internal/trace/handler\.go:' || true); \
@@ -107,6 +114,10 @@ lint: staticcheck
 		--include='*.go' --exclude='*_test.go' client internal/server internal/partition || true); \
 	if [ -n "$$out" ]; then \
 		echo "error routed by its text (set and match wire.Response.Code):"; echo "$$out"; exit 1; fi
+	@out=$$(grep -rn 'client\.Dial(' --include='*.go' --exclude='*_test.go' . \
+		| grep -v '^\./client/\|^\./cmd/\|^\./examples/\|^\./internal/bench/\|^\./benchmark/' || true); \
+	if [ -n "$$out" ]; then \
+		echo "a component dialling its own sessions (borrow a session from the client session cache, client.Sessions):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -l 'case rec[A-Z]' --include='*.go' --exclude='*_test.go' -r internal/core | tr '\n' ' '); \
 	if [ "$$out" != "internal/core/record.go " ]; then \
 		echo "WAL record tags are case labels in [ $$out] (interpret a record in internal/core/record.go's fold only)"; exit 1; fi

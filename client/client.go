@@ -11,10 +11,13 @@
 //     aborts the batch),
 //   - an explicit transaction (Begin … Commit) is write-behind — see
 //     below,
-//   - a Pool dials the primary plus any number of replicas, routes reads
-//     to replicas (least-lag or round-robin) and writes to the primary,
-//     carries read-your-writes tokens automatically, and re-discovers
-//     the primary after a failover promotion.
+//   - OpenRouter is the one way to open a fleet: a Pool per replication
+//     group — one group (Group) for an unpartitioned primary + replicas —
+//     that routes reads to replicas (least-lag or round-robin) and writes
+//     to the primary, carries read-your-writes tokens automatically, and
+//     re-discovers the primary after a failover promotion; every session
+//     to an address, here and in the server's own components, is borrowed
+//     from a Sessions cache.
 //
 // # Explicit transactions
 //
@@ -50,14 +53,13 @@
 // repeated. Flush is for a caller that needs a lock held, a snapshot taken
 // or a conflict known now rather than at the next read.
 //
-// A snapshot transaction whose every call was still deferred at Commit
-// goes out as a plain auto-committed batch. Only that shape may span
-// partitions: a transaction that read (or flushed) first is held by one
-// server, and a commit that would cross partitions is refused.
+// An explicit transaction is single-partition whatever it did first — the
+// server refuses a cross-partition batch inside one; RunBatch outside a
+// transaction is the cross-partition call.
 //
 // A Client is one server session (at most one open explicit transaction)
 // and is not safe for concurrent use — open one per worker, or let a
-// Pool manage a fleet of them.
+// Router manage a fleet of them.
 package client
 
 import (
@@ -124,6 +126,9 @@ type Client struct {
 	// routed operation's retries and failover land in one trace even
 	// though fn closes over the caller's own context.
 	span *trace.Span
+	// home is the free-list a session borrowed from a Sessions cache goes
+	// back to; nil for one dialled directly.
+	home *sessionList
 }
 
 // Dial connects to a server. The context bounds the dial only; calls

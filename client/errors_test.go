@@ -178,9 +178,9 @@ func TestErrorsIsAcrossTheWire(t *testing.T) {
 			}, ""},
 			{"commit", func(t *testing.T) error {
 				// First-committer-wins validates at commit; the key is held
-				// by a prepared (undecided) two-phase transaction. Both ways a
-				// commit travels: as the last sub-op of the transaction's last
-				// frame, and — every call deferred — as an auto-committed batch.
+				// by a prepared (undecided) two-phase transaction. Both frames a
+				// commit ends: the last of a transaction the server holds, and —
+				// every call deferred — the only one, begin included.
 				cl := f.dial(f.fcw.Addr())
 				id, err := cl.CreateNode(ctx, nil, nil)
 				if err != nil {
@@ -479,7 +479,7 @@ func TestErrorTextIsNotRouted(t *testing.T) {
 	}
 	// ...and a pool does not take such a server-answered error for a dead
 	// primary: no failover, the error comes straight back.
-	p, err := OpenPool(ctx, PoolConfig{Primary: srv.Addr()})
+	p, err := openPool(ctx, RouterConfig{Partitions: Group(srv.Addr())})
 	if err != nil {
 		t.Fatal(err)
 	}

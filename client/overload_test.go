@@ -66,7 +66,7 @@ func TestPoolBacksOffOnOverload(t *testing.T) {
 	srv := startTightServer(t)
 	ctx := context.Background()
 	reg := metrics.NewRegistry()
-	p, err := OpenPool(ctx, PoolConfig{Primary: srv.Addr(), Metrics: reg})
+	p, err := openPool(ctx, RouterConfig{Partitions: Group(srv.Addr()), Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestPoolBacksOffOnOverload(t *testing.T) {
 	if err := reg.WriteText(&b); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(b.String(), "neograph_pool_overload_backoffs_total 6") {
+	if !strings.Contains(b.String(), `neograph_pool_overload_backoffs_total{partition="0"} 6`) {
 		t.Errorf("expected 6 counted backoffs, scrape:\n%s", b.String())
 	}
 

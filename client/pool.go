@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -33,39 +34,8 @@ const (
 	RoundRobin
 )
 
-// PoolConfig configures a Pool.
-type PoolConfig struct {
-	// Primary is the primary server's client address.
-	Primary string
-	// Replicas are replica server client addresses (any number, may be
-	// empty — reads then fall through to the primary).
-	Replicas []string
-	// Policy selects replica read routing; default LeastLag.
-	Policy Policy
-	// ConnsPerHost caps concurrent sessions per server; default 2.
-	ConnsPerHost int
-	// ProbeEvery is the period of the background topology probe that
-	// refreshes per-replica applied positions (least-lag routing) and
-	// roles; default 250ms.
-	ProbeEvery time.Duration
-	// Metrics, when non-nil, receives the pool's routing counters
-	// (reads by route, availability skips, failovers, overload backoffs).
-	Metrics *metrics.Registry
-	// Tracer, when non-nil, head-samples a root span per Write/Read. The
-	// root spans the whole routed operation — overload backoffs, primary
-	// re-discovery and the retry all record under ONE trace ID — and the
-	// sessions fn borrows join it automatically.
-	Tracer *trace.Tracer
-	// partitioned marks this pool as serving partition partitionID of a
-	// partitioned fleet; only the Router sets it. Cluster announcements
-	// then carry members of EVERY partition; the pool folds in only
-	// members of its own — node IDs are unique per replication group, not
-	// fleet-wide, so membership is keyed (NodeID, PartitionID).
-	partitioned bool
-	partitionID uint32
-}
-
-// poolMetrics counts routing decisions; nil when no registry is given.
+// poolMetrics counts one group's routing decisions; nil when no registry
+// is given.
 type poolMetrics struct {
 	readsReplica, readsPrimary *metrics.Counter
 	readSkips                  *metrics.Counter
@@ -73,120 +43,47 @@ type poolMetrics struct {
 	overloadBackoffs           *metrics.Counter
 }
 
-func newPoolMetrics(reg *metrics.Registry) *poolMetrics {
+func newPoolMetrics(reg *metrics.Registry, part uint32) *poolMetrics {
+	p := metrics.L("partition", strconv.FormatUint(uint64(part), 10))
 	return &poolMetrics{
 		readsReplica: reg.Counter("neograph_pool_reads_total",
-			"pool reads by serving route", metrics.L("route", "replica")),
+			"pool reads by serving route", p, metrics.L("route", "replica")),
 		readsPrimary: reg.Counter("neograph_pool_reads_total",
-			"pool reads by serving route", metrics.L("route", "primary")),
+			"pool reads by serving route", p, metrics.L("route", "primary")),
 		readSkips: reg.Counter("neograph_pool_read_skips_total",
-			"read candidates skipped for availability errors"),
+			"read candidates skipped for availability errors", p),
 		writeFailovers: reg.Counter("neograph_pool_write_failovers_total",
-			"writes that triggered primary re-discovery"),
+			"writes that triggered primary re-discovery", p),
 		overloadBackoffs: reg.Counter("neograph_pool_overload_backoffs_total",
-			"write retries backed off on server overload"),
+			"write retries backed off on server overload", p),
 	}
 }
 
-// host is one server address with a bounded session free-list.
+// host is one server address of the group.
 type host struct {
 	addr string
-	free chan *Client
-	sem  chan struct{} // dial permits: len(sem) sessions exist
 	// applied is the last probed applied LSN (least-lag routing).
 	applied atomic.Uint64
-	// closed stops new dials and makes releases close instead of park —
-	// without it, a session in flight during Pool.Close would be parked
-	// back into the just-drained free-list and leak its connection.
-	closed atomic.Bool
 }
 
-func newHost(addr string, conns int) *host {
-	return &host{
-		addr: addr,
-		free: make(chan *Client, conns),
-		sem:  make(chan struct{}, conns),
-	}
-}
-
-// acquire returns a pooled session, dialing a new one when under the
-// per-host cap, else waiting for a release.
-func (h *host) acquire(ctx context.Context) (*Client, error) {
-	if h.closed.Load() {
-		return nil, errors.New("client: pool closed")
-	}
-	select {
-	case c := <-h.free:
-		return c, nil
-	default:
-	}
-	select {
-	case c := <-h.free:
-		return c, nil
-	case h.sem <- struct{}{}:
-		c, err := Dial(ctx, h.addr)
-		if err != nil {
-			<-h.sem
-			return nil, err
-		}
-		return c, nil
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-}
-
-// release returns a session to the free-list; broken sessions, sessions
-// abandoned mid-transaction (the next borrower would silently stage
-// writes into the leftover transaction) and any session released after
-// close are closed and their dial permit freed.
-func (h *host) release(c *Client) {
-	if c.Broken() || c.InTx() || h.closed.Load() {
-		c.Close()
-		<-h.sem
-		return
-	}
-	// A transaction the server aborted under the borrower is over on both
-	// sides; the next borrower owes it no acknowledgement.
-	c.endTx()
-	select {
-	case h.free <- c:
-	default: // cap shrank? should not happen; drop the session
-		c.Close()
-		<-h.sem
-	}
-	// A close may have raced the park above; re-drain so the session
-	// cannot sit in a free-list nobody will ever read again.
-	if h.closed.Load() {
-		h.closeAll()
-	}
-}
-
-// closeAll closes every idle session.
-func (h *host) closeAll() {
-	for {
-		select {
-		case c := <-h.free:
-			c.Close()
-			<-h.sem
-		default:
-			return
-		}
-	}
-}
-
-// Pool is a topology-aware client over a primary and its replica fleet.
-// Reads route to replicas (by Policy), writes to the primary. The pool
-// remembers the newest commit LSN per causality token and injects it as
-// the read-your-writes gate on reads carrying that token, so a session
-// always observes its own writes even from a lagging replica. When a
-// write fails because the primary died or was demoted, the pool probes
-// ReplStatus across every known address, re-discovers the (promoted)
-// primary and retries once.
+// Pool is a topology-aware client over one replication group — a primary
+// and its replica fleet; a Router holds one per partition. Reads route to
+// replicas (by Policy), writes to the primary. The pool remembers the
+// newest commit LSN per causality token and injects it as the
+// read-your-writes gate on reads carrying that token, so a session always
+// observes its own writes even from a lagging replica. When a write fails
+// because the primary died or was demoted, the pool probes ReplStatus
+// across every known address, re-discovers the (promoted) primary and
+// retries once.
 //
 // A Pool is safe for concurrent use.
 type Pool struct {
-	cfg PoolConfig
-	pm  *poolMetrics // nil without PoolConfig.Metrics
+	// part is the partition this group serves (0 on an unpartitioned
+	// fleet); mergeMembers adopts announced members of that partition only.
+	part     uint32
+	cfg      RouterConfig
+	pm       *poolMetrics // nil without RouterConfig.Metrics
+	sessions *Sessions
 
 	mu       sync.Mutex
 	primary  *host
@@ -201,21 +98,14 @@ type Pool struct {
 	probeDone chan struct{}
 }
 
-// OpenPool dials the fleet and verifies the configured primary actually
-// holds the primary (or standalone) role — if it does not, the pool
-// discovers the real primary among the configured addresses.
-func OpenPool(ctx context.Context, cfg PoolConfig) (*Pool, error) {
-	if cfg.Primary == "" {
-		return nil, errors.New("client: pool needs a primary address")
-	}
-	if cfg.ConnsPerHost <= 0 {
-		cfg.ConnsPerHost = 2
-	}
-	if cfg.ProbeEvery <= 0 {
-		cfg.ProbeEvery = 250 * time.Millisecond
-	}
+// openPool dials one group and verifies its first address actually holds
+// the primary (or standalone) role — if it does not, the pool discovers
+// the real primary among the group's addresses.
+func openPool(ctx context.Context, cfg RouterConfig, g wire.PartitionGroup) (*Pool, error) {
 	p := &Pool{
+		part:      g.ID,
 		cfg:       cfg,
+		sessions:  NewSessions(cfg.ConnsPerHost),
 		hosts:     make(map[string]*host),
 		members:   make(map[memberKey]string),
 		tokens:    make(map[string]uint64),
@@ -223,14 +113,13 @@ func OpenPool(ctx context.Context, cfg PoolConfig) (*Pool, error) {
 		probeDone: make(chan struct{}),
 	}
 	if cfg.Metrics != nil {
-		p.pm = newPoolMetrics(cfg.Metrics)
+		p.pm = newPoolMetrics(cfg.Metrics, g.ID)
 	}
-	p.primary = p.hostFor(cfg.Primary)
-	for _, addr := range cfg.Replicas {
-		if addr == cfg.Primary {
-			continue
+	p.primary = p.hostFor(g.Addrs[0])
+	for _, addr := range g.Addrs[1:] {
+		if addr != g.Addrs[0] {
+			p.replicas = append(p.replicas, p.hostFor(addr))
 		}
-		p.replicas = append(p.replicas, p.hostFor(addr))
 	}
 	// Discovery retries within the caller's context: a fleet that is
 	// still binding its listeners (rolling start, failover in progress)
@@ -251,7 +140,7 @@ func (p *Pool) hostFor(addr string) *host {
 	if h, ok := p.hosts[addr]; ok {
 		return h
 	}
-	h := newHost(addr, p.cfg.ConnsPerHost)
+	h := &host{addr: addr}
 	p.hosts[addr] = h
 	return h
 }
@@ -278,10 +167,7 @@ func (p *Pool) Close() error {
 	p.mu.Unlock()
 	close(p.probeStop)
 	<-p.probeDone
-	for _, h := range p.allHosts() {
-		h.closed.Store(true)
-		h.closeAll()
-	}
+	p.sessions.Close()
 	return nil
 }
 
@@ -307,11 +193,11 @@ func (p *Pool) FleetStatus(ctx context.Context) []HostStatus {
 	out := make([]HostStatus, 0, len(hosts))
 	for _, h := range hosts {
 		hs := HostStatus{Addr: h.addr}
-		if c, err := h.acquire(ctx); err != nil {
+		if c, err := p.sessions.Borrow(ctx, h.addr); err != nil {
 			hs.Err = err
 		} else {
 			hs.Status, hs.Err = c.ReplStatus(ctx)
-			h.release(c)
+			p.sessions.Return(c)
 		}
 		out = append(out, hs)
 	}
@@ -363,11 +249,11 @@ func (p *Pool) probeLoop() {
 // (and can find a post-failover primary among them). Nodes without a
 // controller answer repl_status instead.
 func (p *Pool) probe(ctx context.Context, h *host) (role string, err error) {
-	c, err := h.acquire(ctx)
+	c, err := p.sessions.Borrow(ctx, h.addr)
 	if err != nil {
 		return "", err
 	}
-	defer h.release(c)
+	defer p.sessions.Return(c)
 	var applied uint64
 	if ci, cerr := c.ClusterStatus(ctx); cerr == nil {
 		role, applied = ci.Role, ci.AppliedLSN
@@ -419,12 +305,12 @@ type memberKey struct {
 
 // mergeMembers folds a cluster_status announcement's membership into the
 // host set. New hosts join the probe rotation and are classified (and
-// added to the read rotation) by their own first probe. On a partitioned
-// fleet, members of other partitions are skipped (their groups have their
-// own pools), and a member re-announced under a known (NodeID,
-// PartitionID) pair at a different address is ignored until the original
-// address drops out — two partitions reusing a node ID must never
-// collapse into one host.
+// added to the read rotation) by their own first probe. An announcement
+// carries members of EVERY partition: those of other partitions are
+// skipped (their groups have their own pools), and a member re-announced
+// under a known (NodeID, PartitionID) pair at a different address is
+// ignored until the original address drops out — two partitions reusing a
+// node ID must never collapse into one host.
 func (p *Pool) mergeMembers(members []wire.ClusterMember) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -435,7 +321,7 @@ func (p *Pool) mergeMembers(members []wire.ClusterMember) {
 		if m.Addr == "" {
 			continue
 		}
-		if p.cfg.partitioned && m.PartitionID != p.cfg.partitionID {
+		if m.PartitionID != p.part {
 			continue
 		}
 		if m.NodeID != 0 {
@@ -531,7 +417,7 @@ func (p *Pool) Read(ctx context.Context, token string, fn func(c *Client) error)
 // behind) and another host should be tried; otherwise err is the read's
 // outcome.
 func (p *Pool) readOn(ctx context.Context, h *host, gate uint64, fn func(c *Client) error) (next bool, err error) {
-	c, err := h.acquire(ctx)
+	c, err := p.sessions.Borrow(ctx, h.addr)
 	if err != nil {
 		if p.pm != nil {
 			p.pm.readSkips.Inc()
@@ -544,7 +430,7 @@ func (p *Pool) readOn(ctx context.Context, h *host, gate uint64, fn func(c *Clie
 	c.span = nil
 	c.ReadAfter(0)
 	broken := c.Broken()
-	h.release(c)
+	p.sessions.Return(c)
 	if err == nil {
 		if p.pm != nil {
 			p.mu.Lock()
@@ -661,7 +547,7 @@ func (p *Pool) writeOnce(ctx context.Context, token string, fn func(c *Client) e
 	p.mu.Lock()
 	h := p.primary
 	p.mu.Unlock()
-	c, err := h.acquire(ctx)
+	c, err := p.sessions.Borrow(ctx, h.addr)
 	if err != nil {
 		return fmt.Errorf("client: pool write: %w", err)
 	}
@@ -675,7 +561,7 @@ func (p *Pool) writeOnce(ctx context.Context, token string, fn func(c *Client) e
 	if after := c.LastCommitLSN(); after > before {
 		p.noteLSN(token, after)
 	}
-	h.release(c)
+	p.sessions.Return(c)
 	return err
 }
 

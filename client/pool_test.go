@@ -48,19 +48,29 @@ func startFleet(t *testing.T) *poolFleet {
 	}
 }
 
-func (f *poolFleet) poolConfig(policy Policy) PoolConfig {
-	return PoolConfig{
-		Primary:    f.psrv.Addr(),
-		Replicas:   []string{f.r1srv.Addr(), f.r2srv.Addr()},
+func (f *poolFleet) poolConfig(policy Policy) RouterConfig {
+	return RouterConfig{
+		Partitions: Group(f.psrv.Addr(), f.r1srv.Addr(), f.r2srv.Addr()),
 		Policy:     policy,
 		ProbeEvery: 50 * time.Millisecond,
 	}
 }
 
+// openPool opens an unpartitioned fleet the one way there is — a one-group
+// router — and returns its only pool; closing the pool closes everything
+// the router holds.
+func openPool(ctx context.Context, cfg RouterConfig) (*Pool, error) {
+	r, err := OpenRouter(ctx, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return r.Pool(0), nil
+}
+
 func TestPoolRoutesReadsToReplicas(t *testing.T) {
 	f := startFleet(t)
 	ctx := context.Background()
-	p, err := OpenPool(ctx, f.poolConfig(RoundRobin))
+	p, err := openPool(ctx, f.poolConfig(RoundRobin))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +113,7 @@ func TestPoolRoutesReadsToReplicas(t *testing.T) {
 func TestPoolLeastLagPrefersFreshReplica(t *testing.T) {
 	f := startFleet(t)
 	ctx := context.Background()
-	p, err := OpenPool(ctx, f.poolConfig(LeastLag))
+	p, err := openPool(ctx, f.poolConfig(LeastLag))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +146,7 @@ func TestPoolReadsFallBackToPrimary(t *testing.T) {
 	// through to the primary instead of failing.
 	f.r1srv.Close()
 	f.r2srv.Close()
-	p, err := OpenPool(ctx, f.poolConfig(LeastLag))
+	p, err := openPool(ctx, f.poolConfig(LeastLag))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +181,7 @@ func TestPoolReadsFallBackToPrimary(t *testing.T) {
 func TestPoolFailover(t *testing.T) {
 	f := startFleet(t)
 	ctx := context.Background()
-	p, err := OpenPool(ctx, f.poolConfig(LeastLag))
+	p, err := openPool(ctx, f.poolConfig(LeastLag))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +280,7 @@ func TestPoolTokenNotCreditedWithStrangerWrites(t *testing.T) {
 	ctx := context.Background()
 	cfg := f.poolConfig(LeastLag)
 	cfg.ConnsPerHost = 1 // force session reuse across tokens
-	p, err := OpenPool(ctx, cfg)
+	p, err := openPool(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,14 +314,14 @@ func TestPoolDemotedHostRejoinsReads(t *testing.T) {
 	ctx := context.Background()
 	cfg := f.poolConfig(RoundRobin)
 	cfg.ProbeEvery = 30 * time.Millisecond
-	p, err := OpenPool(ctx, cfg)
+	p, err := openPool(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
 	// lone knows the primary and only the replica about to be promoted.
-	lone, err := OpenPool(ctx, PoolConfig{
-		Primary: f.psrv.Addr(), Replicas: []string{f.r1srv.Addr()}, ProbeEvery: cfg.ProbeEvery,
+	lone, err := openPool(ctx, RouterConfig{
+		Partitions: Group(f.psrv.Addr(), f.r1srv.Addr()), ProbeEvery: cfg.ProbeEvery,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -382,7 +392,7 @@ func TestPoolDemotedHostRejoinsReads(t *testing.T) {
 func TestPoolCloseReleasesInFlight(t *testing.T) {
 	f := startFleet(t)
 	ctx := context.Background()
-	p, err := OpenPool(ctx, f.poolConfig(LeastLag))
+	p, err := openPool(ctx, f.poolConfig(LeastLag))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,7 +434,7 @@ func TestPoolAbandonedTxNotRecycled(t *testing.T) {
 	ctx := context.Background()
 	cfg := f.poolConfig(LeastLag)
 	cfg.ConnsPerHost = 1 // force maximal session reuse
-	p, err := OpenPool(ctx, cfg)
+	p, err := openPool(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -474,7 +484,7 @@ func TestPoolAbandonedTxNotRecycled(t *testing.T) {
 func TestPoolWriteSurfacesErrNoPrimary(t *testing.T) {
 	f := startFleet(t)
 	ctx := context.Background()
-	p, err := OpenPool(ctx, f.poolConfig(LeastLag))
+	p, err := openPool(ctx, f.poolConfig(LeastLag))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -525,9 +535,8 @@ func TestPoolDiscoversPromotedPrimaryViaTopology(t *testing.T) {
 	t.Cleanup(func() { f.Close() })
 	primary, hidden, seeded := f.Groups[0][0], f.Groups[0][1], f.Groups[0][2]
 
-	p, err := OpenPool(ctx, PoolConfig{
-		Primary:    primary.Addr(),
-		Replicas:   []string{seeded.Addr()}, // the winner is NOT here
+	p, err := openPool(ctx, RouterConfig{
+		Partitions: Group(primary.Addr(), seeded.Addr()), // the winner is NOT here
 		Policy:     LeastLag,
 		ProbeEvery: 40 * time.Millisecond,
 	})
@@ -579,7 +588,7 @@ func TestPoolConcurrent(t *testing.T) {
 	ctx := context.Background()
 	cfg := f.poolConfig(RoundRobin)
 	cfg.ConnsPerHost = 4
-	p, err := OpenPool(ctx, cfg)
+	p, err := openPool(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -610,4 +619,48 @@ func TestPoolConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestPoolIgnoresOtherPartitionsMembers: a pool adopts announced members of
+// its own partition only. Partition 1's primary announces its replica as a
+// member of partition 1: the two-group router's pool for partition 1,
+// seeded with the primary alone, learns the replica; a one-group router
+// (partition 0, whatever it is pointed at) seeded the same way does not.
+func TestPoolIgnoresOtherPartitionsMembers(t *testing.T) {
+	ctx := context.Background()
+	probe := 40 * time.Millisecond
+	f, err := fleet.Start(fleet.Spec{
+		Partitions: 2, Replicas: 1,
+		DB:      neograph.Options{Dir: t.TempDir()},
+		Cluster: &cluster.Options{ProbeEvery: probe},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { f.Close() })
+	pm := f.PartitionMap()
+	pm.Groups[1].Addrs = pm.Groups[1].Addrs[:1]
+
+	two, err := OpenRouter(ctx, RouterConfig{Partitions: pm, ProbeEvery: probe})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer two.Close()
+	one, err := OpenRouter(ctx, RouterConfig{Partitions: Group(pm.Groups[1].Addrs[0]), ProbeEvery: probe})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer one.Close()
+
+	deadline := time.Now().Add(5 * time.Second)
+	for len(two.Pool(1).FleetStatus(ctx)) != 2 {
+		if time.Now().After(deadline) {
+			t.Fatal("partition 1's pool never learned its announced replica")
+		}
+		time.Sleep(probe)
+	}
+	// The one-group pool has probed the same node at the same period.
+	if hosts := one.Pool(0).FleetStatus(ctx); len(hosts) != 1 {
+		t.Fatalf("a one-group router adopted a member of partition 1: %+v", hosts)
+	}
 }

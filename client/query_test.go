@@ -300,7 +300,7 @@ func TestQueryKHopStableUnderWriters(t *testing.T) {
 func TestQueryPoolRoutesToReplica(t *testing.T) {
 	f := startFleet(t)
 	ctx := context.Background()
-	p, err := OpenPool(ctx, f.poolConfig(LeastLag))
+	p, err := openPool(ctx, f.poolConfig(LeastLag))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,9 +405,8 @@ func TestQueryPoolFailoverMidStream(t *testing.T) {
 	// shipping from the primary is a separate listener and unaffected).
 	ch1 := startChoke(t, f.r1srv.Addr(), 32<<10)
 	ch2 := startChoke(t, f.r2srv.Addr(), 32<<10)
-	p, err := OpenPool(ctx, PoolConfig{
-		Primary:    f.psrv.Addr(),
-		Replicas:   []string{ch1.Addr(), ch2.Addr()},
+	p, err := openPool(ctx, RouterConfig{
+		Partitions: Group(f.psrv.Addr(), ch1.Addr(), ch2.Addr()),
 		Policy:     LeastLag,
 		ProbeEvery: 50 * time.Millisecond,
 	})
@@ -460,7 +459,7 @@ func TestQueryPoolPrimaryFallback(t *testing.T) {
 	ctx := context.Background()
 	f.r1srv.Close()
 	f.r2srv.Close()
-	p, err := OpenPool(ctx, f.poolConfig(LeastLag))
+	p, err := openPool(ctx, f.poolConfig(LeastLag))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"neograph"
+	"neograph/internal/metrics"
 	"neograph/internal/trace"
 	"neograph/internal/wire"
 )
@@ -36,23 +37,41 @@ func (e *NoPartitionOwnerError) Unwrap() error { return e.Err }
 // Is makes errors.Is(err, ErrNoPartitionOwner) match.
 func (e *NoPartitionOwnerError) Is(target error) bool { return target == ErrNoPartitionOwner }
 
-// RouterConfig configures a Router.
+// RouterConfig configures a Router — everything there is to say about
+// opening a fleet.
 type RouterConfig struct {
 	// Partitions is the fleet map: every partition's replication group
 	// and its client addresses. The first address of each group seeds
 	// that group's primary discovery (any member works — the group pool
-	// discovers the real primary).
+	// discovers the real primary). An unpartitioned primary + replicas is
+	// the one-group map; see Group.
 	Partitions wire.PartitionMap
-	// Policy, ConnsPerHost, ProbeEvery and Tracer apply to every
-	// per-partition pool; see PoolConfig. (Pool routing metrics are
-	// per-group: register a registry on an individual pool's config via
-	// Pool(part) diagnostics instead of here — the per-pool counters
-	// share names and would collide in one registry.)
-	Policy       Policy
+	// Policy selects replica read routing; default LeastLag.
+	Policy Policy
+	// ConnsPerHost caps concurrent sessions per server; default 2.
 	ConnsPerHost int
-	ProbeEvery   time.Duration
-	// Tracer head-samples one root span per routed operation.
+	// ProbeEvery is the period of the background topology probe that
+	// refreshes per-replica applied positions (least-lag routing) and
+	// roles; default 250ms.
+	ProbeEvery time.Duration
+	// Tracer, when non-nil, head-samples a root span per Write/Read. The
+	// root spans the whole routed operation — overload backoffs, primary
+	// re-discovery and the retry all record under ONE trace ID — and the
+	// sessions fn borrows join it automatically.
 	Tracer *trace.Tracer
+	// Metrics, when non-nil, receives every group's routing counters
+	// (reads by route, availability skips, failovers, overload backoffs),
+	// each series labelled partition="<id>".
+	Metrics *metrics.Registry
+}
+
+// Group is the partition map of an unpartitioned fleet: one replication
+// group, partition 0, a primary and any number of replicas (reads fall
+// through to the primary when there are none).
+func Group(primary string, replicas ...string) wire.PartitionMap {
+	return wire.PartitionMap{Count: 1, Groups: []wire.PartitionGroup{
+		{ID: 0, Addrs: append([]string{primary}, replicas...)},
+	}}
 }
 
 // Router is a partition-aware client over a hash-partitioned fleet: one
@@ -60,7 +79,9 @@ type RouterConfig struct {
 // to the owning partition (writes to its primary, reads to its
 // least-lag replica); batches go to the partition owning most of their
 // anchored ops, whose server coordinates any cross-partition ops with
-// two-phase commit; scans fan out across every partition.
+// two-phase commit; scans fan out across every partition. Over a
+// one-group map everything hashes to partition 0 and Pool(0) is the whole
+// fleet.
 //
 // Causality tokens span partitions: a token's read-your-writes gate is
 // per-pool (LSNs are per-partition WALs), so reads through the Router
@@ -72,40 +93,42 @@ type Router struct {
 	rr    atomic.Uint32
 }
 
-// OpenRouter dials every partition's group and discovers each primary.
-// Groups are opened concurrently; one unreachable group fails the open
-// (a partitioned fleet with a dead partition cannot serve hash-routed
-// writes anyway).
+// OpenRouter dials every partition's group and discovers each primary —
+// the one way to open a fleet. The whole map is checked before the first
+// dial; groups are then opened concurrently, and one unreachable group
+// fails the open (a partitioned fleet with a dead partition cannot serve
+// hash-routed writes anyway).
 func OpenRouter(ctx context.Context, cfg RouterConfig) (*Router, error) {
 	n := cfg.Partitions.Count
 	if n < 1 || len(cfg.Partitions.Groups) != n {
 		return nil, fmt.Errorf("client: router needs a complete partition map (count=%d, groups=%d)",
 			n, len(cfg.Partitions.Groups))
 	}
+	seen := make([]bool, n)
+	for _, g := range cfg.Partitions.Groups {
+		if int(g.ID) >= n || seen[g.ID] || len(g.Addrs) == 0 || g.Addrs[0] == "" {
+			return nil, fmt.Errorf("client: bad partition group %d (ids must be 0..%d, each once, each with addresses)", g.ID, n-1)
+		}
+		seen[g.ID] = true
+	}
+	if cfg.ConnsPerHost <= 0 {
+		cfg.ConnsPerHost = 2
+	}
+	if cfg.ProbeEvery <= 0 {
+		cfg.ProbeEvery = 250 * time.Millisecond
+	}
 	r := &Router{pools: make([]*Pool, n)}
 	errs := make(chan error, n)
 	for _, g := range cfg.Partitions.Groups {
-		if int(g.ID) >= n || len(g.Addrs) == 0 {
-			return nil, fmt.Errorf("client: bad partition group %d (ids must be 0..%d, each with addresses)", g.ID, n-1)
-		}
-		go func(g wire.PartitionGroup) {
-			p, err := OpenPool(ctx, PoolConfig{
-				Primary:      g.Addrs[0],
-				Replicas:     g.Addrs[1:],
-				Policy:       cfg.Policy,
-				ConnsPerHost: cfg.ConnsPerHost,
-				ProbeEvery:   cfg.ProbeEvery,
-				Tracer:       cfg.Tracer,
-				partitioned:  true,
-				partitionID:  g.ID,
-			})
+		go func() {
+			p, err := openPool(ctx, cfg, g)
 			if err != nil {
 				errs <- fmt.Errorf("client: partition %d: %w", g.ID, err)
 				return
 			}
 			r.pools[g.ID] = p
 			errs <- nil
-		}(g)
+		}()
 	}
 	var firstErr error
 	for range cfg.Partitions.Groups {

@@ -3,11 +3,13 @@ package client_test
 import (
 	"context"
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
 	"neograph"
 	"neograph/internal/fleet"
+	"neograph/internal/wire"
 
 	. "neograph/client"
 )
@@ -275,5 +277,52 @@ func TestRouterNoPartitionOwner(t *testing.T) {
 		return e
 	}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestOpenRouterRejectsDuplicateGroup: a map that names partition 0 twice
+// and partition 1 never has the right number of groups; it must not open
+// (a write hashed to partition 1 would find no pool).
+func TestOpenRouterRejectsDuplicateGroup(t *testing.T) {
+	f := startPartitions(t, 2)
+	pm := f.PartitionMap()
+	pm.Groups[1].ID = 0
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	r, err := OpenRouter(ctx, RouterConfig{Partitions: pm})
+	if err == nil {
+		defer r.Close()
+		err = r.Write(ctx, "", 1, func(*Client) error { return nil })
+		t.Fatalf("a map naming partition 0 twice opened (write to partition 1: %v)", err)
+	}
+}
+
+// TestOpenRouterRejectedOpenLeaksNothing: a map whose SECOND group is bad
+// is refused before the first — live — group is dialled: no session and no
+// probe goroutine outlives the refusal.
+func TestOpenRouterRejectedOpenLeaksNothing(t *testing.T) {
+	f := startPartitions(t, 2)
+	for name, spoil := range map[string]func(g *wire.PartitionGroup){
+		"out of range": func(g *wire.PartitionGroup) { g.ID = 5 },
+		"no addresses": func(g *wire.PartitionGroup) { g.Addrs = nil },
+	} {
+		t.Run(name, func(t *testing.T) {
+			pm := f.PartitionMap()
+			spoil(&pm.Groups[1])
+			baseline := runtime.NumGoroutine()
+			if r, err := OpenRouter(context.Background(), RouterConfig{Partitions: pm}); err == nil {
+				r.Close()
+				t.Fatal("a bad second group opened")
+			}
+			// In-process servers: a leaked connection is a handler goroutine
+			// here too, beside the leaked pool's probe loop.
+			deadline := time.Now().Add(2 * time.Second)
+			for runtime.NumGoroutine() > baseline {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d goroutines after a rejected open, %d before it", runtime.NumGoroutine(), baseline)
+				}
+				time.Sleep(20 * time.Millisecond)
+			}
+		})
 	}
 }

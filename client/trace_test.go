@@ -141,7 +141,7 @@ func TestPoolOverloadRetrySingleTrace(t *testing.T) {
 	srv := startTightServer(t)
 	ctx := context.Background()
 	tracer := trace.New(1, 0)
-	p, err := OpenPool(ctx, PoolConfig{Primary: srv.Addr(), Tracer: tracer})
+	p, err := openPool(ctx, RouterConfig{Partitions: Group(srv.Addr()), Tracer: tracer})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestPoolFailoverSingleTrace(t *testing.T) {
 	tracer := trace.New(1, 0)
 	cfg := f.poolConfig(LeastLag)
 	cfg.Tracer = tracer
-	p, err := OpenPool(ctx, cfg)
+	p, err := openPool(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,10 +64,9 @@ func (c *Client) Begin(ctx context.Context, isolation string) error {
 // Commit commits the open transaction, sending whatever is still deferred
 // and the commit as one frame — none at all when there is nothing to
 // commit. The transaction is finished afterwards, win or lose, unless the
-// server shed the frame without running it (ErrOverloaded): then InTx still
-// holds and Commit or Abort can be called again. Any other refusal that
-// names no sub-op (a spent deadline, a gate) leaves a transaction the server
-// already holds open too; one whose every call was still deferred is over.
+// server refused the frame without running it — it names no sub-op:
+// ErrOverloaded, a spent deadline, a gate — then InTx still holds and Commit
+// or Abort can be called again.
 func (c *Client) Commit(ctx context.Context) error {
 	if c.tx.aborted {
 		c.endTx() // the caller's own end of it, like Abort — but say it did not commit
@@ -155,7 +154,7 @@ func (c *Client) room(ctx context.Context, n int) error {
 // flush is the one place a transaction reaches the server. It sends the
 // begin (unless the server has run it), the deferred calls, tail — the ops
 // of the call that needs an answer — and, with commit, the commit, as ONE
-// batch frame: admission admits or sheds it whole, and the server aborts
+// batch frame: admission admits or sheds it entire, and the server aborts
 // the transaction at its first failing sub-op, so no part of it can take
 // effect without the rest. Outside a transaction the frame is tail alone,
 // auto-committed. It returns the batch's response and where tail's results
@@ -166,7 +165,7 @@ func (c *Client) room(ctx context.Context, n int) error {
 //     deferred call's failure is a *BatchError counting the deferred calls
 //     since the last flush; any other op's is its own error, and
 //     Response.FailedOp-at indexes tail.
-//   - the server answers without naming one: it refused the frame whole
+//   - the server answers without naming one: it refused the entire frame
 //     and ran nothing; the transaction and the queue are as they were.
 //   - the connection broke: the transaction died with the session.
 func (c *Client) flush(ctx context.Context, tail []wire.Request, commit bool) (resp *wire.Response, at int, err error) {
@@ -181,14 +180,10 @@ func (c *Client) flush(ctx context.Context, tail []wire.Request, commit bool) (r
 	if err := c.room(ctx, len(tail)); err != nil {
 		return nil, 0, err
 	}
-	// A snapshot transaction whose every call was deferred has no read to
-	// protect: it goes out as a plain auto-committed batch, which — unlike
-	// one with a begin and a commit in it — may span partitions.
-	whole := commit && !t.begun && t.iso != "rc"
 	ops, first := tail, 0
 	if t.open {
 		ops = make([]wire.Request, 0, len(t.queue)+len(tail)+2)
-		if !t.begun && !whole {
+		if !t.begun {
 			ops = append(ops, wire.Request{Op: wire.OpBegin, Isolation: t.iso})
 			first = 1
 		}
@@ -197,14 +192,14 @@ func (c *Client) flush(ctx context.Context, tail []wire.Request, commit bool) (r
 		for i := range tail {
 			ops = append(ops, shiftRefs(tail[i], at))
 		}
-		if commit && !whole {
+		if commit {
 			ops = append(ops, wire.Request{Op: wire.OpCommit})
 		}
 	}
 	if len(ops) == 0 {
 		return nil, 0, nil
 	}
-	if (first == 1 || commit && !whole) && c.proto != 0 && c.proto < 3 {
+	if (first == 1 || commit) && c.proto != 0 && c.proto < 3 {
 		return nil, 0, fmt.Errorf("client: the server speaks wire generation %d: an explicit transaction needs 3 (its begin and commit travel inside a batch)", c.proto)
 	}
 	resp, err = c.Do(ctx, &wire.Request{Op: wire.OpBatch, Batch: ops})
@@ -227,12 +222,6 @@ func (c *Client) flush(ctx context.Context, tail []wire.Request, commit bool) (r
 		}
 		return nil, 0, err
 	case resp.FailedOp == nil:
-		// An auto-committed batch answers a commit-time conflict the same
-		// way; the server holds nothing of it either way, so only a shed
-		// frame — which promises it had no effect — is worth keeping.
-		if whole && !errors.Is(err, ErrOverloaded) {
-			c.endTx()
-		}
 		return resp, at, err
 	}
 	if i := *resp.FailedOp - first; i >= 0 && i < len(t.queue) {

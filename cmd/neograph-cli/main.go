@@ -125,18 +125,18 @@ func main() {
 			fmt.Fprintf(os.Stderr, "bad -read-policy %q (want least-lag or round-robin)\n", *policy)
 			os.Exit(2)
 		}
-		pool, err := client.OpenPool(ctx, client.PoolConfig{
-			Primary: *addr, Replicas: reps, Policy: pol,
+		router, err := client.OpenRouter(ctx, client.RouterConfig{
+			Partitions: client.Group(*addr, reps...), Policy: pol,
 		})
 		cancel()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "connect: %v\n", err)
 			os.Exit(1)
 		}
-		defer pool.Close()
-		sh.pool = pool
+		defer router.Close()
+		sh.pool = router.Pool(0)
 		fmt.Printf("pooled fleet: primary %s + %d replica(s); type 'help' for commands\n",
-			pool.PrimaryAddr(), len(reps))
+			sh.pool.PrimaryAddr(), len(reps))
 	} else {
 		cl, err := client.Dial(ctx, *addr)
 		if err == nil {

@@ -37,6 +37,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"log/slog"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
@@ -51,7 +52,6 @@ import (
 	"neograph/internal/metrics"
 	"neograph/internal/partition"
 	"neograph/internal/server"
-	"neograph/internal/slog"
 	"neograph/internal/trace"
 )
 
@@ -97,11 +97,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, format+"\n", args...)
 		os.Exit(2)
 	}
-	lvl, err := slog.ParseLevel(*logLevel)
-	if err != nil {
-		usage("%v", err)
+	var lvl slog.LevelVar
+	if err := lvl.UnmarshalText([]byte(*logLevel)); err != nil {
+		usage("-log-level: %v", err)
 	}
-	logger := slog.New(os.Stderr, lvl)
+	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: &lvl}))
 
 	// One tracer and one registry back every layer and every /metrics
 	// and /debug/traces mount: requests arriving with a client-minted

@@ -32,13 +32,13 @@ func main() {
 		primary.Addr(), replicas[0].Addr(), replicas[1].Addr())
 
 	// ---- a topology-aware pool over the fleet.
-	pool, err := client.OpenPool(ctx, client.PoolConfig{
-		Primary:  primary.Addr(),
-		Replicas: []string{replicas[0].Addr(), replicas[1].Addr()},
-		Policy:   client.LeastLag,
+	router, err := client.OpenRouter(ctx, client.RouterConfig{
+		Partitions: client.Group(primary.Addr(), replicas[0].Addr(), replicas[1].Addr()),
+		Policy:     client.LeastLag,
 	})
 	check(err)
-	defer pool.Close()
+	defer router.Close()
+	pool := router.Pool(0) // one group: its pool is the whole fleet
 
 	// ---- build a small social graph in ONE round trip per batch.
 	const user = "alice" // the causality token for this session

@@ -146,16 +146,16 @@ func runE12(p Params) ([]E12Row, error) {
 			return nil, fmt.Errorf("e12 replica %d catch-up: %w", i, err)
 		}
 	}
-	pool, err := client.OpenPool(ctx, client.PoolConfig{
-		Primary:      primary.Addr(),
-		Replicas:     []string{replicas[0].Addr(), replicas[1].Addr()},
+	router, err := client.OpenRouter(ctx, client.RouterConfig{
+		Partitions:   client.Group(primary.Addr(), replicas[0].Addr(), replicas[1].Addr()),
 		Policy:       client.LeastLag,
 		ConnsPerHost: e12Clients,
 	})
 	if err != nil {
 		return nil, err
 	}
-	defer pool.Close()
+	defer router.Close()
+	pool := router.Pool(0)
 	pooled := func(stop <-chan struct{}, cl int) (uint64, error) {
 		r := rand.New(rand.NewSource(p.Seed + int64(cl)*31337))
 		var ops uint64

@@ -37,8 +37,10 @@
 package cluster
 
 import (
+	"cmp"
 	"context"
 	"errors"
+	"log/slog"
 	"math/rand"
 	"sync"
 	"time"
@@ -46,7 +48,6 @@ import (
 	"neograph"
 	"neograph/client"
 	"neograph/internal/metrics"
-	"neograph/internal/slog"
 	"neograph/internal/trace"
 	"neograph/internal/wire"
 )
@@ -117,8 +118,8 @@ type Controller struct {
 	reseeding        bool
 	peerInfo         map[string]wire.ClusterInfo // last successful probe per peer
 
-	cliMu   sync.Mutex
-	clients map[string]*client.Client
+	// sessions holds one session per peer; a tick probes each peer once.
+	sessions *client.Sessions
 
 	stopOnce sync.Once
 	stop     chan struct{}
@@ -148,10 +149,10 @@ func New(db *neograph.DB, opts Options) (*Controller, error) {
 	c := &Controller{
 		db:       db,
 		opts:     opts,
-		log:      opts.Logger.With("component", "cluster", "node", opts.NodeID),
+		log:      cmp.Or(opts.Logger, slog.New(slog.DiscardHandler)).With("component", "cluster", "node", opts.NodeID),
 		tracer:   opts.Tracer,
 		peerInfo: make(map[string]wire.ClusterInfo),
-		clients:  make(map[string]*client.Client),
+		sessions: client.NewSessions(1),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
@@ -188,12 +189,7 @@ func (c *Controller) Start() {
 func (c *Controller) Stop() {
 	c.stopOnce.Do(func() { close(c.stop) })
 	<-c.done
-	c.cliMu.Lock()
-	for addr, cl := range c.clients {
-		cl.Close()
-		delete(c.clients, addr)
-	}
-	c.cliMu.Unlock()
+	c.sessions.Close()
 }
 
 func (c *Controller) loop() {
@@ -502,23 +498,22 @@ func (c *Controller) probePeers() map[string]wire.ClusterInfo {
 func (c *Controller) probePeer(addr string) (wire.ClusterInfo, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), c.opts.ProbeTimeout)
 	defer cancel()
-	cl, err := c.peerClient(ctx, addr)
+	cl, err := c.sessions.Borrow(ctx, addr)
 	if err != nil {
 		return wire.ClusterInfo{}, err
 	}
+	defer c.sessions.Return(cl) // closes a session the probe broke
 	ci, err := cl.ClusterStatus(ctx)
 	if err == nil {
 		return ci, nil
 	}
 	if cl.Broken() {
-		c.dropClient(addr, cl)
 		return wire.ClusterInfo{}, err
 	}
 	// The node answered but has no controller: synthesize the fields an
 	// election needs from its replication status.
 	st, rerr := cl.ReplStatus(ctx)
 	if rerr != nil {
-		c.dropClient(addr, cl)
 		return wire.ClusterInfo{}, rerr
 	}
 	ci = wire.ClusterInfo{
@@ -535,32 +530,6 @@ func (c *Controller) probePeer(addr string) (wire.ClusterInfo, error) {
 		ci.ReplAddr = st.ReplicationAddr
 	}
 	return ci, nil
-}
-
-func (c *Controller) peerClient(ctx context.Context, addr string) (*client.Client, error) {
-	c.cliMu.Lock()
-	cl := c.clients[addr]
-	c.cliMu.Unlock()
-	if cl != nil {
-		return cl, nil
-	}
-	cl, err := client.Dial(ctx, addr)
-	if err != nil {
-		return nil, err
-	}
-	c.cliMu.Lock()
-	c.clients[addr] = cl
-	c.cliMu.Unlock()
-	return cl, nil
-}
-
-func (c *Controller) dropClient(addr string, cl *client.Client) {
-	cl.Close()
-	c.cliMu.Lock()
-	if c.clients[addr] == cl {
-		delete(c.clients, addr)
-	}
-	c.cliMu.Unlock()
 }
 
 // --- status ------------------------------------------------------------

@@ -63,39 +63,7 @@ func (t *Tx) lockEndpoint(node ids.ID) error {
 // Both endpoint nodes must be visible in this transaction's snapshot; both
 // are write-locked (as in Neo4j) to serialise chain updates.
 func (t *Tx) CreateRel(relType string, start, end ids.ID, props value.Map) (ids.ID, error) {
-	if err := t.check(); err != nil {
-		return 0, err
-	}
-	if relType == "" {
-		return 0, fmt.Errorf("core: relationship type must not be empty")
-	}
-	if _, ok, err := t.visibleNode(start); err != nil {
-		return 0, err
-	} else if !ok {
-		return 0, fmt.Errorf("%w: start node %d", ErrNotFound, start)
-	}
-	if _, ok, err := t.visibleNode(end); err != nil {
-		return 0, err
-	} else if !ok {
-		return 0, fmt.Errorf("%w: end node %d", ErrNotFound, end)
-	}
-	if err := t.lockEndpoint(start); err != nil {
-		return 0, err
-	}
-	if end != start {
-		if err := t.lockEndpoint(end); err != nil {
-			return 0, err
-		}
-	}
-	id := t.e.allocRelID()
-	k := entKey{lock.KindRel, id}
-	t.writes[k] = &writeEntry{
-		key:     k,
-		created: true,
-		rel:     &RelState{Type: relType, Start: start, End: end, Props: value.Pack(props)},
-	}
-	t.order = append(t.order, k)
-	return id, nil
+	return t.createRel(relType, start, end, props, false)
 }
 
 // CreateRelCrossPartition creates a relationship whose endpoints may
@@ -106,26 +74,35 @@ func (t *Tx) CreateRel(relType string, start, end ids.ID, props value.Map) (ids.
 // prepare path. The edge itself is stored on this (the source ID's
 // owning) partition.
 func (t *Tx) CreateRelCrossPartition(relType string, start, end ids.ID, props value.Map) (ids.ID, error) {
+	return t.createRel(relType, start, end, props, true)
+}
+
+// createRel is both of the above; ownedOnly skips the endpoints this
+// partition does not own.
+func (t *Tx) createRel(relType string, start, end ids.ID, props value.Map, ownedOnly bool) (ids.ID, error) {
 	if err := t.check(); err != nil {
 		return 0, err
 	}
 	if relType == "" {
 		return 0, fmt.Errorf("core: relationship type must not be empty")
 	}
-	for _, n := range []ids.ID{start, end} {
-		if !t.e.OwnsID(n) {
-			continue
-		}
+	ends := []ids.ID{start, end}
+	if end == start {
+		ends = ends[:1]
+	}
+	if ownedOnly {
+		ends = slices.DeleteFunc(ends, func(n ids.ID) bool { return !t.e.OwnsID(n) })
+	}
+	for _, n := range ends {
 		if _, ok, err := t.visibleNode(n); err != nil {
 			return 0, err
 		} else if !ok {
-			return 0, fmt.Errorf("%w: node %d", ErrNotFound, n)
+			return 0, fmt.Errorf("%w: endpoint node %d", ErrNotFound, n)
 		}
+	}
+	for _, n := range ends {
 		if err := t.lockEndpoint(n); err != nil {
 			return 0, err
-		}
-		if end == start {
-			break
 		}
 	}
 	id := t.e.allocRelID()

@@ -9,8 +9,10 @@
 package fleet
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net"
 	"os"
 	"path/filepath"
@@ -120,7 +122,7 @@ func serve(cfg Config) (*Node, error) {
 // names — the partition coordinator (seeded from the applied LSN) into the
 // server, then the cluster controller and its cluster_status hook.
 func (n *Node) join() error {
-	cfg, logger := n.Config, n.Config.DB.Logger
+	cfg, logger := n.Config, cmp.Or(n.Config.DB.Logger, slog.New(slog.DiscardHandler))
 	if pm := cfg.Partitions; pm != nil && pm.Count > 1 {
 		part := uint32(cfg.DB.PartitionID)
 		n.Topo = partition.NewTopology(*pm)

@@ -1,16 +1,17 @@
 package partition
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"neograph/client"
 	"neograph/internal/core"
-	"neograph/internal/slog"
 	"neograph/internal/wire"
 )
 
@@ -62,8 +63,9 @@ type Coordinator struct {
 	// primaries caches each partition's last known good address.
 	primaries sync.Map // uint32 -> string
 
-	peerMu sync.Mutex
-	peers  map[string]*peer
+	// sessions holds one session per address: the 2PC control ops are
+	// stateless request/response pairs, so one serialised session is enough.
+	sessions *client.Sessions
 
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -77,9 +79,9 @@ func NewCoordinator(self uint32, topo *Topology, local Local, seqBase uint64, lo
 		self:     self,
 		topo:     topo,
 		local:    local,
-		log:      logger,
+		log:      cmp.Or(logger, slog.New(slog.DiscardHandler)),
 		inflight: make(map[uint64]struct{}),
-		peers:    make(map[string]*peer),
+		sessions: client.NewSessions(1),
 		stop:     make(chan struct{}),
 	}
 	c.seq.Store(seqBase)
@@ -105,7 +107,9 @@ func (c *Coordinator) Start() {
 	}()
 }
 
-// Close stops the background loops and drops cached sessions.
+// Close stops the background loops and closes the sessions: a closed
+// coordinator reaches no participant — a coordination still in flight
+// aborts, or leaves its logged decision to the next start's repusher.
 func (c *Coordinator) Close() {
 	select {
 	case <-c.stop:
@@ -113,13 +117,7 @@ func (c *Coordinator) Close() {
 		close(c.stop)
 	}
 	c.wg.Wait()
-	c.peerMu.Lock()
-	for _, p := range c.peers {
-		p.mu.Lock()
-		p.drop()
-		p.mu.Unlock()
-	}
-	c.peerMu.Unlock()
+	c.sessions.Close()
 }
 
 // mint issues a cluster-unique global transaction ID.
@@ -386,7 +384,7 @@ func (c *Coordinator) rpc(part uint32, req *wire.Request, deadline time.Time) (*
 	}
 	var lastErr error
 	for _, addr := range addrs {
-		resp, err := c.peer(addr).do(req, deadline)
+		resp, err := c.do(addr, req, deadline)
 		if resp == nil || errors.Is(err, core.ErrReadOnlyReplica) {
 			lastErr = fmt.Errorf("%s: %w", addr, err)
 			continue
@@ -397,57 +395,27 @@ func (c *Coordinator) rpc(part uint32, req *wire.Request, deadline time.Time) (*
 	return nil, lastErr
 }
 
-// peer is the coordinator's one cached SDK session to an address,
-// serialized by its mutex: the 2PC control ops are stateless
-// request/response pairs, so a single session per address is enough.
-type peer struct {
-	addr string
-	mu   sync.Mutex
-	cl   *client.Client // nil until dialled, and again after a broken session
-}
-
-func (c *Coordinator) peer(addr string) *peer {
-	c.peerMu.Lock()
-	defer c.peerMu.Unlock()
-	p := c.peers[addr]
-	if p == nil {
-		p = &peer{addr: addr}
-		c.peers[addr] = p
-	}
-	return p
-}
-
-// drop closes the cached session; the caller holds p.mu.
-func (p *peer) drop() {
-	if p.cl != nil {
-		p.cl.Close()
-		p.cl = nil
-	}
-}
-
-// do sends req on the cached session, dialling it first if needed, within
-// deadline (zero: rpcTimeout from now). A session that broke under the
-// call — a cached one gone stale because the server restarted — gets one
-// redial.
-func (p *peer) do(req *wire.Request, deadline time.Time) (resp *wire.Response, err error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+// do sends req on the cached session to addr, within deadline (zero:
+// rpcTimeout from now). A session that broke under the call — a cached one
+// gone stale because the server restarted — gets one redial.
+func (c *Coordinator) do(addr string, req *wire.Request, deadline time.Time) (resp *wire.Response, err error) {
 	if deadline.IsZero() {
 		deadline = time.Now().Add(rpcTimeout)
 	}
 	ctx, cancel := context.WithDeadline(context.Background(), deadline)
 	defer cancel()
 	for attempt := 0; attempt < 2; attempt++ {
-		if p.cl == nil {
-			if p.cl, err = client.Dial(ctx, p.addr); err != nil {
-				return nil, err
-			}
+		var cl *client.Client
+		if cl, err = c.sessions.Borrow(ctx, addr); err != nil {
+			return nil, err
 		}
 		r := *req // the session stamps seq, deadline and trace into what it sends
-		if resp, err = p.cl.Do(ctx, &r); !p.cl.Broken() {
+		resp, err = cl.Do(ctx, &r)
+		broken := cl.Broken()
+		c.sessions.Return(cl)
+		if !broken {
 			return resp, err
 		}
-		p.drop()
 	}
 	return nil, err
 }

@@ -201,7 +201,10 @@ func topoOrder(parts []uint32, deps map[uint32]map[uint32]bool) ([]uint32, error
 // partition — i.e. needs coordinated commit rather than the local
 // single-partition fast path on partition self of count. Back references
 // stay within whatever partition their target landed on; only explicit
-// IDs can point off-partition.
+// IDs can point off-partition. A single-partition batch is deliberately
+// not the one-participant case of planBatch: it would log a P and a D
+// where the local commit logs one C (disk_bytes_per_write), and a prepare
+// runs in a transaction of its own, never inside a session's open one.
 func CrossPartition(batch []wire.Request, self uint32, count int) bool {
 	if count <= 1 {
 		return false

@@ -3,9 +3,11 @@ package repl
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"log/slog"
 	"math/rand"
 	"net"
 	"sync"
@@ -13,7 +15,6 @@ import (
 	"time"
 
 	"neograph/internal/core"
-	"neograph/internal/slog"
 )
 
 // ApplierOptions tune the replica side.
@@ -134,7 +135,7 @@ func NewApplier(e *core.Engine, primaryAddr string, opts ApplierOptions) (*Appli
 		opts.SyncEvery = 200 * time.Millisecond
 	}
 	a := &Applier{e: e, primary: primaryAddr, opts: opts, stop: make(chan struct{})}
-	a.log = opts.Logger.With("component", "repl.applier", "primary", primaryAddr)
+	a.log = cmp.Or(opts.Logger, slog.New(slog.DiscardHandler)).With("component", "repl.applier", "primary", primaryAddr)
 	for a.id == 0 {
 		a.id = rand.Uint64()
 	}

@@ -2,9 +2,11 @@ package repl
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"io"
+	"log/slog"
 	"net"
 	"os"
 	"path"
@@ -14,7 +16,6 @@ import (
 
 	"neograph/internal/core"
 	"neograph/internal/faultfs"
-	"neograph/internal/slog"
 )
 
 // reseedTmpDir is the staging directory a joiner downloads the snapshot
@@ -140,7 +141,7 @@ func FetchSnapshot(dir string, fsys faultfs.FS, primaryAddr string, opts FetchOp
 		opts.ReadTimeout = 30 * time.Second
 	}
 	fsys = faultfs.OrOS(fsys)
-	log := opts.Logger.With("component", "repl.reseed", "primary", primaryAddr)
+	log := cmp.Or(opts.Logger, slog.New(slog.DiscardHandler)).With("component", "repl.reseed", "primary", primaryAddr)
 	started := time.Now()
 
 	tmp := filepath.Join(dir, reseedTmpDir)

@@ -2,16 +2,17 @@ package repl
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"neograph/internal/core"
-	"neograph/internal/slog"
 	"neograph/internal/wal"
 )
 
@@ -127,7 +128,7 @@ func NewShipper(e *core.Engine, addr string, opts ShipperOptions) (*Shipper, err
 		e:            e,
 		ln:           ln,
 		opts:         opts,
-		log:          opts.Logger.With("component", "repl.shipper"),
+		log:          cmp.Or(opts.Logger, slog.New(slog.DiscardHandler)).With("component", "repl.shipper"),
 		conns:        make(map[*shipConn]struct{}),
 		reseedFloors: make(map[uint64]time.Time),
 		stop:         make(chan struct{}),

@@ -16,14 +16,15 @@ import (
 
 	"neograph"
 	"neograph/internal/fleet"
+	"neograph/internal/partition"
 	"neograph/internal/wire"
 )
 
 // crashFleet is a 2-partition fleet whose nodes can crash (WAL kept,
 // caches dropped) and reopen on fresh ports, with every coordinator
 // adopting the re-versioned topology. The coordinators' background
-// recovery loops are halted — the matrix drives recovery passes
-// explicitly so every interleaving is deterministic.
+// recovery loops never run (see idleCoordinator) — the matrix drives
+// recovery passes explicitly so every interleaving is deterministic.
 type crashFleet struct {
 	t       *testing.T
 	nodes   []*fleet.Node
@@ -38,7 +39,7 @@ func startCrashFleet(t *testing.T) *crashFleet {
 	}
 	f := &crashFleet{t: t, version: fl.PartitionMap().Version}
 	for _, g := range fl.Groups {
-		g[0].Coord.Close() // stops the loops; explicit passes still work
+		idleCoordinator(g[0])
 		f.nodes = append(f.nodes, g[0])
 	}
 	t.Cleanup(func() {
@@ -48,6 +49,16 @@ func startCrashFleet(t *testing.T) *crashFleet {
 		fl.Close()
 	})
 	return f
+}
+
+// idleCoordinator replaces n's coordinator with one that was never
+// started: same topology, no background passes. (A closed coordinator has
+// closed its sessions and reaches nobody.)
+func idleCoordinator(n *fleet.Node) {
+	n.Coord.Close()
+	part := uint32(n.Config.DB.PartitionID)
+	n.Coord = partition.NewCoordinator(part, n.Topo, n.Srv.Local(), n.DB.AppliedLSN(), nil)
+	n.Srv.SetPartition(n.Coord, part, n.Topo.Count())
 }
 
 // crash kills partition part the hard way: coordinator and server torn
@@ -72,7 +83,7 @@ func (f *crashFleet) reopen(part int) {
 	if err != nil {
 		f.t.Fatalf("reopen partition %d: %v", part, err)
 	}
-	n.Coord.Close()
+	idleCoordinator(n)
 	f.nodes[part] = n
 	f.version++
 	pm := wire.PartitionMap{Version: f.version, Count: len(f.nodes)}

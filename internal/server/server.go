@@ -7,9 +7,11 @@
 package server
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -19,7 +21,6 @@ import (
 	"neograph/internal/metrics"
 	"neograph/internal/partition"
 	"neograph/internal/repl"
-	"neograph/internal/slog"
 	"neograph/internal/trace"
 	"neograph/internal/wire"
 )
@@ -97,7 +98,6 @@ type Server struct {
 
 	sm     *serverMetrics // nil when Config.Metrics is nil
 	tracer *trace.Tracer  // nil disables server-side spans
-	log    *slog.Logger   // nil is silent
 
 	// draining is read on every request's hot path; atomic so sessions
 	// never contend on the server-wide mutex just to poll shutdown.
@@ -160,16 +160,15 @@ func NewWithConfig(db *neograph.DB, addr string, cfg Config) (*Server, error) {
 		maxInflight:    int64(cfg.MaxInflight),
 		maxQueuedBytes: cfg.MaxQueuedBytes,
 		tracer:         cfg.Tracer,
-		log:            cfg.Logger,
 	}
 	if cfg.Metrics != nil {
 		s.sm = newServerMetrics(cfg.Metrics, s)
 	}
 	if cfg.Tracer != nil && cfg.SlowOp > 0 {
-		slowLog := cfg.Logger
+		slowLog := cmp.Or(cfg.Logger, slog.New(slog.DiscardHandler))
 		cfg.Tracer.SetSlowOp(cfg.SlowOp, func(tr trace.TraceRecord, root trace.SpanRecord) {
 			tree, _ := json.Marshal(tr.Spans)
-			slowLog.WithTrace(tr.TraceID).Warn("slow op",
+			slowLog.Warn("slow op", "trace", tr.TraceID,
 				"op", root.Name,
 				"dur", time.Duration(root.DurUS)*time.Microsecond,
 				"spans", string(tree))

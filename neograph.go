@@ -36,8 +36,10 @@
 package neograph
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"log/slog"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -46,7 +48,6 @@ import (
 	"neograph/internal/core"
 	"neograph/internal/faultfs"
 	"neograph/internal/repl"
-	"neograph/internal/slog"
 	"neograph/internal/trace"
 )
 
@@ -279,6 +280,7 @@ func openEngine(opts Options, replica bool) (*core.Engine, error) {
 
 // Open opens (creating or recovering as needed) a database.
 func Open(opts Options) (*DB, error) {
+	opts.Logger = cmp.Or(opts.Logger, slog.New(slog.DiscardHandler))
 	if opts.ReplicaOf != "" && opts.ReplicationAddr != "" {
 		return nil, errors.New("neograph: cascading replication (ReplicaOf + ReplicationAddr) is not supported")
 	}
