@@ -55,8 +55,10 @@ mem:
 
 ## logbytes: what a commit of each of the benchmark's write shapes costs
 ## the log, the replication stream and every replica's log, in bytes
-## (TestCommitRecordBudget holds the same numbers to a budget in tier-1);
-## the benchmark's rows land in commit-record-bytes.json as test2json lines
+## (TestCommitRecordBudget holds the same numbers to a budget in tier-1),
+## and what 200 of them then cost the store, in pages their checkpoint
+## writes; the benchmark's rows land in commit-record-bytes.json as
+## test2json lines
 logbytes:
 	$(GO) test -run '^$$' -bench CommitRecordBytes -benchtime 1x -json . > commit-record-bytes.json
 	@grep 'B/commit' commit-record-bytes.json

@@ -570,9 +570,11 @@ func stageTransfer(tx *neograph.Tx, g *workload.SocialGraph, ledger neograph.Nod
 }
 
 // commitRecordBytes commits n transactions of each shape and returns the
-// log bytes per commit: the record and its frame, which is also what the
-// replication stream carries and every replica logs again.
-func commitRecordBytes(tb testing.TB, n int) map[string]float64 {
+// log bytes per commit — the record and its frame, which is also what the
+// replication stream carries and every replica logs again — and what the
+// n commits then cost the store: the pages their checkpoint writes back,
+// over the four record files (each is written twice, journal.go).
+func commitRecordBytes(tb testing.TB, n int) (bytes, pages map[string]float64) {
 	tb.Helper()
 	db, err := neograph.Open(neograph.Options{Dir: tb.TempDir(), DisableSyncCommits: true})
 	if err != nil {
@@ -592,8 +594,18 @@ func commitRecordBytes(tb testing.TB, n int) map[string]float64 {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	out := make(map[string]float64, len(commitShapes))
-	i := 1 // runs on across the shapes: no write sets a value the property already has
+	checkpointPages := func() (written uint64) {
+		if err := db.Checkpoint(); err != nil {
+			tb.Fatal(err)
+		}
+		for _, st := range db.Engine().Store().CacheStats() {
+			written += st.Flushes
+		}
+		return written
+	}
+	bytes, pages = make(map[string]float64), make(map[string]float64)
+	before := checkpointPages() // the graph's own pages
+	i := 1                      // runs on across the shapes: no write sets a value the property already has
 	for _, shape := range commitShapes {
 		start := db.AppliedLSN()
 		for end := i + n; i < end; i++ {
@@ -601,29 +613,33 @@ func commitRecordBytes(tb testing.TB, n int) map[string]float64 {
 				tb.Fatal(err)
 			}
 		}
-		out[shape.name] = float64(db.AppliedLSN()-start) / float64(n)
+		bytes[shape.name] = float64(db.AppliedLSN()-start) / float64(n)
+		after := checkpointPages()
+		pages[shape.name], before = float64(after-before), after
 	}
-	return out
+	return bytes, pages
 }
 
-// BenchmarkCommitRecordBytes reports B/commit per write shape (`make
-// logbytes` writes the row to commit-record-bytes.json).
+// BenchmarkCommitRecordBytes reports B/commit per write shape and the
+// pages the checkpoint after 200 of them writes (`make logbytes` writes
+// the row to commit-record-bytes.json).
 func BenchmarkCommitRecordBytes(b *testing.B) {
-	var bytes map[string]float64
+	var bytes, pages map[string]float64
 	for i := 0; i < b.N; i++ {
-		bytes = commitRecordBytes(b, 200)
+		bytes, pages = commitRecordBytes(b, 200)
 	}
 	for _, shape := range commitShapes {
 		b.ReportMetric(bytes[shape.name], shape.name+"-B/commit")
+		b.ReportMetric(pages[shape.name], shape.name+"-pages/checkpoint")
 	}
 }
 
 // TestCommitRecordBudget is the tier-1 form of the benchmark: a change
 // that makes a commit log more than a tenth over what it logs today fails.
 func TestCommitRecordBudget(t *testing.T) {
-	bytes := commitRecordBytes(t, 200)
+	bytes, pages := commitRecordBytes(t, 200)
 	for _, shape := range commitShapes {
-		t.Logf("%-13s %6.1f B/commit (budget %.0f)", shape.name, bytes[shape.name], shape.budget)
+		t.Logf("%-13s %6.1f B/commit (budget %.0f), %.0f pages/checkpoint", shape.name, bytes[shape.name], shape.budget, pages[shape.name])
 		if bytes[shape.name] > shape.budget {
 			t.Errorf("%s logs %.1f B/commit, over its budget of %.0f", shape.name, bytes[shape.name], shape.budget)
 		}

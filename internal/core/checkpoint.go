@@ -76,9 +76,8 @@ func (e *Engine) checkpointMaintLocked() (err error) {
 	}
 	e.commitGate.Unlock()
 
-	// Nodes before relationships: the store links a new relationship
-	// record into its endpoints' chains, so those node records must be
-	// in use first.
+	// By file, then by ID: each page of a record file is visited once, so
+	// a dirty set larger than the page cache is not written back piecemeal.
 	sort.Slice(keys, func(i, j int) bool {
 		if keys[i].kind != keys[j].kind {
 			return keys[i].kind == lock.KindNode
@@ -136,9 +135,12 @@ func (e *Engine) checkpointMaintLocked() (err error) {
 	}
 	// A replica's WAL must stay a byte-exact prefix of the primary's, so
 	// it never appends its own checkpoint marker — the stream contains
-	// the primary's markers already.
+	// the primary's markers already. The marker carries the last timestamp
+	// issued: timestamps are issued in log order, so every record of one
+	// lies before it, but the entities they wrote may since have been reaped
+	// and leave recovery nothing else to learn them from.
 	if !e.replica.Load() {
-		if _, err := e.wal.Append(appendRecord(nil, &record{tag: recCheckpoint, watermark: e.oracle.Watermark()})); err != nil {
+		if _, err := e.wal.Append(appendRecord(nil, &record{tag: recCheckpoint, lastTS: e.oracle.LastCommit()})); err != nil {
 			return err
 		}
 	}

@@ -40,8 +40,8 @@ func runCheckpointWorkload(t *testing.T, e *Engine) []uint64 {
 }
 
 // verifyWorkload asserts every committed entity survived, readable
-// end to end (labels, props, and the relationship chains the store
-// links — a torn page would surface here).
+// end to end (labels, props, and the adjacency recovery rebuilds from
+// the relationship records — a torn page would surface here).
 func verifyWorkload(t *testing.T, e *Engine, ids []uint64) {
 	t.Helper()
 	tx := e.Begin()
@@ -64,7 +64,7 @@ func verifyWorkload(t *testing.T, e *Engine, ids []uint64) {
 		if i > 0 && i%3 == 0 {
 			rels, err := tx.Relationships(id, Incoming, "LINK")
 			if err != nil || len(rels) != 1 {
-				t.Fatalf("node %d LINK chain broken: %d rels, err=%v", id, len(rels), err)
+				t.Fatalf("node %d LINK adjacency broken: %d rels, err=%v", id, len(rels), err)
 			}
 		}
 	}

@@ -174,7 +174,7 @@ func TestDecodeRejectsWhatItDoesNotKnow(t *testing.T) {
 func sampleRecords() map[string]*record {
 	return map[string]*record{
 		"commit":             {tag: recCommit, cts: 123, muts: sampleMutations()},
-		"checkpoint":         {tag: recCheckpoint, watermark: 99},
+		"checkpoint":         {tag: recCheckpoint, lastTS: 99},
 		"trace":              {tag: recTrace, trace: trace.Context{TraceID: "0af7651916cd43dd8448eb211c80319c", SpanID: "b7ad6b7169203331"}},
 		"prepare":            {tag: recPrepare, gtxn: 0x0102030405060708, coordPart: 3, validate: []ids.ID{11, 12}, muts: sampleMutations()},
 		"prepareNoGuards":    {tag: recPrepare, gtxn: 77, muts: sampleMutations()[:1]},

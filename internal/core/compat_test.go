@@ -83,7 +83,10 @@ func TestRecordBytesUnchanged(t *testing.T) {
 // files (every value kind, a value spilled to the dynamic store, labels, a
 // self-loop) and a WAL tail over it (an update, a property removal, a
 // label, two creations, a deletion) — then checkpoints it and reads the
-// same graph back from its own files.
+// same graph back from its own files. (PR 29 took the relationship chains
+// out of the node and relationship records and moved the fixture's two
+// files into that layout, store format 2; the property, dynamic and token
+// records and the WAL are PR 14's bytes.)
 func TestOpensStoreWrittenByPR14(t *testing.T) {
 	dir := t.TempDir()
 	if err := os.CopyFS(dir, os.DirFS(filepath.Join("testdata", "store-pr14"))); err != nil {

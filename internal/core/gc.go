@@ -109,7 +109,6 @@ func (e *Engine) reapDead(dead []deadEntity) {
 	if len(dead) == 0 {
 		return
 	}
-	var objs []*object
 	for _, d := range dead {
 		o := d.o
 		if o.key.kind == lock.KindNode {
@@ -131,12 +130,11 @@ func (e *Engine) reapDead(dead []deadEntity) {
 				e.removeAdjacency(st.End, o.key.id)
 			}
 		}
-		objs = append(objs, o)
 	}
 
 	e.dirtyMu.Lock()
-	for _, o := range objs {
-		delete(e.dirty, o.key)
+	for _, d := range dead {
+		delete(e.dirty, d.o.key)
 	}
 	e.dirtyMu.Unlock()
 
@@ -144,14 +142,8 @@ func (e *Engine) reapDead(dead []deadEntity) {
 		e.maintMu.Lock()
 		defer e.maintMu.Unlock()
 	}
-	// Relationships first: the store refuses to remove a node whose
-	// relationship chain is non-empty.
-	for _, kind := range [...]lock.EntityKind{lock.KindRel, lock.KindNode} {
-		for _, o := range objs {
-			if o.key.kind == kind {
-				e.reapID(o.key)
-			}
-		}
+	for _, d := range dead {
+		e.reapID(d.o.key)
 	}
 }
 
@@ -170,16 +162,8 @@ func (e *Engine) reapID(k entKey) {
 		var err error
 		if k.kind == lock.KindRel {
 			err = e.store.RemoveRel(k.id)
-		} else if err = e.store.RemoveNode(k.id); errors.Is(err, store.ErrHasRels) {
-			// A dead node's relationships all died before it, and their
-			// records went before this one — those whose chains this collector
-			// emptied. One still chained to the record belongs to a chain that
-			// never emptied: its ID, too, was handed out again, and a created
-			// version sits on top of the tombstone. The ID is that version's
-			// now; the record is nobody's.
-			if err = e.store.ForgetNodeRels(k.id); err == nil {
-				err = e.store.RemoveNode(k.id)
-			}
+		} else {
+			err = e.store.RemoveNode(k.id)
 		}
 		// Not found: created and deleted before any checkpoint — there never
 		// was a record, only the ID.

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"neograph/internal/store"
 	"neograph/internal/value"
 )
 
@@ -415,7 +416,7 @@ func TestRecoveryReservesIDsReusedInWALTail(t *testing.T) {
 // record removal. Recovery then finds the tombstone in the store and the
 // ID's new owner in the WAL tail: the new relationship must install over
 // the tombstone, and the next checkpoint must replace the dead record
-// (other endpoints, other chains) with the new one.
+// (other endpoints) with the new one.
 func TestRecoveryReplaysIDReusedOverCheckpointedTombstone(t *testing.T) {
 	dir := t.TempDir()
 	e := diskEngine(t, dir)
@@ -447,7 +448,8 @@ func TestRecoveryReplaysIDReusedOverCheckpointedTombstone(t *testing.T) {
 	tx.Abort()
 	e2.RunGC()
 	wantRel(t, e2, reused, c, d)
-	if fresh := seedRel(t, e2, "R", a, a); fresh == reused || fresh == keep {
+	fresh := seedRel(t, e2, "R", a, a)
+	if fresh == reused || fresh == keep {
 		t.Fatalf("recovered allocator handed out live rel id %d again", fresh)
 	}
 	if err := e2.Close(); err != nil { // checkpoints the re-used record
@@ -458,10 +460,51 @@ func TestRecoveryReplaysIDReusedOverCheckpointedTombstone(t *testing.T) {
 	defer e3.Close()
 	wantRel(t, e3, reused, c, d)
 	wantRel(t, e3, keep, a, b)
-	for node, want := range map[uint64]int{a: 2, b: 1, c: 1, d: 1} {
-		got, err := e3.Store().NodeRels(node)
-		if err != nil || len(got) != want {
-			t.Fatalf("store chain of node %d = %v, %v; want %d relationships", node, got, err, want)
+	want := map[uint64][2]uint64{reused: {c, d}, keep: {a, b}, fresh: {a, a}}
+	err := e3.Store().ScanRels(func(r store.RelData) error {
+		if ends, ok := want[r.ID]; !ok || r.Tombstone || ends != [2]uint64{r.StartNode, r.EndNode} {
+			t.Errorf("store holds rel %+v; want %v", r, want)
 		}
+		delete(want, r.ID)
+		return nil
+	})
+	if err != nil || len(want) != 0 {
+		t.Fatalf("scan of the store: %v; not found: %v", err, want)
+	}
+}
+
+// The newest timestamps may belong to nothing a recovery can read: an
+// entity created and deleted last, then reaped — its record gone from the
+// store, its commits below the checkpoint's cut. The checkpoint record
+// carries the last timestamp issued, and the oracle resumes above it.
+func TestOracleResumesAboveReapedTimestamps(t *testing.T) {
+	dir := t.TempDir()
+	e := diskEngine(t, dir)
+	seedNode(t, e, nil, nil)
+	gone := seedNode(t, e, nil, nil)
+	tx := e.Begin()
+	if err := tx.DeleteNode(gone); err != nil {
+		t.Fatal(err)
+	}
+	mustCommit(t, tx)
+	last := tx.CommitTS()
+	for e.RunGC().EntitiesDead == 0 {
+	}
+	if err := e.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Crash(); err != nil {
+		t.Fatal(err)
+	}
+
+	e2 := diskEngine(t, dir)
+	defer e2.Close()
+	tx = e2.Begin()
+	if _, err := tx.CreateNode(nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	mustCommit(t, tx)
+	if tx.CommitTS() <= last {
+		t.Fatalf("first commit after recovery has timestamp %d; %d was issued before the crash", tx.CommitTS(), last)
 	}
 }

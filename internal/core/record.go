@@ -27,7 +27,9 @@ import (
 //	                                naming participants owes them the verdict
 //	'E'  Engine.AckDecision         end that obligation                        —
 //	'K'  the checkpointer           none (a marker below which the store       —
-//	                                holds every effect)
+//	                                holds every effect; it carries the last
+//	                                timestamp issued, for the oracle to
+//	                                resume above)
 //	'T'  Tx.Commit, when traced     none (a replica spans its next apply)      —
 
 // Record tags.
@@ -50,7 +52,7 @@ type record struct {
 	validate  []ids.ID      // 'P': endpoint nodes guarded for an edge another partition stores
 	commit    bool          // 'D'
 	parts     []uint32      // 'D': partitions owed the verdict (a coordinator's own decision only)
-	watermark mvcc.TS       // 'K'
+	lastTS    mvcc.TS       // 'K': the last commit timestamp issued before it
 	trace     trace.Context // 'T'
 }
 
@@ -76,7 +78,7 @@ func appendRecord(buf []byte, r *record) []byte {
 		buf = binary.LittleEndian.AppendUint64(buf, r.cts)
 		buf = appendMutations(buf, r.muts)
 	case recCheckpoint:
-		buf = binary.LittleEndian.AppendUint64(buf, r.watermark)
+		buf = binary.LittleEndian.AppendUint64(buf, r.lastTS)
 	case recTrace:
 		buf = append(buf, byte(len(r.trace.TraceID)))
 		buf = append(buf, r.trace.TraceID...)
@@ -125,7 +127,7 @@ func decodeRecord(payload []byte, tok *tokenTable) (record, error) {
 		if len(payload) != 9 {
 			return r, errors.New("core: corrupt checkpoint record")
 		}
-		r.watermark = binary.LittleEndian.Uint64(payload[1:])
+		r.lastTS = binary.LittleEndian.Uint64(payload[1:])
 	case recTrace:
 		if len(payload) < 3 {
 			return r, errors.New("core: corrupt trace record")

@@ -177,6 +177,9 @@ func (e *Engine) recover() error {
 		if r.tsOffset() > 0 && r.cts > maxTS {
 			maxTS = r.cts
 		}
+		if r.lastTS > maxTS { // a checkpoint marker: see checkpointMaintLocked
+			maxTS = r.lastTS
+		}
 		e.opened.WALRecords++
 		replayed = append(replayed, e.fold(&r, lsn, nil)...)
 		return nil

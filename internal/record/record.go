@@ -2,12 +2,12 @@
 // store (Figure 1 of the paper). Like Neo4j, every store file is an array
 // of fixed-size records addressed by ID:
 //
-//   - node records hold the ID of the node's first relationship and first
-//     property, plus a reference to its label set;
+//   - node records hold the ID of the node's first property and a
+//     reference to its label set;
 //   - relationship records hold source and destination node IDs, the
-//     relationship type token, and the prev/next pointers of the two
-//     doubly-linked relationship chains (one per endpoint) that make
-//     adjacency traversal a pointer chase;
+//     relationship type token and the first property — what a scan in ID
+//     order reads, and nothing more: adjacency is rebuilt in memory from
+//     the endpoints at Open, so no record points at another entity's;
 //   - property records are chained blocks holding one key/value each, with
 //     small values inlined and large values spilled to the dynamic store;
 //   - dynamic records are chained blocks of raw bytes used for long
@@ -28,7 +28,7 @@ import (
 // whole number fit in one 8 KiB page.
 const (
 	NodeSize = 32
-	RelSize  = 64
+	RelSize  = 32
 	PropSize = 64
 	DynSize  = 128
 
@@ -60,7 +60,6 @@ var ErrCorrupt = errors.New("record: corrupt record")
 type NodeRecord struct {
 	InUse     bool
 	Tombstone bool
-	FirstRel  ids.ID // head of the relationship chain, NoID if none
 	FirstProp ids.ID // head of the property chain, NoID if none
 	LabelRef  ids.ID // dynamic store record holding the label token list, NoID if none
 }
@@ -76,10 +75,9 @@ func EncodeNode(dst []byte, n *NodeRecord) {
 		flags |= FlagTombstone
 	}
 	dst[0] = flags
-	binary.LittleEndian.PutUint64(dst[1:], n.FirstRel)
-	binary.LittleEndian.PutUint64(dst[9:], n.FirstProp)
-	binary.LittleEndian.PutUint64(dst[17:], n.LabelRef)
-	for i := 25; i < NodeSize; i++ {
+	binary.LittleEndian.PutUint64(dst[1:], n.FirstProp)
+	binary.LittleEndian.PutUint64(dst[9:], n.LabelRef)
+	for i := 17; i < NodeSize; i++ {
 		dst[i] = 0
 	}
 }
@@ -93,25 +91,18 @@ func DecodeNode(src []byte) (NodeRecord, error) {
 	return NodeRecord{
 		InUse:     flags&FlagInUse != 0,
 		Tombstone: flags&FlagTombstone != 0,
-		FirstRel:  binary.LittleEndian.Uint64(src[1:]),
-		FirstProp: binary.LittleEndian.Uint64(src[9:]),
-		LabelRef:  binary.LittleEndian.Uint64(src[17:]),
+		FirstProp: binary.LittleEndian.Uint64(src[1:]),
+		LabelRef:  binary.LittleEndian.Uint64(src[9:]),
 	}, nil
 }
 
-// RelRecord is the fixed-size persistent image of a relationship. The
-// four Prev/Next pointers thread this record into the relationship chains
-// of its start and end node, exactly as in Neo4j's store format.
+// RelRecord is the fixed-size persistent image of a relationship.
 type RelRecord struct {
 	InUse     bool
 	Tombstone bool
 	Type      uint32 // relationship type token
 	StartNode ids.ID
 	EndNode   ids.ID
-	StartPrev ids.ID // previous rel in the start node's chain
-	StartNext ids.ID // next rel in the start node's chain
-	EndPrev   ids.ID // previous rel in the end node's chain
-	EndNext   ids.ID // next rel in the end node's chain
 	FirstProp ids.ID
 }
 
@@ -129,12 +120,8 @@ func EncodeRel(dst []byte, r *RelRecord) {
 	binary.LittleEndian.PutUint32(dst[1:], r.Type)
 	binary.LittleEndian.PutUint64(dst[5:], r.StartNode)
 	binary.LittleEndian.PutUint64(dst[13:], r.EndNode)
-	binary.LittleEndian.PutUint64(dst[21:], r.StartPrev)
-	binary.LittleEndian.PutUint64(dst[29:], r.StartNext)
-	binary.LittleEndian.PutUint64(dst[37:], r.EndPrev)
-	binary.LittleEndian.PutUint64(dst[45:], r.EndNext)
-	binary.LittleEndian.PutUint64(dst[53:], r.FirstProp)
-	for i := 61; i < RelSize; i++ {
+	binary.LittleEndian.PutUint64(dst[21:], r.FirstProp)
+	for i := 29; i < RelSize; i++ {
 		dst[i] = 0
 	}
 }
@@ -151,11 +138,7 @@ func DecodeRel(src []byte) (RelRecord, error) {
 		Type:      binary.LittleEndian.Uint32(src[1:]),
 		StartNode: binary.LittleEndian.Uint64(src[5:]),
 		EndNode:   binary.LittleEndian.Uint64(src[13:]),
-		StartPrev: binary.LittleEndian.Uint64(src[21:]),
-		StartNext: binary.LittleEndian.Uint64(src[29:]),
-		EndPrev:   binary.LittleEndian.Uint64(src[37:]),
-		EndNext:   binary.LittleEndian.Uint64(src[45:]),
-		FirstProp: binary.LittleEndian.Uint64(src[53:]),
+		FirstProp: binary.LittleEndian.Uint64(src[21:]),
 	}, nil
 }
 

@@ -12,8 +12,8 @@ import (
 func TestNodeRoundTrip(t *testing.T) {
 	cases := []NodeRecord{
 		{},
-		{InUse: true, FirstRel: 7, FirstProp: 9, LabelRef: 11},
-		{InUse: true, Tombstone: true, FirstRel: ids.NoID, FirstProp: ids.NoID, LabelRef: ids.NoID},
+		{InUse: true, FirstProp: 9, LabelRef: 11},
+		{InUse: true, Tombstone: true, FirstProp: ids.NoID, LabelRef: ids.NoID},
 	}
 	for _, n := range cases {
 		var buf [NodeSize]byte
@@ -32,7 +32,6 @@ func TestRelRoundTrip(t *testing.T) {
 	r := RelRecord{
 		InUse: true, Type: 42,
 		StartNode: 1, EndNode: 2,
-		StartPrev: ids.NoID, StartNext: 5, EndPrev: 6, EndNext: ids.NoID,
 		FirstProp: 99,
 	}
 	var buf [RelSize]byte
@@ -160,8 +159,6 @@ func TestQuickRelRoundTrip(t *testing.T) {
 			Tombstone: rr.Intn(2) == 0,
 			Type:      rr.Uint32(),
 			StartNode: rr.Uint64(), EndNode: rr.Uint64(),
-			StartPrev: rr.Uint64(), StartNext: rr.Uint64(),
-			EndPrev: rr.Uint64(), EndNext: rr.Uint64(),
 			FirstProp: rr.Uint64(),
 		}
 		var buf [RelSize]byte

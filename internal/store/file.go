@@ -5,7 +5,11 @@
 //
 // Exactly one version of each entity — the most recent committed one — is
 // ever written here (paper §4); superseded versions exist only in the
-// object cache (internal/core).
+// object cache (internal/core), which also serves every read. The store is
+// read whole, in ID order, at Open (ScanNodes, ScanRels) and written by
+// checkpoints and the collector, so it is a plain relation per entity
+// kind: putting or removing an entity touches that entity's record and
+// the property, spill and label chains hanging off it, nothing else.
 package store
 
 import (

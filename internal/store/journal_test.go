@@ -17,8 +17,7 @@ func dumpStore(t *testing.T, s *Store) string {
 	t.Helper()
 	var b strings.Builder
 	err := s.ScanNodes(func(n NodeData) error {
-		rels, err := s.NodeRels(n.ID)
-		fmt.Fprintf(&b, "node %d %v %v cts %d dead %v rels %v %v\n", n.ID, n.Labels, n.Props.ToMap(), n.CommitTS, n.Tombstone, rels, err)
+		fmt.Fprintf(&b, "node %d %v %v cts %d dead %v\n", n.ID, n.Labels, n.Props.ToMap(), n.CommitTS, n.Tombstone)
 		return nil
 	})
 	if err != nil {
@@ -66,7 +65,7 @@ func journalWorkload(s *Store, gen int) error {
 			return err
 		}
 	}
-	if gen > 1 { // removals change chains and free slots too
+	if gen > 1 { // removals free slots too
 		return s.RemoveRel(uint64(gen))
 	}
 	return nil

@@ -38,26 +38,15 @@ func (s *Store) ReserveNodeIDs(taken []ids.ID) { s.nodes.alloc.Reserve(taken) }
 
 // SetIDStride restricts BOTH entity allocators (nodes and relationships)
 // to the congruence class id % stride == offset, so a partitioned
-// deployment can compute any entity's owning partition from its ID — and
-// this store which nodes are its own to keep relationship chains for (see
-// owns). Must be called right after Open, before any allocation.
+// deployment can compute any entity's owning partition from its ID. Must
+// be called right after Open, before any allocation.
 func (s *Store) SetIDStride(offset, stride ids.ID) {
 	s.nodes.alloc.SetStride(offset, stride)
 	s.rels.alloc.SetStride(offset, stride)
-	s.idOffset, s.idStride = offset, stride
-}
-
-// owns reports whether node id lives in this store. A relationship may
-// name an endpoint another partition owns (a cross-partition edge is
-// stored with its start node); the record keeps both endpoint IDs, but it
-// is chained only through the endpoints kept here.
-func (s *Store) owns(id ids.ID) bool {
-	return s.idStride == 0 || id%s.idStride == s.idOffset
 }
 
 // PutNode persists a node image, replacing any previous image at the same
-// ID. Relationship chain pointers are preserved across rewrites — chains
-// are maintained by PutRel/RemoveRel.
+// ID.
 func (s *Store) PutNode(n NodeData) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -73,9 +62,7 @@ func (s *Store) putNodeLocked(n NodeData) error {
 	if err != nil {
 		return err
 	}
-	firstRel := ids.NoID
 	if old.InUse {
-		firstRel = old.FirstRel
 		if err := s.freePropChain(old.FirstProp); err != nil {
 			return err
 		}
@@ -95,7 +82,6 @@ func (s *Store) putNodeLocked(n NodeData) error {
 	rec := record.NodeRecord{
 		InUse:     true,
 		Tombstone: n.Tombstone,
-		FirstRel:  firstRel,
 		FirstProp: propHead,
 		LabelRef:  labelRef,
 	}
@@ -133,8 +119,7 @@ func (s *Store) getNodeLocked(id ids.ID) (NodeData, error) {
 
 // RemoveNode erases the persisted image of node id. The ID stays taken:
 // ReleaseNodeID returns it, once the caller knows it has no next owner
-// yet. Any relationships must have been removed first; RemoveNode fails
-// with ErrHasRels if the relationship chain is non-empty.
+// yet. Whether the node still has relationships is the engine's to know.
 func (s *Store) RemoveNode(id ids.ID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -148,9 +133,6 @@ func (s *Store) RemoveNode(id ids.ID) error {
 	}
 	if !rec.InUse {
 		return fmt.Errorf("%w: node %d", ErrNotFound, id)
-	}
-	if rec.FirstRel != ids.NoID {
-		return fmt.Errorf("%w: node %d", ErrHasRels, id)
 	}
 	if err := s.freePropChain(rec.FirstProp); err != nil {
 		return err

@@ -13,13 +13,8 @@ import (
 	"neograph/internal/value"
 )
 
-// Errors returned by the store.
-var (
-	ErrNotFound = errors.New("store: record not found")
-	// ErrHasRels refuses to remove a node whose relationship chain still
-	// holds records.
-	ErrHasRels = errors.New("store: node still has relationships")
-)
+// ErrNotFound reports a record that is not in use.
+var ErrNotFound = errors.New("store: record not found")
 
 // Options tune the store.
 type Options struct {
@@ -46,9 +41,8 @@ type Store struct {
 	dyn     *recordFile
 	journal *journal // where the four files' caches write back (journal.go)
 	tokens  *Tokens
-	// idOffset/idStride mirror SetIDStride (stride 0: every ID is local).
-	idOffset, idStride ids.ID
-	journalReplays     uint64
+
+	journalReplays uint64
 }
 
 // Open opens (creating if needed) the store in directory dir.
@@ -60,12 +54,18 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err := fs.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: mkdir %s: %w", dir, err)
 	}
+	// The token file first: it names the store's format, and a directory
+	// written in another one is refused before anything in it is touched.
+	tokens, err := OpenTokens(fs, dir+"/neostore.tokens.db")
+	if err != nil {
+		return nil, err
+	}
 	replayed, err := replayJournal(fs, dir)
 	if err != nil {
 		return nil, err
 	}
 	j := &journal{fs: fs, dir: dir, slots: make(map[pageKey]int64)}
-	s := &Store{dir: dir, fs: fs, journal: j}
+	s := &Store{dir: dir, fs: fs, journal: j, tokens: tokens}
 	if replayed {
 		s.journalReplays = 1
 	}
@@ -81,10 +81,6 @@ func Open(dir string, opts Options) (*Store, error) {
 		return nil, err
 	}
 	if s.dyn, err = openRecordFile(j, 3, record.DynSize, opts.CachePages); err != nil {
-		s.closePartial()
-		return nil, err
-	}
-	if s.tokens, err = OpenTokens(fs, dir+"/neostore.tokens.db"); err != nil {
 		s.closePartial()
 		return nil, err
 	}

@@ -2,11 +2,16 @@ package store
 
 import (
 	"errors"
+	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
 	"neograph/internal/ids"
+	"neograph/internal/pagecache"
+	"neograph/internal/record"
 	"neograph/internal/value"
 )
 
@@ -114,31 +119,6 @@ func TestGetNodeMissing(t *testing.T) {
 	}
 }
 
-func TestNodeRewritePreservesRelChain(t *testing.T) {
-	s := openTestStore(t)
-	a := mustNode(t, s, value.Map{"v": value.Int(1)})
-	b := mustNode(t, s, nil)
-	rid := s.AllocRelID()
-	if err := s.PutRel(RelData{ID: rid, Type: "KNOWS", StartNode: a, EndNode: b, CommitTS: 2}); err != nil {
-		t.Fatal(err)
-	}
-	// Rewrite node a with new props; chain must survive.
-	if err := s.PutNode(NodeData{ID: a, Props: value.Pack(value.Map{"v": value.Int(2)}), CommitTS: 3}); err != nil {
-		t.Fatal(err)
-	}
-	rels, err := s.NodeRels(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rels) != 1 || rels[0] != rid {
-		t.Fatalf("rels = %v, want [%d]", rels, rid)
-	}
-	got, _ := s.GetNode(a)
-	if v, _ := got.Props.Get("v"); !v.Equal(value.Int(2)) {
-		t.Fatalf("rewrite lost props: %v", got.Props)
-	}
-}
-
 func TestLargePropertySpills(t *testing.T) {
 	s := openTestStore(t)
 	big := strings.Repeat("x", 5000)
@@ -163,6 +143,7 @@ func TestLargePropertySpills(t *testing.T) {
 func TestRemoveNode(t *testing.T) {
 	s := openTestStore(t)
 	id := mustNode(t, s, value.Map{"k": value.Int(1)})
+	mustRel(t, s, "R", id, id) // whether a node may go is the engine's to know, from its adjacency
 	if err := s.RemoveNode(id); err != nil {
 		t.Fatal(err)
 	}
@@ -179,95 +160,6 @@ func TestRemoveNode(t *testing.T) {
 	s.ReleaseNodeID(id)
 	if got := s.AllocNodeID(); got != id {
 		t.Fatalf("AllocNodeID = %d, want recycled %d", got, id)
-	}
-}
-
-func TestRemoveNodeWithRelsFails(t *testing.T) {
-	s := openTestStore(t)
-	a := mustNode(t, s, nil)
-	b := mustNode(t, s, nil)
-	rid := s.AllocRelID()
-	if err := s.PutRel(RelData{ID: rid, Type: "R", StartNode: a, EndNode: b}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.RemoveNode(a); err == nil {
-		t.Fatal("remove of node with relationships should fail")
-	}
-	if err := s.RemoveRel(rid); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.RemoveNode(a); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRelChains(t *testing.T) {
-	s := openTestStore(t)
-	a := mustNode(t, s, nil)
-	b := mustNode(t, s, nil)
-	c := mustNode(t, s, nil)
-	r1 := mustRel(t, s, "R", a, b)
-	r2 := mustRel(t, s, "R", a, c)
-	r3 := mustRel(t, s, "R", b, a) // incoming to a
-
-	relsA, err := s.NodeRels(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(relsA) != 3 {
-		t.Fatalf("node a has %d rels, want 3: %v", len(relsA), relsA)
-	}
-	// Chain inserts at head: newest first.
-	if relsA[0] != r3 || relsA[1] != r2 || relsA[2] != r1 {
-		t.Fatalf("chain order = %v, want [%d %d %d]", relsA, r3, r2, r1)
-	}
-	relsB, _ := s.NodeRels(b)
-	if len(relsB) != 2 {
-		t.Fatalf("node b has %d rels, want 2", len(relsB))
-	}
-
-	// Remove the middle of a's chain and re-walk.
-	if err := s.RemoveRel(r2); err != nil {
-		t.Fatal(err)
-	}
-	relsA, _ = s.NodeRels(a)
-	if len(relsA) != 2 || relsA[0] != r3 || relsA[1] != r1 {
-		t.Fatalf("after unlink: %v", relsA)
-	}
-	// Remove head.
-	if err := s.RemoveRel(r3); err != nil {
-		t.Fatal(err)
-	}
-	relsA, _ = s.NodeRels(a)
-	if len(relsA) != 1 || relsA[0] != r1 {
-		t.Fatalf("after head unlink: %v", relsA)
-	}
-}
-
-func TestSelfLoop(t *testing.T) {
-	s := openTestStore(t)
-	a := mustNode(t, s, nil)
-	r := mustRel(t, s, "SELF", a, a)
-	rels, err := s.NodeRels(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rels) != 1 || rels[0] != r {
-		t.Fatalf("self loop chain = %v", rels)
-	}
-	got, err := s.GetRel(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.StartNode != a || got.EndNode != a {
-		t.Fatalf("self loop endpoints: %+v", got)
-	}
-	if err := s.RemoveRel(r); err != nil {
-		t.Fatal(err)
-	}
-	rels, _ = s.NodeRels(a)
-	if len(rels) != 0 {
-		t.Fatalf("after self-loop removal: %v", rels)
 	}
 }
 
@@ -310,11 +202,6 @@ func TestRelRewrite(t *testing.T) {
 	if w, _ := got.Props.Get("w"); !w.Equal(value.Int(2)) || got.CommitTS != 2 {
 		t.Fatalf("rewrite: %+v", got)
 	}
-	// Chain membership unchanged (still exactly once).
-	rels, _ := s.NodeRels(a)
-	if len(rels) != 1 {
-		t.Fatalf("chain after rewrite: %v", rels)
-	}
 	// Endpoint change is rejected.
 	if err := s.PutRel(RelData{ID: rid, Type: "R", StartNode: b, EndNode: a}); err == nil {
 		t.Fatal("endpoint change should fail")
@@ -325,16 +212,16 @@ func TestRelRewrite(t *testing.T) {
 // endpoints than the record's is a new owner of a recycled ID, put before
 // the previous owner's removal reached the file — whether that record is
 // a tombstone or (the collector drops a dead entity from the checkpoint
-// queue) still the live image. The record leaves the old endpoints' chains
-// and joins the new ones. An image that is not newer is no later owner,
-// and refused: nothing moves.
+// queue) still the live image. The new owner replaces the record. An image
+// that is not newer is no later owner, and refused: nothing changes.
 func TestRelPutOverEarlierOwner(t *testing.T) {
 	for _, tombstone := range []bool{false, true} {
 		s := openTestStore(t)
 		a, b, c := mustNode(t, s, nil), mustNode(t, s, nil), mustNode(t, s, nil)
 		other := mustRel(t, s, "R", a, b)
 		rid := s.AllocRelID()
-		if err := s.PutRel(RelData{ID: rid, Type: "R", StartNode: a, EndNode: b, Tombstone: tombstone, CommitTS: 5}); err != nil {
+		first := RelData{ID: rid, Type: "R", StartNode: a, EndNode: b, Tombstone: tombstone, CommitTS: 5}
+		if err := s.PutRel(first); err != nil {
 			t.Fatal(err)
 		}
 		for _, cts := range []uint64{4, 5} {
@@ -342,53 +229,117 @@ func TestRelPutOverEarlierOwner(t *testing.T) {
 				t.Fatalf("put with other endpoints at timestamp %d over one of 5 (tombstone=%v) should fail", cts, tombstone)
 			}
 		}
-		if got, _ := s.NodeRels(a); !reflect.DeepEqual(got, []uint64{rid, other}) {
-			t.Fatalf("tombstone=%v: chain of node %d after the refused puts = %v", tombstone, a, got)
+		if got, err := s.GetRel(rid); err != nil || !reflect.DeepEqual(got, first) {
+			t.Fatalf("tombstone=%v: rel after the refused puts = %+v, %v; want %+v", tombstone, got, err, first)
 		}
-		if err := s.PutRel(RelData{ID: rid, Type: "S", StartNode: b, EndNode: c, CommitTS: 9}); err != nil {
+		second := RelData{ID: rid, Type: "S", StartNode: b, EndNode: c, CommitTS: 9}
+		if err := s.PutRel(second); err != nil {
 			t.Fatalf("put over an earlier owner (tombstone=%v): %v", tombstone, err)
 		}
-		for node, want := range map[uint64][]uint64{a: {other}, b: {rid, other}, c: {rid}} {
-			if got, err := s.NodeRels(node); err != nil || !reflect.DeepEqual(got, want) {
-				t.Fatalf("tombstone=%v: chain of node %d = %v, %v; want %v", tombstone, node, got, err, want)
-			}
-		}
-		if got, _ := s.GetRel(rid); got.Type != "S" || got.StartNode != b || got.EndNode != c || got.CommitTS != 9 {
-			t.Fatalf("tombstone=%v: rel = %+v", tombstone, got)
+		want := []RelData{{ID: other, Type: "R", StartNode: a, EndNode: b, CommitTS: 1}, second}
+		if got := scanRels(t, s); !reflect.DeepEqual(got, want) {
+			t.Fatalf("tombstone=%v: rels = %+v, want %+v", tombstone, got, want)
 		}
 	}
 }
 
-// ForgetNodeRels is what lets a dead node's record go when a relationship
-// record is still chained to it: the chain is emptied, the other
-// endpoints' chains stay whole, and the erased records' IDs stay taken.
-func TestForgetNodeRels(t *testing.T) {
-	s := openTestStore(t)
-	a, b, c := mustNode(t, s, nil), mustNode(t, s, nil), mustNode(t, s, nil)
-	ab, ca, loop := mustRel(t, s, "R", a, b), mustRel(t, s, "R", c, a), mustRel(t, s, "R", a, a)
-	bc := mustRel(t, s, "R", b, c)
-	if err := s.RemoveNode(a); !errors.Is(err, ErrHasRels) {
-		t.Fatalf("RemoveNode of a chained node: %v, want ErrHasRels", err)
-	}
-	if err := s.ForgetNodeRels(a); err != nil {
+// What a put costs the next flush: the pages its own records lie in. New
+// relationships between nodes already flushed write no node page and no
+// relationship page but their own; a removal writes one.
+func TestRelPutDirtiesOnlyItsOwnPages(t *testing.T) {
+	s, err := Open(t.TempDir(), Options{}) // every page stays cached: a write-back is a flush's
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.RemoveNode(a); err != nil {
-		t.Fatalf("RemoveNode after ForgetNodeRels: %v", err)
-	}
-	for node, want := range map[uint64][]uint64{b: {bc}, c: {bc}} {
-		if got, err := s.NodeRels(node); err != nil || !reflect.DeepEqual(got, want) {
-			t.Fatalf("chain of node %d = %v, %v; want %v", node, got, err, want)
+	defer s.Close()
+	const nodes, before, added = 2000, 1000, 500
+	rng := rand.New(rand.NewSource(1))
+	putRels := func(n int) (first, last ids.ID) {
+		for i := 0; i < n; i++ {
+			last = mustRel(t, s, "R", ids.ID(rng.Intn(nodes)), ids.ID(rng.Intn(nodes)))
+			if i == 0 {
+				first = last
+			}
 		}
+		return first, last
 	}
-	for _, rid := range []uint64{ab, ca, loop} {
-		if _, err := s.GetRel(rid); !errors.Is(err, ErrNotFound) {
-			t.Fatalf("rel %d after ForgetNodeRels: %v", rid, err)
+	flushed := func() (nodePages, relPages uint64) {
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
 		}
+		st := s.CacheStats()
+		return st["nodes"].Flushes, st["rels"].Flushes
 	}
-	if id := s.AllocRelID(); id == ab || id == ca || id == loop {
-		t.Fatalf("AllocRelID = %d: a forgotten record's ID belongs to its new owner", id)
+	for i := 0; i < nodes; i++ {
+		mustNode(t, s, nil)
 	}
+	victim, _ := putRels(before)
+	n0, r0 := flushed()
+
+	first, last := putRels(added)
+	perPage := ids.ID(pagecache.PageSize / record.RelSize)
+	n1, r1 := flushed()
+	if want := uint64(last/perPage - first/perPage + 1); n1 != n0 || r1-r0 != want {
+		t.Fatalf("flush after %d new relationships wrote %d node pages and %d rel pages, want 0 and %d", added, n1-n0, r1-r0, want)
+	}
+
+	if err := s.RemoveRel(victim); err != nil {
+		t.Fatal(err)
+	}
+	if n2, r2 := flushed(); n2 != n1 || r2-r1 != 1 {
+		t.Fatalf("flush after one removal wrote %d node pages and %d rel pages, want 0 and 1", n2-n1, r2-r1)
+	}
+}
+
+// A store written before the relationship chains left the record formats
+// has 64-byte relationship records; read at this build's stride it would
+// yield garbage. Its token file says which format it is, and Open refuses
+// it by name, touching nothing.
+func TestOpenRefusesAnotherFormatByName(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustRel(t, s, "R", mustNode(t, s, nil), mustNode(t, s, nil))
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	tokens := filepath.Join(dir, "neostore.tokens.db")
+	header, err := os.ReadFile(tokens)
+	if err != nil {
+		t.Fatal(err)
+	}
+	header[7] = 1
+	if err := os.WriteFile(tokens, header, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := dirBytes(t, dir)
+	_, err = Open(dir, Options{})
+	if err == nil || !strings.Contains(err.Error(), "store format 1, this build reads 2") {
+		t.Fatalf("Open of a format 1 store: %v", err)
+	}
+	if after := dirBytes(t, dir); !reflect.DeepEqual(after, before) {
+		t.Fatal("the refused Open changed the directory")
+	}
+}
+
+// dirBytes reads every file of dir.
+func dirBytes(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]string)
+	for _, e := range entries {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[e.Name()] = string(b)
+	}
+	return out
 }
 
 func TestScans(t *testing.T) {
@@ -412,15 +363,29 @@ func TestScans(t *testing.T) {
 	}
 }
 
+// The record names both endpoints and that is all: a self-loop, and an
+// edge whose end node another partition's store keeps, come back from a
+// reopened store as they were put, like any other.
 func TestPersistenceAcrossReopen(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.SetIDStride(0, 2)
 	a := mustNode(t, s, value.Map{"name": value.String("ada")})
 	b := mustNode(t, s, nil)
-	rid := mustRel(t, s, "KNOWS", a, b)
+	foreign := b + 1 // id % 2 == 1: partition 1's
+	rels := []RelData{
+		{ID: s.AllocRelID(), Type: "KNOWS", StartNode: a, EndNode: b, CommitTS: 2},
+		{ID: s.AllocRelID(), Type: "SELF", StartNode: a, EndNode: a, CommitTS: 3},
+		{ID: s.AllocRelID(), Type: "PAYS", StartNode: a, EndNode: foreign, Props: value.Pack(value.Map{"amt": value.Int(7)}), CommitTS: 4},
+	}
+	for _, r := range rels {
+		if err := s.PutRel(r); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -430,6 +395,7 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
+	s2.SetIDStride(0, 2)
 	got, err := s2.GetNode(a)
 	if err != nil {
 		t.Fatal(err)
@@ -437,16 +403,12 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 	if v, _ := got.Props.Get("name"); !v.Equal(value.String("ada")) {
 		t.Fatalf("props lost: %v", got.Props)
 	}
-	rels, err := s2.NodeRels(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rels) != 1 || rels[0] != rid {
-		t.Fatalf("rels lost: %v", rels)
+	if got := scanRels(t, s2); !reflect.DeepEqual(got, rels) {
+		t.Fatalf("rels after reopen = %+v, want %+v", got, rels)
 	}
 	// Allocators resumed: new IDs don't collide.
-	if id := s2.AllocNodeID(); id != 2 {
-		t.Fatalf("resumed AllocNodeID = %d, want 2", id)
+	if id := s2.AllocNodeID(); id != b+2 {
+		t.Fatalf("resumed AllocNodeID = %d, want %d", id, b+2)
 	}
 }
 
@@ -478,6 +440,15 @@ func TestTombstonePersisted(t *testing.T) {
 	if !got.Tombstone || got.CommitTS != 9 {
 		t.Fatalf("tombstone round trip: %+v", got)
 	}
+}
+
+func scanRels(t *testing.T, s *Store) []RelData {
+	t.Helper()
+	var out []RelData
+	if err := s.ScanRels(func(r RelData) error { out = append(out, r); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 func mustNode(t *testing.T, s *Store, props value.Map) ids.ID {

@@ -33,7 +33,13 @@ const (
 // ErrBadTokenFile reports a corrupt token store file.
 var ErrBadTokenFile = errors.New("store: bad token file")
 
-var tokenMagic = [8]byte{'n', 'g', 't', 'k', 0, 0, 0, 1}
+// tokenMagic opens the token file; its last byte is the format of the
+// whole store. Every store that holds an entity holds this file (the
+// reserved commit-timestamp key), so a directory written in another format
+// is refused here, by name, before a record of it is read at the wrong
+// stride. Format 2 took the relationship chains out of the node and
+// relationship records.
+var tokenMagic = [8]byte{'n', 'g', 't', 'k', 0, 0, 0, 2}
 
 // Tokens is the persistent registry mapping names to dense uint32 tokens,
 // one namespace per TokenKind. It is safe for concurrent use; writes are
@@ -73,8 +79,11 @@ func OpenTokens(fs faultfs.FS, path string) (*Tokens, error) {
 		}
 		return t, nil
 	}
-	if string(buf[:8]) != string(tokenMagic[:]) {
+	if string(buf[:7]) != string(tokenMagic[:7]) {
 		return nil, fmt.Errorf("%w: %s", ErrBadTokenFile, path)
+	}
+	if buf[7] != tokenMagic[7] {
+		return nil, fmt.Errorf("store: %s: store format %d, this build reads %d", path, buf[7], tokenMagic[7])
 	}
 	off := 8
 	for off < len(buf) {
