@@ -54,10 +54,10 @@ mem:
 	@grep 'B/entity' mem-bench.json
 
 ## logbytes: what a commit of each of the benchmark's write shapes costs
-## the log, the replication stream and every replica's log, in bytes
-## (TestCommitRecordBudget holds the same numbers to a budget in tier-1),
-## and what 200 of them then cost the store, in pages their checkpoint
-## writes; the benchmark's rows land in commit-record-bytes.json as
+## the log, the replication stream and every replica's log, and once
+## checkpointed the store's files, in bytes (TestCommitRecordBudget holds
+## both to a budget in tier-1), and the pages the checkpoint of 1 000 of
+## them writes; the benchmark's rows land in commit-record-bytes.json as
 ## test2json lines
 logbytes:
 	$(GO) test -run '^$$' -bench CommitRecordBytes -benchtime 1x -json . > commit-record-bytes.json

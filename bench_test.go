@@ -505,26 +505,29 @@ func BenchmarkPropertyIndexBuild(b *testing.B) {
 	}
 }
 
-// ---- what a commit costs the log ----
+// ---- what a commit costs the log and the store ----
 
 // commitShapes are the four write transactions of the repository's
 // benchmark (benchmark/exec.go), on a graph with its schema: person i is
 // {uid, name, balance}, a ledger {client, seq, xseq}.
 var commitShapes = []struct {
-	name   string
-	budget float64 // B/commit, frame included: the measurement below plus a tenth
-	stage  func(tx *neograph.Tx, g *workload.SocialGraph, ledger neograph.NodeID, i int) error
+	name        string
+	budget      float64 // log B/commit, frame included: the measurement below plus a tenth
+	storeBudget float64 // store B/commit once checkpointed: the same
+	stage       func(tx *neograph.Tx, g *workload.SocialGraph, ledger neograph.NodeID, i int) error
 }{
 	// A transfer changes one integer on each of two persons and one on the
 	// ledger: 80 B since updates are logged as deltas, 167 B as whole
 	// entities (169.7 on the benchmark's 100 000 persons, whose uids and
-	// names are longer).
-	{"transfer", 88, func(tx *neograph.Tx, g *workload.SocialGraph, ledger neograph.NodeID, i int) error {
+	// names are longer). The store rewrites the three in place: 0 B.
+	{"transfer", 88, 0, func(tx *neograph.Tx, g *workload.SocialGraph, ledger neograph.NodeID, i int) error {
 		return stageTransfer(tx, g, ledger, i)
 	}},
-	// ... and every fourth records a relationship, a creation, logged whole
-	// as ever: 128 B (+48; was 216).
-	{"transfer+rel", 141, func(tx *neograph.Tx, g *workload.SocialGraph, ledger neograph.NodeID, i int) error {
+	// ... and records a relationship (the benchmark: every fourth), a
+	// creation, logged whole as ever: 128 B (+48; was 216). The store
+	// grows by its record and its one property: 106.5 B (was 163.8 while
+	// the commit timestamp was a property record of its own).
+	{"transfer+rel", 141, 117, func(tx *neograph.Tx, g *workload.SocialGraph, ledger neograph.NodeID, i int) error {
 		if err := stageTransfer(tx, g, ledger, i); err != nil {
 			return err
 		}
@@ -533,8 +536,9 @@ var commitShapes = []struct {
 		return err
 	}},
 	// fleet_batch's eight-op batch, a stamp and seven touched persons:
-	// 190 B (was 519).
-	{"touch-batch", 209, func(tx *neograph.Tx, g *workload.SocialGraph, ledger neograph.NodeID, i int) error {
+	// 190 B (was 519). The store grows by each person's first "touched":
+	// 122.9 B.
+	{"touch-batch", 209, 135, func(tx *neograph.Tx, g *workload.SocialGraph, ledger neograph.NodeID, i int) error {
 		if err := tx.SetNodeProp(ledger, "seq", neograph.Int(int64(1000+i))); err != nil {
 			return err
 		}
@@ -546,8 +550,9 @@ var commitShapes = []struct {
 		return nil
 	}},
 	// remote_traverse's insert, four relationships (whole) and a stamp:
-	// 168 B (was 192).
-	{"knows+stamp", 185, func(tx *neograph.Tx, g *workload.SocialGraph, ledger neograph.NodeID, i int) error {
+	// 168 B (was 192). The store grows by four 40-byte records: 163.8 B
+	// (was 385.0, a 32-byte record and a 64-byte property record each).
+	{"knows+stamp", 185, 180, func(tx *neograph.Tx, g *workload.SocialGraph, ledger neograph.NodeID, i int) error {
 		for j := 1; j <= 4; j++ {
 			from, to := g.People[(5*i)%len(g.People)], g.People[(5*i+j)%len(g.People)]
 			if _, err := tx.CreateRel(workload.RelKnows, from, to, nil); err != nil {
@@ -569,12 +574,21 @@ func stageTransfer(tx *neograph.Tx, g *workload.SocialGraph, ledger neograph.Nod
 	return tx.SetNodeProp(ledger, "seq", neograph.Int(int64(1000+i)))
 }
 
-// commitRecordBytes commits n transactions of each shape and returns the
-// log bytes per commit — the record and its frame, which is also what the
-// replication stream carries and every replica logs again — and what the
-// n commits then cost the store: the pages their checkpoint writes back,
-// over the four record files (each is written twice, journal.go).
-func commitRecordBytes(tb testing.TB, n int) (bytes, pages map[string]float64) {
+// commitCost is what one commit of a shape costs, averaged over a run of
+// them — log bytes: the record and its frame, which is also what the
+// replication stream carries and every replica logs again; store bytes:
+// the growth of the four record files across the run's checkpoint — and
+// the pages that checkpoint wrote back over the four files (each is
+// written twice, journal.go).
+type commitCost struct {
+	logBytes, storeBytes, pages float64
+}
+
+// commitRecordBytes commits n transactions of each shape and returns what
+// one of them costs the log and, once the n are checkpointed, the store.
+// The store's files grow a page at a time: n must be large enough for one
+// page to be small beside n commits.
+func commitRecordBytes(tb testing.TB, n int) map[string]commitCost {
 	tb.Helper()
 	db, err := neograph.Open(neograph.Options{Dir: tb.TempDir(), DisableSyncCommits: true})
 	if err != nil {
@@ -594,18 +608,26 @@ func commitRecordBytes(tb testing.TB, n int) (bytes, pages map[string]float64) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	checkpointPages := func() (written uint64) {
+	st := db.Engine().Store()
+	checkpoint := func() (size int64, written uint64) {
 		if err := db.Checkpoint(); err != nil {
 			tb.Fatal(err)
 		}
-		for _, st := range db.Engine().Store().CacheStats() {
-			written += st.Flushes
+		sizes, err := st.FileSizes()
+		if err != nil {
+			tb.Fatal(err)
 		}
-		return written
+		for _, sz := range sizes {
+			size += sz
+		}
+		for _, cs := range st.CacheStats() {
+			written += cs.Flushes
+		}
+		return size, written
 	}
-	bytes, pages = make(map[string]float64), make(map[string]float64)
-	before := checkpointPages() // the graph's own pages
-	i := 1                      // runs on across the shapes: no write sets a value the property already has
+	costs := make(map[string]commitCost)
+	size0, pages0 := checkpoint() // the graph's own
+	i := 1                        // runs on across the shapes: no write sets a value the property already has
 	for _, shape := range commitShapes {
 		start := db.AppliedLSN()
 		for end := i + n; i < end; i++ {
@@ -613,35 +635,52 @@ func commitRecordBytes(tb testing.TB, n int) (bytes, pages map[string]float64) {
 				tb.Fatal(err)
 			}
 		}
-		bytes[shape.name] = float64(db.AppliedLSN()-start) / float64(n)
-		after := checkpointPages()
-		pages[shape.name], before = float64(after-before), after
+		logged := db.AppliedLSN() - start
+		size, pages := checkpoint()
+		costs[shape.name] = commitCost{
+			logBytes:   float64(logged) / float64(n),
+			storeBytes: float64(size-size0) / float64(n),
+			pages:      float64(pages - pages0),
+		}
+		size0, pages0 = size, pages
 	}
-	return bytes, pages
+	return costs
 }
 
-// BenchmarkCommitRecordBytes reports B/commit per write shape and the
-// pages the checkpoint after 200 of them writes (`make logbytes` writes
-// the row to commit-record-bytes.json).
+// commitRuns is how many commits of each shape the two below measure: one
+// 8 KB page of store growth is under 9 B a commit.
+const commitRuns = 1000
+
+// BenchmarkCommitRecordBytes reports per write shape the log and store
+// bytes a commit costs and the pages the checkpoint after a run of them
+// writes (`make logbytes` writes the row to commit-record-bytes.json).
 func BenchmarkCommitRecordBytes(b *testing.B) {
-	var bytes, pages map[string]float64
+	var costs map[string]commitCost
 	for i := 0; i < b.N; i++ {
-		bytes, pages = commitRecordBytes(b, 200)
+		costs = commitRecordBytes(b, commitRuns)
 	}
 	for _, shape := range commitShapes {
-		b.ReportMetric(bytes[shape.name], shape.name+"-B/commit")
-		b.ReportMetric(pages[shape.name], shape.name+"-pages/checkpoint")
+		c := costs[shape.name]
+		b.ReportMetric(c.logBytes, shape.name+"-B/commit")
+		b.ReportMetric(c.storeBytes, shape.name+"-store-B/commit")
+		b.ReportMetric(c.pages, shape.name+"-pages/checkpoint")
 	}
 }
 
 // TestCommitRecordBudget is the tier-1 form of the benchmark: a change
-// that makes a commit log more than a tenth over what it logs today fails.
+// that makes a commit cost the log or the store more than a tenth over
+// what it costs today fails.
 func TestCommitRecordBudget(t *testing.T) {
-	bytes, pages := commitRecordBytes(t, 200)
+	costs := commitRecordBytes(t, commitRuns)
 	for _, shape := range commitShapes {
-		t.Logf("%-13s %6.1f B/commit (budget %.0f), %.0f pages/checkpoint", shape.name, bytes[shape.name], shape.budget, pages[shape.name])
-		if bytes[shape.name] > shape.budget {
-			t.Errorf("%s logs %.1f B/commit, over its budget of %.0f", shape.name, bytes[shape.name], shape.budget)
+		c := costs[shape.name]
+		t.Logf("%-13s %6.1f B/commit (budget %.0f), %6.1f store B/commit (budget %.0f), %.0f pages/checkpoint",
+			shape.name, c.logBytes, shape.budget, c.storeBytes, shape.storeBudget, c.pages)
+		if c.logBytes > shape.budget {
+			t.Errorf("%s logs %.1f B/commit, over its budget of %.0f", shape.name, c.logBytes, shape.budget)
+		}
+		if c.storeBytes > shape.storeBudget {
+			t.Errorf("%s grows the store %.1f B/commit, over its budget of %.0f", shape.name, c.storeBytes, shape.storeBudget)
 		}
 	}
 }

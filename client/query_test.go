@@ -338,12 +338,13 @@ func TestQueryPoolRoutesToReplica(t *testing.T) {
 // buffers autotune, the client can never see more than `allow` bytes, so
 // a larger result is ALWAYS still in flight when Kill fires.
 type choke struct {
-	ln    net.Listener
-	allow int64
-	mu    sync.Mutex
-	conns []net.Conn
-	once  sync.Once
-	stall chan struct{}
+	ln     net.Listener
+	allow  int64
+	mu     sync.Mutex
+	conns  []net.Conn
+	killed bool // under mu: a pair accepted before Kill but registered after it is closed at once
+	once   sync.Once
+	stall  chan struct{}
 }
 
 func startChoke(t *testing.T, target string, allow int64) *choke {
@@ -365,6 +366,12 @@ func startChoke(t *testing.T, target string, allow int64) *choke {
 				continue
 			}
 			c.mu.Lock()
+			if c.killed {
+				c.mu.Unlock()
+				down.Close()
+				up.Close()
+				return
+			}
 			c.conns = append(c.conns, down, up)
 			c.mu.Unlock()
 			go io.Copy(up, down) // requests flow freely
@@ -388,6 +395,7 @@ func (c *choke) Kill() {
 		c.ln.Close()
 		c.mu.Lock()
 		defer c.mu.Unlock()
+		c.killed = true
 		for _, conn := range c.conns {
 			conn.Close()
 		}

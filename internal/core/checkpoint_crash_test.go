@@ -19,7 +19,8 @@ import (
 
 // checkpointWorkload commits a mix of nodes and relationships so a
 // checkpoint touches both record stores plus the dynamic/property
-// stores.
+// stores, and registers five tokens (CW, v, LINK, i, w) so the matrix
+// crashes at each of five token-file appends.
 const checkpointWorkload = 12
 
 func runCheckpointWorkload(t *testing.T, e *Engine) []uint64 {
@@ -30,7 +31,8 @@ func runCheckpointWorkload(t *testing.T, e *Engine) []uint64 {
 		ids = append(ids, id)
 		if i > 0 && i%3 == 0 {
 			tx := e.Begin()
-			if _, err := tx.CreateRel("LINK", ids[i-1], id, value.Map{"i": value.Int(int64(i))}); err != nil {
+			props := value.Map{"i": value.Int(int64(i)), "w": value.Int(int64(-i))}
+			if _, err := tx.CreateRel("LINK", ids[i-1], id, props); err != nil {
 				t.Fatal(err)
 			}
 			mustCommit(t, tx)
@@ -65,6 +67,9 @@ func verifyWorkload(t *testing.T, e *Engine, ids []uint64) {
 			rels, err := tx.Relationships(id, Incoming, "LINK")
 			if err != nil || len(rels) != 1 {
 				t.Fatalf("node %d LINK adjacency broken: %d rels, err=%v", id, len(rels), err)
+			}
+			if w, _ := rels[0].Props["w"].AsInt(); w != int64(-i) {
+				t.Fatalf("LINK into node %d has w=%d, want %d", id, w, -i)
 			}
 		}
 	}

@@ -83,10 +83,14 @@ func TestRecordBytesUnchanged(t *testing.T) {
 // files (every value kind, a value spilled to the dynamic store, labels, a
 // self-loop) and a WAL tail over it (an update, a property removal, a
 // label, two creations, a deletion) — then checkpoints it and reads the
-// same graph back from its own files. (PR 29 took the relationship chains
-// out of the node and relationship records and moved the fixture's two
-// files into that layout, store format 2; the property, dynamic and token
-// records and the WAL are PR 14's bytes.)
+// same graph back from its own files. (Store format 2 took the
+// relationship chains out of the node and relationship records, and format
+// 3 moved each entity's commit timestamp from its `__neograph_cts` property
+// record into the entity's record, 40 bytes a relationship; the fixture's
+// files were transcribed into each layout once — the timestamp records
+// unlinked and zeroed, the old key left in the token file as an unused
+// name. The other property records, the dynamic records and the WAL are
+// the bytes the directory was first written with.)
 func TestOpensStoreWrittenByPR14(t *testing.T) {
 	dir := t.TempDir()
 	if err := os.CopyFS(dir, os.DirFS(filepath.Join("testdata", "store-pr14"))); err != nil {

@@ -2,12 +2,13 @@
 // store (Figure 1 of the paper). Like Neo4j, every store file is an array
 // of fixed-size records addressed by ID:
 //
-//   - node records hold the ID of the node's first property and a
-//     reference to its label set;
+//   - node records hold the ID of the node's first property, a reference
+//     to its label set and the commit timestamp of the persisted version;
 //   - relationship records hold source and destination node IDs, the
-//     relationship type token and the first property — what a scan in ID
-//     order reads, and nothing more: adjacency is rebuilt in memory from
-//     the endpoints at Open, so no record points at another entity's;
+//     relationship type token, the first property and the commit
+//     timestamp — what a scan in ID order reads, and nothing more:
+//     adjacency is rebuilt in memory from the endpoints at Open, so no
+//     record points at another entity's;
 //   - property records are chained blocks holding one key/value each, with
 //     small values inlined and large values spilled to the dynamic store;
 //   - dynamic records are chained blocks of raw bytes used for long
@@ -24,11 +25,12 @@ import (
 	"neograph/internal/ids"
 )
 
-// Record sizes in bytes. Node/relationship/property records are sized so a
-// whole number fit in one 8 KiB page.
+// Record sizes in bytes. A whole number of records fits in one 8 KiB page
+// and none straddles two: a relationship page holds 204, and 32 bytes of
+// slack at its end.
 const (
 	NodeSize = 32
-	RelSize  = 32
+	RelSize  = 40
 	PropSize = 64
 	DynSize  = 128
 
@@ -56,12 +58,14 @@ const (
 var ErrCorrupt = errors.New("record: corrupt record")
 
 // NodeRecord is the fixed-size persistent image of a node. Exactly one
-// (the newest committed) version of each node is persisted (paper §4).
+// (the newest committed) version of each node is persisted (paper §4),
+// stamped with the timestamp it committed at.
 type NodeRecord struct {
 	InUse     bool
 	Tombstone bool
 	FirstProp ids.ID // head of the property chain, NoID if none
 	LabelRef  ids.ID // dynamic store record holding the label token list, NoID if none
+	CommitTS  uint64
 }
 
 // EncodeNode writes n into dst, which must be at least NodeSize bytes.
@@ -77,7 +81,8 @@ func EncodeNode(dst []byte, n *NodeRecord) {
 	dst[0] = flags
 	binary.LittleEndian.PutUint64(dst[1:], n.FirstProp)
 	binary.LittleEndian.PutUint64(dst[9:], n.LabelRef)
-	for i := 17; i < NodeSize; i++ {
+	binary.LittleEndian.PutUint64(dst[17:], n.CommitTS)
+	for i := 25; i < NodeSize; i++ {
 		dst[i] = 0
 	}
 }
@@ -93,6 +98,7 @@ func DecodeNode(src []byte) (NodeRecord, error) {
 		Tombstone: flags&FlagTombstone != 0,
 		FirstProp: binary.LittleEndian.Uint64(src[1:]),
 		LabelRef:  binary.LittleEndian.Uint64(src[9:]),
+		CommitTS:  binary.LittleEndian.Uint64(src[17:]),
 	}, nil
 }
 
@@ -104,6 +110,7 @@ type RelRecord struct {
 	StartNode ids.ID
 	EndNode   ids.ID
 	FirstProp ids.ID
+	CommitTS  uint64
 }
 
 // EncodeRel writes r into dst, which must be at least RelSize bytes.
@@ -121,7 +128,8 @@ func EncodeRel(dst []byte, r *RelRecord) {
 	binary.LittleEndian.PutUint64(dst[5:], r.StartNode)
 	binary.LittleEndian.PutUint64(dst[13:], r.EndNode)
 	binary.LittleEndian.PutUint64(dst[21:], r.FirstProp)
-	for i := 29; i < RelSize; i++ {
+	binary.LittleEndian.PutUint64(dst[29:], r.CommitTS)
+	for i := 37; i < RelSize; i++ {
 		dst[i] = 0
 	}
 }
@@ -139,6 +147,7 @@ func DecodeRel(src []byte) (RelRecord, error) {
 		StartNode: binary.LittleEndian.Uint64(src[5:]),
 		EndNode:   binary.LittleEndian.Uint64(src[13:]),
 		FirstProp: binary.LittleEndian.Uint64(src[21:]),
+		CommitTS:  binary.LittleEndian.Uint64(src[29:]),
 	}, nil
 }
 

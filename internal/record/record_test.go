@@ -12,8 +12,8 @@ import (
 func TestNodeRoundTrip(t *testing.T) {
 	cases := []NodeRecord{
 		{},
-		{InUse: true, FirstProp: 9, LabelRef: 11},
-		{InUse: true, Tombstone: true, FirstProp: ids.NoID, LabelRef: ids.NoID},
+		{InUse: true, FirstProp: 9, LabelRef: 11, CommitTS: 42},
+		{InUse: true, Tombstone: true, FirstProp: ids.NoID, LabelRef: ids.NoID, CommitTS: ^uint64(0)},
 	}
 	for _, n := range cases {
 		var buf [NodeSize]byte
@@ -32,7 +32,7 @@ func TestRelRoundTrip(t *testing.T) {
 	r := RelRecord{
 		InUse: true, Type: 42,
 		StartNode: 1, EndNode: 2,
-		FirstProp: 99,
+		FirstProp: 99, CommitTS: 7,
 	}
 	var buf [RelSize]byte
 	EncodeRel(buf[:], &r)
@@ -142,11 +142,17 @@ func TestCorruptLengths(t *testing.T) {
 }
 
 func TestRecordsFitPages(t *testing.T) {
-	// Record sizes must divide the page size so records never straddle pages.
+	// A page holds a whole number of records and none straddles two: the
+	// store puts record id at offset id%perPage*size of page id/perPage,
+	// perPage = page/size, and leaves the slack at the page's end. What
+	// each file gets out of a page is pinned here.
 	const page = 8192
-	for name, size := range map[string]int{"node": NodeSize, "rel": RelSize, "prop": PropSize, "dyn": DynSize} {
-		if page%size != 0 {
-			t.Errorf("%s record size %d does not divide page size", name, size)
+	for name, want := range map[string]struct{ size, perPage, slack int }{
+		"node": {NodeSize, 256, 0}, "rel": {RelSize, 204, 32}, "prop": {PropSize, 128, 0}, "dyn": {DynSize, 64, 0},
+	} {
+		if n := page / want.size; n != want.perPage || page-n*want.size != want.slack {
+			t.Errorf("%s records of %d bytes: %d a page and %d bytes of slack, want %d and %d",
+				name, want.size, n, page-n*want.size, want.perPage, want.slack)
 		}
 	}
 }
@@ -160,6 +166,7 @@ func TestQuickRelRoundTrip(t *testing.T) {
 			Type:      rr.Uint32(),
 			StartNode: rr.Uint64(), EndNode: rr.Uint64(),
 			FirstProp: rr.Uint64(),
+			CommitTS:  rr.Uint64(),
 		}
 		var buf [RelSize]byte
 		EncodeRel(buf[:], &r)

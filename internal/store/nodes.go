@@ -10,8 +10,8 @@ import (
 )
 
 // NodeData is the persisted image of one node: the newest committed
-// version only. CommitTS is round-tripped through the reserved commit
-// timestamp property the paper adds to every entity.
+// version only. CommitTS, the timestamp the paper adds to every entity, is
+// kept in the node's record, beside the heads of its chains.
 type NodeData struct {
 	ID        ids.ID
 	Labels    []string
@@ -71,7 +71,7 @@ func (s *Store) putNodeLocked(n NodeData) error {
 		}
 	}
 
-	propHead, err := s.writePropChain(n.Props, n.CommitTS)
+	propHead, err := s.writePropChain(n.Props)
 	if err != nil {
 		return err
 	}
@@ -84,6 +84,7 @@ func (s *Store) putNodeLocked(n NodeData) error {
 		Tombstone: n.Tombstone,
 		FirstProp: propHead,
 		LabelRef:  labelRef,
+		CommitTS:  n.CommitTS,
 	}
 	record.EncodeNode(buf[:], &rec)
 	return s.nodes.write(n.ID, buf[:])

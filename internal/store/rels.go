@@ -62,13 +62,7 @@ func (s *Store) PutRel(r RelData) error {
 			// replica, before its own collector got to it). A later owner is
 			// newer than anything the earlier one wrote and replaces it; an
 			// image that is not is a caller's mistake.
-			chains := s.newReader()
-			_, oldTS, err := chains.propChain(old.FirstProp)
-			chains.release()
-			if err != nil {
-				return err
-			}
-			if r.CommitTS <= oldTS {
+			if r.CommitTS <= old.CommitTS {
 				return fmt.Errorf("store: rel %d endpoints changed on rewrite", r.ID)
 			}
 		}
@@ -83,8 +77,9 @@ func (s *Store) PutRel(r RelData) error {
 		Type:      tok,
 		StartNode: r.StartNode,
 		EndNode:   r.EndNode,
+		CommitTS:  r.CommitTS,
 	}
-	if rec.FirstProp, err = s.writePropChain(r.Props, r.CommitTS); err != nil {
+	if rec.FirstProp, err = s.writePropChain(r.Props); err != nil {
 		return err
 	}
 	record.EncodeRel(buf[:], &rec)

@@ -76,11 +76,11 @@ func (r *reader) release() {
 
 // node completes the image of node id from its record.
 func (r *reader) node(id ids.ID, rec *record.NodeRecord) (NodeData, error) {
-	props, cts, err := r.propChain(rec.FirstProp)
+	props, err := r.propChain(rec.FirstProp)
 	if err != nil {
 		return NodeData{}, err
 	}
-	n := NodeData{ID: id, Tombstone: rec.Tombstone, Props: props, CommitTS: cts}
+	n := NodeData{ID: id, Tombstone: rec.Tombstone, Props: props, CommitTS: rec.CommitTS}
 	if n.Labels, err = r.labelChain(rec.LabelRef); err != nil {
 		return NodeData{}, err
 	}
@@ -92,14 +92,14 @@ func (r *reader) rel(id ids.ID, rec *record.RelRecord) (RelData, error) {
 	if int(rec.Type) >= len(r.relType) {
 		return RelData{}, fmt.Errorf("store: rel %d has unknown type token %d", id, rec.Type)
 	}
-	props, cts, err := r.propChain(rec.FirstProp)
+	props, err := r.propChain(rec.FirstProp)
 	if err != nil {
 		return RelData{}, err
 	}
 	return RelData{
 		ID: id, Type: r.relType[rec.Type],
 		StartNode: rec.StartNode, EndNode: rec.EndNode,
-		Tombstone: rec.Tombstone, Props: props, CommitTS: cts,
+		Tombstone: rec.Tombstone, Props: props, CommitTS: rec.CommitTS,
 	}, nil
 }
 
@@ -128,50 +128,42 @@ func (r *reader) dynChain(head ids.ID) ([]byte, error) {
 	return r.raw, nil
 }
 
-// propChain decodes a property chain straight into its packed form. The
-// reserved commit-timestamp property is returned apart, never as a field.
-func (r *reader) propChain(head ids.ID) (props value.Packed, commitTS uint64, err error) {
+// propChain decodes a property chain straight into its packed form.
+func (r *reader) propChain(head ids.ID) (value.Packed, error) {
 	var scratch [8]value.Field
 	fields := scratch[:0]
 	for id, hops := head, 0; id != ids.NoID; hops++ {
 		if hops > 1<<20 {
-			return props, 0, fmt.Errorf("store: property chain cycle at %d", id)
+			return value.Packed{}, fmt.Errorf("store: property chain cycle at %d", id)
 		}
 		buf, err := r.props.record(id)
 		if err != nil {
-			return props, 0, err
+			return value.Packed{}, err
 		}
 		p, err := record.DecodeProp(buf)
 		if err != nil {
-			return props, 0, err
+			return value.Packed{}, err
 		}
 		if !p.InUse {
-			return props, 0, fmt.Errorf("%w: property record %d", ErrNotFound, id)
+			return value.Packed{}, fmt.Errorf("%w: property record %d", ErrNotFound, id)
 		}
 		if int(p.Key) >= len(r.keyNames) {
-			return props, 0, fmt.Errorf("store: property record %d has unknown key token %d", id, p.Key)
+			return value.Packed{}, fmt.Errorf("store: property record %d has unknown key token %d", id, p.Key)
 		}
-		name := r.keyNames[p.Key]
 		enc := p.Inline // in the pinned page; DecodeValue copies what it keeps
 		if p.Spilled {
 			if enc, err = r.dynChain(p.SpillRef); err != nil {
-				return props, 0, err
+				return value.Packed{}, err
 			}
 		}
 		v, _, err := value.DecodeValue(enc)
 		if err != nil {
-			return props, 0, fmt.Errorf("store: property record %d: %w", id, err)
+			return value.Packed{}, fmt.Errorf("store: property record %d: %w", id, err)
 		}
-		if name == CommitTSKeyName {
-			if cts, ok := v.AsInt(); ok {
-				commitTS = uint64(cts)
-			}
-		} else {
-			fields = append(fields, value.Field{Key: name, Val: v})
-		}
+		fields = append(fields, value.Field{Key: r.keyNames[p.Key], Val: v})
 		id = p.Next
 	}
-	return value.PackFields(fields), commitTS, nil
+	return value.PackFields(fields), nil
 }
 
 // labelChain loads a label set from a dynamic chain.

@@ -253,43 +253,27 @@ func (s *Store) freeDynChain(head ids.ID) error {
 // ---- property chains ----
 
 // writePropChain persists an entity's properties as a chain of property
-// records in key order, returning the head ID. The commit timestamp rides
-// the chain as one more property under the reserved CommitTSKeyName, at
-// its place in that order (and in place of any user property of that
-// name). Keys are registered in the token registry. Caller holds s.mu.
-func (s *Store) writePropChain(props value.Packed, commitTS uint64) (ids.ID, error) {
-	var scratch [9]value.Field
-	fields := scratch[:0]
-	cts := value.Field{Key: CommitTSKeyName, Val: value.Int(int64(commitTS))}
-	placed := false
-	for i := 0; i < props.Len(); i++ {
-		f := props.At(i)
-		if !placed && f.Key >= CommitTSKeyName {
-			fields = append(fields, cts)
-			placed = true
-		}
-		if f.Key != CommitTSKeyName {
-			fields = append(fields, f)
-		}
+// records in key order, returning the head ID; no properties, no chain
+// (ids.NoID). Keys are registered in the token registry. Caller holds s.mu.
+func (s *Store) writePropChain(props value.Packed) (ids.ID, error) {
+	if props.Len() == 0 {
+		return ids.NoID, nil
 	}
-	if !placed {
-		fields = append(fields, cts)
-	}
-
-	recIDs := make([]ids.ID, len(fields))
+	recIDs := make([]ids.ID, props.Len())
 	for i := range recIDs {
 		recIDs[i] = s.props.alloc.Next()
 	}
 	var buf [record.PropSize]byte
 	var enc []byte
-	for i, f := range fields {
+	for i := range recIDs {
+		f := props.At(i)
 		tok, err := s.tokens.Get(TokenPropKey, f.Key)
 		if err != nil {
 			return ids.NoID, err
 		}
 		enc = value.AppendValue(enc[:0], f.Val)
 		p := record.PropRecord{InUse: true, Key: tok, Next: ids.NoID}
-		if i+1 < len(fields) {
+		if i+1 < len(recIDs) {
 			p.Next = recIDs[i+1]
 		}
 		if len(enc) <= record.PropInlineMax {

@@ -2,6 +2,7 @@ package store
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -102,9 +103,6 @@ func TestPutGetNode(t *testing.T) {
 	}
 	if !got.Props.ToMap().Equal(n.Props.ToMap()) {
 		t.Errorf("props = %v, want %v", got.Props, n.Props)
-	}
-	if _, ok := got.Props.Get(CommitTSKeyName); ok {
-		t.Error("reserved cts property leaked into props")
 	}
 }
 
@@ -245,7 +243,9 @@ func TestRelPutOverEarlierOwner(t *testing.T) {
 
 // What a put costs the next flush: the pages its own records lie in. New
 // relationships between nodes already flushed write no node page and no
-// relationship page but their own; a removal writes one.
+// relationship page but their own — and, having no properties, no
+// property page: their commit timestamps are in their records. A removal
+// writes one page.
 func TestRelPutDirtiesOnlyItsOwnPages(t *testing.T) {
 	s, err := Open(t.TempDir(), Options{}) // every page stays cached: a write-back is a flush's
 	if err != nil {
@@ -256,71 +256,92 @@ func TestRelPutDirtiesOnlyItsOwnPages(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	putRels := func(n int) (first, last ids.ID) {
 		for i := 0; i < n; i++ {
-			last = mustRel(t, s, "R", ids.ID(rng.Intn(nodes)), ids.ID(rng.Intn(nodes)))
+			last = s.AllocRelID()
+			r := RelData{ID: last, Type: "R", StartNode: ids.ID(rng.Intn(nodes)), EndNode: ids.ID(rng.Intn(nodes)), CommitTS: 100 + last}
+			if err := s.PutRel(r); err != nil {
+				t.Fatal(err)
+			}
 			if i == 0 {
 				first = last
 			}
 		}
 		return first, last
 	}
-	flushed := func() (nodePages, relPages uint64) {
+	flushed := func() (nodePages, relPages, propPages uint64) {
 		if err := s.Flush(); err != nil {
 			t.Fatal(err)
 		}
 		st := s.CacheStats()
-		return st["nodes"].Flushes, st["rels"].Flushes
+		return st["nodes"].Flushes, st["rels"].Flushes, st["props"].Flushes
 	}
 	for i := 0; i < nodes; i++ {
 		mustNode(t, s, nil)
 	}
 	victim, _ := putRels(before)
-	n0, r0 := flushed()
+	n0, r0, p0 := flushed()
 
 	first, last := putRels(added)
 	perPage := ids.ID(pagecache.PageSize / record.RelSize)
-	n1, r1 := flushed()
-	if want := uint64(last/perPage - first/perPage + 1); n1 != n0 || r1-r0 != want {
-		t.Fatalf("flush after %d new relationships wrote %d node pages and %d rel pages, want 0 and %d", added, n1-n0, r1-r0, want)
+	n1, r1, p1 := flushed()
+	if want := uint64(last/perPage - first/perPage + 1); n1 != n0 || r1-r0 != want || p1 != p0 {
+		t.Fatalf("flush after %d new relationships wrote %d node pages, %d rel pages and %d property pages, want 0, %d and 0",
+			added, n1-n0, r1-r0, p1-p0, want)
+	}
+	for id := first; id <= last; id++ {
+		if r, err := s.GetRel(id); err != nil || r.CommitTS != 100+id || r.Props.Len() != 0 {
+			t.Fatalf("rel %d = %+v, %v; want commit timestamp %d and no properties", id, r, err, 100+id)
+		}
 	}
 
 	if err := s.RemoveRel(victim); err != nil {
 		t.Fatal(err)
 	}
-	if n2, r2 := flushed(); n2 != n1 || r2-r1 != 1 {
+	if n2, r2, _ := flushed(); n2 != n1 || r2-r1 != 1 {
 		t.Fatalf("flush after one removal wrote %d node pages and %d rel pages, want 0 and 1", n2-n1, r2-r1)
 	}
 }
 
-// A store written before the relationship chains left the record formats
-// has 64-byte relationship records; read at this build's stride it would
-// yield garbage. Its token file says which format it is, and Open refuses
-// it by name, touching nothing.
+// A store written in an earlier format has other records — 64-byte
+// relationships in format 1, a commit timestamp in a property record in
+// format 2 — and read at this build's stride it would yield garbage. Its
+// token file says which format it is, and Open refuses it by name,
+// touching nothing. The file is written when the store is created, so a
+// store of bare nodes, which registers no token, has it too.
 func TestOpenRefusesAnotherFormatByName(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustRel(t, s, "R", mustNode(t, s, nil), mustNode(t, s, nil))
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	tokens := filepath.Join(dir, "neostore.tokens.db")
-	header, err := os.ReadFile(tokens)
-	if err != nil {
-		t.Fatal(err)
-	}
-	header[7] = 1
-	if err := os.WriteFile(tokens, header, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	before := dirBytes(t, dir)
-	_, err = Open(dir, Options{})
-	if err == nil || !strings.Contains(err.Error(), "store format 1, this build reads 2") {
-		t.Fatalf("Open of a format 1 store: %v", err)
-	}
-	if after := dirBytes(t, dir); !reflect.DeepEqual(after, before) {
-		t.Fatal("the refused Open changed the directory")
+	for _, format := range []byte{1, 2} {
+		dir := t.TempDir()
+		s, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if format == 1 {
+			mustRel(t, s, "R", mustNode(t, s, nil), mustNode(t, s, nil))
+		} else {
+			mustNode(t, s, nil)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		tokens := filepath.Join(dir, "neostore.tokens.db")
+		header, err := os.ReadFile(tokens)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if format == 2 && string(header) != string(tokenMagic[:]) {
+			t.Fatalf("token file of a store of one bare node = %q, want the format 3 header %q", header, tokenMagic)
+		}
+		header[7] = format
+		if err := os.WriteFile(tokens, header, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		before := dirBytes(t, dir)
+		_, err = Open(dir, Options{})
+		if want := fmt.Sprintf("store format %d, this build reads 3", format); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("Open of a format %d store: %v", format, err)
+		}
+		if after := dirBytes(t, dir); !reflect.DeepEqual(after, before) {
+			t.Fatalf("the refused Open of a format %d store changed the directory", format)
+		}
 	}
 }
 

@@ -23,23 +23,16 @@ const (
 	tokenKinds
 )
 
-// Reserved property key tokens. CommitTSKey holds the commit timestamp the
-// paper attaches to every persisted entity (§4: "We have added an
-// additional property to both of them for keeping the commit timestamp").
-const (
-	CommitTSKeyName = "__neograph_cts"
-)
-
 // ErrBadTokenFile reports a corrupt token store file.
 var ErrBadTokenFile = errors.New("store: bad token file")
 
 // tokenMagic opens the token file; its last byte is the format of the
-// whole store. Every store that holds an entity holds this file (the
-// reserved commit-timestamp key), so a directory written in another format
-// is refused here, by name, before a record of it is read at the wrong
-// stride. Format 2 took the relationship chains out of the node and
-// relationship records.
-var tokenMagic = [8]byte{'n', 'g', 't', 'k', 0, 0, 0, 2}
+// whole store. The header is written when the store is created, before any
+// record file, so a directory written in another format is refused here,
+// by name, before a record of it is read at the wrong stride. Format 2
+// took the relationship chains out of the node and relationship records;
+// format 3 moved the commit timestamp from a property record into them.
+var tokenMagic = [8]byte{'n', 'g', 't', 'k', 0, 0, 0, 3}
 
 // Tokens is the persistent registry mapping names to dense uint32 tokens,
 // one namespace per TokenKind. It is safe for concurrent use; writes are
@@ -59,22 +52,19 @@ func OpenTokens(fs faultfs.FS, path string) (*Tokens, error) {
 		t.byName[k] = make(map[string]uint32)
 	}
 	buf, err := t.fs.ReadFile(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return t, nil
-	}
-	if err != nil {
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
 		return nil, fmt.Errorf("store: open tokens %s: %w", path, err)
 	}
-	if len(buf) < 8 {
-		// A crash during the creating append can leave anything from an
-		// empty file to a prefix of the magic header. Nothing after a
-		// partial header can be valid, so repair to empty — the next
-		// append rewrites the magic. Bytes that are NOT a magic prefix
-		// mean the file was never ours: stay fatal.
+	if len(buf) < len(tokenMagic) {
+		// A new store, or one whose creation a crash cut short: anything
+		// from no file to a prefix of the header. Nothing can follow a
+		// partial header, so the file is written anew, header alone.
+		// Bytes that are NOT a magic prefix mean the file was never ours:
+		// stay fatal.
 		if string(buf) != string(tokenMagic[:len(buf)]) {
 			return nil, fmt.Errorf("%w: %s", ErrBadTokenFile, path)
 		}
-		if err := t.repair(0); err != nil {
+		if err := t.create(); err != nil {
 			return nil, err
 		}
 		return t, nil
@@ -209,23 +199,28 @@ func (t *Tokens) repair(size int64) error {
 	return nil
 }
 
+// create writes the token file of a new store: the header, no tokens.
+func (t *Tokens) create() error {
+	f, err := t.fs.OpenFile(t.path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return fmt.Errorf("store: create tokens %s: %w", t.path, err)
+	}
+	defer f.Close()
+	if _, err := f.Write(tokenMagic[:]); err != nil {
+		return fmt.Errorf("store: create tokens %s: %w", t.path, err)
+	}
+	return f.Sync()
+}
+
 // appendEntry persists one new token. Caller holds t.mu. The file is
-// rewritten append-only: on first write the magic header is added.
+// written append-only, after the header Open wrote.
 func (t *Tokens) appendEntry(kind TokenKind, id uint32, name string) error {
-	f, err := t.fs.OpenFile(t.path, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
+	f, err := t.fs.OpenFile(t.path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("store: append token: %w", err)
 	}
 	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return fmt.Errorf("store: append token: %w", err)
-	}
-	var buf []byte
-	if st.Size() == 0 {
-		buf = append(buf, tokenMagic[:]...)
-	}
-	buf = append(buf, byte(kind))
+	buf := []byte{byte(kind)}
 	buf = binary.LittleEndian.AppendUint32(buf, id)
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(name)))
 	buf = append(buf, name...)

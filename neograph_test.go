@@ -222,6 +222,47 @@ func TestPersistentOpenClose(t *testing.T) {
 	})
 }
 
+// The store keeps an entity's commit timestamp in its record, so no
+// property name is the store's: one named like the reserved key earlier
+// store formats kept the timestamp under survives a checkpoint like any other.
+func TestPropertyNamedLikeTheOldTimestampKeySurvivesCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var id NodeID
+	if err := db.Update(0, func(tx *Tx) (err error) {
+		if id, err = tx.CreateNode(nil, nil); err != nil {
+			return err
+		}
+		return tx.SetNodeProp(id, "__neograph_cts", String("x"))
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db, err = Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	db.View(func(tx *Tx) error {
+		n, err := tx.GetNode(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v, _ := n.Props["__neograph_cts"].AsString(); v != "x" {
+			t.Fatalf("props after reopen = %v, want __neograph_cts = \"x\"", n.Props)
+		}
+		return nil
+	})
+}
+
 func TestGCThroughPublicAPI(t *testing.T) {
 	db := memDB(t)
 	var id NodeID
