@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"neograph"
+	"neograph/internal/value"
 	"neograph/internal/wire"
 )
 
@@ -20,7 +21,6 @@ import (
 // naming the failed op.
 type Batch struct {
 	reqs []wire.Request
-	err  error // first build-time encoding error, surfaced by Run
 }
 
 // Len returns the number of queued operations.
@@ -32,20 +32,9 @@ func (b *Batch) add(req wire.Request) int {
 	return len(b.reqs) - 1
 }
 
-// addEnc queues a request built from an encoded value or property map,
-// recording the first build-time encoding error; the op still occupies an
-// index so earlier handles stay valid.
-func (b *Batch) addEnc(req wire.Request, err error) int {
-	if err != nil && b.err == nil {
-		b.err = err
-	}
-	return b.add(req)
-}
-
 // CreateNode queues a node creation.
 func (b *Batch) CreateNode(labels []string, props neograph.Props) int {
-	enc, err := wire.EncodeProps(props)
-	return b.addEnc(wire.Request{Op: wire.OpCreateNode, Labels: labels, Props: enc}, err)
+	return b.add(wire.Request{Op: wire.OpCreateNode, Labels: labels, Props: wire.Props(props)})
 }
 
 // GetNode queues a node fetch.
@@ -61,17 +50,15 @@ func (b *Batch) GetNode(id neograph.NodeID) int {
 // not earlier in the batch, or that did not create an entity, aborts the
 // batch with a structured error naming the op.
 func (b *Batch) CreateRelRef(relType string, startOp, endOp int, props neograph.Props) int {
-	enc, err := wire.EncodeProps(props)
 	s, e := startOp, endOp
-	return b.addEnc(wire.Request{Op: wire.OpCreateRel, Type: relType, StartRef: &s, EndRef: &e, Props: enc}, err)
+	return b.add(wire.Request{Op: wire.OpCreateRel, Type: relType, StartRef: &s, EndRef: &e, Props: wire.Props(props)})
 }
 
 // SetNodePropRef queues a property write on the node created by an
 // earlier op of this batch (see CreateRelRef).
 func (b *Batch) SetNodePropRef(op int, key string, v neograph.Value) int {
-	enc, err := wire.EncodeValue(v)
 	o := op
-	return b.addEnc(wire.Request{Op: wire.OpSetNodeProp, IDRef: &o, Key: key, Value: enc}, err)
+	return b.add(wire.Request{Op: wire.OpSetNodeProp, IDRef: &o, Key: key, Value: value.EncodeValue(v)})
 }
 
 // AddLabelRef queues a label addition on the node created by an earlier
@@ -83,8 +70,7 @@ func (b *Batch) AddLabelRef(op int, label string) int {
 
 // SetNodeProp queues a node property write.
 func (b *Batch) SetNodeProp(id neograph.NodeID, key string, v neograph.Value) int {
-	enc, err := wire.EncodeValue(v)
-	return b.addEnc(wire.Request{Op: wire.OpSetNodeProp, ID: id, Key: key, Value: enc}, err)
+	return b.add(wire.Request{Op: wire.OpSetNodeProp, ID: id, Key: key, Value: value.EncodeValue(v)})
 }
 
 // AddLabel queues a label addition.
@@ -109,8 +95,7 @@ func (b *Batch) DetachDeleteNode(id neograph.NodeID) int {
 
 // CreateRel queues a relationship creation.
 func (b *Batch) CreateRel(relType string, start, end neograph.NodeID, props neograph.Props) int {
-	enc, err := wire.EncodeProps(props)
-	return b.addEnc(wire.Request{Op: wire.OpCreateRel, Type: relType, Start: start, End: end, Props: enc}, err)
+	return b.add(wire.Request{Op: wire.OpCreateRel, Type: relType, Start: start, End: end, Props: wire.Props(props)})
 }
 
 // GetRel queues a relationship fetch.
@@ -120,8 +105,7 @@ func (b *Batch) GetRel(id neograph.RelID) int {
 
 // SetRelProp queues a relationship property write.
 func (b *Batch) SetRelProp(id neograph.RelID, key string, v neograph.Value) int {
-	enc, err := wire.EncodeValue(v)
-	return b.addEnc(wire.Request{Op: wire.OpSetRelProp, ID: id, Key: key, Value: enc}, err)
+	return b.add(wire.Request{Op: wire.OpSetRelProp, ID: id, Key: key, Value: value.EncodeValue(v)})
 }
 
 // DeleteRel queues a relationship deletion.
@@ -146,8 +130,7 @@ func (b *Batch) NodesByLabel(label string) int {
 
 // NodesByProperty queues a property lookup.
 func (b *Batch) NodesByProperty(key string, v neograph.Value) int {
-	enc, err := wire.EncodeValue(v)
-	return b.addEnc(wire.Request{Op: wire.OpNodesByProp, Key: key, Value: enc}, err)
+	return b.add(wire.Request{Op: wire.OpNodesByProp, Key: key, Value: value.EncodeValue(v)})
 }
 
 // AllNodes queues a full node-ID listing.
@@ -250,9 +233,6 @@ func (r *BatchResults) IDs(i int) ([]uint64, error) {
 // server-side abort the returned error is a *BatchError naming the failed
 // op; the engine sentinel it wraps is reachable through errors.Is.
 func (c *Client) RunBatch(ctx context.Context, b *Batch) (*BatchResults, error) {
-	if b.err != nil {
-		return nil, fmt.Errorf("client: batch build: %w", b.err)
-	}
 	if err := wire.ValidateBatch(&wire.Request{Op: wire.OpBatch, Batch: b.reqs}); err != nil {
 		return nil, err
 	}

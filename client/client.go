@@ -72,6 +72,7 @@ import (
 
 	"neograph"
 	"neograph/internal/trace"
+	"neograph/internal/value"
 	"neograph/internal/wire"
 )
 
@@ -373,7 +374,7 @@ func decodeNode(n *wire.NodeJSON) (neograph.Node, error) {
 	if n == nil {
 		return neograph.Node{}, errors.New("client: response missing node")
 	}
-	props, err := wire.DecodeProps(n.Props)
+	props, err := value.ParseMap(n.Props)
 	if err != nil {
 		return neograph.Node{}, err
 	}
@@ -385,7 +386,7 @@ func decodeRel(r *wire.RelJSON) (neograph.Relationship, error) {
 	if r == nil {
 		return neograph.Relationship{}, errors.New("client: response missing rel")
 	}
-	props, err := wire.DecodeProps(r.Props)
+	props, err := value.ParseMap(r.Props)
 	if err != nil {
 		return neograph.Relationship{}, err
 	}
@@ -419,11 +420,7 @@ func (c *Client) Ping(ctx context.Context) error {
 
 // CreateNode creates a node and returns its ID.
 func (c *Client) CreateNode(ctx context.Context, labels []string, props neograph.Props) (neograph.NodeID, error) {
-	enc, err := wire.EncodeProps(props)
-	if err != nil {
-		return 0, err
-	}
-	resp, err := c.ask(ctx, &wire.Request{Op: wire.OpCreateNode, Labels: labels, Props: enc})
+	resp, err := c.ask(ctx, &wire.Request{Op: wire.OpCreateNode, Labels: labels, Props: wire.Props(props)})
 	if err != nil {
 		return 0, err
 	}
@@ -441,11 +438,7 @@ func (c *Client) GetNode(ctx context.Context, id neograph.NodeID) (neograph.Node
 
 // SetNodeProp sets one node property.
 func (c *Client) SetNodeProp(ctx context.Context, id neograph.NodeID, key string, v neograph.Value) error {
-	enc, err := wire.EncodeValue(v)
-	if err != nil {
-		return err
-	}
-	return c.later(ctx, &wire.Request{Op: wire.OpSetNodeProp, ID: id, Key: key, Value: enc})
+	return c.later(ctx, &wire.Request{Op: wire.OpSetNodeProp, ID: id, Key: key, Value: value.EncodeValue(v)})
 }
 
 // AddLabel adds a label to a node.
@@ -470,11 +463,7 @@ func (c *Client) DetachDeleteNode(ctx context.Context, id neograph.NodeID) error
 
 // CreateRel creates a relationship and returns its ID.
 func (c *Client) CreateRel(ctx context.Context, relType string, start, end neograph.NodeID, props neograph.Props) (neograph.RelID, error) {
-	enc, err := wire.EncodeProps(props)
-	if err != nil {
-		return 0, err
-	}
-	resp, err := c.ask(ctx, &wire.Request{Op: wire.OpCreateRel, Type: relType, Start: start, End: end, Props: enc})
+	resp, err := c.ask(ctx, &wire.Request{Op: wire.OpCreateRel, Type: relType, Start: start, End: end, Props: wire.Props(props)})
 	if err != nil {
 		return 0, err
 	}
@@ -492,11 +481,7 @@ func (c *Client) GetRel(ctx context.Context, id neograph.RelID) (neograph.Relati
 
 // SetRelProp sets one relationship property.
 func (c *Client) SetRelProp(ctx context.Context, id neograph.RelID, key string, v neograph.Value) error {
-	enc, err := wire.EncodeValue(v)
-	if err != nil {
-		return err
-	}
-	return c.later(ctx, &wire.Request{Op: wire.OpSetRelProp, ID: id, Key: key, Value: enc})
+	return c.later(ctx, &wire.Request{Op: wire.OpSetRelProp, ID: id, Key: key, Value: value.EncodeValue(v)})
 }
 
 // DeleteRel deletes a relationship.
@@ -534,11 +519,7 @@ func (c *Client) NodesByLabel(ctx context.Context, label string) ([]neograph.Nod
 
 // NodesByProperty lists node IDs whose property key equals v.
 func (c *Client) NodesByProperty(ctx context.Context, key string, v neograph.Value) ([]neograph.NodeID, error) {
-	enc, err := wire.EncodeValue(v)
-	if err != nil {
-		return nil, err
-	}
-	return c.ids(ctx, &wire.Request{Op: wire.OpNodesByProp, Key: key, Value: enc})
+	return c.ids(ctx, &wire.Request{Op: wire.OpNodesByProp, Key: key, Value: value.EncodeValue(v)})
 }
 
 // AllNodes lists every visible node ID.

@@ -2,10 +2,10 @@ package client
 
 import (
 	"context"
-	"fmt"
 	"time"
 
 	"neograph"
+	"neograph/internal/value"
 	"neograph/internal/wire"
 )
 
@@ -19,11 +19,10 @@ import (
 //	for st.Next() { use(st.Row()) }
 //	err = st.Err()
 //
-// Plan construction never fails eagerly; an invalid combination (or an
-// unencodable property value) surfaces from Query.
+// Plan construction never fails eagerly; an invalid combination surfaces
+// from Query.
 type Query struct {
 	plan wire.QueryPlan
-	err  error
 }
 
 // SeedIDs starts a plan from explicit node IDs.
@@ -38,14 +37,7 @@ func SeedLabel(label string) *Query {
 
 // SeedProperty starts a plan from every node whose property key equals v.
 func SeedProperty(key string, v neograph.Value) *Query {
-	q := &Query{}
-	raw, err := wire.EncodeValue(v)
-	if err != nil {
-		q.err = err
-		return q
-	}
-	q.plan.Seed = wire.QuerySeed{Key: key, Value: raw}
-	return q
+	return &Query{plan: wire.QueryPlan{Seed: wire.QuerySeed{Key: key, Value: value.EncodeValue(v)}}}
 }
 
 // SeedAll starts a plan from every visible node.
@@ -93,22 +85,12 @@ func (q *Query) FilterLabel(label string) *Query {
 
 // WhereEq keeps rows whose node property key equals v.
 func (q *Query) WhereEq(key string, v neograph.Value) *Query {
-	raw, err := wire.EncodeValue(v)
-	if err != nil {
-		q.err = err
-		return q
-	}
-	return q.stage(wire.QueryStage{Op: wire.StageFilterEq, Key: key, Value: raw})
+	return q.stage(wire.QueryStage{Op: wire.StageFilterEq, Key: key, Value: value.EncodeValue(v)})
 }
 
 // WhereLt keeps rows whose node property key is strictly less than v.
 func (q *Query) WhereLt(key string, v neograph.Value) *Query {
-	raw, err := wire.EncodeValue(v)
-	if err != nil {
-		q.err = err
-		return q
-	}
-	return q.stage(wire.QueryStage{Op: wire.StageFilterLt, Key: key, Value: raw})
+	return q.stage(wire.QueryStage{Op: wire.StageFilterLt, Key: key, Value: value.EncodeValue(v)})
 }
 
 // Limit stops the stream after n rows.
@@ -172,9 +154,6 @@ type QueryStream struct {
 // budget and the connection I/O deadline, and cancellation poisons the
 // connection exactly as for a unary call.
 func (c *Client) Query(ctx context.Context, q *Query) (*QueryStream, error) {
-	if q.err != nil {
-		return nil, fmt.Errorf("client: bad query: %w", q.err)
-	}
 	// A stream is not a batch sub-op: what the transaction has deferred
 	// goes first, in a frame of its own, so the query reads it.
 	if err := c.Flush(ctx); err != nil {

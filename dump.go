@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 
+	"neograph/internal/value"
 	"neograph/internal/wire"
 )
 
@@ -15,9 +16,10 @@ import (
 // snapshot even while writers commit — the operational payoff of the
 // paper's design (an online backup needs no quiescence).
 //
-// The format round-trips exactly through Import: entity IDs, labels,
-// property types (including int64 precision and non-UTF-8 strings) are
-// preserved using the wire codec's tagged values.
+// The format round-trips exactly through Import: entity IDs, labels and
+// every property value bit for bit, because a property map is the bytes
+// the WAL, the store and the wire carry (internal/value's binary
+// encoding), base64 in the JSON record.
 func Export(tx *Tx, w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
@@ -31,16 +33,12 @@ func Export(tx *Tx, w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		props, err := wire.EncodeProps(n.Props)
-		if err != nil {
-			return err
-		}
 		rec := struct {
-			Kind   string          `json:"kind"`
-			ID     uint64          `json:"id"`
-			Labels []string        `json:"labels,omitempty"`
-			Props  json.RawMessage `json:"props,omitempty"`
-		}{"node", n.ID, n.Labels, props}
+			Kind   string   `json:"kind"`
+			ID     uint64   `json:"id"`
+			Labels []string `json:"labels,omitempty"`
+			Props  []byte   `json:"props,omitempty"`
+		}{"node", n.ID, n.Labels, wire.Props(n.Props)}
 		if err := enc.Encode(rec); err != nil {
 			return err
 		}
@@ -55,18 +53,14 @@ func Export(tx *Tx, w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		props, err := wire.EncodeProps(r.Props)
-		if err != nil {
-			return err
-		}
 		rec := struct {
-			Kind  string          `json:"kind"`
-			ID    uint64          `json:"id"`
-			Type  string          `json:"type"`
-			Start uint64          `json:"start"`
-			End   uint64          `json:"end"`
-			Props json.RawMessage `json:"props,omitempty"`
-		}{"rel", r.ID, r.Type, r.Start, r.End, props}
+			Kind  string `json:"kind"`
+			ID    uint64 `json:"id"`
+			Type  string `json:"type"`
+			Start uint64 `json:"start"`
+			End   uint64 `json:"end"`
+			Props []byte `json:"props,omitempty"`
+		}{"rel", r.ID, r.Type, r.Start, r.End, wire.Props(r.Props)}
 		if err := enc.Encode(rec); err != nil {
 			return err
 		}
@@ -86,13 +80,14 @@ type ImportStats struct {
 // database. Records are committed in batches.
 func Import(db *DB, r io.Reader) (ImportStats, error) {
 	type rawRec struct {
-		Kind   string          `json:"kind"`
-		ID     uint64          `json:"id"`
-		Labels []string        `json:"labels"`
-		Type   string          `json:"type"`
-		Start  uint64          `json:"start"`
-		End    uint64          `json:"end"`
-		Props  json.RawMessage `json:"props"`
+		Kind   string   `json:"kind"`
+		ID     uint64   `json:"id"`
+		Labels []string `json:"labels"`
+		Type   string   `json:"type"`
+		Start  uint64   `json:"start"`
+		End    uint64   `json:"end"`
+		Props  []byte   `json:"props"`
+		props  Props    // Props read by value.ParseMap
 	}
 	var stats ImportStats
 	idMap := make(map[uint64]NodeID)
@@ -115,13 +110,9 @@ func Import(db *DB, r io.Reader) (ImportStats, error) {
 			newIDs = make(map[uint64]NodeID)
 			nodes, rels = 0, 0
 			for _, rec := range recs {
-				props, err := wire.DecodeProps(rec.Props)
-				if err != nil {
-					return err
-				}
 				switch rec.Kind {
 				case "node":
-					id, err := tx.CreateNode(rec.Labels, Props(props))
+					id, err := tx.CreateNode(rec.Labels, rec.props)
 					if err != nil {
 						return err
 					}
@@ -140,7 +131,7 @@ func Import(db *DB, r io.Reader) (ImportStats, error) {
 							return fmt.Errorf("neograph: import: rel %d references unknown node %d", rec.ID, rec.End)
 						}
 					}
-					if _, err := tx.CreateRel(rec.Type, start, end, Props(props)); err != nil {
+					if _, err := tx.CreateRel(rec.Type, start, end, rec.props); err != nil {
 						return err
 					}
 					rels++
@@ -163,9 +154,14 @@ func Import(db *DB, r io.Reader) (ImportStats, error) {
 
 	for {
 		var rec rawRec
-		if err := dec.Decode(&rec); err == io.EOF {
+		err := dec.Decode(&rec)
+		if err == io.EOF {
 			break
-		} else if err != nil {
+		}
+		if err == nil {
+			rec.props, err = value.ParseMap(rec.Props)
+		}
+		if err != nil {
 			return stats, fmt.Errorf("neograph: import: %w", err)
 		}
 		batch = append(batch, rec)

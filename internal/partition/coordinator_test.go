@@ -1,13 +1,13 @@
 package partition_test
 
 import (
-	"encoding/json"
 	"testing"
 	"time"
 
 	"neograph"
 	"neograph/internal/fleet"
 	"neograph/internal/partition"
+	"neograph/internal/value"
 	"neograph/internal/wire"
 )
 
@@ -42,8 +42,7 @@ func TestRestartedParticipantReachedOnNextRPC(t *testing.T) {
 		return id
 	}
 	mark := func(id neograph.NodeID, key string) wire.Request {
-		enc, _ := wire.EncodeValue(neograph.Int(1))
-		return wire.Request{Op: wire.OpSetNodeProp, ID: id, Key: key, Value: json.RawMessage(enc)}
+		return wire.Request{Op: wire.OpSetNodeProp, ID: id, Key: key, Value: value.EncodeValue(neograph.Int(1))}
 	}
 	must := func(resp *wire.Response) {
 		t.Helper()

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"neograph"
+	"neograph/internal/value"
 	"neograph/internal/wire"
 )
 
@@ -107,7 +108,7 @@ func compileSeed(tx *neograph.Tx, seed *wire.QuerySeed) (rowIter, error) {
 		}
 		return &scanSeed{tx: tx, ids: ids}, nil
 	case seed.Key != "":
-		v, err := wire.DecodeValue(seed.Value)
+		v, err := value.ParseValue(seed.Value)
 		if err != nil {
 			return nil, err
 		}
@@ -184,7 +185,7 @@ func compileStage(tx *neograph.Tx, plan *wire.QueryPlan, st *wire.QueryStage, in
 			return tx.HasLabel(id, label)
 		}}, nil
 	case wire.StageFilterEq, wire.StageFilterLt:
-		ref, err := wire.DecodeValue(st.Value)
+		ref, err := value.ParseValue(st.Value)
 		if err != nil {
 			return nil, err
 		}

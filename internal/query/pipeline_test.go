@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"neograph"
+	"neograph/internal/value"
 	"neograph/internal/wire"
 )
 
@@ -20,15 +21,6 @@ func collect(t *testing.T, tx *neograph.Tx, plan *wire.QueryPlan) []Row {
 		t.Fatalf("Run: %v", err)
 	}
 	return rows
-}
-
-func tagged(t *testing.T, v neograph.Value) []byte {
-	t.Helper()
-	raw, err := wire.EncodeValue(v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return raw
 }
 
 // TestQueryPipelineKHopMatchesBFS checks the streamed khop operator
@@ -93,7 +85,7 @@ func TestQueryPipelineExpandFilterLimitCount(t *testing.T) {
 		rows = collect(t, tx, &wire.QueryPlan{
 			Seed: wire.QuerySeed{All: true},
 			Stages: []wire.QueryStage{
-				{Op: wire.StageFilterLt, Key: "i", Value: tagged(t, neograph.Int(5))},
+				{Op: wire.StageFilterLt, Key: "i", Value: value.EncodeValue(neograph.Int(5))},
 				{Op: wire.StageCount},
 			},
 		})
@@ -105,7 +97,7 @@ func TestQueryPipelineExpandFilterLimitCount(t *testing.T) {
 		rows = collect(t, tx, &wire.QueryPlan{
 			Seed: wire.QuerySeed{Label: "N"},
 			Stages: []wire.QueryStage{
-				{Op: wire.StageFilterEq, Key: "i", Value: tagged(t, neograph.Int(3))},
+				{Op: wire.StageFilterEq, Key: "i", Value: value.EncodeValue(neograph.Int(3))},
 			},
 		})
 		if len(rows) != 1 || rows[0].ID != ids[3] {
@@ -114,7 +106,7 @@ func TestQueryPipelineExpandFilterLimitCount(t *testing.T) {
 
 		// property seed + limit.
 		rows = collect(t, tx, &wire.QueryPlan{
-			Seed:   wire.QuerySeed{Key: "i", Value: tagged(t, neograph.Int(6))},
+			Seed:   wire.QuerySeed{Key: "i", Value: value.EncodeValue(neograph.Int(6))},
 			Stages: []wire.QueryStage{{Op: wire.StageLimit, N: 3}},
 		})
 		if len(rows) != 1 || rows[0].ID != ids[6] {
@@ -126,7 +118,7 @@ func TestQueryPipelineExpandFilterLimitCount(t *testing.T) {
 		rows = collect(t, tx, &wire.QueryPlan{
 			Seed: wire.QuerySeed{All: true},
 			Stages: []wire.QueryStage{
-				{Op: wire.StageFilterLt, Key: "i", Value: tagged(t, neograph.String("zz"))},
+				{Op: wire.StageFilterLt, Key: "i", Value: value.EncodeValue(neograph.String("zz"))},
 				{Op: wire.StageCount},
 			},
 		})

@@ -51,7 +51,7 @@ func TestAdmissionOversizedFrameRejected(t *testing.T) {
 	srv := startAdmissionServer(t, Config{MaxQueuedBytes: 256})
 	enc, dec := rawSession(t, srv.Addr())
 
-	big := &wire.Request{Op: wire.OpCreateNode, Props: mustProps(t, neograph.Props{
+	big := &wire.Request{Op: wire.OpCreateNode, Props: wire.Props(neograph.Props{
 		"blob": neograph.String(strings.Repeat("x", 1024)),
 	})}
 	if err := enc.Encode(big); err != nil {
@@ -100,15 +100,6 @@ func drained(srv *Server) AdmissionStats {
 	return ad
 }
 
-func mustProps(t *testing.T, p neograph.Props) json.RawMessage {
-	t.Helper()
-	raw, err := wire.EncodeProps(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return raw
-}
-
 // TestAdmissionOverloadBoundedAndRecovers hammers a tightly budgeted
 // server from many sessions and asserts the overload contract: admitted
 // load never exceeds the budgets (the peaks are exact — only admitted
@@ -127,7 +118,7 @@ func TestAdmissionOverloadBoundedAndRecovers(t *testing.T) {
 	// execute that concurrent arrivals exceed MaxInflight and get
 	// rejected, even on hardware fast enough to finish a light batch
 	// before the next hammer's request lands.
-	props := mustProps(t, neograph.Props{"k": neograph.String("0123456789abcdef")})
+	props := wire.Props(neograph.Props{"k": neograph.String("0123456789abcdef")})
 	batch := &wire.Request{Op: wire.OpBatch}
 	for i := 0; i < 1000; i++ {
 		batch.Batch = append(batch.Batch, wire.Request{Op: wire.OpCreateNode, Props: props})

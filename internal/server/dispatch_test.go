@@ -12,6 +12,7 @@ import (
 	"neograph"
 	"neograph/client"
 	"neograph/internal/fleet"
+	"neograph/internal/value"
 	"neograph/internal/wire"
 )
 
@@ -108,8 +109,7 @@ func TestBracketedBatchRefusedWhole(t *testing.T) {
 		t.Fatal(err)
 	}
 	set := func(id uint64, v int) wire.Request {
-		enc, _ := wire.EncodeValue(neograph.Int(int64(v)))
-		return wire.Request{Op: wire.OpSetNodeProp, ID: id, Key: "x", Value: enc}
+		return wire.Request{Op: wire.OpSetNodeProp, ID: id, Key: "x", Value: value.EncodeValue(neograph.Int(int64(v)))}
 	}
 	begin, commit := wire.Request{Op: wire.OpBegin}, wire.Request{Op: wire.OpCommit}
 	get := wire.Request{Op: wire.OpGetNode, ID: here}
@@ -135,7 +135,7 @@ func TestBracketedBatchRefusedWhole(t *testing.T) {
 		if !resp.OK {
 			t.Fatal(resp.Error)
 		}
-		props, err := wire.DecodeProps(resp.Results[0].Node.Props)
+		props, err := value.ParseMap(resp.Results[0].Node.Props)
 		if err != nil {
 			t.Fatal(err)
 		}

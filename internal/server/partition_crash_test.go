@@ -10,13 +10,13 @@
 package server_test
 
 import (
-	"encoding/json"
 	"testing"
 	"time"
 
 	"neograph"
 	"neograph/internal/fleet"
 	"neograph/internal/partition"
+	"neograph/internal/value"
 	"neograph/internal/wire"
 )
 
@@ -155,8 +155,7 @@ func (f *crashFleet) hasProp(part int, id neograph.NodeID) bool {
 }
 
 func markerOp(id neograph.NodeID) wire.Request {
-	enc, _ := wire.EncodeValue(neograph.Int(1))
-	return wire.Request{Op: wire.OpSetNodeProp, ID: id, Key: "x", Value: json.RawMessage(enc)}
+	return wire.Request{Op: wire.OpSetNodeProp, ID: id, Key: "x", Value: value.EncodeValue(neograph.Int(1))}
 }
 
 // twopcStep is one point in the cross-partition commit protocol. The

@@ -226,7 +226,7 @@ func TestQueryBatchRefsServer(t *testing.T) {
 		`{"op":"create_node","labels":["A"]},`+
 		`{"op":"create_node","labels":["B"]},`+
 		`{"op":"create_rel","type":"KNOWS","start_ref":0,"end_ref":1},`+
-		`{"op":"set_node_prop","id_ref":0,"key":"k","value":{"i":"7"}}]}`)
+		`{"op":"set_node_prop","id_ref":0,"key":"k","value":"Ag4="}]}`)
 	if !resp.OK {
 		t.Fatalf("ref batch failed: %s", resp.Error)
 	}
@@ -241,7 +241,7 @@ func TestQueryBatchRefsServer(t *testing.T) {
 	// the failing op named.
 	resp = sendRaw(t, conn, `{"op":"batch","seq":3,"batch":[`+
 		`{"op":"all_nodes"},`+
-		`{"op":"set_node_prop","id_ref":0,"key":"k","value":{"i":"1"}}]}`)
+		`{"op":"set_node_prop","id_ref":0,"key":"k","value":"AgI="}]}`)
 	if resp.OK || resp.FailedOp == nil || *resp.FailedOp != 1 ||
 		!strings.Contains(resp.Error, "did not create an entity") {
 		t.Fatalf("non-creating ref response: %+v", resp)
@@ -256,7 +256,7 @@ func TestQueryBatchRefsServer(t *testing.T) {
 	}
 
 	// Refs outside a batch are meaningless and rejected.
-	resp = sendRaw(t, conn, `{"op":"set_node_prop","seq":5,"id_ref":0,"key":"k","value":{"i":"1"}}`)
+	resp = sendRaw(t, conn, `{"op":"set_node_prop","seq":5,"id_ref":0,"key":"k","value":"AgI="}`)
 	if resp.OK || !strings.Contains(resp.Error, "inside a batch") {
 		t.Fatalf("top-level ref response: %+v", resp)
 	}

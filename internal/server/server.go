@@ -22,6 +22,7 @@ import (
 	"neograph/internal/partition"
 	"neograph/internal/repl"
 	"neograph/internal/trace"
+	"neograph/internal/value"
 	"neograph/internal/wire"
 )
 
@@ -798,9 +799,8 @@ func info(v any) *wire.Response {
 }
 
 // relJSON converts a relationship snapshot to its wire form.
-func relJSON(r neograph.Relationship) (wire.RelJSON, error) {
-	props, err := wire.EncodeProps(r.Props)
-	return wire.RelJSON{ID: r.ID, Type: r.Type, Start: r.Start, End: r.End, Props: props}, err
+func relJSON(r neograph.Relationship) wire.RelJSON {
+	return wire.RelJSON{ID: r.ID, Type: r.Type, Start: r.Start, End: r.End, Props: wire.Props(r.Props)}
 }
 
 func (sess *session) dispatchOp(req *wire.Request) *wire.Response {
@@ -844,7 +844,7 @@ func (sess *session) dispatchOp(req *wire.Request) *wire.Response {
 		return &wire.Response{OK: true}
 
 	case wire.OpCreateNode, wire.OpCreateRel:
-		props, err := wire.DecodeProps(req.Props)
+		props, err := value.ParseMap(req.Props)
 		if err != nil {
 			return fail(err)
 		}
@@ -870,9 +870,8 @@ func (sess *session) dispatchOp(req *wire.Request) *wire.Response {
 			if err != nil {
 				return err
 			}
-			props, err := wire.EncodeProps(n.Props)
-			node = &wire.NodeJSON{ID: n.ID, Labels: n.Labels, Props: props}
-			return err
+			node = &wire.NodeJSON{ID: n.ID, Labels: n.Labels, Props: wire.Props(n.Props)}
+			return nil
 		})
 		if err != nil {
 			return fail(err)
@@ -880,7 +879,7 @@ func (sess *session) dispatchOp(req *wire.Request) *wire.Response {
 		return &wire.Response{OK: true, Node: node}
 
 	case wire.OpSetNodeProp, wire.OpSetRelProp:
-		v, err := wire.DecodeValue(req.Value)
+		v, err := value.ParseValue(req.Value)
 		if err != nil {
 			return fail(err)
 		}
@@ -913,8 +912,8 @@ func (sess *session) dispatchOp(req *wire.Request) *wire.Response {
 			if err != nil {
 				return err
 			}
-			rel, err = relJSON(r)
-			return err
+			rel = relJSON(r)
+			return nil
 		})
 		if err != nil {
 			return fail(err)
@@ -936,11 +935,7 @@ func (sess *session) dispatchOp(req *wire.Request) *wire.Response {
 				return err
 			}
 			for _, r := range rs {
-				rel, err := relJSON(r)
-				if err != nil {
-					return err
-				}
-				rels = append(rels, rel)
+				rels = append(rels, relJSON(r))
 			}
 			return nil
 		})
@@ -953,7 +948,7 @@ func (sess *session) dispatchOp(req *wire.Request) *wire.Response {
 		return sess.readIDs(func(tx *neograph.Tx) ([]uint64, error) { return tx.NodesByLabel(req.Label) })
 
 	case wire.OpNodesByProp:
-		v, err := wire.DecodeValue(req.Value)
+		v, err := value.ParseValue(req.Value)
 		if err != nil {
 			return fail(err)
 		}

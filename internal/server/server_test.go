@@ -2,11 +2,16 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"context"
+	"encoding/base64"
 	"errors"
+	"fmt"
+	"math"
 	"net"
 	"os"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -47,15 +52,46 @@ func TestPing(t *testing.T) {
 	}
 }
 
+// kinds holds a value of every kind, and the edges of each: what a
+// property must survive bit for bit from the client through the frame, the
+// server and the engine and back.
+var kinds = neograph.Props{
+	"min":       neograph.Int(math.MinInt64),
+	"max":       neograph.Int(math.MaxInt64),
+	"2^53+1":    neograph.Int(1<<53 + 1),
+	"nan":       neograph.Float(math.Float64frombits(0x7ff8000000000001)),
+	"-0":        neograph.Float(math.Copysign(0, -1)),
+	"+inf":      neograph.Float(math.Inf(1)),
+	"-inf":      neograph.Float(math.Inf(-1)),
+	"temp":      neograph.Float(36.6),
+	"name":      neograph.String("héllo"),
+	"not utf-8": neograph.String("\xff\xfe"),
+	"nil bytes": neograph.Bytes(nil),
+	"raw":       neograph.Bytes([]byte{0, 255}),
+	"tags":      neograph.List(neograph.Int(1), neograph.List(neograph.String("x"), neograph.Null)),
+	"yes":       neograph.Bool(true),
+	"no":        neograph.Bool(false),
+}
+
+// sameProps fails unless got holds exactly want's keys, each with the same
+// bits.
+func sameProps(t *testing.T, what string, got, want neograph.Props) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Errorf("%s: %d properties, want %d: %v", what, len(got), len(want), got)
+	}
+	for k, v := range want {
+		if got[k] != v {
+			t.Errorf("%s: %q = %v, want %v", what, k, got[k], v)
+		}
+	}
+}
+
 func TestAutoCommitCRUD(t *testing.T) {
 	_, cl := startServer(t)
-	id, err := cl.CreateNode(ctx, []string{"Person"}, neograph.Props{
-		"name": neograph.String("ada"),
-		"age":  neograph.Int(36),
-		"temp": neograph.Float(36.6),
-		"tags": neograph.List(neograph.String("x")),
-		"raw":  neograph.Bytes([]byte{1, 2}),
-	})
+	props := kinds.Clone()
+	props["age"] = neograph.Int(36)
+	id, err := cl.CreateNode(ctx, []string{"Person"}, props)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,14 +102,76 @@ func TestAutoCommitCRUD(t *testing.T) {
 	if !reflect.DeepEqual(n.Labels, []string{"Person"}) {
 		t.Errorf("labels = %v", n.Labels)
 	}
-	if v, _ := n.Props["age"].AsInt(); v != 36 {
-		t.Errorf("age = %v (typed round trip)", n.Props["age"])
+	sameProps(t, "created node", n.Props, props)
+
+	// Every kind set one property at a time, then found by its value:
+	// through the property lookup, a query seeded by it and a filter_eq.
+	other, err := cl.CreateNode(ctx, nil, neograph.Props{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if v, _ := n.Props["temp"].AsFloat(); v != 36.6 {
-		t.Errorf("temp = %v", n.Props["temp"])
+	count := func(q *client.Query) uint64 {
+		t.Helper()
+		st, err := cl.Query(ctx, q.Count())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		if !st.Next() {
+			t.Fatalf("no count row: %v", st.Err())
+		}
+		return st.Row().Count
 	}
-	if v, _ := n.Props["raw"].AsBytes(); !reflect.DeepEqual(v, []byte{1, 2}) {
-		t.Errorf("raw = %v", n.Props["raw"])
+	for k, v := range kinds {
+		if err := cl.SetNodeProp(ctx, other, k, v); err != nil {
+			t.Fatal(err)
+		}
+		ids, err := cl.NodesByProperty(ctx, k, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		slices.Sort(ids)
+		if !slices.Equal(ids, []neograph.NodeID{id, other}) {
+			t.Errorf("NodesByProperty(%q, %v) = %v, want [%d %d]", k, v, ids, id, other)
+		}
+		if c := count(client.SeedProperty(k, v)); c != 2 {
+			t.Errorf("a query seeded by %q = %v counts %d rows, want 2", k, v, c)
+		}
+		if c := count(client.SeedIDs(id, other).WhereEq(k, v)); c != 2 {
+			t.Errorf("filter_eq %q = %v keeps %d rows, want 2", k, v, c)
+		}
+	}
+	n, err = cl.GetNode(ctx, other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameProps(t, "SetNodeProp", n.Props, kinds)
+
+	rel, err := cl.CreateRel(ctx, "R", id, other, kinds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := cl.GetRel(ctx, rel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameProps(t, "relationship", r.Props, kinds)
+	rels, err := cl.Relationships(ctx, id, "out")
+	if err != nil || len(rels) != 1 {
+		t.Fatalf("relationships = %v, %v", rels, err)
+	}
+	sameProps(t, "listed relationship", rels[0].Props, kinds)
+	if err := cl.DetachDeleteNode(ctx, other); err != nil {
+		t.Fatal(err)
+	}
+
+	// An empty map is no properties at all.
+	bare, err := cl.CreateNode(ctx, nil, neograph.Props{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := cl.GetNode(ctx, bare); err != nil || len(n.Props) != 0 {
+		t.Errorf("a node created with an empty map = %v, %v", n.Props, err)
 	}
 
 	if err := cl.SetNodeProp(ctx, id, "age", neograph.Int(37)); err != nil {
@@ -626,6 +724,62 @@ func TestMalformedFrameClosesSessionOnly(t *testing.T) {
 	}
 	expectClosed(t, conn)
 	expectAlive(t, srv)
+}
+
+// TestValuesFromTheWireDecodedStrictly: a value or props field that is not
+// exactly what the encoder writes — a list nested deeper than 10 000, a
+// trailing byte, a key given twice, a patch's removal mark — is refused,
+// the session survives and nothing is written; a generation-3 frame, its
+// value a tagged object, is refused too (the session closes) and the
+// property is unchanged.
+func TestValuesFromTheWireDecodedStrictly(t *testing.T) {
+	srv, cl := startServer(t)
+	id, err := cl.CreateNode(ctx, nil, neograph.Props{"k": neograph.Int(0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	unchanged := func(when string) {
+		t.Helper()
+		n, err := cl.GetNode(ctx, id)
+		if err != nil || n.Props["k"] != neograph.Int(0) {
+			t.Fatalf("%s: k is a %v, %v", when, n.Props["k"].Kind(), err)
+		}
+		if ids, err := cl.AllNodes(ctx); err != nil || len(ids) != 1 {
+			t.Fatalf("%s: nodes %v, %v", when, ids, err)
+		}
+	}
+
+	old := rawConn(t, srv)
+	if _, err := fmt.Fprintf(old, `{"op":"set_node_prop","id":%d,"key":"k","value":{"i":"1"}}`+"\n", id); err != nil {
+		t.Fatal(err)
+	}
+	expectClosed(t, old)
+	unchanged("a generation-3 frame")
+
+	b64 := base64.StdEncoding.EncodeToString
+	nested := func(depth int) []byte { return append(bytes.Repeat([]byte{byte(neograph.KindList), 1}, depth), 0) }
+	setK := func(v []byte) string {
+		return fmt.Sprintf(`{"op":"set_node_prop","id":%d,"key":"k","value":%q}`, id, b64(v))
+	}
+	create := func(props []byte) string { return fmt.Sprintf(`{"op":"create_node","props":%q}`, b64(props)) }
+	conn := rawConn(t, srv)
+	for name, frame := range map[string]string{
+		"nested 10 001 deep": setK(nested(10001)),
+		"removal mark":       setK([]byte{0xFF}),
+		"trailing bytes":     create([]byte{1, 1, 'a', byte(neograph.KindInt), 2, 0}),
+		"a key twice":        create([]byte{2, 1, 'a', 0, 1, 'a', 0}),
+	} {
+		if resp := sendRaw(t, conn, frame); resp.OK {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	unchanged("refused values")
+	if resp := sendRaw(t, conn, setK(nested(10000))); !resp.OK {
+		t.Fatalf("a list nested 10 000 deep: %s", resp.Error)
+	}
+	if n, err := cl.GetNode(ctx, id); err != nil || n.Props["k"].Kind() != neograph.KindList {
+		t.Fatalf("k = %v, %v", n.Props["k"], err)
+	}
 }
 
 func TestOversizedPayloadClosesSessionOnly(t *testing.T) {

@@ -61,7 +61,7 @@ func TestResponseEchoesSeqAndTraceID(t *testing.T) {
 	// rejection still pairs with its request.
 	resp = send(&wire.Request{Op: wire.OpCreateNode, Seq: 9,
 		Trace: &wire.TraceContext{TraceID: "feedfacefeedfacefeedfacefeedface"},
-		Props: mustProps(t, neograph.Props{"blob": neograph.String(strings.Repeat("x", 1024))})})
+		Props: wire.Props(neograph.Props{"blob": neograph.String(strings.Repeat("x", 1024))})})
 	if resp.OK {
 		t.Fatal("oversized frame admitted")
 	}

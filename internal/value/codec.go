@@ -1,6 +1,7 @@
 package value
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -54,7 +55,10 @@ func EncodeValue(v Value) []byte { return AppendValue(nil, v) }
 
 // DecodeValue decodes a value from the front of buf, returning the value
 // and the number of bytes consumed.
-func DecodeValue(buf []byte) (Value, int, error) {
+func DecodeValue(buf []byte) (Value, int, error) { return decodeValue(buf, math.MaxInt) }
+
+// decodeValue is DecodeValue refusing lists nested more than depth deep.
+func decodeValue(buf []byte, depth int) (Value, int, error) {
 	if len(buf) == 0 {
 		return Null, 0, fmt.Errorf("%w: empty buffer", ErrCorrupt)
 	}
@@ -99,6 +103,9 @@ func DecodeValue(buf []byte) (Value, int, error) {
 		}
 		return Value{kind: KindBytes, str: payload}, n, nil
 	case KindList:
+		if depth == 0 {
+			return Null, 0, fmt.Errorf("%w: lists nested deeper than %d", ErrCorrupt, maxNesting)
+		}
 		cnt, m := binary.Uvarint(buf[n:])
 		if m <= 0 {
 			return Null, 0, fmt.Errorf("%w: bad list count", ErrCorrupt)
@@ -112,7 +119,7 @@ func DecodeValue(buf []byte) (Value, int, error) {
 		n += m
 		elems := make([]Value, 0, cnt)
 		for i := uint64(0); i < cnt; i++ {
-			e, m, err := DecodeValue(buf[n:])
+			e, m, err := decodeValue(buf[n:], depth-1)
 			if err != nil {
 				return Null, 0, err
 			}
@@ -144,14 +151,17 @@ func EncodeMap(m Map) []byte { return AppendMap(nil, m) }
 
 // DecodeMap decodes a property map from the front of buf, returning the
 // map and the number of bytes consumed.
-func DecodeMap(buf []byte) (Map, int, error) {
+func DecodeMap(buf []byte) (Map, int, error) { return decodeMap(buf, math.MaxInt) }
+
+// decodeMap is DecodeMap refusing lists nested more than depth deep.
+func decodeMap(buf []byte, depth int) (Map, int, error) {
 	cnt, n, err := decodeMapCount(buf)
 	if err != nil {
 		return nil, 0, err
 	}
 	m := make(Map, cnt)
 	for i := uint64(0); i < cnt; i++ {
-		key, v, fn, err := decodeField(buf[n:], false)
+		key, v, fn, err := decodeField(buf[n:], false, depth)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -159,4 +169,49 @@ func DecodeMap(buf []byte) (Map, int, error) {
 		m[string(key)] = v
 	}
 	return m, n, nil
+}
+
+// maxNesting bounds how deep lists nest in what ParseValue and ParseMap
+// accept. It is encoding/json's own limit, which bounded the same input
+// while values travelled as JSON; nothing else bounds the decoder's
+// recursion over bytes from outside.
+const maxNesting = 10000
+
+// errNotCanonical refuses bytes that decode but are not what the encoder
+// writes for the result.
+var errNotCanonical = fmt.Errorf("%w: not the encoder's bytes (trailing bytes, a key out of order or repeated, or a padded length)", ErrCorrupt)
+
+// ParseValue decodes buf, whole, as one value: the strict reading for
+// bytes from outside the process (a frame, a dump). It accepts exactly
+// what AppendValue writes, with lists nested at most maxNesting deep. An
+// empty buf, an absent field, is Null. The log and the store read with
+// DecodeValue.
+func ParseValue(buf []byte) (Value, error) {
+	if len(buf) == 0 {
+		return Null, nil
+	}
+	v, _, err := decodeValue(buf, maxNesting)
+	if err == nil && !bytes.Equal(AppendValue(make([]byte, 0, len(buf)), v), buf) {
+		err = errNotCanonical
+	}
+	if err != nil {
+		return Null, err
+	}
+	return v, nil
+}
+
+// ParseMap is ParseValue for a property map, whose keys must therefore be
+// strictly ascending. An empty buf is the empty map, nil.
+func ParseMap(buf []byte) (Map, error) {
+	if len(buf) == 0 {
+		return nil, nil
+	}
+	m, _, err := decodeMap(buf, maxNesting)
+	if err == nil && !bytes.Equal(AppendMap(make([]byte, 0, len(buf)), m), buf) {
+		err = errNotCanonical
+	}
+	if err != nil {
+		return nil, err
+	}
+	return m, nil
 }

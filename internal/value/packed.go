@@ -3,6 +3,7 @@ package value
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -279,7 +280,7 @@ func decodePacked(buf []byte, intern func([]byte) string, patch bool) (Packed, i
 	}
 	fields := make([]Field, 0, cnt)
 	for i := uint64(0); i < cnt; i++ {
-		key, v, fn, err := decodeField(buf[n:], patch)
+		key, v, fn, err := decodeField(buf[n:], patch, math.MaxInt)
 		if err != nil {
 			return Packed{}, 0, err
 		}
@@ -308,8 +309,8 @@ func decodeMapCount(buf []byte) (cnt uint64, n int, err error) {
 }
 
 // decodeField reads one map entry — of a patch, one that may be a removal
-// mark; key aliases buf.
-func decodeField(buf []byte, patch bool) (key []byte, v Value, n int, err error) {
+// mark — whose lists nest at most depth deep; key aliases buf.
+func decodeField(buf []byte, patch bool, depth int) (key []byte, v Value, n int, err error) {
 	klen, kn := binary.Uvarint(buf)
 	if kn <= 0 {
 		return nil, Null, 0, fmt.Errorf("%w: bad key length", ErrCorrupt)
@@ -323,7 +324,7 @@ func decodeField(buf []byte, patch bool) (key []byte, v Value, n int, err error)
 	if patch && n < len(buf) && Kind(buf[n]) == kindRemoved {
 		return key, removed, n + 1, nil
 	}
-	v, vn, err := DecodeValue(buf[n:])
+	v, vn, err := decodeValue(buf[n:], depth)
 	if err != nil {
 		return nil, Null, 0, err
 	}

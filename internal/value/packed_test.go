@@ -230,6 +230,12 @@ func TestDiffIsExact(t *testing.T) {
 	if _, _, err := DecodeValue([]byte{byte(kindRemoved)}); err == nil {
 		t.Error("DecodeValue read a removal mark")
 	}
+	if _, err := ParseValue([]byte{byte(kindRemoved)}); err == nil {
+		t.Error("ParseValue read a removal mark")
+	}
+	if _, err := ParseMap(encoded); err == nil {
+		t.Error("ParseMap read a patch")
+	}
 }
 
 // FuzzDecodePacked feeds arbitrary bytes to both map decoders: they must

@@ -6,7 +6,7 @@
 //
 // Values are immutable once constructed. The package provides total
 // ordering (for property indexes), equality, hashing, and a compact binary
-// codec used by the property store and the write-ahead log.
+// codec used by the property store, the write-ahead log and the wire.
 package value
 
 import (

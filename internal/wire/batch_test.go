@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"neograph/internal/value"
 )
 
 func TestValidateBatch(t *testing.T) {
@@ -111,18 +113,21 @@ func TestBatchRoundTrip(t *testing.T) {
 }
 
 // FuzzDecodeBatch hammers batch request decoding + validation with
-// arbitrary bytes: decode must never panic, and anything that validates
-// must survive a re-encode/re-validate round trip.
+// arbitrary bytes: decode must never panic, anything that validates must
+// survive a re-encode/re-validate round trip, and every sub-op's value and
+// props the strict decode accepts are exactly the bytes the encoder writes
+// for what it read.
 func FuzzDecodeBatch(f *testing.F) {
 	f.Add([]byte(`{"op":"batch","batch":[{"op":"ping"}]}`))
-	f.Add([]byte(`{"op":"batch","batch":[{"op":"create_node","labels":["A"],"props":{"k":{"i":"1"}}}]}`))
+	f.Add([]byte(`{"op":"batch","batch":[{"op":"create_node","labels":["A"],"props":"AQFrAgI="}]}`))
 	f.Add([]byte(`{"op":"batch","batch":[{"op":"batch","batch":[{"op":"ping"}]}]}`))
 	f.Add([]byte(`{"op":"batch","batch":[]}`))
-	f.Add([]byte(`{"op":"batch","batch":[{"op":"set_node_prop","id":1,"key":"k","value":{"f":"1.5"},"wait_lsn":3}]}`))
+	f.Add([]byte(`{"op":"batch","batch":[{"op":"set_node_prop","id":1,"key":"k","value":"AwAAAAAAAPg/","wait_lsn":3}]}`))
 	f.Add([]byte(`{"op":"batch","batch":[{"op":"begin","iso":"rc"},{"op":"get_node","id":1},{"op":"commit"}]}`))
 	f.Add([]byte(`{"op":"batch","batch":[{"op":"commit"},{"op":"begin"}]}`))
 	f.Add([]byte(`{"op":"batch"`))
 	f.Add([]byte(`{"op":"ping"}`))
+	f.Add([]byte(`{"op":"batch","batch":[{"op":"create_node","props":"AgFrAgIBawIC"},{"op":"set_node_prop","value":"BgEGAQIC"}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Through the framing the server and the SDK use: read the frame
 		// off a Conn, write it back, read it again.
@@ -132,6 +137,14 @@ func FuzzDecodeBatch(f *testing.F) {
 		}
 		if err := ValidateBatch(&req); err != nil {
 			return
+		}
+		for i, sub := range req.Batch {
+			if v, err := value.ParseValue(sub.Value); err == nil && len(sub.Value) > 0 && !bytes.Equal(value.AppendValue(nil, v), sub.Value) {
+				t.Fatalf("sub-op %d: value % x read as %v, which encodes as % x", i, sub.Value, v, value.AppendValue(nil, v))
+			}
+			if m, err := value.ParseMap(sub.Props); err == nil && len(sub.Props) > 0 && !bytes.Equal(value.AppendMap(nil, m), sub.Props) {
+				t.Fatalf("sub-op %d: props % x read as %v, which encode as % x", i, sub.Props, m, value.AppendMap(nil, m))
+			}
 		}
 		// A validated batch must re-encode and still validate: the server
 		// trusts ValidateBatch before executing.

@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"neograph/internal/core"
@@ -81,26 +80,26 @@ type QueryPlan struct {
 // QuerySeed selects the starting row set. Exactly one selector must be
 // set: explicit IDs, a label, a property equality (Key+Value), or All.
 type QuerySeed struct {
-	IDs   []uint64        `json:"ids,omitempty"`
-	Label string          `json:"label,omitempty"`
-	Key   string          `json:"key,omitempty"`
-	Value json.RawMessage `json:"value,omitempty"` // tagged value
-	All   bool            `json:"all,omitempty"`
+	IDs   []uint64 `json:"ids,omitempty"`
+	Label string   `json:"label,omitempty"`
+	Key   string   `json:"key,omitempty"`
+	Value []byte   `json:"value,omitempty"` // value.AppendValue bytes
+	All   bool     `json:"all,omitempty"`
 }
 
 // QueryStage is one pipeline operator; Op selects which fields apply.
 type QueryStage struct {
-	Op         string          `json:"op"`
-	Dir        string          `json:"dir,omitempty"`        // expand/khop/shortest_path
-	Types      []string        `json:"types,omitempty"`      // expand/khop/shortest_path
-	Depth      int             `json:"depth,omitempty"`      // khop
-	Key        string          `json:"key,omitempty"`        // filter_eq/filter_lt
-	Value      json.RawMessage `json:"value,omitempty"`      // filter_eq/filter_lt (tagged)
-	Label      string          `json:"label,omitempty"`      // filter_label
-	N          int             `json:"n,omitempty"`          // limit / pagerank top-N
-	End        uint64          `json:"end,omitempty"`        // shortest_path target
-	Damping    float64         `json:"damping,omitempty"`    // pagerank
-	Iterations int             `json:"iterations,omitempty"` // pagerank
+	Op         string   `json:"op"`
+	Dir        string   `json:"dir,omitempty"`        // expand/khop/shortest_path
+	Types      []string `json:"types,omitempty"`      // expand/khop/shortest_path
+	Depth      int      `json:"depth,omitempty"`      // khop
+	Key        string   `json:"key,omitempty"`        // filter_eq/filter_lt
+	Value      []byte   `json:"value,omitempty"`      // filter_eq/filter_lt (value.AppendValue bytes)
+	Label      string   `json:"label,omitempty"`      // filter_label
+	N          int      `json:"n,omitempty"`          // limit / pagerank top-N
+	End        uint64   `json:"end,omitempty"`        // shortest_path target
+	Damping    float64  `json:"damping,omitempty"`    // pagerank
+	Iterations int      `json:"iterations,omitempty"` // pagerank
 }
 
 // QueryRow is one streamed result row. Which fields are meaningful

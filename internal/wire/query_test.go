@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"neograph/internal/value"
 )
 
 // decodePlan parses raw the way the server receives a plan — inside a
@@ -37,8 +39,8 @@ func TestQueryPlanValid(t *testing.T) {
 		`{"seed":{"ids":[1]}}`,
 		`{"seed":{"ids":[1,2,3]},"stages":[{"op":"khop","dir":"out","depth":3}]}`,
 		`{"seed":{"label":"Person"},"stages":[{"op":"expand","dir":"both"},{"op":"limit","n":10}]}`,
-		`{"seed":{"key":"age","value":{"i":"36"}},"stages":[{"op":"count"}]}`,
-		`{"seed":{"all":true},"stages":[{"op":"filter_label","label":"A"},{"op":"filter_lt","key":"age","value":{"i":"40"}},{"op":"count"}]}`,
+		`{"seed":{"key":"age","value":"Akg="},"stages":[{"op":"count"}]}`,
+		`{"seed":{"all":true},"stages":[{"op":"filter_label","label":"A"},{"op":"filter_lt","key":"age","value":"AlA="},{"op":"count"}]}`,
 		`{"seed":{"ids":[1]},"stages":[{"op":"shortest_path","end":9,"dir":"out"}]}`,
 		`{"seed":{"all":true},"stages":[{"op":"pagerank","damping":0.85,"iterations":20,"n":10}]}`,
 	} {
@@ -61,7 +63,7 @@ func TestQueryPlanRejected(t *testing.T) {
 		{"path-multi-seed", `{"seed":{"ids":[1,2]},"stages":[{"op":"shortest_path","end":3}]}`, "one seed"},
 		{"pagerank-not-alone", `{"seed":{"all":true},"stages":[{"op":"limit","n":1},{"op":"pagerank"}]}`, "only stage"},
 		{"pagerank-damping", `{"seed":{"all":true},"stages":[{"op":"pagerank","damping":1.5}]}`, "damping"},
-		{"filter-no-key", `{"seed":{"all":true},"stages":[{"op":"filter_eq","value":{"i":"1"}}]}`, "key and value"},
+		{"filter-no-key", `{"seed":{"all":true},"stages":[{"op":"filter_eq","value":"AgI="}]}`, "key and value"},
 		{"filter-label-empty", `{"seed":{"all":true},"stages":[{"op":"filter_label"}]}`, "needs a label"},
 		{"not-json", `{"seed":`, "invalid character"},
 	} {
@@ -108,7 +110,7 @@ func TestQueryPlanOversized(t *testing.T) {
 func FuzzDecodeQueryPlan(f *testing.F) {
 	f.Add([]byte(`{"seed":{"ids":[1,2]},"stages":[{"op":"khop","dir":"out","depth":3}]}`))
 	f.Add([]byte(`{"seed":{"label":"Person"},"stages":[{"op":"expand"},{"op":"count"}]}`))
-	f.Add([]byte(`{"seed":{"key":"k","value":{"l":[{"l":[{"i":"1"}]}]}},"stages":[{"op":"limit","n":5}]}`))
+	f.Add([]byte(`{"seed":{"key":"k","value":"BgEGAQIC"},"stages":[{"op":"limit","n":5}]}`))
 	f.Add([]byte(`{"seed":{"all":true},"stages":[{"op":"pagerank","damping":0.85}]}`))
 	f.Add([]byte(`{"seed":{"ids":[0]},"stages":[{"op":"shortest_path","end":18446744073709551615}]}`))
 	f.Add([]byte(`{"seed":`))
@@ -135,7 +137,7 @@ func TestValidateBatchRefs(t *testing.T) {
 		{Op: OpCreateNode},
 		{Op: OpCreateNode},
 		{Op: OpCreateRel, Type: "R", StartRef: ref(0), EndRef: ref(1)},
-		{Op: OpSetNodeProp, IDRef: ref(0), Key: "k", Value: json.RawMessage(`{"i":"1"}`)},
+		{Op: OpSetNodeProp, IDRef: ref(0), Key: "k", Value: value.EncodeValue(value.Int(1))},
 	}}
 	if err := ValidateBatch(ok); err != nil {
 		t.Fatalf("backward refs rejected: %v", err)
@@ -151,7 +153,7 @@ func TestValidateBatchRefs(t *testing.T) {
 			{Op: OpCreateRel, StartRef: ref(1), End: 1}, {Op: OpCreateNode},
 		}}},
 		{"negative", &Request{Op: OpBatch, Batch: []Request{
-			{Op: OpCreateNode}, {Op: OpSetNodeProp, IDRef: ref(-1), Key: "k", Value: json.RawMessage(`{"i":"1"}`)},
+			{Op: OpCreateNode}, {Op: OpSetNodeProp, IDRef: ref(-1), Key: "k", Value: value.EncodeValue(value.Int(1))},
 		}}},
 	} {
 		err := ValidateBatch(tc.req)

@@ -7,6 +7,8 @@ import (
 	"os"
 	"reflect"
 	"testing"
+
+	"neograph/internal/value"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/transcript.golden from the current encoder")
@@ -30,7 +32,9 @@ func boolp(b bool) *bool           { return &b }
 // json.Encoder); any change to the frame layout or a field's encoding
 // shows up as a diff against it.
 func transcript() []exchange {
-	props := raw(`{"age":{"i":"41"},"name":{"s":"ada"}}`)
+	props := value.EncodeMap(value.Map{"age": value.Int(41), "name": value.String("ada")})
+	since := value.EncodeMap(value.Map{"since": value.Int(2016)})
+	ada := value.EncodeValue(value.String("ada"))
 	return []exchange{
 		{Request{Op: OpPing, Seq: 1}, []Response{{OK: true, Proto: 2, Seq: 1}}}, // recorded at generation 2
 		{Request{Op: OpBegin, Isolation: "rc", Seq: 2}, []Response{{OK: true, Seq: 2}}},
@@ -41,19 +45,19 @@ func transcript() []exchange {
 		{Request{Op: OpAbort, Seq: 5}, []Response{{Error: "server: no open transaction", Seq: 5}}},
 		{Request{Op: OpGetNode, ID: 7, WaitLSN: 4096, Seq: 6},
 			[]Response{{OK: true, Node: &NodeJSON{ID: 7, Labels: []string{"Admin", "Person"}, Props: props}, Seq: 6}}},
-		{Request{Op: OpSetNodeProp, ID: 7, Key: "score", Value: raw(`{"f":"1.5"}`), Seq: 7}, []Response{{OK: true, LSN: 4200, Seq: 7}}},
+		{Request{Op: OpSetNodeProp, ID: 7, Key: "score", Value: value.EncodeValue(value.Float(1.5)), Seq: 7}, []Response{{OK: true, LSN: 4200, Seq: 7}}},
 		{Request{Op: OpAddLabel, ID: 7, Label: "Vip", Seq: 8}, []Response{{OK: true, LSN: 4300, Seq: 8}}},
 		{Request{Op: OpRemoveLabel, ID: 7, Label: "Vip", Seq: 9}, []Response{{OK: true, LSN: 4400, Seq: 9}}},
-		{Request{Op: OpCreateRel, Type: "KNOWS", Start: 7, End: 9, Props: raw(`{"since":{"i":"2016"}}`), Seq: 10},
+		{Request{Op: OpCreateRel, Type: "KNOWS", Start: 7, End: 9, Props: since, Seq: 10},
 			[]Response{{OK: true, ID: 3, LSN: 4500, Seq: 10}}},
 		{Request{Op: OpGetRel, ID: 3, Seq: 11},
-			[]Response{{OK: true, Rel: &RelJSON{ID: 3, Type: "KNOWS", Start: 7, End: 9, Props: raw(`{"since":{"i":"2016"}}`)}, Seq: 11}}},
-		{Request{Op: OpSetRelProp, ID: 3, Key: "w", Value: raw(`{"x":"00ff"}`), Seq: 12}, []Response{{OK: true, LSN: 4600, Seq: 12}}},
+			[]Response{{OK: true, Rel: &RelJSON{ID: 3, Type: "KNOWS", Start: 7, End: 9, Props: since}, Seq: 11}}},
+		{Request{Op: OpSetRelProp, ID: 3, Key: "w", Value: value.EncodeValue(value.Bytes([]byte{0, 0xff})), Seq: 12}, []Response{{OK: true, LSN: 4600, Seq: 12}}},
 		{Request{Op: OpRels, ID: 7, Dir: "out", Types: []string{"KNOWS"}, Seq: 13},
 			[]Response{{OK: true, Rels: []RelJSON{{ID: 3, Type: "KNOWS", Start: 7, End: 9}}, Seq: 13}}},
 		{Request{Op: OpNeighbors, ID: 7, Dir: "both", Seq: 14}, []Response{{OK: true, IDs: []uint64{9}, Seq: 14}}},
 		{Request{Op: OpNodesByLabel, Label: "Person", Seq: 15}, []Response{{OK: true, IDs: []uint64{7, 9}, Seq: 15}}},
-		{Request{Op: OpNodesByProp, Key: "name", Value: raw(`{"s":"ada"}`), Seq: 16}, []Response{{OK: true, IDs: []uint64{7}, Seq: 16}}},
+		{Request{Op: OpNodesByProp, Key: "name", Value: ada, Seq: 16}, []Response{{OK: true, IDs: []uint64{7}, Seq: 16}}},
 		{Request{Op: OpAllNodes, Seq: 17}, []Response{{OK: true, IDs: []uint64{7, 9}, Seq: 17}}},
 		{Request{Op: OpDeleteRel, ID: 3, Seq: 18}, []Response{{OK: true, LSN: 4700, Seq: 18}}},
 		{Request{Op: OpDeleteNode, ID: 9, Seq: 19}, []Response{{OK: true, LSN: 4800, Seq: 19}}},
@@ -70,7 +74,7 @@ func transcript() []exchange {
 			{Op: OpCreateNode, Labels: []string{"A"}},
 			{Op: OpCreateNode, Labels: []string{"B"}},
 			{Op: OpCreateRel, Type: "E", StartRef: intp(0), EndRef: intp(1)},
-			{Op: OpSetNodeProp, IDRef: intp(0), Key: "k", Value: raw(`{"b":true}`)},
+			{Op: OpSetNodeProp, IDRef: intp(0), Key: "k", Value: value.EncodeValue(value.Bool(true))},
 			{Op: OpGetNode, ID: 7},
 		}}, []Response{{OK: true, LSN: 5100, Seq: 27, Results: []Response{
 			{OK: true, ID: 10}, {OK: true, ID: 11}, {OK: true, ID: 4}, {OK: true},
@@ -84,7 +88,7 @@ func transcript() []exchange {
 			Seed: QuerySeed{IDs: []uint64{7}},
 			Stages: []QueryStage{
 				{Op: StageKHop, Dir: "out", Depth: 2, Types: []string{"KNOWS"}},
-				{Op: StageFilterEq, Key: "name", Value: raw(`{"s":"ada"}`)},
+				{Op: StageFilterEq, Key: "name", Value: ada},
 				{Op: StageLimit, N: 5},
 			}}},
 			[]Response{
@@ -95,7 +99,7 @@ func transcript() []exchange {
 
 		// Two-phase commit control ops.
 		{Request{Op: OpPrepare, TxnID: 281474976710657, CoordPart: 1, ValidateNodes: []uint64{8}, Seq: 30,
-			Batch: []Request{{Op: OpSetNodeProp, ID: 6, Key: "bal", Value: raw(`{"i":"60"}`)}}},
+			Batch: []Request{{Op: OpSetNodeProp, ID: 6, Key: "bal", Value: value.EncodeValue(value.Int(60))}}},
 			[]Response{{OK: true, LSN: 5200, Seq: 30, Results: []Response{{OK: true}}}}},
 		{Request{Op: OpDecide, TxnID: 281474976710657, Commit: boolp(true), Participants: []uint32{0}, Seq: 31},
 			[]Response{{OK: true, LSN: 5300, Seq: 31}}},
@@ -117,7 +121,7 @@ func transcript() []exchange {
 		{Request{Op: OpBatch, Seq: 38, Batch: []Request{{Op: OpBegin}, {Op: OpGetNode, ID: 7}}},
 			[]Response{{OK: true, Seq: 38, Results: []Response{{OK: true}, {OK: true, Node: &NodeJSON{ID: 7}}}}}},
 		{Request{Op: OpBatch, Seq: 39, Batch: []Request{
-			{Op: OpSetNodeProp, ID: 7, Key: "score", Value: raw(`{"f":"2.5"}`)}, {Op: OpCommit}}},
+			{Op: OpSetNodeProp, ID: 7, Key: "score", Value: value.EncodeValue(value.Float(2.5))}, {Op: OpCommit}}},
 			[]Response{{OK: true, LSN: 5400, Seq: 39, Results: []Response{{OK: true}, {OK: true, LSN: 5400}}}}},
 		{Request{Op: OpBatch, Seq: 40, Batch: []Request{{Op: OpCommit}, {Op: OpGetNode, ID: 7}}},
 			[]Response{{Error: "wire: commit may only be a batch's last sub-op (found at 0 of 2)", Seq: 40}}},

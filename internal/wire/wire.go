@@ -4,22 +4,16 @@
 // the protocol exposes traversal operations (relationships, neighbors,
 // label/property lookups), not just point reads.
 //
-// Property values are tagged on the wire so the typed value model
-// round-trips exactly (JSON numbers alone cannot distinguish int from
-// float):
-//
-//	{"i": "123"}   int64 (string to survive JSON float precision)
-//	{"f": "1.5"}   float64 (string so ±Inf and NaN survive)
-//	{"s": "x"}     string (valid UTF-8)
-//	{"sx": "00ff"} string with non-UTF-8 bytes (hex)
-//	{"b": true}    bool
-//	{"x": "0aff"}  bytes (hex)
-//	{"l": [...]}   list
+// A property value or map travels as the bytes internal/value's binary
+// codec writes for it — the bytes the WAL and the store hold — base64 in
+// the JSON frame.
 package wire
 
 import (
 	"encoding/json"
 	"fmt"
+
+	"neograph/internal/value"
 )
 
 // ProtocolVersion is the wire protocol generation this package speaks.
@@ -31,8 +25,12 @@ import (
 // added no field, only a placement rule: begin may be a batch's first
 // sub-op and commit its last (Shape.First / Shape.Last), so a session
 // transaction's frames can carry its begin and its commit — a v2 server
-// refuses such a batch whole, before running any of it.
-const ProtocolVersion = 3
+// refuses such a batch whole, before running any of it. Version 4 carries
+// values and property maps as internal/value's binary encoding instead of
+// tagged JSON objects, and reads no other form: a v3 peer's tagged object
+// fails the frame decode, and a v4 base64 string lands in a v3 peer's
+// encoding/json fallback, which refuses it.
+const ProtocolVersion = 4
 
 // MaxBatchOps bounds one batch request. A batch runs as a single
 // server-side transaction; an unbounded one would let a client pin a
@@ -107,19 +105,19 @@ const (
 
 // Request is one client command.
 type Request struct {
-	Op        string          `json:"op"`
-	Isolation string          `json:"iso,omitempty"` // "si" | "rc" for begin
-	ID        uint64          `json:"id,omitempty"`
-	Labels    []string        `json:"labels,omitempty"`
-	Label     string          `json:"label,omitempty"`
-	Key       string          `json:"key,omitempty"`
-	Value     json.RawMessage `json:"value,omitempty"` // tagged value
-	Props     json.RawMessage `json:"props,omitempty"` // tagged value map
-	Type      string          `json:"type,omitempty"`
-	Types     []string        `json:"types,omitempty"`
-	Start     uint64          `json:"start,omitempty"`
-	End       uint64          `json:"end,omitempty"`
-	Dir       string          `json:"dir,omitempty"` // "out" | "in" | "both"
+	Op        string   `json:"op"`
+	Isolation string   `json:"iso,omitempty"` // "si" | "rc" for begin
+	ID        uint64   `json:"id,omitempty"`
+	Labels    []string `json:"labels,omitempty"`
+	Label     string   `json:"label,omitempty"`
+	Key       string   `json:"key,omitempty"`
+	Value     []byte   `json:"value,omitempty"` // value.AppendValue bytes
+	Props     []byte   `json:"props,omitempty"` // value.AppendMap bytes, absent when empty
+	Type      string   `json:"type,omitempty"`
+	Types     []string `json:"types,omitempty"`
+	Start     uint64   `json:"start,omitempty"`
+	End       uint64   `json:"end,omitempty"`
+	Dir       string   `json:"dir,omitempty"` // "out" | "in" | "both"
 	// IDRef / StartRef / EndRef are batch-local back references ("$n"):
 	// inside a batch, the value is the INDEX of an earlier sub-op whose
 	// created entity ID substitutes for ID / Start / End — so one round
@@ -307,18 +305,28 @@ type ClusterInfo struct {
 
 // NodeJSON is a node snapshot on the wire.
 type NodeJSON struct {
-	ID     uint64          `json:"id"`
-	Labels []string        `json:"labels,omitempty"`
-	Props  json.RawMessage `json:"props,omitempty"`
+	ID     uint64   `json:"id"`
+	Labels []string `json:"labels,omitempty"`
+	Props  []byte   `json:"props,omitempty"`
 }
 
 // RelJSON is a relationship snapshot on the wire.
 type RelJSON struct {
-	ID    uint64          `json:"id"`
-	Type  string          `json:"type"`
-	Start uint64          `json:"start"`
-	End   uint64          `json:"end"`
-	Props json.RawMessage `json:"props,omitempty"`
+	ID    uint64 `json:"id"`
+	Type  string `json:"type"`
+	Start uint64 `json:"start"`
+	End   uint64 `json:"end"`
+	Props []byte `json:"props,omitempty"`
+}
+
+// Props is m as a Props field carries it: value.AppendMap's bytes, or
+// none — an absent field, which value.ParseMap reads as the empty map —
+// when m is empty.
+func Props(m value.Map) []byte {
+	if len(m) == 0 {
+		return nil
+	}
+	return value.AppendMap(nil, m)
 }
 
 // Response is the server's reply.
