@@ -1,6 +1,6 @@
 // Command neograph-bench runs the experiment registry in internal/bench —
-// the paper's experiments (E1–E7, F1) and the system experiments (E2d,
-// E8, E9, E11, E12, E14, E15) — and prints one table per experiment.
+// the paper's experiments (E1–E7, F1) and the system experiments (E8, E9,
+// E11, E12, E14, E15) — and prints one table per experiment.
 //
 // Usage:
 //
@@ -26,7 +26,7 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment to run: an ID of the registry (E1..E15, E2d, F1) or all")
+		exp      = flag.String("exp", "all", "experiment to run: an ID of the registry (E1..E15, F1) or all")
 		quick    = flag.Bool("quick", false, "small configurations (seconds, not minutes)")
 		seed     = flag.Int64("seed", 42, "workload seed")
 		jsonPath = flag.String("json", "", "write structured results to this file")
@@ -101,7 +101,7 @@ func main() {
 		fmt.Fprintf(w, "(%s completed in %v)\n", e.ID, time.Since(t0).Round(time.Millisecond))
 	}
 	if matched == 0 {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q (want an ID of the registry — E1..E15, E2d, F1 — or all)\n", *exp)
+		fmt.Fprintf(os.Stderr, "unknown experiment %q (want an ID of the registry — E1..E15, F1 — or all)\n", *exp)
 		exit(2)
 	}
 

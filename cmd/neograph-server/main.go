@@ -62,9 +62,6 @@ func main() {
 		rc          = flag.Bool("read-committed", false, "default to read committed instead of snapshot isolation")
 		fcw         = flag.Bool("first-committer-wins", false, "use first-committer-wins conflict policy")
 		noSync      = flag.Bool("no-sync", false, "disable commit WAL fsync entirely")
-		noGroup     = flag.Bool("no-group-commit", false, "one fsync per commit instead of batched group commit")
-		maxBatch    = flag.Int("commit-max-batch", 0, "queued committers at which a lingering group-commit leader flushes early (0 = default)")
-		maxDelay    = flag.Duration("commit-max-delay", 0, "how long a group-commit leader waits for more committers (0 = flush immediately)")
 		stripes     = flag.Int("commit-stripes", 0, "object-map/commit-validation stripes, rounded up to a power of two, max 256 (0 = GOMAXPROCS, 1 = single global latch)")
 		pprofAddr   = flag.String("pprof-addr", "", "serve net/http/pprof (and /metrics, /debug/traces) on this address (empty = disabled), e.g. 127.0.0.1:6060")
 		metricsOn   = flag.String("metrics-addr", "", "serve Prometheus /metrics (and /debug/traces) on this address (empty = ride -pprof-addr if set)")
@@ -113,9 +110,6 @@ func main() {
 		DB: neograph.Options{
 			Dir:                *dir,
 			DisableSyncCommits: *noSync,
-			DisableGroupCommit: *noGroup,
-			CommitMaxBatch:     *maxBatch,
-			CommitMaxDelay:     *maxDelay,
 			CommitStripes:      *stripes,
 			GCInterval:         *gcEvery,
 			CheckpointInterval: *ckpEvery,

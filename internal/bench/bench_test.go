@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
-	"os"
 	"reflect"
 	"runtime"
 	"strings"
@@ -101,82 +100,19 @@ var shapes = map[string]func(t *testing.T, rows any){
 		}
 	},
 
-	"E2d": func(t *testing.T, rows any) {
-		cells := rows.([]E2DurableRow)
-		get := func(mode string) E2DurableRow {
-			return find(t, cells, mode+"/8", func(r E2DurableRow) bool { return r.Mode == mode && r.Clients == 8 })
-		}
-		base, group := get("per-commit"), get("group")
-		// Group mode must actually share fsyncs.
-		if group.Flushes == 0 || group.SyncedCommits <= group.Flushes {
-			t.Errorf("no batching: %d commits over %d flushes", group.SyncedCommits, group.Flushes)
-		}
-		// The baseline engine must not touch the batcher.
-		if base.Flushes != 0 || base.SyncedCommits != 0 {
-			t.Errorf("per-commit baseline recorded batcher stats: %+v", base)
-		}
-		// The headline group-commit claim: batched fsync beats one fsync per
-		// commit under multi-writer load. The claim only holds where the fsync
-		// is what commits pay for — on fast-flush filesystems (tmpfs-backed CI
-		// runners) both modes converge and the ratio is noise, so gate the
-		// assertion on measured fsync cost.
-		if cost := fsyncCost(t); cost < 20*time.Microsecond {
-			t.Skipf("fsync costs only %v here; throughput ratio is not fsync-bound", cost)
-		}
-		if group.Speedup < 1.3 {
-			t.Errorf("group commit %.0f/s vs per-commit %.0f/s = %.2fx; want >= 1.3x at 8 writers",
-				group.Result.Throughput(), base.Result.Throughput(), group.Speedup)
-		}
-	},
-
 	"E3": func(t *testing.T, rows any) {
 		cells := rows.([]E3Row)
-		get := func(theta float64, pol string) E3Row {
-			return find(t, cells, pol, func(r E3Row) bool { return r.Theta == theta && r.Policy == pol })
+		if len(cells) != 4*2 {
+			t.Fatalf("rows = %d, want 8 (thetas x policies)", len(cells))
 		}
-		aborts := func(r E3Row) uint64 { return r.Result.Conflicts + r.Result.Deadlocks }
-		for _, pol := range []string{"FUW", "FCW"} {
-			lo, hi := get(0, pol), get(1.2, pol)
-			// On machines with little real parallelism (1-2 CPUs) transactions
-			// barely overlap and conflicts are single-digit noise; the
-			// skew-grows-aborts shape is only assertable with enough signal.
-			if aborts(lo)+aborts(hi) < 100 {
-				t.Logf("%s: only %d+%d aborts; skipping shape assertion (low-parallelism machine)",
-					pol, aborts(lo), aborts(hi))
-				continue
+		// When the loser learns it lost, counted: FCW at commit, after all
+		// four updates; FUW at a conflicting update, after at most three.
+		// (Abort rates against skew are timings: neograph-bench prints them.)
+		for _, r := range cells {
+			aborts := r.Result.Conflicts + r.Result.Deadlocks
+			if r.Policy == "FCW" && r.WastedOps != 4*aborts || r.Policy == "FUW" && r.WastedOps > 3*aborts {
+				t.Errorf("theta %.1f %s: %d wasted ops over %d aborts", r.Theta, r.Policy, r.WastedOps, aborts)
 			}
-			// Near saturation the uniform workload already aborts most attempts
-			// and skew has no dynamic range left to grow into; near the noise
-			// floor the difference between cells is binomial jitter.
-			if lo.Result.AbortRate() > 0.5 {
-				t.Logf("%s: uniform abort rate %.3f already saturated; skipping shape assertion",
-					pol, lo.Result.AbortRate())
-				continue
-			}
-			if lo.Result.AbortRate() < 0.05 && hi.Result.AbortRate() < 0.05 {
-				t.Logf("%s: abort rates %.3f/%.3f below noise floor; skipping shape assertion",
-					pol, lo.Result.AbortRate(), hi.Result.AbortRate())
-				continue
-			}
-			if hi.Result.AbortRate() < lo.Result.AbortRate()*0.9 {
-				t.Errorf("%s: abort rate fell with skew: %.3f -> %.3f", pol, lo.Result.AbortRate(), hi.Result.AbortRate())
-			}
-		}
-		// FCW detects late: under high skew it wastes at least as many ops
-		// per abort as FUW (which cancels on the first conflicting update).
-		fuw, fcw := get(1.2, "FUW"), get(1.2, "FCW")
-		if aborts(fuw)+aborts(fcw) < 100 {
-			t.Skipf("only %d+%d high-skew aborts; not enough signal to compare policies", aborts(fuw), aborts(fcw))
-		}
-		wastedPerAbort := func(r E3Row) float64 {
-			a := aborts(r)
-			if a == 0 {
-				return 0
-			}
-			return float64(r.WastedOps) / float64(a)
-		}
-		if wastedPerAbort(fcw) < wastedPerAbort(fuw) {
-			t.Errorf("wasted ops per abort: FCW %.2f < FUW %.2f", wastedPerAbort(fcw), wastedPerAbort(fuw))
 		}
 	},
 
@@ -379,29 +315,6 @@ var shapes = map[string]func(t *testing.T, rows any){
 				t.Fatalf("mode %s measured no ops: %+v", r.Mode, cells)
 			}
 		}
-		// Headline acceptance: a depth-8 batch of the write-leaning mixed
-		// stream (one round trip + ONE transaction per batch) beats one-op-
-		// per-round-trip by >= 3x. Race instrumentation multiplies the
-		// server-side per-op CPU until it rivals the round trip and commit
-		// costs the batch amortises, so under the race detector only the
-		// direction is asserted.
-		wantMixed := 3.0
-		if raceEnabled {
-			wantMixed = 1.3
-		}
-		if s := get("batched-mixed").Speedup; s < wantMixed {
-			t.Errorf("batched-mixed speedup = %.2fx, want >= %.2fx (%+v)", s, wantMixed, cells)
-		}
-		// Read-only batching saves only the round trip; on loopback that is
-		// still a solid win. Keep the bar conservative: loopback RTT is the
-		// floor of what any real network would amortise.
-		wantReads := 1.5
-		if raceEnabled {
-			wantReads = 1.1
-		}
-		if s := get("batched-reads").Speedup; s < wantReads {
-			t.Errorf("batched-reads speedup = %.2fx, want >= %.2fx (%+v)", s, wantReads, cells)
-		}
 		// The pooled row must demonstrate live replica routing, not scaling:
 		// reads flow and the fleet answers.
 		if get("pooled-replica-reads").Ops == 0 {
@@ -418,26 +331,14 @@ var shapes = map[string]func(t *testing.T, rows any){
 			return find(t, cells, mode, func(r E14Row) bool { return r.Mode == mode })
 		}
 		// runE14 itself fails if the two traversals visit different node
-		// sets, so by here the plan is correct; the shape assertions are
-		// about cost.
+		// sets, so by here the plan is correct; the shape assertions count
+		// round trips (the speedup is a timing: neograph-bench prints it).
 		looped, pushed := get("client-looped"), get("server-khop")
 		if looped.Visited == 0 || looped.Rounds <= uint64(looped.Starts) {
 			t.Fatalf("client-looped did not traverse: %+v", looped)
 		}
 		if pushed.Rounds != uint64(pushed.Starts) {
 			t.Errorf("server-khop used %d round trips for %d starts, want one plan each", pushed.Rounds, pushed.Starts)
-		}
-		// Headline acceptance: the server-side 3-hop is >= 2x the
-		// client-looped traversal — it pays one round trip per chunk instead
-		// of one per frontier node. Race instrumentation inflates server-side
-		// traversal CPU until it rivals the round trips the plan amortises,
-		// so under the detector only a weaker bar is asserted.
-		want := 2.0
-		if raceEnabled {
-			want = 1.2
-		}
-		if pushed.Speedup < want {
-			t.Errorf("server-khop speedup = %.2fx, want >= %.2fx (%+v)", pushed.Speedup, want, cells)
 		}
 		// The unfiltered stream must deliver the whole (quick-size) graph.
 		if full := get("full-stream"); full.Visited != 3_000 {
@@ -464,27 +365,6 @@ var shapes = map[string]func(t *testing.T, rows any){
 			}
 		}
 	},
-}
-
-// fsyncCost measures the mean latency of a small append+fsync in the
-// test's temp filesystem.
-func fsyncCost(t *testing.T) time.Duration {
-	f, err := os.CreateTemp(t.TempDir(), "fsync-*")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	const n = 20
-	t0 := time.Now()
-	for i := 0; i < n; i++ {
-		if _, err := f.Write([]byte("probe")); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Sync(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return time.Since(t0) / n
 }
 
 func TestPrintRowsAligned(t *testing.T) {

@@ -33,7 +33,7 @@ const (
 	// E12 measures per-session pipelining, so it is 1: with many
 	// concurrent single-op writers, cross-client group commit already
 	// amortises fsyncs and the baseline flatters itself (that scaling
-	// axis belongs to E2d/E9).
+	// axis belongs to E9 and the benchmark's wal.commits_per_fsync).
 	e12Clients = 1
 	// e12Depth is the batch size (ops per round trip) in batched mode.
 	e12Depth = 8

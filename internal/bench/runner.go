@@ -1,6 +1,6 @@
 // Package bench is the experiment registry: Experiments lists every
-// experiment of the paper (E1–E7, F1) and of the system around it (E2d,
-// E8, E9, E11, E12, E14, E15 — each asserts a ratio or an invariant the
+// experiment of the paper (E1–E7, F1) and of the system around it (E8,
+// E9, E11, E12, E14, E15 — each reports a ratio or an invariant the
 // BENCHMARK.json workloads do not; E10, E13 and E16 asked what fleet_batch
 // and its layer ledger now measure with verification, and are retired)
 // with its ID, title and driver. An experiment's full and quick sizes
@@ -59,7 +59,7 @@ func (e Experiment) Run(w io.Writer, p Params) (any, error) {
 
 // Experiments is the registry, in report order.
 var Experiments = []Experiment{
-	e1, e2, e2d, e3, e4, e5, e6, e7, e8, e9, e11, e12, e14, e15, f1,
+	e1, e2, e3, e4, e5, e6, e7, e8, e9, e11, e12, e14, e15, f1,
 }
 
 // tabled adapts a typed driver to a registry entry: the rows it returns

@@ -372,22 +372,11 @@ func (e *Engine) logInstall(sp *trace.Span, r *record, live *preparedTxn) (lsn, 
 	e.recordBytes.Observe(float64(len(buf.b)))
 	commitBufPool.Put(buf)
 	if err != nil {
-		err = fmt.Errorf("wal append: %w", err)
-	} else if e.batcher == nil && !e.opts.NoSyncCommits {
-		// Per-commit fsync baseline (Options.NoGroupCommit): the record is
-		// made durable before the fold, so a failed sync still fails cleanly.
-		ssp := sp.Child("wal.sync")
-		if err = e.wal.Sync(); err != nil {
-			err = fmt.Errorf("wal sync: %w", err)
-		}
-		ssp.Finish()
-	}
-	if err != nil {
 		e.commitGate.RUnlock()
 		if tsOff > 0 {
 			e.oracle.AbortCommit(r.cts)
 		}
-		return 0, 0, err
+		return 0, 0, fmt.Errorf("wal append: %w", err)
 	}
 
 	isp := sp.Child("commit.install")

@@ -132,24 +132,9 @@ type Options struct {
 	Conflict ConflictPolicy
 	// NoSyncCommits disables the commit WAL fsync entirely (the zero
 	// Options value is durable). Benchmarks measuring CPU cost rather than
-	// disk latency set this. It also bypasses the group-commit batcher.
+	// disk latency set this. Otherwise every commit is made durable by the
+	// group-commit batcher, one fsync for all the records appended before it.
 	NoSyncCommits bool
-	// NoGroupCommit reverts to one fsync per committing transaction — the
-	// pre-group-commit behaviour, kept as the before/after baseline for the
-	// throughput benchmarks. The default pipelines commits through a
-	// batched-fsync group commit.
-	NoGroupCommit bool
-	// CommitMaxBatch is the group-commit linger cutoff: a flush leader
-	// stops waiting out CommitMaxDelay once this many committers are
-	// queued. Zero means wal.DefaultMaxBatch; it has no effect when
-	// CommitMaxDelay is zero (a fsync always covers every record appended
-	// before it — coverage itself cannot be capped).
-	CommitMaxBatch int
-	// CommitMaxDelay lets the group-commit flush leader linger this long to
-	// absorb more concurrent committers before issuing the fsync. Zero
-	// flushes immediately (commits arriving during an in-flight fsync still
-	// coalesce into the next one).
-	CommitMaxDelay time.Duration
 	// GCMode selects the collector. Default GCThreaded.
 	GCMode GCMode
 	// GCEvery runs the collector periodically; zero means manual RunGC.
@@ -290,7 +275,7 @@ type Engine struct {
 	opts    Options
 	store   *store.Store // nil in memory-only mode
 	wal     *wal.WAL     // nil in memory-only mode
-	batcher *wal.Batcher // group-commit fsync batcher; nil when commits are unsynced or NoGroupCommit
+	batcher *wal.Batcher // group-commit fsync batcher; nil in memory-only mode or with NoSyncCommits
 	oracle  *mvcc.Oracle
 	active  *mvcc.ActiveTable
 	locks   *lock.Manager
@@ -506,11 +491,8 @@ func Open(opts Options) (*Engine, error) {
 		st.Close()
 		return nil, err
 	}
-	if !opts.NoSyncCommits && !opts.NoGroupCommit {
-		e.batcher = wal.NewBatcher(w, wal.BatcherOptions{
-			MaxBatch: opts.CommitMaxBatch,
-			MaxDelay: opts.CommitMaxDelay,
-		})
+	if !opts.NoSyncCommits {
+		e.batcher = wal.NewBatcher(w)
 	}
 	if err := e.recover(); err != nil {
 		w.Close()
@@ -745,13 +727,9 @@ func (e *Engine) WaitDurable(pos uint64) error {
 		// forever waiting for a record that was never appended.
 		return fmt.Errorf("core: wait durable: position %d beyond log end %d", pos, next)
 	}
-	if e.batcher != nil {
-		// WaitDurable(lsn) waits for durable > lsn; durable >= pos is
-		// exactly durable > pos-1.
-		return e.batcher.WaitDurable(pos - 1)
-	}
-	// Per-commit fsync mode: one explicit sync covers everything appended.
-	return e.wal.Sync()
+	// WaitDurable(lsn) waits for durable > lsn; durable >= pos is exactly
+	// durable > pos-1.
+	return e.batcher.WaitDurable(pos - 1)
 }
 
 // SyncWAL forces an fsync of the WAL (replication applier's periodic

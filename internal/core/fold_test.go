@@ -9,7 +9,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"neograph/internal/faultfs"
 	"neograph/internal/trace"
@@ -102,36 +101,28 @@ func TestDecisionDuringCheckpointSurvivesCrash(t *testing.T) {
 // told is prepared.
 func TestPrepareDuringCheckpointStaysInDoubt(t *testing.T) {
 	dir := t.TempDir()
-	// The group-commit leader lingers for a second committer, so Prepare
-	// sits between its append and its fsync until the test sends one.
-	e, err := Open(Options{Dir: dir, CommitMaxDelay: time.Minute, CommitMaxBatch: 2})
+	e, err := Open(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The group-commit fsync is held, so Prepare sits between its append
+	// and its fsync until the test releases it.
+	gate := gateBatcher(e)
 	tx := e.Begin()
 	id, err := tx.CreateNode([]string{"Pinned"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	logEnd := e.AppliedLSN()
 	prepared := make(chan error, 1)
 	go func() {
 		_, err := tx.Prepare(9, 1, nil)
 		prepared <- err
 	}()
-	for deadline := time.Now().Add(10 * time.Second); e.AppliedLSN() == logEnd; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("Prepare never logged its record")
-		}
-	}
+	<-gate.entered // the 'P' record is logged and folded
 	if err := e.Checkpoint(); err != nil {
 		t.Fatalf("Checkpoint: %v", err)
 	}
-	w := e.Begin()
-	if _, err := w.CreateNode([]string{"Filler"}, nil); err != nil {
-		t.Fatal(err)
-	}
-	mustCommit(t, w) // the second committer: both fsync waits end
+	close(gate.release)
 	if err := <-prepared; err != nil {
 		t.Fatalf("Prepare: %v", err)
 	}
@@ -443,7 +434,7 @@ func TestRedoOfAbortKeepsReusedID(t *testing.T) {
 // until the process ends.
 func TestAckDecisionEndsWithoutItsRecord(t *testing.T) {
 	inj := faultfs.NewInjector(faultfs.OS{}, nil)
-	e, err := Open(Options{Dir: t.TempDir(), FS: inj, NoGroupCommit: true})
+	e, err := Open(Options{Dir: t.TempDir(), FS: inj})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -458,10 +449,10 @@ func TestAckDecisionEndsWithoutItsRecord(t *testing.T) {
 	if _, _, err := e.DecideTxn(3, true, []uint32{1}); err != nil {
 		t.Fatal(err)
 	}
-	inj.Arm(faultfs.Fault{Point: "wal.sync", Hit: 1, Mode: faultfs.ModeSyncFail})
+	inj.Arm(faultfs.Fault{Point: "wal.write", Hit: 1, Mode: faultfs.ModeWriteFail})
 	e.AckDecision(3, 1)
 	if !inj.Fired() {
-		t.Fatal("the 'E' record's sync never failed: the test exercised nothing")
+		t.Fatal("the 'E' record's append never failed: the test exercised nothing")
 	}
 	if u := e.UnackedDecisions(); len(u) != 0 {
 		t.Errorf("UnackedDecisions = %+v after the last ack", u)

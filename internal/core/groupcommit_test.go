@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"neograph/internal/ids"
 	"neograph/internal/value"
@@ -113,40 +112,6 @@ func TestNoSyncCommitsBypassesBatcher(t *testing.T) {
 	}
 }
 
-// TestNoGroupCommitBaselineIsDurable checks the per-commit-fsync baseline
-// still recovers after a crash (and reports no batcher activity).
-func TestNoGroupCommitBaselineIsDurable(t *testing.T) {
-	dir := t.TempDir()
-	e, err := Open(Options{Dir: dir, NoGroupCommit: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.batcher != nil {
-		t.Fatal("NoGroupCommit engine should not construct a batcher")
-	}
-	tx := e.Begin()
-	id, err := tx.CreateNode([]string{"Base"}, value.Map{"v": value.Int(7)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Crash(); err != nil {
-		t.Fatal(err)
-	}
-	e2, err := Open(Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e2.Close()
-	tx2 := e2.Begin()
-	defer tx2.Abort()
-	if _, err := tx2.GetNode(id); err != nil {
-		t.Fatalf("baseline commit lost after crash: %v", err)
-	}
-}
-
 // flakySyncer fails Sync after failAfter successes.
 type flakySyncer struct {
 	next      atomic.Uint64
@@ -174,7 +139,7 @@ func TestGroupCommitFsyncFailureFailsCommit(t *testing.T) {
 	// still succeeds — only durability is lost, which is exactly the
 	// group-commit failure mode (install already happened).
 	e.batcher.Close()
-	e.batcher = wal.NewBatcher(&flakySyncer{}, wal.BatcherOptions{})
+	e.batcher = wal.NewBatcher(&flakySyncer{})
 
 	tx := e.Begin()
 	if _, err := tx.CreateNode([]string{"X"}, nil); err != nil {
@@ -198,7 +163,7 @@ func TestGroupCommitFsyncFailureFailsCommit(t *testing.T) {
 
 // TestGroupCommitLatchNotHeldAcrossFsync regression-tests the latch rule:
 // while one FCW committer is parked in a slow fsync, another must be able
-// to validate and install. A blocking syncer stands in for the disk.
+// to validate and install. A held fsync stands in for a slow disk.
 func TestGroupCommitLatchNotHeldAcrossFsync(t *testing.T) {
 	e, err := Open(Options{Dir: t.TempDir(), Conflict: FirstCommitterWins})
 	if err != nil {
@@ -206,10 +171,7 @@ func TestGroupCommitLatchNotHeldAcrossFsync(t *testing.T) {
 	}
 	defer e.Close()
 
-	release := make(chan struct{})
-	slow := &blockingSyncer{release: release}
-	e.batcher.Close()
-	e.batcher = wal.NewBatcher(slow, wal.BatcherOptions{})
+	slow := gateBatcher(e)
 
 	done := make(chan error, 1)
 	go func() {
@@ -222,11 +184,7 @@ func TestGroupCommitLatchNotHeldAcrossFsync(t *testing.T) {
 	}()
 
 	// Wait until the first committer is inside Sync.
-	select {
-	case <-slow.entered():
-	case <-time.After(5 * time.Second):
-		t.Fatal("first committer never reached fsync")
-	}
+	<-slow.entered
 
 	// The latches must be free: TryLock succeeds on every stripe while
 	// the fsync is stuck.
@@ -237,30 +195,33 @@ func TestGroupCommitLatchNotHeldAcrossFsync(t *testing.T) {
 		e.stripes[i].valMu.Unlock()
 	}
 
-	close(release)
+	close(slow.release)
 	if err := <-done; err != nil {
 		t.Fatalf("first committer: %v", err)
 	}
 }
 
-// blockingSyncer blocks Sync until release is closed.
+// blockingSyncer holds every Sync until release is closed, then syncs
+// the log it wraps.
 type blockingSyncer struct {
-	next      atomic.Uint64
-	release   chan struct{}
+	wal.Syncer
 	enterOnce sync.Once
-	enteredCh chan struct{}
-	initOnce  sync.Once
+	entered   chan struct{} // closed when the first Sync arrives
+	release   chan struct{} // close to let every Sync through
 }
 
-func (b *blockingSyncer) entered() chan struct{} {
-	b.initOnce.Do(func() { b.enteredCh = make(chan struct{}) })
-	return b.enteredCh
-}
-
-func (b *blockingSyncer) NextLSN() uint64 { return b.next.Add(1) }
 func (b *blockingSyncer) Sync() error {
-	b.initOnce.Do(func() { b.enteredCh = make(chan struct{}) })
-	b.enterOnce.Do(func() { close(b.enteredCh) })
+	b.enterOnce.Do(func() { close(b.entered) })
 	<-b.release
-	return nil
+	return b.Syncer.Sync()
+}
+
+// gateBatcher swaps e's group-commit batcher for one whose fsyncs wait
+// for the returned syncer's release: a committer parks between its
+// append and its fsync until the test lets it through.
+func gateBatcher(e *Engine) *blockingSyncer {
+	g := &blockingSyncer{Syncer: e.wal, entered: make(chan struct{}), release: make(chan struct{})}
+	e.batcher.Close()
+	e.batcher = wal.NewBatcher(g)
+	return g
 }

@@ -415,6 +415,9 @@ func TestFlushAdmittedOrShedAsOneUnit(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// The last CreateNode's charge is released after its response is
+	// written: wait for it, so the poll below can only see the blocker.
+	drained(srv)
 	// Fill the server: an embedded transaction holds ids[3]'s write lock and
 	// a read-committed session's write waits for it, in flight.
 	holder := db.Begin()

@@ -206,6 +206,10 @@ func (s *Server) Admission() AdmissionStats {
 // rejection the charge is fully reverted and errOverloaded returned; the
 // session stays open. Add-then-check makes the decision race-free and a
 // frame larger than MaxQueuedBytes deterministically rejected.
+//
+// An admitted frame's charge is released after its last response frame is
+// written (handle: serve, then release), so a client that has read a
+// response may still see that frame counted in Admission for a moment.
 func (s *Server) admit(frameBytes int64) error {
 	infl := s.inflight.Add(1)
 	qb := s.queuedBytes.Add(frameBytes)

@@ -20,26 +20,6 @@ type Syncer interface {
 	Sync() error
 }
 
-// BatcherOptions tune group commit.
-type BatcherOptions struct {
-	// MaxBatch is the linger cutoff: once at least MaxBatch committers
-	// are queued the flush leader stops waiting out MaxDelay and syncs
-	// immediately. It does not bound how many commits one fsync covers —
-	// an fsync always covers the whole appended prefix of the log. Zero
-	// means DefaultMaxBatch; irrelevant when MaxDelay is zero.
-	MaxBatch int
-	// MaxDelay is how long a flush leader lingers to let more committers
-	// join its batch. Zero means flush immediately — concurrent commits
-	// still coalesce naturally, because appends that land while a flush
-	// is in flight are all covered by the next flush. Negative is treated
-	// as zero.
-	MaxDelay time.Duration
-}
-
-// DefaultMaxBatch is the default linger cutoff: a leader stops waiting
-// once 256 committers are queued.
-const DefaultMaxBatch = 256
-
 // BatcherStats counts flush activity. SyncedCommits/Flushes is the mean
 // group size — the factor by which batching divides the fsync rate.
 type BatcherStats struct {
@@ -61,20 +41,15 @@ type BatcherStats struct {
 // retroactively make the lost records durable. Every current and future
 // waiter gets the error.
 type Batcher struct {
-	s    Syncer
-	opts BatcherOptions
+	s Syncer
 
 	mu       sync.Mutex
 	cond     *sync.Cond
 	durable  uint64 // LSNs below this are durable
 	waiting  int    // committers parked in WaitDurable
 	flushing bool   // a leader is between Sync start and wakeup
-	draining bool   // Close in progress: cut lingers short
 	err      error  // sticky fsync failure
 	closed   bool
-	// lingerC is non-nil while a flush leader lingers waiting for more
-	// committers; closing it cuts the linger short (batch full, Close).
-	lingerC chan struct{}
 
 	flushes atomic.Uint64
 	synced  atomic.Uint64
@@ -88,14 +63,8 @@ type Batcher struct {
 }
 
 // NewBatcher creates a group-commit batcher over s.
-func NewBatcher(s Syncer, opts BatcherOptions) *Batcher {
-	if opts.MaxBatch <= 0 {
-		opts.MaxBatch = DefaultMaxBatch
-	}
-	if opts.MaxDelay < 0 {
-		opts.MaxDelay = 0
-	}
-	b := &Batcher{s: s, opts: opts, syncHist: metrics.NewHistogram(metrics.LatencyBuckets())}
+func NewBatcher(s Syncer) *Batcher {
+	b := &Batcher{s: s, syncHist: metrics.NewHistogram(metrics.LatencyBuckets())}
 	b.cond = sync.NewCond(&b.mu)
 	return b
 }
@@ -117,10 +86,6 @@ func (b *Batcher) WaitDurable(lsn uint64) error {
 	b.waiting++
 	b.depth.Add(1)
 	defer b.depth.Add(-1)
-	if b.waiting >= b.opts.MaxBatch {
-		// The batch a lingering leader is waiting for is here: flush now.
-		b.cutLingerLocked()
-	}
 	for {
 		switch {
 		case b.err != nil:
@@ -149,29 +114,11 @@ func (b *Batcher) WaitDurable(lsn uint64) error {
 }
 
 // flushLocked runs one flush with the caller as leader. Called with b.mu
-// held; returns with b.mu held.
+// held; returns with b.mu held. The leader does not linger: commits that
+// append while its fsync is in flight are all covered by the next one.
 func (b *Batcher) flushLocked() {
 	b.flushing = true
-	if b.opts.MaxDelay > 0 && b.waiting < b.opts.MaxBatch && !b.draining && !b.closed {
-		// Linger so concurrent committers can append and join this batch.
-		// A timer bounds the wait precisely (sub-100µs delays are honoured,
-		// not rounded up to a sleep-slice granularity); a full batch or
-		// Close closes lingerC and cuts the wait short immediately.
-		c := make(chan struct{})
-		b.lingerC = c
-		b.mu.Unlock()
-		t := time.NewTimer(b.opts.MaxDelay)
-		select {
-		case <-c:
-			t.Stop()
-		case <-t.C:
-		}
-		b.mu.Lock()
-		b.lingerC = nil
-		b.mu.Unlock()
-	} else {
-		b.mu.Unlock()
-	}
+	b.mu.Unlock()
 
 	// Let committers that are already runnable slip their appends in
 	// before the target is captured — one scheduler yield is enough to
@@ -195,15 +142,6 @@ func (b *Batcher) flushLocked() {
 		}
 	}
 	b.cond.Broadcast()
-}
-
-// cutLingerLocked wakes a lingering flush leader early. Called with b.mu
-// held.
-func (b *Batcher) cutLingerLocked() {
-	if b.lingerC != nil {
-		close(b.lingerC)
-		b.lingerC = nil
-	}
 }
 
 // Stats snapshots flush counters.
@@ -230,8 +168,6 @@ func (b *Batcher) Close() error {
 		b.mu.Unlock()
 		return ErrClosed
 	}
-	b.draining = true // cuts a lingering leader short
-	b.cutLingerLocked()
 	for b.flushing {
 		b.cond.Wait()
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -22,7 +23,7 @@ func TestBatcherGroupsConcurrentCommits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := NewBatcher(w, BatcherOptions{})
+	b := NewBatcher(w)
 
 	const writers = 16
 	const perWriter = 25
@@ -75,73 +76,6 @@ func TestBatcherGroupsConcurrentCommits(t *testing.T) {
 	}
 }
 
-// TestBatcherMaxDelayCoalesces checks that a lingering leader absorbs
-// followers that arrive within MaxDelay.
-func TestBatcherMaxDelayCoalesces(t *testing.T) {
-	w, err := Open(t.TempDir(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	b := NewBatcher(w, BatcherOptions{MaxDelay: 20 * time.Millisecond})
-
-	const writers = 8
-	var wg sync.WaitGroup
-	for i := 0; i < writers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			// Stagger arrivals inside the linger window.
-			time.Sleep(time.Duration(i) * time.Millisecond)
-			lsn, err := w.Append([]byte{byte(i)})
-			if err != nil {
-				t.Errorf("append: %v", err)
-				return
-			}
-			if err := b.WaitDurable(lsn); err != nil {
-				t.Errorf("wait durable: %v", err)
-			}
-		}(i)
-	}
-	wg.Wait()
-	st := b.Stats()
-	if st.Flushes > writers/2 {
-		t.Fatalf("flushes = %d for %d staggered commits; linger should coalesce them", st.Flushes, writers)
-	}
-}
-
-// TestBatcherMaxBatchFlushesEarly checks that a full batch flushes without
-// waiting out MaxDelay.
-func TestBatcherMaxBatchFlushesEarly(t *testing.T) {
-	w, err := Open(t.TempDir(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	b := NewBatcher(w, BatcherOptions{MaxBatch: 2, MaxDelay: 10 * time.Second})
-
-	start := time.Now()
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			lsn, err := w.Append([]byte{byte(i)})
-			if err != nil {
-				t.Errorf("append: %v", err)
-				return
-			}
-			if err := b.WaitDurable(lsn); err != nil {
-				t.Errorf("wait durable: %v", err)
-			}
-		}(i)
-	}
-	wg.Wait()
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("full batch took %v; should flush well before the 10s MaxDelay", elapsed)
-	}
-}
-
 // failingSyncer fails every Sync after the first `okUntil` calls.
 type failingSyncer struct {
 	next    atomic.Uint64
@@ -162,7 +96,7 @@ func (f *failingSyncer) Sync() error {
 // poisoned afterwards (no later commit can claim durability).
 func TestBatcherFsyncFailurePropagates(t *testing.T) {
 	f := &failingSyncer{}
-	b := NewBatcher(f, BatcherOptions{MaxDelay: 10 * time.Millisecond})
+	b := NewBatcher(f)
 
 	const waiters = 8
 	errs := make(chan error, waiters)
@@ -191,31 +125,6 @@ func TestBatcherFsyncFailurePropagates(t *testing.T) {
 	}
 }
 
-// TestBatcherCloseWakesWaiters checks Close unblocks parked committers.
-func TestBatcherCloseWakesWaiters(t *testing.T) {
-	f := &failingSyncer{okUntil: 1 << 62} // syncs always succeed
-	b := NewBatcher(f, BatcherOptions{MaxDelay: time.Hour})
-
-	done := make(chan error, 1)
-	go func() {
-		lsn := f.next.Add(8) - 8
-		done <- b.WaitDurable(lsn)
-	}()
-	time.Sleep(10 * time.Millisecond)
-	if err := b.Close(); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case err := <-done:
-		// Either the flush completed first (nil) or Close cut it off.
-		if err != nil && !errors.Is(err, ErrClosed) {
-			t.Fatalf("unexpected error: %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("waiter still parked after Close")
-	}
-}
-
 // TestBatcherDurableAcrossRotation checks that records sealed into a
 // rotated segment still count as durable (rotation syncs the old file).
 func TestBatcherDurableAcrossRotation(t *testing.T) {
@@ -224,7 +133,7 @@ func TestBatcherDurableAcrossRotation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := NewBatcher(w, BatcherOptions{})
+	b := NewBatcher(w)
 	for i := 0; i < 20; i++ { // small segment: forces several rotations
 		lsn, err := w.Append([]byte("0123456789abcdef"))
 		if err != nil {
@@ -246,93 +155,117 @@ func TestBatcherDurableAcrossRotation(t *testing.T) {
 	}
 }
 
-// TestLingerCutShortByFullBatch would hang for an hour if a full batch
-// did not cut the timer-based linger short.
-func TestLingerCutShortByFullBatch(t *testing.T) {
+// gatedSyncer holds every Sync until release is closed, then syncs the
+// log it wraps.
+type gatedSyncer struct {
+	*WAL
+	enterOnce sync.Once
+	entered   chan struct{} // closed when the first Sync arrives
+	release   chan struct{} // close to let every Sync through
+}
+
+func (g *gatedSyncer) Sync() error {
+	g.enterOnce.Do(func() { close(g.entered) })
+	<-g.release
+	return g.WAL.Sync()
+}
+
+// TestBatcherCloseWakesWaiters: committers parked in WaitDurable when
+// Close starts are all woken — by the flush they rode, not by an error —
+// and once Close returns, further waits and a second Close are refused.
+func TestBatcherCloseWakesWaiters(t *testing.T) {
 	w, _ := openTestWAL(t, Options{})
 	defer w.Close()
-	b := NewBatcher(w, BatcherOptions{MaxDelay: time.Hour, MaxBatch: 2})
-	defer b.Close()
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			lsn, err := w.Append([]byte{byte(i)})
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			if err := b.WaitDurable(lsn); err != nil {
-				t.Error(err)
-			}
-		}(i)
+	g := &gatedSyncer{WAL: w, entered: make(chan struct{}), release: make(chan struct{})}
+	b := NewBatcher(g)
+
+	const waiters = 8
+	res := make(chan error, waiters)
+	for i := 0; i < waiters; i++ {
+		lsn, err := w.Append([]byte{byte(i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		go func() { res <- b.WaitDurable(lsn) }()
 	}
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(30 * time.Second):
-		t.Fatal("full batch did not cut the linger short")
+	<-g.entered
+	for b.Depth() < waiters { // one leader in Sync, the rest parked behind it
+		runtime.Gosched()
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- b.Close() }()
+	close(g.release)
+
+	deadline := time.After(30 * time.Second)
+	for i := 0; i < waiters; i++ {
+		select {
+		case err := <-res:
+			if err != nil {
+				t.Errorf("WaitDurable = %v", err)
+			}
+		case <-deadline:
+			t.Fatalf("%d waiter(s) still parked after Close", waiters-i)
+		}
+	}
+	if err := <-closed; err != nil {
+		t.Fatal(err)
+	}
+	lsn, err := w.Append([]byte("late"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.WaitDurable(lsn); !errors.Is(err, ErrClosed) {
+		t.Errorf("WaitDurable after Close = %v, want ErrClosed", err)
+	}
+	if err := b.Close(); !errors.Is(err, ErrClosed) {
+		t.Errorf("second Close = %v, want ErrClosed", err)
 	}
 }
 
-// TestLingerCutShortByClose: a lone committer lingering out a huge delay
-// is flushed promptly when the batcher drains.
+// TestLingerCutShortByClose: a committer left lingering behind the flush
+// that is in flight when Close starts is made durable, not failed — Close
+// waits that flush out and its drain flush covers whoever is still
+// parked.
 func TestLingerCutShortByClose(t *testing.T) {
 	w, _ := openTestWAL(t, Options{})
 	defer w.Close()
-	b := NewBatcher(w, BatcherOptions{MaxDelay: time.Hour, MaxBatch: 64})
-	res := make(chan error, 1)
-	lsn, err := w.Append([]byte("x"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() { res <- b.WaitDurable(lsn) }()
-	// Wait for the leader to start lingering, then drain.
-	for {
-		b.mu.Lock()
-		lingering := b.lingerC != nil
-		b.mu.Unlock()
-		if lingering {
-			break
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-	if err := b.Close(); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case err := <-res:
-		// The drain flush must cover the committer, not fail it.
-		if err != nil {
-			t.Fatalf("WaitDurable = %v", err)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("Close did not cut the linger short")
-	}
-	if b.Stats().Flushes == 0 {
-		t.Fatal("no flush issued")
-	}
-}
+	g := &gatedSyncer{WAL: w, entered: make(chan struct{}), release: make(chan struct{})}
+	b := NewBatcher(g)
 
-// TestSubMillisecondLinger: a tiny MaxDelay expires on its own timer, not
-// a coarse sleep-slice floor — the commit completes far faster than the
-// old 8-slice loop's worst case would allow for long delays.
-func TestSubMillisecondLinger(t *testing.T) {
-	w, _ := openTestWAL(t, Options{})
-	defer w.Close()
-	b := NewBatcher(w, BatcherOptions{MaxDelay: 50 * time.Microsecond, MaxBatch: 1 << 20})
-	defer b.Close()
-	lsn, err := w.Append([]byte("x"))
-	if err != nil {
+	wait := func(payload string) <-chan error {
+		lsn, err := w.Append([]byte(payload))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := make(chan error, 1)
+		go func() { res <- b.WaitDurable(lsn) }()
+		return res
+	}
+	leader := wait("leader")
+	<-g.entered // the leader's fsync is in flight and covers only its record
+	parked := wait("parked")
+	for b.Depth() < 2 { // the second committer is queued behind the flush
+		runtime.Gosched()
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- b.Close() }()
+	close(g.release)
+
+	deadline := time.After(30 * time.Second)
+	for name, res := range map[string]<-chan error{"leader": leader, "parked": parked} {
+		select {
+		case err := <-res:
+			if err != nil {
+				t.Errorf("%s: WaitDurable = %v", name, err)
+			}
+		case <-deadline:
+			t.Fatalf("%s: Close did not cut the wait short", name)
+		}
+	}
+	if err := <-closed; err != nil {
 		t.Fatal(err)
 	}
-	t0 := time.Now()
-	if err := b.WaitDurable(lsn); err != nil {
-		t.Fatal(err)
-	}
-	if d := time.Since(t0); d > 5*time.Second {
-		t.Fatalf("50µs linger took %v", d)
+	if got := b.Stats(); got.Flushes != 2 || got.SyncedCommits != 2 {
+		t.Errorf("stats = %+v, want 2 flushes for 2 commits", got)
 	}
 }

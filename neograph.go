@@ -30,9 +30,9 @@
 // A nil return from Commit means the transaction's redo record has been
 // fsynced to the write-ahead log (unless DisableSyncCommits is set) and
 // will be replayed after a crash. Concurrent committers share fsyncs
-// through a group-commit batcher — see Options.CommitMaxBatch,
-// Options.CommitMaxDelay and Options.DisableGroupCommit — so multi-writer
-// commit throughput is not bounded by one disk flush per transaction.
+// through a group-commit batcher: one fsync covers every record appended
+// before it, so multi-writer commit throughput is not bounded by one disk
+// flush per transaction.
 package neograph
 
 import (
@@ -111,20 +111,6 @@ type Options struct {
 	// traded for throughput; the default is durable). This also bypasses
 	// the group-commit batcher.
 	DisableSyncCommits bool
-	// DisableGroupCommit reverts to one fsync per committing transaction
-	// instead of the default batched group commit — the before/after
-	// baseline for throughput comparisons.
-	DisableGroupCommit bool
-	// CommitMaxBatch is the group-commit linger cutoff: the flush leader
-	// stops waiting out CommitMaxDelay once this many committers are
-	// queued. Zero picks the default (256); no effect when CommitMaxDelay
-	// is zero.
-	CommitMaxBatch int
-	// CommitMaxDelay lets the group-commit flush leader wait this long for
-	// more committers to join its batch before issuing the fsync. Zero
-	// flushes immediately; commits arriving during an in-flight fsync
-	// still coalesce into the next one.
-	CommitMaxDelay time.Duration
 	// CommitStripes shards the engine's object map, adjacency structure
 	// and first-committer-wins commit validation into this many stripes
 	// (rounded up to a power of two, capped at 256), so commits with
@@ -237,9 +223,6 @@ func coreOptions(opts Options, replica bool) core.Options {
 		DefaultIsolation: opts.Isolation,
 		Conflict:         opts.Conflict,
 		NoSyncCommits:    opts.DisableSyncCommits,
-		NoGroupCommit:    opts.DisableGroupCommit,
-		CommitMaxBatch:   opts.CommitMaxBatch,
-		CommitMaxDelay:   opts.CommitMaxDelay,
 		CommitStripes:    opts.CommitStripes,
 		GCMode:           opts.GCMode,
 		GCEvery:          opts.GCInterval,
