@@ -1,10 +1,11 @@
 package neograph_test
 
-// One benchmark per paper experiment (E1..E8, F1), plus engine
-// micro-benchmarks. The experiment benchmarks run the registry entries of
-// internal/bench in quick mode and surface their headline numbers through
-// b.ReportMetric; `go test -bench .` therefore regenerates every table,
-// and `cmd/neograph-bench` prints the full-size versions.
+// One benchmark per entry of the experiment registry in internal/bench —
+// the paper's evaluation, E1..E7 and F1 — plus engine micro-benchmarks.
+// The experiment benchmarks run the registry entries in quick mode and
+// surface their headline numbers through b.ReportMetric; `go test -bench .`
+// therefore regenerates every table, and `cmd/neograph-bench` prints the
+// full-size versions.
 
 import (
 	"fmt"
@@ -105,15 +106,6 @@ func BenchmarkE7RYOW(b *testing.B) {
 				b.ReportMetric(float64(r.PerLookup.Microseconds()), "1k-ws-us")
 			}
 		}
-	})
-}
-
-func BenchmarkE8Persistence(b *testing.B) {
-	benchExperiment(b, "E8", func(rows any) {
-		res := rows.(bench.E8Result)
-		b.ReportMetric(float64(res.LatestOnlyBytes), "latest-only-B")
-		b.ReportMetric(float64(res.AllVersionsBytes), "all-versions-B")
-		b.ReportMetric(float64(res.RecoveryTime.Microseconds()), "recovery-us")
 	})
 }
 

@@ -142,6 +142,28 @@ func TestBatchOneRoundTrip(t *testing.T) {
 	if len(ids) != 2 {
 		t.Errorf("NodesByLabel inside batch = %v", ids)
 	}
+
+	// A k-hop plan is one request too: however many hops the server walks,
+	// a result that fits one chunk crosses as one frame each way.
+	cc.framesOut.Store(0)
+	cc.framesIn.Store(0)
+	st, err := cl.Query(ctx, SeedIDs(ida).KHop("out", 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := 0
+	for st.Next() {
+		rows++
+	}
+	if err := st.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if rows != 2 {
+		t.Errorf("2-hop plan from ada streamed %d rows, want 2 (ada, bob)", rows)
+	}
+	if out, in := cc.framesOut.Load(), cc.framesIn.Load(); out != 1 || in != 1 {
+		t.Errorf("2-hop plan used %d request and %d response frames, want 1 and 1", out, in)
+	}
 }
 
 func TestBatchMidFailureAbortsAtomically(t *testing.T) {

@@ -1,6 +1,6 @@
 // Command neograph-bench runs the experiment registry in internal/bench —
-// the paper's experiments (E1–E7, F1) and the system experiments (E8, E9,
-// E11, E12, E14, E15) — and prints one table per experiment.
+// the paper's evaluation, E1–E7 and F1 — and prints one table per
+// experiment.
 //
 // Usage:
 //
@@ -8,7 +8,7 @@
 //	neograph-bench -exp E4         # one experiment
 //	neograph-bench -quick          # small, fast configurations
 //	neograph-bench -json out.json  # also write structured results
-//	neograph-bench -exp E11 -cpuprofile cpu.pprof  # profile a run
+//	neograph-bench -exp E2 -cpuprofile cpu.pprof  # profile a run
 package main
 
 import (
@@ -25,8 +25,13 @@ import (
 )
 
 func main() {
+	ids := make([]string, len(bench.Experiments))
+	for i, e := range bench.Experiments {
+		ids[i] = e.ID
+	}
+	registry := strings.Join(ids, ", ")
 	var (
-		exp      = flag.String("exp", "all", "experiment to run: an ID of the registry (E1..E15, F1) or all")
+		exp      = flag.String("exp", "all", "experiment to run: an ID of the registry ("+registry+") or all")
 		quick    = flag.Bool("quick", false, "small configurations (seconds, not minutes)")
 		seed     = flag.Int64("seed", 42, "workload seed")
 		jsonPath = flag.String("json", "", "write structured results to this file")
@@ -101,7 +106,7 @@ func main() {
 		fmt.Fprintf(w, "(%s completed in %v)\n", e.ID, time.Since(t0).Round(time.Millisecond))
 	}
 	if matched == 0 {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q (want an ID of the registry — E1..E15, F1 — or all)\n", *exp)
+		fmt.Fprintf(os.Stderr, "unknown experiment %q (want an ID of the registry — %s — or all)\n", *exp, registry)
 		exit(2)
 	}
 

@@ -62,7 +62,6 @@ func main() {
 		rc          = flag.Bool("read-committed", false, "default to read committed instead of snapshot isolation")
 		fcw         = flag.Bool("first-committer-wins", false, "use first-committer-wins conflict policy")
 		noSync      = flag.Bool("no-sync", false, "disable commit WAL fsync entirely")
-		stripes     = flag.Int("commit-stripes", 0, "object-map/commit-validation stripes, rounded up to a power of two, max 256 (0 = GOMAXPROCS, 1 = single global latch)")
 		pprofAddr   = flag.String("pprof-addr", "", "serve net/http/pprof (and /metrics, /debug/traces) on this address (empty = disabled), e.g. 127.0.0.1:6060")
 		metricsOn   = flag.String("metrics-addr", "", "serve Prometheus /metrics (and /debug/traces) on this address (empty = ride -pprof-addr if set)")
 		maxInfl     = flag.Int("max-inflight", 0, "admission control: max concurrently executing requests, excess rejected with code \"overloaded\" (0 = unlimited)")
@@ -110,7 +109,6 @@ func main() {
 		DB: neograph.Options{
 			Dir:                *dir,
 			DisableSyncCommits: *noSync,
-			CommitStripes:      *stripes,
 			GCInterval:         *gcEvery,
 			CheckpointInterval: *ckpEvery,
 			ReplicationAddr:    *replAddr,

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
-	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -198,166 +197,6 @@ var shapes = map[string]func(t *testing.T, rows any){
 		}
 	},
 
-	"E8": func(t *testing.T, rows any) {
-		res := rows.(E8Result)
-		if res.RecoveredNodes != res.Entities {
-			t.Fatalf("recovered %d of %d", res.RecoveredNodes, res.Entities)
-		}
-		if res.LatestOnlyBytes == 0 {
-			t.Fatal("nothing checkpointed")
-		}
-		// Paper's claim: persisting only the newest version writes a fraction
-		// of what the all-versions cache holds (≈ 1/versions).
-		if res.LatestOnlyBytes*2 >= res.AllVersionsBytes {
-			t.Fatalf("latest-only %d not << all-versions %d", res.LatestOnlyBytes, res.AllVersionsBytes)
-		}
-		if res.WALAfterCkpt > res.WALBeforeCkpt {
-			t.Fatalf("WAL grew across checkpoint: %d -> %d", res.WALBeforeCkpt, res.WALAfterCkpt)
-		}
-		// Group-commit durability phase: every synced commit survived the
-		// second crash, and the batcher actually shared fsyncs (at most one
-		// flush per commit; under concurrency, far fewer).
-		if res.SyncedCommits == 0 {
-			t.Fatal("synced phase did not run")
-		}
-		if uint64(res.SyncedRecovered) != res.SyncedCommits {
-			t.Fatalf("recovered %d of %d synced commits", res.SyncedRecovered, res.SyncedCommits)
-		}
-		if res.SyncedFlushes == 0 || res.SyncedFlushes > res.SyncedCommits {
-			t.Fatalf("flushes = %d for %d synced commits", res.SyncedFlushes, res.SyncedCommits)
-		}
-	},
-
-	"E9": func(t *testing.T, rows any) {
-		cells := rows.([]E9Row)
-		get := func(n int) E9Row {
-			return find(t, cells, "replicas", func(r E9Row) bool { return r.Replicas == n })
-		}
-		base, two := get(0), get(2)
-		if base.ReadsPS == 0 || two.ReadsPS == 0 {
-			t.Fatalf("no reads: %+v", cells)
-		}
-		if base.WritesPS == 0 || two.WritesPS == 0 {
-			t.Fatalf("write load did not run: %+v", cells)
-		}
-		// The headline claim: replicas add read capacity. Slot capacity is
-		// modelled (service occupancy per read), so the ratio is stable even
-		// on single-core machines; 1.8x of the ideal 2x leaves headroom.
-		// Race instrumentation multiplies the real per-read CPU cost until it
-		// rivals the service occupancy, collapsing the slot model on small
-		// machines — under the race detector only the direction is asserted.
-		want := 1.8
-		if raceEnabled {
-			want = 1.05
-		}
-		if two.Speedup < want {
-			t.Errorf("2-replica speedup = %.2fx, want >= %.2fx (%+v)", two.Speedup, want, cells)
-		}
-		// Replica apply lag must be measured and bounded: these are real
-		// read-your-writes waits over live TCP replication.
-		if two.LagProbes == 0 {
-			t.Fatal("no staleness probes recorded")
-		}
-		if two.LagMax <= 0 || two.LagMax > 20*time.Second {
-			t.Errorf("lag max = %v", two.LagMax)
-		}
-		if two.LagP50 > two.LagMax {
-			t.Errorf("lag p50 %v > max %v", two.LagP50, two.LagMax)
-		}
-	},
-
-	"E11": func(t *testing.T, rows any) {
-		cells := rows.([]E11Row)
-		get := func(stripes1 bool, clients int) E11Row {
-			return find(t, cells, "write cell", func(r E11Row) bool {
-				return (r.Stripes == 1) == stripes1 && r.Mix == "write" && r.Clients == clients
-			})
-		}
-		for _, r := range cells {
-			if r.Mix == "write" && r.Result.Conflicts != 0 {
-				t.Fatalf("disjoint write footprints conflicted: %+v", r.Result)
-			}
-		}
-		// The scaling shape needs real parallelism: on a 1-2 CPU machine
-		// the latch is never contended, and under the race detector per-op
-		// cost drowns the latch cost.
-		striped := get(false, 8)
-		if runtime.NumCPU() < 4 || runtime.GOMAXPROCS(0) < 4 {
-			t.Skipf("NumCPU=%d GOMAXPROCS=%d: no parallelism to measure the latch scaling shape",
-				runtime.NumCPU(), runtime.GOMAXPROCS(0))
-		}
-		want := 1.4 // headline claim is 2x on 8 cores; leave noise margin at 4
-		if raceEnabled {
-			want = 0.9 // direction only: instrumentation swamps the latch cost
-		}
-		if striped.Speedup < want {
-			t.Errorf("8-writer striped speedup = %.2fx over 1 stripe, want >= %.2fx (%+v)",
-				striped.Speedup, want, striped)
-		}
-		// Single-writer latency must not regress: one client takes the same
-		// latches either way, so parity within noise.
-		if one1, oneN := get(true, 1), get(false, 1); oneN.Result.Throughput() < one1.Result.Throughput()*0.5 {
-			t.Errorf("single-writer striped throughput %.0f/s fell to under half of 1-stripe %.0f/s",
-				oneN.Result.Throughput(), one1.Result.Throughput())
-		}
-	},
-
-	"E12": func(t *testing.T, rows any) {
-		cells := rows.([]E12Row)
-		if len(cells) != 5 {
-			t.Fatalf("rows = %d, want 5", len(cells))
-		}
-		get := func(mode string) E12Row {
-			return find(t, cells, mode, func(r E12Row) bool { return r.Mode == mode })
-		}
-		for _, r := range cells {
-			if r.OpsPS <= 0 {
-				t.Fatalf("mode %s measured no ops: %+v", r.Mode, cells)
-			}
-		}
-		// The pooled row must demonstrate live replica routing, not scaling:
-		// reads flow and the fleet answers.
-		if get("pooled-replica-reads").Ops == 0 {
-			t.Errorf("pooled mode served no reads: %+v", cells)
-		}
-	},
-
-	"E14": func(t *testing.T, rows any) {
-		cells := rows.([]E14Row)
-		if len(cells) != 3 {
-			t.Fatalf("rows = %d, want 3", len(cells))
-		}
-		get := func(mode string) E14Row {
-			return find(t, cells, mode, func(r E14Row) bool { return r.Mode == mode })
-		}
-		// runE14 itself fails if the two traversals visit different node
-		// sets, so by here the plan is correct; the shape assertions count
-		// round trips (the speedup is a timing: neograph-bench prints it).
-		looped, pushed := get("client-looped"), get("server-khop")
-		if looped.Visited == 0 || looped.Rounds <= uint64(looped.Starts) {
-			t.Fatalf("client-looped did not traverse: %+v", looped)
-		}
-		if pushed.Rounds != uint64(pushed.Starts) {
-			t.Errorf("server-khop used %d round trips for %d starts, want one plan each", pushed.Rounds, pushed.Starts)
-		}
-		// The unfiltered stream must deliver the whole (quick-size) graph.
-		if full := get("full-stream"); full.Visited != 3_000 {
-			t.Errorf("full-stream rows = %d, want 3000", full.Visited)
-		}
-	},
-
-	"E15": func(t *testing.T, rows any) {
-		for _, r := range rows.([]E15Row) {
-			if r.UnavailSeconds <= 0 || r.WinnerEpoch != 2 {
-				t.Errorf("no single clean promotion: %+v", r)
-			}
-			// runE15 itself fails on acknowledged loss at quorum >= 1.
-			if r.Survived+r.Lost != r.PreCommits {
-				t.Errorf("census does not add up: %+v", r)
-			}
-		}
-	},
-
 	"F1": func(t *testing.T, out any) {
 		for _, want := range []string{"object cache", "persistent store", "neostore.nodes.db", "wal"} {
 			if !strings.Contains(out.(string), want) {
@@ -411,7 +250,7 @@ func TestSummarize(t *testing.T) {
 		lats[i] = time.Duration(100-i) * time.Millisecond // unsorted on purpose
 	}
 	got := summarize(lats)
-	want := latency{P50: 50 * time.Millisecond, P95: 95 * time.Millisecond, Max: 100 * time.Millisecond, Mean: 50500 * time.Microsecond}
+	want := latency{P50: 50 * time.Millisecond, P95: 95 * time.Millisecond}
 	if got != want {
 		t.Fatalf("summary = %+v, want %+v", got, want)
 	}

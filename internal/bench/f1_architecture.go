@@ -58,3 +58,15 @@ func runF1(w io.Writer, p Params) (any, error) {
 	})
 	return nil, nil
 }
+
+// dirSize is the total size of the regular files under dir.
+func dirSize(dir string) int64 {
+	var total int64
+	filepath.Walk(dir, func(_ string, info os.FileInfo, err error) error {
+		if err == nil && !info.IsDir() {
+			total += info.Size()
+		}
+		return nil
+	})
+	return total
+}

@@ -1,15 +1,12 @@
-// Package bench is the experiment registry: Experiments lists every
-// experiment of the paper (E1–E7, F1) and of the system around it (E8,
-// E9, E11, E12, E14, E15 — each reports a ratio or an invariant the
-// BENCHMARK.json workloads do not; E10, E13 and E16 asked what fleet_batch
-// and its layer ledger now measure with verification, and are retired)
-// with its ID, title and driver. An experiment's full and quick sizes
-// live next to its code, once; cmd/neograph-bench, the root
-// benchmarks and the shape tests all run it through Experiment.Run. The
-// rest of this file is the shared harness: a multi-client transaction
-// runner with throughput/latency/abort accounting, a latency summariser,
-// fixture helpers, and table printing derived from the row structs that
-// -json serialises.
+// Package bench is the experiment registry: Experiments lists the
+// paper's evaluation (E1–E7, F1), each with its ID, title and driver.
+// The system's own performance gate is BENCHMARK.json, not this package.
+// An experiment's full and quick sizes live next to its code, once;
+// cmd/neograph-bench, the root benchmarks and the shape tests all run it
+// through Experiment.Run. The rest of this file is the shared harness: a
+// multi-client transaction runner with throughput/latency/abort
+// accounting, a latency summariser, fixture helpers, and table printing
+// derived from the row structs that -json serialises.
 package bench
 
 import (
@@ -59,7 +56,7 @@ func (e Experiment) Run(w io.Writer, p Params) (any, error) {
 
 // Experiments is the registry, in report order.
 var Experiments = []Experiment{
-	e1, e2, e3, e4, e5, e6, e7, e8, e9, e11, e12, e14, e15, f1,
+	e1, e2, e3, e4, e5, e6, e7, f1,
 }
 
 // tabled adapts a typed driver to a registry entry: the rows it returns
@@ -192,7 +189,7 @@ func stopped(stop <-chan struct{}) bool {
 
 // latency is the distribution summary every latency column reports.
 type latency struct {
-	P50, P95, Max, Mean time.Duration
+	P50, P95 time.Duration
 }
 
 // summarize sorts lats in place and summarises them (zero when empty).
@@ -201,12 +198,8 @@ func summarize(lats []time.Duration) latency {
 		return latency{}
 	}
 	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	var sum time.Duration
-	for _, l := range lats {
-		sum += l
-	}
 	at := func(p float64) time.Duration { return lats[int(p*float64(len(lats)-1))] }
-	return latency{P50: at(0.50), P95: at(0.95), Max: lats[len(lats)-1], Mean: sum / time.Duration(len(lats))}
+	return latency{P50: at(0.50), P95: at(0.95)}
 }
 
 // tempDB opens a database on a fresh temporary directory (opts.Dir is

@@ -147,10 +147,10 @@ type Options struct {
 	// structure and first-committer-wins validation latches are split
 	// into. Transactions whose write footprints touch disjoint stripes
 	// validate and install fully in parallel. Zero picks the default
-	// (GOMAXPROCS rounded up to a power of two); any other value is
-	// rounded up to a power of two and capped at 256. 1 restores the
-	// single global latch — the degenerate debugging mode with exactly
-	// the pre-striping semantics.
+	// (GOMAXPROCS rounded up to a power of two), which is what every
+	// database opened through the neograph package gets; tests pin other
+	// counts, rounded up to a power of two and capped at 256. 1 is a
+	// single global latch.
 	CommitStripes int
 	// Replica opens the engine read-only for local transactions: write
 	// commits fail with ErrReadOnlyReplica, and the WAL receives records
@@ -646,10 +646,6 @@ func (e *Engine) IndexStats() map[string]index.Stats {
 
 // GCBacklog returns the number of versions waiting on the threaded GC list.
 func (e *Engine) GCBacklog() int { return e.gcList.Len() }
-
-// CommitStripes reports the resolved stripe count (the power of two
-// Options.CommitStripes rounded up to).
-func (e *Engine) CommitStripes() int { return len(e.stripes) }
 
 // Tracer exposes the engine's tracer (nil when tracing is disabled).
 func (e *Engine) Tracer() *trace.Tracer { return e.opts.Tracer }

@@ -3,9 +3,9 @@
 // serve it, wire the partition coordinator (seeded from the applied LSN)
 // into the server, start it, then the cluster controller and its
 // cluster_status hook — and the reverse on the way out. The server
-// binary, the examples, the experiments and the integration tests all
-// stand nodes up through StartNode, and whole in-process fleets (N
-// partitions x primary + R replicas over loopback TCP) through Start.
+// binary, the examples and the integration tests all stand nodes up
+// through StartNode, and whole in-process fleets (N partitions x
+// primary + R replicas over loopback TCP) through Start.
 package fleet
 
 import (

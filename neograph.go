@@ -111,14 +111,6 @@ type Options struct {
 	// traded for throughput; the default is durable). This also bypasses
 	// the group-commit batcher.
 	DisableSyncCommits bool
-	// CommitStripes shards the engine's object map, adjacency structure
-	// and first-committer-wins commit validation into this many stripes
-	// (rounded up to a power of two, capped at 256), so commits with
-	// disjoint write footprints validate and install in parallel. Zero
-	// picks the default (GOMAXPROCS rounded up to a power of two); 1
-	// restores a single global validation latch (the pre-striping
-	// behaviour, useful for debugging).
-	CommitStripes int
 	// GCMode selects the version collector. Zero value is GCThreaded.
 	GCMode core.GCMode
 	// GCInterval runs the collector periodically; zero means GC runs only
@@ -223,7 +215,6 @@ func coreOptions(opts Options, replica bool) core.Options {
 		DefaultIsolation: opts.Isolation,
 		Conflict:         opts.Conflict,
 		NoSyncCommits:    opts.DisableSyncCommits,
-		CommitStripes:    opts.CommitStripes,
 		GCMode:           opts.GCMode,
 		GCEvery:          opts.GCInterval,
 		CheckpointEvery:  opts.CheckpointInterval,
