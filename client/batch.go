@@ -123,21 +123,6 @@ func (b *Batch) Neighbors(id neograph.NodeID, dir string, types ...string) int {
 	return b.add(wire.Request{Op: wire.OpNeighbors, ID: id, Dir: dir, Types: types})
 }
 
-// NodesByLabel queues a label lookup.
-func (b *Batch) NodesByLabel(label string) int {
-	return b.add(wire.Request{Op: wire.OpNodesByLabel, Label: label})
-}
-
-// NodesByProperty queues a property lookup.
-func (b *Batch) NodesByProperty(key string, v neograph.Value) int {
-	return b.add(wire.Request{Op: wire.OpNodesByProp, Key: key, Value: value.EncodeValue(v)})
-}
-
-// AllNodes queues a full node-ID listing.
-func (b *Batch) AllNodes() int {
-	return b.add(wire.Request{Op: wire.OpAllNodes})
-}
-
 // BatchError reports which op aborted a batch — or, out of the call that
 // flushed an explicit transaction, which of the calls deferred since the
 // last flush aborted it (Index counts those calls in call order; the
@@ -218,8 +203,7 @@ func (r *BatchResults) Rels(i int) ([]neograph.Relationship, error) {
 	return decodeRels(resp.Rels)
 }
 
-// IDs returns op i's ID list (Neighbors / NodesByLabel / NodesByProperty
-// / AllNodes).
+// IDs returns op i's ID list (Neighbors).
 func (r *BatchResults) IDs(i int) ([]uint64, error) {
 	resp, err := r.at(i)
 	if err != nil {

@@ -498,33 +498,44 @@ func (c *Client) Relationships(ctx context.Context, id neograph.NodeID, dir stri
 	return decodeRels(resp.Rels)
 }
 
-// ids runs a request answered with an ID list.
-func (c *Client) ids(ctx context.Context, req *wire.Request) ([]neograph.NodeID, error) {
-	resp, err := c.ask(ctx, req)
+// Neighbors lists adjacent node IDs.
+func (c *Client) Neighbors(ctx context.Context, id neograph.NodeID, dir string, types ...string) ([]neograph.NodeID, error) {
+	resp, err := c.ask(ctx, &wire.Request{Op: wire.OpNeighbors, ID: id, Dir: dir, Types: types})
 	if err != nil {
 		return nil, err
 	}
 	return resp.IDs, nil
 }
 
-// Neighbors lists adjacent node IDs.
-func (c *Client) Neighbors(ctx context.Context, id neograph.NodeID, dir string, types ...string) ([]neograph.NodeID, error) {
-	return c.ids(ctx, &wire.Request{Op: wire.OpNeighbors, ID: id, Dir: dir, Types: types})
-}
-
 // NodesByLabel lists node IDs carrying a label.
 func (c *Client) NodesByLabel(ctx context.Context, label string) ([]neograph.NodeID, error) {
-	return c.ids(ctx, &wire.Request{Op: wire.OpNodesByLabel, Label: label})
+	return c.scan(ctx, SeedLabel(label))
 }
 
 // NodesByProperty lists node IDs whose property key equals v.
 func (c *Client) NodesByProperty(ctx context.Context, key string, v neograph.Value) ([]neograph.NodeID, error) {
-	return c.ids(ctx, &wire.Request{Op: wire.OpNodesByProp, Key: key, Value: value.EncodeValue(v)})
+	return c.scan(ctx, SeedProperty(key, v))
 }
 
 // AllNodes lists every visible node ID.
 func (c *Client) AllNodes(ctx context.Context) ([]neograph.NodeID, error) {
-	return c.ids(ctx, &wire.Request{Op: wire.OpAllNodes})
+	return c.scan(ctx, SeedAll())
+}
+
+// scan runs a seed-only plan and collects its node IDs. A scan is a query:
+// its result streams in chunks, and inside an explicit transaction it runs
+// in it, after a flush of what the transaction has deferred.
+func (c *Client) scan(ctx context.Context, q *Query) ([]neograph.NodeID, error) {
+	st, err := c.Query(ctx, q)
+	if err != nil {
+		return nil, err
+	}
+	defer st.Close()
+	var ids []neograph.NodeID
+	for st.Next() {
+		ids = append(ids, st.Row().ID)
+	}
+	return ids, st.Err()
 }
 
 // info runs an admin op and returns its JSON report, decoded into v when

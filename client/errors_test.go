@@ -78,7 +78,7 @@ func newErrFixture(t *testing.T) *errFixture {
 
 	f.fcwDB, err = neograph.Open(neograph.Options{Conflict: neograph.FirstCommitterWins})
 	must(err)
-	f.fcw, err = server.New(f.fcwDB, "127.0.0.1:0")
+	f.fcw, err = server.NewWithConfig(f.fcwDB, "127.0.0.1:0", server.Config{})
 	must(err)
 	t.Cleanup(func() { f.fcw.Close(); f.fcwDB.Close() })
 	f.tight = startTightServer(t)

@@ -178,7 +178,7 @@ func TestQueryBatchRefs(t *testing.T) {
 		t.Fatal("self/forward ref accepted")
 	}
 	var bad2 Batch
-	bad2.AllNodes()
+	bad2.GetNode(aliceID)
 	bad2.SetNodePropRef(0, "k", neograph.Int(1))
 	_, err = cl.RunBatch(ctx, &bad2)
 	var be *BatchError

@@ -214,8 +214,8 @@ func (r *Router) Read(ctx context.Context, token string, id uint64, fn func(c *C
 }
 
 // ReadEach runs fn once per partition on a read session to that
-// partition's fleet — the fan-out primitive for scans (nodes_by_label,
-// all_nodes): each partition sees only its own slice of the ID space,
+// partition's fleet — the fan-out primitive for scans (NodesByLabel,
+// AllNodes): each partition sees only its own slice of the ID space,
 // so a global answer is the union of per-partition answers. Partitions
 // run sequentially in ID order; the first error stops the fan-out.
 func (r *Router) ReadEach(ctx context.Context, token string, fn func(part uint32, c *Client) error) error {
@@ -272,8 +272,7 @@ func (r *Router) homePartition(b *Batch) uint32 {
 	if n <= 1 {
 		return 0
 	}
-	// Creations, pings and back references follow the home partition;
-	// scans don't anchor (and don't belong in routed batches).
+	// Creations, pings and back references follow the home partition.
 	votes := make([]int, n)
 	for i := range b.reqs {
 		if pl := wire.Place(&b.reqs[i]); pl.Anchor != wire.AnchorNone && pl.Home.Back == nil {

@@ -90,7 +90,7 @@ func TestTraceBatchPropagation(t *testing.T) {
 
 	b := &Batch{}
 	b.CreateNode([]string{"Traced"}, nil)
-	b.NodesByLabel("Traced")
+	b.SetNodePropRef(0, "k", neograph.Int(1))
 	if _, err := cl.RunBatch(ctx, b); err != nil {
 		t.Fatal(err)
 	}

@@ -158,8 +158,8 @@ type Options struct {
 	// of the primary's log (checkpoints skip their marker record too).
 	// Promote flips a running replica back to a writable primary.
 	Replica bool
-	// WALSegmentSize overrides the WAL segment rotation size (testing and
-	// replication experiments). Zero means the wal package default.
+	// WALSegmentSize overrides the WAL segment rotation size (tests set it
+	// to force rotation). Zero means the wal package default.
 	WALSegmentSize int64
 	// FS is the file-system seam under the WAL, store, and epoch file —
 	// nil means the real OS. Crash tests substitute a faultfs.Injector to

@@ -47,8 +47,8 @@ type batchPlan struct {
 
 // planBatch splits a validated batch across partitions. self is the
 // coordinating partition (creations without an anchor go there), count
-// the partition count. Returns an error for shapes coordination cannot
-// express: scans, or circular cross-partition references.
+// the partition count. Returns an error for the one shape coordination
+// cannot express: circular cross-partition references.
 func planBatch(batch []wire.Request, self uint32, count int) (*batchPlan, error) {
 	p := &batchPlan{
 		sub:      make(map[uint32][]wire.Request),
@@ -71,9 +71,6 @@ func planBatch(batch []wire.Request, self uint32, count int) (*batchPlan, error)
 	for i := range batch {
 		op := batch[i] // copy: refs are rewritten per partition
 		pl := wire.Place(&op)
-		if pl.Scan {
-			return nil, fmt.Errorf("partition: op %q (sub-op %d) is a partition-local scan; run it outside the cross-partition batch", op.Op, i)
-		}
 		// Partition assignment: an unanchored op (create_node, ping) runs
 		// on the coordinator; a back reference anchors the op to the
 		// referenced creation's partition; an explicit ID to its owner.

@@ -486,3 +486,95 @@ func TestFlushAdmittedOrShedAsOneUnit(t *testing.T) {
 		}
 	}
 }
+
+// TestAbortServedOnAFullServer: an abort is served without admission. A
+// session that gives up on its transaction while the server is full must
+// still release it — its write locks and its snapshot — not be shed and
+// leave them held until it retries or disconnects.
+func TestAbortServedOnAFullServer(t *testing.T) {
+	db, err := neograph.Open(neograph.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewWithConfig(db, "127.0.0.1:0", Config{MaxInflight: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close(); db.Close() })
+	dial := func() *client.Client {
+		cl, err := client.Dial(ctx, srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { cl.Close() })
+		return cl
+	}
+	cl, blocker := dial(), dial()
+	a, err := cl.CreateNode(ctx, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := cl.CreateNode(ctx, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// cl holds a's write lock on the server.
+	if err := cl.Begin(ctx, ""); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.SetNodeProp(ctx, a, "v", neograph.Int(1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	drained(srv)
+	// Fill the server: an embedded transaction holds b's write lock and a
+	// read-committed session's write waits for it, in flight.
+	holder := db.Begin()
+	defer holder.Abort() // on a failure below, lets the blocker finish
+	if err := holder.SetNodeProp(b, "v", neograph.Int(0)); err != nil {
+		t.Fatal(err)
+	}
+	blocked := make(chan error, 1)
+	go func() {
+		blocker.Begin(ctx, "rc")
+		blocker.SetNodeProp(ctx, b, "v", neograph.Int(1))
+		blocked <- blocker.Commit(ctx)
+	}()
+	for end := time.Now().Add(5 * time.Second); srv.Admission().Inflight != 1; {
+		if time.Now().After(end) {
+			t.Fatal("the blocker's frame never went in flight")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if _, err := cl.GetNode(ctx, b); !errors.Is(err, client.ErrOverloaded) {
+		t.Fatalf("a read on the full server: %v, want ErrOverloaded", err)
+	}
+
+	before := srv.Admission()
+	if err := cl.Abort(ctx); err != nil {
+		t.Fatalf("abort on a full server: %v", err)
+	}
+	if cl.InTx() {
+		t.Fatal("the session still holds a transaction after its abort")
+	}
+	if after := srv.Admission(); after.Rejected != before.Rejected {
+		t.Errorf("the abort counted %d rejections, want 0", after.Rejected-before.Rejected)
+	}
+	// The abort released a's lock: an embedded writer takes it now.
+	w := db.Begin()
+	if err := w.SetNodeProp(a, "v", neograph.Int(2)); err != nil {
+		t.Fatalf("a is still locked after the abort: %v", err)
+	}
+	if err := w.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := holder.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-blocked; err != nil {
+		t.Fatal(err)
+	}
+}

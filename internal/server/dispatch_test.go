@@ -43,7 +43,7 @@ func TestEveryOpDispatched(t *testing.T) {
 			ops = append(ops, frame.Op)
 		}
 	}
-	if len(ops) < 30 {
+	if len(ops) < 28 {
 		t.Fatalf("golden transcript names only %d ops", len(ops))
 	}
 

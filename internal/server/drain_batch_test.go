@@ -38,7 +38,7 @@ func TestCloseDrainsInFlightResponse(t *testing.T) {
 	if err := rdb.WaitApplied(pdb.DurableLSN(), 30*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	rsrv, err := New(rdb, "127.0.0.1:0")
+	rsrv, err := NewWithConfig(rdb, "127.0.0.1:0", Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestCloseShedsGatedWaiters(t *testing.T) {
 	gate := pdb.DurableLSN() + 1
 	pdb.Close() // gate is now unreachable forever
 
-	rsrv, err := New(rdb, "127.0.0.1:0")
+	rsrv, err := NewWithConfig(rdb, "127.0.0.1:0", Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestCloseHardClosesAfterGrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	srv, err := New(db, "127.0.0.1:0")
+	srv, err := NewWithConfig(db, "127.0.0.1:0", Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

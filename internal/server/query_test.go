@@ -22,7 +22,7 @@ func startServerWithDB(t *testing.T) (*neograph.DB, *Server) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(db, "127.0.0.1:0")
+	srv, err := NewWithConfig(db, "127.0.0.1:0", Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestQueryBatchRefsServer(t *testing.T) {
 	// A reference to an op that created no entity aborts the batch with
 	// the failing op named.
 	resp = sendRaw(t, conn, `{"op":"batch","seq":3,"batch":[`+
-		`{"op":"all_nodes"},`+
+		`{"op":"ping"},`+
 		`{"op":"set_node_prop","id_ref":0,"key":"k","value":"AgI="}]}`)
 	if resp.OK || resp.FailedOp == nil || *resp.FailedOp != 1 ||
 		!strings.Contains(resp.Error, "did not create an entity") {

@@ -141,13 +141,8 @@ func (s *Server) clusterInfoFn() func() any {
 	return s.clusterInfo
 }
 
-// New creates a server for db listening on addr (e.g. "127.0.0.1:7475")
-// with default Config.
-func New(db *neograph.DB, addr string) (*Server, error) {
-	return NewWithConfig(db, addr, Config{})
-}
-
-// NewWithConfig creates a server for db listening on addr.
+// NewWithConfig creates a server for db listening on addr (e.g.
+// "127.0.0.1:7475"); the zero Config is the defaults.
 func NewWithConfig(db *neograph.DB, addr string, cfg Config) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -387,8 +382,12 @@ func (s *Server) handle(conn net.Conn) {
 		// Admission: reject over-budget requests before any dispatch work,
 		// with a complete structured error frame — the session survives and
 		// the client backs off on the code. (For a query that single error
-		// frame, More unset, is a complete, valid stream.)
-		if rejected := s.admit(frameBytes); rejected != nil {
+		// frame, More unset, is a complete, valid stream.) An abort is
+		// exempt: it only frees the transaction's locks and snapshot, and
+		// shedding it would leave them held on a full server.
+		if req.Op == wire.OpAbort {
+			err = sess.serve(conn, wc, &req)
+		} else if rejected := s.admit(frameBytes); rejected != nil {
 			err = sess.writeFrame(conn, wc, &req, fail(rejected))
 		} else {
 			err = sess.serve(conn, wc, &req)
@@ -779,19 +778,6 @@ func (sess *session) write(fn func(tx *neograph.Tx) error) *wire.Response {
 	return &wire.Response{OK: true}
 }
 
-// readIDs runs fn as a read and answers with the IDs it returns.
-func (sess *session) readIDs(fn func(tx *neograph.Tx) ([]uint64, error)) *wire.Response {
-	var ids []uint64
-	err := sess.inTx(false, func(tx *neograph.Tx) (err error) {
-		ids, err = fn(tx)
-		return err
-	})
-	if err != nil {
-		return fail(err)
-	}
-	return &wire.Response{OK: true, IDs: ids}
-}
-
 // info answers with v (a stats / gc / replication / cluster report)
 // JSON-marshalled into Response.Info.
 func info(v any) *wire.Response {
@@ -930,7 +916,15 @@ func (sess *session) dispatchOp(req *wire.Request) *wire.Response {
 			return fail(err)
 		}
 		if req.Op == wire.OpNeighbors {
-			return sess.readIDs(func(tx *neograph.Tx) ([]uint64, error) { return tx.Neighbors(req.ID, dir, req.Types...) })
+			var ids []uint64
+			err = sess.inTx(false, func(tx *neograph.Tx) (err error) {
+				ids, err = tx.Neighbors(req.ID, dir, req.Types...)
+				return err
+			})
+			if err != nil {
+				return fail(err)
+			}
+			return &wire.Response{OK: true, IDs: ids}
 		}
 		var rels []wire.RelJSON
 		err = sess.inTx(false, func(tx *neograph.Tx) error {
@@ -947,19 +941,6 @@ func (sess *session) dispatchOp(req *wire.Request) *wire.Response {
 			return fail(err)
 		}
 		return &wire.Response{OK: true, Rels: rels}
-
-	case wire.OpNodesByLabel:
-		return sess.readIDs(func(tx *neograph.Tx) ([]uint64, error) { return tx.NodesByLabel(req.Label) })
-
-	case wire.OpNodesByProp:
-		v, err := value.ParseValue(req.Value)
-		if err != nil {
-			return fail(err)
-		}
-		return sess.readIDs(func(tx *neograph.Tx) ([]uint64, error) { return tx.NodesByProperty(req.Key, v) })
-
-	case wire.OpAllNodes:
-		return sess.readIDs((*neograph.Tx).AllNodes)
 
 	case wire.OpStats:
 		return info(sess.db.Stats())

@@ -32,7 +32,7 @@ func startServer(t *testing.T) (*Server, *client.Client) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(db, "127.0.0.1:0")
+	srv, err := NewWithConfig(db, "127.0.0.1:0", Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -458,7 +458,7 @@ func startReplicatedPair(t *testing.T) (primary, replica *client.Client, pdb, rd
 	if err != nil {
 		t.Fatal(err)
 	}
-	psrv, err := New(pdb, "127.0.0.1:0")
+	psrv, err := NewWithConfig(pdb, "127.0.0.1:0", Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -467,7 +467,7 @@ func startReplicatedPair(t *testing.T) (primary, replica *client.Client, pdb, rd
 	if err != nil {
 		t.Fatal(err)
 	}
-	rsrv, err := New(rdb, "127.0.0.1:0")
+	rsrv, err := NewWithConfig(rdb, "127.0.0.1:0", Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -661,7 +661,7 @@ func startServerPersistent(t *testing.T) (*Server, *client.Client) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(db, "127.0.0.1:0")
+	srv, err := NewWithConfig(db, "127.0.0.1:0", Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,7 @@ type Anchor uint8
 
 const (
 	// AnchorNone: the op runs wherever it is sent (ping, create_node,
-	// scans, session control, admin).
+	// session control, admin).
 	AnchorNone Anchor = iota
 	// AnchorNode: Request.ID names a node; its owner executes the op.
 	AnchorNode
@@ -27,8 +27,8 @@ func (a Anchor) String() string {
 
 // Shape is what routing, batching and replica redirection need to know
 // about an op. Everything else that used to keep its own op list — the
-// server's write set, the batch whitelist, the planner's scan set and the
-// four ownership switches — reads this table.
+// server's write set, the batch whitelist and the four ownership
+// switches — reads this table.
 type Shape struct {
 	// Write: a read-only replica redirects the op to its primary.
 	Write bool
@@ -41,9 +41,7 @@ type Shape struct {
 	// explicit transaction for the sub-ops after it (and the frames after
 	// the batch); commit only as its last, committing that transaction.
 	First, Last bool
-	// Scan: a partition-local scan; it sees one partition's slice of the
-	// ID space, so it has no meaning inside a coordinated batch.
-	Scan   bool
+	// Anchor: the entity whose owner executes the op.
 	Anchor Anchor
 }
 
@@ -64,9 +62,6 @@ var shapes = map[string]Shape{
 	OpDeleteRel:    {Write: true, Batchable: true, Anchor: AnchorRel},
 	OpRels:         {Batchable: true, Anchor: AnchorNode},
 	OpNeighbors:    {Batchable: true, Anchor: AnchorNode},
-	OpNodesByLabel: {Batchable: true, Scan: true},
-	OpNodesByProp:  {Batchable: true, Scan: true},
-	OpAllNodes:     {Batchable: true, Scan: true},
 
 	OpBegin: {First: true}, OpCommit: {Last: true}, OpAbort: {},
 	OpBatch: {}, OpQuery: {},

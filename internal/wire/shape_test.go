@@ -50,11 +50,11 @@ func opConstants(t *testing.T) map[string]string {
 }
 
 // TestEveryOpHasAShape: the shape table is keyed by exactly the Op*
-// constants — an op added without deciding its write / batchable / scan /
-// anchor shape fails here, not in a partition's routing.
+// constants — an op added without deciding its write / batchable / anchor
+// shape fails here, not in a partition's routing.
 func TestEveryOpHasAShape(t *testing.T) {
 	ops := opConstants(t)
-	if len(ops) < 30 {
+	if len(ops) < 28 {
 		t.Fatalf("parsed only %d Op* constants: %v", len(ops), ops)
 	}
 	known := make(map[string]bool)
@@ -107,8 +107,7 @@ func TestShapeTableDerivations(t *testing.T) {
 	eq("batchable", collect(func(s Shape) bool { return s.Batchable }), sorted(
 		OpPing, OpCreateNode, OpGetNode, OpSetNodeProp, OpAddLabel, OpRemoveLabel,
 		OpDeleteNode, OpDetachDelete, OpCreateRel, OpGetRel, OpSetRelProp,
-		OpDeleteRel, OpRels, OpNeighbors, OpNodesByLabel, OpNodesByProp, OpAllNodes))
-	eq("scan", collect(func(s Shape) bool { return s.Scan }), sorted(OpNodesByLabel, OpNodesByProp, OpAllNodes))
+		OpDeleteRel, OpRels, OpNeighbors))
 	eq("node-anchored", collect(func(s Shape) bool { return s.Anchor == AnchorNode }), sorted(
 		OpGetNode, OpSetNodeProp, OpAddLabel, OpRemoveLabel, OpDeleteNode, OpDetachDelete, OpRels, OpNeighbors))
 	eq("rel-anchored", collect(func(s Shape) bool { return s.Anchor == AnchorRel }), sorted(OpGetRel, OpSetRelProp, OpDeleteRel))
@@ -131,7 +130,6 @@ func TestPlace(t *testing.T) {
 		home, far EntityRef
 	}{
 		{"unanchored", Request{Op: OpCreateNode, ID: 9, IDRef: &one}, AnchorNone, EntityRef{}, EntityRef{}},
-		{"scan", Request{Op: OpAllNodes, ID: 9}, AnchorNone, EntityRef{}, EntityRef{}},
 		{"node by id", Request{Op: OpSetNodeProp, ID: 9}, AnchorNode, EntityRef{ID: 9}, EntityRef{}},
 		{"node by ref", Request{Op: OpAddLabel, IDRef: &one}, AnchorNode, EntityRef{Back: &one}, EntityRef{}},
 		{"rel by id", Request{Op: OpDeleteRel, ID: 4}, AnchorRel, EntityRef{ID: 4}, EntityRef{}},

@@ -56,9 +56,6 @@ func transcript() []exchange {
 		{Request{Op: OpRels, ID: 7, Dir: "out", Types: []string{"KNOWS"}, Seq: 13},
 			[]Response{{OK: true, Rels: []RelJSON{{ID: 3, Type: "KNOWS", Start: 7, End: 9}}, Seq: 13}}},
 		{Request{Op: OpNeighbors, ID: 7, Dir: "both", Seq: 14}, []Response{{OK: true, IDs: []uint64{9}, Seq: 14}}},
-		{Request{Op: OpNodesByLabel, Label: "Person", Seq: 15}, []Response{{OK: true, IDs: []uint64{7, 9}, Seq: 15}}},
-		{Request{Op: OpNodesByProp, Key: "name", Value: ada, Seq: 16}, []Response{{OK: true, IDs: []uint64{7}, Seq: 16}}},
-		{Request{Op: OpAllNodes, Seq: 17}, []Response{{OK: true, IDs: []uint64{7, 9}, Seq: 17}}},
 		{Request{Op: OpDeleteRel, ID: 3, Seq: 18}, []Response{{OK: true, LSN: 4700, Seq: 18}}},
 		{Request{Op: OpDeleteNode, ID: 9, Seq: 19}, []Response{{OK: true, LSN: 4800, Seq: 19}}},
 		{Request{Op: OpDetachDelete, ID: 7, Seq: 20}, []Response{{OK: true, LSN: 4900, Seq: 20}}},
@@ -117,7 +114,7 @@ func transcript() []exchange {
 		// Generation 3, appended: a session transaction's first and last
 		// frames carry its begin and its commit (the commit's LSN is the
 		// batch's), and a commit anywhere else is refused whole.
-		{Request{Op: OpPing, Seq: 37}, []Response{{OK: true, Proto: ProtocolVersion, Seq: 37}}},
+		{Request{Op: OpPing, Seq: 37}, []Response{{OK: true, Proto: 4, Seq: 37}}}, // recorded at generation 4
 		{Request{Op: OpBatch, Seq: 38, Batch: []Request{{Op: OpBegin}, {Op: OpGetNode, ID: 7}}},
 			[]Response{{OK: true, Seq: 38, Results: []Response{{OK: true}, {OK: true, Node: &NodeJSON{ID: 7}}}}}},
 		{Request{Op: OpBatch, Seq: 39, Batch: []Request{

@@ -1,8 +1,9 @@
 // Package wire defines the client/server protocol: newline-delimited JSON
 // request/response pairs over TCP. Graph databases execute whole queries
 // engine-side to avoid chatty client round trips (paper §1); accordingly
-// the protocol exposes traversal operations (relationships, neighbors,
-// label/property lookups), not just point reads.
+// the protocol exposes per-node traversal operations (relationships,
+// neighbors) beside point reads, and every scan (by label, by property,
+// of all nodes) is a query plan's seed, streamed in chunks.
 //
 // A property value or map travels as the bytes internal/value's binary
 // codec writes for it — the bytes the WAL and the store hold — base64 in
@@ -29,8 +30,9 @@ import (
 // values and property maps as internal/value's binary encoding instead of
 // tagged JSON objects, and reads no other form: a v3 peer's tagged object
 // fails the frame decode, and a v4 base64 string lands in a v3 peer's
-// encoding/json fallback, which refuses it.
-const ProtocolVersion = 4
+// encoding/json fallback, which refuses it. Version 5 dropped the scan ops
+// (nodes_by_label, nodes_by_prop, all_nodes): a scan is a query plan's seed.
+const ProtocolVersion = 5
 
 // MaxBatchOps bounds one batch request. A batch runs as a single
 // server-side transaction; an unbounded one would let a client pin a
@@ -56,9 +58,6 @@ const (
 	OpDeleteRel    = "delete_rel"
 	OpRels         = "relationships"
 	OpNeighbors    = "neighbors"
-	OpNodesByLabel = "nodes_by_label"
-	OpNodesByProp  = "nodes_by_prop"
-	OpAllNodes     = "all_nodes"
 	OpStats        = "stats"
 	OpGC           = "gc"
 	OpCheckpoint   = "checkpoint"

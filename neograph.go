@@ -143,8 +143,8 @@ type Options struct {
 	// whose replicas died stays available. Zero means 1s; negative waits
 	// forever.
 	SyncReplicaTimeout time.Duration
-	// WALSegmentSize overrides the WAL segment rotation size (testing and
-	// replication experiments; zero = 16 MiB default).
+	// WALSegmentSize overrides the WAL segment rotation size (tests set it
+	// to force rotation; zero = 16 MiB default).
 	WALSegmentSize int64
 	// FS, when non-nil, routes every file operation (store, WAL, epoch,
 	// snapshot re-seed) through the given filesystem — the fault-injection
