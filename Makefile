@@ -96,7 +96,7 @@ loc:
 
 ## lint: go vet (benchmark module included) + gofmt diff check +
 ## log.Printf gate + wire-seam gates + one-session-cache gate +
-## one-log-fold gate + staticcheck (pinned)
+## one-log-fold gate + one-frame-transaction gate + staticcheck (pinned)
 lint: staticcheck
 	$(GO) vet ./...
 	cd benchmark && $(GO) vet ./...
@@ -123,6 +123,13 @@ lint: staticcheck
 	@out=$$(grep -l 'case rec[A-Z]' --include='*.go' --exclude='*_test.go' -r internal/core | tr '\n' ' '); \
 	if [ "$$out" != "internal/core/record.go " ]; then \
 		echo "WAL record tags are case labels in [ $$out] (interpret a record in internal/core/record.go's fold only)"; exit 1; fi
+	@out=$$(awk '/^func /{f=$$0; sub(/^func (\([^)]*\) )?/, "", f); sub(/\(.*/, "", f)} /\.Begin\(\)/{print f}' \
+		$$(ls internal/server/*.go | grep -v '_test\.go$$') | sort | tr '\n' ' '); \
+	if [ "$$out" != "prepareBatch txn " ]; then \
+		echo "server transactions begun in [ $$out] (a frame's opens in session.txn only, a 2PC prepare's in prepareBatch)"; exit 1; fi
+	@out=$$(grep -rnw 'inTx\|lastLSN' --include='*.go' --exclude='*_test.go' internal/server || true); \
+	if [ -n "$$out" ]; then \
+		echo "a second transaction lifecycle in the server (run ops on session.txn, end them in session.settle):"; echo "$$out"; exit 1; fi
 
 ## staticcheck: honnef.co/go/tools, version-pinned via `go run`. Skips
 ## with a warning when the module cannot be fetched (offline sandboxes);

@@ -577,9 +577,9 @@ func (c *Client) ReplStatus(ctx context.Context) (st neograph.ReplStatus, err er
 }
 
 // ClusterStatus returns the node's cluster self-view: role, epoch, log
-// positions, and the membership its controller announces. Servers
-// without a cluster controller fail the op — callers fall back to
-// ReplStatus.
+// positions, and the membership its controller announces. A server
+// without a cluster controller answers from its replication status, with
+// no node ID or membership.
 func (c *Client) ClusterStatus(ctx context.Context) (ci wire.ClusterInfo, err error) {
 	_, err = c.info(ctx, &wire.Request{Op: wire.OpClusterStatus}, &ci)
 	return ci, err

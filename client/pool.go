@@ -72,7 +72,7 @@ type host struct {
 // newest commit LSN per causality token and injects it as the
 // read-your-writes gate on reads carrying that token, so a session always
 // observes its own writes even from a lagging replica. When a write fails
-// because the primary died or was demoted, the pool probes ReplStatus
+// because the primary died or was demoted, the pool probes cluster_status
 // across every known address, re-discovers the (promoted) primary and
 // retries once.
 //
@@ -243,30 +243,24 @@ func (p *Pool) probeLoop() {
 	}
 }
 
-// probe asks h for its role, refreshing its cached applied position. The
-// cluster controller's view is preferred: it carries the announced
-// membership, so the pool learns nodes that were never in its seed list
-// (and can find a post-failover primary among them). Nodes without a
-// controller answer repl_status instead.
+// probe asks h for its role, refreshing its cached applied position. A
+// node's cluster_status carries the membership its controller announces,
+// so the pool learns nodes that were never in its seed list (and can find
+// a post-failover primary among them); a node without a controller
+// answers with its role and positions alone.
 func (p *Pool) probe(ctx context.Context, h *host) (role string, err error) {
 	c, err := p.sessions.Borrow(ctx, h.addr)
 	if err != nil {
 		return "", err
 	}
 	defer p.sessions.Return(c)
-	var applied uint64
-	if ci, cerr := c.ClusterStatus(ctx); cerr == nil {
-		role, applied = ci.Role, ci.AppliedLSN
-		p.mergeMembers(ci.Members)
-	} else {
-		st, err := c.ReplStatus(ctx)
-		if err != nil {
-			return "", err
-		}
-		role, applied = st.Role, st.AppliedLSN
+	ci, err := c.ClusterStatus(ctx)
+	if err != nil {
+		return "", err
 	}
-	h.applied.Store(applied)
-	return role, nil
+	p.mergeMembers(ci.Members)
+	h.applied.Store(ci.AppliedLSN)
+	return ci.Role, nil
 }
 
 // writable reports whether a probed role accepts writes.
@@ -456,7 +450,7 @@ func (p *Pool) readOn(ctx context.Context, h *host, gate uint64, fn func(c *Clie
 // Write runs fn on a session to the primary and records the newest
 // commit LSN under the causality token. If the primary is unreachable or
 // answers ErrReadOnlyReplica (it was demoted, or a replica was promoted
-// elsewhere), the pool re-discovers the primary by probing ReplStatus
+// elsewhere), the pool re-discovers the primary by probing cluster_status
 // across every known address and retries fn once on the new one.
 //
 // The retry makes Write AT-LEAST-ONCE: a transport failure can strike

@@ -199,9 +199,6 @@ func (c *Client) flush(ctx context.Context, tail []wire.Request, commit bool) (r
 	if len(ops) == 0 {
 		return nil, 0, nil
 	}
-	if (first == 1 || commit) && c.proto != 0 && c.proto < 3 {
-		return nil, 0, fmt.Errorf("client: the server speaks wire generation %d: an explicit transaction needs 3 (its begin and commit travel inside a batch)", c.proto)
-	}
 	resp, err = c.Do(ctx, &wire.Request{Op: wire.OpBatch, Batch: ops})
 	switch {
 	case err == nil:

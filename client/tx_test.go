@@ -181,57 +181,6 @@ func TestTransferRoundTrips(t *testing.T) {
 	}
 }
 
-// TestOlderServerRefusedClientSide: against a server that said it speaks
-// generation 2, a transaction's first frame is refused here, by name, and not
-// sent to be refused there as "op begin not allowed in a batch".
-func TestOlderServerRefusedClientSide(t *testing.T) {
-	near, far := net.Pipe()
-	defer far.Close()
-	go func() { // a generation-2 server that says yes to everything it is sent
-		dec, enc := json.NewDecoder(far), json.NewEncoder(far)
-		for {
-			var req struct {
-				Seq   uint64            `json:"seq"`
-				Batch []json.RawMessage `json:"batch"`
-			}
-			if dec.Decode(&req) != nil {
-				return
-			}
-			results := make([]map[string]bool, len(req.Batch))
-			for i := range results {
-				results[i] = map[string]bool{"ok": true}
-			}
-			enc.Encode(map[string]any{"ok": true, "proto": 2, "seq": req.Seq, "results": results})
-		}
-	}()
-	rec := &frameRecorder{Conn: near}
-	cl := NewConn(rec)
-	defer cl.Close()
-	ctx := context.Background()
-	if err := cl.Ping(ctx); err != nil || cl.ServerProto() != 2 {
-		t.Fatalf("ping: %v, proto %d", err, cl.ServerProto())
-	}
-	rec.take()
-	if err := cl.Begin(ctx, ""); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cl.GetNode(ctx, 1); err == nil || !strings.Contains(err.Error(), "generation 2") {
-		t.Errorf("a read inside a transaction: %v, want the generation named", err)
-	}
-	if err := cl.SetNodeProp(ctx, 1, "k", neograph.Int(1)); err != nil {
-		t.Error(err)
-	}
-	if err := cl.Commit(ctx); err == nil || !strings.Contains(err.Error(), "generation 2") || !cl.InTx() {
-		t.Errorf("[begin,set,commit]: %v, in tx=%v; want the generation named and the transaction kept", err, cl.InTx())
-	}
-	if err := cl.Abort(ctx); err != nil || cl.InTx() {
-		t.Errorf("abort of what the server never saw: %v", err)
-	}
-	if sent := rec.take(); len(sent) != 0 {
-		t.Errorf("frames sent: %v, want none", sent)
-	}
-}
-
 // ---- lockstep histories: a flush after every call vs none ----
 
 // A history is two sessions' explicit transactions, interleaved segment by

@@ -42,12 +42,14 @@ import (
 	"errors"
 	"log/slog"
 	"math/rand"
+	"strconv"
 	"sync"
 	"time"
 
 	"neograph"
 	"neograph/client"
 	"neograph/internal/metrics"
+	"neograph/internal/server"
 	"neograph/internal/trace"
 	"neograph/internal/wire"
 )
@@ -311,8 +313,8 @@ func (c *Controller) runElection(st neograph.ReplStatus, infos map[string]wire.C
 	c.elections.Inc()
 	sp := c.tracer.StartRoot("cluster.election")
 	defer sp.Finish()
-	sp.Set("node", itoa(c.opts.NodeID))
-	sp.Set("epoch", itoa(st.Epoch))
+	sp.Set("node", strconv.FormatUint(c.opts.NodeID, 10))
+	sp.Set("epoch", strconv.FormatUint(st.Epoch, 10))
 
 	// Quorum is a majority of the primary's replicas — the fleet minus
 	// the node we believe dead. (For a two-node cluster that is 1, i.e.
@@ -357,7 +359,7 @@ func (c *Controller) runElection(st neograph.ReplStatus, infos map[string]wire.C
 		c.log.Info("election lost; waiting for winner to promote",
 			"winner", best.nodeID, "winner_repl", best.replAddr)
 		sp.Set("outcome", "lost")
-		sp.Set("winner", itoa(best.nodeID))
+		sp.Set("winner", strconv.FormatUint(best.nodeID, 10))
 		c.mu.Lock()
 		c.electionDeadline = time.Now().Add(c.opts.ElectionTimeout)
 		c.mu.Unlock()
@@ -453,7 +455,7 @@ func (c *Controller) primaryTick(st neograph.ReplStatus) {
 		c.log.Warn("rival primary outranks this node; demoting via re-seed",
 			"rival", ci.NodeID, "rival_epoch", ci.Epoch, "epoch", st.Epoch)
 		sp := c.tracer.StartRoot("cluster.demote")
-		sp.Set("rival", itoa(ci.NodeID))
+		sp.Set("rival", strconv.FormatUint(ci.NodeID, 10))
 		err := c.db.ReseedFrom(ci.ReplAddr)
 		sp.Finish()
 		if err != nil {
@@ -465,9 +467,9 @@ func (c *Controller) primaryTick(st neograph.ReplStatus) {
 
 // --- fleet probing -----------------------------------------------------
 
-// probePeers polls every peer's cluster_status (falling back to
-// repl_status for nodes without a controller) concurrently and returns
-// the successful answers keyed by peer address.
+// probePeers polls every peer's cluster_status concurrently (a node
+// without a controller answers it from its replication status) and
+// returns the successful answers keyed by peer address.
 func (c *Controller) probePeers() map[string]wire.ClusterInfo {
 	type res struct {
 		addr string
@@ -503,33 +505,7 @@ func (c *Controller) probePeer(addr string) (wire.ClusterInfo, error) {
 		return wire.ClusterInfo{}, err
 	}
 	defer c.sessions.Return(cl) // closes a session the probe broke
-	ci, err := cl.ClusterStatus(ctx)
-	if err == nil {
-		return ci, nil
-	}
-	if cl.Broken() {
-		return wire.ClusterInfo{}, err
-	}
-	// The node answered but has no controller: synthesize the fields an
-	// election needs from its replication status.
-	st, rerr := cl.ReplStatus(ctx)
-	if rerr != nil {
-		return wire.ClusterInfo{}, rerr
-	}
-	ci = wire.ClusterInfo{
-		Addr:       addr,
-		Role:       st.Role,
-		Epoch:      st.Epoch,
-		DurableLSN: st.DurableLSN,
-		AppliedLSN: st.AppliedLSN,
-		Connected:  st.Connected,
-	}
-	if st.Role == "replica" {
-		ci.PrimaryReplAddr = st.PrimaryAddr
-	} else {
-		ci.ReplAddr = st.ReplicationAddr
-	}
-	return ci, nil
+	return cl.ClusterStatus(ctx)
 }
 
 // --- status ------------------------------------------------------------
@@ -562,45 +538,21 @@ func (c *Controller) NodeStatus() wire.ClusterInfo {
 	}
 	c.mu.Unlock()
 
-	info := wire.ClusterInfo{
-		NodeID:     c.opts.NodeID,
-		Addr:       c.opts.SelfAddr,
-		ReplAddr:   c.opts.SelfReplAddr,
-		Role:       st.Role,
-		Epoch:      st.Epoch,
-		DurableLSN: st.DurableLSN,
-		AppliedLSN: st.AppliedLSN,
-		Connected:  st.Connected,
-		Reseeding:  reseeding,
-		Members:    members,
-	}
+	info := server.ClusterInfo(st)
+	info.NodeID, info.Addr = c.opts.NodeID, c.opts.SelfAddr
+	info.Reseeding, info.Members = reseeding, members
 	info.PartitionID = c.opts.PartitionID
 	if c.opts.Partitions != nil {
 		pm := *c.opts.Partitions
 		info.Partitions = &pm
 	}
-	switch st.Role {
-	case "replica":
-		info.PrimaryReplAddr = st.PrimaryAddr
-	case "primary":
-		if st.ReplicationAddr != "" {
-			info.ReplAddr = st.ReplicationAddr
+	if info.ReplAddr == "" {
+		// No shipper running: announce the address this node ships on
+		// when promoted (a primary promoted without one, too).
+		info.ReplAddr = c.opts.SelfReplAddr
+		if st.Role == "primary" {
+			info.PrimaryReplAddr = info.ReplAddr
 		}
-		info.PrimaryReplAddr = info.ReplAddr
 	}
 	return info
-}
-
-func itoa(v uint64) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
 }

@@ -1,15 +1,12 @@
-// Package ids provides identifier allocation for store records, mirroring
-// Neo4j's ".id" files: each record store owns an Allocator that hands out
-// monotonically increasing IDs and recycles the IDs of deleted records
-// through a free list. Allocators can persist their state (high-water mark
-// plus free list) so that a reopened store continues where it left off.
+// Package ids provides identifier allocation for store records, the role
+// Neo4j's ".id" files play: each record store owns an Allocator that hands
+// out monotonically increasing IDs and recycles the IDs of deleted records
+// through a free list. Nothing is persisted: a reopened store rebuilds its
+// allocators by scanning its records (SetHighWater, Release).
 package ids
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
-	"os"
 	"sync"
 )
 
@@ -160,62 +157,4 @@ func (a *Allocator) SetHighWater(hw ID) {
 		panic(fmt.Sprintf("ids: cannot shrink high water from %d to %d", a.next, hw))
 	}
 	a.next = hw
-}
-
-// idFileMagic guards .id files against being confused with store files.
-var idFileMagic = [8]byte{'n', 'g', 'i', 'd', 0, 0, 0, 1}
-
-// ErrBadIDFile is returned when loading a corrupt or foreign .id file.
-var ErrBadIDFile = errors.New("ids: bad id file")
-
-// Save writes the allocator state to path atomically (write temp + rename).
-func (a *Allocator) Save(path string) error {
-	a.mu.Lock()
-	buf := make([]byte, 0, 24+8*len(a.free))
-	buf = append(buf, idFileMagic[:]...)
-	buf = binary.LittleEndian.AppendUint64(buf, a.next)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(a.free)))
-	for _, id := range a.free {
-		buf = binary.LittleEndian.AppendUint64(buf, id)
-	}
-	a.mu.Unlock()
-
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, buf, 0o644); err != nil {
-		return fmt.Errorf("ids: save %s: %w", path, err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("ids: save %s: %w", path, err)
-	}
-	return nil
-}
-
-// Load reads allocator state previously written by Save. A missing file is
-// not an error: it yields a fresh allocator (first open of a store).
-func Load(path string) (*Allocator, error) {
-	buf, err := os.ReadFile(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return NewAllocator(), nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("ids: load %s: %w", path, err)
-	}
-	if len(buf) < 24 || string(buf[:8]) != string(idFileMagic[:]) {
-		return nil, fmt.Errorf("%w: %s", ErrBadIDFile, path)
-	}
-	a := NewAllocator()
-	a.next = binary.LittleEndian.Uint64(buf[8:])
-	n := binary.LittleEndian.Uint64(buf[16:])
-	if uint64(len(buf)) != 24+8*n {
-		return nil, fmt.Errorf("%w: %s: truncated free list", ErrBadIDFile, path)
-	}
-	a.free = make([]ID, 0, n)
-	for i := uint64(0); i < n; i++ {
-		id := binary.LittleEndian.Uint64(buf[24+8*i:])
-		if id >= a.next {
-			return nil, fmt.Errorf("%w: %s: free id %d beyond high water %d", ErrBadIDFile, path, id, a.next)
-		}
-		a.free = append(a.free, id)
-	}
-	return a, nil
 }

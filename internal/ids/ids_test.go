@@ -1,8 +1,6 @@
 package ids
 
 import (
-	"os"
-	"path/filepath"
 	"sync"
 	"testing"
 )
@@ -95,72 +93,5 @@ func TestConcurrentAllocationUnique(t *testing.T) {
 	}
 	if len(seen) != goroutines*perG {
 		t.Fatalf("got %d unique ids, want %d", len(seen), goroutines*perG)
-	}
-}
-
-func TestSaveLoadRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "node.id")
-
-	a := NewAllocator()
-	for i := 0; i < 20; i++ {
-		a.Next()
-	}
-	a.Release(4)
-	a.Release(11)
-	if err := a.Save(path); err != nil {
-		t.Fatal(err)
-	}
-
-	b, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.HighWater() != 20 || b.FreeCount() != 2 {
-		t.Fatalf("loaded hw=%d free=%d, want 20/2", b.HighWater(), b.FreeCount())
-	}
-	got := map[ID]bool{b.Next(): true, b.Next(): true}
-	if !got[4] || !got[11] {
-		t.Fatalf("loaded free list = %v, want {4,11}", got)
-	}
-}
-
-func TestLoadMissingFileFresh(t *testing.T) {
-	a, err := Load(filepath.Join(t.TempDir(), "absent.id"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Next() != 0 {
-		t.Fatal("missing file should give fresh allocator")
-	}
-}
-
-func TestLoadCorrupt(t *testing.T) {
-	dir := t.TempDir()
-	cases := map[string][]byte{
-		"short.id":    {1, 2, 3},
-		"badmagic.id": append([]byte("XXXXXXXX"), make([]byte, 16)...),
-		"truncfree.id": func() []byte {
-			b := append([]byte{}, idFileMagic[:]...)
-			b = append(b, make([]byte, 8)...) // next = 0
-			b = append(b, 5, 0, 0, 0, 0, 0, 0, 0)
-			return b // claims 5 free ids, none present
-		}(),
-		"freebeyond.id": func() []byte {
-			b := append([]byte{}, idFileMagic[:]...)
-			b = append(b, 1, 0, 0, 0, 0, 0, 0, 0) // next = 1
-			b = append(b, 1, 0, 0, 0, 0, 0, 0, 0) // one free id
-			b = append(b, 9, 0, 0, 0, 0, 0, 0, 0) // free id 9 >= next
-			return b
-		}(),
-	}
-	for name, data := range cases {
-		p := filepath.Join(dir, name)
-		if err := os.WriteFile(p, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := Load(p); err == nil {
-			t.Errorf("%s: expected error", name)
-		}
 	}
 }

@@ -3,12 +3,15 @@ package server
 import (
 	"encoding/json"
 	"net"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"neograph"
 	"neograph/client"
+	"neograph/internal/value"
 	"neograph/internal/wire"
 )
 
@@ -186,6 +189,74 @@ func TestCloseHardClosesAfterGrace(t *testing.T) {
 	}
 	if elapsed := time.Since(t0); elapsed > 5*time.Second {
 		t.Fatalf("Close blocked %v on a wedged session", elapsed)
+	}
+}
+
+// handlerGoroutines returns the stacks of live session handlers.
+func handlerGoroutines() []string {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	var out []string
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, "neograph/internal/server.(*Server).handle(") {
+			out = append(out, g)
+		}
+	}
+	return out
+}
+
+// TestCloseBoundedPastParkedHandler: a handler parked away from its
+// connection — in a lock wait — is not woken by the hard close. Close must
+// still return within its second grace period, with an error counting the
+// handler; released after the database closed, the handler must exit
+// without a panic.
+func TestCloseBoundedPastParkedHandler(t *testing.T) {
+	db, srv := startServerWithDB(t)
+	srv.DrainGrace = 100 * time.Millisecond
+	id := seedNodes(t, db, 1)[0]
+	// An embedded transaction holds the node's write lock; a
+	// read-committed session's write queues behind it.
+	holder := db.Begin()
+	var releaseOnce sync.Once
+	release := func() { releaseOnce.Do(func() { holder.Abort() }) }
+	defer release() // a Close that never returns fails here instead of hanging
+	if err := holder.SetNodeProp(id, "k", neograph.Int(0)); err != nil {
+		t.Fatal(err)
+	}
+	conn := rawConn(t, srv)
+	if _, err := conn.Write([]byte(frameJSON(t, wire.Request{Op: wire.OpBatch, Batch: []wire.Request{
+		{Op: wire.OpBegin, Isolation: "rc"},
+		{Op: wire.OpSetNodeProp, ID: id, Key: "k", Value: value.EncodeValue(neograph.Int(1))},
+	}}) + "\n")); err != nil {
+		t.Fatal(err)
+	}
+	for end := time.Now().Add(5 * time.Second); srv.Admission().Inflight != 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(end) {
+			t.Fatal("the write never went in flight")
+		}
+	}
+
+	closed := make(chan error, 1)
+	go func() { closed <- srv.Close() }()
+	select {
+	case err := <-closed:
+		if err == nil || !strings.Contains(err.Error(), "1 handlers still running") {
+			t.Errorf("Close: %v, want an error counting 1 handler still running", err)
+		}
+	case <-time.After(3 * time.Second):
+		t.Fatal("Close still blocked 3s after it began, past a handler parked in a lock wait")
+	}
+
+	db.Close()
+	release()
+	var parked []string
+	for end := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		if parked = handlerGoroutines(); len(parked) == 0 || time.Now().After(end) {
+			break
+		}
+	}
+	if len(parked) != 0 {
+		t.Fatalf("%d handlers still running after their lock was released:\n%s", len(parked), strings.Join(parked, "\n\n"))
 	}
 }
 

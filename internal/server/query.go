@@ -12,8 +12,8 @@ import (
 
 // streamQuery executes a query plan and streams its result as chunked
 // response frames. The whole plan runs inside ONE transaction — the
-// session's open one, or a read transaction owned by the query — so
-// every stage sees a single MVCC snapshot (the paper's §1 argument: a
+// session's open one, or one the frame owns, settled as the stream ends —
+// so every stage sees a single MVCC snapshot (the paper's §1 argument: a
 // path that exists when the traversal starts cannot vanish under it).
 //
 // Streaming contract (wire.OpQuery): at most wire.QueryChunkRows rows
@@ -27,30 +27,23 @@ import (
 func (sess *session) streamQuery(conn net.Conn, wc *wire.Conn, req *wire.Request) error {
 	s := sess.srv
 	writeFrame := func(resp *wire.Response) error { return sess.writeFrame(conn, wc, req, resp) }
-	// failStream ends the stream with a final error frame; the client has
-	// a frame boundary and a structured code, not a torn chunk.
-	failStream := func(err error) error {
-		resp := fail(err)
-		sess.span.Set("error", resp.Error)
+	// end settles the transaction the frame owns on the stream's outcome,
+	// then writes the final frame — on failure an error frame: the client
+	// has a frame boundary and a structured code, not a torn chunk.
+	end := func(resp *wire.Response) error {
+		if resp = sess.settle(resp); !resp.OK {
+			sess.span.Set("error", resp.Error)
+		}
 		return writeFrame(resp)
 	}
+	failStream := func(err error) error { return end(fail(err)) }
 
-	if err := sess.checkDeadline(); err != nil {
+	if err := sess.gate(req); err != nil {
 		return failStream(err)
 	}
-	if req.WaitLSN > 0 {
-		if err := sess.waitGate(req.WaitLSN); err != nil {
-			return failStream(err)
-		}
-	}
 
-	tx := sess.tx
-	if tx == nil {
-		tx = sess.db.Begin()
-		tx.SetTraceSpan(sess.span)
-		defer tx.Abort()
-	}
-	p, err := query.Compile(tx, req.Plan)
+	defer sess.settle(&wire.Response{}) // a chunk write failed: abort
+	p, err := query.Compile(sess.txn(), req.Plan)
 	if err != nil {
 		return failStream(err)
 	}
@@ -87,7 +80,7 @@ func (sess *session) streamQuery(conn net.Conn, wc *wire.Conn, req *wire.Request
 	}
 	sess.span.Set("rows", fmt.Sprint(rows))
 	sess.span.Set("chunks", fmt.Sprint(chunks+1))
-	return writeFrame(&wire.Response{OK: true, Rows: buf})
+	return end(&wire.Response{OK: true, Rows: buf})
 }
 
 // resolveBatchRefs substitutes a sub-op's $n back references with the

@@ -105,9 +105,10 @@ type Server struct {
 	draining atomic.Bool
 
 	// clusterInfo, when set, supplies the node's cluster self-view for
-	// the cluster_status op. It is a plain func hook so the server does
-	// not import the cluster package (which imports client, which dials
-	// servers); cmd/neograph-server wires the two together.
+	// the cluster_status op (unset, ClusterInfo answers it). It is a plain
+	// func hook so the server does not import the cluster package (which
+	// imports client, which dials servers); cmd/neograph-server wires the
+	// two together.
 	clusterMu   sync.Mutex
 	clusterInfo func() any
 	// coord / partSelf / partCount are the partition wiring (see
@@ -139,6 +140,27 @@ func (s *Server) clusterInfoFn() func() any {
 	s.clusterMu.Lock()
 	defer s.clusterMu.Unlock()
 	return s.clusterInfo
+}
+
+// ClusterInfo is a replication status in cluster_status form: what a node
+// without a cluster controller answers the op with, and the base a
+// controller's self-view adds its identity and membership to.
+func ClusterInfo(st neograph.ReplStatus) wire.ClusterInfo {
+	ci := wire.ClusterInfo{
+		Role:       st.Role,
+		Epoch:      st.Epoch,
+		DurableLSN: st.DurableLSN,
+		AppliedLSN: st.AppliedLSN,
+		Connected:  st.Connected,
+	}
+	switch st.Role {
+	case "replica":
+		ci.PrimaryReplAddr = st.PrimaryAddr
+	case "primary":
+		ci.ReplAddr = st.ReplicationAddr
+		ci.PrimaryReplAddr = st.ReplicationAddr
+	}
+	return ci
 }
 
 // NewWithConfig creates a server for db listening on addr (e.g.
@@ -245,7 +267,10 @@ func (s *Server) Addr() string { return s.ln.Addr().String() }
 // immediately (their pending read is poisoned), in-flight handlers get
 // DrainGrace to finish writing their current response — a response must
 // never be torn mid-frame by shutdown — and only laggards beyond the
-// grace period are hard-closed.
+// grace period are hard-closed. A handler blocked away from its
+// connection (in a lock wait, say) outlives the hard close: Close waits
+// one more grace period for it, then returns an error counting those
+// still running rather than hang.
 func (s *Server) Close() error {
 	grace := s.DrainGrace
 	if grace <= 0 {
@@ -282,15 +307,22 @@ func (s *Server) Close() error {
 	}()
 	select {
 	case <-done:
+		return err
 	case <-time.After(grace):
-		s.mu.Lock()
-		for c := range s.conns {
-			c.Close()
-		}
-		s.mu.Unlock()
-		<-done
 	}
-	return err
+	s.mu.Lock()
+	for c := range s.conns {
+		c.Close()
+	}
+	s.mu.Unlock()
+	select {
+	case <-done:
+		return err
+	case <-time.After(grace):
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return errors.Join(err, fmt.Errorf("server: %d handlers still running %v after close began", len(s.conns), 2*grace))
 }
 
 // isDraining reports whether Close has begun.
@@ -330,11 +362,13 @@ func (s *Server) acceptLoop() {
 // session is one connection's state.
 type session struct {
 	db  *neograph.DB
-	srv *Server      // nil only in isolated unit use
-	tx  *neograph.Tx // open explicit transaction, nil otherwise
-	// lastLSN is the commit position of the most recent auto-committed
-	// write, attached to that write's response as the RYW token.
-	lastLSN uint64
+	srv *Server // nil only in isolated unit use
+	// tx is the transaction the session's ops run in: an explicit one
+	// (begin … commit), or — owned set — one the current frame opened
+	// (txn), which settle ends before the frame's response is written.
+	// nil between frames outside an explicit transaction.
+	tx    *neograph.Tx
+	owned bool
 	// deadline is the current request's time budget (from the wire
 	// deadline_ms field); zero means none. It bounds server-side waits.
 	deadline time.Time
@@ -425,11 +459,11 @@ func (sess *session) serve(conn net.Conn, wc *wire.Conn, req *wire.Request) erro
 	}
 	t0 := time.Now()
 	tid := sess.span.TraceID()
-	inTx := sess.tx != nil
+	wasOpen := sess.tx != nil
 	done := func() {
 		sess.span.Finish()
 		sess.span = nil
-		sess.txFrame(inTx)
+		sess.txFrame(wasOpen)
 		if s.sm != nil {
 			s.sm.observe(req, time.Since(t0), tid)
 		}
@@ -448,12 +482,12 @@ func (sess *session) serve(conn net.Conn, wc *wire.Conn, req *wire.Request) erro
 }
 
 // txFrame counts the frame just served against the explicit transaction it
-// ran in — inTx: one was open when the frame arrived; a begin inside the
+// ran in — wasOpen: one was open when the frame arrived; a begin inside the
 // frame has started the count itself — and, once that transaction is gone
 // (commit, abort, a failed batch, a disconnect), observes how many frames it
 // spanned: a client still sending one frame per call shows up here.
-func (sess *session) txFrame(inTx bool) {
-	if inTx {
+func (sess *session) txFrame(wasOpen bool) {
+	if wasOpen {
 		sess.txFrames++
 	}
 	if sess.txFrames > 0 && sess.tx == nil {
@@ -490,25 +524,38 @@ func (sess *session) writeFrame(conn net.Conn, wc *wire.Conn, req *wire.Request,
 	return wc.WriteResponse(resp)
 }
 
-// inTx runs fn in the session's open transaction or an auto-committed one.
-func (sess *session) inTx(write bool, fn func(tx *neograph.Tx) error) error {
-	if sess.tx != nil {
-		return fn(sess.tx)
+// txn returns the transaction the current op runs in: the session's open
+// one, else a fresh one the frame owns. An op outside begin … commit is a
+// transaction of its own, reads included (the paper's §3 model); settle
+// ends it. This and prepareBatch are the server's only Begin calls.
+func (sess *session) txn() *neograph.Tx {
+	if sess.tx == nil {
+		sess.tx = sess.db.Begin()
+		sess.tx.SetTraceSpan(sess.span)
+		sess.owned = true
 	}
-	tx := sess.db.Begin()
-	tx.SetTraceSpan(sess.span)
-	if err := fn(tx); err != nil {
+	return sess.tx
+}
+
+// settle ends the transaction the frame owns, if any, on the outcome of
+// resp: a success commits and carries the commit position as its
+// read-your-writes token (0 for a read); a failure aborts. An explicit
+// transaction outlives the frame, whatever its op answered.
+func (sess *session) settle(resp *wire.Response) *wire.Response {
+	if !sess.owned {
+		return resp
+	}
+	tx := sess.tx
+	sess.tx, sess.owned = nil, false
+	if !resp.OK {
 		tx.Abort()
-		return err
+		return resp
 	}
-	if write {
-		if err := tx.Commit(); err != nil {
-			return err
-		}
-		sess.lastLSN = tx.CommitLSN()
-		return nil
+	if err := tx.Commit(); err != nil {
+		return fail(err) // commit-time conflict: no single op to blame
 	}
-	return tx.Abort()
+	resp.LSN = tx.CommitLSN()
+	return resp
 }
 
 // errDeadline fails a request whose wire deadline budget is spent
@@ -527,12 +574,18 @@ func (sess *session) checkDeadline() error {
 // drain, bounding how long a gated request can delay Close.
 const drainPoll = 200 * time.Millisecond
 
-// waitGate blocks until the server reaches the requested log position —
-// read-your-writes on replicas (wait for apply), durable-read gating on
-// primaries (wait for fsync). The wait is bounded by waitLSNTimeout,
-// tightened by the request's wire deadline, and sliced so a draining
-// server sheds blocked waiters promptly instead of holding Close.
-func (sess *session) waitGate(pos uint64) error {
+// gate admits a request to execution: it fails once the request's
+// deadline_ms budget is spent and, given a WaitLSN, blocks until the
+// server reaches that log position — read-your-writes on replicas (wait
+// for apply), durable-read gating on primaries (wait for fsync). The wait
+// is bounded by waitLSNTimeout, tightened by the request's wire deadline,
+// and sliced so a draining server sheds blocked waiters promptly instead
+// of holding Close.
+func (sess *session) gate(req *wire.Request) error {
+	pos := req.WaitLSN
+	if pos == 0 {
+		return sess.checkDeadline()
+	}
 	timeout := waitLSNTimeout
 	byDeadline := false
 	if !sess.deadline.IsZero() {
@@ -581,8 +634,7 @@ func (sess *session) waitGate(pos uint64) error {
 }
 
 // dispatch guards replica/read-gating/deadline concerns, then executes
-// the op and stamps write responses with their commit position (the RYW
-// token).
+// the op and settles the transaction the frame owns.
 func (sess *session) dispatch(req *wire.Request) *wire.Response {
 	if wire.ShapeOf(req.Op).Write && sess.db.IsReplica() {
 		return fail(sess.redirect("writes"))
@@ -599,25 +651,13 @@ func (sess *session) dispatch(req *wire.Request) *wire.Response {
 			return resp
 		}
 	}
-	if err := sess.checkDeadline(); err != nil {
+	if err := sess.gate(req); err != nil {
 		return fail(err)
 	}
-	if req.WaitLSN > 0 {
-		if err := sess.waitGate(req.WaitLSN); err != nil {
-			return fail(err)
-		}
-	}
-	sess.lastLSN = 0
-	var resp *wire.Response
 	if req.Op == wire.OpBatch {
-		resp = sess.dispatchBatch(req)
-	} else {
-		resp = sess.dispatchOp(req)
+		return sess.settle(sess.dispatchBatch(req))
 	}
-	if resp.OK && resp.LSN == 0 {
-		resp.LSN = sess.lastLSN
-	}
-	return resp
+	return sess.settle(sess.dispatchOp(req))
 }
 
 // redirect is what a read-only replica answers writes (a prepare, ...)
@@ -631,7 +671,7 @@ func (sess *session) redirect(what string) error {
 
 // dispatchBatch executes every sub-op of a batch inside ONE transaction —
 // the session's open one if there is one, the one its leading begin opens,
-// else a transaction owned by the batch and committed at the end. Atomic:
+// else one the frame owns, which dispatch settles. Atomic:
 // the first failing sub-op aborts the whole transaction (including an
 // enclosing explicit one — its staged writes cannot be separated from the
 // batch's) and the response names the failed op. A response that names
@@ -669,26 +709,16 @@ func (sess *session) dispatchBatch(req *wire.Request) *wire.Response {
 			return coord.CommitBatch(req.Batch, sess.deadline)
 		}
 	}
-	owned := sess.tx == nil && !begins
-	if owned {
-		sess.tx = sess.db.Begin()
+	if !begins {
+		sess.txn()
 	}
 	results, failed := sess.runBatchOps("batch", req.Batch)
 	if failed != nil {
 		return failed
 	}
 	resp := &wire.Response{OK: true, Results: results}
-	switch {
-	case commits:
+	if commits {
 		resp.LSN = results[len(results)-1].LSN
-	case owned:
-		tx := sess.tx
-		sess.tx = nil
-		tx.SetTraceSpan(sess.span)
-		if err := tx.Commit(); err != nil {
-			return fail(err) // commit-time conflict: no single op to blame
-		}
-		resp.LSN = tx.CommitLSN()
 	}
 	return resp
 }
@@ -710,7 +740,7 @@ func (sess *session) runBatchOps(what string, batch []wire.Request) ([]wire.Resp
 			// already aborted and dropped it.)
 			if sess.tx != nil {
 				sess.tx.Abort()
-				sess.tx = nil
+				sess.tx, sess.owned = nil, false
 			}
 			idx := i
 			return nil, &wire.Response{
@@ -769,10 +799,9 @@ var (
 	errNoTx   = errors.New("server: no open transaction")
 )
 
-// write runs fn as a write in the session's transaction (or its own
-// auto-committed one) and answers OK.
-func (sess *session) write(fn func(tx *neograph.Tx) error) *wire.Response {
-	if err := sess.inTx(true, fn); err != nil {
+// result answers an op whose only outcome is err.
+func result(err error) *wire.Response {
+	if err != nil {
 		return fail(err)
 	}
 	return &wire.Response{OK: true}
@@ -839,75 +868,57 @@ func (sess *session) dispatchOp(req *wire.Request) *wire.Response {
 			return fail(err)
 		}
 		var id uint64
-		resp := sess.write(func(tx *neograph.Tx) (err error) {
-			switch {
-			case req.Op == wire.OpCreateNode:
-				id, err = tx.CreateNode(req.Labels, props)
-			case sess.crossPrepare:
-				id, err = tx.Core().CreateRelCrossPartition(req.Type, req.Start, req.End, props)
-			default:
-				id, err = tx.CreateRel(req.Type, req.Start, req.End, props)
-			}
-			return err
-		})
-		resp.ID = id
-		return resp
-
-	case wire.OpGetNode:
-		var node *wire.NodeJSON
-		err := sess.inTx(false, func(tx *neograph.Tx) error {
-			n, err := tx.GetNode(req.ID)
-			if err != nil {
-				return err
-			}
-			node = &wire.NodeJSON{ID: n.ID, Labels: n.Labels, Props: wire.Props(n.Props)}
-			return nil
-		})
+		switch tx := sess.txn(); {
+		case req.Op == wire.OpCreateNode:
+			id, err = tx.CreateNode(req.Labels, props)
+		case sess.crossPrepare:
+			id, err = tx.Core().CreateRelCrossPartition(req.Type, req.Start, req.End, props)
+		default:
+			id, err = tx.CreateRel(req.Type, req.Start, req.End, props)
+		}
 		if err != nil {
 			return fail(err)
 		}
-		return &wire.Response{OK: true, Node: node}
+		return &wire.Response{OK: true, ID: id}
+
+	case wire.OpGetNode:
+		n, err := sess.txn().GetNode(req.ID)
+		if err != nil {
+			return fail(err)
+		}
+		return &wire.Response{OK: true, Node: &wire.NodeJSON{ID: n.ID, Labels: n.Labels, Props: wire.Props(n.Props)}}
 
 	case wire.OpSetNodeProp, wire.OpSetRelProp:
 		v, err := value.ParseValue(req.Value)
 		if err != nil {
 			return fail(err)
 		}
-		return sess.write(func(tx *neograph.Tx) error {
-			if req.Op == wire.OpSetRelProp {
-				return tx.SetRelProp(req.ID, req.Key, v)
-			}
-			return tx.SetNodeProp(req.ID, req.Key, v)
-		})
+		if req.Op == wire.OpSetRelProp {
+			return result(sess.txn().SetRelProp(req.ID, req.Key, v))
+		}
+		return result(sess.txn().SetNodeProp(req.ID, req.Key, v))
 
 	case wire.OpAddLabel:
-		return sess.write(func(tx *neograph.Tx) error { return tx.AddLabel(req.ID, req.Label) })
+		return result(sess.txn().AddLabel(req.ID, req.Label))
 
 	case wire.OpRemoveLabel:
-		return sess.write(func(tx *neograph.Tx) error { return tx.RemoveLabel(req.ID, req.Label) })
+		return result(sess.txn().RemoveLabel(req.ID, req.Label))
 
 	case wire.OpDeleteNode:
-		return sess.write(func(tx *neograph.Tx) error { return tx.DeleteNode(req.ID) })
+		return result(sess.txn().DeleteNode(req.ID))
 
 	case wire.OpDetachDelete:
-		return sess.write(func(tx *neograph.Tx) error { return tx.DetachDeleteNode(req.ID) })
+		return result(sess.txn().DetachDeleteNode(req.ID))
 
 	case wire.OpDeleteRel:
-		return sess.write(func(tx *neograph.Tx) error { return tx.DeleteRel(req.ID) })
+		return result(sess.txn().DeleteRel(req.ID))
 
 	case wire.OpGetRel:
-		var rel wire.RelJSON
-		err := sess.inTx(false, func(tx *neograph.Tx) error {
-			r, err := tx.GetRel(req.ID)
-			if err != nil {
-				return err
-			}
-			rel = relJSON(r)
-			return nil
-		})
+		r, err := sess.txn().GetRel(req.ID)
 		if err != nil {
 			return fail(err)
 		}
+		rel := relJSON(r)
 		return &wire.Response{OK: true, Rel: &rel}
 
 	case wire.OpRels, wire.OpNeighbors:
@@ -916,29 +927,19 @@ func (sess *session) dispatchOp(req *wire.Request) *wire.Response {
 			return fail(err)
 		}
 		if req.Op == wire.OpNeighbors {
-			var ids []uint64
-			err = sess.inTx(false, func(tx *neograph.Tx) (err error) {
-				ids, err = tx.Neighbors(req.ID, dir, req.Types...)
-				return err
-			})
+			ids, err := sess.txn().Neighbors(req.ID, dir, req.Types...)
 			if err != nil {
 				return fail(err)
 			}
 			return &wire.Response{OK: true, IDs: ids}
 		}
-		var rels []wire.RelJSON
-		err = sess.inTx(false, func(tx *neograph.Tx) error {
-			rs, err := tx.Relationships(req.ID, dir, req.Types...)
-			if err != nil {
-				return err
-			}
-			for _, r := range rs {
-				rels = append(rels, relJSON(r))
-			}
-			return nil
-		})
+		rs, err := sess.txn().Relationships(req.ID, dir, req.Types...)
 		if err != nil {
 			return fail(err)
+		}
+		var rels []wire.RelJSON
+		for _, r := range rs {
+			rels = append(rels, relJSON(r))
 		}
 		return &wire.Response{OK: true, Rels: rels}
 
@@ -949,23 +950,19 @@ func (sess *session) dispatchOp(req *wire.Request) *wire.Response {
 		return info(sess.db.RunGC())
 
 	case wire.OpCheckpoint:
-		if err := sess.db.Checkpoint(); err != nil {
-			return fail(err)
-		}
-		return &wire.Response{OK: true}
+		return result(sess.db.Checkpoint())
 
 	case wire.OpReplStatus:
 		return info(sess.db.ReplStatus())
 
 	case wire.OpClusterStatus:
-		var fn func() any
 		if sess.srv != nil {
-			fn = sess.srv.clusterInfoFn()
+			if fn := sess.srv.clusterInfoFn(); fn != nil {
+				return info(fn())
+			}
 		}
-		if fn == nil {
-			return fail(errors.New("server: no cluster controller on this node"))
-		}
-		return info(fn())
+		// No controller: the replication status, in the controller's shape.
+		return info(ClusterInfo(sess.db.ReplStatus()))
 
 	case wire.OpPromote:
 		// Failover: only meaningful on a replica; afterwards this server

@@ -64,8 +64,8 @@ const (
 	OpReplStatus   = "repl_status"
 	// OpClusterStatus reports the node's cluster-controller view (role,
 	// epoch, log positions, known members) as a ClusterInfo in
-	// Response.Info. Servers without a controller fail the op; callers
-	// fall back to repl_status.
+	// Response.Info. A server without a controller answers from its
+	// replication status: no node ID, no members.
 	OpClusterStatus = "cluster_status"
 	// OpPromote turns a replica server into a writable primary (failover).
 	// Request.Addr optionally names the replication address the promoted
