@@ -96,7 +96,8 @@ loc:
 
 ## lint: go vet (benchmark module included) + gofmt diff check +
 ## log.Printf gate + wire-seam gates + one-session-cache gate +
-## one-log-fold gate + one-frame-transaction gate + staticcheck (pinned)
+## one-log-fold gate + one-frame-transaction gate + one-durability-owner
+## gate + staticcheck (pinned)
 lint: staticcheck
 	$(GO) vet ./...
 	cd benchmark && $(GO) vet ./...
@@ -130,6 +131,10 @@ lint: staticcheck
 	@out=$$(grep -rnw 'inTx\|lastLSN' --include='*.go' --exclude='*_test.go' internal/server || true); \
 	if [ -n "$$out" ]; then \
 		echo "a second transaction lifecycle in the server (run ops on session.txn, end them in session.settle):"; echo "$$out"; exit 1; fi
+	@out=$$(grep -rnP '(?<!Commit)Batcher|Syncer|syncMu' --include='*.go' --exclude='*_test.go' . \
+		| grep -v '^\./benchmark/' || true); \
+	if [ -n "$$out" ]; then \
+		echo "a second owner of durability beside wal.WAL (group commit is WAL.WaitDurable, Sync rides it):"; echo "$$out"; exit 1; fi
 
 ## staticcheck: honnef.co/go/tools, version-pinned via `go run`. Skips
 ## with a warning when the module cannot be fetched (offline sandboxes);

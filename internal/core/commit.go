@@ -58,7 +58,7 @@ type mutation struct {
 //
 // The durable commit path is a group-commit pipeline: the redo record is
 // appended to the WAL (a buffered write) before installation, but the
-// fsync that makes it durable is deferred to the wal.Batcher and awaited
+// fsync that makes it durable is the WAL's group commit, awaited
 // only after every latch has been released — so N concurrent committers
 // share ~1 fsync, and the first-committer-wins latch is held only for
 // validation+install, never across disk I/O. A transaction that read
@@ -127,7 +127,7 @@ func (t *Tx) Commit() error {
 	}
 
 	r := record{tag: recCommit, muts: muts}
-	lsn, end, err := e.logInstall(sp, &r, nil)
+	_, end, err := e.logInstall(sp, &r, nil)
 	if err != nil {
 		t.abortStaged()
 		return fmt.Errorf("core: %w", err)
@@ -136,7 +136,7 @@ func (t *Tx) Commit() error {
 	t.commitEnd = end
 
 	// A failed wait cannot roll anything back — the versions are installed.
-	if err := e.await(sp, &r, lsn, end); err != nil {
+	if err := e.await(sp, &r, end); err != nil {
 		return fmt.Errorf("core: commit %d %w", r.cts, err)
 	}
 	t.commitTS = r.cts
@@ -391,12 +391,12 @@ func (e *Engine) logInstall(sp *trace.Span, r *record, live *preparedTxn) (lsn, 
 
 // ---- stage 4: await ----
 
-// await holds an acknowledgement back until the record at [lsn, end) is
+// await holds an acknowledgement back until the record ending at end is
 // as safe as its kind promises. It runs outside every latch and gate, so
 // validation and installs proceed while the disk and the network work.
 //
 //   - durable: a batched fsync covers the record. A failed fsync poisons
-//     the batcher: every durable write from here on fails loudly.
+//     the log: every durable write from here on fails loudly.
 //   - replicated: the shipper's quorum hook (synchronous replication) has
 //     the record's end position, or degraded to async after its timeout.
 //     Commit records only — holding 'P' and 'D' to the quorum as well is
@@ -406,10 +406,10 @@ func (e *Engine) logInstall(sp *trace.Span, r *record, live *preparedTxn) (lsn, 
 //     a lower timestamp is still installing, and the committer's next
 //     Begin must see its own commit. Placed last: the two waits above
 //     almost always outlast the straggler's install.
-func (e *Engine) await(sp *trace.Span, r *record, lsn, end uint64) error {
-	if e.batcher != nil {
+func (e *Engine) await(sp *trace.Span, r *record, end uint64) error {
+	if w := e.CommitBatcher(); w != nil {
 		fsp := sp.Child("wal.fsync_batch")
-		err := e.batcher.WaitDurable(lsn)
+		err := w.WaitDurable(end)
 		fsp.Finish()
 		if err != nil {
 			return fmt.Errorf("logged but not durable: %w", err)

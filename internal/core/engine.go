@@ -133,7 +133,7 @@ type Options struct {
 	// NoSyncCommits disables the commit WAL fsync entirely (the zero
 	// Options value is durable). Benchmarks measuring CPU cost rather than
 	// disk latency set this. Otherwise every commit is made durable by the
-	// group-commit batcher, one fsync for all the records appended before it.
+	// WAL's group commit, one fsync for all the records appended before it.
 	NoSyncCommits bool
 	// GCMode selects the collector. Default GCThreaded.
 	GCMode GCMode
@@ -272,14 +272,13 @@ type stripe struct {
 
 // Engine is the database engine.
 type Engine struct {
-	opts    Options
-	store   *store.Store // nil in memory-only mode
-	wal     *wal.WAL     // nil in memory-only mode
-	batcher *wal.Batcher // group-commit fsync batcher; nil in memory-only mode or with NoSyncCommits
-	oracle  *mvcc.Oracle
-	active  *mvcc.ActiveTable
-	locks   *lock.Manager
-	gcList  *mvcc.GCList
+	opts   Options
+	store  *store.Store // nil in memory-only mode
+	wal    *wal.WAL     // nil in memory-only mode
+	oracle *mvcc.Oracle
+	active *mvcc.ActiveTable
+	locks  *lock.Manager
+	gcList *mvcc.GCList
 	// beginGap, which only tests set, runs inside BeginWith between the
 	// registration of a snapshot transaction and the read of its snapshot.
 	beginGap func()
@@ -491,9 +490,6 @@ func Open(opts Options) (*Engine, error) {
 		st.Close()
 		return nil, err
 	}
-	if !opts.NoSyncCommits {
-		e.batcher = wal.NewBatcher(w)
-	}
 	if err := e.recover(); err != nil {
 		w.Close()
 		st.Close()
@@ -558,9 +554,8 @@ func (e *Engine) startBackground() {
 // Stats returns a snapshot of the engine counters.
 func (e *Engine) Stats() Stats {
 	var flushes, syncedCommits uint64
-	if e.batcher != nil {
-		bs := e.batcher.Stats()
-		flushes, syncedCommits = bs.Flushes, bs.SyncedCommits
+	if e.wal != nil {
+		flushes, syncedCommits = e.wal.GroupStats()
 	}
 	return Stats{
 		WALFlushes:       flushes,
@@ -605,10 +600,15 @@ func (e *Engine) StripeConflicts() []uint64 {
 // RecordBytes exposes the histogram of logged record sizes for /metrics.
 func (e *Engine) RecordBytes() *metrics.Histogram { return e.recordBytes }
 
-// CommitBatcher exposes the group-commit batcher for metrics sampling
-// (queue depth, fsync latency). Nil when commits are unsynced or group
-// commit is disabled.
-func (e *Engine) CommitBatcher() *wal.Batcher { return e.batcher }
+// CommitBatcher returns the log whose group commit makes commits durable,
+// for metrics sampling (queue depth, fsync latency); nil in memory-only
+// mode or when commits are unsynced.
+func (e *Engine) CommitBatcher() *wal.WAL {
+	if e.opts.NoSyncCommits {
+		return nil
+	}
+	return e.wal
+}
 
 // Watermark exposes the current commit watermark (newest stable snapshot).
 func (e *Engine) Watermark() mvcc.TS { return e.oracle.Watermark() }
@@ -712,20 +712,11 @@ func (e *Engine) AppliedLSN() uint64 {
 // are visible at install but durable only at the batched fsync. Returns
 // immediately in memory mode or with fsync disabled.
 func (e *Engine) WaitDurable(pos uint64) error {
-	if e.wal == nil || pos == 0 || e.opts.NoSyncCommits {
-		return nil
+	w := e.CommitBatcher()
+	if w == nil || pos == 0 || w.DurableLSN() >= pos {
+		return nil // nothing to wait for, and no wait to count
 	}
-	if e.wal.DurableLSN() >= pos {
-		return nil
-	}
-	if next := e.wal.NextLSN(); pos > next {
-		// A bogus token (beyond the log end) would otherwise spin flushes
-		// forever waiting for a record that was never appended.
-		return fmt.Errorf("core: wait durable: position %d beyond log end %d", pos, next)
-	}
-	// WaitDurable(lsn) waits for durable > lsn; durable >= pos is exactly
-	// durable > pos-1.
-	return e.batcher.WaitDurable(pos - 1)
+	return w.WaitDurable(pos)
 }
 
 // SyncWAL forces an fsync of the WAL (replication applier's periodic
@@ -957,9 +948,6 @@ func (e *Engine) Close() error {
 		if err := e.checkpointLocked(); err != nil && firstErr == nil {
 			firstErr = err
 		}
-		if e.batcher != nil {
-			e.batcher.Close()
-		}
 		if err := e.wal.Close(); err != nil && firstErr == nil {
 			firstErr = err
 		}
@@ -981,9 +969,6 @@ func (e *Engine) Crash() error {
 	e.bg.Wait()
 	if e.store == nil {
 		return nil
-	}
-	if e.batcher != nil {
-		e.batcher.Close()
 	}
 	// The WAL writes through to the OS on Append; Close without sync is
 	// closest to a crash (synced bytes survive; this process wrote them

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -101,13 +102,9 @@ func TestDecisionDuringCheckpointSurvivesCrash(t *testing.T) {
 // told is prepared.
 func TestPrepareDuringCheckpointStaysInDoubt(t *testing.T) {
 	dir := t.TempDir()
-	e, err := Open(Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
 	// The group-commit fsync is held, so Prepare sits between its append
 	// and its fsync until the test releases it.
-	gate := gateBatcher(e)
+	e, gate := holdFsync(t, Options{Dir: dir})
 	tx := e.Begin()
 	id, err := tx.CreateNode([]string{"Pinned"}, nil)
 	if err != nil {
@@ -118,13 +115,22 @@ func TestPrepareDuringCheckpointStaysInDoubt(t *testing.T) {
 		_, err := tx.Prepare(9, 1, nil)
 		prepared <- err
 	}()
-	<-gate.entered // the 'P' record is logged and folded
-	if err := e.Checkpoint(); err != nil {
-		t.Fatalf("Checkpoint: %v", err)
+	<-gate.Held() // the 'P' record is logged and folded
+	// The checkpoint's closing log sync queues behind the held fsync, so
+	// it runs in a goroutine; its marker in the log shows it has cut and
+	// persisted while Prepare still waits.
+	logEnd := e.wal.NextLSN()
+	checkpointed := make(chan error, 1)
+	go func() { checkpointed <- e.Checkpoint() }()
+	for e.wal.NextLSN() == logEnd {
+		runtime.Gosched()
 	}
-	close(gate.release)
+	gate.Release()
 	if err := <-prepared; err != nil {
 		t.Fatalf("Prepare: %v", err)
+	}
+	if err := <-checkpointed; err != nil {
+		t.Fatalf("Checkpoint: %v", err)
 	}
 	e.Crash()
 

@@ -5,12 +5,11 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 
+	"neograph/internal/faultfs"
 	"neograph/internal/ids"
 	"neograph/internal/value"
-	"neograph/internal/wal"
 )
 
 // TestGroupCommitConcurrentDurability commits from many goroutines with
@@ -22,8 +21,8 @@ func TestGroupCommitConcurrentDurability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.batcher == nil {
-		t.Fatal("durable engine should have a group-commit batcher")
+	if e.CommitBatcher() == nil {
+		t.Fatal("durable engine should commit through the WAL's group commit")
 	}
 
 	const writers = 8
@@ -96,8 +95,8 @@ func TestNoSyncCommitsBypassesBatcher(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	if e.batcher != nil {
-		t.Fatal("NoSyncCommits engine should not construct a batcher")
+	if e.CommitBatcher() != nil {
+		t.Fatal("NoSyncCommits engine should not commit through group commit")
 	}
 	tx := e.Begin()
 	if _, err := tx.CreateNode([]string{"N"}, nil); err != nil {
@@ -112,34 +111,19 @@ func TestNoSyncCommitsBypassesBatcher(t *testing.T) {
 	}
 }
 
-// flakySyncer fails Sync after failAfter successes.
-type flakySyncer struct {
-	next      atomic.Uint64
-	syncs     atomic.Uint64
-	failAfter uint64
-}
-
-func (f *flakySyncer) NextLSN() uint64 { return f.next.Add(1) }
-func (f *flakySyncer) Sync() error {
-	if f.syncs.Add(1) > f.failAfter {
-		return errors.New("injected fsync failure")
-	}
-	return nil
-}
-
-// TestGroupCommitFsyncFailureFailsCommit swaps in a batcher whose fsync
-// fails and checks the commit reports the durability loss (and that the
-// engine stays poisoned for later durable commits).
+// TestGroupCommitFsyncFailureFailsCommit fails the log's fsync and checks
+// the commit reports the durability loss (and that the engine stays
+// poisoned for later durable commits).
 func TestGroupCommitFsyncFailureFailsCommit(t *testing.T) {
-	e, err := Open(Options{Dir: t.TempDir()})
+	inj := faultfs.NewInjector(faultfs.OS{}, nil)
+	e, err := Open(Options{Dir: t.TempDir(), FS: inj})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Substitute a batcher over a failing disk. The WAL append itself
-	// still succeeds — only durability is lost, which is exactly the
-	// group-commit failure mode (install already happened).
-	e.batcher.Close()
-	e.batcher = wal.NewBatcher(&flakySyncer{})
+	// The WAL append itself still succeeds — only durability is lost,
+	// which is exactly the group-commit failure mode (install already
+	// happened).
+	inj.Arm(faultfs.Fault{Point: "wal.sync", Hit: 1, Mode: faultfs.ModeSyncFail})
 
 	tx := e.Begin()
 	if _, err := tx.CreateNode([]string{"X"}, nil); err != nil {
@@ -147,7 +131,7 @@ func TestGroupCommitFsyncFailureFailsCommit(t *testing.T) {
 	}
 	if err := tx.Commit(); err == nil {
 		t.Fatal("commit claimed durability despite fsync failure")
-	} else if !strings.Contains(err.Error(), "not durable") {
+	} else if !strings.Contains(err.Error(), "not durable") || !errors.Is(err, faultfs.ErrSyncFailed) {
 		t.Fatalf("unexpected error: %v", err)
 	}
 
@@ -165,13 +149,8 @@ func TestGroupCommitFsyncFailureFailsCommit(t *testing.T) {
 // while one FCW committer is parked in a slow fsync, another must be able
 // to validate and install. A held fsync stands in for a slow disk.
 func TestGroupCommitLatchNotHeldAcrossFsync(t *testing.T) {
-	e, err := Open(Options{Dir: t.TempDir(), Conflict: FirstCommitterWins})
-	if err != nil {
-		t.Fatal(err)
-	}
+	e, slow := holdFsync(t, Options{Dir: t.TempDir(), Conflict: FirstCommitterWins})
 	defer e.Close()
-
-	slow := gateBatcher(e)
 
 	done := make(chan error, 1)
 	go func() {
@@ -183,8 +162,8 @@ func TestGroupCommitLatchNotHeldAcrossFsync(t *testing.T) {
 		done <- tx.Commit() // parks in the blocked fsync
 	}()
 
-	// Wait until the first committer is inside Sync.
-	<-slow.entered
+	// Wait until the first committer is inside its fsync.
+	<-slow.Held()
 
 	// The latches must be free: TryLock succeeds on every stripe while
 	// the fsync is stuck.
@@ -195,33 +174,24 @@ func TestGroupCommitLatchNotHeldAcrossFsync(t *testing.T) {
 		e.stripes[i].valMu.Unlock()
 	}
 
-	close(slow.release)
+	slow.Release()
 	if err := <-done; err != nil {
 		t.Fatalf("first committer: %v", err)
 	}
 }
 
-// blockingSyncer holds every Sync until release is closed, then syncs
-// the log it wraps.
-type blockingSyncer struct {
-	wal.Syncer
-	enterOnce sync.Once
-	entered   chan struct{} // closed when the first Sync arrives
-	release   chan struct{} // close to let every Sync through
-}
-
-func (b *blockingSyncer) Sync() error {
-	b.enterOnce.Do(func() { close(b.entered) })
-	<-b.release
-	return b.Syncer.Sync()
-}
-
-// gateBatcher swaps e's group-commit batcher for one whose fsyncs wait
-// for the returned syncer's release: a committer parks between its
-// append and its fsync until the test lets it through.
-func gateBatcher(e *Engine) *blockingSyncer {
-	g := &blockingSyncer{Syncer: e.wal, entered: make(chan struct{}), release: make(chan struct{})}
-	e.batcher.Close()
-	e.batcher = wal.NewBatcher(g)
-	return g
+// holdFsync opens an engine over a fault injector that holds the log's
+// next fsync: a committer parks between its append and its fsync until
+// the test calls Release on the returned injector (Held closes once it
+// is parked).
+func holdFsync(t *testing.T, opts Options) (*Engine, *faultfs.Injector) {
+	t.Helper()
+	inj := faultfs.NewInjector(faultfs.OS{}, nil)
+	opts.FS = inj
+	e, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj.Arm(faultfs.Fault{Point: "wal.sync", Hit: 1, Mode: faultfs.ModeHold})
+	return e, inj
 }

@@ -198,7 +198,7 @@ func (t *Tx) Prepare(gtxn uint64, coordPart uint32, validate []ids.ID) (uint64, 
 	}
 	// The 'P' record is in the log, so the transaction stays parked even
 	// if it cannot be made durable: only a 'D' un-parks.
-	if err := e.await(nil, &r, lsn, end); err != nil {
+	if err := e.await(nil, &r, end); err != nil {
 		return 0, fmt.Errorf("core: prepare %d %w", gtxn, err)
 	}
 	return lsn, nil
@@ -240,7 +240,7 @@ func (e *Engine) DecideTxn(gtxn uint64, commit bool, participants []uint32) (cts
 	r := record{tag: recDecision, gtxn: gtxn, commit: commit, parts: participants}
 	var ls latchSet
 	e.latch(&ls, nil, p.keys)
-	lsn, end, err := e.logInstall(nil, &r, p)
+	_, end, err = e.logInstall(nil, &r, p)
 	e.unlatch(&ls)
 	if err != nil {
 		// Not logged, so not decided: a retry (or recovery) decides again.
@@ -254,7 +254,7 @@ func (e *Engine) DecideTxn(gtxn uint64, commit bool, participants []uint32) (cts
 	} else {
 		e.stats.aborted.Add(1)
 	}
-	if err := e.await(nil, &r, lsn, end); err != nil {
+	if err := e.await(nil, &r, end); err != nil {
 		return 0, 0, fmt.Errorf("core: decision %d %w", gtxn, err)
 	}
 	return r.cts, end, nil

@@ -261,3 +261,30 @@ func TestArmResetsState(t *testing.T) {
 		t.Fatalf("Arm must reset counts, got %d", got)
 	}
 }
+
+func TestInjectorHold(t *testing.T) {
+	dir := t.TempDir()
+	inj := NewInjector(OS{}, nil)
+	inj.Arm(Fault{Point: "wal.sync", Hit: 2, Mode: ModeHold})
+	f := openSeg(t, inj, filepath.Join(dir, "wal-00000000000000000000.log"))
+	defer f.Close()
+	if err := f.Sync(); err != nil { // the first sync passes
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- f.Sync() }()
+	<-inj.Held()
+	select {
+	case err := <-done:
+		t.Fatalf("held sync returned %v before Release", err)
+	default:
+	}
+	inj.Release()
+	if err := <-done; err != nil {
+		t.Fatalf("released sync err = %v", err)
+	}
+	if inj.Crashed() {
+		t.Fatal("ModeHold must not crash the injector")
+	}
+	inj.Release() // a second Release is harmless
+}

@@ -32,6 +32,10 @@ const (
 	// injector stays alive (the disk-full model: the process survives and
 	// must leave the file as if the write had never begun).
 	ModeWriteFail
+	// ModeHold parks the triggering operation until Release, then lets it
+	// run; Held's channel closes when it parks. Tests use it to stop a
+	// goroutine at a known point instead of sleeping.
+	ModeHold
 )
 
 // Errors injected by faults.
@@ -74,6 +78,9 @@ type Injector struct {
 	fault   *Fault
 	crashed bool
 	fired   bool
+	// held closes when a ModeHold fault parks its operation; release
+	// lets it go. Arm makes both afresh.
+	held, release chan struct{}
 }
 
 // NewInjector wraps inner with fault injection. label classifies paths
@@ -82,7 +89,8 @@ func NewInjector(inner FS, label func(path string) string) *Injector {
 	if label == nil {
 		label = DefaultLabel
 	}
-	return &Injector{inner: inner, label: label, hits: make(map[string]int)}
+	return &Injector{inner: inner, label: label, hits: make(map[string]int),
+		held: make(chan struct{}), release: make(chan struct{})}
 }
 
 // Arm schedules f to fire; it replaces any previous fault and clears the
@@ -94,6 +102,27 @@ func (i *Injector) Arm(f Fault) {
 	i.crashed = false
 	i.fired = false
 	i.hits = make(map[string]int)
+	i.held, i.release = make(chan struct{}), make(chan struct{})
+}
+
+// Held returns a channel that closes when the armed ModeHold fault parks
+// its operation.
+func (i *Injector) Held() <-chan struct{} {
+	i.mu.Lock()
+	defer i.mu.Unlock()
+	return i.held
+}
+
+// Release lets the operation parked by the armed ModeHold fault run on;
+// before the hold is reached it lets that operation straight through.
+func (i *Injector) Release() {
+	i.mu.Lock()
+	defer i.mu.Unlock()
+	select {
+	case <-i.release:
+	default:
+		close(i.release)
+	}
 }
 
 // Counts snapshots the per-point hit counts recorded so far — the crash
@@ -125,29 +154,36 @@ func (i *Injector) Fired() bool {
 // at records one hit of point and decides the fault action. The returned
 // fault is non-nil exactly when the armed fault fires here; err is
 // non-nil when the operation must fail outright (crashed state, or a
-// ModeCrash firing).
+// ModeCrash firing). A firing ModeHold parks here until Release.
 func (i *Injector) at(point string) (*Fault, error) {
 	i.mu.Lock()
-	defer i.mu.Unlock()
 	if i.crashed {
+		i.mu.Unlock()
 		return nil, ErrCrashed
 	}
 	i.hits[point]++
 	f := i.fault
 	if f == nil || i.fired || f.Point != point || i.hits[point] != f.Hit {
+		i.mu.Unlock()
 		return nil, nil
 	}
 	i.fired = true
 	switch f.Mode {
 	case ModeCrash:
 		i.crashed = true
+		i.mu.Unlock()
 		return f, ErrCrashed
 	case ModeTornWrite:
 		i.crashed = true // the write helper persists the prefix first
-		return f, nil
-	default:
+	case ModeHold:
+		held, release := i.held, i.release
+		i.mu.Unlock()
+		close(held)
+		<-release
 		return f, nil
 	}
+	i.mu.Unlock()
+	return f, nil
 }
 
 func (i *Injector) pt(path, op string) string { return i.label(path) + "." + op }

@@ -1,7 +1,7 @@
 // Package metrics is a dependency-free metrics registry: atomic
 // counters, gauges and histograms with a Prometheus-text-format
 // exposition endpoint. It is the production surface's observability
-// layer — the engine, WAL batcher, page cache, replication endpoints,
+// layer — the engine, WAL group commit, page cache, replication endpoints,
 // server and client pool all register here, and one scrape of /metrics
 // shows commit rates, fsync latency, cache hit ratios, replica lag and
 // admission-control pressure in a form any Prometheus-compatible
@@ -93,7 +93,7 @@ type exemplar struct {
 // NewHistogram creates a standalone histogram with the given bucket
 // upper bounds (sorted and de-duplicated; NaN/±Inf bounds are dropped —
 // the +Inf bucket is implicit). Standalone histograms are embedded in
-// components (e.g. the WAL batcher's fsync latency) and attached to a
+// components (e.g. the WAL's group-commit fsync latency) and attached to a
 // registry later with Registry.AttachHistogram.
 func NewHistogram(bounds []float64) *Histogram {
 	clean := make([]float64, 0, len(bounds))

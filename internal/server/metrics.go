@@ -207,7 +207,7 @@ func RegisterDBMetrics(reg *metrics.Registry, db *neograph.DB) {
 			metrics.L("stripe", strconv.Itoa(i)))
 	}
 
-	// WAL: durability horizon and the group-commit batcher.
+	// WAL: durability horizon and group commit.
 	reg.GaugeFunc("neograph_wal_durable_lsn", "WAL durability horizon",
 		func() float64 { return float64(db.DurableLSN()) })
 	reg.GaugeFunc("neograph_wal_applied_lsn", "one past the last WAL record held locally",

@@ -108,9 +108,6 @@ func (sess *session) routePartitioned(req *wire.Request) (*wire.Response, bool) 
 
 // dispatchPartitionOp handles the 2PC control ops (top level only).
 func (sess *session) dispatchPartitionOp(req *wire.Request) *wire.Response {
-	if sess.srv == nil {
-		return fail(errors.New("server: not a partitioned deployment"))
-	}
 	coord, _, count := sess.srv.partitionView()
 	if coord == nil || count <= 1 {
 		return fail(errors.New("server: not a partitioned deployment"))

@@ -362,7 +362,7 @@ func (s *Server) acceptLoop() {
 // session is one connection's state.
 type session struct {
 	db  *neograph.DB
-	srv *Server // nil only in isolated unit use
+	srv *Server
 	// tx is the transaction the session's ops run in: an explicit one
 	// (begin … commit), or — owned set — one the current frame opened
 	// (txn), which settle ends before the frame's response is written.
@@ -613,17 +613,15 @@ func (sess *session) gate(req *wire.Request) error {
 		if chunk > drainPoll {
 			chunk = drainPoll
 		}
-		if sess.srv != nil {
-			if shedAt, draining := sess.srv.shedDeadline(); draining {
-				if !time.Now().Before(shedAt) {
-					return errShuttingDown
-				}
-				// Clamp the wait so the next check lands right after the
-				// shed point — a free-running drainPoll cadence could
-				// otherwise straddle it and meet the hard-close instead.
-				if d := time.Until(shedAt) + 5*time.Millisecond; d < chunk {
-					chunk = d
-				}
+		if shedAt, draining := sess.srv.shedDeadline(); draining {
+			if !time.Now().Before(shedAt) {
+				return errShuttingDown
+			}
+			// Clamp the wait so the next check lands right after the
+			// shed point — a free-running drainPoll cadence could
+			// otherwise straddle it and meet the hard-close instead.
+			if d := time.Until(shedAt) + 5*time.Millisecond; d < chunk {
+				chunk = d
 			}
 		}
 		err := sess.db.WaitApplied(pos, chunk)
@@ -646,10 +644,8 @@ func (sess *session) dispatch(req *wire.Request) *wire.Response {
 	if req.IDRef != nil || req.StartRef != nil || req.EndRef != nil {
 		return fail(errors.New("server: id references are only valid inside a batch"))
 	}
-	if sess.srv != nil {
-		if resp, handled := sess.routePartitioned(req); handled {
-			return resp
-		}
+	if resp, handled := sess.routePartitioned(req); handled {
+		return resp
 	}
 	if err := sess.gate(req); err != nil {
 		return fail(err)
@@ -700,14 +696,12 @@ func (sess *session) dispatchBatch(req *wire.Request) *wire.Response {
 	// phases across the involved primaries) instead of a local
 	// transaction. Explicit transactions stay single-partition: their
 	// earlier staged writes cannot join a cross-partition prepare.
-	if sess.srv != nil {
-		if coord, self, count := sess.srv.partitionView(); coord != nil &&
-			partition.CrossPartition(req.Batch, self, count) {
-			if sess.tx != nil || begins || commits {
-				return fail(errors.New("server: cross-partition batch is not allowed inside an explicit transaction"))
-			}
-			return coord.CommitBatch(req.Batch, sess.deadline)
+	if coord, self, count := sess.srv.partitionView(); coord != nil &&
+		partition.CrossPartition(req.Batch, self, count) {
+		if sess.tx != nil || begins || commits {
+			return fail(errors.New("server: cross-partition batch is not allowed inside an explicit transaction"))
 		}
+		return coord.CommitBatch(req.Batch, sess.deadline)
 	}
 	if !begins {
 		sess.txn()
@@ -956,10 +950,8 @@ func (sess *session) dispatchOp(req *wire.Request) *wire.Response {
 		return info(sess.db.ReplStatus())
 
 	case wire.OpClusterStatus:
-		if sess.srv != nil {
-			if fn := sess.srv.clusterInfoFn(); fn != nil {
-				return info(fn())
-			}
+		if fn := sess.srv.clusterInfoFn(); fn != nil {
+			return info(fn())
 		}
 		// No controller: the replication status, in the controller's shape.
 		return info(ClusterInfo(sess.db.ReplStatus()))

@@ -12,10 +12,10 @@
 // at the first torn or corrupt frame — everything before it was durable,
 // everything after it never acknowledged.
 //
-// Commit durability is pipelined through the Batcher (group commit):
-// committers append their record and park in WaitDurable until one shared
-// fsync — issued by whichever committer leads the flush — covers their
-// LSN, so N concurrent committers pay ~1 fsync instead of N.
+// Commit durability is group commit: committers append their record and
+// park in WaitDurable until one shared fsync — issued by whichever caller
+// leads the flush — covers it, so N concurrent committers pay ~1 fsync
+// instead of N. Sync rides the same flushes.
 package wal
 
 import (
@@ -26,6 +26,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -34,6 +35,7 @@ import (
 	"time"
 
 	"neograph/internal/faultfs"
+	"neograph/internal/metrics"
 )
 
 // Options tune the log.
@@ -91,25 +93,27 @@ type WAL struct {
 	size    int64  // bytes written to the active segment
 	nextLSN uint64
 	closed  bool
-	// syncMu serialises Sync's fsync+bookkeeping (lock order: syncMu then
-	// mu). The kernel reports a writeback error once per fd, so two
-	// overlapping fsyncs would race on who observes it — serialised,
-	// non-overlapping fsyncs make a nil result trustworthy: a clean fsync
-	// covers everything appended before it started, and any concurrent
-	// seal fsync (rotation/Close, under mu) publishes failErr before this
-	// caller's bookkeeping can run. Appends never take syncMu, so the log
-	// keeps filling while a flush is in flight.
-	syncMu sync.Mutex
+	// flushing is set while a flush leader's fsync runs outside mu; every
+	// other waiter parks on cond (over mu), which each flush, seal and
+	// Close broadcasts. One flush at a time matters: the kernel reports a
+	// writeback error once per fd, so two overlapping fsyncs would race on
+	// who observes it — non-overlapping ones make a nil result
+	// trustworthy: a clean fsync covers everything appended before it
+	// started, and any concurrent seal fsync (rotation/Close, under mu)
+	// publishes failErr before the leader's bookkeeping can run. Appends
+	// never wait for a flush, so the log keeps filling while one runs.
+	flushing bool
+	cond     *sync.Cond
 	// failErr is a sticky failure — of an fsync (from Sync, rotation, or
 	// Close's seal sync), or of the rewind after a failed write. The kernel
 	// reports a writeback error once per fd and may drop the dirty pages,
 	// so after any failed fsync no later fsync can be trusted to mean the
 	// earlier records are durable; and a segment that could not be rewound
 	// no longer ends where the log does. Either way the log is poisoned:
-	// every subsequent Append/Sync fails with this error.
+	// every subsequent Append, Sync and WaitDurable fails with this error.
 	failErr error
 	// durable is the durability horizon: every byte below it has been
-	// covered by a successful fsync (or was found on disk at Open). It is
+	// covered by a successful fsync, Open's included. It is
 	// the position replication ships up to — a replica never applies a
 	// record its primary could still lose.
 	durable uint64
@@ -118,6 +122,15 @@ type WAL struct {
 	frame []byte
 	// appendFailures counts appends whose write failed (and was rewound).
 	appendFailures atomic.Uint64
+	// flushes counts the fsyncs WaitDurable callers led and synced the
+	// WaitDurable calls that returned durable: synced/flushes is the mean
+	// group size. depth is the number of WaitDurable calls in progress
+	// (an atomic, so a metrics scrape never takes mu).
+	flushes, synced atomic.Uint64
+	depth           atomic.Int64
+	// syncHist records the latency of each fsync a WaitDurable caller
+	// led, in seconds; the metrics registry attaches it.
+	syncHist *metrics.Histogram
 	// notifyC, when non-nil, is closed whenever the shippable horizon
 	// advances (durable moves, or any append under NoSync) and at Close,
 	// waking WaitShippable callers. Lazily created by the first waiter.
@@ -134,7 +147,8 @@ func Open(dir string, opts Options) (*WAL, error) {
 	if err := fs.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: mkdir: %w", err)
 	}
-	w := &WAL{dir: dir, fs: fs, opts: opts}
+	w := &WAL{dir: dir, fs: fs, opts: opts, syncHist: metrics.NewHistogram(metrics.LatencyBuckets())}
+	w.cond = sync.NewCond(&w.mu)
 	segs, err := listSegments(fs, dir)
 	if err != nil {
 		return nil, err
@@ -143,37 +157,46 @@ func Open(dir string, opts Options) (*WAL, error) {
 		if err := w.rotateLocked(0); err != nil {
 			return nil, err
 		}
-		return w, nil
+	} else {
+		// Validate the last segment and truncate any torn tail.
+		last := segs[len(segs)-1]
+		path := filepath.Join(dir, segmentName(last))
+		validLen, err := validLength(fs, path)
+		if err != nil {
+			return nil, err
+		}
+		f, err := fs.OpenFile(path, os.O_RDWR, 0o644)
+		if err != nil {
+			return nil, fmt.Errorf("wal: open segment: %w", err)
+		}
+		if err := f.Truncate(validLen); err != nil {
+			f.Close()
+			return nil, fmt.Errorf("wal: truncate torn tail: %w", err)
+		}
+		if _, err := f.Seek(0, 2); err != nil {
+			f.Close()
+			return nil, err
+		}
+		w.active, w.start, w.size = f, last, validLen
+		w.nextLSN = last + uint64(validLen)
 	}
-	// Validate the last segment and truncate any torn tail.
-	last := segs[len(segs)-1]
-	validLen, err := validLength(fs, filepath.Join(dir, segmentName(last)))
-	if err != nil {
-		return nil, err
+	// What an earlier process left behind becomes the durable prefix, so
+	// it is fsynced before it is claimed: that process may have died
+	// before its own fsync.
+	if !opts.NoSync {
+		if err := w.active.Sync(); err != nil {
+			w.active.Close()
+			return nil, fmt.Errorf("wal: sync on open: %w", err)
+		}
 	}
-	f, err := fs.OpenFile(filepath.Join(dir, segmentName(last)), os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("wal: open segment: %w", err)
-	}
-	if err := f.Truncate(validLen); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("wal: truncate torn tail: %w", err)
-	}
-	if _, err := f.Seek(0, 2); err != nil {
-		f.Close()
-		return nil, err
-	}
-	w.active = f
-	w.start = last
-	w.size = validLen
-	w.nextLSN = last + uint64(validLen)
-	// Everything that survived on disk is, by definition, durable.
 	w.durable = w.nextLSN
 	return w, nil
 }
 
-// wakeLocked wakes WaitShippable callers. Caller holds w.mu.
+// wakeLocked wakes WaitShippable callers and every caller parked behind
+// a flush. Caller holds w.mu.
 func (w *WAL) wakeLocked() {
+	w.cond.Broadcast()
 	if w.notifyC != nil {
 		close(w.notifyC)
 		w.notifyC = nil
@@ -338,67 +361,112 @@ func (w *WAL) Append(payload []byte) (uint64, error) {
 	return lsn, nil
 }
 
-// Sync makes all records appended before the call durable. The fsync runs
-// outside the log mutex so concurrent Appends proceed while the disk
-// works — this is what lets group commit accumulate a batch during the
-// in-flight flush.
+// Sync makes all records appended before the call durable. It rides the
+// same flushes as WaitDurable, without counting as a commit.
 func (w *WAL) Sync() error {
 	w.mu.Lock()
+	defer w.mu.Unlock()
 	if w.closed {
-		w.mu.Unlock()
 		return ErrClosed
 	}
-	if w.failErr != nil {
-		err := w.failErr
-		w.mu.Unlock()
-		return fmt.Errorf("wal: log poisoned by an earlier failure: %w", err)
-	}
-	if w.opts.NoSync {
-		w.mu.Unlock()
-		return nil
-	}
-	if w.durable >= w.nextLSN {
-		// Everything appended is already durable: an fsync would prove
-		// nothing new. This keeps idle replicas (whose applier fsyncs on
-		// every sync-requested heartbeat) from hammering the disk when no
-		// records have arrived.
-		w.mu.Unlock()
-		return nil
-	}
-	f := w.active
-	// Records appended before this point are covered by the fsync below;
-	// later appends may be too, but this is the bound we can prove.
-	target := w.nextLSN
-	w.mu.Unlock()
-	w.syncMu.Lock()
-	defer w.syncMu.Unlock()
-	err := f.Sync()
+	return w.waitLocked(w.nextLSN, false)
+}
+
+// WaitDurable blocks until every record below pos — an end position, such
+// as a record's LSN plus FrameOverhead plus its payload — is durable. It
+// is the group commit: a caller that finds no fsync running leads one,
+// which covers everything appended by the time it starts, while every
+// other caller parks until a flush covers it or it must lead the next.
+// The fsync runs outside the log mutex, so appends go on meanwhile and
+// the next flush's group builds up behind it. A failed fsync poisons the
+// log: this and every later call fails.
+func (w *WAL) WaitDurable(pos uint64) error {
+	w.depth.Add(1)
+	defer w.depth.Add(-1)
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	err := w.waitLocked(pos, true)
 	if err == nil {
-		// A concurrent seal fsync (rotation/Close) may have consumed the
-		// kernel's once-per-fd writeback error and set failErr while we
-		// were syncing — our nil then proves nothing about those records.
-		if w.failErr != nil {
-			return fmt.Errorf("wal: log poisoned by an earlier failure: %w", w.failErr)
-		}
-		w.markDurableLocked(target)
-		return nil
+		w.synced.Add(1)
 	}
-	// The segment may have been sealed while we synced: rotation and Close
-	// both fsync the active file before closing it, so a "file already
-	// closed" failure on a no-longer-active handle means the records are
-	// already durable — unless that seal fsync itself failed (failErr), in
-	// which case durability was lost and the error must surface.
-	if (w.active != f || w.closed) && w.failErr == nil && errors.Is(err, os.ErrClosed) {
-		return nil
-	}
-	if w.failErr != nil {
-		return fmt.Errorf("wal: log poisoned by an earlier failure: %w", w.failErr)
-	}
-	w.failErr = err
 	return err
 }
+
+// waitLocked waits until pos is durable, leading flushes as needed; a
+// commit's flushes are counted and timed. Caller holds w.mu, which is
+// released while a flush runs.
+func (w *WAL) waitLocked(pos uint64, commit bool) error {
+	for {
+		switch {
+		case w.failErr != nil:
+			return fmt.Errorf("wal: log poisoned by an earlier failure: %w", w.failErr)
+		case w.opts.NoSync || w.durable >= pos:
+			return nil // no fsync to prove nothing new: idle replicas' syncs stay free
+		case w.closed:
+			return ErrClosed
+		case pos > w.nextLSN:
+			// Nothing appended could ever make it durable.
+			return fmt.Errorf("wal: wait durable: position %d beyond log end %d", pos, w.nextLSN)
+		case w.flushing:
+			w.cond.Wait()
+		default:
+			w.flushLocked(commit)
+		}
+	}
+}
+
+// flushLocked runs one fsync with the caller as leader and wakes every
+// waiter. Caller holds w.mu; it is released during the fsync.
+func (w *WAL) flushLocked(commit bool) {
+	w.flushing = true
+	// One scheduler yield lets committers that are already runnable slip
+	// their appends in before the target is taken — it grows the group
+	// noticeably on a loaded machine and costs about a microsecond.
+	w.mu.Unlock()
+	runtime.Gosched()
+	w.mu.Lock()
+	f, target := w.active, w.nextLSN
+	w.mu.Unlock()
+	t0 := time.Now()
+	err := f.Sync()
+	if commit {
+		w.syncHist.ObserveDuration(time.Since(t0))
+	}
+	w.mu.Lock()
+	w.flushing = false
+	switch {
+	case w.failErr != nil:
+		// A concurrent seal fsync (rotation/Close) failed, and may have
+		// consumed the kernel's once-per-fd writeback error: this fsync's
+		// result proves nothing about those records.
+	case err == nil:
+		if commit {
+			w.flushes.Add(1)
+		}
+		w.markDurableLocked(target)
+	case (w.active != f || w.closed) && errors.Is(err, os.ErrClosed):
+		// The segment was sealed while this fsync ran: rotation and Close
+		// both fsync the active file before closing it, so its records
+		// are already durable.
+	default:
+		w.failErr = err
+	}
+	w.cond.Broadcast()
+}
+
+// GroupStats reports the fsyncs WaitDurable callers led and the
+// WaitDurable calls that returned durable.
+func (w *WAL) GroupStats() (flushes, synced uint64) {
+	return w.flushes.Load(), w.synced.Load()
+}
+
+// Depth returns the number of WaitDurable calls in progress — the
+// group-commit queue depth, its leader included.
+func (w *WAL) Depth() int64 { return w.depth.Load() }
+
+// SyncLatency exposes the latency histogram (seconds) of the fsyncs
+// WaitDurable callers led, for metrics registration.
+func (w *WAL) SyncLatency() *metrics.Histogram { return w.syncHist }
 
 // AppendFailures counts the appends whose write to the segment failed.
 func (w *WAL) AppendFailures() uint64 { return w.appendFailures.Load() }
@@ -418,13 +486,6 @@ func (w *WAL) ForEach(fn func(lsn uint64, payload []byte) error) error {
 	if w.closed {
 		w.mu.Unlock()
 		return ErrClosed
-	}
-	if !w.opts.NoSync {
-		// Make sure buffered appends are visible to the reader below.
-		if err := w.active.Sync(); err != nil {
-			w.mu.Unlock()
-			return err
-		}
 	}
 	segs, err := listSegments(w.fs, w.dir)
 	w.mu.Unlock()

@@ -561,3 +561,238 @@ func TestAppendIsOneWrite(t *testing.T) {
 		t.Fatalf("%d appends took %d writes", n, got)
 	}
 }
+
+// TestBatcherGroupsConcurrentCommits drives many concurrent committers
+// through Append+WaitDurable and checks that (a) every record is durable
+// and replayable afterwards and (b) group commit issued far fewer fsyncs
+// than there were commits.
+func TestBatcherGroupsConcurrentCommits(t *testing.T) {
+	dir := t.TempDir()
+	w, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const writers = 16
+	const perWriter = 25
+	var wg sync.WaitGroup
+	for i := 0; i < writers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for j := 0; j < perWriter; j++ {
+				p := []byte(fmt.Sprintf("w%d-%d", i, j))
+				lsn, err := w.Append(p)
+				if err != nil {
+					t.Errorf("append: %v", err)
+					return
+				}
+				if err := w.WaitDurable(lsn + FrameOverhead + uint64(len(p))); err != nil {
+					t.Errorf("wait durable: %v", err)
+					return
+				}
+			}
+		}(i)
+	}
+	wg.Wait()
+
+	flushes, synced := w.GroupStats()
+	if synced != writers*perWriter {
+		t.Fatalf("synced commits = %d, want %d", synced, writers*perWriter)
+	}
+	if flushes == 0 || flushes >= synced {
+		t.Fatalf("flushes = %d for %d commits; want batching (0 < flushes < commits)", flushes, synced)
+	}
+	t.Logf("%d commits in %d flushes (mean batch %.1f)", synced, flushes, float64(synced)/float64(flushes))
+
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	w2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w2.Close()
+	if _, got := collect(t, w2); len(got) != writers*perWriter {
+		t.Fatalf("replayed %d records, want %d", len(got), writers*perWriter)
+	}
+}
+
+// appendRecord appends p and returns its end position, the argument
+// WaitDurable takes.
+func appendRecord(t *testing.T, w *WAL, p string) uint64 {
+	t.Helper()
+	lsn, err := w.Append([]byte(p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return lsn + FrameOverhead + uint64(len(p))
+}
+
+// heldLog opens a log whose first fsync parks until inj.Release, its
+// caller inside WaitDurable as the flush leader.
+func heldLog(t *testing.T) (*WAL, *faultfs.Injector) {
+	t.Helper()
+	inj := faultfs.NewInjector(faultfs.OS{}, nil)
+	w, _ := openTestWAL(t, Options{FS: inj})
+	inj.Arm(faultfs.Fault{Point: "wal.sync", Hit: 1, Mode: faultfs.ModeHold})
+	return w, inj
+}
+
+// waitAsync runs WaitDurable(end) in a goroutine and returns its result.
+func waitAsync(w *WAL, end uint64) <-chan error {
+	res := make(chan error, 1)
+	go func() { res <- w.WaitDurable(end) }()
+	return res
+}
+
+// parkUntil yields until depth callers are inside WaitDurable.
+func parkUntil(w *WAL, depth int64) {
+	for w.Depth() < depth {
+		runtime.Gosched()
+	}
+}
+
+// TestGroupCommitGroupsWaitersBehindAFlush is grouping made
+// deterministic: while the first committer's fsync is held, N more append
+// and park; on release the held fsync covers its leader alone and exactly
+// one more covers all N.
+func TestGroupCommitGroupsWaitersBehindAFlush(t *testing.T) {
+	w, inj := heldLog(t)
+	defer w.Close()
+	leader := waitAsync(w, appendRecord(t, w, "leader"))
+	<-inj.Held()
+	const n = 8
+	var parked []<-chan error
+	for i := 0; i < n; i++ {
+		parked = append(parked, waitAsync(w, appendRecord(t, w, fmt.Sprintf("parked-%d", i))))
+	}
+	parkUntil(w, n+1)
+	inj.Release()
+	for _, res := range append(parked, leader) {
+		if err := <-res; err != nil {
+			t.Fatalf("WaitDurable = %v", err)
+		}
+	}
+	if flushes, synced := w.GroupStats(); flushes != 2 || synced != n+1 {
+		t.Fatalf("%d flushes for %d satisfied waits, want 2 for %d", flushes, synced, n+1)
+	}
+	if got := inj.Counts()["wal.sync"]; got != 2 {
+		t.Fatalf("%d fsyncs, want 2", got)
+	}
+}
+
+// TestBatcherFsyncFailurePropagates checks that a leader's failed fsync
+// is reported to every waiter parked behind it, and that the log stays
+// poisoned afterwards (no later commit can claim durability).
+func TestBatcherFsyncFailurePropagates(t *testing.T) {
+	inj := faultfs.NewInjector(faultfs.OS{}, nil)
+	w, _ := openTestWAL(t, Options{FS: inj})
+	defer w.Close()
+	inj.Arm(faultfs.Fault{Point: "wal.sync", Hit: 1, Mode: faultfs.ModeSyncFail})
+	const waiters = 8
+	var ends []uint64
+	for i := 0; i < waiters; i++ {
+		ends = append(ends, appendRecord(t, w, fmt.Sprintf("w%d", i)))
+	}
+	var res []<-chan error
+	for _, end := range ends {
+		res = append(res, waitAsync(w, end))
+	}
+	for _, r := range res {
+		if err := <-r; !errors.Is(err, faultfs.ErrSyncFailed) {
+			t.Fatalf("WaitDurable = %v, want the injected fsync failure", err)
+		}
+	}
+	if got := inj.Counts()["wal.sync"]; got != 1 {
+		t.Fatalf("%d fsyncs, want the one that failed", got)
+	}
+	// Poisoned: no append, wait or sync succeeds, though the disk is back.
+	if _, err := w.Append([]byte("late")); err == nil {
+		t.Fatal("Append succeeded after a failed fsync")
+	}
+	if err := w.WaitDurable(w.NextLSN()); err == nil {
+		t.Fatal("WaitDurable succeeded after a failed fsync")
+	}
+	if err := w.Sync(); err == nil {
+		t.Fatal("Sync succeeded after a failed fsync")
+	}
+}
+
+// TestBatcherDurableAcrossRotation checks that records sealed into a
+// rotated segment still count as durable (rotation syncs the old file).
+func TestBatcherDurableAcrossRotation(t *testing.T) {
+	w, dir := openTestWAL(t, Options{SegmentSize: 64})
+	for i := 0; i < 20; i++ { // small segment: forces several rotations
+		if err := w.WaitDurable(appendRecord(t, w, "0123456789abcdef")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := listSegments(faultfs.OS{}, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(segs) < 2 {
+		t.Fatalf("expected rotations, got %d segment(s)", len(segs))
+	}
+}
+
+// TestBatcherCloseWakesWaiters: committers parked behind a held flush
+// when Close runs are all woken durable — Close's seal fsync covers them
+// — and once Close returns, further waits and a second Close are refused.
+func TestBatcherCloseWakesWaiters(t *testing.T) {
+	w, inj := heldLog(t)
+	const waiters = 8
+	var res []<-chan error
+	for i := 0; i < waiters; i++ {
+		res = append(res, waitAsync(w, appendRecord(t, w, fmt.Sprintf("w%d", i))))
+	}
+	<-inj.Held()
+	parkUntil(w, waiters) // one leader in the fsync, the rest parked behind it
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	end := w.NextLSN()
+	inj.Release()
+	for _, r := range res {
+		if err := <-r; err != nil {
+			t.Errorf("WaitDurable = %v", err)
+		}
+	}
+	if err := w.WaitDurable(end + 1); !errors.Is(err, ErrClosed) {
+		t.Errorf("WaitDurable after Close = %v, want ErrClosed", err)
+	}
+	if err := w.Close(); !errors.Is(err, ErrClosed) {
+		t.Errorf("second Close = %v, want ErrClosed", err)
+	}
+}
+
+// TestLingerCutShortByClose: a committer parked behind the flush that is
+// in flight when Close starts — a flush that does not cover it — is made
+// durable by Close's seal, not failed; so is the leader, whose fsync then
+// meets the sealed file and is not counted as a flush.
+func TestLingerCutShortByClose(t *testing.T) {
+	w, inj := heldLog(t)
+	leader := waitAsync(w, appendRecord(t, w, "leader"))
+	<-inj.Held() // the leader's fsync is in flight and covers only its record
+	parked := waitAsync(w, appendRecord(t, w, "parked"))
+	parkUntil(w, 2)
+	closed := make(chan error, 1)
+	go func() { closed <- w.Close() }()
+	if err := <-parked; err != nil {
+		t.Errorf("parked: WaitDurable = %v", err)
+	}
+	inj.Release()
+	if err := <-leader; err != nil {
+		t.Errorf("leader: WaitDurable = %v", err)
+	}
+	if err := <-closed; err != nil {
+		t.Fatal(err)
+	}
+	if flushes, synced := w.GroupStats(); flushes != 0 || synced != 2 {
+		t.Errorf("%d flushes for %d commits, want 0 for 2", flushes, synced)
+	}
+}

@@ -30,7 +30,7 @@
 // A nil return from Commit means the transaction's redo record has been
 // fsynced to the write-ahead log (unless DisableSyncCommits is set) and
 // will be replayed after a crash. Concurrent committers share fsyncs
-// through a group-commit batcher: one fsync covers every record appended
+// through the log's group commit: one fsync covers every record appended
 // before it, so multi-writer commit throughput is not bounded by one disk
 // flush per transaction.
 package neograph
@@ -109,7 +109,7 @@ type Options struct {
 	Conflict core.ConflictPolicy
 	// DisableSyncCommits skips the commit WAL fsync entirely (durability
 	// traded for throughput; the default is durable). This also bypasses
-	// the group-commit batcher.
+	// group commit.
 	DisableSyncCommits bool
 	// GCMode selects the version collector. Zero value is GCThreaded.
 	GCMode core.GCMode
