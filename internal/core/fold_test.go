@@ -123,7 +123,13 @@ func TestPrepareDuringCheckpointStaysInDoubt(t *testing.T) {
 	checkpointed := make(chan error, 1)
 	go func() { checkpointed <- e.Checkpoint() }()
 	for e.wal.NextLSN() == logEnd {
-		runtime.Gosched()
+		select {
+		case err := <-checkpointed:
+			gate.Release()
+			t.Fatalf("Checkpoint returned %v before its marker reached the log", err)
+		default:
+			runtime.Gosched()
+		}
 	}
 	gate.Release()
 	if err := <-prepared; err != nil {

@@ -151,6 +151,7 @@ func TestGroupCommitFsyncFailureFailsCommit(t *testing.T) {
 func TestGroupCommitLatchNotHeldAcrossFsync(t *testing.T) {
 	e, slow := holdFsync(t, Options{Dir: t.TempDir(), Conflict: FirstCommitterWins})
 	defer e.Close()
+	defer slow.Release() // a failure below must not leave Close behind the held fsync
 
 	done := make(chan error, 1)
 	go func() {

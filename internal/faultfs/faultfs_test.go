@@ -288,3 +288,23 @@ func TestInjectorHold(t *testing.T) {
 	}
 	inj.Release() // a second Release is harmless
 }
+
+// A held fsync armed with HoldThenFail fails once on release, as under
+// ModeSyncFail.
+func TestInjectorHoldThenFail(t *testing.T) {
+	dir := t.TempDir()
+	inj := NewInjector(OS{}, nil)
+	inj.Arm(Fault{Point: "wal.sync", Hit: 1, Mode: ModeHold, HoldThenFail: true})
+	f := openSeg(t, inj, filepath.Join(dir, "wal-00000000000000000000.log"))
+	defer f.Close()
+	done := make(chan error, 1)
+	go func() { done <- f.Sync() }()
+	<-inj.Held()
+	inj.Release()
+	if err := <-done; !errors.Is(err, ErrSyncFailed) {
+		t.Fatalf("held sync released failing = %v, want ErrSyncFailed", err)
+	}
+	if err := f.Sync(); err != nil {
+		t.Fatalf("next sync = %v, want nil (the failure is one-shot)", err)
+	}
+}

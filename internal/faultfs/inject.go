@@ -63,6 +63,9 @@ type Fault struct {
 	// half the write.
 	// Under ModeShortRead it is the byte length the read is cut to.
 	TornBytes int
+	// HoldThenFail makes a released ModeHold operation fail as under
+	// ModeSyncFail: a held fsync returns ErrSyncFailed.
+	HoldThenFail bool
 }
 
 // Injector wraps an FS, counts every operation as a "<label>.<op>" crash
@@ -180,6 +183,9 @@ func (i *Injector) at(point string) (*Fault, error) {
 		i.mu.Unlock()
 		close(held)
 		<-release
+		if f.HoldThenFail {
+			return &Fault{Mode: ModeSyncFail}, nil
+		}
 		return f, nil
 	}
 	i.mu.Unlock()

@@ -54,18 +54,17 @@ type Options struct {
 // DefaultSegmentSize rotates segments at 16 MiB.
 const DefaultSegmentSize = 16 << 20
 
-const frameHeader = 8 // length + crc
-
 // maxKeptFrame is the largest frame buffer Append keeps for the next
 // record: commits log a few hundred bytes, and one bulk load's record
 // must not pin its size for the life of the log.
 const maxKeptFrame = 64 << 10
 
-// FrameOverhead is the number of framing bytes that precede each record's
-// payload. A record appended at LSN l with payload p occupies the byte
-// range [l, l+FrameOverhead+len(p)); the upper bound is the record's end
-// position — the token replication and read-your-writes waiting use.
-const FrameOverhead = frameHeader
+// FrameOverhead is the number of framing bytes (length, crc) that precede
+// each record's payload. A record appended at LSN l with payload p
+// occupies the byte range [l, l+FrameOverhead+len(p)); the upper bound is
+// the record's end position — the token replication and read-your-writes
+// waiting use.
+const FrameOverhead = 8
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
@@ -93,19 +92,18 @@ type WAL struct {
 	size    int64  // bytes written to the active segment
 	nextLSN uint64
 	closed  bool
-	// flushing is set while a flush leader's fsync runs outside mu; every
-	// other waiter parks on cond (over mu), which each flush, seal and
-	// Close broadcasts. One flush at a time matters: the kernel reports a
-	// writeback error once per fd, so two overlapping fsyncs would race on
-	// who observes it — non-overlapping ones make a nil result
-	// trustworthy: a clean fsync covers everything appended before it
-	// started, and any concurrent seal fsync (rotation/Close, under mu)
-	// publishes failErr before the leader's bookkeeping can run. Appends
-	// never wait for a flush, so the log keeps filling while one runs.
+	// flushing is set while a flush leader's fsyncs run outside mu; every
+	// other waiter parks on cond (over mu), which each flush and Close
+	// broadcasts. No two fsyncs ever overlap — the kernel reports a
+	// writeback error once per fd, so of two overlapping fsyncs one could
+	// return nil for pages the other found lost: a rotated-out segment
+	// stays open in sealed until a flush fsyncs it, and Close waits a
+	// flush in flight out. Appends never wait for a flush.
 	flushing bool
 	cond     *sync.Cond
-	// failErr is a sticky failure — of an fsync (from Sync, rotation, or
-	// Close's seal sync), or of the rewind after a failed write. The kernel
+	sealed   []faultfs.File
+	// failErr is a sticky failure — of a flush's or Close's fsync, or of
+	// the rewind after a failed write. The kernel
 	// reports a writeback error once per fd and may drop the dirty pages,
 	// so after any failed fsync no later fsync can be trusted to mean the
 	// earlier records are durable; and a segment that could not be rewound
@@ -203,14 +201,6 @@ func (w *WAL) wakeLocked() {
 	}
 }
 
-// markDurableLocked advances the durability horizon. Caller holds w.mu.
-func (w *WAL) markDurableLocked(pos uint64) {
-	if pos > w.durable {
-		w.durable = pos
-		w.wakeLocked()
-	}
-}
-
 // shippableLocked is the horizon up to which records may be shipped to a
 // replica: the durable position, or — when fsync is disabled and nothing
 // is ever formally durable — everything appended. Caller holds w.mu.
@@ -262,43 +252,23 @@ func validLength(fs faultfs.FS, path string) (int64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("wal: scan %s: %w", path, err)
 	}
-	off := int64(0)
-	for {
-		if int64(len(data))-off < frameHeader {
-			return off, nil
-		}
-		length := binary.LittleEndian.Uint32(data[off:])
-		crc := binary.LittleEndian.Uint32(data[off+4:])
-		end := off + frameHeader + int64(length)
-		if end > int64(len(data)) {
-			return off, nil
-		}
-		if crc32.Checksum(data[off+frameHeader:end], castagnoli) != crc {
-			return off, nil
-		}
-		off = end
-	}
+	return scanFrames(data, 0, 0, ^uint64(0), false, func(uint64, []byte) error { return nil })
 }
 
-// rotateLocked opens a fresh segment starting at lsn. Caller holds w.mu
-// (or is the constructor).
+// rotateLocked opens a fresh segment starting at lsn, leaving the old one
+// for the next flush to fsync and close. Caller holds w.mu (or is the
+// constructor).
 func (w *WAL) rotateLocked(lsn uint64) error {
-	if w.active != nil {
-		if !w.opts.NoSync {
-			if err := w.active.Sync(); err != nil {
-				w.failErr = err
-				return err
-			}
-			// The seal fsync covered every record appended so far.
-			w.markDurableLocked(w.nextLSN)
-		}
-		if err := w.active.Close(); err != nil {
-			return err
-		}
-	}
 	f, err := w.fs.OpenFile(filepath.Join(w.dir, segmentName(lsn)), os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
 		return fmt.Errorf("wal: create segment: %w", err)
+	}
+	if w.active != nil {
+		if w.opts.NoSync {
+			w.active.Close()
+		} else {
+			w.sealed = append(w.sealed, w.active)
+		}
 	}
 	w.active = f
 	w.start = lsn
@@ -318,7 +288,7 @@ func (w *WAL) Append(payload []byte) (uint64, error) {
 	if w.failErr != nil {
 		return 0, fmt.Errorf("wal: log poisoned by an earlier failure: %w", w.failErr)
 	}
-	frame := int64(frameHeader + len(payload))
+	frame := int64(FrameOverhead + len(payload))
 	if frame > w.opts.SegmentSize {
 		return 0, fmt.Errorf("%w: %d bytes", ErrTooLarge, len(payload))
 	}
@@ -415,8 +385,8 @@ func (w *WAL) waitLocked(pos uint64, commit bool) error {
 	}
 }
 
-// flushLocked runs one fsync with the caller as leader and wakes every
-// waiter. Caller holds w.mu; it is released during the fsync.
+// flushLocked runs one flush with the caller as leader and wakes every
+// waiter. Caller holds w.mu; it is released during the fsyncs.
 func (w *WAL) flushLocked(commit bool) {
 	w.flushing = true
 	// One scheduler yield lets committers that are already runnable slip
@@ -425,33 +395,43 @@ func (w *WAL) flushLocked(commit bool) {
 	w.mu.Unlock()
 	runtime.Gosched()
 	w.mu.Lock()
-	f, target := w.active, w.nextLSN
+	sealed, active, target := w.sealed, w.active, w.nextLSN
+	if w.size == 0 {
+		active = nil // a fresh segment holds nothing to make durable
+	}
+	w.sealed = nil
 	w.mu.Unlock()
 	t0 := time.Now()
-	err := f.Sync()
+	err := syncAll(sealed, active, nil)
 	if commit {
 		w.syncHist.ObserveDuration(time.Since(t0))
 	}
 	w.mu.Lock()
 	w.flushing = false
-	switch {
-	case w.failErr != nil:
-		// A concurrent seal fsync (rotation/Close) failed, and may have
-		// consumed the kernel's once-per-fd writeback error: this fsync's
-		// result proves nothing about those records.
-	case err == nil:
+	if err != nil {
+		w.failErr = err
+	} else {
 		if commit {
 			w.flushes.Add(1)
 		}
-		w.markDurableLocked(target)
-	case (w.active != f || w.closed) && errors.Is(err, os.ErrClosed):
-		// The segment was sealed while this fsync ran: rotation and Close
-		// both fsync the active file before closing it, so its records
-		// are already durable.
-	default:
-		w.failErr = err
+		w.durable = target // above durable: a flush runs only for a wait it covers
 	}
-	w.cond.Broadcast()
+	w.wakeLocked()
+}
+
+// syncAll fsyncs the sealed segments, closing each, and then active (nil
+// for none), stopping at the first failure — or at once if err is set.
+func syncAll(sealed []faultfs.File, active faultfs.File, err error) error {
+	for _, f := range sealed {
+		if err == nil {
+			err = f.Sync()
+		}
+		f.Close()
+	}
+	if err == nil && active != nil {
+		err = active.Sync()
+	}
+	return err
 }
 
 // GroupStats reports the fsyncs WaitDurable callers led and the
@@ -515,7 +495,7 @@ func scanFrames(data []byte, segStart uint64, off int64, stop uint64, strict boo
 		if lsn >= stop {
 			return off, nil
 		}
-		if int64(len(data))-off < frameHeader {
+		if int64(len(data))-off < FrameOverhead {
 			if strict && int64(len(data)) != off {
 				return off, fmt.Errorf("wal: torn frame header at lsn %d", lsn)
 			}
@@ -523,14 +503,14 @@ func scanFrames(data []byte, segStart uint64, off int64, stop uint64, strict boo
 		}
 		length := binary.LittleEndian.Uint32(data[off:])
 		crc := binary.LittleEndian.Uint32(data[off+4:])
-		end := off + frameHeader + int64(length)
-		if end > int64(len(data)) || crc32.Checksum(data[off+frameHeader:end], castagnoli) != crc {
+		end := off + FrameOverhead + int64(length)
+		if end > int64(len(data)) || crc32.Checksum(data[off+FrameOverhead:end], castagnoli) != crc {
 			if strict {
 				return off, fmt.Errorf("wal: corrupt frame at lsn %d", lsn)
 			}
 			return off, nil // torn tail
 		}
-		if err := fn(lsn, data[off+frameHeader:end]); err != nil {
+		if err := fn(lsn, data[off+FrameOverhead:end]); err != nil {
 			return off, err
 		}
 		off = end
@@ -693,7 +673,10 @@ func readSegmentRange(fs faultfs.FS, path string, segStart, pos, to uint64) ([]b
 
 // Rotate closes the active segment and starts a fresh one at the current
 // LSN. Checkpoints rotate before truncating so the segment holding
-// pre-checkpoint records becomes removable.
+// pre-checkpoint records becomes removable. Unless a flush is running,
+// Rotate leads one, so those records are durable — and shippable to
+// replicas — while the checkpoint persists; it does not queue behind a
+// running flush, whose successor covers them instead.
 func (w *WAL) Rotate() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -703,7 +686,10 @@ func (w *WAL) Rotate() error {
 	if w.size == 0 {
 		return nil // fresh segment already
 	}
-	return w.rotateLocked(w.nextLSN)
+	if err := w.rotateLocked(w.nextLSN); err != nil || w.flushing {
+		return err
+	}
+	return w.waitLocked(w.nextLSN, false)
 }
 
 // TruncateBefore removes whole segments that end at or before lsn —
@@ -751,22 +737,31 @@ func (w *WAL) Size() (int64, error) {
 	return total, nil
 }
 
-// Close syncs and closes the active segment.
+// Close syncs and closes the log. It waits a flush in flight out, so its
+// own fsync makes the callers parked behind that flush durable; a
+// poisoned log is closed without an fsync that could claim what was lost.
 func (w *WAL) Close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	for !w.closed && w.flushing {
+		w.cond.Wait()
+	}
 	if w.closed {
 		return ErrClosed
 	}
 	w.closed = true
 	defer w.wakeLocked() // waiters must observe closed
+	err := w.failErr
 	if !w.opts.NoSync {
-		if err := w.active.Sync(); err != nil {
-			w.failErr = err
-			w.active.Close()
-			return err
-		}
-		w.markDurableLocked(w.nextLSN)
+		err = syncAll(w.sealed, w.active, err)
 	}
-	return w.active.Close()
+	if cerr := w.active.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		w.failErr = err
+		return err
+	}
+	w.durable = w.nextLSN // the deferred wake tells the waiters
+	return nil
 }

@@ -476,7 +476,7 @@ func TestNoSyncShippableIsAppendHorizon(t *testing.T) {
 // the rewind the stray bytes stayed, the next record sat behind them at
 // an LSN that was not its offset, and the reopen cut the log at the stray.
 func TestFailedAppendLeavesNoStrayBytes(t *testing.T) {
-	for _, stray := range []int{3, frameHeader, -1} { // part of the header, all of it, half the frame
+	for _, stray := range []int{3, FrameOverhead, -1} { // part of the header, all of it, half the frame
 		t.Run(fmt.Sprint(stray), func(t *testing.T) {
 			inj := faultfs.NewInjector(faultfs.OS{}, nil)
 			w, dir := openTestWAL(t, Options{FS: inj})
@@ -632,10 +632,15 @@ func appendRecord(t *testing.T, w *WAL, p string) uint64 {
 // heldLog opens a log whose first fsync parks until inj.Release, its
 // caller inside WaitDurable as the flush leader.
 func heldLog(t *testing.T) (*WAL, *faultfs.Injector) {
+	return heldLogThen(t, false)
+}
+
+// heldLogThen is heldLog whose held fsync, once released, fails if fail.
+func heldLogThen(t *testing.T, fail bool) (*WAL, *faultfs.Injector) {
 	t.Helper()
 	inj := faultfs.NewInjector(faultfs.OS{}, nil)
 	w, _ := openTestWAL(t, Options{FS: inj})
-	inj.Arm(faultfs.Fault{Point: "wal.sync", Hit: 1, Mode: faultfs.ModeHold})
+	inj.Arm(faultfs.Fault{Point: "wal.sync", Hit: 1, Mode: faultfs.ModeHold, HoldThenFail: fail})
 	return w, inj
 }
 
@@ -660,6 +665,7 @@ func parkUntil(w *WAL, depth int64) {
 func TestGroupCommitGroupsWaitersBehindAFlush(t *testing.T) {
 	w, inj := heldLog(t)
 	defer w.Close()
+	defer inj.Release()
 	leader := waitAsync(w, appendRecord(t, w, "leader"))
 	<-inj.Held()
 	const n = 8
@@ -740,11 +746,51 @@ func TestBatcherDurableAcrossRotation(t *testing.T) {
 	}
 }
 
+// TestRotateSealsThroughAFlush: a rotation fsyncs the old segment through
+// a flush of its own when none is running, so the records below the cut
+// are durable when Rotate returns (the fresh segment, empty, is not
+// fsynced); a rotation in Append leaves the old segment to the next
+// flush, which fsyncs it before the active one.
+func TestRotateSealsThroughAFlush(t *testing.T) {
+	inj := faultfs.NewInjector(faultfs.OS{}, nil)
+	w, _ := openTestWAL(t, Options{FS: inj, SegmentSize: 64})
+	defer w.Close()
+	syncs := func() int { return inj.Counts()["wal.sync"] }
+	end := appendRecord(t, w, "sealed")
+	before := syncs()
+	if err := w.Rotate(); err != nil {
+		t.Fatal(err)
+	}
+	if got := syncs() - before; got != 1 {
+		t.Fatalf("Rotate ran %d fsyncs, want 1 (the sealed segment; the fresh one holds nothing)", got)
+	}
+	if w.DurableLSN() < end {
+		t.Fatal("Rotate returned before the sealed record was durable")
+	}
+	// 2 x 31 bytes fill the 64-byte segment; the third append rotates.
+	var ends []uint64
+	for i := 0; i < 3; i++ {
+		ends = append(ends, appendRecord(t, w, "0123456789abcdefghijklm"))
+	}
+	before = syncs()
+	if w.DurableLSN() >= ends[1] {
+		t.Fatal("Append's rotation made the full segment durable without a flush")
+	}
+	if err := w.WaitDurable(ends[2]); err != nil {
+		t.Fatal(err)
+	}
+	if got := syncs() - before; got != 2 {
+		t.Fatalf("the flush after Append's rotation ran %d fsyncs, want 2", got)
+	}
+}
+
 // TestBatcherCloseWakesWaiters: committers parked behind a held flush
-// when Close runs are all woken durable — Close's seal fsync covers them
-// — and once Close returns, further waits and a second Close are refused.
+// when Close starts are all woken durable — Close waits the flush out and
+// its own fsync covers the rest — and once Close returns, further waits
+// and a second Close are refused.
 func TestBatcherCloseWakesWaiters(t *testing.T) {
 	w, inj := heldLog(t)
+	defer inj.Release()
 	const waiters = 8
 	var res []<-chan error
 	for i := 0; i < waiters; i++ {
@@ -752,17 +798,18 @@ func TestBatcherCloseWakesWaiters(t *testing.T) {
 	}
 	<-inj.Held()
 	parkUntil(w, waiters) // one leader in the fsync, the rest parked behind it
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	end := w.NextLSN()
+	closed := make(chan error, 1)
+	go func() { closed <- w.Close() }()
 	inj.Release()
 	for _, r := range res {
 		if err := <-r; err != nil {
 			t.Errorf("WaitDurable = %v", err)
 		}
 	}
-	if err := w.WaitDurable(end + 1); !errors.Is(err, ErrClosed) {
+	if err := <-closed; err != nil {
+		t.Fatal(err)
+	}
+	if err := w.WaitDurable(w.NextLSN() + 1); !errors.Is(err, ErrClosed) {
 		t.Errorf("WaitDurable after Close = %v, want ErrClosed", err)
 	}
 	if err := w.Close(); !errors.Is(err, ErrClosed) {
@@ -772,27 +819,64 @@ func TestBatcherCloseWakesWaiters(t *testing.T) {
 
 // TestLingerCutShortByClose: a committer parked behind the flush that is
 // in flight when Close starts — a flush that does not cover it — is made
-// durable by Close's seal, not failed; so is the leader, whose fsync then
-// meets the sealed file and is not counted as a flush.
+// durable, not failed: Close waits that flush out, and its own fsync
+// covers whoever is still parked.
 func TestLingerCutShortByClose(t *testing.T) {
 	w, inj := heldLog(t)
+	defer inj.Release()
 	leader := waitAsync(w, appendRecord(t, w, "leader"))
 	<-inj.Held() // the leader's fsync is in flight and covers only its record
 	parked := waitAsync(w, appendRecord(t, w, "parked"))
 	parkUntil(w, 2)
 	closed := make(chan error, 1)
 	go func() { closed <- w.Close() }()
-	if err := <-parked; err != nil {
-		t.Errorf("parked: WaitDurable = %v", err)
-	}
 	inj.Release()
-	if err := <-leader; err != nil {
-		t.Errorf("leader: WaitDurable = %v", err)
+	for name, res := range map[string]<-chan error{"leader": leader, "parked": parked} {
+		if err := <-res; err != nil {
+			t.Errorf("%s: WaitDurable = %v", name, err)
+		}
 	}
 	if err := <-closed; err != nil {
 		t.Fatal(err)
 	}
-	if flushes, synced := w.GroupStats(); flushes != 0 || synced != 2 {
-		t.Errorf("%d flushes for %d commits, want 0 for 2", flushes, synced)
+	// The leader's fsync ran to its end on an open file, so it counts.
+	if flushes, synced := w.GroupStats(); flushes == 0 || synced != 2 {
+		t.Errorf("%d flushes for %d commits, want at least 1 for 2", flushes, synced)
+	}
+}
+
+// TestHeldFlushFailureBesideASeal: a flush's fsync fails while the log
+// rotates and closes beside it. Neither seal may acknowledge what that
+// fsync may have lost — the kernel reports a writeback error to one of
+// two overlapping fsyncs only — so rotation leaves its fsync to the next
+// flush and Close waits the failing one out: no waiter returns nil, and
+// the durable horizon does not move.
+func TestHeldFlushFailureBesideASeal(t *testing.T) {
+	w, inj := heldLogThen(t, true)
+	defer inj.Release()
+	durable := w.DurableLSN()
+	leader := waitAsync(w, appendRecord(t, w, "leader"))
+	<-inj.Held()
+	parked := waitAsync(w, appendRecord(t, w, "parked"))
+	parkUntil(w, 2)
+	if err := w.Rotate(); err != nil { // returns at once: the seal is the next flush's
+		t.Fatal(err)
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- w.Close() }()
+	inj.Release()
+	for name, res := range map[string]<-chan error{"leader": leader, "parked": parked} {
+		if err := <-res; !errors.Is(err, faultfs.ErrSyncFailed) {
+			t.Errorf("%s: WaitDurable = %v, want the injected fsync failure", name, err)
+		}
+	}
+	if err := <-closed; !errors.Is(err, faultfs.ErrSyncFailed) {
+		t.Errorf("Close = %v, want the log's fsync failure", err)
+	}
+	if got := w.DurableLSN(); got != durable {
+		t.Errorf("durable horizon moved from %d to %d past a failed fsync", durable, got)
+	}
+	if got := inj.Counts()["wal.sync"]; got != 1 {
+		t.Errorf("%d fsyncs, want only the one that failed", got)
 	}
 }
