@@ -170,8 +170,8 @@ func (e *Engine) DirtyCount() int {
 
 // nodeBytes and relBytes are the memory one version holds, read off the
 // structs themselves: header and state (one allocation), the label slice
-// and the property list. Label, type and key names are not counted — the
-// token table shares one copy of each.
+// and the property list's encoding, key names included. Label and type
+// names are not counted — the token table shares one copy of each.
 func nodeBytes(st *NodeState) int {
 	return int(unsafe.Sizeof(*st)) + len(st.Labels)*int(unsafe.Sizeof("")) + st.Props.HeapBytes()
 }

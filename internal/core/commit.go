@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 	"strconv"
-	"strings"
 	"sync"
 
 	"neograph/internal/ids"
@@ -661,32 +660,23 @@ func (e *Engine) indexPropDiff(idx *index.PropertyIndex, id ids.ID, old, new val
 	if !idx.Tracking() {
 		return
 	}
-	i, j := 0, 0
-	for i < old.Len() || j < new.Len() {
-		var cmp int
+	oi, ni := old.Iter(), new.Iter()
+	hasOld, hasNew := oi.Next(), ni.Next()
+	for hasOld || hasNew {
 		switch {
-		case i == old.Len():
-			cmp = 1
-		case j == new.Len():
-			cmp = -1
+		case !hasNew || hasOld && oi.Key() < ni.Key(): // key vanished
+			o := oi.Value()
+			idx.Update(e.tok.get(tokPropKey, oi.Key()), id, &o, nil, cts)
+			hasOld = oi.Next()
+		case !hasOld || ni.Key() < oi.Key(): // key appeared
+			n := ni.Value()
+			idx.Update(e.tok.get(tokPropKey, ni.Key()), id, nil, &n, cts)
+			hasNew = ni.Next()
 		default:
-			cmp = strings.Compare(old.At(i).Key, new.At(j).Key)
-		}
-		switch {
-		case cmp < 0: // key vanished
-			o := old.At(i)
-			idx.Update(e.tok.get(tokPropKey, o.Key), id, &o.Val, nil, cts)
-			i++
-		case cmp > 0: // key appeared
-			n := new.At(j)
-			idx.Update(e.tok.get(tokPropKey, n.Key), id, nil, &n.Val, cts)
-			j++
-		default:
-			if o, n := old.At(i), new.At(j); !o.Val.Equal(n.Val) {
-				idx.Update(e.tok.get(tokPropKey, o.Key), id, &o.Val, &n.Val, cts)
+			if o, n := oi.Value(), ni.Value(); !o.Equal(n) {
+				idx.Update(e.tok.get(tokPropKey, oi.Key()), id, &o, &n, cts)
 			}
-			i++
-			j++
+			hasOld, hasNew = oi.Next(), ni.Next()
 		}
 	}
 }

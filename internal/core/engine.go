@@ -290,9 +290,11 @@ type Engine struct {
 
 	labelIdx *index.LabelIndex
 	// The property indexes hold a key's postings from its first lookup on
-	// (propindex.go); indexBuilt, when set, hears of every such build.
+	// (propindex.go); indexBuilt, when set, hears of every such build, and
+	// buildCut, set by tests only, of each build's cut before its scan.
 	nodeProps, relProps *propIndex
 	indexBuilt          func(IndexBuild)
+	buildCut            func(key string, cut mvcc.TS)
 	// tok maps label and property-key names to the dense uint32 tokens the
 	// indexes are keyed by. Purely in-memory: it is rebuilt from the store
 	// and WAL during recovery.

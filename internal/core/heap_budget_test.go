@@ -16,12 +16,12 @@ import (
 //
 // A property key has index entries from the first lookup that names it:
 // an engine nobody has queried by property holds none, and measures
-// 519 B an entity; one that has been asked for every key holds 649 B.
+// 384 B an entity; one that has been asked for every key holds 515 B.
 // Each budget is 15 % above. TestResidentLayout pins the structs the
 // figures are made of.
 const (
-	heapBudgetPerEntity        = 597 // bytes, nothing looked up
-	heapBudgetPerIndexedEntity = 746 // bytes, every property key looked up
+	heapBudgetPerEntity        = 442 // bytes, nothing looked up
+	heapBudgetPerIndexedEntity = 592 // bytes, every property key looked up
 )
 
 // liveHeap returns the live heap after a forced collection.

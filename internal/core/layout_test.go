@@ -22,24 +22,27 @@ func sizeClass(n uintptr) uintptr {
 
 // TestResidentLayout pins what a resident entity with one version costs:
 // three allocations — the object, the version with its state, the
-// property fields — of these sizes. Every entity of every graph pays each
-// byte added here; a field that grows a struct past its size class fails
-// with the cost named.
+// property list's encoding — of these sizes. Every entity of every graph
+// pays each byte added here; a field that grows a struct past its size
+// class fails with the cost named.
 func TestResidentLayout(t *testing.T) {
 	object1 := sizeClass(unsafe.Sizeof(object{}))
 	rel := sizeClass(unsafe.Sizeof(RelState{}))
-	field1 := sizeClass(unsafe.Sizeof(value.Field{}))
+	encoded := func(m value.Map) uintptr { return sizeClass(uintptr(value.Pack(m).HeapBytes())) }
+	weight := encoded(value.Map{"weight": value.Float(0.5)})
 	for _, c := range []struct {
 		what         string
 		size, budget uintptr
 	}{
 		{"an object (key, chain head, chain mutex)", object1, 32},
 		{"a version header", sizeClass(unsafe.Sizeof(mvcc.Version{})), 48},
-		{"a node version with its state", sizeClass(unsafe.Sizeof(NodeState{})), 96},
+		{"a node version with its state", sizeClass(unsafe.Sizeof(NodeState{})), 80},
 		{"a relationship version with its state", rel, 96},
-		{"one property field", field1, 48},
-		{"three property fields", sizeClass(3 * unsafe.Sizeof(value.Field{})), 144},
-		{"a relationship with one property", object1 + rel + field1, 176},
+		{"a relationship's one float property, encoded", weight, 24},
+		{"a person's three properties, encoded", encoded(value.Map{
+			"uid": value.Int(11999), "name": value.String("person-11999"), "balance": value.Int(1000),
+		}), 48},
+		{"a relationship with one property", object1 + rel + weight, 152},
 	} {
 		if c.size > c.budget {
 			t.Errorf("%s takes %d B of heap, budget %d: %d B more on every resident entity",
@@ -49,7 +52,7 @@ func TestResidentLayout(t *testing.T) {
 
 	// The same through the engine: installing a created relationship
 	// allocates the version (the mutation's state is the version), its
-	// fields and the object — not a header, a state and links apiece. What
+	// property list and the object — not a header, a state and links apiece. What
 	// the maps and the endpoints' adjacency lists grow by is amortised well
 	// below one allocation a relationship and rounds away.
 	e := memEngine(t)

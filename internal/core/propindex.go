@@ -124,6 +124,9 @@ func (e *Engine) buildKey(p *propIndex, tok uint32, key string) {
 	rep := IndexBuild{Index: p.name, Key: key, Cut: e.oracle.LastCommit()}
 	e.active.Register(pin, e.oracle.Watermark())
 	e.commitGate.Unlock()
+	if e.buildCut != nil {
+		e.buildCut(key, rep.Cut)
+	}
 
 	b.Scan(func(run func(value.Value, uint64, mvcc.TS, mvcc.TS)) {
 		var buf []keyedVersion

@@ -443,7 +443,6 @@ func decodeCommit(payload []byte, tok *tokenTable) (mvcc.TS, []mutation, error) 
 
 // decodeMutations parses the mutation list that starts at off of payload.
 func decodeMutations(payload []byte, off int, tok *tokenTable) ([]mutation, error) {
-	propKey := func(b []byte) string { return tok.name(tokPropKey, b) }
 	n, sz := binary.Uvarint(payload[off:])
 	if sz <= 0 {
 		return nil, fmt.Errorf("core: corrupt commit record (count)")
@@ -517,7 +516,7 @@ func decodeMutations(payload []byte, off int, tok *tokenTable) ([]mutation, erro
 		if m.delta {
 			decode = value.DecodePatch
 		}
-		props, consumed, err := decode(payload[off:], propKey)
+		props, consumed, err := decode(payload[off:])
 		if err != nil {
 			return nil, fmt.Errorf("core: corrupt commit record: %w", err)
 		}

@@ -1,6 +1,9 @@
 package core
 
-import "sync"
+import (
+	"strings"
+	"sync"
+)
 
 // Token namespaces for the in-memory token table backing the indexes.
 type tokKind uint8
@@ -44,6 +47,7 @@ func (t *tokenTable) get(kind tokKind, name string) uint32 {
 		return id
 	}
 	id = uint32(len(t.n[kind]))
+	name = strings.Clone(name) // it may share a property list's bytes
 	t.m[kind][name] = id
 	t.n[kind] = append(t.n[kind], name)
 	return id
@@ -51,8 +55,8 @@ func (t *tokenTable) get(kind tokKind, name string) uint32 {
 
 // name returns the table's own copy of the name spelled by b, registering
 // it if new: every version decoded from a log record then shares one
-// string per label, key and type instead of allocating its own. A nil
-// table just copies.
+// string per label and type instead of allocating its own. A nil table
+// just copies.
 func (t *tokenTable) name(kind tokKind, b []byte) string {
 	if t == nil {
 		return string(b)

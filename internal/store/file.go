@@ -121,9 +121,13 @@ func (f *recordFile) locate(id ids.ID) (page uint64, off int) {
 	return id / uint64(f.perPage), int(id%uint64(f.perPage)) * f.size
 }
 
+// zeroRecord is a free record of every file: all zero, as long as the
+// largest record. write copies from it and never writes into it.
+var zeroRecord [record.DynSize]byte
+
 // zero clears record id (marks it not-in-use on disk).
 func (f *recordFile) zero(id ids.ID) error {
-	return f.write(id, make([]byte, f.size))
+	return f.write(id, zeroRecord[:])
 }
 
 func (f *recordFile) close() error { return f.cache.Close() }

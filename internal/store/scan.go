@@ -57,6 +57,7 @@ type reader struct {
 	props, dyn                cursor
 	keyNames, labels, relType []string
 	raw                       []byte // the dynamic chain read last
+	fields                    []byte // the property chain read last, encoded
 }
 
 func (s *Store) newReader() *reader {
@@ -128,12 +129,14 @@ func (r *reader) dynChain(head ids.ID) ([]byte, error) {
 	return r.raw, nil
 }
 
-// propChain decodes a property chain straight into its packed form.
+// propChain reads a property chain into its packed form: each record's
+// key name and value bytes, as they lie in the record or its spill chain,
+// appended to r.fields, then checked and copied once.
 func (r *reader) propChain(head ids.ID) (value.Packed, error) {
-	var scratch [8]value.Field
-	fields := scratch[:0]
-	for id, hops := head, 0; id != ids.NoID; hops++ {
-		if hops > 1<<20 {
+	r.fields = r.fields[:0]
+	n := 0
+	for id := head; id != ids.NoID; n++ {
+		if n > 1<<20 {
 			return value.Packed{}, fmt.Errorf("store: property chain cycle at %d", id)
 		}
 		buf, err := r.props.record(id)
@@ -150,20 +153,22 @@ func (r *reader) propChain(head ids.ID) (value.Packed, error) {
 		if int(p.Key) >= len(r.keyNames) {
 			return value.Packed{}, fmt.Errorf("store: property record %d has unknown key token %d", id, p.Key)
 		}
-		enc := p.Inline // in the pinned page; DecodeValue copies what it keeps
+		enc := p.Inline // in the pinned page; AppendField copies it
 		if p.Spilled {
 			if enc, err = r.dynChain(p.SpillRef); err != nil {
 				return value.Packed{}, err
 			}
 		}
-		v, _, err := value.DecodeValue(enc)
-		if err != nil {
+		if r.fields, err = value.AppendField(r.fields, r.keyNames[p.Key], enc); err != nil {
 			return value.Packed{}, fmt.Errorf("store: property record %d: %w", id, err)
 		}
-		fields = append(fields, value.Field{Key: r.keyNames[p.Key], Val: v})
 		id = p.Next
 	}
-	return value.PackFields(fields), nil
+	props, err := value.DecodeFields(r.fields, n)
+	if err != nil {
+		return value.Packed{}, fmt.Errorf("store: property chain at %d: %w", head, err)
+	}
+	return props, nil
 }
 
 // labelChain loads a label set from a dynamic chain.

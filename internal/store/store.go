@@ -254,7 +254,8 @@ func (s *Store) freeDynChain(head ids.ID) error {
 
 // writePropChain persists an entity's properties as a chain of property
 // records in key order, returning the head ID; no properties, no chain
-// (ids.NoID). Keys are registered in the token registry. Caller holds s.mu.
+// (ids.NoID). Each record holds its value's bytes as the list holds them.
+// Keys are registered in the token registry. Caller holds s.mu.
 func (s *Store) writePropChain(props value.Packed) (ids.ID, error) {
 	if props.Len() == 0 {
 		return ids.NoID, nil
@@ -265,13 +266,13 @@ func (s *Store) writePropChain(props value.Packed) (ids.ID, error) {
 	}
 	var buf [record.PropSize]byte
 	var enc []byte
-	for i := range recIDs {
-		f := props.At(i)
-		tok, err := s.tokens.Get(TokenPropKey, f.Key)
+	it := props.Iter()
+	for i := 0; it.Next(); i++ {
+		tok, err := s.tokens.Get(TokenPropKey, it.Key())
 		if err != nil {
 			return ids.NoID, err
 		}
-		enc = value.AppendValue(enc[:0], f.Val)
+		enc = append(enc[:0], it.Encoded()...)
 		p := record.PropRecord{InUse: true, Key: tok, Next: ids.NoID}
 		if i+1 < len(recIDs) {
 			p.Next = recIDs[i+1]

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"strings"
 	"sync"
 
 	"neograph/internal/faultfs"
@@ -132,6 +133,7 @@ func (t *Tokens) Get(kind TokenKind, name string) (uint32, error) {
 	if err := t.appendEntry(kind, id, name); err != nil {
 		return 0, err
 	}
+	name = strings.Clone(name) // it may share a property list's bytes
 	t.byName[kind][name] = id
 	t.byID[kind] = append(t.byID[kind], name)
 	return id, nil
